@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CflError, DimensionError, DivergenceError
 from .hamiltonians import QuadraticDriftHamiltonian
-from .kernels import CuckerSmaleKernel
+from .kernels import CuckerSmaleKernel, _grid_matrix
 from .measures import GridDensity, MeasurePath, ParticleEnsemble
 from .mfg_pde import _DiffusionSolver, transport_step
 
@@ -28,8 +28,7 @@ def limit_drift(ham: QuadraticDriftHamiltonian, kernel, x, m):
     scalar = x.ndim == 0
     if isinstance(m, GridDensity):
         xq = np.atleast_1d(x)
-        diffs = (xq[:, None] - m.cell_centers[None, :])[..., None]
-        conv = m.dx * (kernel.gradient(diffs)[..., 0] @ m.values)
+        conv = _grid_matrix(kernel, xq, m.cell_centers, m.dx, gradient=True) @ m.values
         out = ham.drift(xq) - conv
         return float(out[0]) if scalar else out
     if not isinstance(m, ParticleEnsemble):
@@ -109,7 +108,7 @@ def solve_aggregation_fv(
     x_int = m0.cell_edges[1:-1]
     v_int = ham.drift(x_int)
     # interface kernel-gradient quadrature matrix (n_x-1, n_x)
-    Dk = kernel.gradient((x_int[:, None] - m0.cell_centers[None, :])[..., None])[..., 0] * dx
+    Dk = _grid_matrix(kernel, x_int, m0.cell_centers, dx, gradient=True)
     diffuse = _DiffusionSolver(m0.n, dx, dt, nu)
     m = m0.values.copy()
     times = np.linspace(0.0, n_steps * dt, n_steps + 1)

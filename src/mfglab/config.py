@@ -196,6 +196,10 @@ def parse_config(text: str) -> ExperimentDescription:
 
 def _validate(values: dict) -> None:
     m, s, sw = values["model"], values["solver"], values["sweep"]
+    for section, spec in _SECTIONS.items():
+        for key, (_, typ) in spec.items():
+            if typ is float and not np.isfinite(values[section][key]):
+                raise ConfigError(f"{section}.{key}: must be finite, got {values[section][key]}")
     if m["kernel"] not in KERNEL_NAMES:
         raise ConfigError(f"model.kernel: unknown kernel {m['kernel']!r}; choose from {KERNEL_NAMES}")
     if m["kernel"] == "morse":
@@ -220,8 +224,8 @@ def _validate(values: dict) -> None:
             nu = float(s["nu"])
         except ValueError as exc:
             raise ConfigError(f"solver.nu: expected 'auto' or a number, got {s['nu']!r}") from exc
-        if nu < 0:
-            raise ConfigError(f"solver.nu: must be nonnegative, got {nu}")
+        if not 0 <= nu < np.inf:
+            raise ConfigError(f"solver.nu: must be finite and nonnegative, got {nu}")
     if s["n_x"] < 8:
         raise ConfigError(f"solver.n_x: need at least 8 cells, got {s['n_x']}")
     if s["m0_sigma"] <= 0:
@@ -234,8 +238,8 @@ def _validate(values: dict) -> None:
         lams = [float(c) for c in sw["lambdas"].split(",")]
     except ValueError as exc:
         raise ConfigError(f"sweep.lambdas: cannot parse {sw['lambdas']!r}") from exc
-    if any(l <= 0 for l in lams):
-        raise ConfigError(f"sweep.lambdas: every lambda must be positive, got {lams}")
+    if not all(0 < l < np.inf for l in lams):
+        raise ConfigError(f"sweep.lambdas: every lambda must be positive and finite, got {lams}")
     if sorted(lams) != lams or len(set(lams)) != len(lams):
         raise ConfigError(f"sweep.lambdas: must be strictly increasing, got {lams}")
     if sw["threads"] < 1:

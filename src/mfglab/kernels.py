@@ -235,6 +235,12 @@ RADIAL_KERNELS = (
 )
 
 
+def _grid_matrix(kernel, xq, y, dx, gradient=False):
+    """(len(xq), len(y)) quadrature matrix dx * k(xq_i - y_j), or dx * Dk(xq_i - y_j), in 1D."""
+    diffs = (np.asarray(xq, dtype=float)[:, None] - y[None, :])[..., None]
+    return dx * (kernel.gradient(diffs)[..., 0] if gradient else kernel.value(diffs))
+
+
 def _require_velocity(kernel, v):
     if isinstance(kernel, CuckerSmaleKernel):
         if v is None:
@@ -257,8 +263,7 @@ def eval_coupling(kernel, x, m, v=None):
     if isinstance(m, GridDensity):
         if isinstance(kernel, CuckerSmaleKernel):
             raise DimensionError("Cucker-Smale coupling needs a phase-space ensemble")
-        y = m.cell_centers
-        return float(m.dx * np.sum(m.values * kernel.value(np.asarray(x, dtype=float) - y)))
+        return float(_grid_matrix(kernel, np.reshape(x, 1), m.cell_centers, m.dx)[0] @ m.values)
     if not isinstance(m, ParticleEnsemble):
         raise TypeError(f"unsupported measure type {type(m)!r}")
     if isinstance(kernel, CuckerSmaleKernel):
@@ -286,9 +291,7 @@ def grad_coupling(kernel, x, m, v=None):
     if isinstance(m, GridDensity):
         if isinstance(kernel, CuckerSmaleKernel):
             raise DimensionError("Cucker-Smale coupling needs a phase-space ensemble")
-        y = m.cell_centers
-        diffs = np.asarray(x, dtype=float) - y
-        return float(m.dx * np.sum(m.values * kernel.gradient(diffs[:, None])[:, 0]))
+        return float(_grid_matrix(kernel, np.reshape(x, 1), m.cell_centers, m.dx, gradient=True)[0] @ m.values)
     if isinstance(kernel, CuckerSmaleKernel):
         if not m.is_phase_space:
             raise DimensionError("Cucker-Smale coupling needs a phase-space ensemble")

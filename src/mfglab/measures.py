@@ -29,6 +29,17 @@ MASS_TOL_PARTICLES = 1e-12
 EXACT_W1_SIZE_CAP = 2**18
 
 
+def _check_densities(values: np.ndarray, dx: float) -> None:
+    """Raise ValueError unless every row of values is a finite, nonnegative, unit-mass density."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+    if np.any(values < 0):
+        raise ValueError("density values must be nonnegative")
+    mass = dx * values.sum(axis=-1)
+    if np.any(np.abs(mass - 1.0) > MASS_TOL_GRID):
+        raise ValueError(f"density mass {mass} deviates from 1 beyond {MASS_TOL_GRID}")
+
+
 @dataclass(frozen=True)
 class GridDensity:
     """Nonnegative cell-averaged density on a uniform 1D grid with unit mass."""
@@ -44,13 +55,7 @@ class GridDensity:
             raise ValueError("dx must be positive")
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a non-empty 1D array")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
-        if np.any(values < 0):
-            raise ValueError("density values must be nonnegative")
-        mass = self.dx * float(values.sum())
-        if abs(mass - 1.0) > MASS_TOL_GRID:
-            raise ValueError(f"density mass {mass!r} deviates from 1 beyond {MASS_TOL_GRID}")
+        _check_densities(values, self.dx)
         values.setflags(write=False)
 
     @classmethod

@@ -19,7 +19,11 @@ Scheme
   drift part: a monotone scheme selecting the viscosity solution;
 * diffusion implicit (tridiagonal solves), homogeneous Neumann walls;
 * conservative upwind finite volumes for the density: mass conserved to
-  solver precision, nonnegativity preserved under the CFL bound.
+  solver precision, nonnegativity preserved under the CFL bound;
+* F = k*m for a whole HJB sweep is one product of the (n_steps+1, n_x)
+  density stack with the matrix dx * k(x_i - x_j);
+* the fixed-point loop runs on raw stacks: fp_forward returns one, checked
+  once as a whole; GridDensity/MeasurePath are built only for MfgSolution.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from scipy.sparse.linalg import splu
 
 from .errors import BoundaryLeakError, CflError, GridError, StabilityError
 from .hamiltonians import QuadraticDriftHamiltonian
-from .kernels import CuckerSmaleKernel
-from .measures import GridDensity, MeasurePath, wasserstein1_1d
+from .kernels import CuckerSmaleKernel, _grid_matrix
+from .measures import GridDensity, MeasurePath, _check_densities
 
 BOUNDARY_MASS_TOL = 1e-7
 
@@ -54,6 +58,9 @@ class PdeConfig:
     tolerance: float = 1e-6
 
     def __post_init__(self):
+        for name in ("lam", "T", "dt", "half_width", "nu", "tolerance"):
+            if not np.isfinite(getattr(self, name) or 0.0):  # nu = None selects the schedule
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.lam <= 0:
             raise ValueError("lam must be positive")
         if self.T <= 0 or self.dt <= 0 or self.half_width <= 0 or self.n_x < 8:
@@ -120,16 +127,27 @@ class _DiffusionSolver:
         return self._lu.solve(rhs) if self.active else rhs
 
 
-def coupling_on_grid(kernel, m: GridDensity, x: np.ndarray) -> np.ndarray:
-    """F(x_i, m) = (k*m)(x_i) by grid quadrature, vectorized in x."""
-    diffs = x[:, None] - m.cell_centers[None, :]
-    return m.dx * (kernel.value(diffs[..., None]) @ m.values)
+def _on_grid(kernel, m, x: np.ndarray, gradient: bool) -> np.ndarray:
+    y, dx, values = (m.cell_centers, m.dx, m.values) if isinstance(m, GridDensity) else (x, x[1] - x[0], m)
+    return values @ _grid_matrix(kernel, x, y, dx, gradient).T
 
 
-def coupling_grad_on_grid(kernel, m: GridDensity, x: np.ndarray) -> np.ndarray:
-    """D_x F(x_i, m) = (Dk*m)(x_i) with the Dk(0)=0 kink convention."""
-    diffs = x[:, None] - m.cell_centers[None, :]
-    return m.dx * (kernel.gradient(diffs[..., None])[..., 0] @ m.values)
+def coupling_on_grid(kernel, m: GridDensity | np.ndarray, x: np.ndarray) -> np.ndarray:
+    """F(x_i, m) = (k*m)(x_i) by grid quadrature, vectorized in x; m is a GridDensity, or
+    an (n_nodes, n) stack of cell values on the grid whose centres are x (one row per node)."""
+    return _on_grid(kernel, m, x, gradient=False)
+
+
+def coupling_grad_on_grid(kernel, m: GridDensity | np.ndarray, x: np.ndarray) -> np.ndarray:
+    """D_x F(x_i, m) = (Dk*m)(x_i) with the Dk(0)=0 kink convention; m as above."""
+    return _on_grid(kernel, m, x, gradient=True)
+
+
+def _grid_values(cfg: PdeConfig, m, what: str) -> np.ndarray:
+    on_grid = isinstance(m, GridDensity) and m.n == cfg.n_x and abs(m.dx - cfg.dx) < 1e-14 * cfg.dx
+    if not (on_grid and abs(m.origin + cfg.half_width) < 1e-12 * max(1.0, cfg.half_width)):
+        raise GridError(f"{what} is not on the config's grid of {cfg.n_x} cells over +-{cfg.half_width}")
+    return m.values
 
 
 def _godunov_quadratic(p_minus: np.ndarray, p_plus: np.ndarray) -> np.ndarray:
@@ -141,11 +159,14 @@ def hjb_backward(
     cfg: PdeConfig,
     ham: QuadraticDriftHamiltonian,
     kernel,
-    m_path: MeasurePath,
+    m_path: MeasurePath | np.ndarray,
 ) -> np.ndarray:
-    """Backward semi-implicit sweep; returns u on the full (time, space) grid."""
+    """Backward semi-implicit sweep; returns u on the full (time, space) grid.
+    m_path is a MeasurePath on the config's grid, or its raw (n_steps+1, n_x) stack."""
     if isinstance(kernel, CuckerSmaleKernel):
         raise TypeError("the 1D MFG solver takes a position-space kernel")
+    if isinstance(m_path, MeasurePath):
+        m_path = np.stack([_grid_values(cfg, m, "m_path") for m in m_path.measures])
     if len(m_path) != cfg.n_steps + 1:
         raise ValueError("m_path must live on the solver's time grid")
     lam, dt, dx, nu = cfg.lam, cfg.dt, cfg.dx, cfg.viscosity
@@ -155,7 +176,7 @@ def hjb_backward(
     decay = np.exp(-lam * dt)
     source_gain = (1.0 - decay) / lam
 
-    F_nodes = np.stack([coupling_on_grid(kernel, m, x) for m in m_path.measures])
+    F_nodes = coupling_on_grid(kernel, m_path, x)
 
     u = np.zeros((cfg.n_steps + 1, cfg.n_x))
     for j in range(cfg.n_steps - 1, -1, -1):
@@ -220,43 +241,25 @@ def fp_forward(
     ham: QuadraticDriftHamiltonian,
     u_path: np.ndarray,
     m0: GridDensity,
-) -> MeasurePath:
-    """Forward transport of m0 along the drift -D_pH(lam Du, x)."""
-    if m0.n != cfg.n_x:
-        raise GridError(f"initial density has {m0.n} cells, config expects {cfg.n_x}")
+) -> np.ndarray:
+    """Forward transport of m0 along the drift -D_pH(lam Du, x); returns the (n_steps+1, n_x) stack."""
     lam, dt, dx, nu = cfg.lam, cfg.dt, cfg.dx, cfg.viscosity
     x_int = cfg.cell_centers[:-1] + 0.5 * dx
     v_int = ham.drift(x_int)
     diffuse = _DiffusionSolver(cfg.n_x, dx, dt, nu)
 
-    m = m0.values.copy()
-    densities = [m0]
+    m = np.empty((cfg.n_steps + 1, cfg.n_x))
+    m[0] = _grid_values(cfg, m0, "initial density")
     for j in range(cfg.n_steps):
         du_int = (u_path[j, 1:] - u_path[j, :-1]) / dx
         b = v_int - lam * du_int  # -D_pH(lam Du, x) = v - lam Du
-        m = transport_step(m, b, dt, dx, diffuse)
-        total = m.sum() * dx
-        m = m / total  # remove roundoff drift; change is O(1e-15) per step
-        densities.append(GridDensity(m0.origin, dx, m))
-    boundary_mass = (densities[-1].values[0] + densities[-1].values[-1]) * dx
+        step = transport_step(m[j], b, dt, dx, diffuse)
+        m[j + 1] = step / (step.sum() * dx)  # remove roundoff drift; O(1e-15) per step
+    _check_densities(m, dx)
+    boundary_mass = (m[-1, 0] + m[-1, -1]) * dx
     if boundary_mass > BOUNDARY_MASS_TOL:
-        raise BoundaryLeakError(
-            f"boundary cells carry {boundary_mass:.2e} mass; enlarge half_width"
-        )
-    return MeasurePath(cfg.times, densities)
-
-
-def _blend_paths(a: MeasurePath, b: MeasurePath, theta: float) -> MeasurePath:
-    out = []
-    for ma, mb in zip(a.measures, b.measures):
-        vals = (1.0 - theta) * ma.values + theta * mb.values
-        out.append(GridDensity(ma.origin, ma.dx, vals / (vals.sum() * ma.dx)))
-    return MeasurePath(a.times, out)
-
-
-def _path_distance(a: MeasurePath, b: MeasurePath, n_samples: int = 9) -> float:
-    idx = np.unique(np.linspace(0, len(a) - 1, n_samples).astype(int))
-    return max(wasserstein1_1d(a.measures[i], b.measures[i]) for i in idx)
+        raise BoundaryLeakError(f"boundary cells carry {boundary_mass:.2e} mass; enlarge half_width")
+    return m
 
 
 def solve_mfg_fixed_point(
@@ -272,8 +275,9 @@ def solve_mfg_fixed_point(
     iterate flagged, never raises.
     """
     # warm start: best response to the frozen initial density
-    frozen = MeasurePath(cfg.times, [m0] * (cfg.n_steps + 1))
+    frozen = np.tile(m0.values, (cfg.n_steps + 1, 1))
     m_curr = fp_forward(cfg, ham, hjb_backward(cfg, ham, kernel, frozen), m0)
+    nodes = np.unique(np.linspace(0, cfg.n_steps, 9).astype(int))  # residual: max W1 over these
     mode = cfg.mode
     history = []
     increases = 0
@@ -281,17 +285,21 @@ def solve_mfg_fixed_point(
     for it in range(1, cfg.max_iterations + 1):
         u_path = hjb_backward(cfg, ham, kernel, m_curr)
         m_plus = fp_forward(cfg, ham, u_path, m0)
-        residual = _path_distance(m_curr, m_plus)
+        cdf_gap = np.cumsum(m_curr[nodes], axis=1) * cfg.dx - np.cumsum(m_plus[nodes], axis=1) * cfg.dx
+        residual = float(np.max(cfg.dx * np.sum(np.abs(cdf_gap), axis=1)))
         history.append(residual)
         if best is None or residual <= best[0]:
             best = (residual, u_path, m_plus, it)
         if residual < cfg.tolerance:
-            return MfgSolution(cfg, u_path, m_plus, it, residual, True, tuple(history))
+            break  # best is this iterate: every earlier residual was >= tolerance
         if len(history) >= 2 and history[-1] > history[-2]:
             increases += 1
             if increases >= 2 and mode == "damped-picard":
                 mode = "fictitious-play"
         theta = 1.0 / (it + 1.0) if mode == "fictitious-play" else cfg.theta
-        m_curr = _blend_paths(m_curr, m_plus, theta)
+        m_curr *= 1.0 - theta  # in place: m_curr is never the stored best iterate
+        m_curr += theta * m_plus
+        m_curr /= m_curr.sum(axis=1, keepdims=True) * cfg.dx
     residual, u_path, m_path, it = best
-    return MfgSolution(cfg, u_path, m_path, it, residual, False, tuple(history))
+    path = MeasurePath(cfg.times, [GridDensity(m0.origin, cfg.dx, row) for row in m_path])
+    return MfgSolution(cfg, u_path, path, it, residual, residual < cfg.tolerance, tuple(history))

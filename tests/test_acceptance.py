@@ -78,10 +78,9 @@ def test_conservation_suite():
     u = hjb_backward(cfg, ZERO_HAM, EXP_KERNEL, frozen)
     fp = fp_forward(cfg, ZERO_HAM, u, m0)
     agg = solve_aggregation_fv(ZERO_HAM, EXP_KERNEL, m0, 1.0, 2e-4)
-    for path in (fp, agg):
-        for m in path.measures:
-            assert abs(m.dx * m.values.sum() - 1.0) <= 1e-10
-            assert np.min(m.values) >= 0.0
+    for values in [*fp, *(m.values for m in agg.measures)]:
+        assert abs(cfg.dx * values.sum() - 1.0) <= 1e-10
+        assert np.min(values) >= 0.0
     assert time.perf_counter() - t0 < 10.0
 
 

@@ -53,6 +53,30 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="solver.lambda"):
             parse_config("[solver]\nlambda = -1\n")
 
+    @pytest.mark.parametrize(
+        "field, raw",
+        [
+            ("solver.lambda", "nan"),
+            ("solver.T", "inf"),
+            ("solver.dt", "nan"),
+            ("solver.half_width", "inf"),
+            ("solver.theta", "nan"),
+            ("solver.tolerance", "inf"),
+            ("solver.m0_center", "nan"),
+            ("model.alpha", "-inf"),
+            ("solver.nu", "nan"),
+            ("sweep.lambdas", "5, inf"),
+        ],
+    )
+    def test_non_finite_floats_name_field(self, field, raw):
+        section, key = field.split(".")
+        with pytest.raises(ConfigError, match=rf"^{field}: .*finite"):
+            parse_config(f"[{section}]\n{key} = {raw}\n")
+
+    def test_nan_lambda_message(self):
+        with pytest.raises(ConfigError, match="^solver.lambda: must be finite, got nan$"):
+            parse_config("[solver]\nlambda = nan\n")
+
     def test_morse_parameter_ranges(self):
         with pytest.raises(ConfigError, match="model.G"):
             parse_config("[model]\nkernel = morse\nG = 1.5\n")
