@@ -44,8 +44,6 @@ from .errors import (
 from .hamiltonians import (
     DriftField,
     QuadraticDriftHamiltonian,
-    eval_H,
-    grad_p_H,
     validate_hamiltonian,
 )
 from .kernels import (
@@ -56,7 +54,6 @@ from .kernels import (
     RepulsiveAttractiveKernel,
     ZeroKernel,
     eval_coupling,
-    eval_kernel,
     grad_coupling,
     psd_check,
     validate_coupling,

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .kernels import CuckerSmaleKernel
-from .measures import MeasurePath, ParticleEnsemble
+from .measures import MeasurePath, ParticleEnsemble, _csv_table
 
 
 @dataclass(frozen=True)
@@ -128,21 +128,11 @@ class TrajectoryEnsemble:
 
     def to_csv(self) -> str:
         x, v = self._states
-        d = self.d
-        cols = ["trajectory", "t"]
-        cols += [f"x{i + 1}" for i in range(d)]
-        cols += [f"v{i + 1}" for i in range(d)]
-        cols += [f"a{i + 1}" for i in range(d)]
-        lines = [",".join(cols)]
         a_nodes = np.concatenate([self.controls, self.controls[:, -1:]], axis=1)
-        for i in range(self.n):
-            for j, t in enumerate(self.times):
-                row = [str(i), repr(float(t))]
-                row += [repr(float(c)) for c in x[i, j]]
-                row += [repr(float(c)) for c in v[i, j]]
-                row += [repr(float(c)) for c in a_nodes[i, j]]
-                lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        states = np.concatenate([x, v, a_nodes], axis=2).tolist()
+        cols = ["trajectory", "t"] + [f"{b}{i + 1}" for b in "xva" for i in range(self.d)]
+        times = self.times.tolist()
+        return _csv_table(cols, ([i, t, *s] for i, traj in enumerate(states) for t, s in zip(times, traj)))
 
 
 @dataclass(frozen=True)

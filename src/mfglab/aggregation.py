@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .cucker_smale import _rk4
 from .errors import CflError, DimensionError, DivergenceError
 from .hamiltonians import QuadraticDriftHamiltonian
 from .kernels import CuckerSmaleKernel, _grid_matrix
@@ -71,23 +72,19 @@ def solve_aggregation_particles(
     if save_every is None:
         save_every = max(1, n_steps // 512)
     w = m0.weights
-    pos = m0.positions.copy()
+    pos = m0.positions
     times = [0.0]
     snaps = [m0]
     rhs = lambda p: _particle_drift(ham, kernel, p, w)
     for j in range(n_steps):
-        k1 = rhs(pos)
-        k2 = rhs(pos + 0.5 * dt * k1)
-        k3 = rhs(pos + 0.5 * dt * k2)
-        k4 = rhs(pos + dt * k3)
-        pos = pos + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        pos = _rk4(rhs, pos, dt, 1)
         if not np.all(np.isfinite(pos)) or np.max(np.abs(pos)) > blowup_radius:
             raise DivergenceError(
                 f"trajectories diverged at t={(j + 1) * dt:.4f} under kernel {kernel!r}"
             )
         if (j + 1) % save_every == 0 or j == n_steps - 1:
             times.append((j + 1) * dt)
-            snaps.append(ParticleEnsemble(pos.copy(), w, m0.spatial_dim))
+            snaps.append(ParticleEnsemble(pos, w, m0.spatial_dim))
     return MeasurePath(np.array(times), snaps)
 
 

@@ -26,8 +26,9 @@ from .convergence import (
 )
 from .cucker_smale import solve_cs
 from .errors import ConfigError
-from .kernels import CuckerSmaleKernel, psd_check, validate_coupling
 from .hamiltonians import validate_hamiltonian
+from .kernels import CuckerSmaleKernel, psd_check, validate_coupling
+from .measures import _csv_table
 from .mfg_pde import solve_mfg_fixed_point
 
 
@@ -44,25 +45,7 @@ def _base_doc(desc: ExperimentDescription, seed: int) -> dict:
     }
 
 
-def _particle_path_csv(path) -> str:
-    """Flat CSV of a particle-measure path: atom, t, coordinates, weight."""
-    first = path.measures[0]
-    d = first.spatial_dim
-    cols = ["atom", "t"] + [f"x{i + 1}" for i in range(d)]
-    if first.is_phase_space:
-        cols += [f"v{i + 1}" for i in range(d)]
-    cols.append("w")
-    lines = [",".join(cols)]
-    for t, m in zip(path.times, path.measures):
-        for i in range(m.n):
-            row = [str(i), repr(float(t))]
-            row += [repr(float(c)) for c in m.points[i]]
-            row.append(repr(float(m.weights[i])))
-            lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_validate_model(desc, out, seed, threads):
+def _cmd_validate_model(desc, out, seed):
     kernel = desc.build_kernel()
     ham = desc.build_hamiltonian()
     doc = _base_doc(desc, seed)
@@ -82,7 +65,7 @@ def _cmd_validate_model(desc, out, seed, threads):
     return 0 if doc["passed"] else 3
 
 
-def _cmd_solve_mfg(desc, out, seed, threads):
+def _cmd_solve_mfg(desc, out, seed):
     cfg = desc.build_pde_config()
     sol = solve_mfg_fixed_point(cfg, desc.build_hamiltonian(), desc.build_kernel(), desc.build_m0_grid())
     doc = _base_doc(desc, seed)
@@ -93,14 +76,12 @@ def _cmd_solve_mfg(desc, out, seed, threads):
         residual_history=list(sol.residual_history),
     )
     _write_json(out / "solution.json", doc)
-    (out / "u0.csv").write_text(
-        "x,u\n" + "".join(f"{float(x)!r},{float(u)!r}\n" for x, u in zip(cfg.cell_centers, sol.u_path[0]))
-    )
+    (out / "u0.csv").write_text(_csv_table(["x", "u"], zip(cfg.cell_centers.tolist(), sol.u_path[0].tolist())))
     (out / "m_final.csv").write_text(sol.m_path.measures[-1].to_csv())
     return 0 if sol.converged else 3
 
 
-def _cmd_solve_limit(desc, out, seed, threads):
+def _cmd_solve_limit(desc, out, seed):
     s = desc.solver
     path = solve_aggregation_fv(desc.build_hamiltonian(), desc.build_kernel(), desc.build_m0_grid(), s["T"], s["dt"])
     doc = _base_doc(desc, seed)
@@ -110,7 +91,7 @@ def _cmd_solve_limit(desc, out, seed, threads):
     return 0
 
 
-def _cmd_solve_accel(desc, out, seed, threads):
+def _cmd_solve_accel(desc, out, seed):
     kernel = desc.build_kernel()
     if not isinstance(kernel, CuckerSmaleKernel):
         raise ConfigError("model.kernel: solve-accel needs kernel = cucker-smale")
@@ -130,7 +111,7 @@ def _cmd_solve_accel(desc, out, seed, threads):
     return 0 if result.converged else 3
 
 
-def _cmd_solve_cs(desc, out, seed, threads):
+def _cmd_solve_cs(desc, out, seed):
     kernel = desc.build_kernel()
     if not isinstance(kernel, CuckerSmaleKernel):
         raise ConfigError("model.kernel: solve-cs needs kernel = cucker-smale")
@@ -139,11 +120,17 @@ def _cmd_solve_cs(desc, out, seed, threads):
     doc = _base_doc(desc, seed)
     doc["n_snapshots"] = len(path)
     _write_json(out / "solution.json", doc)
-    (out / "states.csv").write_text(_particle_path_csv(path))
+    # one row per atom and snapshot: atom, t, coordinates, weight
+    rows = (
+        [i, t, *p, w]
+        for t, m in zip(path.times.tolist(), path.measures)
+        for i, (p, w) in enumerate(zip(m.points.tolist(), m.weights.tolist()))
+    )
+    (out / "states.csv").write_text(_csv_table(["atom", "t", *path.measures[0]._csv_columns()], rows))
     return 0
 
 
-def _cmd_sweep_classic(desc, out, seed, threads):
+def _cmd_sweep_classic(desc, out, seed):
     report = run_lambda_sweep_classic(
         desc.build_hamiltonian(),
         desc.build_kernel(),
@@ -152,7 +139,6 @@ def _cmd_sweep_classic(desc, out, seed, threads):
         base_config=desc.build_pde_config(desc.lambdas[0]),
         n_cross_particles=desc.sweep["cross_particles"],
         seed=seed,
-        threads=threads,
     )
     prefix = desc.output["prefix"]
     (out / f"{prefix}.json").write_text(report.to_json() + "\n")
@@ -160,7 +146,7 @@ def _cmd_sweep_classic(desc, out, seed, threads):
     return 0 if not any(r["flagged"] for r in report.rows) else 3
 
 
-def _cmd_sweep_accel(desc, out, seed, threads):
+def _cmd_sweep_accel(desc, out, seed):
     kernel = desc.build_kernel()
     if not isinstance(kernel, CuckerSmaleKernel):
         raise ConfigError("model.kernel: sweep-accel needs kernel = cucker-smale")
@@ -173,7 +159,6 @@ def _cmd_sweep_accel(desc, out, seed, threads):
         n_intervals=s["n_intervals"],
         dt_reference=s["dt"],
         seed=seed,
-        threads=threads,
     )
     prefix = desc.output["prefix"]
     (out / f"{prefix}.json").write_text(report.to_json() + "\n")
@@ -201,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="INI experiment file")
         p.add_argument("--out", required=True, help="output directory (created if missing)")
         p.add_argument("--seed", type=int, default=None, help="override [output] seed")
-        p.add_argument("--threads", type=int, default=None, help="override [sweep] threads")
     return parser
 
 
@@ -213,8 +197,7 @@ def main(argv=None) -> int:
     try:
         desc = parse_config(Path(args.config).read_text())
         seed = desc.output["seed"] if args.seed is None else args.seed
-        threads = desc.sweep["threads"] if args.threads is None else args.threads
-        status = _COMMANDS[args.command](desc, out, seed, threads)
+        status = _COMMANDS[args.command](desc, out, seed)
     except Exception as exc:
         err = {
             "error": type(exc).__name__,

@@ -64,7 +64,7 @@ _SOLVER_DEFAULTS = {
 
 _SWEEP_DEFAULTS = {
     "lambdas": ("5, 20, 80", str),
-    "threads": (1, int),
+    "threads": (1, int),  # accepted for old configs; only 1 is valid
     "cross_particles": (400, int),
 }
 
@@ -136,11 +136,8 @@ class ExperimentDescription:
     def build_m0_atoms(self, seed: int | None = None) -> ParticleEnsemble:
         s = self.solver
         if s["atoms_x"]:
-            x = np.array([float(c) for c in s["atoms_x"].split(",")])
-            v = np.array([float(c) for c in s["atoms_v"].split(",")])
-            if x.size != v.size:
-                raise ConfigError("solver.atoms_v: length must match solver.atoms_x")
-            return ParticleEnsemble.equal_weights(np.column_stack([x, v]), 1)
+            points = np.column_stack([_floats(s["atoms_x"]), _floats(s["atoms_v"])])
+            return ParticleEnsemble.equal_weights(points, 1)
         rng = np.random.default_rng(self.output["seed"] if seed is None else seed)
         x = s["atoms_sigma_x"] * rng.standard_normal(s["n_atoms"])
         v = s["atoms_sigma_v"] * rng.standard_normal(s["n_atoms"])
@@ -149,7 +146,12 @@ class ExperimentDescription:
 
     @property
     def lambdas(self) -> tuple:
-        return tuple(float(c) for c in self.sweep["lambdas"].split(","))
+        return tuple(_floats(self.sweep["lambdas"]))
+
+
+def _floats(text: str) -> list:
+    """A comma list of numbers."""
+    return [float(c) for c in text.split(",")]
 
 
 def parse_config(text: str) -> ExperimentDescription:
@@ -234,16 +236,30 @@ def _validate(values: dict) -> None:
         raise ConfigError(f"solver.n_intervals: must be positive, got {s['n_intervals']}")
     if s["n_atoms"] < 1:
         raise ConfigError(f"solver.n_atoms: must be positive, got {s['n_atoms']}")
+    if s["atoms_x"] or s["atoms_v"]:
+        lengths = []
+        for key, other in (("atoms_x", "atoms_v"), ("atoms_v", "atoms_x")):
+            if not s[key]:
+                raise ConfigError(f"solver.{key}: required when solver.{other} is set")
+            try:
+                coords = _floats(s[key])
+            except ValueError as exc:
+                raise ConfigError(f"solver.{key}: cannot parse {s[key]!r} as a comma list of numbers") from exc
+            if not np.all(np.isfinite(coords)):
+                raise ConfigError(f"solver.{key}: must be finite, got {s[key]!r}")
+            lengths.append(len(coords))
+        if lengths[0] != lengths[1]:
+            raise ConfigError(f"solver.atoms_v: {lengths[1]} values, but solver.atoms_x has {lengths[0]}")
     try:
-        lams = [float(c) for c in sw["lambdas"].split(",")]
+        lams = _floats(sw["lambdas"])
     except ValueError as exc:
         raise ConfigError(f"sweep.lambdas: cannot parse {sw['lambdas']!r}") from exc
     if not all(0 < l < np.inf for l in lams):
         raise ConfigError(f"sweep.lambdas: every lambda must be positive and finite, got {lams}")
     if sorted(lams) != lams or len(set(lams)) != len(lams):
         raise ConfigError(f"sweep.lambdas: must be strictly increasing, got {lams}")
-    if sw["threads"] < 1:
-        raise ConfigError(f"sweep.threads: must be positive, got {sw['threads']}")
+    if sw["threads"] != 1:
+        raise ConfigError(f"sweep.threads: only 1 is supported (sweeps run serially), got {sw['threads']}")
 
 
 def write_config(desc: ExperimentDescription) -> str:

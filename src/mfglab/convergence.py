@@ -16,11 +16,8 @@ and inline every config value and seed for bit-reproducibility.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -28,12 +25,14 @@ import numpy as np
 from .acceleration import minimize_energy
 from .aggregation import solve_aggregation_fv, solve_aggregation_particles
 from .cucker_smale import richardson_order_ratio, solve_cs
+from .errors import BoundaryLeakError, CflError, StabilityError
 from .hamiltonians import QuadraticDriftHamiltonian, validate_hamiltonian
 from .kernels import CuckerSmaleKernel, validate_coupling
 from .measures import (
     GridDensity,
     MeasurePath,
     ParticleEnsemble,
+    _csv_table,
     _w1_sorted_1d,
     moment2,
     wasserstein1_1d,
@@ -92,12 +91,8 @@ class ConvergenceReport:
 
     def to_csv(self) -> str:
         keys = sorted({k for row in self.rows for k in row})
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["lambda"] + keys)
-        for lam, row in zip(self.lambdas, self.rows):
-            writer.writerow([repr(lam)] + [_csvable(row.get(k)) for k in keys])
-        return buf.getvalue()
+        rows = ([lam, *(row.get(k) for k in keys)] for lam, row in zip(self.lambdas, self.rows))
+        return _csv_table(["lambda", *keys], rows)
 
 
 def _jsonable(obj):
@@ -106,12 +101,6 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
-def _csvable(v):
-    if isinstance(v, float):
-        return repr(v)
-    return v
 
 
 def sample_grid_to_atoms(m: GridDensity, n: int) -> ParticleEnsemble:
@@ -228,6 +217,13 @@ def _window_times(T: float) -> np.ndarray:
     return np.linspace(0.0, DIAGNOSTIC_WINDOW * T, N_DIAGNOSTIC_TIMES)
 
 
+#: numeric columns of a classic row; NaN in the row of a lambda whose solve raised
+_CLASSIC_DIAGNOSTICS = (
+    "iterations", "fixed_point_residual", "w1_sup", "residual_lam_u", "residual_lam_du_l1",
+    "du_sup_scaled", "u_growth_scaled", "d2u_upper_scaled", "m_sup", "mass_error",
+)
+
+
 def _classic_row(
     cfg: PdeConfig,
     ham: QuadraticDriftHamiltonian,
@@ -237,7 +233,20 @@ def _classic_row(
     c0: float,
 ) -> dict:
     t0 = time.perf_counter()
-    sol = solve_mfg_fixed_point(cfg, ham, kernel, m0)
+    try:
+        sol = solve_mfg_fixed_point(cfg, ham, kernel, m0)
+    except (BoundaryLeakError, CflError, StabilityError) as exc:
+        # one failing lambda is a flagged row, not a failed sweep
+        row = dict.fromkeys(_CLASSIC_DIAGNOSTICS, float("nan"))
+        row.update(
+            converged=False,
+            flagged=True,
+            error=type(exc).__name__,
+            bounds_ok=False,
+            viscosity=float(cfg.viscosity),
+            wall_clock_s=time.perf_counter() - t0,
+        )
+        return row
     wall = time.perf_counter() - t0
 
     x = cfg.cell_centers
@@ -284,14 +293,15 @@ def run_lambda_sweep_classic(
     base_config: PdeConfig | None = None,
     n_cross_particles: int = 400,
     seed: int = 0,
-    threads: int = 1,
 ) -> ConvergenceReport:
     """Sweep the discount lambda and measure convergence to the limit flow.
 
     The reference is the inviscid finite-volume limit solve on the same
     grid; its own error is estimated by a particle cross-check and
     reported alongside the per-lambda distances.  Non-converged inner
-    solves are flagged, never fatal.
+    solves are flagged, never fatal; an inner solve that raises
+    BoundaryLeakError or a StabilityError (CflError included) gives a
+    flagged row that names the error and carries NaN diagnostics.
     """
     lambdas = sorted(float(l) for l in lambdas)
     if base_config is None:
@@ -307,13 +317,7 @@ def run_lambda_sweep_classic(
     t_cross = DIAGNOSTIC_WINDOW * T
     cross_error = w1_grid_vs_particles(reference.at(t_cross), particle_ref.at(t_cross))
 
-    configs = [replace(base_config, lam=lam) for lam in lambdas]
-    worker = lambda cfg: _classic_row(cfg, ham, kernel, m0, reference, c0)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(worker, configs))
-    else:
-        rows = [worker(cfg) for cfg in configs]
+    rows = [_classic_row(replace(base_config, lam=lam), ham, kernel, m0, reference, c0) for lam in lambdas]
 
     return ConvergenceReport(
         family="classic",
@@ -395,7 +399,6 @@ def run_lambda_sweep_acceleration(
     n_intervals: int = 128,
     dt_reference: float = 1e-3,
     seed: int = 0,
-    threads: int = 1,
 ) -> ConvergenceReport:
     """Sweep lambda for the acceleration family against the kinetic reference.
 
@@ -409,12 +412,7 @@ def run_lambda_sweep_acceleration(
     reference = solve_cs(m0, kernel, T, dt_reference, save_every=1)
     ratio = richardson_order_ratio(m0, kernel, T, dt_reference * 8)
 
-    worker = lambda lam: _acceleration_row(lam, m0, kernel, T, n_intervals, reference, seed)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(worker, lambdas))
-    else:
-        rows = [worker(lam) for lam in lambdas]
+    rows = [_acceleration_row(lam, m0, kernel, T, n_intervals, reference, seed) for lam in lambdas]
 
     return ConvergenceReport(
         family="acceleration",

@@ -28,29 +28,32 @@ def _rhs_arrays(pos, vel, w, kernel) -> np.ndarray:
     return -np.einsum("j,ijd->id", w, 2.0 * dv / g[..., None])
 
 
-def _integrate(pos, vel, w, kernel, n_steps, dt):
+def _rk4(rhs, z, dt, n_steps):
+    """n_steps classical RK4 steps of dz/dt = rhs(z) from the state array z."""
     for _ in range(n_steps):
-        k1x, k1v = vel, _rhs_arrays(pos, vel, w, kernel)
-        p2, v2 = pos + 0.5 * dt * k1x, vel + 0.5 * dt * k1v
-        k2x, k2v = v2, _rhs_arrays(p2, v2, w, kernel)
-        p3, v3 = pos + 0.5 * dt * k2x, vel + 0.5 * dt * k2v
-        k3x, k3v = v3, _rhs_arrays(p3, v3, w, kernel)
-        p4, v4 = pos + dt * k3x, vel + dt * k3v
-        k4x, k4v = v4, _rhs_arrays(p4, v4, w, kernel)
-        pos = pos + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        vel = vel + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-    return pos, vel
+        k1 = rhs(z)
+        k2 = rhs(z + 0.5 * dt * k1)
+        k3 = rhs(z + 0.5 * dt * k2)
+        k4 = rhs(z + dt * k3)
+        z = z + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return z
+
+
+def _phase_rhs(m0: ParticleEnsemble, kernel):
+    """Right-hand side on the stacked state z = [pos | vel]: returns [vel | accel]."""
+    if not m0.is_phase_space:
+        raise DimensionError("phase-space ensemble required")
+    d, w = m0.spatial_dim, m0.weights
+    return lambda z: np.hstack([z[:, d:], _rhs_arrays(z[:, :d], z[:, d:], w, kernel)])
 
 
 def richardson_order_ratio(
     m0: ParticleEnsemble, kernel: CuckerSmaleKernel, T: float, dt: float
 ) -> float:
     """Step-halving error ratio |u_dt - u_dt/2| / |u_dt/2 - u_dt/4|; ~16 for RK4."""
-    pos, vel, w = m0.positions, m0.velocities, m0.weights
+    rhs = _phase_rhs(m0, kernel)
     n = max(1, round(T / dt))
-    z1 = np.concatenate(_integrate(pos, vel, w, kernel, n, T / n), axis=1)
-    z2 = np.concatenate(_integrate(pos, vel, w, kernel, 2 * n, T / (2 * n)), axis=1)
-    z4 = np.concatenate(_integrate(pos, vel, w, kernel, 4 * n, T / (4 * n)), axis=1)
+    z1, z2, z4 = (_rk4(rhs, m0.points, T / k, k) for k in (n, 2 * n, 4 * n))
     e1 = np.max(np.abs(z1 - z2))
     e2 = np.max(np.abs(z2 - z4))
     if e2 == 0.0:
@@ -71,8 +74,7 @@ def solve_cs(
     With order_check=True a step-halving Richardson probe must land in
     the RK4 window [8, 32] before the full integration runs.
     """
-    if not m0.is_phase_space:
-        raise DimensionError("phase-space ensemble required")
+    rhs = _phase_rhs(m0, kernel)
     if order_check:
         ratio = richardson_order_ratio(m0, kernel, min(T, 32 * dt), dt)
         if not (8.0 <= ratio <= 32.0 or ratio == np.inf):
@@ -82,14 +84,14 @@ def solve_cs(
     n_steps = max(1, round(T / dt))
     if save_every is None:
         save_every = max(1, n_steps // 512)
-    pos, vel, w = m0.positions.copy(), m0.velocities.copy(), m0.weights
+    z = m0.points
     times = [0.0]
     snaps = [m0]
     for j in range(n_steps):
-        pos, vel = _integrate(pos, vel, w, kernel, 1, dt)
+        z = _rk4(rhs, z, dt, 1)
         if (j + 1) % save_every == 0 or j == n_steps - 1:
             times.append((j + 1) * dt)
-            snaps.append(ParticleEnsemble(np.hstack([pos, vel]), w, m0.spatial_dim))
+            snaps.append(ParticleEnsemble(z, m0.weights, m0.spatial_dim))
     return MeasurePath(np.array(times), snaps)
 
 

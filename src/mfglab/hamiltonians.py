@@ -1,45 +1,34 @@
 """Hamiltonians H(p, x) = |p|^2/2 - v(x).p with smooth bounded drifts.
 
-The quadratic-plus-drift family covers every experiment in the lab; the
-validator also accepts externally supplied Hamiltonian callables so the
-failure paths can be exercised.
+The quadratic-plus-drift family, with a zero, constant or sinusoidal
+drift field, covers every experiment in the lab; the validator also
+accepts externally supplied Hamiltonian callables so the failure paths
+can be exercised.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 
 @dataclass(frozen=True)
 class DriftField:
     """Smooth bounded vector field v(x) with declared derivative bounds.
 
-    Variants: zero, constant c, sinusoidal A sin(omega x) (componentwise
-    on the first coordinate), or a tabulated 1D profile.
+    Variants: zero, constant c, or sinusoidal A sin(omega x)
+    (componentwise on the first coordinate).
     """
 
     variant: str = "zero"
     amplitude: float = 0.0
     frequency: float = 1.0
-    table_x: np.ndarray | None = None
-    table_v: np.ndarray | None = None
-    _spline: object = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.variant not in ("zero", "constant", "sinusoidal", "tabulated"):
+        if self.variant not in ("zero", "constant", "sinusoidal"):
             raise ValueError(f"unknown drift variant {self.variant!r}")
-        if self.variant == "tabulated":
-            x = np.asarray(self.table_x, dtype=float)
-            v = np.asarray(self.table_v, dtype=float)
-            if x.ndim != 1 or x.size < 4 or np.any(np.diff(x) <= 0):
-                raise ValueError("tabulated drift needs >= 4 increasing nodes")
-            object.__setattr__(self, "table_x", x)
-            object.__setattr__(self, "table_v", v)
-            object.__setattr__(self, "_spline", CubicSpline(x, v, bc_type="clamped"))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -47,27 +36,19 @@ class DriftField:
             return np.zeros_like(x)
         if self.variant == "constant":
             return np.full_like(x, self.amplitude)
-        if self.variant == "sinusoidal":
-            return self.amplitude * np.sin(self.frequency * x)
-        lo, hi = self.table_x[0], self.table_x[-1]
-        return self._spline(np.clip(x, lo, hi))
+        return self.amplitude * np.sin(self.frequency * x)
 
     @property
     def sup_norm(self) -> float:
         if self.variant == "zero":
             return 0.0
-        if self.variant in ("constant", "sinusoidal"):
-            return abs(self.amplitude)
-        return float(np.max(np.abs(self.table_v)))
+        return abs(self.amplitude)
 
     @property
     def lipschitz(self) -> float:
-        if self.variant in ("zero", "constant"):
-            return 0.0
         if self.variant == "sinusoidal":
             return abs(self.amplitude * self.frequency)
-        xs = np.linspace(self.table_x[0], self.table_x[-1], 2048)
-        return float(np.max(np.abs(self._spline(xs, 1))))
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -87,14 +68,6 @@ class QuadraticDriftHamiltonian:
     def c0(self) -> float:
         """Growth constant: -c0 <= H <= c0 (1 + |p|^2)."""
         return max(1.0, 0.5 + self.drift.sup_norm**2)
-
-
-def eval_H(h: QuadraticDriftHamiltonian, p, x):
-    return h.value(p, x)
-
-
-def grad_p_H(h: QuadraticDriftHamiltonian, p, x):
-    return h.grad_p(p, x)
 
 
 @dataclass(frozen=True)

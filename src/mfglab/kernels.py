@@ -249,14 +249,6 @@ def _require_velocity(kernel, v):
         raise DimensionError("velocity argument only valid for the Cucker-Smale kernel")
 
 
-def eval_kernel(kernel, x, v=None):
-    """Pointwise kernel evaluation k(x) or k(x, v)."""
-    _require_velocity(kernel, v)
-    if isinstance(kernel, CuckerSmaleKernel):
-        return kernel.value(x, v)
-    return kernel.value(x)
-
-
 def eval_coupling(kernel, x, m, v=None):
     """F(x, m) = (k * m)(x), or F(x, v, m) for the Cucker-Smale kernel."""
     _require_velocity(kernel, v)

@@ -13,7 +13,6 @@ All types are immutable after construction; operations are pure.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +37,19 @@ def _check_densities(values: np.ndarray, dx: float) -> None:
     mass = dx * values.sum(axis=-1)
     if np.any(np.abs(mass - 1.0) > MASS_TOL_GRID):
         raise ValueError(f"density mass {mass} deviates from 1 beyond {MASS_TOL_GRID}")
+
+
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def _csv_table(columns, rows) -> str:
+    """CSV text: the header line, then one line per row (floats as repr, None as empty)."""
+    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in (columns, *rows))
 
 
 @dataclass(frozen=True)
@@ -101,11 +113,7 @@ class GridDensity:
         )
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("x,value\n")
-        for x, v in zip(self.cell_centers, self.values):
-            buf.write(f"{float(x)!r},{float(v)!r}\n")
-        return buf.getvalue()
+        return _csv_table(["x", "value"], zip(self.cell_centers.tolist(), self.values.tolist()))
 
     @classmethod
     def from_csv(cls, text: str) -> "GridDensity":
@@ -173,17 +181,14 @@ class ParticleEnsemble:
         n = points.shape[0]
         return cls(points, np.full(n, 1.0 / n), spatial_dim)
 
+    def _csv_columns(self) -> list:
+        """Column names of one atom: coordinates, then the weight."""
+        blocks = "xv" if self.is_phase_space else "x"
+        return [f"{b}{i + 1}" for b in blocks for i in range(self.spatial_dim)] + ["w"]
+
     def to_csv(self) -> str:
-        d = self.spatial_dim
-        cols = [f"x{i + 1}" for i in range(d)]
-        if self.is_phase_space:
-            cols += [f"v{i + 1}" for i in range(d)]
-        cols.append("w")
-        buf = io.StringIO()
-        buf.write(",".join(cols) + "\n")
-        for p, w in zip(self.points, self.weights):
-            buf.write(",".join(repr(float(c)) for c in p) + f",{float(w)!r}\n")
-        return buf.getvalue()
+        rows = (p + [w] for p, w in zip(self.points.tolist(), self.weights.tolist()))
+        return _csv_table(self._csv_columns(), rows)
 
     @classmethod
     def from_csv(cls, text: str) -> "ParticleEnsemble":
@@ -249,31 +254,19 @@ def moment2(m, selector: str = "all") -> float:
 def rebin(m: GridDensity, origin: float, dx: float, n: int) -> GridDensity:
     """Mass-conservative rebinning onto a new uniform grid.
 
-    Each old cell's mass is split among new cells in proportion to the
-    overlap length, so total mass is preserved exactly.
+    A new cell takes the increment of the old CDF across its edges.  The
+    density is piecewise constant, so that CDF is piecewise linear and
+    each old cell's mass is split in proportion to the overlap length.
     """
-    new_vals = np.zeros(n)
-    old_edges = m.cell_edges
-    new_left = origin
-    new_right = origin + n * dx
-    for j in range(m.n):
-        lo, hi = old_edges[j], old_edges[j + 1]
-        mass = m.values[j] * m.dx
-        if mass == 0.0:
-            continue
-        if hi <= new_left or lo >= new_right:
-            raise GridError("old cell carries mass outside the new grid")
-        i0 = max(int(np.floor((lo - origin) / dx)), 0)
-        i1 = min(int(np.ceil((hi - origin) / dx)), n)
-        for i in range(i0, i1):
-            a = max(lo, origin + i * dx)
-            b = min(hi, origin + (i + 1) * dx)
-            if b > a:
-                new_vals[i] += mass * (b - a) / (hi - lo)
-    covered = new_vals.sum() * 1.0
-    if abs(covered - m.values.sum() * m.dx) > 1e-9:
+    edges = m.cell_edges
+    outside = (edges[1:] <= origin) | (edges[:-1] >= origin + n * dx)
+    if np.any((m.values > 0) & outside):
+        raise GridError("old cell carries mass outside the new grid")
+    cdf = np.concatenate([[0.0], m.cdf()])
+    mass = np.diff(np.interp(origin + np.arange(n + 1) * dx, edges, cdf))
+    if abs(mass.sum() - cdf[-1]) > 1e-9:
         raise GridError("rebinning lost mass; new grid does not cover the support")
-    return GridDensity(origin, dx, new_vals / (new_vals.sum() * dx))
+    return GridDensity(origin, dx, mass / (mass.sum() * dx))
 
 
 def _common_grid(a: GridDensity, b: GridDensity):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mfglab import (
     CuckerSmaleKernel,
@@ -9,6 +10,10 @@ from mfglab import (
     ParticleEnsemble,
     QuadraticDriftHamiltonian,
 )
+
+# property tests draw the same examples on every run and write no example database
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

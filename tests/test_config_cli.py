@@ -103,6 +103,26 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="solver.dt"):
             parse_config("[solver]\ndt = fast\n")
 
+    @pytest.mark.parametrize(
+        "solver, field",
+        [
+            ("atoms_x = 0.1, 0.2\n", "solver.atoms_v"),
+            ("atoms_v = 1, -1\n", "solver.atoms_x"),
+            ("atoms_x = 0.1, abc\natoms_v = 1, -1\n", "solver.atoms_x"),
+            ("atoms_x = 0.1, 0.2\natoms_v = 1, nan\n", "solver.atoms_v"),
+            ("atoms_x = 0.1, 0.2\natoms_v = 1\n", "solver.atoms_v"),
+        ],
+    )
+    def test_partial_atom_lists_name_field(self, solver, field):
+        with pytest.raises(ConfigError, match=rf"^{field}: "):
+            parse_config(f"[model]\nkernel = cucker-smale\n[solver]\n{solver}")
+
+    def test_threads_accepts_only_one(self):
+        desc = parse_config("[sweep]\nthreads = 1\n")
+        assert parse_config(write_config(desc)) == desc
+        with pytest.raises(ConfigError, match="^sweep.threads: "):
+            parse_config("[sweep]\nthreads = 2\n")
+
 
 class TestCli:
     def write(self, tmp_path, text, name="exp.ini"):
@@ -150,6 +170,11 @@ class TestCli:
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "ConfigError"
         assert "solver.lambda" in err["message"]
+
+    def test_threads_flag_removed(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, MINIMAL)
+        with pytest.raises(SystemExit):
+            main(["sweep-classic", "--config", cfg, "--out", str(tmp_path / "run"), "--threads", "2"])
 
     def test_accel_requires_cs_kernel(self, tmp_path, capsys):
         cfg = self.write(tmp_path, "[model]\nkernel = exponential\n")

@@ -113,6 +113,20 @@ class TestClassicSweep:
         assert np.all(np.diff(res_u) < 0)
         assert np.all(rep.column("converged") == 1.0)
 
+    def test_failing_lambda_is_a_flagged_row(self, zero_ham, exp_kernel):
+        # on [-1, 1] the m0 tails reach the boundary cells and every MFG
+        # solve raises; the FV reference has no leak check and still solves
+        cfg = small_config(5.0, n_x=32, dt=1e-2, half_width=1.0)
+        rep = run_lambda_sweep_classic(
+            zero_ham, exp_kernel, small_m0(cfg), [5.0, 20.0], base_config=cfg, n_cross_particles=50
+        )
+        assert [row["error"] for row in rep.rows] == ["BoundaryLeakError"] * 2
+        for row in rep.rows:
+            assert row["flagged"] and not row["converged"] and not row["bounds_ok"]
+            assert np.isnan(row["iterations"]) and np.isnan(row["w1_sup"])
+        assert np.isfinite(rep.reference["cross_validation_w1"])
+        assert rep.to_csv().splitlines()[1].startswith("5.0,False,False,")
+
     def test_report_reproducible(self, zero_ham, exp_kernel):
         cfg = small_config(10.0)
         args = (zero_ham, exp_kernel, small_m0(cfg), [10.0])

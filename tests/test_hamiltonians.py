@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from mfglab import (
-    DriftField,
-    QuadraticDriftHamiltonian,
-    eval_H,
-    grad_p_H,
-    validate_hamiltonian,
-)
+from mfglab import DriftField, QuadraticDriftHamiltonian, validate_hamiltonian
 
 
 class TestDriftField:
@@ -20,12 +14,6 @@ class TestDriftField:
         with pytest.raises(ValueError):
             DriftField("quadratic")
 
-    def test_tabulated_clamped_outside_table(self):
-        x = np.linspace(-2, 2, 9)
-        d = DriftField("tabulated", table_x=x, table_v=np.tanh(x))
-        assert d(5.0) == pytest.approx(d(2.0))
-        assert d.sup_norm == pytest.approx(np.tanh(2.0))
-
     def test_sup_norm_and_lipschitz(self):
         d = DriftField("sinusoidal", amplitude=3.0, frequency=2.0)
         assert d.sup_norm == 3.0
@@ -36,50 +24,50 @@ class TestEvalH:
     def test_zero_momentum(self, rng):
         h = QuadraticDriftHamiltonian(DriftField("sinusoidal", amplitude=1.0))
         for x in rng.standard_normal(5):
-            assert eval_H(h, 0.0, x) == 0.0
+            assert h.value(0.0, x) == 0.0
 
     def test_free_hamiltonian(self, zero_ham):
-        assert eval_H(zero_ham, 1.0, 0.3) == pytest.approx(0.5)
+        assert zero_ham.value(1.0, 0.3) == pytest.approx(0.5)
 
     def test_unit_drift(self):
         h = QuadraticDriftHamiltonian(DriftField("constant", amplitude=1.0))
-        assert eval_H(h, 2.0, 0.0) == pytest.approx(0.0)  # 2 - 2
+        assert h.value(2.0, 0.0) == pytest.approx(0.0)  # 2 - 2
 
     def test_growth_bound(self, rng):
         h = QuadraticDriftHamiltonian(DriftField("sinusoidal", amplitude=2.0))
         for _ in range(50):
             p, x = rng.uniform(-10, 10, 2)
-            val = eval_H(h, p, x)
+            val = h.value(p, x)
             assert -h.c0 <= val <= h.c0 * (1.0 + p**2)
 
 
 class TestGradPH:
     def test_vanishes_at_drift(self):
         h = QuadraticDriftHamiltonian(DriftField("constant", amplitude=1.5))
-        assert grad_p_H(h, 1.5, 0.0) == pytest.approx(0.0)
+        assert h.grad_p(1.5, 0.0) == pytest.approx(0.0)
 
     def test_identity_for_zero_drift(self, zero_ham, rng):
         p = rng.standard_normal(10)
-        assert np.allclose(grad_p_H(zero_ham, p, 0.0), p, rtol=0, atol=0)
+        assert np.allclose(zero_ham.grad_p(p, 0.0), p, rtol=0, atol=0)
 
     def test_unit_drift_shift(self):
         h = QuadraticDriftHamiltonian(DriftField("constant", amplitude=1.0))
-        assert grad_p_H(h, 2.0, 0.0) == pytest.approx(1.0)
+        assert h.grad_p(2.0, 0.0) == pytest.approx(1.0)
 
     def test_matches_finite_differences(self, rng):
         h = QuadraticDriftHamiltonian(DriftField("sinusoidal", amplitude=1.0, frequency=3.0))
         eps = 1e-6
         for _ in range(20):
             p, x = rng.uniform(-5, 5, 2)
-            fd = (eval_H(h, p + eps, x) - eval_H(h, p - eps, x)) / (2 * eps)
-            assert grad_p_H(h, p, x) == pytest.approx(fd, abs=1e-8 * max(1, abs(fd)))
+            fd = (h.value(p + eps, x) - h.value(p - eps, x)) / (2 * eps)
+            assert h.grad_p(p, x) == pytest.approx(fd, abs=1e-8 * max(1, abs(fd)))
 
     def test_bregman_identity_quadratic(self, rng):
         # H(p) - H(q) - DH(q)(p-q) = |p-q|^2 / 2 exactly for the quadratic family
         h = QuadraticDriftHamiltonian(DriftField("sinusoidal", amplitude=1.0))
         for _ in range(20):
             p, q, x = rng.uniform(-5, 5, 3)
-            lhs = eval_H(h, p, x) - eval_H(h, q, x) - grad_p_H(h, q, x) * (p - q)
+            lhs = h.value(p, x) - h.value(q, x) - h.grad_p(q, x) * (p - q)
             assert lhs == pytest.approx(0.5 * (p - q) ** 2, abs=1e-10)
 
 

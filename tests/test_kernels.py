@@ -12,7 +12,6 @@ from mfglab import (
     RepulsiveAttractiveKernel,
     ZeroKernel,
     eval_coupling,
-    eval_kernel,
     grad_coupling,
     psd_check,
     validate_coupling,
@@ -30,20 +29,22 @@ ALL_RADIAL = [
 
 class TestEvalKernel:
     def test_exponential_at_origin(self):
-        assert eval_kernel(ExponentialKernel(1.0, 1.0), 0.0) == pytest.approx(1.0)
+        assert ExponentialKernel(1.0, 1.0).value(0.0) == pytest.approx(1.0)
 
     def test_morse_at_origin(self):
-        assert eval_kernel(MorseKernel(0.5, 2.0), 0.0) == pytest.approx(0.5)
+        assert MorseKernel(0.5, 2.0).value(0.0) == pytest.approx(0.5)
 
     def test_cucker_smale_flat(self):
         k = CuckerSmaleKernel(1.0, 0.0)
-        assert eval_kernel(k, np.array([3.7, -1.0]), np.array([2.0, 0.0])) == pytest.approx(4.0)
+        assert k.value(np.array([3.7, -1.0]), np.array([2.0, 0.0])) == pytest.approx(4.0)
 
     def test_velocity_argument_policing(self):
+        positions = ParticleEnsemble.equal_weights(np.array([[0.5], [-0.5]]), 1)
+        phase = ParticleEnsemble.equal_weights(np.array([[0.5, 1.0], [-0.5, -1.0]]), 1)
         with pytest.raises(DimensionError):
-            eval_kernel(ExponentialKernel(), 0.0, 1.0)
+            eval_coupling(ExponentialKernel(), 0.0, positions, v=1.0)
         with pytest.raises(DimensionError):
-            eval_kernel(CuckerSmaleKernel(), 0.0)
+            eval_coupling(CuckerSmaleKernel(), 0.0, phase)
 
     @pytest.mark.parametrize("kernel", ALL_RADIAL, ids=lambda k: type(k).__name__)
     def test_evenness(self, kernel, rng):

@@ -2,10 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mfglab import (
     DimensionError,
     GridDensity,
+    GridError,
     MeasurePath,
     ParticleEnsemble,
     TransportModeError,
@@ -238,3 +241,52 @@ class TestRebin:
         m = GridDensity.uniform(0.0, 1.0, 0.0, 0.25, 4)
         r = rebin(m, 0.0, 0.125, 8)
         assert wasserstein1_1d(m, r) < 1e-12
+
+
+@st.composite
+def grid_densities(draw):
+    n = draw(st.integers(1, 40))
+    values = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).filter(lambda v: max(v) > 1e-3))
+    return GridDensity.from_unnormalized(draw(st.floats(-5.0, 5.0)), draw(st.floats(0.01, 1.0)), values)
+
+
+def mass_left_of(m, x):
+    """Mass of m in (-inf, x], cell by cell."""
+    lo = m.cell_edges[:-1]
+    return sum(v * m.dx * min(max((x - a) / m.dx, 0.0), 1.0) for v, a in zip(m.values, lo))
+
+
+class TestRebinProperties:
+    @given(grid_densities(), st.floats(0.0, 2.0), st.floats(0.01, 1.0), st.integers(0, 4))
+    def test_mass_conserved_left_of_every_new_edge(self, m, pad, dx, extra):
+        origin = m.origin - pad
+        n = int(np.ceil((m.cell_edges[-1] - origin) / dx)) + extra
+        r = rebin(m, origin, dx, n)
+        assert r.dx * r.values.sum() == pytest.approx(1.0, abs=1e-12)
+        for edge, cdf in zip(r.cell_edges[1:], r.cdf()):
+            assert cdf == pytest.approx(mass_left_of(m, edge), abs=1e-12)
+
+    @given(grid_densities())
+    def test_identity_on_the_same_grid(self, m):
+        r = rebin(m, m.origin, m.dx, m.n)
+        assert np.max(np.abs(r.values - m.values)) <= 1e-12 * np.max(m.values)
+
+    @given(grid_densities(), st.integers(2, 5))
+    def test_refinement_keeps_w1_zero(self, m, factor):
+        r = rebin(m, m.origin, m.dx / factor, m.n * factor)
+        assert wasserstein1_1d(m, r) < 1e-12
+
+    @given(grid_densities(), st.floats(0.0, 3.0), st.booleans())
+    def test_mass_outside_new_grid_rejected(self, m, gap, to_the_right):
+        n = 10
+        origin = m.cell_edges[-1] + gap if to_the_right else m.origin - gap - n * m.dx
+        with pytest.raises(GridError):
+            rebin(m, origin, m.dx, n)
+
+    @given(grid_densities(), st.integers(0, 10))
+    def test_w1_of_a_shift_is_the_shift(self, m, cells):
+        padded = np.concatenate([m.values, np.zeros(cells)])
+        shifted = np.concatenate([np.zeros(cells), m.values])
+        a = GridDensity(m.origin, m.dx, padded)
+        b = GridDensity(m.origin, m.dx, shifted)
+        assert wasserstein1_1d(a, b) == pytest.approx(cells * m.dx, abs=1e-12)
