@@ -149,18 +149,23 @@ class EnergyBreakdown:
         return self.control + self.interaction
 
 
-def _pair_interaction(x, v, w, kernel):
-    """Phi(m) and its per-atom gradients, vectorized over time nodes.
+#: largest single (N, N, J, d) pair array the energy and its gradients may allocate, in bytes
+PAIR_ARRAY_CAP = 2**28
 
-    x, v have shape (N, J, d); returns phi (J,), gx and gv (N, J, d).
-    """
-    dxp = x[:, None] - x[None, :]  # (N, N, J, d)
-    dvp = v[:, None] - v[None, :]
-    kvals = kernel.value(dxp, dvp)  # (N, N, J)
-    phi = 0.5 * np.einsum("p,q,pqj->j", w, w, kvals)
-    gx = w[:, None, None] * np.einsum("q,pqjd->pjd", w, kernel.grad_x(dxp, dvp))
-    gv = w[:, None, None] * np.einsum("q,pqjd->pjd", w, kernel.grad_v(dxp, dvp))
-    return phi, gx, gv
+
+def _pair_offsets(x, v):
+    """x_p - x_q and v_p - v_q, each (N, N, J, d); raises before allocating past PAIR_ARRAY_CAP."""
+    nbytes = x.shape[0] * x.nbytes
+    if nbytes > PAIR_ARRAY_CAP:
+        raise ValueError(f"pair arrays of {nbytes} bytes each exceed the cap of {PAIR_ARRAY_CAP} bytes")
+    return x[:, None] - x[None, :], v[:, None] - v[None, :]
+
+
+def _pair_gradients(x, v, w, kernel):
+    """Per-atom D_xF and D_vF at every node, (N, J, d) each, without the atom's own weight."""
+    dxp, dvp = _pair_offsets(x, v)
+    gx = np.einsum("q,pqjd->pjd", w, kernel.grad_x(dxp, dvp))
+    return gx, np.einsum("q,pqjd->pjd", w, kernel.grad_v(dxp, dvp))
 
 
 def _quadrature_weights(times: np.ndarray, lam: float) -> np.ndarray:
@@ -183,7 +188,8 @@ def discrete_energy(ens: TrajectoryEnsemble, kernel: CuckerSmaleKernel, lam: flo
     a2 = np.sum(ens.controls**2, axis=2)  # (N, K)
     control = float(np.sum(ens.weights[:, None] * a2 * cw[None, :]) / (2.0 * lam))
     qw = _quadrature_weights(times, lam)
-    phi, _, _ = _pair_interaction(ens.positions, ens.velocities, ens.weights, kernel)
+    w = ens.weights
+    phi = 0.5 * np.einsum("p,q,pqj->j", w, w, kernel.value(*_pair_offsets(ens.positions, ens.velocities)))
     return EnergyBreakdown(control=control, interaction=float(qw @ phi))
 
 
@@ -199,9 +205,9 @@ def energy_gradient(ens: TrajectoryEnsemble, kernel: CuckerSmaleKernel, lam: flo
     qw = _quadrature_weights(times, lam)
     cw = _control_weights(times, lam)
     w = ens.weights
-    _, gx, gv = _pair_interaction(ens.positions, ens.velocities, w, kernel)
-    gx *= qw[None, :, None]
-    gv *= qw[None, :, None]
+    gx, gv = _pair_gradients(ens.positions, ens.velocities, w, kernel)
+    gx = w[:, None, None] * gx * qw[None, :, None]
+    gv = w[:, None, None] * gv * qw[None, :, None]
 
     grad = np.empty_like(ens.controls)
     px = gx[:, K].copy()  # dE/dx_K
@@ -297,15 +303,11 @@ def el_residual(ens: TrajectoryEnsemble, kernel: CuckerSmaleKernel, lam: float) 
     dt = ens.dt
     a = ens.controls  # (N, K, d): acceleration samples at interval midpoints
     x, v = ens.positions, ens.velocities
-    w = ens.weights
     # states at interval midpoints (second-order interpolation)
     xm = 0.5 * (x[:, :-1] + x[:, 1:])
     vm = 0.5 * (v[:, :-1] + v[:, 1:])
 
-    dxp = xm[:, None] - xm[None, :]  # (N, N, K, d)
-    dvp = vm[:, None] - vm[None, :]
-    dxF = np.einsum("q,pqjd->pjd", w, kernel.grad_x(dxp, dvp))
-    dvF = np.einsum("q,pqjd->pjd", w, kernel.grad_v(dxp, dvp))
+    dxF, dvF = _pair_gradients(xm, vm, ens.weights, kernel)
 
     jerk = (a[:, 2:] - a[:, :-2]) / (2 * dt)  # x''' at midpoints 1..K-2
     snap = (a[:, 2:] - 2 * a[:, 1:-1] + a[:, :-2]) / dt**2

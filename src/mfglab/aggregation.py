@@ -16,7 +16,7 @@ import numpy as np
 from .cucker_smale import _rk4
 from .errors import CflError, DimensionError, DivergenceError
 from .hamiltonians import QuadraticDriftHamiltonian
-from .kernels import CuckerSmaleKernel, _grid_matrix
+from .kernels import CuckerSmaleKernel, _grid_matrix, _grid_sum, _pair_sum
 from .measures import GridDensity, MeasurePath, ParticleEnsemble
 from .mfg_pde import _DiffusionSolver, transport_step
 
@@ -29,24 +29,15 @@ def limit_drift(ham: QuadraticDriftHamiltonian, kernel, x, m):
     scalar = x.ndim == 0
     if isinstance(m, GridDensity):
         xq = np.atleast_1d(x)
-        conv = _grid_matrix(kernel, xq, m.cell_centers, m.dx, gradient=True) @ m.values
-        out = ham.drift(xq) - conv
+        out = ham.drift(xq) - _grid_sum(kernel, xq, m, gradient=True)
         return float(out[0]) if scalar else out
     if not isinstance(m, ParticleEnsemble):
         raise TypeError(f"unsupported measure type {type(m)!r}")
-    pos = m.positions
     xq = np.atleast_2d(x)
-    if xq.shape[-1] != pos.shape[1]:
-        raise DimensionError(f"query dim {xq.shape[-1]} != ensemble dim {pos.shape[1]}")
-    conv = np.einsum("j,ijd->id", m.weights, kernel.gradient(xq[:, None, :] - pos[None, :, :]))
-    out = ham.drift(xq) - conv
+    if xq.shape[-1] != m.positions.shape[1]:
+        raise DimensionError(f"query dim {xq.shape[-1]} != ensemble dim {m.positions.shape[1]}")
+    out = ham.drift(xq) - _pair_sum(kernel, xq, m.positions, m.weights, gradient=True)
     return out[0] if (scalar or x.ndim == 1) else out
-
-
-def _particle_drift(ham, kernel, pos: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    diffs = pos[:, None, :] - pos[None, :, :]
-    conv = np.einsum("j,ijd->id", weights, kernel.gradient(diffs))
-    return ham.drift(pos) - conv
 
 
 def solve_aggregation_particles(
@@ -75,7 +66,7 @@ def solve_aggregation_particles(
     pos = m0.positions
     times = [0.0]
     snaps = [m0]
-    rhs = lambda p: _particle_drift(ham, kernel, p, w)
+    rhs = lambda p: ham.drift(p) - _pair_sum(kernel, p, p, w, gradient=True)
     for j in range(n_steps):
         pos = _rk4(rhs, pos, dt, 1)
         if not np.all(np.isfinite(pos)) or np.max(np.abs(pos)) > blowup_radius:

@@ -19,11 +19,7 @@ from . import __version__
 from .acceleration import minimize_energy
 from .aggregation import solve_aggregation_fv
 from .config import ExperimentDescription, parse_config, write_config
-from .convergence import (
-    _jsonable,
-    run_lambda_sweep_acceleration,
-    run_lambda_sweep_classic,
-)
+from .convergence import _json_text, run_lambda_sweep_acceleration, run_lambda_sweep_classic
 from .cucker_smale import solve_cs
 from .errors import ConfigError
 from .hamiltonians import validate_hamiltonian
@@ -33,7 +29,7 @@ from .mfg_pde import solve_mfg_fixed_point
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, default=_jsonable, sort_keys=True) + "\n")
+    path.write_text(_json_text(doc) + "\n")
 
 
 def _base_doc(desc: ExperimentDescription, seed: int) -> dict:

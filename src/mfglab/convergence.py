@@ -87,7 +87,7 @@ class ConvergenceReport:
             "setup": self.setup,
             "seed": self.seed,
         }
-        return json.dumps(doc, indent=2, default=_jsonable, sort_keys=True)
+        return _json_text(doc)
 
     def to_csv(self) -> str:
         keys = sorted({k for row in self.rows for k in row})
@@ -95,12 +95,21 @@ class ConvergenceReport:
         return _csv_table(["lambda", *keys], rows)
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
+def _json_text(doc) -> str:
+    """Strict JSON, indented with sorted keys: numpy values as Python ones, NaN and inf as null."""
+    return json.dumps(_finite_or_null(doc), indent=2, sort_keys=True, allow_nan=False)
+
+
+def _finite_or_null(obj):
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _finite_or_null(obj.tolist())
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
+    return obj
 
 
 def sample_grid_to_atoms(m: GridDensity, n: int) -> ParticleEnsemble:
@@ -183,15 +192,10 @@ def diagnostics_bounds(
     min_density = float(np.min(vals))
     # essential support: smallest radius holding all but 1e-6 of the mass
     # at every time (diffusive tails below that are not wall contact)
-    cell_mass = vals * dx
-    tail = 1e-6
-    radius = 0.0
-    for row in cell_mass:
-        order = np.argsort(np.abs(x))
-        cum = np.cumsum(row[order])
-        inside = np.searchsorted(cum, 1.0 - tail)
-        radius = max(radius, np.abs(x[order])[min(inside, x.size - 1)])
-    support_radius = float(radius)
+    order = np.argsort(np.abs(x))
+    cum = np.cumsum(vals[:, order] * dx, axis=1)
+    inside = np.minimum(np.sum(cum < 1.0 - 1e-6, axis=1), x.size - 1)
+    support_radius = float(np.max(np.abs(x[order])[inside]))
 
     constants = {"c0": c0, "c_tilde": c_tilde, "m_sup_cap": m_sup_cap, "slack": slack}
     return BoundsVerdict(

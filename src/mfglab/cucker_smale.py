@@ -22,10 +22,9 @@ def cs_rhs(ensemble: ParticleEnsemble, kernel: CuckerSmaleKernel) -> np.ndarray:
 
 
 def _rhs_arrays(pos, vel, w, kernel) -> np.ndarray:
-    dx = pos[:, None, :] - pos[None, :, :]
-    dv = vel[:, None, :] - vel[None, :, :]
-    g = kernel.g(dx)  # (N, N)
-    return -np.einsum("j,ijd->id", w, 2.0 * dv / g[..., None])
+    """-D_vF at every atom: the alignment pair sum, dense over the (N, N, d) offsets."""
+    dv_k = kernel.grad_v(pos[:, None, :] - pos[None, :, :], vel[:, None, :] - vel[None, :, :])
+    return -np.einsum("j,ijd->id", w, dv_k)
 
 
 def _rk4(rhs, z, dt, n_steps):

@@ -1,5 +1,8 @@
 """Interaction kernels, the nonlocal coupling F(x,m)=k*m, and validators.
 
+This is the one place k*m and Dk*m are evaluated: ``_grid_sum`` by 1D
+grid quadrature, ``_pair_sum`` over the atoms of an empirical measure.
+
 The radial kernels (exponential, repulsive-attractive, Morse, tabulated
 crowd kernel) act on positions only; the Cucker-Smale kernel acts
 jointly on position-velocity offsets, k(x,v) = |v|^2 / g(x) with
@@ -241,36 +244,51 @@ def _grid_matrix(kernel, xq, y, dx, gradient=False):
     return dx * (kernel.gradient(diffs)[..., 0] if gradient else kernel.value(diffs))
 
 
-def _require_velocity(kernel, v):
-    if isinstance(kernel, CuckerSmaleKernel):
-        if v is None:
-            raise DimensionError("Cucker-Smale kernel needs a velocity argument")
-    elif v is not None:
+def _grid_sum(kernel, xq, m, gradient=False):
+    """(k*m)(xq_i), or (Dk*m)(xq_i), by 1D quadrature; m is a GridDensity, or an
+    (n_nodes, n) stack of cell values on the grid whose centres are xq (row per node)."""
+    y, dx, values = (m.cell_centers, m.dx, m.values) if isinstance(m, GridDensity) else (xq, xq[1] - xq[0], m)
+    return values @ _grid_matrix(kernel, xq, y, dx, gradient).T
+
+
+def _pair_sum(kernel, xq, pos, w, gradient=False):
+    """sum_j w_j k(xq_i - pos_j), (nq,), or sum_j w_j Dk(xq_i - pos_j), (nq, d), dense in the atoms."""
+    diffs = xq[:, None, :] - pos[None, :, :]
+    if gradient:
+        return np.einsum("j,ijd->id", w, kernel.gradient(diffs))
+    return np.sum(w * kernel.value(diffs), axis=-1)
+
+
+def _coupling(kernel, x, m, v, gradient):
+    """Shared body of eval_coupling and grad_coupling."""
+    cs = isinstance(kernel, CuckerSmaleKernel)
+    if cs and v is None:
+        raise DimensionError("Cucker-Smale kernel needs a velocity argument")
+    if not cs and v is not None:
         raise DimensionError("velocity argument only valid for the Cucker-Smale kernel")
+    if not isinstance(m, (GridDensity, ParticleEnsemble)):
+        raise TypeError(f"unsupported measure type {type(m)!r}")
+    if cs and (isinstance(m, GridDensity) or not m.is_phase_space):
+        raise DimensionError("Cucker-Smale coupling needs a phase-space ensemble")
+    if isinstance(m, GridDensity):
+        return float(_grid_sum(kernel, np.reshape(x, 1), m, gradient)[0])
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if cs:
+        dx = x - m.positions
+        dv = np.atleast_1d(np.asarray(v, dtype=float)) - m.velocities
+        if not gradient:
+            return float(np.sum(m.weights * kernel.value(dx, dv)))
+        w = m.weights[:, None]
+        return np.sum(w * kernel.grad_x(dx, dv), axis=0), np.sum(w * kernel.grad_v(dx, dv), axis=0)
+    if x.shape[-1] != m.positions.shape[1]:
+        raise DimensionError(f"query has {x.shape[-1]} coordinates, ensemble has {m.positions.shape[1]}")
+    out = _pair_sum(kernel, x[None, :], m.positions, m.weights, gradient)[0]
+    return out if gradient else float(out)
 
 
 def eval_coupling(kernel, x, m, v=None):
     """F(x, m) = (k * m)(x), or F(x, v, m) for the Cucker-Smale kernel."""
-    _require_velocity(kernel, v)
-    if isinstance(m, GridDensity):
-        if isinstance(kernel, CuckerSmaleKernel):
-            raise DimensionError("Cucker-Smale coupling needs a phase-space ensemble")
-        return float(_grid_matrix(kernel, np.reshape(x, 1), m.cell_centers, m.dx)[0] @ m.values)
-    if not isinstance(m, ParticleEnsemble):
-        raise TypeError(f"unsupported measure type {type(m)!r}")
-    if isinstance(kernel, CuckerSmaleKernel):
-        if not m.is_phase_space:
-            raise DimensionError("Cucker-Smale coupling needs a phase-space ensemble")
-        dx = np.atleast_1d(np.asarray(x, dtype=float)) - m.positions
-        dv = np.atleast_1d(np.asarray(v, dtype=float)) - m.velocities
-        return float(np.sum(m.weights * kernel.value(dx, dv)))
-    pos = m.positions
-    x = np.asarray(x, dtype=float)
-    if np.ndim(x) == 0:
-        x = x[None]
-    if x.shape[-1] != pos.shape[1]:
-        raise DimensionError(f"query has {x.shape[-1]} coordinates, ensemble has {pos.shape[1]}")
-    return float(np.sum(m.weights * kernel.value(x[None, :] - pos)))
+    return _coupling(kernel, x, m, v, gradient=False)
 
 
 def grad_coupling(kernel, x, m, v=None):
@@ -279,26 +297,7 @@ def grad_coupling(kernel, x, m, v=None):
     Returns D_x F for the radial kernels and the pair (D_x F, D_v F)
     for the Cucker-Smale kernel.
     """
-    _require_velocity(kernel, v)
-    if isinstance(m, GridDensity):
-        if isinstance(kernel, CuckerSmaleKernel):
-            raise DimensionError("Cucker-Smale coupling needs a phase-space ensemble")
-        return float(_grid_matrix(kernel, np.reshape(x, 1), m.cell_centers, m.dx, gradient=True)[0] @ m.values)
-    if isinstance(kernel, CuckerSmaleKernel):
-        if not m.is_phase_space:
-            raise DimensionError("Cucker-Smale coupling needs a phase-space ensemble")
-        dx = np.atleast_1d(np.asarray(x, dtype=float))[None, :] - m.positions
-        dv = np.atleast_1d(np.asarray(v, dtype=float))[None, :] - m.velocities
-        gx = np.sum(m.weights[:, None] * kernel.grad_x(dx, dv), axis=0)
-        gv = np.sum(m.weights[:, None] * kernel.grad_v(dx, dv), axis=0)
-        return gx, gv
-    pos = m.positions
-    x = np.asarray(x, dtype=float)
-    if np.ndim(x) == 0:
-        x = x[None]
-    if x.shape[-1] != pos.shape[1]:
-        raise DimensionError(f"query has {x.shape[-1]} coordinates, ensemble has {pos.shape[1]}")
-    return np.sum(m.weights[:, None] * kernel.gradient(x[None, :] - pos), axis=0)
+    return _coupling(kernel, x, m, v, gradient=True)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import BoundaryLeakError, CflError, GridError, StabilityError
 from .hamiltonians import QuadraticDriftHamiltonian
-from .kernels import CuckerSmaleKernel, _grid_matrix
+from .kernels import CuckerSmaleKernel, _grid_sum
 from .measures import GridDensity, MeasurePath, _check_densities
 
 BOUNDARY_MASS_TOL = 1e-7
@@ -127,20 +127,15 @@ class _DiffusionSolver:
         return self._lu.solve(rhs) if self.active else rhs
 
 
-def _on_grid(kernel, m, x: np.ndarray, gradient: bool) -> np.ndarray:
-    y, dx, values = (m.cell_centers, m.dx, m.values) if isinstance(m, GridDensity) else (x, x[1] - x[0], m)
-    return values @ _grid_matrix(kernel, x, y, dx, gradient).T
-
-
 def coupling_on_grid(kernel, m: GridDensity | np.ndarray, x: np.ndarray) -> np.ndarray:
     """F(x_i, m) = (k*m)(x_i) by grid quadrature, vectorized in x; m is a GridDensity, or
     an (n_nodes, n) stack of cell values on the grid whose centres are x (one row per node)."""
-    return _on_grid(kernel, m, x, gradient=False)
+    return _grid_sum(kernel, x, m)
 
 
 def coupling_grad_on_grid(kernel, m: GridDensity | np.ndarray, x: np.ndarray) -> np.ndarray:
     """D_x F(x_i, m) = (Dk*m)(x_i) with the Dk(0)=0 kink convention; m as above."""
-    return _on_grid(kernel, m, x, gradient=True)
+    return _grid_sum(kernel, x, m, gradient=True)
 
 
 def _grid_values(cfg: PdeConfig, m, what: str) -> np.ndarray:

@@ -166,6 +166,15 @@ class TestMinimizeEnergy:
         with pytest.raises(ValueError, match="budget"):
             minimize_energy(m0, cs_flat, 10.0, 1.0, 10**4)
 
+    def test_pair_array_cap(self, cs_flat, rng):
+        # N K d = 1e6 passes the variable budget, but each (N, N, K+1, d)
+        # pair array would take 200 * 200 * 5001 * 8 bytes = 1.6 GB
+        m0 = ParticleEnsemble.equal_weights(rng.standard_normal((200, 2)), 1)
+        with pytest.raises(ValueError, match="1600320000 bytes"):
+            minimize_energy(m0, cs_flat, 10.0, 1.0, 5000)
+        with pytest.raises(ValueError, match="1600320000 bytes"):
+            discrete_energy(TrajectoryEnsemble.free_flight(m0, 1.0, 5000), cs_flat, 10.0)
+
 
 class TestElResidual:
     def test_straight_lines_equal_velocities_zero(self, cs_flat):

@@ -19,6 +19,10 @@ from mfglab import (
 from mfglab.measures import GridDensity, MeasurePath
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 def small_config(lam, **kw):
     kw.setdefault("n_x", 128)
     kw.setdefault("dt", 2e-3)
@@ -48,6 +52,13 @@ class TestConvergenceReport:
         lines = rep.to_csv().splitlines()
         assert lines[0].split(",")[0] == "lambda"
         assert len(lines) == 2
+
+    def test_numpy_non_finite_values_are_null(self):
+        row = {"ratio": np.float64(np.inf), "trace": np.array([1.5, np.nan]), "n": np.int64(3)}
+        rep = ConvergenceReport("acceleration", (5.0,), (row,), {"r": float("-inf")}, {}, 0)
+        doc = json.loads(rep.to_json(), parse_constant=_reject_constant)
+        assert doc["rows"][0] == {"ratio": None, "trace": [1.5, None], "n": 3}
+        assert doc["reference"] == {"r": None}
 
 
 class TestDiagnosticsBounds:
@@ -126,6 +137,9 @@ class TestClassicSweep:
             assert np.isnan(row["iterations"]) and np.isnan(row["w1_sup"])
         assert np.isfinite(rep.reference["cross_validation_w1"])
         assert rep.to_csv().splitlines()[1].startswith("5.0,False,False,")
+        # strict JSON: the NaN diagnostics are written as null, not as bare NaN tokens
+        doc = json.loads(rep.to_json(), parse_constant=_reject_constant)
+        assert doc["rows"][0]["w1_sup"] is None and doc["rows"][0]["error"] == "BoundaryLeakError"
 
     def test_report_reproducible(self, zero_ham, exp_kernel):
         cfg = small_config(10.0)

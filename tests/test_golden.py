@@ -1,10 +1,14 @@
-"""Exact outputs of the RK4 integrations and of every CSV artifact.
+"""Exact outputs of the RK4 integrations, the pair sums and every CSV artifact.
 
 The values in data/golden.json were recorded with the two separate RK4
 loops (aggregation particles, Cucker-Smale) and the per-artifact CSV
 writers that the shared ``_rk4`` stepper and ``_csv_table`` writer
-replaced.  The floats must stay bit-identical and the CSV text
-byte-identical; regenerating the file would defeat the check.
+replaced.  The ``acceleration`` and ``validators`` keys were recorded
+with the per-module pair sums (``_pair_interaction``, the particle
+branches of ``eval_coupling``) that the shared ``kernels._pair_sum`` and
+``acceleration._pair_gradients`` replaced.  The floats must stay
+bit-identical and the CSV text byte-identical; regenerating the file
+would defeat the check.
 """
 
 import contextlib
@@ -18,16 +22,25 @@ import pytest
 
 from mfglab import (
     ConvergenceReport,
+    CrowdRadialKernel,
     CuckerSmaleKernel,
     DriftField,
+    ExponentialKernel,
     GridDensity,
     MorseKernel,
     ParticleEnsemble,
     QuadraticDriftHamiltonian,
+    RepulsiveAttractiveKernel,
     TrajectoryEnsemble,
+    ZeroKernel,
+    discrete_energy,
+    el_residual,
+    energy_gradient,
+    minimize_energy,
     richardson_order_ratio,
     solve_aggregation_particles,
     solve_cs,
+    validate_coupling,
 )
 from mfglab.cli import main
 
@@ -59,6 +72,40 @@ def integrations() -> dict:
         "cs_final": cs.measures[-1].points.tolist(),
         "richardson": richardson_order_ratio(cs_atoms, CuckerSmaleKernel(1.0, 0.5), 0.2, 0.02),
     }
+
+
+def accelerations() -> dict:
+    rng = np.random.default_rng(31)
+    x0, v0 = rng.standard_normal((24, 1)), rng.standard_normal((24, 1))
+    w = rng.uniform(0.5, 1.5, 24)
+    ens = TrajectoryEnsemble(x0, v0, 0.3 * rng.standard_normal((24, 16, 1)), 1.0, w / w.sum())
+    kernel = CuckerSmaleKernel(1.0, 0.5)
+    energy = discrete_energy(ens, kernel, 10.0)
+    fit = minimize_energy(ParticleEnsemble.equal_weights(np.hstack([x0, v0]), 1), kernel, 10.0, 1.0, 16)
+    return {
+        "energy": [energy.control, energy.interaction],
+        "gradient": energy_gradient(ens, kernel, 10.0).tolist(),
+        "el_residual": el_residual(ens, kernel, 10.0),
+        "minimize_controls": fit.ensemble.controls.tolist(),
+        "minimize_iterations": fit.iterations,
+    }
+
+
+VALIDATED = {
+    "exponential": ExponentialKernel(1.0, 1.0),
+    "repulsive_attractive": RepulsiveAttractiveKernel(1.0),
+    "morse": MorseKernel(0.5, 2.0),
+    "crowd": CrowdRadialKernel(np.array([0.0, 1.0, 2.0, 3.0]), np.array([1.0, 0.5, 0.1, 0.0])),
+    "zero": ZeroKernel(),
+}
+
+
+def validators() -> dict:
+    out = {}
+    for name, kernel in VALIDATED.items():
+        rep = validate_coupling(kernel, budget=1000, seed=5)
+        out[name] = [rep.c0, rep.lipschitz_constant, rep.growth_constant, rep.semiconcavity_constant]
+    return out
 
 
 def csv_artifacts(tmp: Path) -> dict:
@@ -104,6 +151,24 @@ def test_integration_bit_identical(computed, key):
 def test_snapshot_counts(computed):
     assert computed["particles_len"] == GOLDEN["integrations"]["particles_len"]
     assert computed["cs_len"] == GOLDEN["integrations"]["cs_len"]
+
+
+@pytest.fixture(scope="module")
+def accel():
+    return accelerations()
+
+
+@pytest.mark.parametrize("key", ["energy", "gradient", "el_residual", "minimize_controls"])
+def test_acceleration_bit_identical(accel, key):
+    assert np.array_equal(np.array(accel[key]), np.array(GOLDEN["acceleration"][key]))
+
+
+def test_minimize_iterations(accel):
+    assert accel["minimize_iterations"] == GOLDEN["acceleration"]["minimize_iterations"]
+
+
+def test_validator_constants_bit_identical():
+    assert validators() == GOLDEN["validators"]
 
 
 def test_csv_artifacts_byte_identical(tmp_path):
