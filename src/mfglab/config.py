@@ -156,7 +156,7 @@ def _floats(text: str) -> list:
 
 def parse_config(text: str) -> ExperimentDescription:
     """Parse INI text to a validated, fully defaulted description."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)  # values are plain text; '%' is not special
     cp.optionxform = str  # keys are case-sensitive (G vs g)
     try:
         cp.read_string(text)
@@ -264,7 +264,7 @@ def _validate(values: dict) -> None:
 
 def write_config(desc: ExperimentDescription) -> str:
     """Serialize a description back to INI text (parse . write = identity)."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     for section in _SECTIONS:
         data = getattr(desc, section)

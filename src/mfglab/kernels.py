@@ -3,6 +3,17 @@
 This is the one place k*m and Dk*m are evaluated: ``_grid_sum`` by 1D
 grid quadrature, ``_pair_sum`` over the atoms of an empirical measure.
 
+``_pair_sum`` has two bodies.  For 1D atoms under a kernel whose profile
+is a sum of exponentials, phi(r) = sum_k c_k exp(-a_k r) (exponential:
+one term; Morse: two), it sorts the atoms and sums exactly in
+O(N log N) from decayed prefix sums (``_sorted_pair_sum``).  Everything
+else -- d >= 2, the repulsive-attractive, crowd and zero kernels, and
+fewer than ``_SORTED_MIN_ATOMS`` atoms or query points, where sorting
+costs more than it saves -- goes through the dense (nq, N, d) offset array
+(``_dense_pair_sum``), which also serves as the test oracle.  The
+repulsive-attractive profile r exp(-a r) would need a two-term
+recurrence; the Cucker-Smale weight is not a sum of exponentials.
+
 The radial kernels (exponential, repulsive-attractive, Morse, tabulated
 crowd kernel) act on positions only; the Cucker-Smale kernel acts
 jointly on position-velocity offsets, k(x,v) = |v|^2 / g(x) with
@@ -23,11 +34,16 @@ from .errors import DimensionError
 from .measures import GridDensity, ParticleEnsemble
 
 
+def _norm(x):
+    """|x| over the last axis; exact for one coordinate, where sqrt(x**2) would
+    read offsets below 1e-154 as 0 and so as the kink."""
+    return np.abs(x[..., 0]) if x.shape[-1] == 1 else np.sqrt(np.sum(x**2, axis=-1))
+
+
 def _radial_value(kernel, x):
     """k at x; arrays of shape (..., d) are vectors, 0D/1D inputs are 1D positions."""
     x = np.asarray(x, dtype=float)
-    r = np.abs(x) if x.ndim <= 1 else np.sqrt(np.sum(x**2, axis=-1))
-    return kernel.phi(r)
+    return kernel.phi(np.abs(x) if x.ndim <= 1 else _norm(x))
 
 
 def _radial_grad(kernel, x):
@@ -45,7 +61,7 @@ def _radial_grad(kernel, x):
             return float(kernel.dphi(r) * np.sign(x)) if r > 0 else 0.0
         out[nz] = kernel.dphi(r[nz]) * np.sign(x[nz])
         return out
-    r = np.sqrt(np.sum(x**2, axis=-1))
+    r = _norm(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = np.where(r > 0, kernel.dphi(r) / r, 0.0)
     return coef[..., None] * x
@@ -67,6 +83,11 @@ class ExponentialKernel:
 
     def dphi(self, r):
         return -self.a * self.alpha * np.exp(-self.a * np.asarray(r, dtype=float))
+
+    @property
+    def _exp_terms(self):
+        """(c_k, a_k) with phi(r) = sum_k c_k exp(-a_k r), for ``_sorted_pair_sum``."""
+        return ((self.alpha, self.a),)
 
     value = _radial_value
     gradient = _radial_grad
@@ -114,6 +135,11 @@ class MorseKernel:
     def dphi(self, r):
         r = np.asarray(r, dtype=float)
         return -np.exp(-r) + (self.G / self.L) * np.exp(-r / self.L)
+
+    @property
+    def _exp_terms(self):
+        """(c_k, a_k) with phi(r) = sum_k c_k exp(-a_k r), for ``_sorted_pair_sum``."""
+        return ((1.0, 1.0), (-self.G, 1.0 / self.L))
 
     def equilibrium_gap(self) -> float:
         """Two-body equilibrium distance, the root of phi'."""
@@ -251,12 +277,83 @@ def _grid_sum(kernel, xq, m, gradient=False):
     return values @ _grid_matrix(kernel, xq, y, dx, gradient).T
 
 
+#: below this many atoms, or query points, _pair_sum stays dense: the sort and
+#: the scan cost a few dozen numpy calls whatever N is.  In the particle
+#: solver (as many queries as atoms) both bodies took the same time per RK4
+#: step at 96 atoms for the exponential and the Morse kernel; one query
+#: against 600 atoms took 24 us dense and 171 us sorted (2-core x86-64, numpy 2.4)
+_SORTED_MIN_ATOMS = 96
+
+
 def _pair_sum(kernel, xq, pos, w, gradient=False):
-    """sum_j w_j k(xq_i - pos_j), (nq,), or sum_j w_j Dk(xq_i - pos_j), (nq, d), dense in the atoms."""
+    """sum_j w_j k(xq_i - pos_j), (nq,), or sum_j w_j Dk(xq_i - pos_j), (nq, d).
+
+    Sorted and exact for 1D atoms under a sum-of-exponentials profile,
+    dense in the atoms otherwise.
+    """
+    if min(len(xq), len(pos)) >= _SORTED_MIN_ATOMS and pos.shape[1] == 1:
+        terms = getattr(kernel, "_exp_terms", None)
+        if terms is not None:
+            return _sorted_pair_sum(terms, xq, pos, w, gradient)
+    return _dense_pair_sum(kernel, xq, pos, w, gradient)
+
+
+def _dense_pair_sum(kernel, xq, pos, w, gradient):
+    """_pair_sum through one (nq, N, d) array of offsets: any radial kernel, any dimension."""
     diffs = xq[:, None, :] - pos[None, :, :]
     if gradient:
         return np.einsum("j,ijd->id", w, kernel.gradient(diffs))
     return np.sum(w * kernel.value(diffs), axis=-1)
+
+
+def _sorted_pair_sum(terms, xq, pos, w, gradient):
+    """_pair_sum in 1D for phi(r) = sum_k c_k exp(-a_k r), exact in O((N + nq) log N).
+
+    With the atoms sorted, the left sum L_k(x) = sum_{p_j < x} w_j e^{-a_k (x - p_j)}
+    is the decayed prefix sum at the last atom left of x times e^{-a_k d},
+    d the distance to that atom; the right sum R_k mirrors it.  The value
+    is sum_k c_k (L_k + R_k) plus phi(0) w for atoms at x itself (counted
+    on the left at distance 0); the gradient sum_k -a_k c_k (L_k - R_k)
+    leaves them out (Dk(0) = 0).  Every factor is e^{-a d} with d >= 0, so
+    nothing overflows at any spread.
+    """
+    c, a = np.array(terms).T
+    order = np.argsort(pos[:, 0], kind="stable")
+    p, ws = pos[order, 0], w[order]
+    x = xq[:, 0]
+    n, nq, k = len(p), len(x), len(a)
+    hi = np.searchsorted(p, x, "right")  # atoms right of x: p[hi:]
+    last = np.searchsorted(p, x, "left") if gradient else hi  # atoms counted left of x: p[:last]
+    padded = np.concatenate(([-np.inf], p, [np.inf]))
+    # one exp for every factor: neighbour gaps, then x to its nearest counted atom on each side
+    decay = np.exp(np.concatenate((np.diff(p), x - padded[last], padded[hi + 1] - x))[:, None] * -a)
+    gaps = decay[: n - 1]
+    # columns [:k] sum from the left, columns [k:] from the right (atoms reversed);
+    # row m is the sum over the first m atoms, decayed to the m-th
+    s = np.zeros((n + 1, 2 * k))
+    f = np.zeros((n + 1, 2 * k))
+    s[1:, :k], s[1:, k:] = ws[:, None], ws[::-1, None]
+    f[2:, :k], f[2:, k:] = gaps, gaps[::-1]
+    sums = _decayed_prefix(s, f)
+    left = decay[n - 1 : n - 1 + nq] * sums[last, :k]
+    right = decay[n - 1 + nq :] * sums[n - hi, k:]
+    if gradient:
+        return ((left - right) @ (-a * c))[:, None]
+    return (left + right) @ c
+
+
+def _decayed_prefix(s, f):
+    """Column-wise S_i = s_i + f_i S_{i-1}, S_0 = s_0, in place by a log-depth doubling scan.
+
+    f has the shape of s (f_0 unused) and entries in [0, 1], so the
+    running products only shrink (or underflow to 0).
+    """
+    shift = 1
+    while shift < len(s):
+        s[shift:] += f[shift:] * s[:-shift]
+        f[shift:] *= f[:-shift]
+        shift *= 2
+    return s
 
 
 def _coupling(kernel, x, m, v, gradient):

@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mfglab import ConfigError, ExponentialKernel, MorseKernel, parse_config, write_config
 from mfglab.cli import main
+from mfglab.config import KERNEL_NAMES
 
 
 MINIMAL = "[model]\nkernel = exponential\n"
@@ -122,6 +125,84 @@ class TestParseConfig:
         assert parse_config(write_config(desc)) == desc
         with pytest.raises(ConfigError, match="^sweep.threads: "):
             parse_config("[sweep]\nthreads = 2\n")
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# any text one INI line can hold: no control or line-separator characters, no outer whitespace
+WORD = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12).filter(
+    lambda t: t == t.strip()
+)
+FIELDS = {
+    "model": {
+        "kernel": st.sampled_from(KERNEL_NAMES),
+        "alpha": POSITIVE,
+        "a": POSITIVE,
+        "G": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        "L": st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
+        "beta": FINITE,
+        "drift": st.sampled_from(["zero", "constant", "sinusoidal"]),
+        "drift_amplitude": FINITE,
+        "drift_frequency": FINITE,
+    },
+    "solver": {
+        "lambda": POSITIVE,
+        "T": POSITIVE,
+        "half_width": FINITE,
+        "n_x": st.integers(8, 2**40),
+        "dt": POSITIVE,
+        "nu": st.one_of(st.just("auto"), st.floats(min_value=0.0, allow_infinity=False).map(repr)),
+        "mode": WORD,
+        "theta": FINITE,
+        "max_iterations": st.integers(),
+        "tolerance": FINITE,
+        "m0_center": FINITE,
+        "m0_sigma": POSITIVE,
+        "n_intervals": st.integers(1, 2**40),
+        "n_atoms": st.integers(1, 2**40),
+        "atoms_sigma_x": FINITE,
+        "atoms_sigma_v": FINITE,
+    },
+    "sweep": {
+        "lambdas": st.lists(POSITIVE, min_size=1, max_size=5, unique=True).map(
+            lambda lams: ", ".join(map(repr, sorted(lams)))
+        ),
+        "threads": st.just(1),
+        "cross_particles": st.integers(),
+    },
+    "output": {"prefix": WORD, "seed": st.integers()},
+}
+
+
+@st.composite
+def descriptions(draw):
+    """Valid INI text over a drawn subset of the fields (the rest defaulted), and the values written."""
+    values = {section: draw(st.fixed_dictionaries({}, optional=fields)) for section, fields in FIELDS.items()}
+    n_atoms = draw(st.integers(0, 4))
+    if n_atoms:
+        for key in ("atoms_x", "atoms_v"):
+            values["solver"][key] = ", ".join(map(repr, draw(st.lists(FINITE, min_size=n_atoms, max_size=n_atoms))))
+    text = "".join(
+        f"[{section}]\n" + "".join(f"{k} = {repr(v) if isinstance(v, float) else v}\n" for k, v in fields.items())
+        for section, fields in values.items()
+    )
+    return text, values
+
+
+class TestConfigRoundTrip:
+    @given(descriptions())
+    def test_parse_write_parse_is_identity(self, drawn):
+        text, values = drawn
+        desc = parse_config(text)
+        for section, fields in values.items():
+            assert {k: getattr(desc, section)[k] for k in fields} == fields
+        assert parse_config(write_config(desc)) == desc
+
+    def test_percent_sign_is_plain_text(self):
+        desc = parse_config("[output]\nprefix = run%1\n[solver]\nmode = 50%%\n")
+        assert desc.output["prefix"] == "run%1"
+        assert desc.solver["mode"] == "50%%"
+        assert parse_config(write_config(desc)) == desc
 
 
 class TestCli:

@@ -9,6 +9,11 @@ branches of ``eval_coupling``) that the shared ``kernels._pair_sum`` and
 ``acceleration._pair_gradients`` replaced.  The floats must stay
 bit-identical and the CSV text byte-identical; regenerating the file
 would defeat the check.
+
+The Morse particles and the validator constants go through the radial
+pair sum, which has two bodies: the dense one they were recorded with
+(pinned bit for bit) and the sorted one for 1D exponential sums (pinned
+within the roundoff of its different summation order).
 """
 
 import contextlib
@@ -20,6 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mfglab import kernels
 from mfglab import (
     ConvergenceReport,
     CrowdRadialKernel,
@@ -138,14 +144,38 @@ def csv_artifacts(tmp: Path) -> dict:
     }
 
 
+def _on_path(path, fn):
+    """fn() with every radial pair sum on the dense or on the sorted body."""
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "dense":
+            for cls in (ExponentialKernel, MorseKernel):
+                mp.setattr(cls, "_exp_terms", None)
+        else:
+            mp.setattr(kernels, "_SORTED_MIN_ATOMS", 1)
+        return fn()
+
+
 @pytest.fixture(scope="module")
 def computed():
-    return integrations()
+    return _on_path("dense", integrations)
+
+
+@pytest.fixture(scope="module")
+def computed_sorted():
+    return _on_path("sorted", integrations)
 
 
 @pytest.mark.parametrize("key", ["particles_final", "cs_final", "richardson"])
 def test_integration_bit_identical(computed, key):
     assert np.array_equal(np.array(computed[key]), np.array(GOLDEN["integrations"][key]))
+
+
+def test_sorted_path_integrations(computed_sorted):
+    # 50 Morse atoms, 50 RK4 steps: positions within 1e-14 absolute; Cucker-Smale does not use the radial sum
+    expected = GOLDEN["integrations"]
+    assert np.max(np.abs(np.array(computed_sorted["particles_final"]) - expected["particles_final"])) <= 1e-14
+    for key in ("particles_len", "cs_len", "cs_final", "richardson"):
+        assert computed_sorted[key] == expected[key], key
 
 
 def test_snapshot_counts(computed):
@@ -168,7 +198,15 @@ def test_minimize_iterations(accel):
 
 
 def test_validator_constants_bit_identical():
-    assert validators() == GOLDEN["validators"]
+    assert _on_path("dense", validators) == GOLDEN["validators"]
+
+
+def test_validator_constants_sorted_path():
+    # the semiconcavity ratio divides roundoff by h^2 >= 1e-8, hence 1e-10 relative
+    got = _on_path("sorted", validators)
+    assert got.keys() == GOLDEN["validators"].keys()
+    for name, expected in GOLDEN["validators"].items():
+        assert got[name] == pytest.approx(expected, rel=1e-10, abs=0.0), name
 
 
 def test_csv_artifacts_byte_identical(tmp_path):

@@ -17,6 +17,7 @@ from mfglab import (
     wasserstein1_1d,
     wasserstein1_particles,
 )
+from mfglab.measures import _w1_exact_lp
 
 
 def delta_on_grid(x0, origin=-4.0, dx=0.01, n=800):
@@ -290,3 +291,27 @@ class TestRebinProperties:
         a = GridDensity(m.origin, m.dx, padded)
         b = GridDensity(m.origin, m.dx, shifted)
         assert wasserstein1_1d(a, b) == pytest.approx(cells * m.dx, abs=1e-12)
+
+
+@st.composite
+def line_ensembles(draw, max_atoms=6):
+    """Small weighted 1D ensembles, coincident atoms allowed."""
+    n = draw(st.integers(1, max_atoms))
+    x = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    return ParticleEnsemble(np.array(x)[:, None], w / w.sum(), 1)
+
+
+class TestWasserstein1ParticleProperties:
+    @given(line_ensembles(), line_ensembles())
+    def test_1d_equals_transport_lp(self, a, b):
+        assert wasserstein1_particles(a, b) == pytest.approx(_w1_exact_lp(a, b), rel=1e-12, abs=1e-12)
+
+    @given(line_ensembles(), line_ensembles())
+    def test_symmetric(self, a, b):
+        assert wasserstein1_particles(a, b) == pytest.approx(wasserstein1_particles(b, a), rel=1e-13, abs=1e-13)
+
+    @given(line_ensembles(), st.floats(-50.0, 50.0))
+    def test_shift_costs_its_length(self, a, s):
+        shifted = ParticleEnsemble(a.points + s, a.weights, 1)
+        assert wasserstein1_particles(a, shifted) == pytest.approx(abs(s), abs=1e-12 * (1.0 + abs(s)))

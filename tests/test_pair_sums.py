@@ -11,7 +11,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from mfglab import kernels
 from mfglab import (
     CrowdRadialKernel,
     CuckerSmaleKernel,
@@ -116,3 +119,93 @@ def test_cs_rhs_matches_loop(beta):
             acc += term
             scale += np.abs(term)
         assert np.all(np.abs(got[i] - acc) <= TOL * scale)
+
+
+# -- the sorted 1D path (kernels._sorted_pair_sum) against the dense body --
+
+SORTED = {
+    "exponential": ExponentialKernel(1.5, 0.8),
+    "morse": MorseKernel(0.5, 2.0),
+    "morse_long_range": MorseKernel(0.3, 5.0),
+}
+
+
+@st.composite
+def sorted_cases(draw):
+    """Unsorted atoms with unequal weights, often coincident (drawn from a small
+    pool), sometimes one atom or a far cluster; queries on atoms or near them."""
+    pool = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12))
+    pos = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    if draw(st.booleans()):
+        # a second cluster: a * (max - min) >= 1500 for the fastest rate of each
+        # kernel here, past where one shift e^{a (p - c)} overflows (about 1420)
+        gap = draw(st.floats(3100.0, 1e6))
+        pos += [gap + p for p in draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=10))]
+    w = draw(st.lists(st.floats(0.01, 1.0), min_size=len(pos), max_size=len(pos)))
+    on_atoms = draw(st.lists(st.sampled_from(pos), max_size=5))
+    # no subnormal offsets: there the dense oracle's dphi(r) / r overflows to inf
+    offsets = st.floats(-5.0, 5.0).filter(lambda t: t == 0.0 or abs(t) > 1e-300)
+    near = [p + off for p, off in draw(st.lists(st.tuples(st.sampled_from(pos), offsets), max_size=8))]
+    xq = on_atoms + near or pos
+    return np.array(pos)[:, None], np.array(w), np.array(xq)[:, None]
+
+
+def exp_term_scales(kernel, xq, pos, w):
+    """Per query, the sums of |c_k w_j e^{-a_k r}| and of |a_k c_k w_j e^{-a_k r}| (r > 0)
+    over atoms and exponential terms, the numbers both paths add up.
+
+    Each term is weighted by 1 + a_k r: its argument a_k r is rounded in
+    both paths, which moves e^{-a_k r} by up to a_k r ulps.  The weight
+    matters only for a query whose nearest atoms are far away.
+    """
+    r = np.abs(xq - pos.T)
+    value = np.zeros(len(xq))
+    grad = np.zeros(len(xq))
+    for c, a in kernel._exp_terms:
+        t = w * np.abs(c) * np.exp(-a * r) * (1.0 + a * r)
+        value += t.sum(axis=1)
+        grad += a * np.where(r > 0, t, 0.0).sum(axis=1)
+    return value, grad
+
+
+@pytest.mark.parametrize("name", list(SORTED))
+@given(case=sorted_cases())
+def test_sorted_matches_dense(name, case):
+    kernel, (pos, w, xq) = SORTED[name], case
+    value_scale, grad_scale = exp_term_scales(kernel, xq, pos, w)
+    value = kernels._sorted_pair_sum(kernel._exp_terms, xq, pos, w, False)
+    grad = kernels._sorted_pair_sum(kernel._exp_terms, xq, pos, w, True)
+    assert value.shape == (len(xq),) and grad.shape == (len(xq), 1)
+    assert np.all(np.abs(value - kernels._dense_pair_sum(kernel, xq, pos, w, False)) <= TOL * value_scale)
+    assert np.all(np.abs(grad - kernels._dense_pair_sum(kernel, xq, pos, w, True))[:, 0] <= TOL * grad_scale)
+
+
+@pytest.mark.parametrize("name", ["exponential", "morse"])
+def test_sorted_path_through_public_functions(name, monkeypatch):
+    monkeypatch.setattr(kernels, "_SORTED_MIN_ATOMS", 1)
+    kernel, m = RADIAL[name], ensemble(1)
+    ham = QuadraticDriftHamiltonian(DriftField("sinusoidal", 0.5, 2.0))
+    xq = queries(m)
+    drift = limit_drift(ham, kernel, xq, m)
+    for x, row in zip(xq, drift):
+        f, f_scale, g, g_scale = oracle(kernel, x, m)
+        assert abs(eval_coupling(kernel, x, m) - f) <= TOL * f_scale
+        assert np.all(np.abs(grad_coupling(kernel, x, m) - g) <= TOL * g_scale)
+        assert np.all(np.abs(row - (ham.drift(x) - g)) <= TOL * g_scale)
+
+
+def test_path_selection(monkeypatch):
+    """Sorted for 1D atoms under exponential sums from _SORTED_MIN_ATOMS atoms and queries on, dense otherwise."""
+    calls = []
+    dense = kernels._dense_pair_sum
+    monkeypatch.setattr(kernels, "_dense_pair_sum", lambda *args: calls.append(args[0]) or dense(*args))
+    n = kernels._SORTED_MIN_ATOMS
+    w = np.full(n, 1.0 / n)
+    for kernel in (RADIAL["exponential"], RADIAL["morse"]):
+        kernels._pair_sum(kernel, np.zeros((n, 1)), np.linspace(0.0, 1.0, n)[:, None], w)
+    assert calls == []
+    kernels._pair_sum(RADIAL["morse"], np.zeros((n, 1)), np.zeros((n - 1, 1)), np.full(n - 1, 1.0 / (n - 1)))
+    kernels._pair_sum(RADIAL["morse"], np.zeros((n - 1, 1)), np.zeros((n, 1)), w)
+    kernels._pair_sum(RADIAL["morse"], np.zeros((n, 2)), np.zeros((n, 2)), w)
+    kernels._pair_sum(RADIAL["repulsive_attractive"], np.zeros((n, 1)), np.zeros((n, 1)), w)
+    assert calls == [RADIAL["morse"]] * 3 + [RADIAL["repulsive_attractive"]]
