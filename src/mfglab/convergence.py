@@ -223,8 +223,8 @@ def _window_times(T: float) -> np.ndarray:
 
 #: numeric columns of a classic row; NaN in the row of a lambda whose solve raised
 _CLASSIC_DIAGNOSTICS = (
-    "iterations", "fixed_point_residual", "w1_sup", "residual_lam_u", "residual_lam_du_l1",
-    "du_sup_scaled", "u_growth_scaled", "d2u_upper_scaled", "m_sup", "mass_error",
+    "iterations", "fixed_point_residual", "fixed_point_fallbacks", "w1_sup", "residual_lam_u",
+    "residual_lam_du_l1", "du_sup_scaled", "u_growth_scaled", "d2u_upper_scaled", "m_sup", "mass_error",
 )
 
 
@@ -275,6 +275,7 @@ def _classic_row(
         "flagged": bool(not sol.converged),
         "iterations": int(sol.iterations),
         "fixed_point_residual": float(sol.residual),
+        "fixed_point_fallbacks": int(sol.fallbacks),
         "w1_sup": float(w1_sup),
         "residual_lam_u": float(res_u),
         "residual_lam_du_l1": float(res_du),

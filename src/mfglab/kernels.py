@@ -298,8 +298,17 @@ def _pair_sum(kernel, xq, pos, w, gradient=False):
     return _dense_pair_sum(kernel, xq, pos, w, gradient)
 
 
+#: byte budget of one (nq, N, d) offset array in _dense_pair_sum; more queries go in chunks
+_DENSE_PAIR_BYTES = 2**24
+
+
 def _dense_pair_sum(kernel, xq, pos, w, gradient):
-    """_pair_sum through one (nq, N, d) array of offsets: any radial kernel, any dimension."""
+    """_pair_sum through (nq, N, d) arrays of offsets, chunked over the queries to
+    _DENSE_PAIR_BYTES each: any radial kernel, any dimension."""
+    rows = max(1, _DENSE_PAIR_BYTES // max(pos.nbytes, 1))
+    if len(xq) > rows:
+        parts = [_dense_pair_sum(kernel, xq[i : i + rows], pos, w, gradient) for i in range(0, len(xq), rows)]
+        return np.concatenate(parts)
     diffs = xq[:, None, :] - pos[None, :, :]
     if gradient:
         return np.einsum("j,ijd->id", w, kernel.gradient(diffs))

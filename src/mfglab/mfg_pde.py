@@ -23,7 +23,9 @@ Scheme
 * F = k*m for a whole HJB sweep is one product of the (n_steps+1, n_x)
   density stack with the matrix dx * k(x_i - x_j);
 * the fixed-point loop runs on raw stacks: fp_forward returns one, checked
-  once as a whole; GridDensity/MeasurePath are built only for MfgSolution.
+  once as a whole; GridDensity/MeasurePath are built only for MfgSolution;
+* the fixed point: Anderson mixing with a damped Picard safeguard, stopping on
+  the W1 gap at every node; CFL and HJB monotonicity checked on whole stacks.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class PdeConfig:
     n_x: int = 256
     dt: float = 1e-3
     nu: float | None = None  # None -> schedule nu = lam**-0.5
-    mode: str = "damped-picard"
+    mode: str = "damped-picard"  # Anderson-accelerated, damped Picard safeguard; or "fictitious-play"
     theta: float = 0.5
     max_iterations: int = 200
     tolerance: float = 1e-6
@@ -103,6 +105,7 @@ class MfgSolution:
     iterations: int
     residual: float
     converged: bool
+    fallbacks: int = 0  # damped Picard safeguard steps taken instead of Anderson steps
     residual_history: tuple = field(default=(), repr=False)
 
 
@@ -197,12 +200,25 @@ def hjb_backward(
                 f"advective CFL requires dt <= dx/max|lam Du - v| = {dx / max(speed, 1e-300):.3e}"
             )
         u[j] = u_new
+    speed = np.subtract(u[:, 1:], u[:, :-1], out=F_nodes[:, :-1])  # becomes lam Du - v, in F's spent buffer
+    speed *= lam / dx
+    speed -= ham.drift(x[:-1] + 0.5 * dx)
+    ratio = max(speed.max(), -speed.min()) * dt / dx
+    if ratio > 1.0:
+        raise StabilityError(f"HJB sweep is not monotone: dt max|lam Du - v| / dx = {ratio:.3e} > 1")
     return u
 
 
 def gradient_centered(u: np.ndarray, dx: float) -> np.ndarray:
     """Centered Du on cell centers, one-sided at the walls."""
     return np.gradient(u, dx, axis=-1)
+
+
+def _check_cfl(b: np.ndarray, dt: float, dx: float) -> None:
+    """Raise CflError unless max|b| dt/dx <= 1 for interface drifts b of any shape."""
+    cfl = max(b.max(), -b.min()) * dt / dx if b.size else 0.0
+    if cfl > 1.0:
+        raise CflError(f"advective CFL violated: max|b| dt/dx = {cfl:.3f} > 1")
 
 
 def transport_step(
@@ -218,9 +234,7 @@ def transport_step(
     upwind advection under CFL, then implicit diffusion; both stages
     conserve mass and keep the density nonnegative.
     """
-    cfl = np.max(np.abs(b_interface)) * dt / dx if b_interface.size else 0.0
-    if cfl > 1.0:
-        raise CflError(f"advective CFL violated: max|b| dt/dx = {cfl:.3f} > 1")
+    _check_cfl(b_interface, dt, dx)
     flux = np.maximum(b_interface, 0.0) * m[:-1] + np.minimum(b_interface, 0.0) * m[1:]
     out = m.copy()
     out[:-1] -= dt / dx * flux
@@ -244,11 +258,15 @@ def fp_forward(
     diffuse = _DiffusionSolver(cfg.n_x, dx, dt, nu)
 
     m = np.empty((cfg.n_steps + 1, cfg.n_x))
+    b = m[1:, :-1]  # the drift of step j waits in row j + 1 of m until the step writes that row
+    np.subtract(u_path[:-1, 1:], u_path[:-1, :-1], out=b)  # becomes -D_pH(lam Du, x) = v - lam Du, in place
+    b /= dx
+    b *= lam
+    np.subtract(v_int, b, out=b)
+    _check_cfl(b, dt, dx)  # before the sweep
     m[0] = _grid_values(cfg, m0, "initial density")
     for j in range(cfg.n_steps):
-        du_int = (u_path[j, 1:] - u_path[j, :-1]) / dx
-        b = v_int - lam * du_int  # -D_pH(lam Du, x) = v - lam Du
-        step = transport_step(m[j], b, dt, dx, diffuse)
+        step = transport_step(m[j], b[j], dt, dx, diffuse)
         m[j + 1] = step / (step.sum() * dx)  # remove roundoff drift; O(1e-15) per step
     _check_densities(m, dx)
     boundary_mass = (m[-1, 0] + m[-1, -1]) * dx
@@ -257,44 +275,56 @@ def fp_forward(
     return m
 
 
+def _w1_sup(gap: np.ndarray, dx: float) -> float:
+    """Largest W1 norm over the rows of a stack of density differences; 64-row blocks keep temporaries small."""
+    cdfs = (np.cumsum(gap[i : i + 64], axis=1) for i in range(0, len(gap), 64))
+    return float(max(np.abs(cdf).sum(axis=1).max() for cdf in cdfs)) * dx * dx
+
+
 def solve_mfg_fixed_point(
     cfg: PdeConfig,
     ham: QuadraticDriftHamiltonian,
     kernel,
     m0: GridDensity,
 ) -> MfgSolution:
-    """Iterate m -> u = HJB(m) -> m+ = FP(u) to a fixed point.
+    """Iterate m -> u = HJB(m) -> g = FP(u) to g = m, stopping on max W1(m, g) over every node.
 
-    Damped Picard by default (switching to fictitious-play averaging if
-    the residual increases twice); non-convergence returns the best
-    iterate flagged, never raises.
+    damped-picard is Anderson-accelerated (type II, Walker & Ni, SINUM 2011; depth 1, no damping):
+    m+ = g - gamma (g - g_prev), gamma = argmin |f - gamma (f - f_prev)| for f = g - m.  A rising
+    residual takes one damped Picard step m + theta f instead and drops the history (counted in
+    fallbacks).  A mixed m may leave the densities: it enters the HJB only through the linear k*m.
+    fictitious-play averages, m + f / (k + 1).  The best FP output is returned, flagged if not converged.
     """
     # warm start: best response to the frozen initial density
-    frozen = np.tile(m0.values, (cfg.n_steps + 1, 1))
-    m_curr = fp_forward(cfg, ham, hjb_backward(cfg, ham, kernel, frozen), m0)
-    nodes = np.unique(np.linspace(0, cfg.n_steps, 9).astype(int))  # residual: max W1 over these
-    mode = cfg.mode
-    history = []
-    increases = 0
-    best = None
+    m = fp_forward(cfg, ham, hjb_backward(cfg, ham, kernel, np.tile(m0.values, (cfg.n_steps + 1, 1))), m0)
+    spare = np.empty_like(m)  # with m, the two stacks the loop overwrites in place
+    g_prev, history, best, fallbacks = None, [], None, 0  # history: g_prev (held, not copied), its f in spare
     for it in range(1, cfg.max_iterations + 1):
-        u_path = hjb_backward(cfg, ham, kernel, m_curr)
-        m_plus = fp_forward(cfg, ham, u_path, m0)
-        cdf_gap = np.cumsum(m_curr[nodes], axis=1) * cfg.dx - np.cumsum(m_plus[nodes], axis=1) * cfg.dx
-        residual = float(np.max(cfg.dx * np.sum(np.abs(cdf_gap), axis=1)))
+        u_path = hjb_backward(cfg, ham, kernel, m)
+        g = fp_forward(cfg, ham, u_path, m0)
+        f = np.subtract(g, m, out=m)  # m is spent; its buffer holds the residual f
+        residual = _w1_sup(f, cfg.dx)
         history.append(residual)
         if best is None or residual <= best[0]:
-            best = (residual, u_path, m_plus, it)
+            best = (residual, u_path, g, it)
         if residual < cfg.tolerance:
             break  # best is this iterate: every earlier residual was >= tolerance
-        if len(history) >= 2 and history[-1] > history[-2]:
-            increases += 1
-            if increases >= 2 and mode == "damped-picard":
-                mode = "fictitious-play"
-        theta = 1.0 / (it + 1.0) if mode == "fictitious-play" else cfg.theta
-        m_curr *= 1.0 - theta  # in place: m_curr is never the stored best iterate
-        m_curr += theta * m_plus
-        m_curr /= m_curr.sum(axis=1, keepdims=True) * cfg.dx
+        if cfg.mode == "fictitious-play" or (len(history) >= 2 and residual > history[-2]):
+            theta = 1.0 / (it + 1.0) if cfg.mode == "fictitious-play" else cfg.theta
+            fallbacks += cfg.mode == "damped-picard"
+            g_prev = None
+            m = np.add(g, np.multiply(f, theta - 1.0, out=f), out=f)  # g - (1 - theta) f = m + theta f
+            m /= m.sum(axis=1, keepdims=True) * cfg.dx
+            continue
+        if g_prev is None:
+            np.copyto(spare, g)  # no history: a plain Picard step
+        else:
+            df = np.subtract(f, spare, out=spare)
+            gamma = np.vdot(f, df) / (np.vdot(df, df) or 1.0)
+            np.subtract(g, g_prev, out=spare)
+            spare *= -gamma
+            spare += g
+        m, spare, g_prev = spare, f, g
     residual, u_path, m_path, it = best
     path = MeasurePath(cfg.times, [GridDensity(m0.origin, cfg.dx, row) for row in m_path])
-    return MfgSolution(cfg, u_path, path, it, residual, residual < cfg.tolerance, tuple(history))
+    return MfgSolution(cfg, u_path, path, it, residual, residual < cfg.tolerance, fallbacks, tuple(history))

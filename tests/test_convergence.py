@@ -123,6 +123,7 @@ class TestClassicSweep:
         res_u = rep.column("residual_lam_u")
         assert np.all(np.diff(res_u) < 0)
         assert np.all(rep.column("converged") == 1.0)
+        assert np.all(rep.column("fixed_point_fallbacks") == 0.0)
 
     def test_failing_lambda_is_a_flagged_row(self, zero_ham, exp_kernel):
         # on [-1, 1] the m0 tails reach the boundary cells and every MFG
@@ -135,6 +136,7 @@ class TestClassicSweep:
         for row in rep.rows:
             assert row["flagged"] and not row["converged"] and not row["bounds_ok"]
             assert np.isnan(row["iterations"]) and np.isnan(row["w1_sup"])
+            assert np.isnan(row["fixed_point_fallbacks"])
         assert np.isfinite(rep.reference["cross_validation_w1"])
         assert rep.to_csv().splitlines()[1].startswith("5.0,False,False,")
         # strict JSON: the NaN diagnostics are written as null, not as bare NaN tokens

@@ -20,9 +20,11 @@ from mfglab import (
     limit_drift,
     solve_mfg_fixed_point,
 )
+from mfglab import mfg_pde
+from mfglab.errors import StabilityError
 from mfglab.kernels import CrowdRadialKernel
-from mfglab.measures import moment2, wasserstein1_1d
-from mfglab.mfg_pde import coupling_grad_on_grid, coupling_on_grid
+from mfglab.measures import _check_densities, moment2, wasserstein1_1d
+from mfglab.mfg_pde import _w1_sup, coupling_grad_on_grid, coupling_on_grid
 
 
 def constant_kernel(c):
@@ -55,6 +57,24 @@ class LinearGrowthKernel:
 
 def frozen_path(cfg, m0):
     return MeasurePath(cfg.times, [m0] * (cfg.n_steps + 1))
+
+
+def w1_nodes(a, b, dx):
+    """W1 distance between two (n_nodes, n_x) density stacks, one value per time node."""
+    return dx * np.sum(np.abs(np.cumsum(a, axis=1) - np.cumsum(b, axis=1)), axis=1) * dx
+
+
+def damped_picard(cfg, ham, kernel, m0):
+    """Oracle: the damped Picard loop that Anderson mixing replaced, stopping on every node."""
+    frozen = np.tile(m0.values, (cfg.n_steps + 1, 1))
+    m = fp_forward(cfg, ham, hjb_backward(cfg, ham, kernel, frozen), m0)
+    for it in range(1, cfg.max_iterations + 1):
+        m_plus = fp_forward(cfg, ham, hjb_backward(cfg, ham, kernel, m), m0)
+        if np.max(w1_nodes(m, m_plus, cfg.dx)) < cfg.tolerance:
+            return m_plus, it
+        m = (1.0 - cfg.theta) * m + cfg.theta * m_plus
+        m /= m.sum(axis=1, keepdims=True) * cfg.dx
+    raise AssertionError("damped Picard did not converge")
 
 
 RADIAL_KERNELS = [
@@ -113,16 +133,42 @@ class TestGridCoupling:
 
 
 # Golden fixed point: lam=20, n_x=64, dt=4e-3, sinusoidal drift, exponential
-# kernel, m0 = N(0.25, 0.5^2).  Recorded with the per-node coupling and the
-# MeasurePath-valued fixed-point loop that the batched array loop replaced.
+# kernel, m0 = N(0.25, 0.5^2).  Recorded with the Anderson-accelerated loop
+# and its every-node residual.
 GOLDEN_HISTORY = [
-    0.13010194661808255, 0.05505983003421915, 0.0232400293811099, 0.009775992834151015,
-    0.004096435342888829, 0.0017115962110255036, 0.0007121709505087023, 0.0002947055828502936,
-    0.00012118682553349569, 4.9469502130161076e-05, 2.00200634270131e-05, 8.018548676302441e-06,
-    3.1712354704082025e-06, 1.2656986876315605e-06, 5.158604250762092e-07,
+    0.13011254286031682, 0.019986273036870287, 0.0002860334031539303, 2.697851736453174e-05,
+    3.613073828316517e-07,
 ]
 # u_path[::50, 3::8] and m_path[::50, 3::8]
 GOLDEN_U = [
+    [0.00022333893931073809, 0.0009940671075194553, 0.004299849815012751, 0.01858701091875232,
+     0.03053637067081396, 0.008608427473682208, 0.001992351544021108, 0.0004508847848564621],
+    [0.00024495444806780305, 0.0010901975179006334, 0.004711952216224719, 0.01891212969843536,
+     0.028368489506372267, 0.009771320143796914, 0.002279752891757834, 0.0005160005380849744],
+    [0.0002726197816991217, 0.0012132364202133946, 0.005226279626105793, 0.018760725559553288,
+     0.026312693473271153, 0.010975218012038018, 0.0026256408801833575, 0.0005944036085481242],
+    [0.0003063869996667413, 0.0013634604408332368, 0.0058150187663969675, 0.018312468206662,
+     0.024453090051153578, 0.012068560311092097, 0.0030258609468657364, 0.0006852381646800797],
+    [0.00033839876733044686, 0.0015071735603280495, 0.006319042795913663, 0.01742144444328966,
+     0.022427983753356306, 0.012750037728524502, 0.003399633736958629, 0.0007693511329669888],
+    [0.0] * 8,
+]
+GOLDEN_M = [
+    [5.293677194341061e-28, 2.215342274440398e-15, 1.1441260612871128e-06, 0.07292166635238427,
+     0.5735733351328288, 0.0005567637931967242, 6.669644400845562e-11, 9.860161701477889e-22],
+    [1.051225755203506e-17, 3.439438398495421e-10, 0.0002226121234543042, 0.16221038593754303,
+     0.4934990694114147, 0.010825259760346794, 1.7874966951722825e-07, 2.355176703211015e-14],
+    [3.6598989063276094e-14, 6.490588729588671e-08, 0.0023818409803822043, 0.20409387591664227,
+     0.4180020543484971, 0.04039977743255023, 8.944163823890295e-06, 1.6442875930348804e-11],
+    [6.385779004419281e-12, 1.6681851625137339e-06, 0.00921628808105948, 0.21565654418925442,
+     0.3594719297099282, 0.08000042275737976, 0.00010278121312433143, 1.1307449704174979e-09],
+    [2.4502117473776385e-10, 1.556561321528938e-05, 0.02145691291352011, 0.2129242369146681,
+     0.3139900532064625, 0.11741856134968919, 0.0005401656230655798, 2.281042854447459e-08],
+    [3.755384361254147e-09, 7.8460961500861e-05, 0.036841875541866256, 0.2040696242828772,
+     0.27928624290068876, 0.14625688396399586, 0.0017368167227794576, 2.1448021300383442e-07],
+]
+# The same samples as the damped Picard loop (15 iterations, 9-node residual) recorded them.
+PICARD_U = [
     [0.00022333894267345525, 0.0009940671223312685, 0.004299849876407936, 0.018587011043804388,
      0.03053637030296183, 0.008608427667916113, 0.001992351591447429, 0.0004508847957822329],
     [0.0002449544664937645, 0.001090197599774218, 0.004711952567034341, 0.018912129730805558,
@@ -135,7 +181,7 @@ GOLDEN_U = [
      0.022427980920043628, 0.012750038454424843, 0.003399634053341951, 0.0007693512054771193],
     [0.0] * 8,
 ]
-GOLDEN_M = [
+PICARD_M = [
     [5.293677194341061e-28, 2.215342274440398e-15, 1.1441260612871128e-06, 0.07292166635238427,
      0.5735733351328288, 0.0005567637931967242, 6.669644400845562e-11, 9.860161701477889e-22],
     [1.0512257591085796e-17, 3.4394384307187184e-10, 0.00022261212563090755, 0.16221037983557687,
@@ -218,6 +264,13 @@ class TestHjbBackward:
         with pytest.raises(GridError, match="grid"):
             hjb_backward(cfg, zero_ham, ZeroKernel(), frozen_path(cfg, shifted))
 
+    def test_finite_but_not_monotone_sweep_raises(self, gauss_m0, exp_kernel):
+        # dt |v| / dx = 2.1: the upwinded drift step is not monotone, yet 4 steps stay finite
+        cfg = PdeConfig(lam=10.0, T=0.2, dt=0.05, nu=0.0)
+        ham = QuadraticDriftHamiltonian(DriftField("sinusoidal", amplitude=2.0, frequency=1.0))
+        with pytest.raises(StabilityError, match=r"not monotone: dt max\|lam Du - v\| / dx = 2\.3"):
+            hjb_backward(cfg, ham, exp_kernel, frozen_path(cfg, gauss_m0))
+
     def test_raw_stack_matches_measure_path(self, zero_ham, gauss_m0, exp_kernel):
         cfg = PdeConfig(lam=20.0, T=0.2)
         stack = np.tile(gauss_m0.values, (cfg.n_steps + 1, 1))
@@ -265,6 +318,18 @@ class TestFpForward:
         with pytest.raises(CflError, match="CFL"):
             fp_forward(cfg, zero_ham, u, gauss_m0)
 
+    def test_cfl_checked_before_the_first_step(self, monkeypatch, zero_ham, gauss_m0):
+        # only the last step's drift violates the CFL; no transport step may run before it is caught
+        cfg = PdeConfig(lam=10.0, dt=0.05, nu=0.0)
+        u = np.zeros((cfg.n_steps + 1, cfg.n_x))
+        u[-2] = -10.0 * cfg.cell_centers / cfg.lam
+        steps = []
+        step = mfg_pde.transport_step
+        monkeypatch.setattr(mfg_pde, "transport_step", lambda *args: steps.append(1) or step(*args))
+        with pytest.raises(CflError, match="CFL"):
+            fp_forward(cfg, zero_ham, u, gauss_m0)
+        assert steps == []
+
 
 class TestFixedPoint:
     def test_uncoupled_converges_immediately(self, zero_ham, gauss_m0):
@@ -304,11 +369,56 @@ class TestFixedPoint:
         m0 = GridDensity.gaussian(0.25, 0.5, -cfg.half_width, cfg.dx, cfg.n_x)
         sol = solve_mfg_fixed_point(cfg, ham, exp_kernel, m0)
         assert sol.converged
-        assert sol.iterations == 15
+        assert sol.iterations == 5
+        assert sol.fallbacks == 0
         np.testing.assert_allclose(sol.residual_history, GOLDEN_HISTORY, rtol=0.0, atol=1e-12)
         m_path = np.stack([m.values for m in sol.m_path.measures])
         assert sol.u_path.shape == m_path.shape == (cfg.n_steps + 1, cfg.n_x)
         np.testing.assert_allclose(sol.u_path[::50, 3::8], GOLDEN_U, rtol=0.0, atol=1e-10)
         np.testing.assert_allclose(m_path[::50, 3::8], GOLDEN_M, rtol=0.0, atol=1e-10)
-        assert sol.u_path.sum() == pytest.approx(125.6801492271315, rel=0.0, abs=1e-10)
-        assert (m_path * cfg.cell_centers).sum() == pytest.approx(407.4424377971889, rel=0.0, abs=1e-10)
+        assert sol.u_path.sum() == pytest.approx(125.68014910564075, rel=0.0, abs=1e-10)
+        assert (m_path * cfg.cell_centers).sum() == pytest.approx(407.44244116877684, rel=0.0, abs=1e-10)
+        # both loops stop within the solve tolerance 1e-6 of the same fixed point
+        np.testing.assert_allclose(sol.u_path[::50, 3::8], PICARD_U, rtol=0.0, atol=1e-6)
+        np.testing.assert_allclose(m_path[::50, 3::8], PICARD_M, rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("lam", [5.0, 20.0, 80.0])
+    def test_anderson_matches_damped_picard_every_node(self, zero_ham, exp_kernel, lam):
+        cfg = PdeConfig(lam=lam, half_width=8.0, n_x=64, dt=4e-3)
+        m0 = GridDensity.gaussian(0.1, 0.5, -cfg.half_width, cfg.dx, cfg.n_x)
+        sol = solve_mfg_fixed_point(cfg, zero_ham, exp_kernel, m0)
+        picard, picard_iterations = damped_picard(cfg, zero_ham, exp_kernel, m0)
+        m_path = np.stack([m.values for m in sol.m_path.measures])
+        assert sol.converged and sol.fallbacks == 0
+        assert sol.iterations < picard_iterations
+        # each path is within about the solve tolerance 1e-6 of the fixed point, at every node
+        assert np.max(w1_nodes(m_path, picard, cfg.dx)) < 1e-6
+
+    def test_residual_reads_every_node(self, gauss_m0):
+        cfg = PdeConfig(lam=10.0)
+        base = np.tile(gauss_m0.values, (cfg.n_steps + 1, 1))
+        other = base.copy()
+        other[1] = np.roll(base[1], 3)  # node 1 moved by three cells, every other node equal
+        nodes = np.unique(np.linspace(0, cfg.n_steps, 9).astype(int))  # the former 9-node sample
+        cdf_gap = np.cumsum(base[nodes], axis=1) * cfg.dx - np.cumsum(other[nodes], axis=1) * cfg.dx
+        assert np.max(cfg.dx * np.sum(np.abs(cdf_gap), axis=1)) == 0.0
+        assert _w1_sup(base - other, cfg.dx) == pytest.approx(3 * cfg.dx, rel=1e-9)
+
+    def test_safeguard_step_counted(self, monkeypatch, zero_ham, exp_kernel):
+        cfg = PdeConfig(lam=20.0, n_x=64, dt=4e-3)
+        m0 = GridDensity.gaussian(0.1, 0.5, -cfg.half_width, cfg.dx, cfg.n_x)
+        forward, calls = mfg_pde.fp_forward, []
+
+        def perturbed(*args):
+            # call 1 is the warm start; the FP output of loop iteration 2 is shifted by 5 cells
+            calls.append(1)
+            m = forward(*args)
+            return np.roll(m, 5, axis=1) if len(calls) == 3 else m
+
+        monkeypatch.setattr(mfg_pde, "fp_forward", perturbed)
+        sol = solve_mfg_fixed_point(cfg, zero_ham, exp_kernel, m0)
+        history = np.array(sol.residual_history)
+        assert np.count_nonzero(np.diff(history) > 0) == 1
+        assert sol.fallbacks == 1
+        assert sol.converged
+        _check_densities(np.stack([m.values for m in sol.m_path.measures]), cfg.dx)

@@ -209,3 +209,31 @@ def test_path_selection(monkeypatch):
     kernels._pair_sum(RADIAL["morse"], np.zeros((n, 2)), np.zeros((n, 2)), w)
     kernels._pair_sum(RADIAL["repulsive_attractive"], np.zeros((n, 1)), np.zeros((n, 1)), w)
     assert calls == [RADIAL["morse"]] * 3 + [RADIAL["repulsive_attractive"]]
+
+
+class _CountingKernel:
+    """Forwards to a radial kernel and records the query rows of every offset array it sees."""
+
+    def __init__(self, kernel):
+        self.kernel, self.rows = kernel, []
+
+    def value(self, x):
+        self.rows.append(len(x))
+        return self.kernel.value(x)
+
+    def gradient(self, x):
+        self.rows.append(len(x))
+        return self.kernel.gradient(x)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("gradient", [False, True], ids=["k", "Dk"])
+def test_dense_chunks_bit_identical(monkeypatch, rng, d, gradient):
+    """Chunked over the queries, every query's sum is computed as before, bit for bit."""
+    xq, pos, w = rng.standard_normal((37, d)), rng.standard_normal((50, d)), rng.uniform(0.5, 1.5, 50)
+    kernel = _CountingKernel(RADIAL["repulsive_attractive"])
+    whole = kernels._dense_pair_sum(kernel, xq, pos, w, gradient)
+    monkeypatch.setattr(kernels, "_DENSE_PAIR_BYTES", 3 * pos.nbytes)  # three queries a chunk
+    chunked = kernels._dense_pair_sum(kernel, xq, pos, w, gradient)
+    assert kernel.rows == [37] + [3] * 12 + [1]
+    assert np.array_equal(chunked, whole)
