@@ -13,6 +13,11 @@ is minimized by quasi-Newton descent with the exact discrete gradient
 (reverse accumulation through the kinematic recursion).  Minimizers are
 certified by the sup-norm residual of the rearranged fourth-order
 Euler-Lagrange identity.
+
+One objective evaluation is one pass without Python loops: node and
+adjoint states are running sums (``np.cumsum`` adds in sequence, so they
+round as the step-by-step recursions do), and the energy and interaction
+gradients come from one Cucker-Smale pair sum over one set of offsets.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import minimize
 
-from .kernels import CuckerSmaleKernel
+from .kernels import CuckerSmaleKernel, _cs_pair_sum, _pair_offsets
 from .measures import MeasurePath, ParticleEnsemble, _csv_table
 
 
@@ -83,17 +88,18 @@ class TrajectoryEnsemble:
 
     @cached_property
     def _states(self):
-        """Node positions and velocities from the exact kinematic recursion."""
+        """Node positions and velocities from the exact kinematic recursion
+        v_{j+1} = v_j + dt a_j, x_{j+1} = (x_j + dt v_j) + (dt^2/2) a_j, as running
+        sums; positions are every other partial sum of [x_0, dt v_0, (dt^2/2) a_0, dt v_1, ...].
+        """
         n, K, d = self.controls.shape
         dt = self.dt
-        x = np.empty((n, K + 1, d))
-        v = np.empty((n, K + 1, d))
-        x[:, 0] = self.x0
-        v[:, 0] = self.v0
-        for j in range(K):
-            a = self.controls[:, j]
-            x[:, j + 1] = x[:, j] + dt * v[:, j] + 0.5 * dt**2 * a
-            v[:, j + 1] = v[:, j] + dt * a
+        v = np.cumsum(np.concatenate([self.v0[:, None], dt * self.controls], axis=1), axis=1)
+        steps = np.empty((n, 2 * K + 1, d))
+        steps[:, 0] = self.x0
+        steps[:, 1::2] = dt * v[:, :-1]
+        steps[:, 2::2] = 0.5 * dt**2 * self.controls
+        x = np.cumsum(steps, axis=1)[:, ::2].copy()
         return x, v
 
     @property
@@ -149,25 +155,6 @@ class EnergyBreakdown:
         return self.control + self.interaction
 
 
-#: largest single (N, N, J, d) pair array the energy and its gradients may allocate, in bytes
-PAIR_ARRAY_CAP = 2**28
-
-
-def _pair_offsets(x, v):
-    """x_p - x_q and v_p - v_q, each (N, N, J, d); raises before allocating past PAIR_ARRAY_CAP."""
-    nbytes = x.shape[0] * x.nbytes
-    if nbytes > PAIR_ARRAY_CAP:
-        raise ValueError(f"pair arrays of {nbytes} bytes each exceed the cap of {PAIR_ARRAY_CAP} bytes")
-    return x[:, None] - x[None, :], v[:, None] - v[None, :]
-
-
-def _pair_gradients(x, v, w, kernel):
-    """Per-atom D_xF and D_vF at every node, (N, J, d) each, without the atom's own weight."""
-    dxp, dvp = _pair_offsets(x, v)
-    gx = np.einsum("q,pqjd->pjd", w, kernel.grad_x(dxp, dvp))
-    return gx, np.einsum("q,pqjd->pjd", w, kernel.grad_v(dxp, dvp))
-
-
 def _quadrature_weights(times: np.ndarray, lam: float) -> np.ndarray:
     """Trapezoid weights for int e^(-lam t) f(t) dt on the nodes."""
     dt = times[1] - times[0]
@@ -181,46 +168,49 @@ def _control_weights(times: np.ndarray, lam: float) -> np.ndarray:
     return (np.exp(-lam * times[:-1]) - np.exp(-lam * times[1:])) / lam
 
 
-def discrete_energy(ens: TrajectoryEnsemble, kernel: CuckerSmaleKernel, lam: float) -> EnergyBreakdown:
-    """Discounted energy of the ensemble (exact control quadrature, trapezoid coupling)."""
+def _energy(ens: TrajectoryEnsemble, lam: float, pairs: np.ndarray) -> EnergyBreakdown:
+    """Exact control quadrature plus the trapezoid rule over the node pair sums sum_pq w_p w_q k, (K+1,)."""
     times = ens.times
     cw = _control_weights(times, lam)
     a2 = np.sum(ens.controls**2, axis=2)  # (N, K)
     control = float(np.sum(ens.weights[:, None] * a2 * cw[None, :]) / (2.0 * lam))
-    qw = _quadrature_weights(times, lam)
-    w = ens.weights
-    phi = 0.5 * np.einsum("p,q,pqj->j", w, w, kernel.value(*_pair_offsets(ens.positions, ens.velocities)))
-    return EnergyBreakdown(control=control, interaction=float(qw @ phi))
+    return EnergyBreakdown(control=control, interaction=float(_quadrature_weights(times, lam) @ (0.5 * pairs)))
 
 
-def energy_gradient(ens: TrajectoryEnsemble, kernel: CuckerSmaleKernel, lam: float) -> np.ndarray:
-    """Exact gradient of the discrete energy w.r.t. every control, (N, K, d).
+def discrete_energy(ens: TrajectoryEnsemble, kernel: CuckerSmaleKernel, lam: float) -> EnergyBreakdown:
+    """Discounted energy of the ensemble (exact control quadrature, trapezoid coupling)."""
+    x, v, w = ens.positions, ens.velocities, ens.weights
+    return _energy(ens, lam, np.einsum("p,q,pqj->j", w, w, kernel.value(*_pair_offsets(x, v, x, v))))
 
-    Reverse accumulation: per-node interaction gradients are pushed back
-    through the kinematic recursion with adjoint states.
+
+def energy_gradient(
+    ens: TrajectoryEnsemble, kernel: CuckerSmaleKernel, lam: float
+) -> tuple[EnergyBreakdown, np.ndarray]:
+    """The discrete energy and its exact gradient w.r.t. every control, (N, K, d).
+
+    One pair sum gives the energy and the per-node interaction
+    gradients.  Reverse accumulation pushes those back through the
+    kinematic recursion: the adjoint states are suffix sums, px_j of the
+    position gradients after node j and pv_j of the interleaved
+    [gv_K, dt px_{K-1}, gv_{K-1}, dt px_{K-2}, ...], each added in the
+    order the backward recursion adds them.
     """
-    times = ens.times
     K = ens.n_intervals
     dt = ens.dt
-    qw = _quadrature_weights(times, lam)
-    cw = _control_weights(times, lam)
-    w = ens.weights
-    gx, gv = _pair_gradients(ens.positions, ens.velocities, w, kernel)
+    x, v, w = ens.positions, ens.velocities, ens.weights
+    pairs, gx, gv = _cs_pair_sum(kernel, x, v, x, v, w, wq=w, grad_x=True, grad_v=True)
+    qw = _quadrature_weights(ens.times, lam)
+    cw = _control_weights(ens.times, lam)
     gx = w[:, None, None] * gx * qw[None, :, None]
     gv = w[:, None, None] * gv * qw[None, :, None]
 
-    grad = np.empty_like(ens.controls)
-    px = gx[:, K].copy()  # dE/dx_K
-    pv = gv[:, K].copy()
-    for j in range(K - 1, -1, -1):
-        grad[:, j] = (
-            w[:, None] * ens.controls[:, j] * cw[j] / lam  # control cost
-            + 0.5 * dt**2 * px
-            + dt * pv
-        )
-        pv = pv + dt * px + gv[:, j]
-        px = px + gx[:, j]
-    return grad
+    px = np.cumsum(gx[:, :0:-1], axis=1)[:, ::-1]  # px[:, j] = dE/dx_{j+1} + ... + dE/dx_K
+    steps = np.empty((ens.n, 2 * K - 1, ens.d))
+    steps[:, 0::2] = gv[:, :0:-1]
+    steps[:, 1::2] = dt * px[:, :0:-1]
+    pv = np.cumsum(steps, axis=1)[:, ::-2]  # every other partial sum, back in node order
+    control_cost = w[:, None, None] * ens.controls * cw[None, :, None] / lam
+    return _energy(ens, lam, pairs), control_cost + 0.5 * dt**2 * px + dt * pv
 
 
 @dataclass(frozen=True)
@@ -231,6 +221,7 @@ class MinimizeResult:
     converged: bool
     iterations: int
     el_residual: float
+    function_evaluations: int  # objective (energy and gradient) evaluations by L-BFGS-B
 
 
 def minimize_energy(
@@ -261,9 +252,7 @@ def minimize_energy(
     s = np.broadcast_to(s, shape)
 
     def objective(theta):
-        ens = start.with_controls(theta.reshape(shape) / s)
-        e = discrete_energy(ens, kernel, lam)
-        g = energy_gradient(ens, kernel, lam)
+        e, g = energy_gradient(start.with_controls(theta.reshape(shape) / s), kernel, lam)
         return e.total, (g / s).ravel()
 
     res = minimize(
@@ -284,6 +273,7 @@ def minimize_energy(
         converged=bool(res.success or gnorm <= 10 * gtol),
         iterations=int(res.nit),
         el_residual=residual,
+        function_evaluations=int(res.nfev),
     )
 
 
@@ -307,7 +297,7 @@ def el_residual(ens: TrajectoryEnsemble, kernel: CuckerSmaleKernel, lam: float) 
     xm = 0.5 * (x[:, :-1] + x[:, 1:])
     vm = 0.5 * (v[:, :-1] + v[:, 1:])
 
-    dxF, dvF = _pair_gradients(xm, vm, ens.weights, kernel)
+    dxF, dvF = _cs_pair_sum(kernel, xm, vm, xm, vm, ens.weights, grad_x=True, grad_v=True)
 
     jerk = (a[:, 2:] - a[:, :-2]) / (2 * dt)  # x''' at midpoints 1..K-2
     snap = (a[:, 2:] - 2 * a[:, 1:-1] + a[:, :-2]) / dt**2

@@ -382,6 +382,7 @@ def _acceleration_row(
         "certified": certified,
         "flagged": bool(not (result.converged and certified)),
         "iterations": int(result.iterations),
+        "lbfgs_nfev": int(result.function_evaluations),
         "gradient_norm": float(result.gradient_norm),
         "el_residual": float(result.el_residual),
         "energy_total": float(result.energy.total),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, StabilityError
-from .kernels import CuckerSmaleKernel
+from .kernels import CuckerSmaleKernel, _cs_pair_sum
 from .measures import MeasurePath, ParticleEnsemble
 
 
@@ -23,8 +23,8 @@ def cs_rhs(ensemble: ParticleEnsemble, kernel: CuckerSmaleKernel) -> np.ndarray:
 
 def _rhs_arrays(pos, vel, w, kernel) -> np.ndarray:
     """-D_vF at every atom: the alignment pair sum, dense over the (N, N, d) offsets."""
-    dv_k = kernel.grad_v(pos[:, None, :] - pos[None, :, :], vel[:, None, :] - vel[None, :, :])
-    return -np.einsum("j,ijd->id", w, dv_k)
+    (dv_f,) = _cs_pair_sum(kernel, pos, vel, pos, vel, w, grad_v=True)
+    return -dv_f
 
 
 def _rk4(rhs, z, dt, n_steps):

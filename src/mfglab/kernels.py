@@ -17,7 +17,9 @@ recurrence; the Cucker-Smale weight is not a sum of exponentials.
 The radial kernels (exponential, repulsive-attractive, Morse, tabulated
 crowd kernel) act on positions only; the Cucker-Smale kernel acts
 jointly on position-velocity offsets, k(x,v) = |v|^2 / g(x) with
-g(x) = (alpha + |x|^2)^beta.
+g(x) = (alpha + |x|^2)^beta.  Its pair sums (the alignment force, the
+energy and gradients of the MFG of acceleration, single-query couplings)
+all go through ``_cs_pair_sum``, one pass over one set of offsets.
 
 Radial kernels with a kink at the origin use the symmetric selection
 Dk(0) = 0.
@@ -38,6 +40,12 @@ def _norm(x):
     """|x| over the last axis; exact for one coordinate, where sqrt(x**2) would
     read offsets below 1e-154 as 0 and so as the kink."""
     return np.abs(x[..., 0]) if x.shape[-1] == 1 else np.sqrt(np.sum(x**2, axis=-1))
+
+
+def _sq_norm(x):
+    """|x|^2 over the last axis; one coordinate is squared directly, which rounds
+    as the one-term sum does but skips numpy's slower length-1 reduction."""
+    return x[..., 0] ** 2 if x.shape[-1] == 1 else np.sum(x**2, axis=-1)
 
 
 def _radial_value(kernel, x):
@@ -62,9 +70,23 @@ def _radial_grad(kernel, x):
         out[nz] = kernel.dphi(r[nz]) * np.sign(x[nz])
         return out
     r = _norm(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         coef = np.where(r > 0, kernel.dphi(r) / r, 0.0)
-    return coef[..., None] * x
+    out = coef[..., None] * x
+    # below sqrt(tiny) ~ 1.5e-154, |x|^2 underflows (d >= 2 would read the offset
+    # as the kink) and dphi(r) / r can overflow: there the direction x / |x| is
+    # taken from x rescaled to max_i |x_i| = 1
+    small = r < np.sqrt(np.finfo(float).tiny)
+    if np.any(small):
+        xs = x[small]
+        s = np.max(np.abs(xs), axis=-1)
+        nz = s > 0  # x = 0 keeps the kink value
+        u = xs[nz] / s[nz, None]
+        n = np.sqrt(np.sum(u**2, axis=-1))
+        rows = out[small]
+        rows[nz] = (kernel.dphi(s[nz] * n) / n)[:, None] * u
+        out[small] = rows
+    return out
 
 
 @dataclass(frozen=True)
@@ -225,26 +247,11 @@ class CuckerSmaleKernel:
 
     def g(self, x):
         x = self._coords(x)
-        return (self.alpha + np.sum(x**2, axis=-1)) ** self.beta
+        return (self.alpha + _sq_norm(x)) ** self.beta
 
     def value(self, x, v):
         v = self._coords(v)
-        return np.sum(v**2, axis=-1) / self.g(x)
-
-    def grad_x(self, x, v):
-        """D_x k = -|v|^2 g'(x) / g^2."""
-        x = self._coords(x)
-        v = self._coords(v)
-        r2 = np.sum(x**2, axis=-1)
-        vv = np.sum(v**2, axis=-1)
-        # d/dx (alpha + |x|^2)^-beta = -2 beta x (alpha+|x|^2)^(-beta-1)
-        coef = -vv * 2.0 * self.beta * (self.alpha + r2) ** (-self.beta - 1.0)
-        return coef[..., None] * x
-
-    def grad_v(self, x, v):
-        """D_v k = 2 v / g(x)."""
-        v = self._coords(v)
-        return 2.0 * v / self.g(x)[..., None]
+        return _sq_norm(v) / self.g(x)
 
     @property
     def c0(self) -> float:
@@ -365,6 +372,59 @@ def _decayed_prefix(s, f):
     return s
 
 
+#: largest single pair offset array a Cucker-Smale pair sum may allocate, in bytes
+PAIR_ARRAY_CAP = 2**28
+
+
+def _pair_offsets(xq, vq, x, v):
+    """xq_p - x_q and vq_p - v_q, each (nq, N, ..., d); raises before allocating past PAIR_ARRAY_CAP."""
+    nbytes = xq.shape[0] * x.nbytes
+    if nbytes > PAIR_ARRAY_CAP:
+        raise ValueError(f"pair arrays of {nbytes} bytes each exceed the cap of {PAIR_ARRAY_CAP} bytes")
+    return xq[:, None] - x[None, :], vq[:, None] - v[None, :]
+
+
+def _cs_pair_sum(kernel, xq, vq, x, v, w, wq=None, grad_x=False, grad_v=False):
+    """Cucker-Smale pair sums between query states xq, vq (nq, ..., d) and atoms x, v (N, ..., d).
+
+    Returns, in this order and only those asked for: sum_pq wq_p w_q k
+    (over the middle axes) when query weights wq are given, and
+    sum_q w_q D_x k and sum_q w_q D_v k at every query, (nq, ..., d).
+    The offsets are built once and g once (``kernel.g``); k = |v|^2 / g,
+    D_x k = -|v|^2 2 beta (alpha + |x|^2)^(-beta-1) x and D_v k = 2 v / g
+    round as their pointwise forms do, and each (nq, N, ...) buffer is
+    reused in place or dropped once spent.
+    """
+    dx, dv = _pair_offsets(xq, vq, x, v)
+    g = kernel.g(dx)
+    out = []
+    if wq is not None or grad_x:
+        vv = _sq_norm(dv)
+    if wq is not None:
+        out.append(np.einsum("p,q,pq...->...", wq, w, vv / g))
+    if grad_v:
+        dv *= 2.0
+        dv /= g[..., None]
+        gv = np.einsum("q,pq...->p...", w, dv)
+    del dv, g
+    if grad_x:
+        q = _sq_norm(dx)
+        q += kernel.alpha
+        q **= -kernel.beta - 1.0
+        # -|v|^2 * 2 * beta * q, multiplied left to right in the buffer of |v|^2
+        np.negative(vv, out=vv)
+        vv *= 2.0
+        vv *= kernel.beta
+        vv *= q
+        del q
+        dx *= vv[..., None]
+        del vv
+        out.append(np.einsum("q,pq...->p...", w, dx))
+    if grad_v:
+        out.append(gv)
+    return out
+
+
 def _coupling(kernel, x, m, v, gradient):
     """Shared body of eval_coupling and grad_coupling."""
     cs = isinstance(kernel, CuckerSmaleKernel)
@@ -380,12 +440,12 @@ def _coupling(kernel, x, m, v, gradient):
         return float(_grid_sum(kernel, np.reshape(x, 1), m, gradient)[0])
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if cs:
-        dx = x - m.positions
-        dv = np.atleast_1d(np.asarray(v, dtype=float)) - m.velocities
-        if not gradient:
-            return float(np.sum(m.weights * kernel.value(dx, dv)))
-        w = m.weights[:, None]
-        return np.sum(w * kernel.grad_x(dx, dv), axis=0), np.sum(w * kernel.grad_v(dx, dv), axis=0)
+        v = np.atleast_1d(np.asarray(v, dtype=float))
+        sums = _cs_pair_sum(
+            kernel, x[None], v[None], m.positions, m.velocities, m.weights,
+            wq=None if gradient else np.ones(1), grad_x=gradient, grad_v=gradient,
+        )
+        return (sums[0][0], sums[1][0]) if gradient else float(sums[0])
     if x.shape[-1] != m.positions.shape[1]:
         raise DimensionError(f"query has {x.shape[-1]} coordinates, ensemble has {m.positions.shape[1]}")
     out = _pair_sum(kernel, x[None, :], m.positions, m.weights, gradient)[0]

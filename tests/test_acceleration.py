@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mfglab import acceleration, kernels
 from mfglab import (
     CuckerSmaleKernel,
     ParticleEnsemble,
@@ -12,7 +15,72 @@ from mfglab import (
     moment2,
     solve_cs,
 )
+from mfglab.acceleration import _control_weights, _quadrature_weights
 from mfglab.measures import wasserstein1_particles
+
+
+# -- the step-by-step bodies the running sums and the one pair pass replaced, kept as oracles --
+
+
+def loop_states(ens):
+    """Node positions and velocities from the kinematic recursion, one interval at a time."""
+    n, K, d = ens.controls.shape
+    dt = ens.dt
+    x = np.empty((n, K + 1, d))
+    v = np.empty((n, K + 1, d))
+    x[:, 0] = ens.x0
+    v[:, 0] = ens.v0
+    for j in range(K):
+        a = ens.controls[:, j]
+        x[:, j + 1] = x[:, j] + dt * v[:, j] + 0.5 * dt**2 * a
+        v[:, j + 1] = v[:, j] + dt * a
+    return x, v
+
+
+def three_call_pair_sums(x, v, w, kernel):
+    """sum_pq w_p w_q k per node, and per atom D_xF and D_vF at every node, from the
+    pointwise k, D_x k and D_v k of the kernel written out, each a call of its own."""
+    alpha, beta = kernel.alpha, kernel.beta
+    g = lambda z: (alpha + np.sum(z**2, axis=-1)) ** beta
+    dxp, dvp = x[:, None] - x[None, :], v[:, None] - v[None, :]
+    pairs = np.einsum("p,q,pqj->j", w, w, np.sum(dvp**2, axis=-1) / g(dxp))
+    r2 = np.sum(dxp**2, axis=-1)
+    vv = np.sum(dvp**2, axis=-1)
+    coef = -vv * 2.0 * beta * (alpha + r2) ** (-beta - 1.0)
+    gx = np.einsum("q,pqjd->pjd", w, coef[..., None] * dxp)
+    gv = np.einsum("q,pqjd->pjd", w, 2.0 * dvp / g(dxp)[..., None])
+    return pairs, gx, gv
+
+
+def loop_energy_gradient(ens, kernel, lam):
+    """Control and interaction energy, and the gradient by the backward adjoint loop."""
+    times = ens.times
+    K = ens.n_intervals
+    dt = ens.dt
+    qw = _quadrature_weights(times, lam)
+    cw = _control_weights(times, lam)
+    w = ens.weights
+    x, v = loop_states(ens)
+    pairs, gx, gv = three_call_pair_sums(x, v, w, kernel)
+    control = float(np.sum(w[:, None] * np.sum(ens.controls**2, axis=2) * cw[None, :]) / (2.0 * lam))
+    interaction = float(qw @ (0.5 * pairs))
+    gx = w[:, None, None] * gx * qw[None, :, None]
+    gv = w[:, None, None] * gv * qw[None, :, None]
+    grad = np.empty_like(ens.controls)
+    px = gx[:, K].copy()
+    pv = gv[:, K].copy()
+    for j in range(K - 1, -1, -1):
+        grad[:, j] = w[:, None] * ens.controls[:, j] * cw[j] / lam + 0.5 * dt**2 * px + dt * pv
+        pv = pv + dt * px + gv[:, j]
+        px = px + gx[:, j]
+    return control, interaction, grad
+
+
+def random_ensemble(rng, n, K, d):
+    w = rng.uniform(0.5, 1.5, n)
+    return TrajectoryEnsemble(
+        rng.standard_normal((n, d)), rng.standard_normal((n, d)), 0.3 * rng.standard_normal((n, K, d)), 1.0, w / w.sum()
+    )
 
 
 def finite_difference_gradient(ens, kernel, lam, eps=1e-6):
@@ -119,7 +187,7 @@ class TestEnergyGradient:
         ens = TrajectoryEnsemble.free_flight(
             ParticleEnsemble.equal_weights(np.array([[0.0, 1.0]]), 1), 1.0, 8
         )
-        assert np.all(energy_gradient(ens, zero_like, 5.0) == 0.0)
+        assert np.all(energy_gradient(ens, zero_like, 5.0)[1] == 0.0)
 
     def test_single_trajectory_control_gradient_closed_form(self, cs_flat, rng):
         # N=1: gradient is w * a_j * (e^{-lam t_j} - e^{-lam t_{j+1}}) / lam^2
@@ -127,7 +195,7 @@ class TestEnergyGradient:
         lam = 4.0
         a = rng.standard_normal((1, 8, 1))
         ens = TrajectoryEnsemble.free_flight(m0, 1.0, 8).with_controls(a)
-        g = energy_gradient(ens, cs_flat, lam)
+        g = energy_gradient(ens, cs_flat, lam)[1]
         t = ens.times
         expected = a[0, :, 0] * (np.exp(-lam * t[:-1]) - np.exp(-lam * t[1:])) / lam**2
         assert np.allclose(g[0, :, 0], expected, atol=1e-15)
@@ -139,9 +207,36 @@ class TestEnergyGradient:
             ens = TrajectoryEnsemble.free_flight(m0, 1.0, K).with_controls(
                 0.5 * rng.standard_normal((n, K, 1))
             )
-            g = energy_gradient(ens, kernel, 7.0)
+            g = energy_gradient(ens, kernel, 7.0)[1]
             fd = finite_difference_gradient(ens, kernel, 7.0)
             assert np.max(np.abs(g - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("K", [1, 2, 17])
+def test_running_sums_and_one_pair_pass_match_loops(d, K):
+    """States, energy and gradient equal the loop oracles bit for bit, unequal weights."""
+    rng = np.random.default_rng(100 * d + K)
+    kernel = CuckerSmaleKernel(0.7, 0.5)
+    ens = random_ensemble(rng, 6, K, d)
+    x, v = loop_states(ens)
+    assert np.array_equal(ens.positions, x) and np.array_equal(ens.velocities, v)
+    control, interaction, grad = loop_energy_gradient(ens, kernel, 7.0)
+    energy, gradient = energy_gradient(ens, kernel, 7.0)
+    assert (energy.control, energy.interaction) == (control, interaction)
+    assert discrete_energy(ens, kernel, 7.0) == energy
+    assert np.array_equal(gradient, grad)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 1.5])
+def test_pair_pass_matches_three_calls(beta, rng):
+    """Every exponent of g, including the fast powers numpy special-cases, rounds as before."""
+    kernel = CuckerSmaleKernel(1.3, beta)
+    ens = random_ensemble(rng, 5, 9, 2)
+    x, v, w = ens.positions, ens.velocities, ens.weights
+    got = kernels._cs_pair_sum(kernel, x, v, x, v, w, wq=w, grad_x=True, grad_v=True)
+    for a, b in zip(got, three_call_pair_sums(x, v, w, kernel)):
+        assert np.array_equal(a, b)
 
 
 class TestMinimizeEnergy:
@@ -160,6 +255,32 @@ class TestMinimizeEnergy:
         j = res.ensemble.n_intervals // 2
         d = wasserstein1_particles(res.ensemble.phase_ensemble(j), ref.at(0.5))
         assert d < 0.05
+
+    def test_one_pair_build_per_evaluation(self, rng, monkeypatch):
+        """The offsets are built once per L-BFGS evaluation, plus once for the final
+        energy and once for the EL residual."""
+        calls = []
+        build = kernels._pair_offsets
+        for module in (kernels, acceleration):  # discrete_energy builds them itself
+            monkeypatch.setattr(module, "_pair_offsets", lambda *args: calls.append(1) or build(*args))
+        m0 = ParticleEnsemble.equal_weights(rng.standard_normal((5, 2)), 1)
+        res = minimize_energy(m0, CuckerSmaleKernel(1.0, 0.5), 10.0, 1.0, 64)
+        assert res.function_evaluations > res.iterations > 0
+        assert len(calls) == res.function_evaluations + 2
+
+    def test_objective_peak_memory(self, rng):
+        """One energy-and-gradient evaluation at N = 24, K = 512, d = 1 peaks at
+        5.0 pair arrays of (N, N, K+1, d) floats; the separate energy and gradient
+        passes it replaced peaked at 7.0 in the gradient alone."""
+        ens = random_ensemble(rng, 24, 512, 1)
+        ens.positions  # node states are cached, not part of the pass
+        tracemalloc.start()
+        try:
+            energy_gradient(ens, CuckerSmaleKernel(1.0, 0.5), 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (24 * 24 * 513 * 8) < 6.0
 
     def test_variable_budget_cap(self, cs_flat, rng):
         m0 = ParticleEnsemble.equal_weights(rng.standard_normal((200, 2)), 1)

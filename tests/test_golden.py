@@ -121,7 +121,7 @@ def accelerations() -> dict:
     fit = minimize_energy(ParticleEnsemble.equal_weights(np.hstack([x0, v0]), 1), kernel, 10.0, 1.0, 16)
     return {
         "energy": [energy.control, energy.interaction],
-        "gradient": energy_gradient(ens, kernel, 10.0).tolist(),
+        "gradient": energy_gradient(ens, kernel, 10.0)[1].tolist(),
         "el_residual": el_residual(ens, kernel, 10.0),
         "minimize_controls": fit.ensemble.controls.tolist(),
         "minimize_iterations": fit.iterations,
@@ -226,6 +226,18 @@ def accel():
 @pytest.mark.parametrize("key", ["energy", "gradient", "el_residual", "minimize_controls"])
 def test_acceleration_bit_identical(accel, key):
     assert np.array_equal(np.array(accel[key]), np.array(GOLDEN["acceleration"][key]))
+
+
+def test_objective_energy_bit_identical():
+    """The energy the L-BFGS objective sees comes from the pass that gives the gradient
+    (``kernels._cs_pair_sum``, which replaced ``acceleration._pair_gradients`` and the
+    separate value pass); it equals the recorded energy bit for bit."""
+    rng = np.random.default_rng(31)
+    x0, v0 = rng.standard_normal((24, 1)), rng.standard_normal((24, 1))
+    w = rng.uniform(0.5, 1.5, 24)
+    ens = TrajectoryEnsemble(x0, v0, 0.3 * rng.standard_normal((24, 16, 1)), 1.0, w / w.sum())
+    energy, _ = energy_gradient(ens, CuckerSmaleKernel(1.0, 0.5), 10.0)
+    assert [energy.control, energy.interaction] == GOLDEN["acceleration"]["energy"]
 
 
 def test_minimize_iterations(accel):

@@ -121,6 +121,31 @@ def test_cs_rhs_matches_loop(beta):
         assert np.all(np.abs(got[i] - acc) <= TOL * scale)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.5])
+def test_cs_coupling_matches_old_sums(beta, d):
+    """The single-query Cucker-Smale coupling goes through kernels._cs_pair_sum; it stays
+    within 1e-15 of the np.sum over the pointwise k, D_x k and D_v k it replaced,
+    relative to the sum of the absolute terms (for the value, the value itself)."""
+    kernel = CuckerSmaleKernel(0.7, beta)
+    rng = np.random.default_rng(8 + d)
+    w = rng.uniform(0.2, 1.0, 24)
+    m = ParticleEnsemble(rng.standard_normal((24, 2 * d)), w / w.sum(), d)
+    for x, v in rng.standard_normal((5, 2, d)):
+        dx, dv = x - m.positions, v - m.velocities
+        r2, vv = np.sum(dx**2, axis=-1), np.sum(dv**2, axis=-1)
+        g = (kernel.alpha + r2) ** beta
+        coef = -vv * 2.0 * beta * (kernel.alpha + r2) ** (-beta - 1.0)
+        terms = (
+            m.weights * (vv / g),
+            m.weights[:, None] * (coef[:, None] * dx),
+            m.weights[:, None] * (2.0 * dv / g[:, None]),
+        )
+        got = (eval_coupling(kernel, x, m, v), *grad_coupling(kernel, x, m, v))
+        for new, old in zip(got, terms):
+            assert np.all(np.abs(new - np.sum(old, axis=0)) <= 1e-15 * np.sum(np.abs(old), axis=0))
+
+
 # -- the sorted 1D path (kernels._sorted_pair_sum) against the dense body --
 
 SORTED = {
@@ -192,6 +217,26 @@ def test_sorted_path_through_public_functions(name, monkeypatch):
         assert abs(eval_coupling(kernel, x, m) - f) <= TOL * f_scale
         assert np.all(np.abs(grad_coupling(kernel, x, m) - g) <= TOL * g_scale)
         assert np.all(np.abs(row - (ham.drift(x) - g)) <= TOL * g_scale)
+
+
+def test_dense_gradient_at_subnormal_offset_1d():
+    """An atom at 0 and a query at 2.2e-313: dphi(r) / r overflows, dphi(r) x / |x| does not."""
+    kernel = ExponentialKernel(1.0, 1.0)
+    xq, pos, w = np.array([[2.2e-313], [-2.2e-313]]), np.zeros((1, 1)), np.ones(1)
+    dense = kernels._dense_pair_sum(kernel, xq, pos, w, True)
+    assert np.array_equal(dense, [[-1.0], [1.0]])
+    assert np.array_equal(dense, kernels._sorted_pair_sum(kernel._exp_terms, xq, pos, w, True))
+
+
+@pytest.mark.parametrize("offset", [[1e-160, 0.0], [3e-170, -4e-170], [0.0, 5e-324]])
+def test_radial_gradient_at_tiny_offset_2d(offset):
+    """|x|^2 underflows below about 1e-154: the gradient still points along x, not at the kink."""
+    x = np.array(offset)
+    unit = x / np.max(np.abs(x))
+    unit /= np.sqrt(np.sum(unit**2))
+    for kernel in (ExponentialKernel(1.0, 1.0), MorseKernel(0.5, 2.0)):
+        np.testing.assert_allclose(kernel.gradient(x[None]), kernel.dphi(0.0) * unit[None], rtol=1e-15, atol=0.0)
+    assert np.array_equal(ExponentialKernel(1.0, 1.0).gradient(np.zeros((1, 2))), np.zeros((1, 2)))
 
 
 def test_path_selection(monkeypatch):
