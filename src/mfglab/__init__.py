@@ -39,7 +39,6 @@ from .errors import (
     DivergenceError,
     GridError,
     StabilityError,
-    TransportModeError,
 )
 from .hamiltonians import (
     DriftField,

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .kernels import CuckerSmaleKernel, _cs_pair_sum, _pair_offsets
-from .measures import MeasurePath, ParticleEnsemble, _csv_table
+from .measures import ParticleEnsemble, _csv_table
 
 
 @dataclass(frozen=True)
@@ -113,9 +113,6 @@ class TrajectoryEnsemble:
     def phase_ensemble(self, node: int) -> ParticleEnsemble:
         x, v = self._states
         return ParticleEnsemble(np.hstack([x[:, node], v[:, node]]), self.weights, self.d)
-
-    def measure_path(self) -> MeasurePath:
-        return MeasurePath(self.times, [self.phase_ensemble(j) for j in range(self.n_intervals + 1)])
 
     def with_controls(self, controls) -> "TrajectoryEnsemble":
         return TrajectoryEnsemble(self.x0, self.v0, np.asarray(controls, dtype=float), self.T, self.weights)

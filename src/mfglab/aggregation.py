@@ -6,7 +6,9 @@ The density is transported by the drift
 
 covering the aggregation equation (v = 0).  Two cross-validating
 discretizations: an RK4 particle method on the empirical measure and a
-conservative upwind finite-volume scheme on a 1D grid.
+conservative upwind finite-volume scheme on a 1D grid.  The limit is
+inviscid, so the FV scheme has no diffusion, and each of its steps must
+pass the same per-cell CFL check as the MFG transport (mfg_pde._check_cfl).
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from __future__ import annotations
 import numpy as np
 
 from .cucker_smale import _rk4
-from .errors import CflError, DimensionError, DivergenceError
+from .errors import DimensionError, DivergenceError
 from .hamiltonians import QuadraticDriftHamiltonian
 from .kernels import CuckerSmaleKernel, _grid_matrix, _grid_sum, _pair_sum
 from .measures import GridDensity, MeasurePath, ParticleEnsemble
-from .mfg_pde import _DiffusionSolver, transport_step
+from .mfg_pde import _check_cfl, _DiffusionSolver, transport_step
 
 
 def limit_drift(ham: QuadraticDriftHamiltonian, kernel, x, m):
@@ -85,10 +87,9 @@ def solve_aggregation_fv(
     m0: GridDensity,
     T: float,
     dt: float,
-    nu: float = 0.0,
-    cfl_cap: float = 0.9,
 ) -> MeasurePath:
-    """Conservative upwind FV scheme with the nonlocal drift refreshed each step."""
+    """Conservative upwind FV scheme with the nonlocal drift refreshed and CFL-checked each step;
+    raises CflError before the first step whose drift breaks the bound."""
     if isinstance(kernel, CuckerSmaleKernel):
         raise TypeError("the FV solver takes a position-space kernel")
     n_steps = max(1, round(T / dt))
@@ -97,16 +98,13 @@ def solve_aggregation_fv(
     v_int = ham.drift(x_int)
     # interface kernel-gradient quadrature matrix (n_x-1, n_x)
     Dk = _grid_matrix(kernel, x_int, m0.cell_centers, dx, gradient=True)
-    diffuse = _DiffusionSolver(m0.n, dx, dt, nu)
+    diffuse = _DiffusionSolver(m0.n, dx, dt, 0.0)  # inviscid: the identity
     m = m0.values.copy()
     times = np.linspace(0.0, n_steps * dt, n_steps + 1)
     snaps = [m0]
     for _ in range(n_steps):
         b = v_int - Dk @ m
-        if np.max(np.abs(b)) * dt / dx > cfl_cap:
-            raise CflError(
-                f"CFL cap {cfl_cap} exceeded: max|b| dt/dx = {np.max(np.abs(b)) * dt / dx:.3f}"
-            )
+        _check_cfl(b, dt, dx)
         m = transport_step(m, b, dt, dx, diffuse)
         m = m / (m.sum() * dx)
         snaps.append(GridDensity(m0.origin, dx, m))

@@ -48,8 +48,6 @@ _SOLVER_DEFAULTS = {
     "n_x": (256, int),
     "dt": (1e-3, float),
     "nu": ("auto", str),  # "auto" -> lambda**-0.5 schedule; else a float
-    "mode": ("damped-picard", str),
-    "theta": (0.5, float),
     "max_iterations": (200, int),
     "tolerance": (1e-6, float),
     "m0_center": (0.0, float),
@@ -122,8 +120,6 @@ class ExperimentDescription:
             n_x=s["n_x"],
             dt=s["dt"],
             nu=nu,
-            mode=s["mode"],
-            theta=s["theta"],
             max_iterations=s["max_iterations"],
             tolerance=s["tolerance"],
         )
@@ -211,6 +207,8 @@ def _validate(values: dict) -> None:
             raise ConfigError(f"model.L: Morse kernel requires L > 1, got {m['L']}")
     if m["kernel"] == "cucker-smale" and m["alpha"] <= 0:
         raise ConfigError(f"model.alpha: must be positive, got {m['alpha']}")
+    if m["kernel"] == "cucker-smale" and m["beta"] < 0:
+        raise ConfigError(f"model.beta: must be nonnegative, got {m['beta']}")
     if m["kernel"] in ("exponential", "repulsive-attractive") and m["a"] <= 0:
         raise ConfigError(f"model.a: must be positive, got {m['a']}")
     if m["drift"] not in ("zero", "constant", "sinusoidal"):
@@ -221,6 +219,10 @@ def _validate(values: dict) -> None:
         raise ConfigError(f"solver.T: must be positive, got {s['T']}")
     if s["dt"] <= 0:
         raise ConfigError(f"solver.dt: must be positive, got {s['dt']}")
+    if s["half_width"] <= 0:
+        raise ConfigError(f"solver.half_width: must be positive, got {s['half_width']}")
+    if s["max_iterations"] < 1:
+        raise ConfigError(f"solver.max_iterations: must be at least 1, got {s['max_iterations']}")
     if s["nu"] != "auto":
         try:
             nu = float(s["nu"])
@@ -258,6 +260,8 @@ def _validate(values: dict) -> None:
         raise ConfigError(f"sweep.lambdas: every lambda must be positive and finite, got {lams}")
     if sorted(lams) != lams or len(set(lams)) != len(lams):
         raise ConfigError(f"sweep.lambdas: must be strictly increasing, got {lams}")
+    if sw["cross_particles"] < 1:
+        raise ConfigError(f"sweep.cross_particles: must be positive, got {sw['cross_particles']}")
     if sw["threads"] != 1:
         raise ConfigError(f"sweep.threads: only 1 is supported (sweeps run serially), got {sw['threads']}")
 

@@ -2,29 +2,23 @@
 
 For atomic initial data the particle system *is* the measure-valued
 solution (pushforward of m0 under the characteristic flow); the only
-discretization is in time (RK4).
+discretization is in time (RK4).  solve_cs only integrates;
+richardson_order_ratio probes the order apart (the acceleration sweep
+and ``mfglab solve-cs`` call it at 8 dt).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, StabilityError
+from .errors import DimensionError
 from .kernels import CuckerSmaleKernel, _cs_pair_sum
 from .measures import MeasurePath, ParticleEnsemble
 
 
 def cs_rhs(ensemble: ParticleEnsemble, kernel: CuckerSmaleKernel) -> np.ndarray:
     """Per-atom alignment acceleration a_i = -sum_j w_j 2(v_i - v_j)/g(x_i - x_j)."""
-    if not ensemble.is_phase_space:
-        raise DimensionError("phase-space ensemble required")
-    return _rhs_arrays(ensemble.positions, ensemble.velocities, ensemble.weights, kernel)
-
-
-def _rhs_arrays(pos, vel, w, kernel) -> np.ndarray:
-    """-D_vF at every atom: the alignment pair sum, dense over the (N, N, d) offsets."""
-    (dv_f,) = _cs_pair_sum(kernel, pos, vel, pos, vel, w, grad_v=True)
-    return -dv_f
+    return _phase_rhs(ensemble, kernel)(ensemble.points)[:, ensemble.spatial_dim :]
 
 
 def _rk4(rhs, z, dt, n_steps):
@@ -39,11 +33,18 @@ def _rk4(rhs, z, dt, n_steps):
 
 
 def _phase_rhs(m0: ParticleEnsemble, kernel):
-    """Right-hand side on the stacked state z = [pos | vel]: returns [vel | accel]."""
+    """Right-hand side on the stacked state z = [pos | vel]: returns [vel | -D_vF], with -D_vF
+    the alignment pair sum over the (N, N, d) offsets."""
     if not m0.is_phase_space:
         raise DimensionError("phase-space ensemble required")
     d, w = m0.spatial_dim, m0.weights
-    return lambda z: np.hstack([z[:, d:], _rhs_arrays(z[:, :d], z[:, d:], w, kernel)])
+
+    def rhs(z):
+        pos, vel = z[:, :d], z[:, d:]
+        (dv_f,) = _cs_pair_sum(kernel, pos, vel, pos, vel, w, grad_v=True)
+        return np.hstack([vel, -dv_f])
+
+    return rhs
 
 
 def richardson_order_ratio(
@@ -66,20 +67,10 @@ def solve_cs(
     T: float,
     dt: float,
     save_every: int | None = None,
-    order_check: bool = False,
 ) -> MeasurePath:
-    """RK4 integration of the coupled characteristic system.
-
-    With order_check=True a step-halving Richardson probe must land in
-    the RK4 window [8, 32] before the full integration runs.
-    """
+    """RK4 integration of the coupled characteristic system, saving every save_every-th step
+    (by default about 512 snapshots) and the last."""
     rhs = _phase_rhs(m0, kernel)
-    if order_check:
-        ratio = richardson_order_ratio(m0, kernel, min(T, 32 * dt), dt)
-        if not (8.0 <= ratio <= 32.0 or ratio == np.inf):
-            raise StabilityError(
-                f"step-halving ratio {ratio:.2f} outside the RK4 window [8, 32]; reduce dt"
-            )
     n_steps = max(1, round(T / dt))
     if save_every is None:
         save_every = max(1, n_steps // 512)

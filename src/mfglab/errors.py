@@ -14,7 +14,7 @@ class StabilityError(RuntimeError):
 
 
 class CflError(StabilityError):
-    """Advective CFL condition |b| dt / dx <= 1 violated."""
+    """Advective CFL condition violated: some cell's upwind outflow dt/dx exceeds 1."""
 
 
 class DivergenceError(RuntimeError):
@@ -23,10 +23,6 @@ class DivergenceError(RuntimeError):
 
 class BoundaryLeakError(RuntimeError):
     """Mass reached the boundary cells of the truncated domain."""
-
-
-class TransportModeError(ValueError):
-    """Exact transport mode requested above its size cap."""
 
 
 class ConfigError(ValueError):

@@ -9,6 +9,8 @@ Two concrete representations are used throughout the lab:
   the characteristic / variational solvers.
 
 All types are immutable after construction; operations are pure.
+Particle W1 picks its method from the input alone: exact sorted on the
+line, the transport LP up to EXACT_W1_SIZE_CAP couplings, sliced above.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .errors import DimensionError, GridError, TransportModeError
+from .errors import DimensionError, GridError
 
 MASS_TOL_GRID = 1e-10
 MASS_TOL_PARTICLES = 1e-12
 
-#: largest N_a * N_b for which the exact transport LP is attempted
+#: largest N_a * N_b for which wasserstein1_particles solves the exact transport LP (d > 1)
 EXACT_W1_SIZE_CAP = 2**18
 
 
@@ -323,38 +325,29 @@ def _w1_exact_lp(a: ParticleEnsemble, b: ParticleEnsemble) -> float:
     return float(res.fun)
 
 
-def wasserstein1_particles(
-    a: ParticleEnsemble,
-    b: ParticleEnsemble,
-    mode: str = "auto",
-    seed: int = 0,
-    n_slices: int = 64,
-) -> float:
-    """W1 distance between particle ensembles.
-
-    Exact mode solves the discrete transport LP (size capped at
-    2^18 coupling variables); sliced mode averages exact 1D distances
-    over seeded random projections.
-    """
-    if a.d_total != b.d_total:
-        raise DimensionError(f"dimension mismatch: {a.d_total} vs {b.d_total}")
-    size = a.n * b.n
-    if mode == "auto":
-        mode = "exact" if size <= EXACT_W1_SIZE_CAP else "sliced"
-    if mode == "exact":
-        if size > EXACT_W1_SIZE_CAP:
-            raise TransportModeError(
-                f"exact mode capped at {EXACT_W1_SIZE_CAP} couplings, got {size}; use sliced mode"
-            )
-        if a.d_total == 1:
-            return _w1_sorted_1d(a.points[:, 0], a.weights, b.points[:, 0], b.weights)
-        return _w1_exact_lp(a, b)
-    if mode != "sliced":
-        raise ValueError(f"unknown mode {mode!r}")
+def _w1_sliced(a: ParticleEnsemble, b: ParticleEnsemble, seed: int) -> float:
+    """Mean of the exact 1D distances over 64 seeded random projections; a lower bound on W1."""
     rng = np.random.default_rng(seed)
     total = 0.0
-    for _ in range(n_slices):
+    for _ in range(64):
         u = rng.standard_normal(a.d_total)
         u /= np.linalg.norm(u)
         total += _w1_sorted_1d(a.points @ u, a.weights, b.points @ u, b.weights)
-    return total / n_slices
+    return total / 64
+
+
+def wasserstein1_particles(a: ParticleEnsemble, b: ParticleEnsemble, seed: int = 0) -> float:
+    """W1 distance between particle ensembles.
+
+    Exact on the line at any size (sorted CDF formula).  Above one
+    dimension: the exact transport LP up to EXACT_W1_SIZE_CAP coupling
+    variables N_a * N_b, and above that the sliced estimate over 64
+    projections drawn from seed.
+    """
+    if a.d_total != b.d_total:
+        raise DimensionError(f"dimension mismatch: {a.d_total} vs {b.d_total}")
+    if a.d_total == 1:
+        return _w1_sorted_1d(a.points[:, 0], a.weights, b.points[:, 0], b.weights)
+    if a.n * b.n <= EXACT_W1_SIZE_CAP:
+        return _w1_exact_lp(a, b)
+    return _w1_sliced(a, b, seed)

@@ -19,13 +19,15 @@ Scheme
   drift part: a monotone scheme selecting the viscosity solution;
 * diffusion implicit (tridiagonal solves), homogeneous Neumann walls;
 * conservative upwind finite volumes for the density: mass conserved to
-  solver precision, nonnegativity preserved under the CFL bound;
+  solver precision, nonnegativity preserved while every cell's outflow
+  dt/dx (max(b_right, 0) + max(-b_left, 0)) stays <= 1, checked per stack;
 * F = k*m for a whole HJB sweep is one product of the (n_steps+1, n_x)
   density stack with the matrix dx * k(x_i - x_j);
 * the fixed-point loop runs on raw stacks: fp_forward returns one, checked
   once as a whole; GridDensity/MeasurePath are built only for MfgSolution;
-* the fixed point: Anderson mixing with a damped Picard safeguard, stopping on
-  the W1 gap at every node; CFL and HJB monotonicity checked on whole stacks.
+* the fixed point: one scheme, Anderson mixing with a damped Picard safeguard,
+  stopping on the W1 gap at every node; CFL and HJB monotonicity checked on
+  whole stacks.
 """
 
 from __future__ import annotations
@@ -54,8 +56,6 @@ class PdeConfig:
     n_x: int = 256
     dt: float = 1e-3
     nu: float | None = None  # None -> schedule nu = lam**-0.5
-    mode: str = "damped-picard"  # Anderson-accelerated, damped Picard safeguard; or "fictitious-play"
-    theta: float = 0.5
     max_iterations: int = 200
     tolerance: float = 1e-6
 
@@ -69,10 +69,8 @@ class PdeConfig:
             raise ValueError("invalid discretization parameters")
         if self.nu is not None and self.nu < 0:
             raise ValueError("nu must be nonnegative")
-        if self.mode not in ("damped-picard", "fictitious-play"):
-            raise ValueError(f"unknown fixed-point mode {self.mode!r}")
-        if not 0 < self.theta <= 1:
-            raise ValueError("theta must be in (0, 1]")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
 
     @property
     def viscosity(self) -> float:
@@ -134,11 +132,6 @@ def coupling_on_grid(kernel, m: GridDensity | np.ndarray, x: np.ndarray) -> np.n
     """F(x_i, m) = (k*m)(x_i) by grid quadrature, vectorized in x; m is a GridDensity, or
     an (n_nodes, n) stack of cell values on the grid whose centres are x (one row per node)."""
     return _grid_sum(kernel, x, m)
-
-
-def coupling_grad_on_grid(kernel, m: GridDensity | np.ndarray, x: np.ndarray) -> np.ndarray:
-    """D_x F(x_i, m) = (Dk*m)(x_i) with the Dk(0)=0 kink convention; m as above."""
-    return _grid_sum(kernel, x, m, gradient=True)
 
 
 def _grid_values(cfg: PdeConfig, m, what: str) -> np.ndarray:
@@ -209,16 +202,24 @@ def hjb_backward(
     return u
 
 
-def gradient_centered(u: np.ndarray, dx: float) -> np.ndarray:
-    """Centered Du on cell centers, one-sided at the walls."""
-    return np.gradient(u, dx, axis=-1)
-
-
 def _check_cfl(b: np.ndarray, dt: float, dx: float) -> None:
-    """Raise CflError unless max|b| dt/dx <= 1 for interface drifts b of any shape."""
-    cfl = max(b.max(), -b.min()) * dt / dx if b.size else 0.0
+    """Raise CflError unless every cell's upwind outflow dt/dx (max(b_right, 0) + max(-b_left, 0)) is <= 1,
+    the bound under which an explicit step keeps the cell nonnegative; a wall cell has one interface.
+
+    b holds the n_x - 1 interior interface drifts of one step, or one row of them per step;
+    64-row blocks keep the temporaries small.
+    """
+    if not b.size:
+        return
+    b = b.reshape(-1, b.shape[-1])
+    worst = 0.0
+    for rows in (b[i : i + 64] for i in range(0, len(b), 64)):
+        out = np.maximum(rows, 0.0)  # out[:, i]: outflow of cell i through its right interface ...
+        out[:, 1:] -= np.minimum(rows[:, :-1], 0.0)  # ... and through its left one
+        worst = max(worst, out.max(), -rows[:, -1].min())  # the last cell has only its left interface
+    cfl = worst * dt / dx
     if cfl > 1.0:
-        raise CflError(f"advective CFL violated: max|b| dt/dx = {cfl:.3f} > 1")
+        raise CflError(f"advective CFL violated: largest cell outflow dt/dx = {cfl:.3f} > 1")
 
 
 def transport_step(
@@ -231,10 +232,10 @@ def transport_step(
     """One conservative upwind FV step with zero-flux walls.
 
     b_interface has n_x - 1 entries (interior interfaces).  Explicit
-    upwind advection under CFL, then implicit diffusion; both stages
-    conserve mass and keep the density nonnegative.
+    upwind advection, then implicit diffusion; both stages conserve mass
+    and keep the density nonnegative under the CFL bound, which the
+    caller checks with _check_cfl.
     """
-    _check_cfl(b_interface, dt, dx)
     flux = np.maximum(b_interface, 0.0) * m[:-1] + np.minimum(b_interface, 0.0) * m[1:]
     out = m.copy()
     out[:-1] -= dt / dx * flux
@@ -289,11 +290,11 @@ def solve_mfg_fixed_point(
 ) -> MfgSolution:
     """Iterate m -> u = HJB(m) -> g = FP(u) to g = m, stopping on max W1(m, g) over every node.
 
-    damped-picard is Anderson-accelerated (type II, Walker & Ni, SINUM 2011; depth 1, no damping):
+    Anderson-accelerated (type II, Walker & Ni, SINUM 2011; depth 1, no damping):
     m+ = g - gamma (g - g_prev), gamma = argmin |f - gamma (f - f_prev)| for f = g - m.  A rising
-    residual takes one damped Picard step m + theta f instead and drops the history (counted in
+    residual takes one damped Picard step m + f/2 instead and drops the history (counted in
     fallbacks).  A mixed m may leave the densities: it enters the HJB only through the linear k*m.
-    fictitious-play averages, m + f / (k + 1).  The best FP output is returned, flagged if not converged.
+    The best FP output is returned, flagged if not converged.
     """
     # warm start: best response to the frozen initial density
     m = fp_forward(cfg, ham, hjb_backward(cfg, ham, kernel, np.tile(m0.values, (cfg.n_steps + 1, 1))), m0)
@@ -309,11 +310,10 @@ def solve_mfg_fixed_point(
             best = (residual, u_path, g, it)
         if residual < cfg.tolerance:
             break  # best is this iterate: every earlier residual was >= tolerance
-        if cfg.mode == "fictitious-play" or (len(history) >= 2 and residual > history[-2]):
-            theta = 1.0 / (it + 1.0) if cfg.mode == "fictitious-play" else cfg.theta
-            fallbacks += cfg.mode == "damped-picard"
+        if len(history) >= 2 and residual > history[-2]:
+            fallbacks += 1
             g_prev = None
-            m = np.add(g, np.multiply(f, theta - 1.0, out=f), out=f)  # g - (1 - theta) f = m + theta f
+            m = np.add(g, np.multiply(f, -0.5, out=f), out=f)  # the safeguard: g - f/2 = m + f/2
             m /= m.sum(axis=1, keepdims=True) * cfg.dx
             continue
         if g_prev is None:

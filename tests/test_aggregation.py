@@ -127,6 +127,26 @@ class TestFvSolver:
         )
         assert w1_grid_vs_particles(fv.measures[-1], pp.measures[-1]) < 0.02
 
+    def test_diverging_cell_outflow_raises(self, gauss_m0):
+        # repulsion from one full cell: its interface drifts are -+max|b|, with max|b| dt/dx = 0.9,
+        # so it would lose 1.8 of its mass in one explicit step
+        kernel = ExponentialKernel(alpha=1.0, a=1.0)
+        dx, values = gauss_m0.dx, np.zeros(gauss_m0.n)
+        values[128] = 1.0 / dx
+        m0 = GridDensity(gauss_m0.origin, dx, values)
+        b = limit_drift(QuadraticDriftHamiltonian(), kernel, m0.cell_edges[1:-1], m0)
+        assert b[127] < 0.0 < b[128] and np.max(np.abs(b)) == max(-b[127], b[128])
+        dt = 0.9 * dx / np.max(np.abs(b))
+        with pytest.raises(CflError, match="outflow"):
+            solve_aggregation_fv(QuadraticDriftHamiltonian(), kernel, m0, 10 * dt, dt)
+
+    def test_translation_allowed_up_to_one(self, gauss_m0):
+        # a translating drift loses through one interface per cell: dt/dx = 0.95 is stable
+        ham = QuadraticDriftHamiltonian(DriftField("constant", amplitude=1.0))
+        dt = 0.95 * gauss_m0.dx
+        path = solve_aggregation_fv(ham, ZeroKernel(), gauss_m0, 20 * dt, dt)
+        assert np.min(path.measures[-1].values) >= 0.0
+
     def test_cfl_cap_enforced(self, gauss_m0):
         ham = QuadraticDriftHamiltonian(DriftField("constant", amplitude=5.0))
         with pytest.raises(CflError):

@@ -63,7 +63,7 @@ class TestParseConfig:
             ("solver.T", "inf"),
             ("solver.dt", "nan"),
             ("solver.half_width", "inf"),
-            ("solver.theta", "nan"),
+            ("model.beta", "nan"),
             ("solver.tolerance", "inf"),
             ("solver.m0_center", "nan"),
             ("model.alpha", "-inf"),
@@ -120,6 +120,28 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=rf"^{field}: "):
             parse_config(f"[model]\nkernel = cucker-smale\n[solver]\n{solver}")
 
+    @pytest.mark.parametrize(
+        "field, raw",
+        [
+            ("model.beta", "-1.0"),
+            ("solver.half_width", "-1.0"),
+            ("solver.max_iterations", "0"),
+            ("sweep.cross_particles", "0"),
+        ],
+    )
+    def test_out_of_range_values_name_field(self, field, raw):
+        section, key = field.split(".")
+        text = f"[{section}]\n{key} = {raw}\n"
+        if section == "model":
+            text += "kernel = cucker-smale\n"
+        with pytest.raises(ConfigError, match=rf"^{field}: "):
+            parse_config(text)
+
+    @pytest.mark.parametrize("key", ["mode", "theta"])
+    def test_removed_fixed_point_options_are_unknown(self, key):
+        with pytest.raises(ConfigError, match=rf"^solver.{key}: unknown option"):
+            parse_config(f"[solver]\n{key} = 0.5\n")
+
     def test_threads_accepts_only_one(self):
         desc = parse_config("[sweep]\nthreads = 1\n")
         assert parse_config(write_config(desc)) == desc
@@ -140,7 +162,7 @@ FIELDS = {
         "a": POSITIVE,
         "G": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         "L": st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
-        "beta": FINITE,
+        "beta": st.floats(min_value=0.0, allow_infinity=False),
         "drift": st.sampled_from(["zero", "constant", "sinusoidal"]),
         "drift_amplitude": FINITE,
         "drift_frequency": FINITE,
@@ -148,13 +170,11 @@ FIELDS = {
     "solver": {
         "lambda": POSITIVE,
         "T": POSITIVE,
-        "half_width": FINITE,
+        "half_width": POSITIVE,
         "n_x": st.integers(8, 2**40),
         "dt": POSITIVE,
         "nu": st.one_of(st.just("auto"), st.floats(min_value=0.0, allow_infinity=False).map(repr)),
-        "mode": WORD,
-        "theta": FINITE,
-        "max_iterations": st.integers(),
+        "max_iterations": st.integers(min_value=1),
         "tolerance": FINITE,
         "m0_center": FINITE,
         "m0_sigma": POSITIVE,
@@ -168,7 +188,7 @@ FIELDS = {
             lambda lams: ", ".join(map(repr, sorted(lams)))
         ),
         "threads": st.just(1),
-        "cross_particles": st.integers(),
+        "cross_particles": st.integers(min_value=1),
     },
     "output": {"prefix": WORD, "seed": st.integers()},
 }
@@ -199,9 +219,8 @@ class TestConfigRoundTrip:
         assert parse_config(write_config(desc)) == desc
 
     def test_percent_sign_is_plain_text(self):
-        desc = parse_config("[output]\nprefix = run%1\n[solver]\nmode = 50%%\n")
-        assert desc.output["prefix"] == "run%1"
-        assert desc.solver["mode"] == "50%%"
+        desc = parse_config("[output]\nprefix = run%1 50%%(x)s\n")
+        assert desc.output["prefix"] == "run%1 50%%(x)s"
         assert parse_config(write_config(desc)) == desc
 
 
@@ -233,6 +252,25 @@ class TestCli:
         last_atom0 = [l for l in lines[1:] if l.startswith("0,")][-1]
         v_final = float(last_atom0.split(",")[3])
         assert v_final == pytest.approx(np.exp(-2.0), abs=1e-6)
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_solve_cs_reports_step_halving_ratio(self, tmp_path, capsys, seed):
+        cfg = self.write(
+            tmp_path,
+            "[model]\nkernel = cucker-smale\nbeta = 0.5\n[solver]\nn_atoms = 24\nT = 1.0\ndt = 0.001\n",
+        )
+        out = tmp_path / "run"
+        assert main(["solve-cs", "--config", cfg, "--out", str(out), "--seed", str(seed)]) == 0
+        ratio = json.loads((out / "solution.json").read_text())["step_halving_ratio"]
+        assert 8.0 <= ratio <= 32.0
+
+    def test_solve_cs_exits_3_outside_the_rk4_window(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("mfglab.cli.richardson_order_ratio", lambda *args: 4.0)
+        cfg = self.write(tmp_path, "[model]\nkernel = cucker-smale\n[solver]\nT = 0.1\ndt = 0.01\n")
+        out = tmp_path / "run"
+        assert main(["solve-cs", "--config", cfg, "--out", str(out)]) == 3
+        assert json.loads((out / "solution.json").read_text())["step_halving_ratio"] == 4.0
+        assert (out / "states.csv").exists()
 
     def test_solve_limit_writes_density(self, tmp_path, capsys):
         cfg = self.write(

@@ -66,10 +66,6 @@ class TestSolveCs:
         ratio = richardson_order_ratio(two_body_phase, cs_flat, 1.0, 0.05)
         assert 8.0 <= ratio <= 32.0
 
-    def test_order_check_gate_runs(self, cs_flat, two_body_phase):
-        path = solve_cs(two_body_phase, cs_flat, 0.5, 1e-2, order_check=True)
-        assert len(path) >= 2
-
     def test_velocity_diameter_contracts(self, rng):
         m0 = phase_atoms(rng.standard_normal(16), rng.standard_normal(16))
         path = solve_cs(m0, CuckerSmaleKernel(2.0, 0.2), 3.0, 1e-2)

@@ -11,13 +11,12 @@ from mfglab import (
     GridError,
     MeasurePath,
     ParticleEnsemble,
-    TransportModeError,
     moment2,
     rebin,
     wasserstein1_1d,
     wasserstein1_particles,
 )
-from mfglab.measures import _w1_exact_lp
+from mfglab.measures import EXACT_W1_SIZE_CAP, _w1_exact_lp, _w1_sliced
 
 
 def delta_on_grid(x0, origin=-4.0, dx=0.01, n=800):
@@ -186,7 +185,7 @@ class TestWasserstein1Particles:
             sum(abs(xa[i] - xb[p[i]]) for i in range(4)) / 4.0
             for p in itertools.permutations(range(4))
         )
-        assert wasserstein1_particles(a, b, mode="exact") == pytest.approx(best, abs=1e-12)
+        assert wasserstein1_particles(a, b) == pytest.approx(best, abs=1e-12)
 
     def test_exact_lp_matches_sorted_formula_1d(self, rng):
         # the 2D LP and the 1D CDF formula must agree on collinear data
@@ -195,8 +194,8 @@ class TestWasserstein1Particles:
         b1 = ParticleEnsemble.equal_weights(xb[:, None], 1)
         a2 = ParticleEnsemble.equal_weights(np.column_stack([xa, np.zeros(6)]), 2)
         b2 = ParticleEnsemble.equal_weights(np.column_stack([xb, np.zeros(7)]), 2)
-        d1 = wasserstein1_particles(a1, b1, mode="exact")
-        d2 = wasserstein1_particles(a2, b2, mode="exact")
+        d1 = wasserstein1_particles(a1, b1)
+        d2 = _w1_exact_lp(a2, b2)
         assert d2 == pytest.approx(d1, abs=1e-8)
 
     def test_sliced_lower_bounds_exact(self, rng):
@@ -205,24 +204,32 @@ class TestWasserstein1Particles:
         # (isotropic worst case) and exact itself
         a = ParticleEnsemble.equal_weights(rng.standard_normal((30, 2)), 2)
         b = ParticleEnsemble.equal_weights(rng.standard_normal((30, 2)) + 1.0, 2)
-        exact = wasserstein1_particles(a, b, mode="exact")
-        sliced = wasserstein1_particles(a, b, mode="sliced", seed=7)
+        exact = _w1_exact_lp(a, b)
+        sliced = _w1_sliced(a, b, seed=7)
         assert sliced <= exact * (1.0 + 1e-12)
         assert sliced >= 0.5 * exact
 
     def test_sliced_deterministic_under_seed(self, rng):
         a = ParticleEnsemble.equal_weights(rng.standard_normal((10, 2)), 2)
         b = ParticleEnsemble.equal_weights(rng.standard_normal((10, 2)), 2)
-        d1 = wasserstein1_particles(a, b, mode="sliced", seed=3)
-        d2 = wasserstein1_particles(a, b, mode="sliced", seed=3)
+        d1 = _w1_sliced(a, b, seed=3)
+        d2 = _w1_sliced(a, b, seed=3)
         assert d1 == d2
 
-    def test_exact_over_cap_raises(self):
-        big = ParticleEnsemble.equal_weights(np.zeros((600, 1)), 1)
-        other = ParticleEnsemble.equal_weights(np.ones((600, 2))[:, :1], 1)
-        # 600*600 > 2^18
-        with pytest.raises(TransportModeError, match="sliced"):
-            wasserstein1_particles(big, other, mode="exact")
+    def test_method_follows_dimension_and_size(self, rng):
+        # 600 * 600 > EXACT_W1_SIZE_CAP: exact on the line, sliced above it
+        assert 600 * 600 > EXACT_W1_SIZE_CAP
+        x = rng.standard_normal((600, 2))
+        line = ParticleEnsemble.equal_weights(x[:, :1], 1)
+        assert wasserstein1_particles(line, ParticleEnsemble(line.points + 0.25, line.weights, 1)) == pytest.approx(
+            0.25, abs=1e-12
+        )
+        a = ParticleEnsemble.equal_weights(x, 2)
+        b = ParticleEnsemble.equal_weights(x + 1.0, 2)
+        assert wasserstein1_particles(a, b, seed=5) == _w1_sliced(a, b, seed=5)
+        small_a = ParticleEnsemble.equal_weights(x[:20], 2)
+        small_b = ParticleEnsemble.equal_weights(x[20:40], 2)
+        assert wasserstein1_particles(small_a, small_b) == _w1_exact_lp(small_a, small_b)
 
     def test_dimension_mismatch(self):
         a = ParticleEnsemble.equal_weights(np.zeros((2, 1)), 1)

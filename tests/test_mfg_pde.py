@@ -20,11 +20,11 @@ from mfglab import (
     limit_drift,
     solve_mfg_fixed_point,
 )
-from mfglab import mfg_pde
+from mfglab import kernels, mfg_pde
 from mfglab.errors import StabilityError
 from mfglab.kernels import CrowdRadialKernel
 from mfglab.measures import _check_densities, moment2, wasserstein1_1d
-from mfglab.mfg_pde import _w1_sup, coupling_grad_on_grid, coupling_on_grid
+from mfglab.mfg_pde import _check_cfl, _w1_sup, coupling_on_grid
 
 
 def constant_kernel(c):
@@ -72,7 +72,7 @@ def damped_picard(cfg, ham, kernel, m0):
         m_plus = fp_forward(cfg, ham, hjb_backward(cfg, ham, kernel, m), m0)
         if np.max(w1_nodes(m, m_plus, cfg.dx)) < cfg.tolerance:
             return m_plus, it
-        m = (1.0 - cfg.theta) * m + cfg.theta * m_plus
+        m = 0.5 * m + 0.5 * m_plus
         m /= m.sum(axis=1, keepdims=True) * cfg.dx
     raise AssertionError("damped Picard did not converge")
 
@@ -109,10 +109,12 @@ class TestGridCoupling:
     def test_batched_stack_at_centres(self, kernel, grad, rng):
         values = self.stack(rng)
         x = self.origin + (np.arange(self.n) + 0.5) * self.dx
-        batched = (coupling_grad_on_grid if grad else coupling_on_grid)(kernel, values, x)
+        batched = kernels._grid_sum(kernel, x, values, gradient=grad)
         expected = dense_coupling(kernel, values, self.origin, self.dx, x, grad)
         assert batched.shape == (len(values), self.n)
         np.testing.assert_allclose(batched, expected, rtol=0.0, atol=1e-12)
+        if not grad:
+            assert np.array_equal(coupling_on_grid(kernel, values, x), batched)
 
     @pytest.mark.parametrize("kernel", RADIAL_KERNELS, ids=lambda k: type(k).__name__)
     @pytest.mark.parametrize("grad", [False, True], ids=["F", "DF"])
@@ -123,7 +125,7 @@ class TestGridCoupling:
         expected = dense_coupling(kernel, values, self.origin, self.dx, x_int, grad)
         for row, exp_row in zip(values, expected):
             m = GridDensity(self.origin, self.dx, row)
-            got = (coupling_grad_on_grid if grad else coupling_on_grid)(kernel, m, x_int)
+            got = kernels._grid_sum(kernel, x_int, m, gradient=grad)
             np.testing.assert_allclose(got, exp_row, rtol=0.0, atol=1e-12)
             pointwise = [(grad_coupling if grad else eval_coupling)(kernel, xi, m) for xi in x_int[::7]]
             np.testing.assert_allclose(pointwise, exp_row[::7], rtol=0.0, atol=1e-12)
@@ -207,8 +209,8 @@ class TestPdeConfig:
             PdeConfig(lam=-1.0)
         with pytest.raises(ValueError):
             PdeConfig(lam=1.0, nu=-0.1)
-        with pytest.raises(ValueError):
-            PdeConfig(lam=1.0, mode="newton")
+        with pytest.raises(ValueError, match="max_iterations"):
+            PdeConfig(lam=1.0, max_iterations=0)
         with pytest.raises(ValueError):
             PdeConfig(lam=1.0, T=-1.0)
 
@@ -318,6 +320,16 @@ class TestFpForward:
         with pytest.raises(CflError, match="CFL"):
             fp_forward(cfg, zero_ham, u, gauss_m0)
 
+    def test_diverging_cell_outflow_raises(self, zero_ham, gauss_m0):
+        # a tent u makes b = -lam Du = -c left of cell 100 and +c right of it: max|b| dt/dx = 0.9,
+        # yet that cell loses 1.8 of its mass per step and an explicit step would leave it negative
+        cfg = PdeConfig(lam=10.0, nu=0.0)
+        c = 0.9 * cfg.dx / cfg.dt
+        u = np.zeros((cfg.n_steps + 1, cfg.n_x))
+        u[:, 100] = c * cfg.dx / cfg.lam
+        with pytest.raises(CflError, match="outflow"):
+            fp_forward(cfg, zero_ham, u, gauss_m0)
+
     def test_cfl_checked_before_the_first_step(self, monkeypatch, zero_ham, gauss_m0):
         # only the last step's drift violates the CFL; no transport step may run before it is caught
         cfg = PdeConfig(lam=10.0, dt=0.05, nu=0.0)
@@ -345,15 +357,6 @@ class TestFixedPoint:
         assert sol.converged
         assert sol.residual < 1e-6
         assert np.all(np.isfinite(sol.u_path))
-
-    def test_fictitious_play_monotone_after_burn_in(self, zero_ham, exp_kernel):
-        cfg = PdeConfig(
-            lam=20.0, n_x=128, dt=2e-3, mode="fictitious-play", max_iterations=25, tolerance=1e-10
-        )
-        m0 = GridDensity.gaussian(0.0, 0.5, -cfg.half_width, cfg.dx, cfg.n_x)
-        sol = solve_mfg_fixed_point(cfg, zero_ham, exp_kernel, m0)
-        hist = np.array(sol.residual_history[4:])
-        assert np.all(np.diff(hist) <= 1e-12)
 
     def test_non_convergence_flagged_not_raised(self, zero_ham, exp_kernel):
         cfg = PdeConfig(lam=20.0, n_x=128, dt=2e-3, max_iterations=2, tolerance=1e-14)
@@ -422,3 +425,35 @@ class TestFixedPoint:
         assert sol.fallbacks == 1
         assert sol.converged
         _check_densities(np.stack([m.values for m in sol.m_path.measures]), cfg.dx)
+
+
+
+def interface_drifts(*pairs, n=7):
+    b = np.zeros(n)
+    for i, value in pairs:
+        b[i] = value
+    return b
+
+
+@pytest.mark.parametrize(
+    "b, stable",
+    [
+        (np.ones(6), True),  # translation: one outflow interface per cell, dt/dx = 1 is allowed
+        (-np.ones(6), True),
+        (interface_drifts((2, -0.5), (3, 0.5)), True),  # cell 3 loses 0.5 through each side
+        (interface_drifts((2, -0.55), (3, 0.55)), False),  # no drift above 0.55, yet 1.1 out of cell 3
+        (interface_drifts((2, 1.0), (3, -1.0)), True),  # cell 3 converges; cells 2 and 4 lose 1 each
+        (interface_drifts((0, 1.01)), False),  # the wall cells have one interface each
+        (interface_drifts((6, -1.01)), False),
+    ],
+)
+def test_cfl_bounds_each_cells_outflow(b, stable):
+    """The rule: dt/dx (max(b_right, 0) + max(-b_left, 0)) <= 1 in every cell; here dt/dx = 1."""
+    stack = np.zeros((70, len(b)))
+    stack[-1] = b  # the second 64-row block
+    for drifts in (b, stack):
+        if stable:
+            _check_cfl(drifts, 0.1, 0.1)
+        else:
+            with pytest.raises(CflError, match="outflow"):
+                _check_cfl(drifts, 0.1, 0.1)
