@@ -102,10 +102,11 @@ def solve_aggregation_fv(
     m = m0.values.copy()
     times = np.linspace(0.0, n_steps * dt, n_steps + 1)
     snaps = [m0]
+    out, flux = np.empty(m0.n), np.empty(m0.n - 1)
     for _ in range(n_steps):
         b = v_int - Dk @ m
         _check_cfl(b, dt, dx)
-        m = transport_step(m, b, dt, dx, diffuse)
-        m = m / (m.sum() * dx)
+        step = transport_step(m, b, dt, dx, diffuse, out, flux)
+        m = step / (step.sum() * dx)
         snaps.append(GridDensity(m0.origin, dx, m))
     return MeasurePath(times, snaps)

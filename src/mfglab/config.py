@@ -16,13 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .hamiltonians import DriftField, QuadraticDriftHamiltonian
-from .kernels import (
-    CuckerSmaleKernel,
-    ExponentialKernel,
-    MorseKernel,
-    RepulsiveAttractiveKernel,
-    ZeroKernel,
-)
+from .kernels import CuckerSmaleKernel, ExponentialKernel, MorseKernel, RepulsiveAttractiveKernel, ZeroKernel
 from .measures import GridDensity, ParticleEnsemble
 from .mfg_pde import PdeConfig
 
@@ -213,14 +207,9 @@ def _validate(values: dict) -> None:
         raise ConfigError(f"model.a: must be positive, got {m['a']}")
     if m["drift"] not in ("zero", "constant", "sinusoidal"):
         raise ConfigError(f"model.drift: unknown drift {m['drift']!r}")
-    if s["lambda"] <= 0:
-        raise ConfigError(f"solver.lambda: must be positive, got {s['lambda']}")
-    if s["T"] <= 0:
-        raise ConfigError(f"solver.T: must be positive, got {s['T']}")
-    if s["dt"] <= 0:
-        raise ConfigError(f"solver.dt: must be positive, got {s['dt']}")
-    if s["half_width"] <= 0:
-        raise ConfigError(f"solver.half_width: must be positive, got {s['half_width']}")
+    for key in ("lambda", "T", "dt", "half_width"):
+        if s[key] <= 0:
+            raise ConfigError(f"solver.{key}: must be positive, got {s[key]}")
     if s["max_iterations"] < 1:
         raise ConfigError(f"solver.max_iterations: must be at least 1, got {s['max_iterations']}")
     if s["nu"] != "auto":
@@ -232,12 +221,9 @@ def _validate(values: dict) -> None:
             raise ConfigError(f"solver.nu: must be finite and nonnegative, got {nu}")
     if s["n_x"] < 8:
         raise ConfigError(f"solver.n_x: need at least 8 cells, got {s['n_x']}")
-    if s["m0_sigma"] <= 0:
-        raise ConfigError(f"solver.m0_sigma: must be positive, got {s['m0_sigma']}")
-    if s["n_intervals"] < 1:
-        raise ConfigError(f"solver.n_intervals: must be positive, got {s['n_intervals']}")
-    if s["n_atoms"] < 1:
-        raise ConfigError(f"solver.n_atoms: must be positive, got {s['n_atoms']}")
+    for key in ("m0_sigma", "n_intervals", "n_atoms"):
+        if s[key] <= 0:
+            raise ConfigError(f"solver.{key}: must be positive, got {s[key]}")
     if s["atoms_x"] or s["atoms_v"]:
         lengths = []
         for key, other in (("atoms_x", "atoms_v"), ("atoms_v", "atoms_x")):

@@ -38,12 +38,7 @@ from .measures import (
     wasserstein1_1d,
     wasserstein1_particles,
 )
-from .mfg_pde import (
-    MfgSolution,
-    PdeConfig,
-    coupling_on_grid,
-    solve_mfg_fixed_point,
-)
+from .mfg_pde import MfgSolution, PdeConfig, coupling_on_grid, solve_mfg_fixed_point
 
 #: fraction of [0, T] used for limit diagnostics (terminal layer excluded)
 DIAGNOSTIC_WINDOW = 0.75
@@ -122,9 +117,7 @@ def sample_grid_to_atoms(m: GridDensity, n: int) -> ParticleEnsemble:
 
 def w1_grid_vs_particles(m: GridDensity, ens: ParticleEnsemble) -> float:
     """W1 between a 1D grid density (as cell-center atoms) and an ensemble."""
-    return _w1_sorted_1d(
-        m.cell_centers, m.values * m.dx, ens.positions[:, 0], ens.weights
-    )
+    return _w1_sorted_1d(m.cell_centers, m.values * m.dx, ens.positions[:, 0], ens.weights)
 
 
 @dataclass(frozen=True)
@@ -223,6 +216,7 @@ def _window_times(T: float) -> np.ndarray:
 _CLASSIC_DIAGNOSTICS = (
     "iterations", "fixed_point_residual", "fixed_point_fallbacks", "w1_sup", "residual_lam_u",
     "residual_lam_du_l1", "du_sup_scaled", "u_growth_scaled", "d2u_upper_scaled", "m_sup", "mass_error",
+    "fp_mass_correction",  # reported, never flagged
 )
 
 
@@ -282,6 +276,7 @@ def _classic_row(
         "d2u_upper_scaled": bounds.d2u_upper_scaled,
         "m_sup": bounds.m_sup,
         "mass_error": bounds.mass_error,
+        "fp_mass_correction": float(sol.fp_mass_correction),
         "bounds_ok": bool(bounds.all_ok),
         "viscosity": float(cfg.viscosity),
         "wall_clock_s": float(wall),

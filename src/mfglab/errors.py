@@ -14,7 +14,7 @@ class StabilityError(RuntimeError):
 
 
 class CflError(StabilityError):
-    """Advective CFL condition violated: some cell's upwind outflow dt/dx exceeds 1."""
+    """Advective CFL condition violated: some cell's upwind outflow dt/dx exceeds 1, or is NaN."""
 
 
 class DivergenceError(RuntimeError):

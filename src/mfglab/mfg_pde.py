@@ -17,7 +17,9 @@ Scheme
   exp(-lam dt)), so dt is constrained by the advective CFL only;
 * Godunov upwinding on the quadratic part of H, simple upwinding on the
   drift part: a monotone scheme selecting the viscosity solution;
-* diffusion implicit (tridiagonal solves), homogeneous Neumann walls;
+* diffusion implicit, homogeneous Neumann walls: I - dt nu Lap is symmetric
+  positive definite and tridiagonal, factored once by LAPACK pttrf and solved
+  in place by pttrs at every step;
 * conservative upwind finite volumes for the density: mass conserved to
   solver precision, nonnegativity preserved while every cell's outflow
   dt/dx (max(b_right, 0) + max(-b_left, 0)) stays <= 1, checked per stack;
@@ -35,8 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import BoundaryLeakError, CflError, GridError, StabilityError
 from .hamiltonians import QuadraticDriftHamiltonian
@@ -105,27 +106,29 @@ class MfgSolution:
     converged: bool
     fallbacks: int = 0  # damped Picard safeguard steps taken instead of Anderson steps
     residual_history: tuple = field(default=(), repr=False)
-
-
-def _neumann_laplacian(n: int, dx: float) -> sparse.csc_matrix:
-    """FV Neumann Laplacian: symmetric, zero row sums (conservative)."""
-    main = np.full(n, -2.0)
-    main[0] = main[-1] = -1.0
-    off = np.ones(n - 1)
-    return sparse.diags([off, main, off], [-1, 0, 1], format="csc") / dx**2
+    fp_mass_correction: float = 0.0  # largest |dx sum - 1| that fp_forward divided out in the solve
 
 
 class _DiffusionSolver:
-    """Cached LU factorization of (I - dt * nu * Lap)."""
+    """Solves (I - dt nu Lap) y = rhs in place for a float64 row rhs, which it returns;
+    Lap is the FV Neumann Laplacian (zero row sums: conservative) and nu = 0 the identity.  The
+    matrix is symmetric positive definite and tridiagonal: LAPACK pttrf factors it once as
+    L D L^T, and each call is one pttrs solve."""
 
     def __init__(self, n: int, dx: float, dt: float, nu: float):
         self.active = nu > 0
         if self.active:
-            lap = _neumann_laplacian(n, dx)
-            self._lu = splu((sparse.identity(n, format="csc") - dt * nu * lap).tocsc())
+            r = dt * nu / dx**2
+            diag = np.full(n, 1.0 + 2.0 * r)
+            diag[0] = diag[-1] = 1.0 + r
+            self._d, self._e, _ = dpttrf(diag, np.full(n - 1, -r))
 
     def __call__(self, rhs: np.ndarray) -> np.ndarray:
-        return self._lu.solve(rhs) if self.active else rhs
+        if self.active:
+            solution, _ = dpttrs(self._d, self._e, rhs, overwrite_b=True)
+            if solution is not rhs:  # a strided rhs is solved in a copy
+                rhs[...] = solution
+        return rhs
 
 
 def coupling_on_grid(kernel, m: GridDensity | np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -139,11 +142,6 @@ def _grid_values(cfg: PdeConfig, m, what: str) -> np.ndarray:
     if not (on_grid and abs(m.origin + cfg.half_width) < 1e-12 * max(1.0, cfg.half_width)):
         raise GridError(f"{what} is not on the config's grid of {cfg.n_x} cells over +-{cfg.half_width}")
     return m.values
-
-
-def _godunov_quadratic(p_minus: np.ndarray, p_plus: np.ndarray) -> np.ndarray:
-    """Godunov flux for p -> p^2/2 (convex, minimum at 0)."""
-    return 0.5 * np.maximum(np.maximum(p_minus, 0.0) ** 2, np.minimum(p_plus, 0.0) ** 2)
 
 
 def hjb_backward(
@@ -169,30 +167,35 @@ def hjb_backward(
 
     F_nodes = coupling_on_grid(kernel, m_path, x)
 
+    # lam^-1 H(lam Du, x) = (lam/2)|Du|^2 - v(x).Du: Godunov on the quadratic part, upwind on the
+    # drift part, whose advection speed -v splits once into its two signs
+    a_plus, a_minus = np.maximum(-v, 0.0), np.minimum(-v, 0.0)
     u = np.zeros((cfg.n_steps + 1, cfg.n_x))
-    for j in range(cfg.n_steps - 1, -1, -1):
-        un = u[j + 1]
-        # one-sided gradients with Neumann ghosts (zero slope at the walls)
-        p_minus = np.empty_like(un)
-        p_plus = np.empty_like(un)
-        p_minus[1:] = (un[1:] - un[:-1]) / dx
-        p_minus[0] = 0.0
-        p_plus[:-1] = (un[1:] - un[:-1]) / dx
-        p_plus[-1] = 0.0
-        # lam^-1 H(lam Du, x) = (lam/2)|Du|^2 - v(x).Du, upwinded
-        a = -v  # advection speed of the drift part
-        ham_term = lam * _godunov_quadratic(p_minus, p_plus)
-        ham_term += np.maximum(a, 0.0) * p_minus + np.minimum(a, 0.0) * p_plus
-        rhs = F_nodes[j + 1] - ham_term
-        u_new = decay * un + source_gain * rhs
-        u_new = diffuse(u_new)
-        if not np.all(np.isfinite(u_new)):
-            speed = np.max(np.abs(lam * np.maximum(np.abs(p_minus), np.abs(p_plus)) + np.abs(v)))
-            raise StabilityError(
-                f"HJB sweep produced non-finite values at step {j}; "
-                f"advective CFL requires dt <= dx/max|lam Du - v| = {dx / max(speed, 1e-300):.3e}"
-            )
-        u[j] = u_new
+    grad = np.zeros(cfg.n_x + 1)  # one-sided differences between zero Neumann ghosts (no slope at the walls)
+    p_minus, p_plus, inner = grad[:-1], grad[1:], grad[1:-1]
+    ham_term, drift_term, work = np.empty(cfg.n_x), np.empty(cfg.n_x), np.empty(cfg.n_x)
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is caught on the whole stack below
+        for j in range(cfg.n_steps - 1, -1, -1):
+            un = u[j + 1]
+            np.divide(np.subtract(un[1:], un[:-1], out=inner), dx, out=inner)
+            np.square(np.maximum(p_minus, 0.0, out=ham_term), out=ham_term)
+            np.maximum(ham_term, np.square(np.minimum(p_plus, 0.0, out=work), out=work), out=ham_term)
+            ham_term *= 0.5 * lam
+            np.multiply(a_plus, p_minus, out=drift_term)
+            drift_term += np.multiply(a_minus, p_plus, out=work)
+            ham_term += drift_term
+            rhs = np.subtract(F_nodes[j + 1], ham_term, out=ham_term)
+            rhs *= source_gain
+            u_new = np.multiply(un, decay, out=u[j])
+            u_new += rhs
+            diffuse(u_new)
+    if not np.isfinite(u).all():
+        j = np.flatnonzero(~np.isfinite(u).all(axis=1))[-1]  # the first step of the backward sweep to blow up
+        speed = lam * np.max(np.abs(np.diff(u[j + 1]))) / dx + np.max(np.abs(v))
+        raise StabilityError(
+            f"HJB sweep produced non-finite values at step {j}; "
+            f"advective CFL requires dt <= dx/max|lam Du - v| = {dx / max(speed, 1e-300):.3e}"
+        )
     speed = np.subtract(u[:, 1:], u[:, :-1], out=F_nodes[:, :-1])  # becomes lam Du - v, in F's spent buffer
     speed *= lam / dx
     speed -= ham.drift(x[:-1] + 0.5 * dx)
@@ -216,10 +219,10 @@ def _check_cfl(b: np.ndarray, dt: float, dx: float) -> None:
     for rows in (b[i : i + 64] for i in range(0, len(b), 64)):
         out = np.maximum(rows, 0.0)  # out[:, i]: outflow of cell i through its right interface ...
         out[:, 1:] -= np.minimum(rows[:, :-1], 0.0)  # ... and through its left one
-        worst = max(worst, out.max(), -rows[:, -1].min())  # the last cell has only its left interface
+        worst = np.max([worst, out.max(), -rows[:, -1].min()])  # the last cell has only its left interface
     cfl = worst * dt / dx
-    if cfl > 1.0:
-        raise CflError(f"advective CFL violated: largest cell outflow dt/dx = {cfl:.3f} > 1")
+    if not cfl <= 1.0:  # np.max keeps a NaN from the drift: a drift that is not finite bounds no outflow
+        raise CflError(f"advective CFL violated: largest cell outflow dt/dx = {cfl:.3f}, not <= 1")
 
 
 def transport_step(
@@ -228,22 +231,25 @@ def transport_step(
     dt: float,
     dx: float,
     diffuse: _DiffusionSolver,
+    out: np.ndarray,
+    flux: np.ndarray,
 ) -> np.ndarray:
-    """One conservative upwind FV step with zero-flux walls.
+    """One conservative upwind FV step with zero-flux walls, written into out (n_x, not
+    aliasing m or b_interface) with flux (n_x - 1) as scratch; returns out.
 
     b_interface has n_x - 1 entries (interior interfaces).  Explicit
     upwind advection, then implicit diffusion; both stages conserve mass
     and keep the density nonnegative under the CFL bound, which the
     caller checks with _check_cfl.
     """
-    flux = np.maximum(b_interface, 0.0) * m[:-1] + np.minimum(b_interface, 0.0) * m[1:]
-    out = m.copy()
-    out[:-1] -= dt / dx * flux
-    out[1:] += dt / dx * flux
-    out = diffuse(out)
+    np.multiply(np.maximum(b_interface, 0.0, out=flux), m[:-1], out=flux)
+    flux += np.multiply(np.minimum(b_interface, 0.0, out=out[1:]), m[1:], out=out[1:])  # out: scratch until m is copied
+    flux *= dt / dx
+    np.copyto(out, m)
+    out[:-1] -= flux
+    out[1:] += flux
     # implicit diffusion is an M-matrix solve; clip pure roundoff noise
-    np.clip(out, 0.0, None, out=out)
-    return out
+    return np.maximum(diffuse(out), 0.0, out=out)
 
 
 def fp_forward(
@@ -251,11 +257,13 @@ def fp_forward(
     ham: QuadraticDriftHamiltonian,
     u_path: np.ndarray,
     m0: GridDensity,
+    mass_log: list | None = None,
 ) -> np.ndarray:
-    """Forward transport of m0 along the drift -D_pH(lam Du, x); returns the (n_steps+1, n_x) stack."""
+    """Forward transport of m0 along the drift -D_pH(lam Du, x); returns the (n_steps+1, n_x) stack.
+    Each step is renormalized to unit mass (roundoff, O(1e-15) per step); the largest correction
+    |dx sum - 1| divided out is appended to mass_log if given."""
     lam, dt, dx, nu = cfg.lam, cfg.dt, cfg.dx, cfg.viscosity
-    x_int = cfg.cell_centers[:-1] + 0.5 * dx
-    v_int = ham.drift(x_int)
+    v_int = ham.drift(cfg.cell_centers[:-1] + 0.5 * dx)
     diffuse = _DiffusionSolver(cfg.n_x, dx, dt, nu)
 
     m = np.empty((cfg.n_steps + 1, cfg.n_x))
@@ -266,9 +274,13 @@ def fp_forward(
     np.subtract(v_int, b, out=b)
     _check_cfl(b, dt, dx)  # before the sweep
     m[0] = _grid_values(cfg, m0, "initial density")
+    out, flux, mass = np.empty(cfg.n_x), np.empty(cfg.n_x - 1), np.empty(cfg.n_steps)
     for j in range(cfg.n_steps):
-        step = transport_step(m[j], b[j], dt, dx, diffuse)
-        m[j + 1] = step / (step.sum() * dx)  # remove roundoff drift; O(1e-15) per step
+        step = transport_step(m[j], b[j], dt, dx, diffuse, out, flux)
+        mass[j] = total = step.sum() * dx
+        np.divide(step, total, out=m[j + 1])
+    if mass_log is not None:
+        mass_log.append(float(np.abs(mass - 1.0).max()))
     _check_densities(m, dx)
     boundary_mass = (m[-1, 0] + m[-1, -1]) * dx
     if boundary_mass > BOUNDARY_MASS_TOL:
@@ -296,13 +308,14 @@ def solve_mfg_fixed_point(
     fallbacks).  A mixed m may leave the densities: it enters the HJB only through the linear k*m.
     The best FP output is returned, flagged if not converged.
     """
+    mass_log = []  # the largest mass correction of every FP sweep
     # warm start: best response to the frozen initial density
-    m = fp_forward(cfg, ham, hjb_backward(cfg, ham, kernel, np.tile(m0.values, (cfg.n_steps + 1, 1))), m0)
+    m = fp_forward(cfg, ham, hjb_backward(cfg, ham, kernel, np.tile(m0.values, (cfg.n_steps + 1, 1))), m0, mass_log)
     spare = np.empty_like(m)  # with m, the two stacks the loop overwrites in place
     g_prev, history, best, fallbacks = None, [], None, 0  # history: g_prev (held, not copied), its f in spare
     for it in range(1, cfg.max_iterations + 1):
         u_path = hjb_backward(cfg, ham, kernel, m)
-        g = fp_forward(cfg, ham, u_path, m0)
+        g = fp_forward(cfg, ham, u_path, m0, mass_log)
         f = np.subtract(g, m, out=m)  # m is spent; its buffer holds the residual f
         residual = _w1_sup(f, cfg.dx)
         history.append(residual)
@@ -327,4 +340,5 @@ def solve_mfg_fixed_point(
         m, spare, g_prev = spare, f, g
     residual, u_path, m_path, it = best
     path = MeasurePath(cfg.times, [GridDensity(m0.origin, cfg.dx, row) for row in m_path])
-    return MfgSolution(cfg, u_path, path, it, residual, residual < cfg.tolerance, fallbacks, tuple(history))
+    converged = residual < cfg.tolerance
+    return MfgSolution(cfg, u_path, path, it, residual, converged, fallbacks, tuple(history), max(mass_log))

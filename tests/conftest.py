@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy
 from hypothesis import settings
 
 from mfglab import (
@@ -14,6 +15,24 @@ from mfglab import (
 # property tests draw the same examples on every run and write no example database
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
+
+
+def _linear_algebra(module) -> str:
+    """'name version' of the BLAS and LAPACK a numpy or scipy build links, as its config reports them."""
+    try:
+        deps = module.show_config(mode="dicts")["Build Dependencies"]
+    except Exception:  # older builds print their config instead of returning it
+        return "unknown"
+    libs = {key: deps[key] for key in ("blas", "lapack") if key in deps}
+    return ", ".join(f"{key} {lib.get('name')} {lib.get('version')}" for key, lib in libs.items())
+
+
+def pytest_report_header(config):
+    # the bit-for-bit goldens in data/golden.json were recorded with numpy 2.4.6 and scipy 1.17.1
+    return [
+        f"numpy {np.__version__} ({_linear_algebra(np)})",
+        f"scipy {scipy.__version__} ({_linear_algebra(scipy)})",
+    ]
 
 
 @pytest.fixture

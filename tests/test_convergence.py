@@ -143,6 +143,19 @@ class TestClassicSweep:
         doc = json.loads(rep.to_json(), parse_constant=_reject_constant)
         assert doc["rows"][0]["w1_sup"] is None and doc["rows"][0]["error"] == "BoundaryLeakError"
 
+    def test_fp_mass_correction_column(self, zero_ham, exp_kernel):
+        # the roundoff that each FP step divides out is reported, not flagged
+        cfg = small_config(10.0)
+        sweep = (zero_ham, exp_kernel, small_m0(cfg), [10.0])
+        row = run_lambda_sweep_classic(*sweep, base_config=cfg, n_cross_particles=50).rows[0]
+        assert row["converged"] and not row["flagged"]
+        assert 0.0 < row["fp_mass_correction"] < 1e-13
+        # on [-1, 1] the solve raises, and the row holds NaN
+        cfg = small_config(10.0, half_width=1.0)
+        sweep = (zero_ham, exp_kernel, small_m0(cfg), [10.0])
+        row = run_lambda_sweep_classic(*sweep, base_config=cfg, n_cross_particles=50).rows[0]
+        assert row["error"] == "BoundaryLeakError" and np.isnan(row["fp_mass_correction"])
+
     def test_report_reproducible(self, zero_ham, exp_kernel):
         cfg = small_config(10.0)
         args = (zero_ham, exp_kernel, small_m0(cfg), [10.0])

@@ -19,7 +19,9 @@ The ``csv.u0`` and ``csv.m_final`` digests were re-recorded when the
 MFG fixed point became Anderson-accelerated and began to stop on every
 time node: the loop stops at a different iterate inside the same
 tolerance.  ``PICARD_CSV`` keeps the values the damped Picard loop wrote,
-and the new files must stay within 1e-7 of them.
+and the new files must stay within 1e-7 of them.  The two digests were
+re-recorded again when the implicit diffusion solve moved from a sparse
+LU to LAPACK pttrf/pttrs, which moves the last digits.
 """
 
 import contextlib

@@ -175,7 +175,44 @@ class TestGradCoupling:
             assert np.abs(gv[0]) <= k.c0 * np.sqrt(F) + 1e-12
 
 
+def single_query_validation(kernel, budget, seed, span=5.0):
+    """Oracle: the validator's loop before its queries were batched, one eval_coupling per query."""
+    rng = np.random.default_rng(seed)
+    ensembles = [
+        ParticleEnsemble.equal_weights(rng.uniform(-span, span, size=(rng.integers(1, 8), 1)), 1)
+        for _ in range(8)
+    ]
+    lip = growth = sc = -np.inf
+    witness = None
+    for _ in range(budget):
+        m = ensembles[rng.integers(len(ensembles))]
+        if rng.random() < 0.25:
+            x = m.positions[rng.integers(m.n)].copy()
+        else:
+            x = rng.uniform(-2 * span, 2 * span, size=1)
+        y = rng.uniform(-2 * span, 2 * span, size=1)
+        h = rng.choice([1e-4, 1e-3, 1e-2, 1e-1, 0.5, 1.0]) * rng.choice([-1.0, 1.0])
+        fx, fy = eval_coupling(kernel, x, m), eval_coupling(kernel, y, m)
+        fp, fm = eval_coupling(kernel, x + h, m), eval_coupling(kernel, x - h, m)
+        if abs(x[0] - y[0]) > 1e-9:
+            lip = max(lip, abs(fx - fy) / abs(x[0] - y[0]))
+        growth = max(growth, abs(fx) / (1.0 + abs(x[0])))
+        ratio = (fp + fm - 2.0 * fx) / h**2
+        if ratio > sc:
+            sc = ratio
+            if ratio > 1e3:
+                witness = {"x": float(x[0]), "h": float(h), "second_difference_ratio": float(ratio)}
+    return lip, growth, sc, witness
+
+
 class TestValidateCoupling:
+    @pytest.mark.parametrize("kernel", ALL_RADIAL, ids=lambda k: type(k).__name__)
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_batched_queries_bit_identical(self, kernel, seed):
+        rep = validate_coupling(kernel, budget=1000, seed=seed)
+        got = (rep.lipschitz_constant, rep.growth_constant, rep.semiconcavity_constant, rep.witness)
+        assert got == single_query_validation(kernel, 1000, seed)
+
     def test_exponential_repulsive_semiconcave(self):
         rep = validate_coupling(ExponentialKernel(1.0, 1.0), seed=0)
         assert rep.semiconcave_ok

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from mfglab import (
     CflError,
@@ -75,6 +77,24 @@ def damped_picard(cfg, ham, kernel, m0):
         m = 0.5 * m + 0.5 * m_plus
         m /= m.sum(axis=1, keepdims=True) * cfg.dx
     raise AssertionError("damped Picard did not converge")
+
+
+class SparseLuDiffusion:
+    """Oracle: the sparse LU of I - dt nu Lap that the LAPACK pttrf/pttrs solver replaced, in place."""
+
+    def __init__(self, n, dx, dt, nu):
+        self.active = nu > 0
+        if self.active:
+            main = np.full(n, -2.0)
+            main[0] = main[-1] = -1.0
+            off = np.ones(n - 1)
+            lap = sparse.diags([off, main, off], [-1, 0, 1], format="csc") / dx**2
+            self._lu = splu((sparse.identity(n, format="csc") - dt * nu * lap).tocsc())
+
+    def __call__(self, rhs):
+        if self.active:
+            rhs[:] = self._lu.solve(rhs)
+        return rhs
 
 
 RADIAL_KERNELS = [
@@ -273,6 +293,14 @@ class TestHjbBackward:
         with pytest.raises(StabilityError, match=r"not monotone: dt max\|lam Du - v\| / dx = 2\.3"):
             hjb_backward(cfg, ham, exp_kernel, frozen_path(cfg, gauss_m0))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+    def test_non_finite_sweep_raises_naming_the_step(self, zero_ham, exp_kernel):
+        # densities of 1e308 make k*m overflow to inf, so the first backward step (j = 9) blows up
+        cfg = PdeConfig(lam=10.0, T=0.01)
+        huge = np.full((cfg.n_steps + 1, cfg.n_x), 1e308)
+        with pytest.raises(StabilityError, match=r"non-finite values at step 9; advective CFL requires dt <="):
+            hjb_backward(cfg, zero_ham, exp_kernel, huge)
+
     def test_raw_stack_matches_measure_path(self, zero_ham, gauss_m0, exp_kernel):
         cfg = PdeConfig(lam=20.0, T=0.2)
         stack = np.tile(gauss_m0.values, (cfg.n_steps + 1, 1))
@@ -342,6 +370,62 @@ class TestFpForward:
             fp_forward(cfg, zero_ham, u, gauss_m0)
         assert steps == []
 
+    def test_nan_drift_raises_before_the_first_step(self, monkeypatch, zero_ham, gauss_m0):
+        cfg = PdeConfig(lam=10.0, T=0.1)
+        u = np.zeros((cfg.n_steps + 1, cfg.n_x))
+        u[50, 100] = np.nan
+        steps = []
+        step = mfg_pde.transport_step
+        monkeypatch.setattr(mfg_pde, "transport_step", lambda *args: steps.append(1) or step(*args))
+        with pytest.raises(CflError, match=r"dt/dx = nan, not <= 1"):
+            fp_forward(cfg, zero_ham, u, gauss_m0)
+        assert steps == []
+
+    def test_mass_correction_logged(self, zero_ham, gauss_m0, exp_kernel):
+        cfg = PdeConfig(lam=20.0, T=0.2)
+        u = hjb_backward(cfg, zero_ham, exp_kernel, frozen_path(cfg, gauss_m0))
+        log = []
+        m = fp_forward(cfg, zero_ham, u, gauss_m0, log)
+        assert np.array_equal(m, fp_forward(cfg, zero_ham, u, gauss_m0))
+        assert len(log) == 1 and 0.0 <= log[0] <= 1e-13
+
+
+class TestDiffusionSolver:
+    @pytest.mark.parametrize("ratio", [1e-4, 0.01, 0.2, 1.0, 10.0])
+    def test_matches_sparse_lu(self, rng, ratio):
+        # ratio = dt nu / dx^2, the weight of the Laplacian against the identity (about 0.2 in
+        # the default sweep); the condition number is about 1 + 4 ratio
+        n, dx, dt = 256, 12.0 / 256, 1e-3
+        nu = ratio * dx**2 / dt
+        rhs = rng.random(n)
+        expected = SparseLuDiffusion(n, dx, dt, nu)(rhs.copy())
+        got = rhs.copy()
+        assert mfg_pde._DiffusionSolver(n, dx, dt, nu)(got) is got
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
+        assert got.sum() == pytest.approx(rhs.sum(), rel=1e-14)  # zero row sums: mass kept
+        strided = np.repeat(rhs, 2)[::2]  # not contiguous: LAPACK solves a copy
+        assert mfg_pde._DiffusionSolver(n, dx, dt, nu)(strided) is strided
+        assert np.array_equal(strided, got)
+
+    def test_zero_viscosity_is_the_identity(self, rng):
+        rhs = rng.random(64)
+        kept = rhs.copy()
+        assert mfg_pde._DiffusionSolver(64, 0.1, 1e-3, 0.0)(rhs) is rhs
+        assert np.array_equal(rhs, kept)
+
+    @pytest.mark.parametrize("lam", [5.0, 80.0])
+    def test_fixed_point_matches_sparse_lu(self, monkeypatch, zero_ham, exp_kernel, lam):
+        cfg = PdeConfig(lam=lam, half_width=8.0, n_x=64, dt=4e-3)
+        m0 = GridDensity.gaussian(0.1, 0.5, -cfg.half_width, cfg.dx, cfg.n_x)
+        sol = solve_mfg_fixed_point(cfg, zero_ham, exp_kernel, m0)
+        monkeypatch.setattr(mfg_pde, "_DiffusionSolver", SparseLuDiffusion)
+        oracle = solve_mfg_fixed_point(cfg, zero_ham, exp_kernel, m0)
+        assert sol.iterations == oracle.iterations and sol.converged and oracle.converged
+        np.testing.assert_allclose(sol.u_path, oracle.u_path, rtol=0.0, atol=1e-12)
+        m_path = np.stack([m.values for m in sol.m_path.measures])
+        oracle_m = np.stack([m.values for m in oracle.m_path.measures])
+        np.testing.assert_allclose(m_path, oracle_m, rtol=0.0, atol=1e-12)
+
 
 class TestFixedPoint:
     def test_uncoupled_converges_immediately(self, zero_ham, gauss_m0):
@@ -396,6 +480,23 @@ class TestFixedPoint:
         assert sol.iterations < picard_iterations
         # each path is within about the solve tolerance 1e-6 of the fixed point, at every node
         assert np.max(w1_nodes(m_path, picard, cfg.dx)) < 1e-6
+
+    def test_mass_correction_reported(self, zero_ham, exp_kernel):
+        cfg = PdeConfig(lam=20.0, n_x=64, dt=4e-3)
+        m0 = GridDensity.gaussian(0.1, 0.5, -cfg.half_width, cfg.dx, cfg.n_x)
+        forward, logs = mfg_pde.fp_forward, []
+
+        def spy(*args):
+            logs.append(args[4])
+            return forward(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mfg_pde, "fp_forward", spy)
+            sol = solve_mfg_fixed_point(cfg, zero_ham, exp_kernel, m0)
+        # one shared log, one entry per FP sweep: the warm start and each iteration
+        assert all(log is logs[0] for log in logs) and len(logs[0]) == sol.iterations + 1
+        assert sol.fp_mass_correction == max(logs[0])
+        assert 0.0 < sol.fp_mass_correction < 1e-13
 
     def test_residual_reads_every_node(self, gauss_m0):
         cfg = PdeConfig(lam=10.0)
@@ -457,3 +558,13 @@ def test_cfl_bounds_each_cells_outflow(b, stable):
         else:
             with pytest.raises(CflError, match="outflow"):
                 _check_cfl(drifts, 0.1, 0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cfl_rejects_a_non_finite_drift(bad):
+    with pytest.raises(CflError):
+        _check_cfl(np.array([[0.1, bad, 0.2]]), 1e-3, 0.05)
+    stack = np.zeros((70, 3))
+    stack[66, 1] = bad  # in the second 64-row block, after a block whose worst outflow is 0
+    with pytest.raises(CflError):
+        _check_cfl(stack, 1e-3, 0.05)
