@@ -210,6 +210,12 @@ def energy_gradient(
     return _energy(ens, lam, pairs), control_cost + 0.5 * dt**2 * px + dt * pv
 
 
+#: L-BFGS-B tolerance on the largest projected gradient entry
+LBFGS_GTOL = 1e-11
+#: L-BFGS-B iteration cap
+LBFGS_MAX_ITERATIONS = 500
+
+
 @dataclass(frozen=True)
 class MinimizeResult:
     ensemble: TrajectoryEnsemble
@@ -227,8 +233,6 @@ def minimize_energy(
     lam: float,
     T: float,
     n_intervals: int,
-    gtol: float = 1e-11,
-    max_iterations: int = 500,
 ) -> MinimizeResult:
     """Quasi-Newton minimization of the discounted energy from free flight.
 
@@ -257,7 +261,7 @@ def minimize_energy(
         np.zeros(s.size),
         jac=True,
         method="L-BFGS-B",
-        options={"gtol": gtol, "ftol": 1e-16, "maxiter": max_iterations},
+        options={"gtol": LBFGS_GTOL, "ftol": 1e-16, "maxiter": LBFGS_MAX_ITERATIONS},
     )
     ens = start.with_controls(res.x.reshape(shape) / s)
     energy = discrete_energy(ens, kernel, lam)
@@ -267,7 +271,7 @@ def minimize_energy(
         ensemble=ens,
         energy=energy,
         gradient_norm=gnorm,
-        converged=bool(res.success or gnorm <= 10 * gtol),
+        converged=bool(res.success or gnorm <= 10 * LBFGS_GTOL),
         iterations=int(res.nit),
         el_residual=residual,
         function_evaluations=int(res.nfev),

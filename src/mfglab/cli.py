@@ -24,7 +24,7 @@ from .cucker_smale import richardson_order_ratio, solve_cs
 from .errors import ConfigError
 from .hamiltonians import validate_hamiltonian
 from .kernels import CuckerSmaleKernel, psd_check, validate_coupling
-from .measures import _csv_table
+from .measures import GridDensity, _csv_table
 from .mfg_pde import solve_mfg_fixed_point
 
 
@@ -73,7 +73,7 @@ def _cmd_solve_mfg(desc, out, seed):
     )
     _write_json(out / "solution.json", doc)
     (out / "u0.csv").write_text(_csv_table(["x", "u"], zip(cfg.cell_centers.tolist(), sol.u_path[0].tolist())))
-    (out / "m_final.csv").write_text(sol.m_path.measures[-1].to_csv())
+    (out / "m_final.csv").write_text(GridDensity(-cfg.half_width, cfg.dx, sol.m_path[-1]).to_csv())
     return 0 if sol.converged else 3
 
 

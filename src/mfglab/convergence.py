@@ -46,6 +46,12 @@ DIAGNOSTIC_WINDOW = 0.75
 N_DIAGNOSTIC_TIMES = 7
 #: certification tolerance for the Euler-Lagrange residual
 EL_TOLERANCE = 1e-4
+#: cap of the lambda-scaled linear-growth and semiconcavity diagnostics
+C_TILDE = 10.0
+#: cap of sup_t ||m(t)||_inf
+M_SUP_CAP = 100.0
+#: factor on the caps that absorbs discretization error
+BOUNDS_SLACK = 1.25
 
 
 @dataclass(frozen=True)
@@ -125,8 +131,8 @@ class BoundsVerdict:
     """Scaled regularity diagnostics of one solved instance.
 
     All `*_scaled` fields carry the factor lambda, so they should stay
-    O(1) as lambda grows; verdicts compare them to the configured
-    constants (with slack for scheme error).
+    O(1) as lambda grows; verdicts compare them to the caps C_TILDE and
+    4 c0 (with BOUNDS_SLACK for scheme error).
     """
 
     u_growth_scaled: float  # sup lam |u| / (1 + |x|)
@@ -143,7 +149,6 @@ class BoundsVerdict:
     nonneg_ok: bool
     support_radius: float
     support_ok: bool
-    constants: dict
 
     @property
     def all_ok(self) -> bool:
@@ -153,18 +158,11 @@ class BoundsVerdict:
         )
 
 
-def diagnostics_bounds(
-    sol: MfgSolution,
-    c0: float = 1.0,
-    c_tilde: float = 10.0,
-    m_sup_cap: float = 100.0,
-    slack: float = 1.25,
-) -> BoundsVerdict:
+def diagnostics_bounds(sol: MfgSolution, c0: float = 1.0) -> BoundsVerdict:
     """Check the lambda-scaled regularity estimates on a solved instance.
 
-    c0 is the model's structural constant (drives the Du bound 4*c0),
-    c_tilde caps the linear-growth and semiconcavity diagnostics, and
-    slack absorbs discretization error.
+    c0 is the model's structural constant (drives the Du bound 4*c0);
+    C_TILDE caps the linear-growth and semiconcavity diagnostics.
     """
     cfg = sol.config
     lam, dx = cfg.lam, cfg.dx
@@ -176,7 +174,7 @@ def diagnostics_bounds(
     d2u = (u[:, 2:] + u[:, :-2] - 2.0 * u[:, 1:-1]) / dx**2
     d2u_upper = float(lam * max(np.max(d2u), 0.0))
 
-    vals = np.stack([m.values for m in sol.m_path.measures])
+    vals = sol.m_path
     m_sup = float(np.max(vals))
     masses = vals.sum(axis=1) * dx
     mass_error = float(np.max(np.abs(masses - 1.0)))
@@ -188,23 +186,21 @@ def diagnostics_bounds(
     inside = np.minimum(np.sum(cum < 1.0 - 1e-6, axis=1), x.size - 1)
     support_radius = float(np.max(np.abs(x[order])[inside]))
 
-    constants = {"c0": c0, "c_tilde": c_tilde, "m_sup_cap": m_sup_cap, "slack": slack}
     return BoundsVerdict(
         u_growth_scaled=u_growth,
-        u_growth_ok=u_growth <= slack * c_tilde,
+        u_growth_ok=u_growth <= BOUNDS_SLACK * C_TILDE,
         du_sup_scaled=du_sup,
-        du_ok=du_sup <= slack * 4.0 * c0,
+        du_ok=du_sup <= BOUNDS_SLACK * 4.0 * c0,
         d2u_upper_scaled=d2u_upper,
-        d2u_ok=d2u_upper <= slack * c_tilde,
+        d2u_ok=d2u_upper <= BOUNDS_SLACK * C_TILDE,
         m_sup=m_sup,
-        m_bounded_ok=m_sup <= m_sup_cap,
+        m_bounded_ok=m_sup <= M_SUP_CAP,
         mass_error=mass_error,
         mass_ok=mass_error <= 1e-10,
         min_density=min_density,
         nonneg_ok=min_density >= 0.0,
         support_radius=support_radius,
         support_ok=support_radius < cfg.half_width - dx,
-        constants=constants,
     )
 
 
@@ -254,7 +250,7 @@ def _classic_row(
     res_du = 0.0
     for t in times:
         j = int(np.argmin(np.abs(cfg.times - t)))
-        m_lam = sol.m_path.measures[j]
+        m_lam = GridDensity(-cfg.half_width, dx, sol.m_path[j])
         m_ref = reference.at(t)
         w1_sup = max(w1_sup, wasserstein1_1d(m_lam, m_ref))
         F = coupling_on_grid(kernel, m_lam, x)

@@ -9,9 +9,10 @@ can be exercised.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
+
+from .kernels import VALIDATOR_SPAN
 
 
 @dataclass(frozen=True)
@@ -80,18 +81,13 @@ class HamiltonianValidationReport:
     budget: int
 
 
-def validate_hamiltonian(
-    h,
-    budget: int = 2000,
-    seed: int = 0,
-    grad_p: Callable | None = None,
-    span: float = 5.0,
-) -> HamiltonianValidationReport:
+def validate_hamiltonian(h, budget: int = 2000, seed: int = 0) -> HamiltonianValidationReport:
     """Sampled verification of convexity, growth and x-regularity.
 
-    `h` is either a QuadraticDriftHamiltonian or a plain callable
-    H(p, x); in the latter case grad_p may be supplied (finite
-    differences otherwise).
+    `h` is either a QuadraticDriftHamiltonian or a plain callable H(p, x)
+    that acts elementwise on arrays; D_pH of a callable is a central
+    difference.  Each sample draws p, an unused q, x and y, in that order,
+    from [-VALIDATOR_SPAN, VALIDATOR_SPAN].
     """
     if budget < 1000:
         raise ValueError("budget must be at least 1000 samples")
@@ -99,32 +95,26 @@ def validate_hamiltonian(
         H, DpH = h.value, h.grad_p
     else:
         H = h
-        if grad_p is None:
-            def DpH(p, x, _H=H):
-                eps = 1e-6 * max(1.0, abs(p))
-                return (_H(p + eps, x) - _H(p - eps, x)) / (2 * eps)
-        else:
-            DpH = grad_p
-    rng = np.random.default_rng(seed)
-    convexity = np.inf
-    growth = 1.0
-    x_lip = 0.0
-    for _ in range(budget):
-        p, q = rng.uniform(-span, span, 2)
-        x, y = rng.uniform(-span, span, 2)
-        # one-dimensional convexity modulus: second difference in p
-        hp = 1e-3
-        d2 = (float(H(p + hp, x)) - 2 * float(H(p, x)) + float(H(p - hp, x))) / hp**2
-        convexity = min(convexity, d2)
-        growth = max(growth, abs(float(H(p, x))) / (1.0 + p**2))
-        if abs(x - y) > 1e-9:
-            num = abs(float(H(p, x)) - float(H(p, y))) + abs(float(DpH(p, x)) - float(DpH(p, y)))
-            x_lip = max(x_lip, num / (abs(x - y) * (1.0 + abs(p))))
+
+        def DpH(p, x):
+            eps = 1e-6 * np.maximum(1.0, np.abs(p))
+            return (H(p + eps, x) - H(p - eps, x)) / (2 * eps)
+
+    p, _, x, y = np.random.default_rng(seed).uniform(-VALIDATOR_SPAN, VALIDATOR_SPAN, (budget, 4)).T
+    hp = 1e-3
+    h_px = H(p, x)
+    d2 = (H(p + hp, x) - 2 * h_px + H(p - hp, x)) / hp**2  # one-dimensional convexity modulus
+    growth = np.abs(h_px) / (1.0 + p**2)
+    far = np.abs(x - y) > 1e-9
+    p, x, y, h_px = p[far], x[far], y[far], h_px[far]
+    lip = (np.abs(h_px - H(p, y)) + np.abs(DpH(p, x) - DpH(p, y))) / (np.abs(x - y) * (1.0 + np.abs(p)))
+    # fmin/fmax skip a NaN sample instead of reporting NaN
+    convexity = np.fmin.reduce(d2, initial=np.inf)
     return HamiltonianValidationReport(
         convexity_modulus=float(convexity),
         convexity_ok=bool(convexity > 0),
-        growth_constant=float(growth),
-        x_lipschitz_constant=float(x_lip),
+        growth_constant=float(np.fmax.reduce(growth, initial=1.0)),
+        x_lipschitz_constant=float(np.fmax.reduce(lip, initial=0.0)),
         seed=seed,
         budget=budget,
     )

@@ -484,9 +484,11 @@ class CouplingValidationReport:
 
 #: a sampled constant above this cap is treated as "unbounded" (assumption fails)
 VALIDATOR_CAP = 1e3
+#: the validators and psd_check sample points from [-VALIDATOR_SPAN, VALIDATOR_SPAN]
+VALIDATOR_SPAN = 5.0
 
 
-def validate_coupling(kernel, budget: int = 2000, seed: int = 0, span: float = 5.0) -> CouplingValidationReport:
+def validate_coupling(kernel, budget: int = 2000, seed: int = 0) -> CouplingValidationReport:
     """Randomized sampling check of Lipschitz / growth / semiconcavity of F.
 
     A pass means "no counterexample at this budget"; the report records
@@ -498,6 +500,7 @@ def validate_coupling(kernel, budget: int = 2000, seed: int = 0, span: float = 5
     if budget < 1000:
         raise ValueError("budget must be at least 1000 sample triples")
     rng = np.random.default_rng(seed)
+    span = VALIDATOR_SPAN
     # small random atomic measures in 1D; constants of radial kernels are
     # dimension-independent and extreme near coincident atoms
     ensembles = [
@@ -560,7 +563,7 @@ class PsdVerdict:
         return "PSD-consistent" if self.is_psd else "NOT-PSD"
 
 
-def psd_check(kernel, n_points: int = 64, seed: int = 0, points=None, span: float = 5.0) -> PsdVerdict:
+def psd_check(kernel, n_points: int = 64, seed: int = 0, points=None) -> PsdVerdict:
     """Eigenvalue test of the Gram matrix k(x_i - x_j) on random 1D points.
 
     A negative eigenvalue below -1e-10 * ||K|| certifies that k is not a
@@ -571,7 +574,7 @@ def psd_check(kernel, n_points: int = 64, seed: int = 0, points=None, span: floa
         if not 2 <= n_points <= 512:
             raise ValueError("n_points must be in [2, 512]")
         rng = np.random.default_rng(seed)
-        points = rng.uniform(-span, span, size=(n_points, 1))
+        points = rng.uniform(-VALIDATOR_SPAN, VALIDATOR_SPAN, size=(n_points, 1))
     points = np.atleast_2d(np.asarray(points, dtype=float))
     diff = points[:, None, :] - points[None, :, :]
     gram = kernel.value(diff.reshape(-1, points.shape[1])).reshape(len(points), len(points))

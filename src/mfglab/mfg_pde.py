@@ -25,8 +25,9 @@ Scheme
   dt/dx (max(b_right, 0) + max(-b_left, 0)) stays <= 1, checked per stack;
 * F = k*m for a whole HJB sweep is one product of the (n_steps+1, n_x)
   density stack with the matrix dx * k(x_i - x_j);
-* the fixed-point loop runs on raw stacks: fp_forward returns one, checked
-  once as a whole; GridDensity/MeasurePath are built only for MfgSolution;
+* the density path is one (n_steps+1, n_x) stack throughout: fp_forward
+  returns one, checked once as a whole, hjb_backward takes one, and
+  MfgSolution.m_path is the best one, read-only;
 * the fixed point: one scheme, Anderson mixing with a damped Picard safeguard,
   stopping on the W1 gap at every node; CFL and HJB monotonicity checked on
   whole stacks.
@@ -42,7 +43,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from .errors import BoundaryLeakError, CflError, GridError, StabilityError
 from .hamiltonians import QuadraticDriftHamiltonian
 from .kernels import CuckerSmaleKernel, _grid_sum
-from .measures import GridDensity, MeasurePath, _check_densities
+from .measures import GridDensity, _check_densities
 
 BOUNDARY_MASS_TOL = 1e-7
 
@@ -100,7 +101,7 @@ class MfgSolution:
 
     config: PdeConfig
     u_path: np.ndarray  # (n_steps+1, n_x)
-    m_path: MeasurePath
+    m_path: np.ndarray  # (n_steps+1, n_x) density stack, read-only
     iterations: int
     residual: float
     converged: bool
@@ -148,16 +149,15 @@ def hjb_backward(
     cfg: PdeConfig,
     ham: QuadraticDriftHamiltonian,
     kernel,
-    m_path: MeasurePath | np.ndarray,
+    m_path: np.ndarray,
 ) -> np.ndarray:
     """Backward semi-implicit sweep; returns u on the full (time, space) grid.
-    m_path is a MeasurePath on the config's grid, or its raw (n_steps+1, n_x) stack."""
+    m_path is the (n_steps+1, n_x) density stack on the config's time grid and cells."""
     if isinstance(kernel, CuckerSmaleKernel):
         raise TypeError("the 1D MFG solver takes a position-space kernel")
-    if isinstance(m_path, MeasurePath):
-        m_path = np.stack([_grid_values(cfg, m, "m_path") for m in m_path.measures])
-    if len(m_path) != cfg.n_steps + 1:
-        raise ValueError("m_path must live on the solver's time grid")
+    shape = (cfg.n_steps + 1, cfg.n_x)
+    if np.shape(m_path) != shape:
+        raise ValueError(f"m_path must be the {shape} stack on the solver's time grid, got shape {np.shape(m_path)}")
     lam, dt, dx, nu = cfg.lam, cfg.dt, cfg.dx, cfg.viscosity
     x = cfg.cell_centers
     v = ham.drift(x)
@@ -310,7 +310,8 @@ def solve_mfg_fixed_point(
     """
     mass_log = []  # the largest mass correction of every FP sweep
     # warm start: best response to the frozen initial density
-    m = fp_forward(cfg, ham, hjb_backward(cfg, ham, kernel, np.tile(m0.values, (cfg.n_steps + 1, 1))), m0, mass_log)
+    frozen = np.tile(_grid_values(cfg, m0, "initial density"), (cfg.n_steps + 1, 1))
+    m = fp_forward(cfg, ham, hjb_backward(cfg, ham, kernel, frozen), m0, mass_log)
     spare = np.empty_like(m)  # with m, the two stacks the loop overwrites in place
     g_prev, history, best, fallbacks = None, [], None, 0  # history: g_prev (held, not copied), its f in spare
     for it in range(1, cfg.max_iterations + 1):
@@ -339,6 +340,6 @@ def solve_mfg_fixed_point(
             spare += g
         m, spare, g_prev = spare, f, g
     residual, u_path, m_path, it = best
-    path = MeasurePath(cfg.times, [GridDensity(m0.origin, cfg.dx, row) for row in m_path])
+    m_path.setflags(write=False)
     converged = residual < cfg.tolerance
-    return MfgSolution(cfg, u_path, path, it, residual, converged, fallbacks, tuple(history), max(mass_log))
+    return MfgSolution(cfg, u_path, m_path, it, residual, converged, fallbacks, tuple(history), max(mass_log))

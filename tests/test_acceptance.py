@@ -17,7 +17,6 @@ from mfglab import (
     DriftField,
     ExponentialKernel,
     GridDensity,
-    MeasurePath,
     MorseKernel,
     ParticleEnsemble,
     PdeConfig,
@@ -74,7 +73,7 @@ def test_conservation_suite():
     t0 = time.perf_counter()
     cfg = PdeConfig(lam=10.0, T=1.0, n_x=256, dt=2e-4)
     m0 = gauss_m0(cfg)
-    frozen = MeasurePath(cfg.times, [m0] * (cfg.n_steps + 1))
+    frozen = np.tile(m0.values, (cfg.n_steps + 1, 1))
     u = hjb_backward(cfg, ZERO_HAM, EXP_KERNEL, frozen)
     fp = fp_forward(cfg, ZERO_HAM, u, m0)
     agg = solve_aggregation_fv(ZERO_HAM, EXP_KERNEL, m0, 1.0, 2e-4)
@@ -90,7 +89,7 @@ def test_hjb_closed_form_oracle():
     knots = np.array([0.0, 5.0, 10.0, 100.0])
     kernel = CrowdRadialKernel(knots, np.full(4, c))
     m0 = gauss_m0(cfg)
-    frozen = MeasurePath(cfg.times, [m0] * (cfg.n_steps + 1))
+    frozen = np.tile(m0.values, (cfg.n_steps + 1, 1))
     u = hjb_backward(cfg, ZERO_HAM, kernel, frozen)
     t = cfg.times[:, None]
     exact = (c / lam) * (1.0 - np.exp(-lam * (cfg.T - t))) * np.ones((1, cfg.n_x))

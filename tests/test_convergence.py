@@ -16,7 +16,7 @@ from mfglab import (
     run_lambda_sweep_classic,
     solve_mfg_fixed_point,
 )
-from mfglab.measures import GridDensity, MeasurePath
+from mfglab.measures import GridDensity
 
 
 def _reject_constant(token):
@@ -76,10 +76,9 @@ class TestDiagnosticsBounds:
         m0 = small_m0(cfg)
         x = cfg.cell_centers
         u = np.tile(x**2, (cfg.n_steps + 1, 1))
-        path = MeasurePath(cfg.times, [m0] * (cfg.n_steps + 1))
-        sol = MfgSolution(cfg, u, path, 1, 0.0, True)
+        sol = MfgSolution(cfg, u, np.tile(m0.values, (cfg.n_steps + 1, 1)), 1, 0.0, True)
         v = diagnostics_bounds(sol)
-        # lam * D^2(x^2) = 10 * 2 = 20 > c_tilde * slack
+        # lam * D^2(x^2) = 10 * 2 = 20 > C_TILDE * BOUNDS_SLACK
         assert not v.d2u_ok
         assert v.d2u_upper_scaled == pytest.approx(20.0, rel=1e-6)
 

@@ -2,6 +2,41 @@ import numpy as np
 import pytest
 
 from mfglab import DriftField, QuadraticDriftHamiltonian, validate_hamiltonian
+from mfglab.kernels import VALIDATOR_SPAN
+
+
+def scalar_validation(h, budget=2000, seed=0):
+    """Oracle: the per-sample loop of scalar H and D_pH calls that the vectorised validator replaced."""
+    if isinstance(h, QuadraticDriftHamiltonian):
+        H, DpH = h.value, h.grad_p
+    else:
+        H = h
+
+        def DpH(p, x):
+            eps = 1e-6 * max(1.0, abs(p))
+            return (H(p + eps, x) - H(p - eps, x)) / (2 * eps)
+
+    rng = np.random.default_rng(seed)
+    convexity, growth, x_lip = np.inf, 1.0, 0.0
+    for _ in range(budget):
+        p, q = rng.uniform(-VALIDATOR_SPAN, VALIDATOR_SPAN, 2)
+        x, y = rng.uniform(-VALIDATOR_SPAN, VALIDATOR_SPAN, 2)
+        hp = 1e-3
+        d2 = (float(H(p + hp, x)) - 2 * float(H(p, x)) + float(H(p - hp, x))) / hp**2
+        convexity = min(convexity, d2)
+        growth = max(growth, abs(float(H(p, x))) / (1.0 + p**2))
+        if abs(x - y) > 1e-9:
+            num = abs(float(H(p, x)) - float(H(p, y))) + abs(float(DpH(p, x)) - float(DpH(p, y)))
+            x_lip = max(x_lip, num / (abs(x - y) * (1.0 + abs(p))))
+    return float(convexity), float(growth), float(x_lip)
+
+
+VALIDATED_HAMILTONIANS = {
+    "zero": QuadraticDriftHamiltonian(DriftField("zero")),
+    "constant": QuadraticDriftHamiltonian(DriftField("constant", amplitude=1.5)),
+    "sinusoidal": QuadraticDriftHamiltonian(DriftField("sinusoidal", amplitude=0.7, frequency=2.0)),
+    "callable": lambda p, x: 0.25 * p**4 - np.cos(x) * p,
+}
 
 
 class TestDriftField:
@@ -94,3 +129,11 @@ class TestValidateHamiltonian:
 
     def test_deterministic(self, zero_ham):
         assert validate_hamiltonian(zero_ham, seed=3) == validate_hamiltonian(zero_ham, seed=3)
+
+    @pytest.mark.parametrize("name", VALIDATED_HAMILTONIANS)
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_matches_scalar_loop_bit_for_bit(self, name, seed):
+        h = VALIDATED_HAMILTONIANS[name]
+        rep = validate_hamiltonian(h, seed=seed)
+        got = (rep.convexity_modulus, rep.growth_constant, rep.x_lipschitz_constant)
+        assert got == scalar_validation(h, seed=seed)

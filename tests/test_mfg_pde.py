@@ -9,7 +9,6 @@ from mfglab import (
     ExponentialKernel,
     GridDensity,
     GridError,
-    MeasurePath,
     MorseKernel,
     PdeConfig,
     QuadraticDriftHamiltonian,
@@ -58,7 +57,7 @@ class LinearGrowthKernel:
 
 
 def frozen_path(cfg, m0):
-    return MeasurePath(cfg.times, [m0] * (cfg.n_steps + 1))
+    return np.tile(m0.values, (cfg.n_steps + 1, 1))
 
 
 def w1_nodes(a, b, dx):
@@ -68,8 +67,7 @@ def w1_nodes(a, b, dx):
 
 def damped_picard(cfg, ham, kernel, m0):
     """Oracle: the damped Picard loop that Anderson mixing replaced, stopping on every node."""
-    frozen = np.tile(m0.values, (cfg.n_steps + 1, 1))
-    m = fp_forward(cfg, ham, hjb_backward(cfg, ham, kernel, frozen), m0)
+    m = fp_forward(cfg, ham, hjb_backward(cfg, ham, kernel, frozen_path(cfg, m0)), m0)
     for it in range(1, cfg.max_iterations + 1):
         m_plus = fp_forward(cfg, ham, hjb_backward(cfg, ham, kernel, m), m0)
         if np.max(w1_nodes(m, m_plus, cfg.dx)) < cfg.tolerance:
@@ -276,15 +274,16 @@ class TestHjbBackward:
 
     def test_wrong_time_grid_rejected(self, zero_ham, gauss_m0):
         cfg = PdeConfig(lam=10.0)
-        bad = MeasurePath(np.array([0.0, cfg.T]), [gauss_m0, gauss_m0])
-        with pytest.raises(ValueError, match="time grid"):
-            hjb_backward(cfg, zero_ham, ZeroKernel(), bad)
+        with pytest.raises(ValueError, match=r"\(1001, 256\) stack on the solver's time grid, got shape \(2, 256\)"):
+            hjb_backward(cfg, zero_ham, ZeroKernel(), np.tile(gauss_m0.values, (2, 1)))
 
-    def test_path_off_the_config_grid_rejected(self, zero_ham, gauss_m0):
+    @pytest.mark.parametrize(
+        "shape", [(1001, 255), (1001, 257), (256,), (1001 * 256,)], ids=["narrow", "wide", "one-node", "flat"]
+    )
+    def test_stack_of_the_wrong_shape_rejected(self, zero_ham, exp_kernel, shape):
         cfg = PdeConfig(lam=10.0)
-        shifted = GridDensity(gauss_m0.origin + 0.5 * gauss_m0.dx, gauss_m0.dx, gauss_m0.values)
-        with pytest.raises(GridError, match="grid"):
-            hjb_backward(cfg, zero_ham, ZeroKernel(), frozen_path(cfg, shifted))
+        with pytest.raises(ValueError, match=rf"got shape \({shape[0]},"):
+            hjb_backward(cfg, zero_ham, exp_kernel, np.full(shape, 1.0 / (cfg.n_x * cfg.dx)))
 
     def test_finite_but_not_monotone_sweep_raises(self, gauss_m0, exp_kernel):
         # dt |v| / dx = 2.1: the upwinded drift step is not monotone, yet 4 steps stay finite
@@ -300,12 +299,6 @@ class TestHjbBackward:
         huge = np.full((cfg.n_steps + 1, cfg.n_x), 1e308)
         with pytest.raises(StabilityError, match=r"non-finite values at step 9; advective CFL requires dt <="):
             hjb_backward(cfg, zero_ham, exp_kernel, huge)
-
-    def test_raw_stack_matches_measure_path(self, zero_ham, gauss_m0, exp_kernel):
-        cfg = PdeConfig(lam=20.0, T=0.2)
-        stack = np.tile(gauss_m0.values, (cfg.n_steps + 1, 1))
-        u_path = hjb_backward(cfg, zero_ham, exp_kernel, frozen_path(cfg, gauss_m0))
-        assert np.array_equal(hjb_backward(cfg, zero_ham, exp_kernel, stack), u_path)
 
 
 class TestFpForward:
@@ -422,9 +415,7 @@ class TestDiffusionSolver:
         oracle = solve_mfg_fixed_point(cfg, zero_ham, exp_kernel, m0)
         assert sol.iterations == oracle.iterations and sol.converged and oracle.converged
         np.testing.assert_allclose(sol.u_path, oracle.u_path, rtol=0.0, atol=1e-12)
-        m_path = np.stack([m.values for m in sol.m_path.measures])
-        oracle_m = np.stack([m.values for m in oracle.m_path.measures])
-        np.testing.assert_allclose(m_path, oracle_m, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(sol.m_path, oracle.m_path, rtol=0.0, atol=1e-12)
 
 
 class TestFixedPoint:
@@ -459,8 +450,9 @@ class TestFixedPoint:
         assert sol.iterations == 5
         assert sol.fallbacks == 0
         np.testing.assert_allclose(sol.residual_history, GOLDEN_HISTORY, rtol=0.0, atol=1e-12)
-        m_path = np.stack([m.values for m in sol.m_path.measures])
+        m_path = sol.m_path
         assert sol.u_path.shape == m_path.shape == (cfg.n_steps + 1, cfg.n_x)
+        assert not m_path.flags.writeable
         np.testing.assert_allclose(sol.u_path[::50, 3::8], GOLDEN_U, rtol=0.0, atol=1e-10)
         np.testing.assert_allclose(m_path[::50, 3::8], GOLDEN_M, rtol=0.0, atol=1e-10)
         assert sol.u_path.sum() == pytest.approx(125.68014910564075, rel=0.0, abs=1e-10)
@@ -475,11 +467,10 @@ class TestFixedPoint:
         m0 = GridDensity.gaussian(0.1, 0.5, -cfg.half_width, cfg.dx, cfg.n_x)
         sol = solve_mfg_fixed_point(cfg, zero_ham, exp_kernel, m0)
         picard, picard_iterations = damped_picard(cfg, zero_ham, exp_kernel, m0)
-        m_path = np.stack([m.values for m in sol.m_path.measures])
         assert sol.converged and sol.fallbacks == 0
         assert sol.iterations < picard_iterations
         # each path is within about the solve tolerance 1e-6 of the fixed point, at every node
-        assert np.max(w1_nodes(m_path, picard, cfg.dx)) < 1e-6
+        assert np.max(w1_nodes(sol.m_path, picard, cfg.dx)) < 1e-6
 
     def test_mass_correction_reported(self, zero_ham, exp_kernel):
         cfg = PdeConfig(lam=20.0, n_x=64, dt=4e-3)
@@ -497,6 +488,16 @@ class TestFixedPoint:
         assert all(log is logs[0] for log in logs) and len(logs[0]) == sol.iterations + 1
         assert sol.fp_mass_correction == max(logs[0])
         assert 0.0 < sol.fp_mass_correction < 1e-13
+
+    def test_m0_off_the_config_grid_rejected(self, zero_ham, exp_kernel, gauss_m0):
+        cfg = PdeConfig(lam=10.0, T=0.1)
+        shifted = GridDensity(gauss_m0.origin + 0.5 * gauss_m0.dx, gauss_m0.dx, gauss_m0.values)
+        coarse = GridDensity.gaussian(0.0, 0.5, -cfg.half_width, 2 * cfg.dx, cfg.n_x // 2)
+        for m0 in (shifted, coarse):
+            with pytest.raises(GridError, match="initial density is not on the config's grid"):
+                fp_forward(cfg, zero_ham, np.zeros((cfg.n_steps + 1, cfg.n_x)), m0)
+            with pytest.raises(GridError, match="initial density is not on the config's grid"):
+                solve_mfg_fixed_point(cfg, zero_ham, exp_kernel, m0)
 
     def test_residual_reads_every_node(self, gauss_m0):
         cfg = PdeConfig(lam=10.0)
@@ -525,7 +526,7 @@ class TestFixedPoint:
         assert np.count_nonzero(np.diff(history) > 0) == 1
         assert sol.fallbacks == 1
         assert sol.converged
-        _check_densities(np.stack([m.values for m in sol.m_path.measures]), cfg.dx)
+        _check_densities(sol.m_path, cfg.dx)
 
 
 
