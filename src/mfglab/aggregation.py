@@ -24,7 +24,7 @@ from .mfg_pde import _check_cfl, _DiffusionSolver, transport_step
 
 
 def limit_drift(ham: QuadraticDriftHamiltonian, kernel, x, m):
-    """Drift of the limit equation at query points x (shape (nq, d) or scalar)."""
+    """Drift of the limit equation at query points x (shape (nq, 1) or scalar)."""
     if isinstance(kernel, CuckerSmaleKernel):
         raise TypeError("limit_drift takes a position-space kernel")
     x = np.asarray(x, dtype=float)
@@ -36,8 +36,6 @@ def limit_drift(ham: QuadraticDriftHamiltonian, kernel, x, m):
     if not isinstance(m, ParticleEnsemble):
         raise TypeError(f"unsupported measure type {type(m)!r}")
     xq = np.atleast_2d(x)
-    if xq.shape[-1] != m.positions.shape[1]:
-        raise DimensionError(f"query dim {xq.shape[-1]} != ensemble dim {m.positions.shape[1]}")
     out = ham.drift(xq) - _pair_sum(kernel, xq, m.positions, m.weights, gradient=True)
     return out[0] if (scalar or x.ndim == 1) else out
 

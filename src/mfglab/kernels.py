@@ -3,26 +3,28 @@
 This is the one place k*m and Dk*m are evaluated: ``_grid_sum`` by 1D
 grid quadrature, ``_pair_sum`` over the atoms of an empirical measure.
 
-``_pair_sum`` has two bodies.  For 1D atoms under a kernel whose profile
-is a sum of exponentials, phi(r) = sum_k c_k exp(-a_k r) (exponential:
-one term; Morse: two), it sorts the atoms and sums exactly in
-O(N log N) from decayed prefix sums (``_sorted_pair_sum``).  Everything
-else -- d >= 2, the repulsive-attractive, crowd and zero kernels, and
-fewer than ``_SORTED_MIN_ATOMS`` atoms or query points, where sorting
-costs more than it saves -- goes through the dense (nq, N, d) offset array
+The radial kernels (exponential, repulsive-attractive, Morse, tabulated
+crowd kernel, zero) act on the line: value and gradient work elementwise
+on 1D offsets of any shape, k(x) = phi(|x|) and Dk(x) = phi'(|x|) sign(x),
+so Dk(0) = 0 at a kink.  Their pair sums take points of shape (n, 1).
+
+``_pair_sum`` has two bodies.  Under a kernel whose profile is a sum of
+exponentials, phi(r) = sum_k c_k exp(-a_k r) (exponential: one term;
+Morse: two), it sorts the atoms and sums exactly in O(N log N) from
+decayed prefix sums (``_sorted_pair_sum``).  Everything else -- the
+repulsive-attractive, crowd and zero kernels, and fewer than
+``_SORTED_MIN_ATOMS`` atoms or query points, where sorting costs more
+than it saves -- goes through the dense (nq, N) offset array
 (``_dense_pair_sum``), which also serves as the test oracle.  The
 repulsive-attractive profile r exp(-a r) would need a two-term
-recurrence; the Cucker-Smale weight is not a sum of exponentials.
+recurrence.
 
-The radial kernels (exponential, repulsive-attractive, Morse, tabulated
-crowd kernel) act on positions only; the Cucker-Smale kernel acts
-jointly on position-velocity offsets, k(x,v) = |v|^2 / g(x) with
-g(x) = (alpha + |x|^2)^beta.  Its pair sums (the alignment force, the
-energy and gradients of the MFG of acceleration, single-query couplings)
-all go through ``_cs_pair_sum``, one pass over one set of offsets.
-
-Radial kernels with a kink at the origin use the symmetric selection
-Dk(0) = 0.
+The Cucker-Smale kernel acts in d dimensions, jointly on
+position-velocity offsets, k(x,v) = |v|^2 / g(x) with
+g(x) = (alpha + |x|^2)^beta; its weight is not radial in (x, v) and not
+a sum of exponentials.  Its pair sums (the alignment force, the energy
+and gradients of the MFG of acceleration, single-query couplings) all go
+through ``_cs_pair_sum``, one pass over one set of offsets.
 """
 
 from __future__ import annotations
@@ -36,12 +38,6 @@ from .errors import DimensionError
 from .measures import GridDensity, ParticleEnsemble
 
 
-def _norm(x):
-    """|x| over the last axis; exact for one coordinate, where sqrt(x**2) would
-    read offsets below 1e-154 as 0 and so as the kink."""
-    return np.abs(x[..., 0]) if x.shape[-1] == 1 else np.sqrt(np.sum(x**2, axis=-1))
-
-
 def _sq_norm(x):
     """|x|^2 over the last axis; one coordinate is squared directly, which rounds
     as the one-term sum does but skips numpy's slower length-1 reduction."""
@@ -49,44 +45,15 @@ def _sq_norm(x):
 
 
 def _radial_value(kernel, x):
-    """k at x; arrays of shape (..., d) are vectors, 0D/1D inputs are 1D positions."""
-    x = np.asarray(x, dtype=float)
-    return kernel.phi(np.abs(x) if x.ndim <= 1 else _norm(x))
+    """k(x) = phi(|x|) at 1D offsets x of any shape."""
+    return kernel.phi(np.abs(np.asarray(x, dtype=float)))
 
 
 def _radial_grad(kernel, x):
-    """phi'(|x|) * x/|x|, with the Dk(0)=0 kink convention.
-
-    Same shape convention as the value: (..., d) arrays are vectors,
-    scalars and 1D arrays are 1D positions.
-    """
+    """Dk(x) = phi'(|x|) sign(x) at 1D offsets x of any shape; sign(0) = 0 gives the
+    kink convention Dk(0) = 0, as phi'(0) is finite for every radial kernel."""
     x = np.asarray(x, dtype=float)
-    if x.ndim <= 1:
-        r = np.abs(x)
-        out = np.zeros_like(x, dtype=float)
-        nz = r > 0
-        if x.ndim == 0:
-            return float(kernel.dphi(r) * np.sign(x)) if r > 0 else 0.0
-        out[nz] = kernel.dphi(r[nz]) * np.sign(x[nz])
-        return out
-    r = _norm(x)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        coef = np.where(r > 0, kernel.dphi(r) / r, 0.0)
-    out = coef[..., None] * x
-    # below sqrt(tiny) ~ 1.5e-154, |x|^2 underflows (d >= 2 would read the offset
-    # as the kink) and dphi(r) / r can overflow: there the direction x / |x| is
-    # taken from x rescaled to max_i |x_i| = 1
-    small = r < np.sqrt(np.finfo(float).tiny)
-    if np.any(small):
-        xs = x[small]
-        s = np.max(np.abs(xs), axis=-1)
-        nz = s > 0  # x = 0 keeps the kink value
-        u = xs[nz] / s[nz, None]
-        n = np.sqrt(np.sum(u**2, axis=-1))
-        rows = out[small]
-        rows[nz] = (kernel.dphi(s[nz] * n) / n)[:, None] * u
-        out[small] = rows
-    return out
+    return kernel.dphi(np.abs(x)) * np.sign(x)
 
 
 @dataclass(frozen=True)
@@ -273,8 +240,8 @@ RADIAL_KERNELS = (
 
 def _grid_matrix(kernel, xq, y, dx, gradient=False):
     """(len(xq), len(y)) quadrature matrix dx * k(xq_i - y_j), or dx * Dk(xq_i - y_j), in 1D."""
-    diffs = (np.asarray(xq, dtype=float)[:, None] - y[None, :])[..., None]
-    return dx * (kernel.gradient(diffs)[..., 0] if gradient else kernel.value(diffs))
+    diffs = np.asarray(xq, dtype=float)[:, None] - y
+    return dx * (kernel.gradient(diffs) if gradient else kernel.value(diffs))
 
 
 def _grid_sum(kernel, xq, m, gradient=False):
@@ -285,40 +252,51 @@ def _grid_sum(kernel, xq, m, gradient=False):
 
 
 #: below this many atoms, or query points, _pair_sum stays dense: the sort and
-#: the scan cost a few dozen numpy calls whatever N is.  In the particle
-#: solver (as many queries as atoms) both bodies took the same time per RK4
-#: step at 96 atoms for the exponential and the Morse kernel; one query
-#: against 600 atoms took 24 us dense and 171 us sorted (2-core x86-64, numpy 2.4)
+#: the scan cost a few dozen numpy calls whatever N is.  Per RK4 step of the
+#: particle solver (as many queries as atoms), dense took 250-260 us and sorted
+#: 386-422 us at 96 exponential atoms, 375-450 and 283-287 us at 112; for Morse
+#: both took 465-529 us at 96 atoms.  One query against 600 atoms took 15-29 us
+#: dense and 153-223 us sorted (2-core x86-64, numpy 2.4, best of 15, two runs)
 _SORTED_MIN_ATOMS = 96
 
 
 def _pair_sum(kernel, xq, pos, w, gradient=False):
-    """sum_j w_j k(xq_i - pos_j), (nq,), or sum_j w_j Dk(xq_i - pos_j), (nq, d).
+    """sum_j w_j k(xq_i - pos_j), (nq,), or sum_j w_j Dk(xq_i - pos_j), (nq, 1),
+    for queries xq (nq, 1) and atoms pos (N, 1) on the line.
 
-    Sorted and exact for 1D atoms under a sum-of-exponentials profile,
-    dense in the atoms otherwise.
+    Sorted and exact under a sum-of-exponentials profile, dense in the
+    atoms otherwise.  Points off the line raise DimensionError.
     """
-    if min(len(xq), len(pos)) >= _SORTED_MIN_ATOMS and pos.shape[1] == 1:
+    if xq.shape[1:] != (1,) or pos.shape[1:] != (1,):
+        raise DimensionError(
+            f"radial pair sums take points on the line, shape (n, 1): queries {xq.shape}, atoms {pos.shape}"
+        )
+    if min(len(xq), len(pos)) >= _SORTED_MIN_ATOMS:
         terms = getattr(kernel, "_exp_terms", None)
         if terms is not None:
             return _sorted_pair_sum(terms, xq, pos, w, gradient)
     return _dense_pair_sum(kernel, xq, pos, w, gradient)
 
 
-#: byte budget of one (nq, N, d) offset array in _dense_pair_sum; more queries go in chunks
+#: byte budget of one (nq, N) offset array in _dense_pair_sum; more queries go in chunks
 _DENSE_PAIR_BYTES = 2**24
 
 
 def _dense_pair_sum(kernel, xq, pos, w, gradient):
-    """_pair_sum through (nq, N, d) arrays of offsets, chunked over the queries to
-    _DENSE_PAIR_BYTES each: any radial kernel, any dimension."""
+    """_pair_sum through (nq, N) arrays of offsets, chunked over the queries to
+    _DENSE_PAIR_BYTES each: any radial kernel.
+
+    np.sum reduces each query's row on its own, so a sum does not depend on
+    how many queries share its chunk (a matrix-vector product ``@ w`` rounds
+    differently with the number of rows).
+    """
     rows = max(1, _DENSE_PAIR_BYTES // max(pos.nbytes, 1))
     if len(xq) > rows:
         parts = [_dense_pair_sum(kernel, xq[i : i + rows], pos, w, gradient) for i in range(0, len(xq), rows)]
         return np.concatenate(parts)
-    diffs = xq[:, None, :] - pos[None, :, :]
+    diffs = xq - pos.T
     if gradient:
-        return np.einsum("j,ijd->id", w, kernel.gradient(diffs))
+        return np.sum(w * kernel.gradient(diffs), axis=-1, keepdims=True)
     return np.sum(w * kernel.value(diffs), axis=-1)
 
 
@@ -446,8 +424,6 @@ def _coupling(kernel, x, m, v, gradient):
             wq=None if gradient else np.ones(1), grad_x=gradient, grad_v=gradient,
         )
         return (sums[0][0], sums[1][0]) if gradient else float(sums[0])
-    if x.shape[-1] != m.positions.shape[1]:
-        raise DimensionError(f"query has {x.shape[-1]} coordinates, ensemble has {m.positions.shape[1]}")
     out = _pair_sum(kernel, x[None, :], m.positions, m.weights, gradient)[0]
     return out if gradient else float(out)
 
@@ -564,7 +540,8 @@ class PsdVerdict:
 
 
 def psd_check(kernel, n_points: int = 64, seed: int = 0, points=None) -> PsdVerdict:
-    """Eigenvalue test of the Gram matrix k(x_i - x_j) on random 1D points.
+    """Eigenvalue test of the Gram matrix k(x_i - x_j) on points of the line,
+    random ones or given ``points`` of shape (n,) or (n, 1).
 
     A negative eigenvalue below -1e-10 * ||K|| certifies that k is not a
     positive semidefinite kernel (so the MFG uniqueness/monotonicity
@@ -575,9 +552,12 @@ def psd_check(kernel, n_points: int = 64, seed: int = 0, points=None) -> PsdVerd
             raise ValueError("n_points must be in [2, 512]")
         rng = np.random.default_rng(seed)
         points = rng.uniform(-VALIDATOR_SPAN, VALIDATOR_SPAN, size=(n_points, 1))
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    diff = points[:, None, :] - points[None, :, :]
-    gram = kernel.value(diff.reshape(-1, points.shape[1])).reshape(len(points), len(points))
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points[:, None]
+    if points.ndim != 2 or points.shape[1] != 1:
+        raise DimensionError(f"psd_check takes points on the line, shape (n,) or (n, 1), not {points.shape}")
+    gram = kernel.value(points - points.T)
     eigs = np.linalg.eigvalsh(gram)
     threshold = -1e-10 * max(np.abs(eigs).max(), 1e-300)
     return PsdVerdict(

@@ -71,14 +71,9 @@ class TestParticleSolver:
         exact = (1.0 / a) * np.log(np.exp(a * d0) + a**2 * alpha * T)
         assert pos[1] - pos[0] == pytest.approx(exact, abs=1e-4)
 
-    def test_morse_two_body_equilibrium(self, zero_ham):
-        kernel = MorseKernel(0.5, 2.0)
-        path = solve_aggregation_particles(
-            zero_ham, kernel, atoms(-1.0, 1.0), 300.0, 2e-2, save_every=2000
-        )
-        pos = path.measures[-1].positions[:, 0]
-        assert pos[1] - pos[0] == pytest.approx(2.0 * np.log(4.0), abs=1e-3)
-        assert kernel.equilibrium_gap() == pytest.approx(2.0 * np.log(4.0), abs=1e-14)
+    def test_morse_two_body_equilibrium(self):
+        # the integration to this gap is test_acceptance's test_morse_two_particle_equilibrium_gap
+        assert MorseKernel(0.5, 2.0).equilibrium_gap() == pytest.approx(2.0 * np.log(4.0), abs=1e-14)
 
     def test_center_of_mass_conserved(self, zero_ham, rng):
         pts = rng.standard_normal((20, 1))

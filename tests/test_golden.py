@@ -11,9 +11,13 @@ bit-identical and the CSV text byte-identical; regenerating the file
 would defeat the check.
 
 The Morse particles and the validator constants go through the radial
-pair sum, which has two bodies: the dense one they were recorded with
-(pinned bit for bit) and the sorted one for 1D exponential sums (pinned
-within the roundoff of its different summation order).
+pair sum, which has two bodies, a dense one and a sorted one for
+exponential sums.  They were recorded with the dense body of d-vector
+offsets, ``test_pair_sums.d_vector_dense_pair_sum``: on that oracle the
+particles stay bit-identical.  The dense body on the line sums the same
+values and gradient terms within an ulp each, so on it the validator
+constants stay bit-identical and the particles within 1e-14; the sorted
+body is pinned within the roundoff of its different summation order.
 
 The ``csv.u0`` and ``csv.m_final`` digests were re-recorded when the
 MFG fixed point became Anderson-accelerated and began to stop on every
@@ -57,6 +61,7 @@ from mfglab import (
     validate_coupling,
 )
 from mfglab.cli import main
+from test_pair_sums import d_vector_dense_pair_sum
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden.json").read_text())
 
@@ -182,18 +187,25 @@ def csv_artifacts(tmp: Path) -> dict:
 
 
 def _on_path(path, fn):
-    """fn() with every radial pair sum on the dense or on the sorted body."""
+    """fn() with every radial pair sum on the dense body, on its d-vector oracle or on the sorted body."""
     with pytest.MonkeyPatch.context() as mp:
-        if path == "dense":
+        if path in ("dense", "oracle"):
             for cls in (ExponentialKernel, MorseKernel):
                 mp.setattr(cls, "_exp_terms", None)
         else:
             mp.setattr(kernels, "_SORTED_MIN_ATOMS", 1)
+        if path == "oracle":
+            mp.setattr(kernels, "_dense_pair_sum", d_vector_dense_pair_sum)
         return fn()
 
 
 @pytest.fixture(scope="module")
 def computed():
+    return _on_path("oracle", integrations)
+
+
+@pytest.fixture(scope="module")
+def computed_dense():
     return _on_path("dense", integrations)
 
 
@@ -207,12 +219,20 @@ def test_integration_bit_identical(computed, key):
     assert np.array_equal(np.array(computed[key]), np.array(GOLDEN["integrations"][key]))
 
 
-def test_sorted_path_integrations(computed_sorted):
+def _near_golden(computed):
     # 50 Morse atoms, 50 RK4 steps: positions within 1e-14 absolute; Cucker-Smale does not use the radial sum
     expected = GOLDEN["integrations"]
-    assert np.max(np.abs(np.array(computed_sorted["particles_final"]) - expected["particles_final"])) <= 1e-14
+    assert np.max(np.abs(np.array(computed["particles_final"]) - expected["particles_final"])) <= 1e-14
     for key in ("particles_len", "cs_len", "cs_final", "richardson"):
-        assert computed_sorted[key] == expected[key], key
+        assert computed[key] == expected[key], key
+
+
+def test_dense_path_integrations(computed_dense):
+    _near_golden(computed_dense)
+
+
+def test_sorted_path_integrations(computed_sorted):
+    _near_golden(computed_sorted)
 
 
 def test_snapshot_counts(computed):

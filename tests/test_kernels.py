@@ -51,6 +51,18 @@ class TestEvalKernel:
         x = rng.standard_normal(20)
         assert np.array_equal(kernel.value(x), kernel.value(-x))
 
+    @pytest.mark.parametrize("kernel", ALL_RADIAL, ids=lambda k: type(k).__name__)
+    def test_elementwise_on_the_line(self, kernel, rng):
+        """value and gradient act on each 1D offset alone: any shape in, the same shape out,
+        the same bits whatever the shape, and Dk(0) = 0."""
+        x = np.append(rng.uniform(-5.0, 5.0, 9999), 0.0)
+        for f in (kernel.value, kernel.gradient):
+            flat = f(x)
+            assert flat.shape == x.shape
+            assert np.array_equal(f(x[:, None]), flat[:, None])
+            assert np.array_equal(f(x.reshape(100, 100)), flat.reshape(100, 100))
+        assert kernel.gradient(0.0) == 0.0
+
     def test_cs_evenness_joint(self, rng):
         k = CuckerSmaleKernel(2.0, 0.7)
         x, v = rng.standard_normal((5, 2)), rng.standard_normal((5, 2))

@@ -35,25 +35,14 @@ def constant_kernel(c):
 
 
 class LinearGrowthKernel:
-    """k(x) = |x|: the coupling F = k*m grows linearly at infinity."""
-
-    def phi(self, r):
-        return np.asarray(r, dtype=float)
-
-    def dphi(self, r):
-        return np.ones_like(np.asarray(r, dtype=float))
+    """k(x) = |x|: the coupling F = k*m grows linearly at infinity.  Like the
+    radial kernels it acts elementwise on 1D offsets of any shape."""
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.abs(x) if x.ndim <= 1 else np.sqrt(np.sum(x**2, axis=-1))
+        return np.abs(np.asarray(x, dtype=float))
 
     def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        r = self.value(x)
-        if x.ndim <= 1:
-            return np.sign(x)
-        with np.errstate(invalid="ignore"):
-            return np.where(r[..., None] > 0, x / np.maximum(r, 1e-300)[..., None], 0.0)
+        return np.sign(np.asarray(x, dtype=float))
 
 
 def frozen_path(cfg, m0):

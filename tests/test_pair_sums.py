@@ -4,7 +4,11 @@ Every particle-side k*m and Dk*m goes through ``kernels._pair_sum`` and
 the Cucker-Smale alignment through ``kernels._cs_pair_sum``.  The
 loops below recompute each sum one atom pair at a time from the radial
 profile phi (or from g for Cucker-Smale) and bound the difference by
-1e-13 times the sum of the absolute terms.
+1e-13 times the sum of the absolute terms.  Radial pair sums act on the
+line: their ``d = 1`` cases match the loops, and their ``d = 2`` cases
+must raise DimensionError.  ``d_vector_dense_pair_sum`` keeps the dense
+body the radial sums had while they took d-vectors, as the oracle of the
+dense body that replaced it and of the golden values recorded with it.
 """
 
 import math
@@ -18,6 +22,7 @@ from mfglab import kernels
 from mfglab import (
     CrowdRadialKernel,
     CuckerSmaleKernel,
+    DimensionError,
     DriftField,
     ExponentialKernel,
     MorseKernel,
@@ -29,6 +34,8 @@ from mfglab import (
     eval_coupling,
     grad_coupling,
     limit_drift,
+    psd_check,
+    solve_aggregation_particles,
 )
 
 RADIAL = {
@@ -72,10 +79,18 @@ def oracle(kernel, x, m):
     return f, f_scale, g, g_scale
 
 
+OFF_THE_LINE = r"queries \(\d+, 2\), atoms \(30, 2\)"
+
+
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("name", list(RADIAL))
 def test_eval_and_grad_coupling_match_loop(name, d):
     kernel, m = RADIAL[name], ensemble(d)
+    if d == 2:
+        for call in (eval_coupling, grad_coupling):
+            with pytest.raises(DimensionError, match=OFF_THE_LINE):
+                call(kernel, m.positions[0], m)
+        return
     for x in queries(m):
         f, f_scale, g, g_scale = oracle(kernel, x, m)
         assert abs(eval_coupling(kernel, x, m) - f) <= TOL * f_scale
@@ -95,11 +110,27 @@ def test_limit_drift_matches_loop(name, d):
     kernel, m = RADIAL[name], ensemble(d)
     ham = QuadraticDriftHamiltonian(DriftField("sinusoidal", 0.5, 2.0))
     xq = queries(m)
+    if d == 2:
+        with pytest.raises(DimensionError, match=OFF_THE_LINE):
+            limit_drift(ham, kernel, xq, m)
+        return
     got = limit_drift(ham, kernel, xq, m)
     assert got.shape == xq.shape
     for x, row in zip(xq, got):
         _, _, g, g_scale = oracle(kernel, x, m)
         assert np.all(np.abs(row - (ham.drift(x) - g)) <= TOL * g_scale)
+
+
+def test_points_off_the_line_raise():
+    """Radial sums act on the line: 2D positions fail with DimensionError naming both shapes.
+
+    The ``d = 2`` cases above check eval_coupling, grad_coupling and limit_drift."""
+    kernel, m = RADIAL["morse"], ensemble(2)
+    ham = QuadraticDriftHamiltonian(DriftField("zero"))
+    with pytest.raises(DimensionError, match=OFF_THE_LINE):
+        solve_aggregation_particles(ham, kernel, m, 1.0, 0.1)
+    with pytest.raises(DimensionError, match=r"\(30, 2\)"):
+        psd_check(kernel, points=m.positions)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.5])
@@ -144,6 +175,27 @@ def test_cs_coupling_matches_old_sums(beta, d):
         got = (eval_coupling(kernel, x, m, v), *grad_coupling(kernel, x, m, v))
         for new, old in zip(got, terms):
             assert np.all(np.abs(new - np.sum(old, axis=0)) <= 1e-15 * np.sum(np.abs(old), axis=0))
+
+
+def d_vector_dense_pair_sum(kernel, xq, pos, w, gradient):
+    """The dense radial pair sum as it was for d-vectors, on (nq, 1) queries and (N, 1) atoms.
+
+    Offsets are (nq, N, 1) vectors; a gradient term is phi'(r) / r * x,
+    or phi'(r) sign(x) below sqrt(tiny) where 1 / r could overflow, and
+    the terms are contracted with einsum.  The golden particle values were
+    recorded with it, bit for bit.
+    """
+    diffs = xq[:, None, :] - pos[None, :, :]
+    r = np.abs(diffs[..., 0])
+    if not gradient:
+        return np.sum(w * kernel.phi(r), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        terms = np.where(
+            r < np.sqrt(np.finfo(float).tiny),
+            kernel.dphi(r) * np.sign(diffs[..., 0]),
+            kernel.dphi(r) / r * diffs[..., 0],
+        )
+    return np.einsum("j,ijd->id", w, terms[..., None])
 
 
 # -- the sorted 1D path (kernels._sorted_pair_sum) against the dense body --
@@ -204,6 +256,20 @@ def test_sorted_matches_dense(name, case):
     assert np.all(np.abs(grad - kernels._dense_pair_sum(kernel, xq, pos, w, True))[:, 0] <= TOL * grad_scale)
 
 
+@pytest.mark.parametrize("name", list(SORTED))
+@given(case=sorted_cases())
+def test_dense_matches_d_vector_oracle(name, case):
+    """The (nq, N) dense body sums the same terms as the d-vector one: values bit for bit,
+    gradients phi'(r) sign(x) against phi'(r) / r * x within 1e-13 of the sum of |terms|."""
+    kernel, (pos, w, xq) = SORTED[name], case
+    value = kernels._dense_pair_sum(kernel, xq, pos, w, False)
+    assert np.array_equal(value, d_vector_dense_pair_sum(kernel, xq, pos, w, False))
+    grad = kernels._dense_pair_sum(kernel, xq, pos, w, True)
+    scale = np.sum(np.abs(w * kernel.gradient(xq - pos.T)), axis=-1, keepdims=True)
+    assert grad.shape == (len(xq), 1)
+    assert np.all(np.abs(grad - d_vector_dense_pair_sum(kernel, xq, pos, w, True)) <= TOL * scale)
+
+
 @pytest.mark.parametrize("name", ["exponential", "morse"])
 def test_sorted_path_through_public_functions(name, monkeypatch):
     monkeypatch.setattr(kernels, "_SORTED_MIN_ATOMS", 1)
@@ -219,7 +285,7 @@ def test_sorted_path_through_public_functions(name, monkeypatch):
 
 
 def test_dense_gradient_at_subnormal_offset_1d():
-    """An atom at 0 and a query at 2.2e-313: dphi(r) / r overflows, dphi(r) x / |x| does not."""
+    """An atom at 0 and a query at 2.2e-313: dphi(|x|) sign(x) is exact where dphi(r) / r would overflow."""
     kernel = ExponentialKernel(1.0, 1.0)
     xq, pos, w = np.array([[2.2e-313], [-2.2e-313]]), np.zeros((1, 1)), np.ones(1)
     dense = kernels._dense_pair_sum(kernel, xq, pos, w, True)
@@ -227,19 +293,8 @@ def test_dense_gradient_at_subnormal_offset_1d():
     assert np.array_equal(dense, kernels._sorted_pair_sum(kernel._exp_terms, xq, pos, w, True))
 
 
-@pytest.mark.parametrize("offset", [[1e-160, 0.0], [3e-170, -4e-170], [0.0, 5e-324]])
-def test_radial_gradient_at_tiny_offset_2d(offset):
-    """|x|^2 underflows below about 1e-154: the gradient still points along x, not at the kink."""
-    x = np.array(offset)
-    unit = x / np.max(np.abs(x))
-    unit /= np.sqrt(np.sum(unit**2))
-    for kernel in (ExponentialKernel(1.0, 1.0), MorseKernel(0.5, 2.0)):
-        np.testing.assert_allclose(kernel.gradient(x[None]), kernel.dphi(0.0) * unit[None], rtol=1e-15, atol=0.0)
-    assert np.array_equal(ExponentialKernel(1.0, 1.0).gradient(np.zeros((1, 2))), np.zeros((1, 2)))
-
-
 def test_path_selection(monkeypatch):
-    """Sorted for 1D atoms under exponential sums from _SORTED_MIN_ATOMS atoms and queries on, dense otherwise."""
+    """Sorted under exponential sums from _SORTED_MIN_ATOMS atoms and queries on, dense otherwise."""
     calls = []
     dense = kernels._dense_pair_sum
     monkeypatch.setattr(kernels, "_dense_pair_sum", lambda *args: calls.append(args[0]) or dense(*args))
@@ -250,9 +305,8 @@ def test_path_selection(monkeypatch):
     assert calls == []
     kernels._pair_sum(RADIAL["morse"], np.zeros((n, 1)), np.zeros((n - 1, 1)), np.full(n - 1, 1.0 / (n - 1)))
     kernels._pair_sum(RADIAL["morse"], np.zeros((n - 1, 1)), np.zeros((n, 1)), w)
-    kernels._pair_sum(RADIAL["morse"], np.zeros((n, 2)), np.zeros((n, 2)), w)
     kernels._pair_sum(RADIAL["repulsive_attractive"], np.zeros((n, 1)), np.zeros((n, 1)), w)
-    assert calls == [RADIAL["morse"]] * 3 + [RADIAL["repulsive_attractive"]]
+    assert calls == [RADIAL["morse"]] * 2 + [RADIAL["repulsive_attractive"]]
 
 
 class _CountingKernel:
@@ -270,7 +324,7 @@ class _CountingKernel:
         return self.kernel.gradient(x)
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1])
 @pytest.mark.parametrize("gradient", [False, True], ids=["k", "Dk"])
 def test_dense_chunks_bit_identical(monkeypatch, rng, d, gradient):
     """Chunked over the queries, every query's sum is computed as before, bit for bit."""
