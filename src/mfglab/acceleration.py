@@ -18,6 +18,7 @@ One objective evaluation is one pass without Python loops: node and
 adjoint states are running sums (``np.cumsum`` adds in sequence, so they
 round as the step-by-step recursions do), and the energy and interaction
 gradients come from one Cucker-Smale pair sum over one set of offsets.
+Curves live on the line: controls are (N, K) and node states (N, K+1).
 """
 
 from __future__ import annotations
@@ -28,36 +29,34 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import minimize
 
-from .kernels import CuckerSmaleKernel, _cs_pair_sum, _pair_offsets
+from .kernels import CuckerSmaleKernel, _cs_pair_sum, _flock, _pair_offsets
 from .measures import ParticleEnsemble, _csv_table
 
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """N discrete curves with piecewise-constant accelerations.
+    """N discrete curves on the line with piecewise-constant accelerations.
 
     positions/velocities at the K+1 nodes are always rebuilt from the
     controls, so kinematic consistency is exact by construction.
     """
 
-    x0: np.ndarray  # (N, d)
-    v0: np.ndarray  # (N, d)
-    controls: np.ndarray  # (N, K, d), acceleration on each sub-interval
+    x0: np.ndarray  # (N,)
+    v0: np.ndarray  # (N,)
+    controls: np.ndarray  # (N, K), acceleration on each sub-interval
     T: float
     weights: np.ndarray  # (N,)
 
     def __post_init__(self):
-        x0 = np.atleast_2d(np.asarray(self.x0, dtype=float))
-        v0 = np.atleast_2d(np.asarray(self.v0, dtype=float))
+        x0 = np.asarray(self.x0, dtype=float)
+        v0 = np.asarray(self.v0, dtype=float)
         a = np.asarray(self.controls, dtype=float)
         w = np.asarray(self.weights, dtype=float)
         for name, arr in (("x0", x0), ("v0", v0), ("controls", a), ("weights", w)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
-        if a.ndim != 3 or a.shape[0] != x0.shape[0] or a.shape[2] != x0.shape[1]:
-            raise ValueError("controls must have shape (N, K, d)")
-        if v0.shape != x0.shape:
-            raise ValueError("v0 must match x0")
+        if x0.ndim != 1 or v0.shape != x0.shape or a.ndim != 2 or a.shape[0] != x0.size:
+            raise ValueError("x0 and v0 must have shape (N,) and controls (N, K)")
         if abs(w.sum() - 1.0) > 1e-12 or np.any(w < 0):
             raise ValueError("weights must be nonnegative and sum to 1")
         if self.T <= 0:
@@ -69,10 +68,6 @@ class TrajectoryEnsemble:
     @property
     def n(self) -> int:
         return self.x0.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.x0.shape[1]
 
     @property
     def n_intervals(self) -> int:
@@ -92,10 +87,10 @@ class TrajectoryEnsemble:
         v_{j+1} = v_j + dt a_j, x_{j+1} = (x_j + dt v_j) + (dt^2/2) a_j, as running
         sums; positions are every other partial sum of [x_0, dt v_0, (dt^2/2) a_0, dt v_1, ...].
         """
-        n, K, d = self.controls.shape
+        n, K = self.controls.shape
         dt = self.dt
         v = np.cumsum(np.concatenate([self.v0[:, None], dt * self.controls], axis=1), axis=1)
-        steps = np.empty((n, 2 * K + 1, d))
+        steps = np.empty((n, 2 * K + 1))
         steps[:, 0] = self.x0
         steps[:, 1::2] = dt * v[:, :-1]
         steps[:, 2::2] = 0.5 * dt**2 * self.controls
@@ -112,28 +107,22 @@ class TrajectoryEnsemble:
 
     def phase_ensemble(self, node: int) -> ParticleEnsemble:
         x, v = self._states
-        return ParticleEnsemble(np.hstack([x[:, node], v[:, node]]), self.weights, self.d)
+        return ParticleEnsemble(np.column_stack([x[:, node], v[:, node]]), self.weights, 1)
 
     def with_controls(self, controls) -> "TrajectoryEnsemble":
         return TrajectoryEnsemble(self.x0, self.v0, np.asarray(controls, dtype=float), self.T, self.weights)
 
     @classmethod
     def free_flight(cls, m0: ParticleEnsemble, T: float, n_intervals: int) -> "TrajectoryEnsemble":
-        """Straight-line start (zero controls) from phase-space atoms."""
-        d = m0.spatial_dim
-        return cls(
-            m0.positions,
-            m0.velocities,
-            np.zeros((m0.n, n_intervals, d)),
-            T,
-            m0.weights,
-        )
+        """Straight-line start (zero controls) from phase-space atoms on the line."""
+        x0, v0 = _flock(m0)
+        return cls(x0, v0, np.zeros((m0.n, n_intervals)), T, m0.weights)
 
     def to_csv(self) -> str:
         x, v = self._states
         a_nodes = np.concatenate([self.controls, self.controls[:, -1:]], axis=1)
-        states = np.concatenate([x, v, a_nodes], axis=2).tolist()
-        cols = ["trajectory", "t"] + [f"{b}{i + 1}" for b in "xva" for i in range(self.d)]
+        states = np.stack([x, v, a_nodes], axis=2).tolist()
+        cols = ["trajectory", "t", "x1", "v1", "a1"]
         times = self.times.tolist()
         return _csv_table(cols, ([i, t, *s] for i, traj in enumerate(states) for t, s in zip(times, traj)))
 
@@ -169,8 +158,7 @@ def _energy(ens: TrajectoryEnsemble, lam: float, pairs: np.ndarray) -> EnergyBre
     """Exact control quadrature plus the trapezoid rule over the node pair sums sum_pq w_p w_q k, (K+1,)."""
     times = ens.times
     cw = _control_weights(times, lam)
-    a2 = np.sum(ens.controls**2, axis=2)  # (N, K)
-    control = float(np.sum(ens.weights[:, None] * a2 * cw[None, :]) / (2.0 * lam))
+    control = float(np.sum(ens.weights[:, None] * ens.controls**2 * cw[None, :]) / (2.0 * lam))
     return EnergyBreakdown(control=control, interaction=float(_quadrature_weights(times, lam) @ (0.5 * pairs)))
 
 
@@ -183,7 +171,7 @@ def discrete_energy(ens: TrajectoryEnsemble, kernel: CuckerSmaleKernel, lam: flo
 def energy_gradient(
     ens: TrajectoryEnsemble, kernel: CuckerSmaleKernel, lam: float
 ) -> tuple[EnergyBreakdown, np.ndarray]:
-    """The discrete energy and its exact gradient w.r.t. every control, (N, K, d).
+    """The discrete energy and its exact gradient w.r.t. every control, (N, K).
 
     One pair sum gives the energy and the per-node interaction
     gradients.  Reverse accumulation pushes those back through the
@@ -198,15 +186,15 @@ def energy_gradient(
     pairs, gx, gv = _cs_pair_sum(kernel, x, v, x, v, w, wq=w, grad_x=True, grad_v=True)
     qw = _quadrature_weights(ens.times, lam)
     cw = _control_weights(ens.times, lam)
-    gx = w[:, None, None] * gx * qw[None, :, None]
-    gv = w[:, None, None] * gv * qw[None, :, None]
+    gx = w[:, None] * gx * qw[None, :]
+    gv = w[:, None] * gv * qw[None, :]
 
     px = np.cumsum(gx[:, :0:-1], axis=1)[:, ::-1]  # px[:, j] = dE/dx_{j+1} + ... + dE/dx_K
-    steps = np.empty((ens.n, 2 * K - 1, ens.d))
+    steps = np.empty((ens.n, 2 * K - 1))
     steps[:, 0::2] = gv[:, :0:-1]
     steps[:, 1::2] = dt * px[:, :0:-1]
     pv = np.cumsum(steps, axis=1)[:, ::-2]  # every other partial sum, back in node order
-    control_cost = w[:, None, None] * ens.controls * cw[None, :, None] / lam
+    control_cost = w[:, None] * ens.controls * cw[None, :] / lam
     return _energy(ens, lam, pairs), control_cost + 0.5 * dt**2 * px + dt * pv
 
 
@@ -241,16 +229,15 @@ def minimize_energy(
     a priori energy bound 2 C0 M_{2,v}(m0) / lam.
     """
     start = TrajectoryEnsemble.free_flight(m0, T, n_intervals)
-    if m0.n * n_intervals * m0.spatial_dim > 10**6:
-        raise ValueError("decision-variable budget exceeded (N K d > 1e6)")
+    if m0.n * n_intervals > 10**6:
+        raise ValueError("decision-variable budget exceeded (N K > 1e6)")
     shape = start.controls.shape
 
     # precondition: in variables b = s * a the control Hessian is the
     # identity (the raw problem is conditioned like e^{lam T}, hopeless
     # for a quasi-Newton start)
     cw = _control_weights(start.times, lam)
-    s = np.sqrt(start.weights[:, None, None] * cw[None, :, None] / lam)
-    s = np.broadcast_to(s, shape)
+    s = np.sqrt(start.weights[:, None] * cw[None, :] / lam)
 
     def objective(theta):
         e, g = energy_gradient(start.with_controls(theta.reshape(shape) / s), kernel, lam)
@@ -292,7 +279,7 @@ def el_residual(ens: TrajectoryEnsemble, kernel: CuckerSmaleKernel, lam: float) 
     if K < 8:
         raise ValueError("el_residual needs at least 8 intervals for the FD stencils")
     dt = ens.dt
-    a = ens.controls  # (N, K, d): acceleration samples at interval midpoints
+    a = ens.controls  # (N, K): acceleration samples at interval midpoints
     x, v = ens.positions, ens.velocities
     # states at interval midpoints (second-order interpolation)
     xm = 0.5 * (x[:, :-1] + x[:, 1:])

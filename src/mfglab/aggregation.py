@@ -22,22 +22,26 @@ from .kernels import CuckerSmaleKernel, _grid_matrix, _grid_sum, _pair_sum
 from .measures import GridDensity, MeasurePath, ParticleEnsemble
 from .mfg_pde import _check_cfl, _DiffusionSolver, transport_step
 
+#: solve_aggregation_particles raises once an atom leaves [-BLOWUP_RADIUS, BLOWUP_RADIUS]
+BLOWUP_RADIUS = 50.0
+
 
 def limit_drift(ham: QuadraticDriftHamiltonian, kernel, x, m):
-    """Drift of the limit equation at query points x (shape (nq, 1) or scalar)."""
+    """Drift of the limit equation at query points x on the line, a scalar, (n,) or (n, 1);
+    the result has the shape of x (a float for a scalar)."""
     if isinstance(kernel, CuckerSmaleKernel):
         raise TypeError("limit_drift takes a position-space kernel")
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
+    xq = x.reshape(-1, 1) if x.ndim < 2 else x
     if isinstance(m, GridDensity):
-        xq = np.atleast_1d(x)
-        out = ham.drift(xq) - _grid_sum(kernel, xq, m, gradient=True)
-        return float(out[0]) if scalar else out
-    if not isinstance(m, ParticleEnsemble):
+        if xq.shape[1:] != (1,):
+            raise DimensionError(f"limit_drift takes points on the line, shape (n,) or (n, 1), not {x.shape}")
+        out = ham.drift(xq[:, 0]) - _grid_sum(kernel, xq[:, 0], m, gradient=True)
+    elif isinstance(m, ParticleEnsemble):
+        out = ham.drift(xq) - _pair_sum(kernel, xq, m.positions, m.weights, gradient=True)
+    else:
         raise TypeError(f"unsupported measure type {type(m)!r}")
-    xq = np.atleast_2d(x)
-    out = ham.drift(xq) - _pair_sum(kernel, xq, m.positions, m.weights, gradient=True)
-    return out[0] if (scalar or x.ndim == 1) else out
+    return out.item() if x.ndim == 0 else out.reshape(x.shape)
 
 
 def solve_aggregation_particles(
@@ -47,12 +51,11 @@ def solve_aggregation_particles(
     T: float,
     dt: float,
     save_every: int | None = None,
-    blowup_radius: float = 50.0,
 ) -> MeasurePath:
     """RK4 integration of the self-consistent characteristics.
 
     Each atom moves with the drift of the running empirical measure;
-    weights are constant.  Exceeding blowup_radius raises (expected for
+    weights are constant.  Exceeding BLOWUP_RADIUS raises (expected for
     attractive non-semiconcave kernels, where no global bound holds).
     """
     if isinstance(kernel, CuckerSmaleKernel):
@@ -69,7 +72,7 @@ def solve_aggregation_particles(
     rhs = lambda p: ham.drift(p) - _pair_sum(kernel, p, p, w, gradient=True)
     for j in range(n_steps):
         pos = _rk4(rhs, pos, dt, 1)
-        if not np.all(np.isfinite(pos)) or np.max(np.abs(pos)) > blowup_radius:
+        if not np.all(np.isfinite(pos)) or np.max(np.abs(pos)) > BLOWUP_RADIUS:
             raise DivergenceError(
                 f"trajectories diverged at t={(j + 1) * dt:.4f} under kernel {kernel!r}"
             )

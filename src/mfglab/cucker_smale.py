@@ -4,21 +4,21 @@ For atomic initial data the particle system *is* the measure-valued
 solution (pushforward of m0 under the characteristic flow); the only
 discretization is in time (RK4).  solve_cs only integrates;
 richardson_order_ratio probes the order apart (the acceleration sweep
-and ``mfglab solve-cs`` call it at 8 dt).
+and ``mfglab solve-cs`` call it at 8 dt).  The flock lives on the line:
+the RK4 state is the (N, 2) array [pos | vel].
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
-from .kernels import CuckerSmaleKernel, _cs_pair_sum
+from .kernels import CuckerSmaleKernel, _cs_pair_sum, _flock
 from .measures import MeasurePath, ParticleEnsemble
 
 
 def cs_rhs(ensemble: ParticleEnsemble, kernel: CuckerSmaleKernel) -> np.ndarray:
-    """Per-atom alignment acceleration a_i = -sum_j w_j 2(v_i - v_j)/g(x_i - x_j)."""
-    return _phase_rhs(ensemble, kernel)(ensemble.points)[:, ensemble.spatial_dim :]
+    """Per-atom alignment acceleration a_i = -sum_j w_j 2(v_i - v_j)/g(x_i - x_j), (N,)."""
+    return _phase_rhs(ensemble, kernel)(ensemble.points)[:, 1]
 
 
 def _rk4(rhs, z, dt, n_steps):
@@ -33,16 +33,15 @@ def _rk4(rhs, z, dt, n_steps):
 
 
 def _phase_rhs(m0: ParticleEnsemble, kernel):
-    """Right-hand side on the stacked state z = [pos | vel]: returns [vel | -D_vF], with -D_vF
-    the alignment pair sum over the (N, N, d) offsets."""
-    if not m0.is_phase_space:
-        raise DimensionError("phase-space ensemble required")
-    d, w = m0.spatial_dim, m0.weights
+    """Right-hand side on the state z = [pos | vel], (N, 2): returns [vel | -D_vF], with -D_vF
+    the alignment pair sum over the (N, N) offsets."""
+    _flock(m0)
+    w = m0.weights
 
     def rhs(z):
-        pos, vel = z[:, :d], z[:, d:]
+        pos, vel = z[:, 0], z[:, 1]
         (dv_f,) = _cs_pair_sum(kernel, pos, vel, pos, vel, w, grad_v=True)
-        return np.hstack([vel, -dv_f])
+        return np.column_stack([vel, -dv_f])
 
     return rhs
 
@@ -81,12 +80,13 @@ def solve_cs(
         z = _rk4(rhs, z, dt, 1)
         if (j + 1) % save_every == 0 or j == n_steps - 1:
             times.append((j + 1) * dt)
-            snaps.append(ParticleEnsemble(z, m0.weights, m0.spatial_dim))
+            snaps.append(ParticleEnsemble(z, m0.weights, 1))
     return MeasurePath(np.array(times), snaps)
 
 
-def sample_to_atoms(density_sampler, n: int, seed: int, spatial_dim: int) -> ParticleEnsemble:
-    """i.i.d. sampling of a non-atomic m0 to n equal-weight atoms (recorded seed)."""
+def sample_to_atoms(density_sampler, n: int, seed: int) -> ParticleEnsemble:
+    """i.i.d. sampling of a non-atomic m0 on the line to n equal-weight (x, v) atoms (recorded seed);
+    density_sampler(rng, n) returns their (n, 2) coordinates."""
     rng = np.random.default_rng(seed)
     pts = np.atleast_2d(np.asarray(density_sampler(rng, n), dtype=float))
-    return ParticleEnsemble.equal_weights(pts, spatial_dim)
+    return ParticleEnsemble.equal_weights(pts, 1)

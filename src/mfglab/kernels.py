@@ -19,12 +19,14 @@ than it saves -- goes through the dense (nq, N) offset array
 repulsive-attractive profile r exp(-a r) would need a two-term
 recurrence.
 
-The Cucker-Smale kernel acts in d dimensions, jointly on
-position-velocity offsets, k(x,v) = |v|^2 / g(x) with
-g(x) = (alpha + |x|^2)^beta; its weight is not radial in (x, v) and not
-a sum of exponentials.  Its pair sums (the alignment force, the energy
-and gradients of the MFG of acceleration, single-query couplings) all go
-through ``_cs_pair_sum``, one pass over one set of offsets.
+The Cucker-Smale kernel acts on the line too, jointly on
+position-velocity offsets of any shape, k(x,v) = v^2 / g(x) with
+g(x) = (alpha + x^2)^beta elementwise; its weight is not radial in
+(x, v) and not a sum of exponentials.  Its pair sums (the alignment
+force, the energy and gradients of the MFG of acceleration, single-query
+couplings) all go through ``_cs_pair_sum``, one pass over one set of
+offsets.  A phase-space ensemble enters that side through ``_flock``,
+which rejects one off the line.
 """
 
 from __future__ import annotations
@@ -36,12 +38,6 @@ from scipy.interpolate import CubicSpline
 
 from .errors import DimensionError
 from .measures import GridDensity, ParticleEnsemble
-
-
-def _sq_norm(x):
-    """|x|^2 over the last axis; one coordinate is squared directly, which rounds
-    as the one-term sum does but skips numpy's slower length-1 reduction."""
-    return x[..., 0] ** 2 if x.shape[-1] == 1 else np.sum(x**2, axis=-1)
 
 
 def _radial_value(kernel, x):
@@ -195,7 +191,7 @@ class ZeroKernel:
 
 @dataclass(frozen=True)
 class CuckerSmaleKernel:
-    """k(x, v) = |v|^2 / g(x) with communication weight g(x) = (alpha + |x|^2)^beta."""
+    """k(x, v) = v^2 / g(x) with communication weight g(x) = (alpha + x^2)^beta, elementwise on the line."""
 
     alpha: float = 1.0
     beta: float = 0.0
@@ -206,19 +202,11 @@ class CuckerSmaleKernel:
         if self.beta < 0:
             raise ValueError("beta must be nonnegative")
 
-    @staticmethod
-    def _coords(z):
-        """Interpret input as an array of d-vectors: shape (..., d), scalar -> (1,)."""
-        z = np.asarray(z, dtype=float)
-        return z[None] if z.ndim == 0 else z
-
     def g(self, x):
-        x = self._coords(x)
-        return (self.alpha + _sq_norm(x)) ** self.beta
+        return (self.alpha + np.asarray(x, dtype=float) ** 2) ** self.beta
 
     def value(self, x, v):
-        v = self._coords(v)
-        return _sq_norm(v) / self.g(x)
+        return np.asarray(v, dtype=float) ** 2 / self.g(x)
 
     @property
     def c0(self) -> float:
@@ -355,7 +343,7 @@ PAIR_ARRAY_CAP = 2**28
 
 
 def _pair_offsets(xq, vq, x, v):
-    """xq_p - x_q and vq_p - v_q, each (nq, N, ..., d); raises before allocating past PAIR_ARRAY_CAP."""
+    """xq_p - x_q and vq_p - v_q, each (nq, N, ...); raises before allocating past PAIR_ARRAY_CAP."""
     nbytes = xq.shape[0] * x.nbytes
     if nbytes > PAIR_ARRAY_CAP:
         raise ValueError(f"pair arrays of {nbytes} bytes each exceed the cap of {PAIR_ARRAY_CAP} bytes")
@@ -363,13 +351,13 @@ def _pair_offsets(xq, vq, x, v):
 
 
 def _cs_pair_sum(kernel, xq, vq, x, v, w, wq=None, grad_x=False, grad_v=False):
-    """Cucker-Smale pair sums between query states xq, vq (nq, ..., d) and atoms x, v (N, ..., d).
+    """Cucker-Smale pair sums between query states xq, vq (nq, ...) and atoms x, v (N, ...) on the line.
 
     Returns, in this order and only those asked for: sum_pq wq_p w_q k
     (over the middle axes) when query weights wq are given, and
-    sum_q w_q D_x k and sum_q w_q D_v k at every query, (nq, ..., d).
-    The offsets are built once and g once (``kernel.g``); k = |v|^2 / g,
-    D_x k = -|v|^2 2 beta (alpha + |x|^2)^(-beta-1) x and D_v k = 2 v / g
+    sum_q w_q D_x k and sum_q w_q D_v k at every query, (nq, ...).
+    The offsets are built once and g once (``kernel.g``); k = v^2 / g,
+    D_x k = -v^2 2 beta (alpha + x^2)^(-beta-1) x and D_v k = 2 v / g
     round as their pointwise forms do, and each (nq, N, ...) buffer is
     reused in place or dropped once spent.
     """
@@ -377,25 +365,25 @@ def _cs_pair_sum(kernel, xq, vq, x, v, w, wq=None, grad_x=False, grad_v=False):
     g = kernel.g(dx)
     out = []
     if wq is not None or grad_x:
-        vv = _sq_norm(dv)
+        vv = dv**2
     if wq is not None:
         out.append(np.einsum("p,q,pq...->...", wq, w, vv / g))
     if grad_v:
         dv *= 2.0
-        dv /= g[..., None]
+        dv /= g
         gv = np.einsum("q,pq...->p...", w, dv)
     del dv, g
     if grad_x:
-        q = _sq_norm(dx)
+        q = dx**2
         q += kernel.alpha
         q **= -kernel.beta - 1.0
-        # -|v|^2 * 2 * beta * q, multiplied left to right in the buffer of |v|^2
+        # -v^2 * 2 * beta * q, multiplied left to right in the buffer of v^2
         np.negative(vv, out=vv)
         vv *= 2.0
         vv *= kernel.beta
         vv *= q
         del q
-        dx *= vv[..., None]
+        dx *= vv
         del vv
         out.append(np.einsum("q,pq...->p...", w, dx))
     if grad_v:
@@ -403,8 +391,22 @@ def _cs_pair_sum(kernel, xq, vq, x, v, w, wq=None, grad_x=False, grad_v=False):
     return out
 
 
+def _flock(m):
+    """Positions and velocities, each (N,), of a phase-space ensemble on the line.
+
+    Every ensemble enters the Cucker-Smale side through here: its pair
+    sums would read the extra coordinates of one with spatial_dim > 1 as
+    extra middle axes.
+    """
+    if not (isinstance(m, ParticleEnsemble) and m.is_phase_space):
+        raise DimensionError("the Cucker-Smale side needs a phase-space ensemble")
+    if m.spatial_dim != 1:
+        raise DimensionError(f"the Cucker-Smale side acts on the line, not in spatial_dim {m.spatial_dim}")
+    return m.points[:, 0], m.points[:, 1]
+
+
 def _coupling(kernel, x, m, v, gradient):
-    """Shared body of eval_coupling and grad_coupling."""
+    """Shared body of eval_coupling and grad_coupling at one query point on the line."""
     cs = isinstance(kernel, CuckerSmaleKernel)
     if cs and v is None:
         raise DimensionError("Cucker-Smale kernel needs a velocity argument")
@@ -412,20 +414,15 @@ def _coupling(kernel, x, m, v, gradient):
         raise DimensionError("velocity argument only valid for the Cucker-Smale kernel")
     if not isinstance(m, (GridDensity, ParticleEnsemble)):
         raise TypeError(f"unsupported measure type {type(m)!r}")
-    if cs and (isinstance(m, GridDensity) or not m.is_phase_space):
-        raise DimensionError("Cucker-Smale coupling needs a phase-space ensemble")
+    if cs:
+        pos, vel = _flock(m)
+        wq = None if gradient else np.ones(1)
+        sums = _cs_pair_sum(kernel, np.reshape(x, 1), np.reshape(v, 1), pos, vel, m.weights, wq, gradient, gradient)
+        return tuple(s.item() for s in sums) if gradient else sums[0].item()
     if isinstance(m, GridDensity):
         return float(_grid_sum(kernel, np.reshape(x, 1), m, gradient)[0])
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if cs:
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        sums = _cs_pair_sum(
-            kernel, x[None], v[None], m.positions, m.velocities, m.weights,
-            wq=None if gradient else np.ones(1), grad_x=gradient, grad_v=gradient,
-        )
-        return (sums[0][0], sums[1][0]) if gradient else float(sums[0])
-    out = _pair_sum(kernel, x[None, :], m.positions, m.weights, gradient)[0]
-    return out if gradient else float(out)
+    return _pair_sum(kernel, x[None, :], m.positions, m.weights, gradient).item()
 
 
 def eval_coupling(kernel, x, m, v=None):
@@ -436,8 +433,8 @@ def eval_coupling(kernel, x, m, v=None):
 def grad_coupling(kernel, x, m, v=None):
     """Analytic gradient of the coupling.
 
-    Returns D_x F for the radial kernels and the pair (D_x F, D_v F)
-    for the Cucker-Smale kernel.
+    Returns the float D_x F for the radial kernels and the pair of
+    floats (D_x F, D_v F) for the Cucker-Smale kernel.
     """
     return _coupling(kernel, x, m, v, gradient=True)
 

@@ -24,10 +24,10 @@ from mfglab.measures import wasserstein1_particles
 
 def loop_states(ens):
     """Node positions and velocities from the kinematic recursion, one interval at a time."""
-    n, K, d = ens.controls.shape
+    n, K = ens.controls.shape
     dt = ens.dt
-    x = np.empty((n, K + 1, d))
-    v = np.empty((n, K + 1, d))
+    x = np.empty((n, K + 1))
+    v = np.empty((n, K + 1))
     x[:, 0] = ens.x0
     v[:, 0] = ens.v0
     for j in range(K):
@@ -39,16 +39,15 @@ def loop_states(ens):
 
 def three_call_pair_sums(x, v, w, kernel):
     """sum_pq w_p w_q k per node, and per atom D_xF and D_vF at every node, from the
-    pointwise k, D_x k and D_v k of the kernel written out, each a call of its own."""
+    pointwise k, D_x k and D_v k of the kernel written out, each a call of its own,
+    on (N, K+1) node states."""
     alpha, beta = kernel.alpha, kernel.beta
-    g = lambda z: (alpha + np.sum(z**2, axis=-1)) ** beta
+    g = lambda z: (alpha + z**2) ** beta
     dxp, dvp = x[:, None] - x[None, :], v[:, None] - v[None, :]
-    pairs = np.einsum("p,q,pqj->j", w, w, np.sum(dvp**2, axis=-1) / g(dxp))
-    r2 = np.sum(dxp**2, axis=-1)
-    vv = np.sum(dvp**2, axis=-1)
-    coef = -vv * 2.0 * beta * (alpha + r2) ** (-beta - 1.0)
-    gx = np.einsum("q,pqjd->pjd", w, coef[..., None] * dxp)
-    gv = np.einsum("q,pqjd->pjd", w, 2.0 * dvp / g(dxp)[..., None])
+    pairs = np.einsum("p,q,pqj->j", w, w, dvp**2 / g(dxp))
+    coef = -(dvp**2) * 2.0 * beta * (alpha + dxp**2) ** (-beta - 1.0)
+    gx = np.einsum("q,pqj->pj", w, coef * dxp)
+    gv = np.einsum("q,pqj->pj", w, 2.0 * dvp / g(dxp))
     return pairs, gx, gv
 
 
@@ -62,24 +61,24 @@ def loop_energy_gradient(ens, kernel, lam):
     w = ens.weights
     x, v = loop_states(ens)
     pairs, gx, gv = three_call_pair_sums(x, v, w, kernel)
-    control = float(np.sum(w[:, None] * np.sum(ens.controls**2, axis=2) * cw[None, :]) / (2.0 * lam))
+    control = float(np.sum(w[:, None] * ens.controls**2 * cw[None, :]) / (2.0 * lam))
     interaction = float(qw @ (0.5 * pairs))
-    gx = w[:, None, None] * gx * qw[None, :, None]
-    gv = w[:, None, None] * gv * qw[None, :, None]
+    gx = w[:, None] * gx * qw[None, :]
+    gv = w[:, None] * gv * qw[None, :]
     grad = np.empty_like(ens.controls)
     px = gx[:, K].copy()
     pv = gv[:, K].copy()
     for j in range(K - 1, -1, -1):
-        grad[:, j] = w[:, None] * ens.controls[:, j] * cw[j] / lam + 0.5 * dt**2 * px + dt * pv
+        grad[:, j] = w * ens.controls[:, j] * cw[j] / lam + 0.5 * dt**2 * px + dt * pv
         pv = pv + dt * px + gv[:, j]
         px = px + gx[:, j]
     return control, interaction, grad
 
 
-def random_ensemble(rng, n, K, d):
+def random_ensemble(rng, n, K):
     w = rng.uniform(0.5, 1.5, n)
     return TrajectoryEnsemble(
-        rng.standard_normal((n, d)), rng.standard_normal((n, d)), 0.3 * rng.standard_normal((n, K, d)), 1.0, w / w.sum()
+        rng.standard_normal(n), rng.standard_normal(n), 0.3 * rng.standard_normal((n, K)), 1.0, w / w.sum()
     )
 
 
@@ -101,7 +100,7 @@ class TestTrajectoryEnsemble:
     def test_kinematic_recursion_exact(self, rng):
         m0 = ParticleEnsemble.equal_weights(rng.standard_normal((3, 2)), 1)
         ens = TrajectoryEnsemble.free_flight(m0, 1.0, 16).with_controls(
-            rng.standard_normal((3, 16, 1))
+            rng.standard_normal((3, 16))
         )
         dt = ens.dt
         x, v, a = ens.positions, ens.velocities, ens.controls
@@ -114,14 +113,14 @@ class TestTrajectoryEnsemble:
     def test_free_flight_is_straight(self, two_body_phase):
         ens = TrajectoryEnsemble.free_flight(two_body_phase, 2.0, 8)
         assert np.allclose(
-            ens.positions[:, -1, 0],
+            ens.positions[:, -1],
             two_body_phase.positions[:, 0] + 2.0 * two_body_phase.velocities[:, 0],
             atol=1e-14,
         )
 
     def test_initial_atoms_fixed(self, two_body_phase, rng):
         ens = TrajectoryEnsemble.free_flight(two_body_phase, 1.0, 8).with_controls(
-            rng.standard_normal((2, 8, 1))
+            rng.standard_normal((2, 8))
         )
         assert np.array_equal(ens.phase_ensemble(0).points, two_body_phase.points)
 
@@ -164,7 +163,7 @@ class TestDiscreteEnergy:
         m0 = ParticleEnsemble.equal_weights(np.array([[0.0, 0.0]]), 1)
         lam, a0 = 3.0, 0.7
         ens = TrajectoryEnsemble.free_flight(m0, 1.0, 32).with_controls(
-            np.full((1, 32, 1), a0)
+            np.full((1, 32), a0)
         )
         exact = a0**2 * (1.0 - np.exp(-lam)) / (2.0 * lam**2)
         assert discrete_energy(ens, cs_flat, lam).control == pytest.approx(exact, abs=1e-14)
@@ -172,7 +171,7 @@ class TestDiscreteEnergy:
     def test_relabeling_invariance(self, rng):
         kernel = CuckerSmaleKernel(1.0, 0.5)
         m0 = ParticleEnsemble.equal_weights(rng.standard_normal((4, 2)), 1)
-        a = rng.standard_normal((4, 8, 1))
+        a = rng.standard_normal((4, 8))
         ens = TrajectoryEnsemble.free_flight(m0, 1.0, 8).with_controls(a)
         perm = rng.permutation(4)
         m0p = ParticleEnsemble.equal_weights(m0.points[perm], 1)
@@ -193,32 +192,33 @@ class TestEnergyGradient:
         # N=1: gradient is w * a_j * (e^{-lam t_j} - e^{-lam t_{j+1}}) / lam^2
         m0 = ParticleEnsemble.equal_weights(np.array([[0.0, 0.3]]), 1)
         lam = 4.0
-        a = rng.standard_normal((1, 8, 1))
+        a = rng.standard_normal((1, 8))
         ens = TrajectoryEnsemble.free_flight(m0, 1.0, 8).with_controls(a)
         g = energy_gradient(ens, cs_flat, lam)[1]
         t = ens.times
-        expected = a[0, :, 0] * (np.exp(-lam * t[:-1]) - np.exp(-lam * t[1:])) / lam**2
-        assert np.allclose(g[0, :, 0], expected, atol=1e-15)
+        expected = a[0] * (np.exp(-lam * t[:-1]) - np.exp(-lam * t[1:])) / lam**2
+        assert np.allclose(g[0], expected, atol=1e-15)
 
     def test_matches_finite_differences(self, rng):
         kernel = CuckerSmaleKernel(1.0, 0.5)
         for n, K in ((2, 8), (4, 16)):
             m0 = ParticleEnsemble.equal_weights(rng.standard_normal((n, 2)), 1)
             ens = TrajectoryEnsemble.free_flight(m0, 1.0, K).with_controls(
-                0.5 * rng.standard_normal((n, K, 1))
+                0.5 * rng.standard_normal((n, K))
             )
             g = energy_gradient(ens, kernel, 7.0)[1]
             fd = finite_difference_gradient(ens, kernel, 7.0)
             assert np.max(np.abs(g - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("draw", [1, 2])
 @pytest.mark.parametrize("K", [1, 2, 17])
-def test_running_sums_and_one_pair_pass_match_loops(d, K):
-    """States, energy and gradient equal the loop oracles bit for bit, unequal weights."""
-    rng = np.random.default_rng(100 * d + K)
+def test_running_sums_and_one_pair_pass_match_loops(draw, K):
+    """States, energy and gradient equal the loop oracles bit for bit, unequal weights,
+    for two random ensembles on the line."""
+    rng = np.random.default_rng(100 * draw + K)
     kernel = CuckerSmaleKernel(0.7, 0.5)
-    ens = random_ensemble(rng, 6, K, d)
+    ens = random_ensemble(rng, 6, K)
     x, v = loop_states(ens)
     assert np.array_equal(ens.positions, x) and np.array_equal(ens.velocities, v)
     control, interaction, grad = loop_energy_gradient(ens, kernel, 7.0)
@@ -232,7 +232,7 @@ def test_running_sums_and_one_pair_pass_match_loops(d, K):
 def test_pair_pass_matches_three_calls(beta, rng):
     """Every exponent of g, including the fast powers numpy special-cases, rounds as before."""
     kernel = CuckerSmaleKernel(1.3, beta)
-    ens = random_ensemble(rng, 5, 9, 2)
+    ens = random_ensemble(rng, 5, 9)
     x, v, w = ens.positions, ens.velocities, ens.weights
     got = kernels._cs_pair_sum(kernel, x, v, x, v, w, wq=w, grad_x=True, grad_v=True)
     for a, b in zip(got, three_call_pair_sums(x, v, w, kernel)):
@@ -269,10 +269,10 @@ class TestMinimizeEnergy:
         assert len(calls) == res.function_evaluations + 2
 
     def test_objective_peak_memory(self, rng):
-        """One energy-and-gradient evaluation at N = 24, K = 512, d = 1 peaks at
-        5.0 pair arrays of (N, N, K+1, d) floats; the separate energy and gradient
+        """One energy-and-gradient evaluation at N = 24, K = 512 peaks at
+        5.0 pair arrays of (N, N, K+1) floats; the separate energy and gradient
         passes it replaced peaked at 7.0 in the gradient alone."""
-        ens = random_ensemble(rng, 24, 512, 1)
+        ens = random_ensemble(rng, 24, 512)
         ens.positions  # node states are cached, not part of the pass
         tracemalloc.start()
         try:
@@ -288,7 +288,7 @@ class TestMinimizeEnergy:
             minimize_energy(m0, cs_flat, 10.0, 1.0, 10**4)
 
     def test_pair_array_cap(self, cs_flat, rng):
-        # N K d = 1e6 passes the variable budget, but each (N, N, K+1, d)
+        # N K = 1e6 passes the variable budget, but each (N, N, K+1)
         # pair array would take 200 * 200 * 5001 * 8 bytes = 1.6 GB
         m0 = ParticleEnsemble.equal_weights(rng.standard_normal((200, 2)), 1)
         with pytest.raises(ValueError, match="1600320000 bytes"):
@@ -313,6 +313,6 @@ class TestElResidual:
         res = minimize_energy(two_body_phase, cs_flat, 10.0, 1.0, 640)
         base = res.el_residual
         a = res.ensemble.controls.copy()
-        a[0, a.shape[1] // 4, 0] += 0.1
+        a[0, a.shape[1] // 4] += 0.1
         perturbed = el_residual(res.ensemble.with_controls(a), cs_flat, 10.0)
         assert perturbed >= 10.0 * base

@@ -190,7 +190,7 @@ def test_energy_gradient_vs_central_differences():
     for n, K in ((2, 8), (4, 16)):
         m0 = ParticleEnsemble.equal_weights(rng.standard_normal((n, 2)), 1)
         ens = TrajectoryEnsemble.free_flight(m0, 1.0, K).with_controls(
-            0.5 * rng.standard_normal((n, K, 1))
+            0.5 * rng.standard_normal((n, K))
         )
         g = energy_gradient(ens, kernel, 7.0)[1]
         fd = np.zeros_like(g)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mfglab import aggregation
 from mfglab import (
     CflError,
     DivergenceError,
@@ -11,6 +12,7 @@ from mfglab import (
     ParticleEnsemble,
     QuadraticDriftHamiltonian,
     ZeroKernel,
+    grad_coupling,
     limit_drift,
     solve_aggregation_fv,
     solve_aggregation_particles,
@@ -53,6 +55,23 @@ class TestLimitDrift:
         dp = limit_drift(zero_ham, exp_kernel, xq[:, None], m_part)
         assert np.allclose(dg, dp[:, 0], atol=5e-3)
 
+    @pytest.mark.parametrize("shape", [(), (3,), (3, 1)], ids=["scalar", "n", "n-1"])
+    @pytest.mark.parametrize("measure", ["grid", "particles"])
+    def test_query_shapes(self, measure, shape, exp_kernel, gauss_m0):
+        """Both measure types take a scalar, (n,) or (n, 1) and answer in its shape,
+        a float for a scalar, with the drift minus the pointwise D_xF at each point."""
+        ham = QuadraticDriftHamiltonian(DriftField("sinusoidal", 0.5, 2.0))
+        m = gauss_m0 if measure == "grid" else atoms(-0.5, 0.2, 1.0)
+        points = np.array([-1.0, 0.0, 0.7])
+        x = points[0] if shape == () else points.reshape(shape)
+        out = limit_drift(ham, exp_kernel, x, m)
+        if shape == ():
+            assert type(out) is float
+        else:
+            assert out.shape == shape
+        expected = [ham.drift(p) - grad_coupling(exp_kernel, p, m) for p in np.ravel(x)]
+        assert np.allclose(np.ravel(out), expected, rtol=0.0, atol=1e-14)
+
 
 class TestParticleSolver:
     def test_single_particle_stationary(self, zero_ham):
@@ -85,14 +104,13 @@ class TestParticleSolver:
         for m in path.measures:
             assert float(m.weights @ m.positions[:, 0]) == pytest.approx(com0, abs=1e-12)
 
-    def test_escape_past_blowup_radius_raises(self, zero_ham, rng):
+    def test_escape_past_blowup_radius_raises(self, zero_ham, rng, monkeypatch):
         # strong repulsion drives the gap like ln(t): eventually some
         # particle leaves the monitored ball and the solver reports it
+        monkeypatch.setattr(aggregation, "BLOWUP_RADIUS", 5.0)
         m0 = ParticleEnsemble.equal_weights(rng.uniform(-1, 1, (16, 1)), 1)
         with pytest.raises(DivergenceError, match="ExponentialKernel"):
-            solve_aggregation_particles(
-                zero_ham, ExponentialKernel(1e4, 1.0), m0, 5.0, 1e-2, blowup_radius=5.0
-            )
+            solve_aggregation_particles(zero_ham, ExponentialKernel(1e4, 1.0), m0, 5.0, 1e-2)
 
 
 class TestFvSolver:

@@ -5,7 +5,11 @@ from mfglab import (
     CuckerSmaleKernel,
     DimensionError,
     ParticleEnsemble,
+    TrajectoryEnsemble,
     cs_rhs,
+    eval_coupling,
+    grad_coupling,
+    minimize_energy,
     moment2,
     richardson_order_ratio,
     sample_to_atoms,
@@ -25,8 +29,8 @@ class TestCsRhs:
     def test_two_body_flat_weight(self, cs_flat, two_body_phase):
         a = cs_rhs(two_body_phase, cs_flat)
         # a1 = -1/2 * 2 * (1 - (-1)) = -2
-        assert a[0, 0] == pytest.approx(-2.0)
-        assert a[1, 0] == pytest.approx(2.0)
+        assert a[0] == pytest.approx(-2.0)
+        assert a[1] == pytest.approx(2.0)
 
     def test_weighted_sum_vanishes(self, rng):
         pts = rng.standard_normal((12, 2))
@@ -34,7 +38,7 @@ class TestCsRhs:
         w /= w.sum()
         m = ParticleEnsemble(pts, w, 1)
         a = cs_rhs(m, CuckerSmaleKernel(1.0, 0.7))
-        assert abs(float(w @ a[:, 0])) < 1e-12
+        assert abs(float(w @ a)) < 1e-12
 
     def test_position_only_rejected(self):
         m = ParticleEnsemble.equal_weights(np.zeros((3, 1)), 1)
@@ -83,8 +87,8 @@ class TestSampling:
         sampler = lambda rng, n: np.column_stack(
             [rng.standard_normal(n), rng.standard_normal(n)]
         )
-        a = sample_to_atoms(sampler, 32, seed=5, spatial_dim=1)
-        b = sample_to_atoms(sampler, 32, seed=5, spatial_dim=1)
+        a = sample_to_atoms(sampler, 32, seed=5)
+        b = sample_to_atoms(sampler, 32, seed=5)
         assert np.array_equal(a.points, b.points)
         assert a.is_phase_space
 
@@ -96,10 +100,31 @@ class TestSampling:
             [0.5 * rng.standard_normal(n), rng.standard_normal(n)]
         )
         kernel = CuckerSmaleKernel(1.0, 0.4)
-        mA = sample_to_atoms(sampler, 64, seed=1, spatial_dim=1)
-        mB = sample_to_atoms(sampler, 128, seed=2, spatial_dim=1)
+        mA = sample_to_atoms(sampler, 64, seed=1)
+        mB = sample_to_atoms(sampler, 128, seed=2)
         d0 = wasserstein1_particles(mA, mB)
         pA = solve_cs(mA, kernel, 1.0, 1e-2)
         pB = solve_cs(mB, kernel, 1.0, 1e-2)
         d1 = wasserstein1_particles(pA.measures[-1], pB.measures[-1])
         assert d1 <= 2.0 * d0 + 0.1
+
+
+# every place a phase-space ensemble enters the Cucker-Smale side
+ENTRIES = {
+    "solve_cs": lambda m, k: solve_cs(m, k, 0.1, 0.05),
+    "richardson_order_ratio": lambda m, k: richardson_order_ratio(m, k, 0.1, 0.05),
+    "cs_rhs": cs_rhs,
+    "minimize_energy": lambda m, k: minimize_energy(m, k, 10.0, 1.0, 8),
+    "free_flight": lambda m, k: TrajectoryEnsemble.free_flight(m, 1.0, 8),
+    "eval_coupling": lambda m, k: eval_coupling(k, 0.0, m, v=0.0),
+    "grad_coupling": lambda m, k: grad_coupling(k, 0.0, m, v=0.0),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRIES))
+def test_flock_off_the_line_raises(entry, rng):
+    """The flock lives on the line: a phase-space ensemble with spatial_dim 2 raises
+    instead of having its second coordinates read as extra middle axes."""
+    m = ParticleEnsemble.equal_weights(rng.standard_normal((4, 4)), 2)
+    with pytest.raises(DimensionError, match="acts on the line, not in spatial_dim 2"):
+        ENTRIES[entry](m, CuckerSmaleKernel(1.0, 0.5))

@@ -118,19 +118,26 @@ def integrations() -> dict:
     }
 
 
-def accelerations() -> dict:
+def _accel_ensemble():
+    """24 curves on the line with 16 random controls; the draws are those of the (N, 1) and
+    (N, K, 1) arrays the values were recorded with."""
     rng = np.random.default_rng(31)
-    x0, v0 = rng.standard_normal((24, 1)), rng.standard_normal((24, 1))
+    x0, v0 = rng.standard_normal(24), rng.standard_normal(24)
     w = rng.uniform(0.5, 1.5, 24)
-    ens = TrajectoryEnsemble(x0, v0, 0.3 * rng.standard_normal((24, 16, 1)), 1.0, w / w.sum())
+    return TrajectoryEnsemble(x0, v0, 0.3 * rng.standard_normal((24, 16)), 1.0, w / w.sum())
+
+
+def accelerations() -> dict:
+    ens = _accel_ensemble()
     kernel = CuckerSmaleKernel(1.0, 0.5)
     energy = discrete_energy(ens, kernel, 10.0)
-    fit = minimize_energy(ParticleEnsemble.equal_weights(np.hstack([x0, v0]), 1), kernel, 10.0, 1.0, 16)
+    fit = minimize_energy(ParticleEnsemble.equal_weights(np.column_stack([ens.x0, ens.v0]), 1), kernel, 10.0, 1.0, 16)
+    # (N, K) arrays in the recorded (N, K, 1) layout
     return {
         "energy": [energy.control, energy.interaction],
-        "gradient": energy_gradient(ens, kernel, 10.0)[1].tolist(),
+        "gradient": energy_gradient(ens, kernel, 10.0)[1][..., None].tolist(),
         "el_residual": el_residual(ens, kernel, 10.0),
-        "minimize_controls": fit.ensemble.controls.tolist(),
+        "minimize_controls": fit.ensemble.controls[..., None].tolist(),
         "minimize_iterations": fit.iterations,
     }
 
@@ -158,8 +165,8 @@ def csv_texts(tmp: Path) -> dict:
         "grid": GridDensity.gaussian(0.1, 0.5, -2.0, 0.25, 16).to_csv(),
         "phase": ParticleEnsemble.equal_weights(rng.standard_normal((5, 4)), 2).to_csv(),
     }
-    controls = rng.standard_normal((3, 4, 1))
-    traj = TrajectoryEnsemble(cs_atoms.positions[:3], cs_atoms.velocities[:3], controls, 1.0, np.full(3, 1 / 3))
+    controls = rng.standard_normal((3, 4))
+    traj = TrajectoryEnsemble(cs_atoms.points[:3, 0], cs_atoms.points[:3, 1], controls, 1.0, np.full(3, 1 / 3))
     texts["trajectories"] = traj.to_csv()
     rows = (
         {"w1_sup": 0.1, "converged": True, "iterations": 7, "flagged": False},
@@ -254,11 +261,7 @@ def test_objective_energy_bit_identical():
     """The energy the L-BFGS objective sees comes from the pass that gives the gradient
     (``kernels._cs_pair_sum``, which replaced ``acceleration._pair_gradients`` and the
     separate value pass); it equals the recorded energy bit for bit."""
-    rng = np.random.default_rng(31)
-    x0, v0 = rng.standard_normal((24, 1)), rng.standard_normal((24, 1))
-    w = rng.uniform(0.5, 1.5, 24)
-    ens = TrajectoryEnsemble(x0, v0, 0.3 * rng.standard_normal((24, 16, 1)), 1.0, w / w.sum())
-    energy, _ = energy_gradient(ens, CuckerSmaleKernel(1.0, 0.5), 10.0)
+    energy, _ = energy_gradient(_accel_ensemble(), CuckerSmaleKernel(1.0, 0.5), 10.0)
     assert [energy.control, energy.interaction] == GOLDEN["acceleration"]["energy"]
 
 
