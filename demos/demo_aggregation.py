@@ -39,7 +39,7 @@ def main():
         ("repulsive-attractive a=1", RepulsiveAttractiveKernel(1.0), 20.0),
     ]
     for name, kernel, T in cases:
-        path = solve_aggregation_particles(ham, kernel, m0, T, 1e-2, save_every=200)
+        path = solve_aggregation_particles(ham, kernel, m0, T, 1e-2)
         final = path.measures[-1]
         gaps = np.diff(np.sort(final.positions[:, 0]))
         print(f"{name}: T={T:g}")

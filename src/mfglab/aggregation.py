@@ -19,7 +19,7 @@ from .cucker_smale import _rk4
 from .errors import DimensionError, DivergenceError
 from .hamiltonians import QuadraticDriftHamiltonian
 from .kernels import CuckerSmaleKernel, _grid_matrix, _grid_sum, _pair_sum
-from .measures import GridDensity, MeasurePath, ParticleEnsemble
+from .measures import GridDensity, MeasurePath, ParticleEnsemble, _line_points
 from .mfg_pde import _check_cfl, _DiffusionSolver, transport_step
 
 #: solve_aggregation_particles raises once an atom leaves [-BLOWUP_RADIUS, BLOWUP_RADIUS]
@@ -31,17 +31,15 @@ def limit_drift(ham: QuadraticDriftHamiltonian, kernel, x, m):
     the result has the shape of x (a float for a scalar)."""
     if isinstance(kernel, CuckerSmaleKernel):
         raise TypeError("limit_drift takes a position-space kernel")
-    x = np.asarray(x, dtype=float)
-    xq = x.reshape(-1, 1) if x.ndim < 2 else x
+    xq = _line_points(x, "limit_drift")
     if isinstance(m, GridDensity):
-        if xq.shape[1:] != (1,):
-            raise DimensionError(f"limit_drift takes points on the line, shape (n,) or (n, 1), not {x.shape}")
-        out = ham.drift(xq[:, 0]) - _grid_sum(kernel, xq[:, 0], m, gradient=True)
+        dk = _grid_sum(kernel, xq, m, gradient=True)
     elif isinstance(m, ParticleEnsemble):
-        out = ham.drift(xq) - _pair_sum(kernel, xq, m.positions, m.weights, gradient=True)
+        dk = _pair_sum(kernel, xq, m.positions[:, 0], m.weights, gradient=True)
     else:
         raise TypeError(f"unsupported measure type {type(m)!r}")
-    return out.item() if x.ndim == 0 else out.reshape(x.shape)
+    out = ham.drift(xq) - dk
+    return out.item() if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
 def solve_aggregation_particles(
@@ -50,9 +48,9 @@ def solve_aggregation_particles(
     m0: ParticleEnsemble,
     T: float,
     dt: float,
-    save_every: int | None = None,
 ) -> MeasurePath:
-    """RK4 integration of the self-consistent characteristics.
+    """RK4 integration of the self-consistent characteristics, the (N,) positions,
+    saving about 512 snapshots and the last.
 
     Each atom moves with the drift of the running empirical measure;
     weights are constant.  Exceeding BLOWUP_RADIUS raises (expected for
@@ -63,10 +61,9 @@ def solve_aggregation_particles(
     if m0.is_phase_space:
         raise DimensionError("position-space ensemble expected")
     n_steps = max(1, round(T / dt))
-    if save_every is None:
-        save_every = max(1, n_steps // 512)
+    save_every = max(1, n_steps // 512)
     w = m0.weights
-    pos = m0.positions
+    pos = m0.positions[:, 0]
     times = [0.0]
     snaps = [m0]
     rhs = lambda p: ham.drift(p) - _pair_sum(kernel, p, p, w, gradient=True)
@@ -78,7 +75,7 @@ def solve_aggregation_particles(
             )
         if (j + 1) % save_every == 0 or j == n_steps - 1:
             times.append((j + 1) * dt)
-            snaps.append(ParticleEnsemble(pos, w, m0.spatial_dim))
+            snaps.append(ParticleEnsemble(pos, w, 1))
     return MeasurePath(np.array(times), snaps)
 
 

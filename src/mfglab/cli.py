@@ -88,12 +88,9 @@ def _cmd_solve_limit(desc, out, seed):
 
 
 def _cmd_solve_accel(desc, out, seed):
-    kernel = desc.build_kernel()
-    if not isinstance(kernel, CuckerSmaleKernel):
-        raise ConfigError("model.kernel: solve-accel needs kernel = cucker-smale")
     s = desc.solver
     m0 = desc.build_m0_atoms(seed)
-    result = minimize_energy(m0, kernel, s["lambda"], s["T"], s["n_intervals"])
+    result = minimize_energy(m0, desc.build_kernel(), s["lambda"], s["T"], s["n_intervals"])
     doc = _base_doc(desc, seed)
     doc.update(
         converged=result.converged,
@@ -109,8 +106,6 @@ def _cmd_solve_accel(desc, out, seed):
 
 def _cmd_solve_cs(desc, out, seed):
     kernel = desc.build_kernel()
-    if not isinstance(kernel, CuckerSmaleKernel):
-        raise ConfigError("model.kernel: solve-cs needs kernel = cucker-smale")
     s = desc.solver
     m0 = desc.build_m0_atoms(seed)
     path = solve_cs(m0, kernel, s["T"], s["dt"])
@@ -146,12 +141,9 @@ def _cmd_sweep_classic(desc, out, seed):
 
 
 def _cmd_sweep_accel(desc, out, seed):
-    kernel = desc.build_kernel()
-    if not isinstance(kernel, CuckerSmaleKernel):
-        raise ConfigError("model.kernel: sweep-accel needs kernel = cucker-smale")
     s = desc.solver
     report = run_lambda_sweep_acceleration(
-        kernel,
+        desc.build_kernel(),
         desc.build_m0_atoms(seed),
         desc.lambdas,
         T=s["T"],
@@ -165,14 +157,15 @@ def _cmd_sweep_accel(desc, out, seed):
     return 0 if not any(r["flagged"] for r in report.rows) else 3
 
 
+#: command -> (body, whether it takes kernel = cucker-smale; None where either family does)
 _COMMANDS = {
-    "validate-model": _cmd_validate_model,
-    "solve-mfg": _cmd_solve_mfg,
-    "solve-limit": _cmd_solve_limit,
-    "solve-accel": _cmd_solve_accel,
-    "solve-cs": _cmd_solve_cs,
-    "sweep-classic": _cmd_sweep_classic,
-    "sweep-accel": _cmd_sweep_accel,
+    "validate-model": (_cmd_validate_model, None),
+    "solve-mfg": (_cmd_solve_mfg, False),
+    "solve-limit": (_cmd_solve_limit, False),
+    "solve-accel": (_cmd_solve_accel, True),
+    "solve-cs": (_cmd_solve_cs, True),
+    "sweep-classic": (_cmd_sweep_classic, False),
+    "sweep-accel": (_cmd_sweep_accel, True),
 }
 
 
@@ -195,8 +188,12 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         desc = parse_config(Path(args.config).read_text())
+        run, wants_cs = _COMMANDS[args.command]
+        if wants_cs is not None and (desc.model["kernel"] == "cucker-smale") != wants_cs:
+            need = "kernel = cucker-smale" if wants_cs else "a position-space kernel, not cucker-smale"
+            raise ConfigError(f"model.kernel: {args.command} needs {need}")
         seed = desc.output["seed"] if args.seed is None else args.seed
-        status = _COMMANDS[args.command](desc, out, seed)
+        status = run(desc, out, seed)
     except Exception as exc:
         err = {
             "error": type(exc).__name__,

@@ -224,6 +224,14 @@ def _validate(values: dict) -> None:
     for key in ("m0_sigma", "n_intervals", "n_atoms"):
         if s[key] <= 0:
             raise ConfigError(f"solver.{key}: must be positive, got {s[key]}")
+    # build_m0_grid samples N(m0_center, m0_sigma^2) at the cell centres; the one nearest m0_center must get mass
+    hw, c = np.float64(s["half_width"]), s["m0_center"]
+    with np.errstate(all="ignore"):  # extreme values only decide whether the peak underflows
+        dx = 2.0 * hw / s["n_x"]
+        nearest = -hw + (np.clip(np.floor((c + hw) / dx), 0, s["n_x"] - 1) + 0.5) * dx
+        if not np.exp(-0.5 * ((nearest - c) / s["m0_sigma"]) ** 2) > 0:
+            key = "m0_center" if abs(c) >= hw else "m0_sigma"
+            raise ConfigError(f"solver.{key}: N({c}, {s['m0_sigma']}^2) puts no mass on the cells of [-{hw}, {hw}]")
     if s["atoms_x"] or s["atoms_v"]:
         lengths = []
         for key, other in (("atoms_x", "atoms_v"), ("atoms_v", "atoms_x")):

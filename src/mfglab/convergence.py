@@ -118,7 +118,7 @@ def sample_grid_to_atoms(m: GridDensity, n: int) -> ParticleEnsemble:
     cdf = np.concatenate([[0.0], m.cdf()])
     cdf = cdf / cdf[-1]
     pts = np.interp(q, cdf, edges)
-    return ParticleEnsemble.equal_weights(pts[:, None], 1)
+    return ParticleEnsemble.equal_weights(pts, 1)
 
 
 def w1_grid_vs_particles(m: GridDensity, ens: ParticleEnsemble) -> float:
@@ -354,15 +354,15 @@ def _acceleration_row(
     ens = result.ensemble
     certified = bool(np.isfinite(result.el_residual) and result.el_residual <= EL_TOLERANCE)
 
-    times = _window_times(T)
-    node_times = ens.times
-    w1_sup = 0.0
-    for t in times:
-        j = int(np.argmin(np.abs(node_times - t)))
-        d = wasserstein1_particles(ens.phase_ensemble(j), reference.at(t), seed=seed)
-        w1_sup = max(w1_sup, d)
-    j_half = int(np.argmin(np.abs(node_times - 0.5 * T)))
-    w1_half = wasserstein1_particles(ens.phase_ensemble(j_half), reference.at(0.5 * T), seed=seed)
+    # (trajectory node, reference snapshot) at each window time, then at T/2, which is one of them;
+    # one transport solve per distinct pair, matched on indices (float window times can miss T/2)
+    nearest = lambda times, t: int(np.argmin(np.abs(times - t)))
+    pairs = [(nearest(ens.times, t), nearest(reference.times, t)) for t in (*_window_times(T), 0.5 * T)]
+    w1 = {
+        (j, r): wasserstein1_particles(ens.phase_ensemble(j), reference.measures[r], seed=seed)
+        for j, r in dict.fromkeys(pairs)
+    }
+    w1_sup, w1_half = max(w1[p] for p in pairs[:-1]), w1[pairs[-1]]
 
     m2v = moment2(m0, selector="velocity")
     bound = 2.0 * kernel.c0 * m2v / lam

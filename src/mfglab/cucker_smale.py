@@ -88,5 +88,4 @@ def sample_to_atoms(density_sampler, n: int, seed: int) -> ParticleEnsemble:
     """i.i.d. sampling of a non-atomic m0 on the line to n equal-weight (x, v) atoms (recorded seed);
     density_sampler(rng, n) returns their (n, 2) coordinates."""
     rng = np.random.default_rng(seed)
-    pts = np.atleast_2d(np.asarray(density_sampler(rng, n), dtype=float))
-    return ParticleEnsemble.equal_weights(pts, 1)
+    return ParticleEnsemble.equal_weights(density_sampler(rng, n), 1)

@@ -6,7 +6,7 @@ grid quadrature, ``_pair_sum`` over the atoms of an empirical measure.
 The radial kernels (exponential, repulsive-attractive, Morse, tabulated
 crowd kernel, zero) act on the line: value and gradient work elementwise
 on 1D offsets of any shape, k(x) = phi(|x|) and Dk(x) = phi'(|x|) sign(x),
-so Dk(0) = 0 at a kink.  Their pair sums take points of shape (n, 1).
+so Dk(0) = 0 at a kink.  Their pair sums take (nq,) queries and (N,) atoms.
 
 ``_pair_sum`` has two bodies.  Under a kernel whose profile is a sum of
 exponentials, phi(r) = sum_k c_k exp(-a_k r) (exponential: one term;
@@ -25,8 +25,10 @@ g(x) = (alpha + x^2)^beta elementwise; its weight is not radial in
 (x, v) and not a sum of exponentials.  Its pair sums (the alignment
 force, the energy and gradients of the MFG of acceleration, single-query
 couplings) all go through ``_cs_pair_sum``, one pass over one set of
-offsets.  A phase-space ensemble enters that side through ``_flock``,
-which rejects one off the line.
+offsets.  An ensemble enters that side through ``_flock``, which
+rejects one without velocities.  Atoms are on the line by construction
+(``ParticleEnsemble``); free-form query points go through
+``measures._line_points``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import DimensionError
-from .measures import GridDensity, ParticleEnsemble
+from .measures import GridDensity, ParticleEnsemble, _line_points
 
 
 def _radial_value(kernel, x):
@@ -249,16 +251,12 @@ _SORTED_MIN_ATOMS = 96
 
 
 def _pair_sum(kernel, xq, pos, w, gradient=False):
-    """sum_j w_j k(xq_i - pos_j), (nq,), or sum_j w_j Dk(xq_i - pos_j), (nq, 1),
-    for queries xq (nq, 1) and atoms pos (N, 1) on the line.
+    """sum_j w_j k(xq_i - pos_j), or sum_j w_j Dk(xq_i - pos_j), (nq,),
+    for queries xq (nq,) and atoms pos (N,) on the line.
 
     Sorted and exact under a sum-of-exponentials profile, dense in the
-    atoms otherwise.  Points off the line raise DimensionError.
+    atoms otherwise.
     """
-    if xq.shape[1:] != (1,) or pos.shape[1:] != (1,):
-        raise DimensionError(
-            f"radial pair sums take points on the line, shape (n, 1): queries {xq.shape}, atoms {pos.shape}"
-        )
     if min(len(xq), len(pos)) >= _SORTED_MIN_ATOMS:
         terms = getattr(kernel, "_exp_terms", None)
         if terms is not None:
@@ -282,10 +280,8 @@ def _dense_pair_sum(kernel, xq, pos, w, gradient):
     if len(xq) > rows:
         parts = [_dense_pair_sum(kernel, xq[i : i + rows], pos, w, gradient) for i in range(0, len(xq), rows)]
         return np.concatenate(parts)
-    diffs = xq - pos.T
-    if gradient:
-        return np.sum(w * kernel.gradient(diffs), axis=-1, keepdims=True)
-    return np.sum(w * kernel.value(diffs), axis=-1)
+    diffs = xq[:, None] - pos
+    return np.sum(w * (kernel.gradient(diffs) if gradient else kernel.value(diffs)), axis=-1)
 
 
 def _sorted_pair_sum(terms, xq, pos, w, gradient):
@@ -300,9 +296,8 @@ def _sorted_pair_sum(terms, xq, pos, w, gradient):
     nothing overflows at any spread.
     """
     c, a = np.array(terms).T
-    order = np.argsort(pos[:, 0], kind="stable")
-    p, ws = pos[order, 0], w[order]
-    x = xq[:, 0]
+    order = np.argsort(pos, kind="stable")
+    p, ws, x = pos[order], w[order], xq
     n, nq, k = len(p), len(x), len(a)
     hi = np.searchsorted(p, x, "right")  # atoms right of x: p[hi:]
     last = np.searchsorted(p, x, "left") if gradient else hi  # atoms counted left of x: p[:last]
@@ -320,7 +315,7 @@ def _sorted_pair_sum(terms, xq, pos, w, gradient):
     left = decay[n - 1 : n - 1 + nq] * sums[last, :k]
     right = decay[n - 1 + nq :] * sums[n - hi, k:]
     if gradient:
-        return ((left - right) @ (-a * c))[:, None]
+        return (left - right) @ (-a * c)
     return (left + right) @ c
 
 
@@ -392,16 +387,10 @@ def _cs_pair_sum(kernel, xq, vq, x, v, w, wq=None, grad_x=False, grad_v=False):
 
 
 def _flock(m):
-    """Positions and velocities, each (N,), of a phase-space ensemble on the line.
-
-    Every ensemble enters the Cucker-Smale side through here: its pair
-    sums would read the extra coordinates of one with spatial_dim > 1 as
-    extra middle axes.
-    """
+    """Positions and velocities, each (N,), of a phase-space ensemble; every ensemble
+    enters the Cucker-Smale side through here."""
     if not (isinstance(m, ParticleEnsemble) and m.is_phase_space):
         raise DimensionError("the Cucker-Smale side needs a phase-space ensemble")
-    if m.spatial_dim != 1:
-        raise DimensionError(f"the Cucker-Smale side acts on the line, not in spatial_dim {m.spatial_dim}")
     return m.points[:, 0], m.points[:, 1]
 
 
@@ -414,15 +403,17 @@ def _coupling(kernel, x, m, v, gradient):
         raise DimensionError("velocity argument only valid for the Cucker-Smale kernel")
     if not isinstance(m, (GridDensity, ParticleEnsemble)):
         raise TypeError(f"unsupported measure type {type(m)!r}")
+    xq, vq = (_line_points(q, "the coupling") for q in (x, 0.0 if v is None else v))
+    if xq.size != 1 or vq.size != 1:
+        raise DimensionError(f"the coupling takes one query point, not {xq.size} positions and {vq.size} velocities")
     if cs:
         pos, vel = _flock(m)
         wq = None if gradient else np.ones(1)
-        sums = _cs_pair_sum(kernel, np.reshape(x, 1), np.reshape(v, 1), pos, vel, m.weights, wq, gradient, gradient)
+        sums = _cs_pair_sum(kernel, xq, vq, pos, vel, m.weights, wq, gradient, gradient)
         return tuple(s.item() for s in sums) if gradient else sums[0].item()
     if isinstance(m, GridDensity):
-        return float(_grid_sum(kernel, np.reshape(x, 1), m, gradient)[0])
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return _pair_sum(kernel, x[None, :], m.positions, m.weights, gradient).item()
+        return _grid_sum(kernel, xq, m, gradient).item()
+    return _pair_sum(kernel, xq, m.positions[:, 0], m.weights, gradient).item()
 
 
 def eval_coupling(kernel, x, m, v=None):
@@ -477,7 +468,7 @@ def validate_coupling(kernel, budget: int = 2000, seed: int = 0) -> CouplingVali
     # small random atomic measures in 1D; constants of radial kernels are
     # dimension-independent and extreme near coincident atoms
     ensembles = [
-        ParticleEnsemble.equal_weights(rng.uniform(-span, span, size=(rng.integers(1, 8), 1)), 1)
+        ParticleEnsemble.equal_weights(rng.uniform(-span, span, size=rng.integers(1, 8)), 1)
         for _ in range(8)
     ]
     draws = np.empty((budget, 4))  # per draw, in the order of the rng stream: ensemble index, x, y, h
@@ -493,7 +484,7 @@ def validate_coupling(kernel, budget: int = 2000, seed: int = 0) -> CouplingVali
     f = np.stack([x, y, x + h, x - h], axis=1)  # the four queries of each draw, overwritten by F there
     for k, m in enumerate(ensembles):
         mine = i == k
-        f[mine] = _pair_sum(kernel, f[mine].reshape(-1, 1), m.positions, m.weights).reshape(-1, 4)
+        f[mine] = _pair_sum(kernel, f[mine].ravel(), m.positions[:, 0], m.weights).reshape(-1, 4)
     fx, fy, fp, fm = f.T
     far = np.abs(x - y) > 1e-9
     lip = np.max(np.abs(fx - fy)[far] / np.abs(x - y)[far], initial=-np.inf)
@@ -538,7 +529,7 @@ class PsdVerdict:
 
 def psd_check(kernel, n_points: int = 64, seed: int = 0, points=None) -> PsdVerdict:
     """Eigenvalue test of the Gram matrix k(x_i - x_j) on points of the line,
-    random ones or given ``points`` of shape (n,) or (n, 1).
+    random ones or given ``points`` of shape (n,) or (n, 1); ``PsdVerdict.points`` is (n,).
 
     A negative eigenvalue below -1e-10 * ||K|| certifies that k is not a
     positive semidefinite kernel (so the MFG uniqueness/monotonicity
@@ -548,13 +539,9 @@ def psd_check(kernel, n_points: int = 64, seed: int = 0, points=None) -> PsdVerd
         if not 2 <= n_points <= 512:
             raise ValueError("n_points must be in [2, 512]")
         rng = np.random.default_rng(seed)
-        points = rng.uniform(-VALIDATOR_SPAN, VALIDATOR_SPAN, size=(n_points, 1))
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
-    if points.ndim != 2 or points.shape[1] != 1:
-        raise DimensionError(f"psd_check takes points on the line, shape (n,) or (n, 1), not {points.shape}")
-    gram = kernel.value(points - points.T)
+        points = rng.uniform(-VALIDATOR_SPAN, VALIDATOR_SPAN, size=n_points)
+    points = _line_points(points, "psd_check")
+    gram = kernel.value(points[:, None] - points)
     eigs = np.linalg.eigvalsh(gram)
     threshold = -1e-10 * max(np.abs(eigs).max(), 1e-300)
     return PsdVerdict(

@@ -4,11 +4,12 @@ Two concrete representations are used throughout the lab:
 
 * :class:`GridDensity` -- cell-averaged densities on a uniform 1D grid,
   the natural object for the finite-difference / finite-volume solvers;
-* :class:`ParticleEnsemble` -- weighted atoms in position space (d
-  coordinates) or phase space (2d coordinates), the natural object for
-  the characteristic / variational solvers.
+* :class:`ParticleEnsemble` -- weighted atoms on the line, in position
+  space (x) or phase space (x, v), the natural object for the
+  characteristic / variational solvers.
 
 All types are immutable after construction; operations are pure.
+Query points on the line enter through ``_line_points``.
 Particle W1 picks its method from the input alone: exact sorted on the
 line, the transport LP up to EXACT_W1_SIZE_CAP couplings, sliced above.
 """
@@ -39,6 +40,15 @@ def _check_densities(values: np.ndarray, dx: float) -> None:
     mass = dx * values.sum(axis=-1)
     if np.any(np.abs(mass - 1.0) > MASS_TOL_GRID):
         raise ValueError(f"density mass {mass} deviates from 1 beyond {MASS_TOL_GRID}")
+
+
+def _line_points(x, what: str) -> np.ndarray:
+    """Query points on the line, a scalar, (n,) or (n, 1), as a float (n,) array;
+    any other shape raises DimensionError naming ``what``."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 2 or x.shape[1:] not in ((), (1,)):
+        raise DimensionError(f"{what} takes points on the line, a scalar, (n,) or (n, 1), not {x.shape}")
+    return x.reshape(-1)
 
 
 def _csv_cell(v) -> str:
@@ -128,14 +138,22 @@ class GridDensity:
 
 @dataclass(frozen=True)
 class ParticleEnsemble:
-    """Weighted atoms in R^d (position space) or R^{2d} (phase space)."""
+    """Weighted atoms on the line: points (N,) or (N, 1) are positions, (N, 2) are (position,
+    velocity) pairs, stored 2D; positions and velocities are (N, 1).  spatial_dim must be 1
+    (the only valid value); any other layout raises DimensionError."""
 
     points: np.ndarray
     weights: np.ndarray
     spatial_dim: int
 
     def __post_init__(self):
-        points = np.atleast_2d(np.asarray(self.points, dtype=float))
+        points = np.asarray(self.points, dtype=float)
+        points = points[:, None] if points.ndim == 1 else points
+        if self.spatial_dim != 1 or points.ndim != 2 or points.shape[1] not in (1, 2):
+            raise DimensionError(
+                f"atoms live on the line: points (N,), (N, 1) or (N, 2) at spatial_dim 1, "
+                f"not {np.shape(self.points)} at spatial_dim {self.spatial_dim}"
+            )
         weights = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
@@ -147,11 +165,6 @@ class ParticleEnsemble:
             raise ValueError("weights must be nonnegative")
         if abs(weights.sum() - 1.0) > MASS_TOL_PARTICLES:
             raise ValueError(f"weights sum to {weights.sum()!r}, not 1")
-        d_total = points.shape[1]
-        if d_total not in (self.spatial_dim, 2 * self.spatial_dim):
-            raise DimensionError(
-                f"points have {d_total} coordinates; expected {self.spatial_dim} or {2 * self.spatial_dim}"
-            )
         points.setflags(write=False)
         weights.setflags(write=False)
 
@@ -165,28 +178,26 @@ class ParticleEnsemble:
 
     @property
     def is_phase_space(self) -> bool:
-        return self.d_total == 2 * self.spatial_dim
+        return self.d_total == 2
 
     @property
     def positions(self) -> np.ndarray:
-        return self.points[:, : self.spatial_dim]
+        return self.points[:, :1]
 
     @property
     def velocities(self) -> np.ndarray:
         if not self.is_phase_space:
             raise DimensionError("ensemble carries no velocity block")
-        return self.points[:, self.spatial_dim :]
+        return self.points[:, 1:]
 
     @classmethod
     def equal_weights(cls, points, spatial_dim: int) -> "ParticleEnsemble":
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        n = points.shape[0]
+        n = len(points) if np.ndim(points) else 1
         return cls(points, np.full(n, 1.0 / n), spatial_dim)
 
     def _csv_columns(self) -> list:
         """Column names of one atom: coordinates, then the weight."""
-        blocks = "xv" if self.is_phase_space else "x"
-        return [f"{b}{i + 1}" for b in blocks for i in range(self.spatial_dim)] + ["w"]
+        return ["x1", "v1", "w"] if self.is_phase_space else ["x1", "w"]
 
     def to_csv(self) -> str:
         rows = (p + [w] for p, w in zip(self.points.tolist(), self.weights.tolist()))
@@ -194,11 +205,8 @@ class ParticleEnsemble:
 
     @classmethod
     def from_csv(cls, text: str) -> "ParticleEnsemble":
-        lines = text.strip().splitlines()
-        header = lines[0].split(",")
-        d = sum(1 for c in header if c.startswith("x"))
-        data = np.array([[float(c) for c in row.split(",")] for row in lines[1:] if row])
-        return cls(data[:, :-1], data[:, -1], d)
+        data = np.array([[float(c) for c in row.split(",")] for row in text.strip().splitlines()[1:] if row])
+        return cls(data[:, :-1], data[:, -1], 1)
 
 
 @dataclass(frozen=True)

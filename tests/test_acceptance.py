@@ -135,9 +135,7 @@ class TestAggregationOracles:
 
     def test_morse_two_particle_equilibrium_gap(self):
         m0 = ParticleEnsemble.equal_weights(np.array([[-1.0], [1.0]]), 1)
-        path = solve_aggregation_particles(
-            ZERO_HAM, MorseKernel(0.5, 2.0), m0, 300.0, 2e-2, save_every=5000
-        )
+        path = solve_aggregation_particles(ZERO_HAM, MorseKernel(0.5, 2.0), m0, 300.0, 2e-2)
         pos = path.measures[-1].positions[:, 0]
         assert pos[1] - pos[0] == pytest.approx(2.0 * np.log(4.0), abs=1e-3)
 

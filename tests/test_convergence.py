@@ -16,6 +16,7 @@ from mfglab import (
     run_lambda_sweep_classic,
     solve_mfg_fixed_point,
 )
+from mfglab import convergence
 from mfglab.measures import GridDensity
 
 
@@ -186,6 +187,22 @@ class TestAccelerationSweep:
         assert np.all(rep.column("energy_bound_ok") == 1.0)
         assert np.all(rep.column("certified") == 1.0)
         assert 8.0 <= rep.reference["step_halving_ratio"] <= 32.0
+
+    def test_one_transport_solve_per_node_pair(self, cs_flat, two_body_phase, monkeypatch):
+        """w1_at_half_T reads the W1 the window solved at T/2, matched on node indices (at
+        T = 0.7 the 5th window time is 0.3499999999999999): 7 solves a row, not 8."""
+        solved = []
+        w1 = convergence.wasserstein1_particles
+
+        def recording(*args, **kwargs):
+            solved.append(w1(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(convergence, "wasserstein1_particles", recording)
+        row = run_lambda_sweep_acceleration(cs_flat, two_body_phase, [10.0], T=0.7).rows[0]
+        assert len(solved) == 7
+        assert row["w1_at_half_T"] == solved[4]
+        assert row["w1_sup"] == max(solved)
 
     def test_wrong_kernel_type(self, two_body_phase):
         with pytest.raises(TypeError):

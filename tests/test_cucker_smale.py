@@ -122,9 +122,9 @@ ENTRIES = {
 
 
 @pytest.mark.parametrize("entry", list(ENTRIES))
-def test_flock_off_the_line_raises(entry, rng):
-    """The flock lives on the line: a phase-space ensemble with spatial_dim 2 raises
-    instead of having its second coordinates read as extra middle axes."""
-    m = ParticleEnsemble.equal_weights(rng.standard_normal((4, 4)), 2)
-    with pytest.raises(DimensionError, match="acts on the line, not in spatial_dim 2"):
+def test_flock_without_velocities_raises(entry):
+    """Every entry of the Cucker-Smale side takes (x, v) atoms: a position-only ensemble raises.
+    No flock off the line can be built (test_measures checks the construction)."""
+    m = ParticleEnsemble.equal_weights(np.linspace(-1.0, 1.0, 4), 1)
+    with pytest.raises(DimensionError, match="needs a phase-space ensemble"):
         ENTRIES[entry](m, CuckerSmaleKernel(1.0, 0.5))

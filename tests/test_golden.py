@@ -26,6 +26,11 @@ tolerance.  ``PICARD_CSV`` keeps the values the damped Picard loop wrote,
 and the new files must stay within 1e-7 of them.  The two digests were
 re-recorded again when the implicit diffusion solve moved from a sparse
 LU to LAPACK pttrf/pttrs, which moves the last digits.
+
+The ``csv.phase`` digest was re-recorded when atoms came to live on the
+line only: its ensemble of 5 phase-space atoms in d = 2 (columns
+x1,x2,v1,v2,w) became 10 (x, v) atoms on the line from the same draws
+(columns x1,v1,w), which keeps the rng stream of the later artifacts.
 """
 
 import contextlib
@@ -163,7 +168,8 @@ def csv_texts(tmp: Path) -> dict:
     rng, _, cs_atoms = _inputs()
     texts = {
         "grid": GridDensity.gaussian(0.1, 0.5, -2.0, 0.25, 16).to_csv(),
-        "phase": ParticleEnsemble.equal_weights(rng.standard_normal((5, 4)), 2).to_csv(),
+        # the 20 draws of the (5, 4) d = 2 ensemble it was recorded with, now as 10 (x, v) atoms
+        "phase": ParticleEnsemble.equal_weights(rng.standard_normal((5, 4)).reshape(10, 2), 1).to_csv(),
     }
     controls = rng.standard_normal((3, 4))
     traj = TrajectoryEnsemble(cs_atoms.points[:3, 0], cs_atoms.points[:3, 1], controls, 1.0, np.full(3, 1 / 3))

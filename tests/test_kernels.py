@@ -131,6 +131,21 @@ class TestEvalCoupling:
             F = eval_coupling(k, np.array([x]), m, v=np.array([v]))
             assert 0.0 <= F <= k.c0 * (1.0 + v**2 + moment2(m, "velocity"))
 
+    @pytest.mark.parametrize("branch", ["grid", "particles", "cucker-smale"])
+    def test_multi_point_query_raises(self, branch, gauss_m0):
+        """The couplings take one query point: two raise DimensionError on every measure branch."""
+        kernel, m, v = {
+            "grid": (ExponentialKernel(), gauss_m0, None),
+            "particles": (ExponentialKernel(), ParticleEnsemble.equal_weights(np.array([0.5, -0.5]), 1), None),
+            "cucker-smale": (CuckerSmaleKernel(), ParticleEnsemble.equal_weights(np.eye(2), 1), 0.0),
+        }[branch]
+        for call in (eval_coupling, grad_coupling):
+            with pytest.raises(DimensionError, match="one query point"):
+                call(kernel, np.array([0.1, 0.2]), m, v)
+            if v is not None:
+                with pytest.raises(DimensionError, match="one query point"):
+                    call(kernel, 0.1, m, np.array([0.0, 1.0]))
+
 
 class TestGradCoupling:
     def test_self_query_is_zero(self, rng):

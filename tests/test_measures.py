@@ -60,24 +60,33 @@ class TestParticleEnsemble:
             ParticleEnsemble(np.zeros((3, 1)), np.array([0.5, 0.5, 0.5]), 1)
 
     def test_phase_space_split(self):
-        e = ParticleEnsemble.equal_weights(np.arange(8.0).reshape(2, 4), 2)
+        e = ParticleEnsemble.equal_weights(np.arange(4.0).reshape(2, 2), 1)
         assert e.is_phase_space
-        assert e.positions.shape == (2, 2)
-        assert np.array_equal(e.velocities, [[2.0, 3.0], [6.0, 7.0]])
+        assert np.array_equal(e.positions, [[0.0], [2.0]])
+        assert np.array_equal(e.velocities, [[1.0], [3.0]])
 
     def test_velocity_on_position_only_raises(self):
-        e = ParticleEnsemble.equal_weights(np.zeros((3, 2)), 2)
+        e = ParticleEnsemble.equal_weights(np.zeros((3, 1)), 1)
         with pytest.raises(DimensionError):
             e.velocities
 
     def test_bad_dimension_rejected(self):
-        with pytest.raises(DimensionError):
-            ParticleEnsemble.equal_weights(np.zeros((3, 3)), 2)
+        """Atoms live on the line, the one check for every solver downstream: the d = 2
+        position and phase layouts, spatial_dim 2, three coordinates, a 3D array and a
+        scalar raise at construction; (N,) points are N positions, not one (x, v) atom."""
+        for shape, spatial_dim in [((3, 2), 2), ((3, 4), 2), ((3, 1), 2), ((3, 3), 1), ((3, 1, 1), 1), ((), 1)]:
+            with pytest.raises(DimensionError, match="atoms live on the line"):
+                ParticleEnsemble.equal_weights(np.zeros(shape), spatial_dim)
+        e = ParticleEnsemble.equal_weights(np.array([1.0, 2.0]), 1)
+        assert e.n == 2 and not e.is_phase_space
+        assert np.array_equal(e.points, [[1.0], [2.0]])
 
     def test_csv_round_trip_phase_space(self, rng):
-        e = ParticleEnsemble.equal_weights(rng.standard_normal((5, 4)), 2)
-        e2 = ParticleEnsemble.from_csv(e.to_csv())
-        assert e2.spatial_dim == 2
+        e = ParticleEnsemble.equal_weights(rng.standard_normal((5, 2)), 1)
+        text = e.to_csv()
+        assert text.startswith("x1,v1,w\n")
+        e2 = ParticleEnsemble.from_csv(text)
+        assert e2.spatial_dim == 1
         assert np.allclose(e2.points, e.points, rtol=0, atol=0)
 
 
@@ -102,7 +111,7 @@ class TestMeasurePath:
 
 class TestMoment2:
     def test_dirac_velocity_block(self):
-        e = ParticleEnsemble(np.array([[0.0, 0.0, 2.0, 0.0]]), np.array([1.0]), 2)
+        e = ParticleEnsemble(np.array([[0.0, 2.0]]), np.array([1.0]), 1)
         assert moment2(e, "velocity") == pytest.approx(4.0)
 
     def test_two_symmetric_atoms(self):
@@ -124,11 +133,11 @@ class TestMoment2:
         pts = rng.standard_normal((6, 2))
         w = rng.uniform(0.1, 1.0, 6)
         w /= w.sum()
-        base = moment2(ParticleEnsemble(pts, w, 2))
+        base = moment2(ParticleEnsemble(pts, w, 1))
         perm = rng.permutation(6)
-        shuffled = moment2(ParticleEnsemble(pts[perm], w[perm], 2))
+        shuffled = moment2(ParticleEnsemble(pts[perm], w[perm], 1))
         padded = moment2(
-            ParticleEnsemble(np.vstack([pts, [[9.0, 9.0]]]), np.append(w, 0.0), 2)
+            ParticleEnsemble(np.vstack([pts, [[9.0, 9.0]]]), np.append(w, 0.0), 1)
         )
         assert shuffled == pytest.approx(base, rel=1e-14)
         assert padded == pytest.approx(base, rel=1e-14)
@@ -168,12 +177,12 @@ class TestWasserstein1Grid:
 
 class TestWasserstein1Particles:
     def test_identical(self, rng):
-        e = ParticleEnsemble.equal_weights(rng.standard_normal((8, 2)), 2)
+        e = ParticleEnsemble.equal_weights(rng.standard_normal((8, 2)), 1)
         assert wasserstein1_particles(e, e) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_atoms(self):
-        a = ParticleEnsemble.equal_weights(np.array([[0.0, 0.0]]), 2)
-        b = ParticleEnsemble.equal_weights(np.array([[3.0, 4.0]]), 2)
+        a = ParticleEnsemble.equal_weights(np.array([[0.0, 0.0]]), 1)
+        b = ParticleEnsemble.equal_weights(np.array([[3.0, 4.0]]), 1)
         assert wasserstein1_particles(a, b) == pytest.approx(5.0, abs=1e-9)
 
     def test_matches_brute_force_assignment(self, rng):
@@ -188,12 +197,12 @@ class TestWasserstein1Particles:
         assert wasserstein1_particles(a, b) == pytest.approx(best, abs=1e-12)
 
     def test_exact_lp_matches_sorted_formula_1d(self, rng):
-        # the 2D LP and the 1D CDF formula must agree on collinear data
+        # the phase-space LP and the 1D CDF formula must agree on atoms at rest
         xa, xb = rng.standard_normal(6), rng.standard_normal(7)
         a1 = ParticleEnsemble.equal_weights(xa[:, None], 1)
         b1 = ParticleEnsemble.equal_weights(xb[:, None], 1)
-        a2 = ParticleEnsemble.equal_weights(np.column_stack([xa, np.zeros(6)]), 2)
-        b2 = ParticleEnsemble.equal_weights(np.column_stack([xb, np.zeros(7)]), 2)
+        a2 = ParticleEnsemble.equal_weights(np.column_stack([xa, np.zeros(6)]), 1)
+        b2 = ParticleEnsemble.equal_weights(np.column_stack([xb, np.zeros(7)]), 1)
         d1 = wasserstein1_particles(a1, b1)
         d2 = _w1_exact_lp(a2, b2)
         assert d2 == pytest.approx(d1, abs=1e-8)
@@ -202,38 +211,39 @@ class TestWasserstein1Particles:
         # projecting onto a unit vector is 1-Lipschitz, so every slice
         # underestimates W1; the mean must land between (2/pi) exact
         # (isotropic worst case) and exact itself
-        a = ParticleEnsemble.equal_weights(rng.standard_normal((30, 2)), 2)
-        b = ParticleEnsemble.equal_weights(rng.standard_normal((30, 2)) + 1.0, 2)
+        a = ParticleEnsemble.equal_weights(rng.standard_normal((30, 2)), 1)
+        b = ParticleEnsemble.equal_weights(rng.standard_normal((30, 2)) + 1.0, 1)
         exact = _w1_exact_lp(a, b)
         sliced = _w1_sliced(a, b, seed=7)
         assert sliced <= exact * (1.0 + 1e-12)
         assert sliced >= 0.5 * exact
 
     def test_sliced_deterministic_under_seed(self, rng):
-        a = ParticleEnsemble.equal_weights(rng.standard_normal((10, 2)), 2)
-        b = ParticleEnsemble.equal_weights(rng.standard_normal((10, 2)), 2)
+        a = ParticleEnsemble.equal_weights(rng.standard_normal((10, 2)), 1)
+        b = ParticleEnsemble.equal_weights(rng.standard_normal((10, 2)), 1)
         d1 = _w1_sliced(a, b, seed=3)
         d2 = _w1_sliced(a, b, seed=3)
         assert d1 == d2
 
     def test_method_follows_dimension_and_size(self, rng):
-        # 600 * 600 > EXACT_W1_SIZE_CAP: exact on the line, sliced above it
+        # 600 * 600 > EXACT_W1_SIZE_CAP: exact in position space at any size; in phase space
+        # the transport LP up to the cap, sliced above it
         assert 600 * 600 > EXACT_W1_SIZE_CAP
         x = rng.standard_normal((600, 2))
         line = ParticleEnsemble.equal_weights(x[:, :1], 1)
         assert wasserstein1_particles(line, ParticleEnsemble(line.points + 0.25, line.weights, 1)) == pytest.approx(
             0.25, abs=1e-12
         )
-        a = ParticleEnsemble.equal_weights(x, 2)
-        b = ParticleEnsemble.equal_weights(x + 1.0, 2)
+        a = ParticleEnsemble.equal_weights(x, 1)
+        b = ParticleEnsemble.equal_weights(x + 1.0, 1)
         assert wasserstein1_particles(a, b, seed=5) == _w1_sliced(a, b, seed=5)
-        small_a = ParticleEnsemble.equal_weights(x[:20], 2)
-        small_b = ParticleEnsemble.equal_weights(x[20:40], 2)
+        small_a = ParticleEnsemble.equal_weights(x[:20], 1)
+        small_b = ParticleEnsemble.equal_weights(x[20:40], 1)
         assert wasserstein1_particles(small_a, small_b) == _w1_exact_lp(small_a, small_b)
 
     def test_dimension_mismatch(self):
         a = ParticleEnsemble.equal_weights(np.zeros((2, 1)), 1)
-        b = ParticleEnsemble.equal_weights(np.zeros((2, 2)), 2)
+        b = ParticleEnsemble.equal_weights(np.zeros((2, 2)), 1)
         with pytest.raises(DimensionError):
             wasserstein1_particles(a, b)
 

@@ -5,10 +5,12 @@ the Cucker-Smale alignment through ``kernels._cs_pair_sum``.  The
 loops below recompute each sum one atom pair at a time from the radial
 profile phi (or from g for Cucker-Smale) and bound the difference by
 1e-13 times the sum of the absolute terms.  Radial pair sums act on the
-line: their ``d = 1`` cases match the loops, and their ``d = 2`` cases
-must raise DimensionError.  ``d_vector_dense_pair_sum`` keeps the dense
-body the radial sums had while they took d-vectors, as the oracle of the
-dense body that replaced it and of the golden values recorded with it.
+line, (nq,) queries against (N,) atoms: the ``d = 1`` cases match the
+loops, and query points with ``d = 2`` coordinates must raise
+DimensionError (atoms cannot be built off the line; test_measures checks
+that).  ``d_vector_dense_pair_sum`` keeps the dense body the radial sums
+had while they took d-vectors, as the oracle of the dense body that
+replaced it and of the golden values recorded with it.
 """
 
 import math
@@ -48,89 +50,87 @@ RADIAL = {
 TOL = 1e-13
 
 
-def ensemble(d, n=30, seed=0):
-    rng = np.random.default_rng(seed + d)
+def ensemble(n=30, seed=0):
+    rng = np.random.default_rng(seed + 1)
     w = rng.uniform(0.2, 1.0, n)
-    return ParticleEnsemble(rng.uniform(-2.0, 2.0, (n, d)), w / w.sum(), d)
+    return ParticleEnsemble(rng.uniform(-2.0, 2.0, n), w / w.sum(), 1)
 
 
 def queries(m):
-    """Random points plus one query exactly on an atom (the Dk(0) = 0 kink)."""
+    """Random points plus one query exactly on an atom (the Dk(0) = 0 kink), (7,)."""
     rng = np.random.default_rng(99)
-    return np.vstack([rng.uniform(-3.0, 3.0, (6, m.spatial_dim)), m.positions[4]])
+    return np.append(rng.uniform(-3.0, 3.0, 6), m.positions[4])
 
 
 def oracle(kernel, x, m):
     """F(x), D_xF(x) and the sums of the absolute terms of each, pair by pair."""
-    f = f_scale = 0.0
-    g = np.zeros(m.spatial_dim)
-    g_scale = np.zeros(m.spatial_dim)
-    for p, wj in zip(m.positions, m.weights):
-        diff = [xi - pi for xi, pi in zip(x, p)]
-        r = math.sqrt(sum(c * c for c in diff))
+    f = f_scale = g = g_scale = 0.0
+    for p, wj in zip(m.positions[:, 0].tolist(), m.weights):
+        r = abs(x - p)
         term = wj * float(kernel.phi(r))
         f += term
         f_scale += abs(term)
         if r > 0:
-            for k in range(m.spatial_dim):
-                term = wj * float(kernel.dphi(r)) * diff[k] / r
-                g[k] += term
-                g_scale[k] += abs(term)
+            term = wj * float(kernel.dphi(r)) * math.copysign(1.0, x - p)
+            g += term
+            g_scale += abs(term)
     return f, f_scale, g, g_scale
 
 
-OFF_THE_LINE = r"queries \(\d+, 2\), atoms \(30, 2\)"
+OFF_THE_LINE = r"takes points on the line, a scalar, \(n,\) or \(n, 1\), not \(\d+, 2\)"
 
 
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("name", list(RADIAL))
 def test_eval_and_grad_coupling_match_loop(name, d):
-    kernel, m = RADIAL[name], ensemble(d)
+    """d is the number of coordinates of a query point."""
+    kernel, m = RADIAL[name], ensemble()
     if d == 2:
         for call in (eval_coupling, grad_coupling):
             with pytest.raises(DimensionError, match=OFF_THE_LINE):
-                call(kernel, m.positions[0], m)
+                call(kernel, np.array([[0.3, -0.4]]), m)
         return
     for x in queries(m):
         f, f_scale, g, g_scale = oracle(kernel, x, m)
         assert abs(eval_coupling(kernel, x, m) - f) <= TOL * f_scale
-        assert np.all(np.abs(grad_coupling(kernel, x, m) - g) <= TOL * g_scale)
+        assert abs(grad_coupling(kernel, x, m) - g) <= TOL * g_scale
 
 
 @pytest.mark.parametrize("name", list(RADIAL))
 def test_eval_coupling_scalar_query_1d(name):
-    kernel, m = RADIAL[name], ensemble(1)
-    f, f_scale, _, _ = oracle(kernel, [0.7], m)
+    kernel, m = RADIAL[name], ensemble()
+    f, f_scale, _, _ = oracle(kernel, 0.7, m)
     assert abs(eval_coupling(kernel, 0.7, m) - f) <= TOL * f_scale
 
 
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("name", list(RADIAL))
 def test_limit_drift_matches_loop(name, d):
-    kernel, m = RADIAL[name], ensemble(d)
+    """d is the number of coordinates of a query point."""
+    kernel, m = RADIAL[name], ensemble()
     ham = QuadraticDriftHamiltonian(DriftField("sinusoidal", 0.5, 2.0))
     xq = queries(m)
     if d == 2:
         with pytest.raises(DimensionError, match=OFF_THE_LINE):
-            limit_drift(ham, kernel, xq, m)
+            limit_drift(ham, kernel, np.column_stack([xq, xq]), m)
         return
     got = limit_drift(ham, kernel, xq, m)
     assert got.shape == xq.shape
     for x, row in zip(xq, got):
         _, _, g, g_scale = oracle(kernel, x, m)
-        assert np.all(np.abs(row - (ham.drift(x) - g)) <= TOL * g_scale)
+        assert abs(row - (ham.drift(x) - g)) <= TOL * g_scale
 
 
 def test_points_off_the_line_raise():
-    """Radial sums act on the line: 2D positions fail with DimensionError naming both shapes.
-
-    The ``d = 2`` cases above check eval_coupling, grad_coupling and limit_drift."""
-    kernel, m = RADIAL["morse"], ensemble(2)
+    """Two coordinates per point never reach a radial sum: on the line they make (x, v)
+    atoms, which the particle solver rejects, and psd_check rejects them as points."""
+    kernel = RADIAL["morse"]
+    m = ParticleEnsemble.equal_weights(np.random.default_rng(3).uniform(-2.0, 2.0, (30, 2)), 1)
     ham = QuadraticDriftHamiltonian(DriftField("zero"))
-    with pytest.raises(DimensionError, match=OFF_THE_LINE):
+    with pytest.raises(DimensionError, match="position-space ensemble expected"):
         solve_aggregation_particles(ham, kernel, m, 1.0, 0.1)
-    with pytest.raises(DimensionError, match=r"\(30, 2\)"):
-        psd_check(kernel, points=m.positions)
+    with pytest.raises(DimensionError, match=OFF_THE_LINE):
+        psd_check(kernel, points=m.points)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.5])
@@ -176,14 +176,14 @@ def test_cs_coupling_matches_old_sums(beta, draw):
 
 
 def d_vector_dense_pair_sum(kernel, xq, pos, w, gradient):
-    """The dense radial pair sum as it was for d-vectors, on (nq, 1) queries and (N, 1) atoms.
+    """The dense radial pair sum as it was for d-vectors, wrapped for (nq,) queries and (N,) atoms.
 
     Offsets are (nq, N, 1) vectors; a gradient term is phi'(r) / r * x,
     or phi'(r) sign(x) below sqrt(tiny) where 1 / r could overflow, and
     the terms are contracted with einsum.  The golden particle values were
     recorded with it, bit for bit.
     """
-    diffs = xq[:, None, :] - pos[None, :, :]
+    diffs = xq[:, None, None] - pos[None, :, None]
     r = np.abs(diffs[..., 0])
     if not gradient:
         return np.sum(w * kernel.phi(r), axis=-1)
@@ -193,7 +193,7 @@ def d_vector_dense_pair_sum(kernel, xq, pos, w, gradient):
             kernel.dphi(r) * np.sign(diffs[..., 0]),
             kernel.dphi(r) / r * diffs[..., 0],
         )
-    return np.einsum("j,ijd->id", w, terms[..., None])
+    return np.einsum("j,ijd->id", w, terms[..., None])[:, 0]
 
 
 # -- the sorted 1D path (kernels._sorted_pair_sum) against the dense body --
@@ -221,7 +221,7 @@ def sorted_cases(draw):
     offsets = st.floats(-5.0, 5.0)
     near = [p + off for p, off in draw(st.lists(st.tuples(st.sampled_from(pos), offsets), max_size=8))]
     xq = on_atoms + near or pos
-    return np.array(pos)[:, None], np.array(w), np.array(xq)[:, None]
+    return np.array(pos), np.array(w), np.array(xq)
 
 
 def exp_term_scales(kernel, xq, pos, w):
@@ -232,7 +232,7 @@ def exp_term_scales(kernel, xq, pos, w):
     both paths, which moves e^{-a_k r} by up to a_k r ulps.  The weight
     matters only for a query whose nearest atoms are far away.
     """
-    r = np.abs(xq - pos.T)
+    r = np.abs(xq[:, None] - pos)
     value = np.zeros(len(xq))
     grad = np.zeros(len(xq))
     for c, a in kernel._exp_terms:
@@ -249,9 +249,9 @@ def test_sorted_matches_dense(name, case):
     value_scale, grad_scale = exp_term_scales(kernel, xq, pos, w)
     value = kernels._sorted_pair_sum(kernel._exp_terms, xq, pos, w, False)
     grad = kernels._sorted_pair_sum(kernel._exp_terms, xq, pos, w, True)
-    assert value.shape == (len(xq),) and grad.shape == (len(xq), 1)
+    assert value.shape == grad.shape == (len(xq),)
     assert np.all(np.abs(value - kernels._dense_pair_sum(kernel, xq, pos, w, False)) <= TOL * value_scale)
-    assert np.all(np.abs(grad - kernels._dense_pair_sum(kernel, xq, pos, w, True))[:, 0] <= TOL * grad_scale)
+    assert np.all(np.abs(grad - kernels._dense_pair_sum(kernel, xq, pos, w, True)) <= TOL * grad_scale)
 
 
 @pytest.mark.parametrize("name", list(SORTED))
@@ -263,31 +263,31 @@ def test_dense_matches_d_vector_oracle(name, case):
     value = kernels._dense_pair_sum(kernel, xq, pos, w, False)
     assert np.array_equal(value, d_vector_dense_pair_sum(kernel, xq, pos, w, False))
     grad = kernels._dense_pair_sum(kernel, xq, pos, w, True)
-    scale = np.sum(np.abs(w * kernel.gradient(xq - pos.T)), axis=-1, keepdims=True)
-    assert grad.shape == (len(xq), 1)
+    scale = np.sum(np.abs(w * kernel.gradient(xq[:, None] - pos)), axis=-1)
+    assert grad.shape == (len(xq),)
     assert np.all(np.abs(grad - d_vector_dense_pair_sum(kernel, xq, pos, w, True)) <= TOL * scale)
 
 
 @pytest.mark.parametrize("name", ["exponential", "morse"])
 def test_sorted_path_through_public_functions(name, monkeypatch):
     monkeypatch.setattr(kernels, "_SORTED_MIN_ATOMS", 1)
-    kernel, m = RADIAL[name], ensemble(1)
+    kernel, m = RADIAL[name], ensemble()
     ham = QuadraticDriftHamiltonian(DriftField("sinusoidal", 0.5, 2.0))
     xq = queries(m)
     drift = limit_drift(ham, kernel, xq, m)
     for x, row in zip(xq, drift):
         f, f_scale, g, g_scale = oracle(kernel, x, m)
         assert abs(eval_coupling(kernel, x, m) - f) <= TOL * f_scale
-        assert np.all(np.abs(grad_coupling(kernel, x, m) - g) <= TOL * g_scale)
-        assert np.all(np.abs(row - (ham.drift(x) - g)) <= TOL * g_scale)
+        assert abs(grad_coupling(kernel, x, m) - g) <= TOL * g_scale
+        assert abs(row - (ham.drift(x) - g)) <= TOL * g_scale
 
 
 def test_dense_gradient_at_subnormal_offset_1d():
     """An atom at 0 and a query at 2.2e-313: dphi(|x|) sign(x) is exact where dphi(r) / r would overflow."""
     kernel = ExponentialKernel(1.0, 1.0)
-    xq, pos, w = np.array([[2.2e-313], [-2.2e-313]]), np.zeros((1, 1)), np.ones(1)
+    xq, pos, w = np.array([2.2e-313, -2.2e-313]), np.zeros(1), np.ones(1)
     dense = kernels._dense_pair_sum(kernel, xq, pos, w, True)
-    assert np.array_equal(dense, [[-1.0], [1.0]])
+    assert np.array_equal(dense, [-1.0, 1.0])
     assert np.array_equal(dense, kernels._sorted_pair_sum(kernel._exp_terms, xq, pos, w, True))
 
 
@@ -299,11 +299,11 @@ def test_path_selection(monkeypatch):
     n = kernels._SORTED_MIN_ATOMS
     w = np.full(n, 1.0 / n)
     for kernel in (RADIAL["exponential"], RADIAL["morse"]):
-        kernels._pair_sum(kernel, np.zeros((n, 1)), np.linspace(0.0, 1.0, n)[:, None], w)
+        kernels._pair_sum(kernel, np.zeros(n), np.linspace(0.0, 1.0, n), w)
     assert calls == []
-    kernels._pair_sum(RADIAL["morse"], np.zeros((n, 1)), np.zeros((n - 1, 1)), np.full(n - 1, 1.0 / (n - 1)))
-    kernels._pair_sum(RADIAL["morse"], np.zeros((n - 1, 1)), np.zeros((n, 1)), w)
-    kernels._pair_sum(RADIAL["repulsive_attractive"], np.zeros((n, 1)), np.zeros((n, 1)), w)
+    kernels._pair_sum(RADIAL["morse"], np.zeros(n), np.zeros(n - 1), np.full(n - 1, 1.0 / (n - 1)))
+    kernels._pair_sum(RADIAL["morse"], np.zeros(n - 1), np.zeros(n), w)
+    kernels._pair_sum(RADIAL["repulsive_attractive"], np.zeros(n), np.zeros(n), w)
     assert calls == [RADIAL["morse"]] * 2 + [RADIAL["repulsive_attractive"]]
 
 
@@ -326,7 +326,7 @@ class _CountingKernel:
 @pytest.mark.parametrize("gradient", [False, True], ids=["k", "Dk"])
 def test_dense_chunks_bit_identical(monkeypatch, rng, d, gradient):
     """Chunked over the queries, every query's sum is computed as before, bit for bit."""
-    xq, pos, w = rng.standard_normal((37, d)), rng.standard_normal((50, d)), rng.uniform(0.5, 1.5, 50)
+    xq, pos, w = rng.standard_normal((37, d)).ravel(), rng.standard_normal((50, d)).ravel(), rng.uniform(0.5, 1.5, 50)
     kernel = _CountingKernel(RADIAL["repulsive_attractive"])
     whole = kernels._dense_pair_sum(kernel, xq, pos, w, gradient)
     monkeypatch.setattr(kernels, "_DENSE_PAIR_BYTES", 3 * pos.nbytes)  # three queries a chunk
