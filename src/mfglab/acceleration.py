@@ -30,7 +30,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .kernels import CuckerSmaleKernel, _cs_pair_sum, _flock, _pair_offsets
-from .measures import ParticleEnsemble, _csv_table
+from .measures import ParticleEnsemble, _csv_table, _freeze
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,7 @@ class TrajectoryEnsemble:
     weights: np.ndarray  # (N,)
 
     def __post_init__(self):
-        x0 = np.asarray(self.x0, dtype=float)
-        v0 = np.asarray(self.v0, dtype=float)
-        a = np.asarray(self.controls, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+        x0, v0, a, w = _freeze(self, x0=self.x0, v0=self.v0, controls=self.controls, weights=self.weights)
         for name, arr in (("x0", x0), ("v0", v0), ("controls", a), ("weights", w)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
@@ -61,9 +58,6 @@ class TrajectoryEnsemble:
             raise ValueError("weights must be nonnegative and sum to 1")
         if self.T <= 0:
             raise ValueError("T must be positive")
-        for name, arr in (("x0", x0), ("v0", v0), ("controls", a), ("weights", w)):
-            object.__setattr__(self, name, arr)
-            arr.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -110,7 +104,7 @@ class TrajectoryEnsemble:
         return ParticleEnsemble(np.column_stack([x[:, node], v[:, node]]), self.weights, 1)
 
     def with_controls(self, controls) -> "TrajectoryEnsemble":
-        return TrajectoryEnsemble(self.x0, self.v0, np.asarray(controls, dtype=float), self.T, self.weights)
+        return TrajectoryEnsemble(self.x0, self.v0, controls, self.T, self.weights)
 
     @classmethod
     def free_flight(cls, m0: ParticleEnsemble, T: float, n_intervals: int) -> "TrajectoryEnsemble":

@@ -19,7 +19,7 @@ from .cucker_smale import _rk4
 from .errors import DimensionError, DivergenceError
 from .hamiltonians import QuadraticDriftHamiltonian
 from .kernels import CuckerSmaleKernel, _grid_matrix, _grid_sum, _pair_sum
-from .measures import GridDensity, MeasurePath, ParticleEnsemble, _line_points
+from .measures import GridDensity, MeasurePath, ParticleEnsemble, _line_points, _march
 from .mfg_pde import _check_cfl, _DiffusionSolver, transport_step
 
 #: solve_aggregation_particles raises once an atom leaves [-BLOWUP_RADIUS, BLOWUP_RADIUS]
@@ -49,34 +49,24 @@ def solve_aggregation_particles(
     T: float,
     dt: float,
 ) -> MeasurePath:
-    """RK4 integration of the self-consistent characteristics, the (N,) positions,
-    saving about 512 snapshots and the last.
-
-    Each atom moves with the drift of the running empirical measure;
-    weights are constant.  Exceeding BLOWUP_RADIUS raises (expected for
-    attractive non-semiconcave kernels, where no global bound holds).
-    """
+    """RK4 integration of the self-consistent characteristics, the (N,) positions, on the clock of
+    measures._march (about 512 snapshots and the last).  Each atom moves with the drift of the running
+    empirical measure; weights are constant.  Exceeding BLOWUP_RADIUS raises (expected for attractive
+    non-semiconcave kernels, where no global bound holds)."""
     if isinstance(kernel, CuckerSmaleKernel):
         raise TypeError("use the Cucker-Smale solver for phase-space dynamics")
     if m0.is_phase_space:
         raise DimensionError("position-space ensemble expected")
-    n_steps = max(1, round(T / dt))
-    save_every = max(1, n_steps // 512)
     w = m0.weights
-    pos = m0.positions[:, 0]
-    times = [0.0]
-    snaps = [m0]
     rhs = lambda p: ham.drift(p) - _pair_sum(kernel, p, p, w, gradient=True)
-    for j in range(n_steps):
+
+    def step(pos, t):
         pos = _rk4(rhs, pos, dt, 1)
         if not np.all(np.isfinite(pos)) or np.max(np.abs(pos)) > BLOWUP_RADIUS:
-            raise DivergenceError(
-                f"trajectories diverged at t={(j + 1) * dt:.4f} under kernel {kernel!r}"
-            )
-        if (j + 1) % save_every == 0 or j == n_steps - 1:
-            times.append((j + 1) * dt)
-            snaps.append(ParticleEnsemble(pos, w, 1))
-    return MeasurePath(np.array(times), snaps)
+            raise DivergenceError(f"trajectories diverged at t={t:.4f} under kernel {kernel!r}")
+        return pos
+
+    return _march(m0, m0.positions[:, 0], step, lambda pos: ParticleEnsemble(pos, w, 1), T, dt)
 
 
 def solve_aggregation_fv(
@@ -86,25 +76,23 @@ def solve_aggregation_fv(
     T: float,
     dt: float,
 ) -> MeasurePath:
-    """Conservative upwind FV scheme with the nonlocal drift refreshed and CFL-checked each step;
-    raises CflError before the first step whose drift breaks the bound."""
+    """Conservative upwind FV scheme with the nonlocal drift refreshed and CFL-checked each step, on the
+    clock of measures._march, keeping every node; raises CflError before the first step whose drift
+    breaks the bound."""
     if isinstance(kernel, CuckerSmaleKernel):
         raise TypeError("the FV solver takes a position-space kernel")
-    n_steps = max(1, round(T / dt))
     dx = m0.dx
     x_int = m0.cell_edges[1:-1]
     v_int = ham.drift(x_int)
     # interface kernel-gradient quadrature matrix (n_x-1, n_x)
     Dk = _grid_matrix(kernel, x_int, m0.cell_centers, dx, gradient=True)
     diffuse = _DiffusionSolver(m0.n, dx, dt, 0.0)  # inviscid: the identity
-    m = m0.values.copy()
-    times = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    snaps = [m0]
     out, flux = np.empty(m0.n), np.empty(m0.n - 1)
-    for _ in range(n_steps):
+
+    def step(m, t):
         b = v_int - Dk @ m
         _check_cfl(b, dt, dx)
-        step = transport_step(m, b, dt, dx, diffuse, out, flux)
-        m = step / (step.sum() * dx)
-        snaps.append(GridDensity(m0.origin, dx, m))
-    return MeasurePath(times, snaps)
+        m = transport_step(m, b, dt, dx, diffuse, out, flux)
+        return m / (m.sum() * dx)
+
+    return _march(m0, m0.values, step, lambda m: GridDensity(m0.origin, dx, m), T, dt, save_every=1)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError
 from .hamiltonians import DriftField, QuadraticDriftHamiltonian
 from .kernels import CuckerSmaleKernel, ExponentialKernel, MorseKernel, RepulsiveAttractiveKernel, ZeroKernel
-from .measures import GridDensity, ParticleEnsemble
+from .measures import GridDensity, ParticleEnsemble, _n_steps
 from .mfg_pde import PdeConfig
 
 KERNEL_NAMES = ("zero", "exponential", "repulsive-attractive", "morse", "cucker-smale")
@@ -210,6 +210,10 @@ def _validate(values: dict) -> None:
     for key in ("lambda", "T", "dt", "half_width"):
         if s[key] <= 0:
             raise ConfigError(f"solver.{key}: must be positive, got {s[key]}")
+    try:
+        _n_steps(s["T"], s["dt"])
+    except ValueError as exc:
+        raise ConfigError(f"solver.dt: {exc}") from exc
     if s["max_iterations"] < 1:
         raise ConfigError(f"solver.max_iterations: must be at least 1, got {s['max_iterations']}")
     if s["nu"] != "auto":
@@ -224,10 +228,12 @@ def _validate(values: dict) -> None:
     for key in ("m0_sigma", "n_intervals", "n_atoms"):
         if s[key] <= 0:
             raise ConfigError(f"solver.{key}: must be positive, got {s[key]}")
-    # build_m0_grid samples N(m0_center, m0_sigma^2) at the cell centres; the one nearest m0_center must get mass
     hw, c = np.float64(s["half_width"]), s["m0_center"]
-    with np.errstate(all="ignore"):  # extreme values only decide whether the peak underflows
+    with np.errstate(all="ignore"):  # extreme values only decide whether the cells or the peak degenerate
         dx = 2.0 * hw / s["n_x"]
+        if not np.finfo(float).tiny <= dx < np.inf:
+            raise ConfigError(f"solver.half_width: the cell width 2 half_width / n_x = {dx} must be normal and finite")
+        # build_m0_grid samples N(m0_center, m0_sigma^2) at the cell centres; the one nearest m0_center must get mass
         nearest = -hw + (np.clip(np.floor((c + hw) / dx), 0, s["n_x"] - 1) + 0.5) * dx
         if not np.exp(-0.5 * ((nearest - c) / s["m0_sigma"]) ** 2) > 0:
             key = "m0_center" if abs(c) >= hw else "m0_sigma"

@@ -244,14 +244,11 @@ def _classic_row(
     x = cfg.cell_centers
     lam, dx = cfg.lam, cfg.dx
     du = np.gradient(sol.u_path, dx, axis=-1)  # centred, one-sided at the walls
-    times = _window_times(cfg.T)
-    w1_sup = 0.0
-    res_u = 0.0
-    res_du = 0.0
-    for t in times:
-        j = int(np.argmin(np.abs(cfg.times - t)))
+    # the node nearest each window time, on the MFG stack and on the reference alike: both march on one clock
+    w1_sup = res_u = res_du = 0.0
+    for j in np.abs(cfg.times - _window_times(cfg.T)[:, None]).argmin(axis=1):
         m_lam = GridDensity(-cfg.half_width, dx, sol.m_path[j])
-        m_ref = reference.at(t)
+        m_ref = reference.measures[j]
         w1_sup = max(w1_sup, wasserstein1_1d(m_lam, m_ref))
         F = coupling_on_grid(kernel, m_lam, x)
         res_u = max(res_u, float(np.max(np.abs(lam * sol.u_path[j] - F))))
@@ -308,8 +305,8 @@ def run_lambda_sweep_classic(
     reference = solve_aggregation_fv(ham, kernel, m0, T, dt)
     atoms = sample_grid_to_atoms(m0, n_cross_particles)
     particle_ref = solve_aggregation_particles(ham, kernel, atoms, T, dt)
-    t_cross = DIAGNOSTIC_WINDOW * T
-    cross_error = w1_grid_vs_particles(reference.at(t_cross), particle_ref.at(t_cross))
+    k = int(np.argmin(np.abs(particle_ref.times - DIAGNOSTIC_WINDOW * T)))  # a node of both paths
+    cross_error = w1_grid_vs_particles(reference.at(particle_ref.times[k]), particle_ref.measures[k])
 
     rows = [_classic_row(replace(base_config, lam=lam), ham, kernel, m0, reference, c0) for lam in lambdas]
 

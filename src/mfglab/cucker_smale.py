@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kernels import CuckerSmaleKernel, _cs_pair_sum, _flock
-from .measures import MeasurePath, ParticleEnsemble
+from .measures import MeasurePath, ParticleEnsemble, _march
 
 
 def cs_rhs(ensemble: ParticleEnsemble, kernel: CuckerSmaleKernel) -> np.ndarray:
@@ -67,21 +67,11 @@ def solve_cs(
     dt: float,
     save_every: int | None = None,
 ) -> MeasurePath:
-    """RK4 integration of the coupled characteristic system, saving every save_every-th step
-    (by default about 512 snapshots) and the last."""
+    """RK4 integration of the coupled characteristic system on the clock of measures._march,
+    saving every save_every-th step (by default about 512 snapshots) and the last."""
     rhs = _phase_rhs(m0, kernel)
-    n_steps = max(1, round(T / dt))
-    if save_every is None:
-        save_every = max(1, n_steps // 512)
-    z = m0.points
-    times = [0.0]
-    snaps = [m0]
-    for j in range(n_steps):
-        z = _rk4(rhs, z, dt, 1)
-        if (j + 1) % save_every == 0 or j == n_steps - 1:
-            times.append((j + 1) * dt)
-            snaps.append(ParticleEnsemble(z, m0.weights, 1))
-    return MeasurePath(np.array(times), snaps)
+    step = lambda z, t: _rk4(rhs, z, dt, 1)
+    return _march(m0, m0.points, step, lambda z: ParticleEnsemble(z, m0.weights, 1), T, dt, save_every)
 
 
 def sample_to_atoms(density_sampler, n: int, seed: int) -> ParticleEnsemble:

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import DimensionError
-from .measures import GridDensity, ParticleEnsemble, _line_points
+from .measures import GridDensity, ParticleEnsemble, _freeze, _line_points
 
 
 def _radial_value(kernel, x):
@@ -149,17 +149,12 @@ class CrowdRadialKernel:
     _spline: CubicSpline = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        r = np.asarray(self.r_knots, dtype=float)
-        p = np.asarray(self.phi_values, dtype=float)
-        object.__setattr__(self, "r_knots", r)
-        object.__setattr__(self, "phi_values", p)
+        r, p = _freeze(self, r_knots=self.r_knots, phi_values=self.phi_values)
         if r.ndim != 1 or r.size < 4 or np.any(np.diff(r) <= 0):
             raise ValueError("need at least 4 strictly increasing knots")
         if r[0] != 0.0:
             raise ValueError("knots must start at r = 0")
         object.__setattr__(self, "_spline", CubicSpline(r, p, bc_type="clamped"))
-        r.setflags(write=False)
-        p.setflags(write=False)
 
     @property
     def R(self) -> float:

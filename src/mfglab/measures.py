@@ -8,8 +8,9 @@ Two concrete representations are used throughout the lab:
   space (x) or phase space (x, v), the natural object for the
   characteristic / variational solvers.
 
-All types are immutable after construction; operations are pure.
-Query points on the line enter through ``_line_points``.
+All types hold read-only copies of their arrays (``_freeze``); operations
+are pure.  Query points on the line enter through ``_line_points``.  The
+limit solvers step in ``_march`` on ``_n_steps``, the clock of every march.
 Particle W1 picks its method from the input alone: exact sorted on the
 line, the transport LP up to EXACT_W1_SIZE_CAP couplings, sliced above.
 """
@@ -51,6 +52,16 @@ def _line_points(x, what: str) -> np.ndarray:
     return x.reshape(-1)
 
 
+def _freeze(obj, **arrays) -> tuple:
+    """Store each array on the frozen dataclass obj as a read-only float copy, and return the copies:
+    a value type never shares memory with its caller, so neither can change the other's array."""
+    copies = tuple(np.array(value, dtype=float) for value in arrays.values())
+    for name, copy in zip(arrays, copies):
+        copy.setflags(write=False)
+        object.__setattr__(obj, name, copy)
+    return copies
+
+
 def _csv_cell(v) -> str:
     if v is None:
         return ""
@@ -73,14 +84,12 @@ class GridDensity:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
+        (values,) = _freeze(self, values=self.values)
         if self.dx <= 0:
             raise ValueError("dx must be positive")
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a non-empty 1D array")
         _check_densities(values, self.dx)
-        values.setflags(write=False)
 
     @classmethod
     def from_unnormalized(cls, origin: float, dx: float, values) -> "GridDensity":
@@ -154,9 +163,7 @@ class ParticleEnsemble:
                 f"atoms live on the line: points (N,), (N, 1) or (N, 2) at spatial_dim 1, "
                 f"not {np.shape(self.points)} at spatial_dim {self.spatial_dim}"
             )
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "weights", weights)
+        points, weights = _freeze(self, points=points, weights=self.weights)
         if not np.all(np.isfinite(points)):
             raise ValueError("all points must be finite")
         if weights.ndim != 1 or weights.size != points.shape[0]:
@@ -165,8 +172,6 @@ class ParticleEnsemble:
             raise ValueError("weights must be nonnegative")
         if abs(weights.sum() - 1.0) > MASS_TOL_PARTICLES:
             raise ValueError(f"weights sum to {weights.sum()!r}, not 1")
-        points.setflags(write=False)
-        weights.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -217,8 +222,7 @@ class MeasurePath:
     measures: tuple = field(repr=False)
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        object.__setattr__(self, "times", times)
+        (times,) = _freeze(self, times=self.times)
         object.__setattr__(self, "measures", tuple(self.measures))
         if times.ndim != 1 or times.size != len(self.measures):
             raise ValueError("times must be 1D and match the number of measures")
@@ -231,7 +235,6 @@ class MeasurePath:
         kinds = {type(m) for m in self.measures}
         if len(kinds) > 1:
             raise ValueError("mixed measure representations along a path")
-        times.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.measures)
@@ -239,6 +242,31 @@ class MeasurePath:
     def at(self, t: float):
         """Measure at the node closest to t."""
         return self.measures[int(np.argmin(np.abs(self.times - t)))]
+
+
+def _n_steps(T: float, dt: float) -> int:
+    """The clock of every time march: round(T / dt) steps of dt, node j at time j * dt; bad T or dt raise ValueError."""
+    for name, value in (("T", T), ("dt", dt)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not 0.5 < T / dt < np.inf:  # round() takes 0.5 to 0 steps
+        raise ValueError(f"T / dt must round to at least one step and stay finite, got T = {T}, dt = {dt}")
+    return round(T / dt)
+
+
+def _march(m0, state, step, snapshot, T: float, dt: float, save_every: int | None = None) -> MeasurePath:
+    """The stepping loop of every limit solver: state = step(state, j * dt) for j = 1..n = _n_steps(T, dt); the
+    path keeps node 0 (m0), every save_every-th node (about 512 by default) and the last, as snapshot(state)."""
+    n = _n_steps(T, dt)
+    save_every = max(1, n // 512) if save_every is None else save_every
+    if not save_every >= 1:
+        raise ValueError(f"save_every must be at least 1, got {save_every}")
+    snaps = {0: m0}  # node -> measure
+    for j in range(1, n + 1):
+        state = step(state, j * dt)
+        if j % save_every == 0 or j == n:
+            snaps[j] = snapshot(state)
+    return MeasurePath(dt * np.array(list(snaps)), list(snaps.values()))
 
 
 def moment2(m, selector: str = "all") -> float:

@@ -43,7 +43,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from .errors import BoundaryLeakError, CflError, GridError, StabilityError
 from .hamiltonians import QuadraticDriftHamiltonian
 from .kernels import CuckerSmaleKernel, _grid_sum
-from .measures import GridDensity, _check_densities
+from .measures import GridDensity, _check_densities, _n_steps
 
 BOUNDARY_MASS_TOL = 1e-7
 
@@ -67,7 +67,8 @@ class PdeConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.lam <= 0:
             raise ValueError("lam must be positive")
-        if self.T <= 0 or self.dt <= 0 or self.half_width <= 0 or self.n_x < 8:
+        _n_steps(self.T, self.dt)
+        if self.half_width <= 0 or self.n_x < 8:
             raise ValueError("invalid discretization parameters")
         if self.nu is not None and self.nu < 0:
             raise ValueError("nu must be nonnegative")
@@ -84,11 +85,11 @@ class PdeConfig:
 
     @property
     def n_steps(self) -> int:
-        return max(1, round(self.T / self.dt))
+        return _n_steps(self.T, self.dt)
 
     @property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.n_steps + 1)
+        return self.dt * np.arange(self.n_steps + 1)  # the limit paths' nodes; the last is T up to dt / 2
 
     @property
     def cell_centers(self) -> np.ndarray:

@@ -125,6 +125,13 @@ class TestParseConfig:
         [
             ("model.beta", "-1.0"),
             ("solver.half_width", "-1.0"),
+            # a cell width 2 half_width / n_x that underflows or overflows is the half-width's fault
+            ("solver.half_width", "5e-324"),
+            ("solver.half_width", "1e-320"),
+            ("solver.half_width", "1e308"),
+            ("solver.T", "-1.0"),
+            ("solver.T", "0.0"),
+            ("solver.dt", "0.0"),
             ("solver.max_iterations", "0"),
             ("sweep.cross_particles", "0"),
         ],
@@ -148,6 +155,12 @@ class TestParseConfig:
         key = field.split(".")[1]
         with pytest.raises(ConfigError, match=rf"^{field}: .* puts no mass on the cells of \[-6.0, 6.0\]"):
             parse_config(f"[solver]\n{key} = {raw}\n")
+
+    @pytest.mark.parametrize("solver", ["T = 1e-9\ndt = 0.01\n", "T = 1e-4\ndt = 1e-3\n", "T = 1e308\ndt = 1e-308\n"])
+    def test_clock_without_a_step_names_dt(self, solver):
+        """T / dt must round to at least one step and stay finite: the solvers' clock, checked at parse time."""
+        with pytest.raises(ConfigError, match=r"^solver.dt: T / dt must round"):
+            parse_config(f"[solver]\n{solver}")
 
     def test_threads_accepts_only_one(self):
         desc = parse_config("[sweep]\nthreads = 1\n")
@@ -223,8 +236,10 @@ class TestConfigRoundTrip:
         try:
             desc = parse_config(text)
         except ConfigError as exc:
-            # the fields are drawn one by one; a draw whose initial density misses every grid cell is invalid
-            assume(not str(exc).startswith(("solver.m0_center: ", "solver.m0_sigma: ")))
+            # the fields are drawn one by one; a draw whose initial density misses every grid cell, whose cells
+            # degenerate, or whose T / dt rounds to no step or overflows is invalid
+            invalid = ("solver.m0_center: ", "solver.m0_sigma: ", "solver.half_width: ", "solver.dt: ")
+            assume(not str(exc).startswith(invalid))
             raise
         for section, fields in values.items():
             assert {k: getattr(desc, section)[k] for k in fields} == fields

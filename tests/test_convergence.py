@@ -14,6 +14,8 @@ from mfglab import (
     diagnostics_bounds,
     run_lambda_sweep_acceleration,
     run_lambda_sweep_classic,
+    solve_aggregation_fv,
+    solve_aggregation_particles,
     solve_mfg_fixed_point,
 )
 from mfglab import convergence
@@ -155,6 +157,20 @@ class TestClassicSweep:
         sweep = (zero_ham, exp_kernel, small_m0(cfg), [10.0])
         row = run_lambda_sweep_classic(*sweep, base_config=cfg, n_cross_particles=50).rows[0]
         assert row["error"] == "BoundaryLeakError" and np.isnan(row["fp_mass_correction"])
+
+    def test_cross_check_reads_one_time(self, zero_ham, exp_kernel):
+        # 1,500 steps: the particle path keeps every 2nd node, so the window end 1.125 is no node of
+        # it; the FV reference is read at the particle snapshot's own time, 1.124
+        cfg = small_config(10.0, T=1.5, dt=1e-3, n_x=32, half_width=4.0)
+        m0 = small_m0(cfg)
+        rep = run_lambda_sweep_classic(zero_ham, exp_kernel, m0, [10.0], base_config=cfg, n_cross_particles=20)
+        fv = solve_aggregation_fv(zero_ham, exp_kernel, m0, cfg.T, cfg.dt)
+        atoms = convergence.sample_grid_to_atoms(m0, 20)
+        particles = solve_aggregation_particles(zero_ham, exp_kernel, atoms, cfg.T, cfg.dt)
+        k = int(np.argmin(np.abs(particles.times - 1.125)))
+        assert particles.times[k] == 1124 * cfg.dt == fv.times[1124]
+        expected = convergence.w1_grid_vs_particles(fv.measures[1124], particles.measures[k])
+        assert rep.reference["cross_validation_w1"] == expected
 
     def test_report_reproducible(self, zero_ham, exp_kernel):
         cfg = small_config(10.0)

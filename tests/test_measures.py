@@ -6,11 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mfglab import (
+    CrowdRadialKernel,
     DimensionError,
     GridDensity,
     GridError,
     MeasurePath,
     ParticleEnsemble,
+    TrajectoryEnsemble,
     moment2,
     rebin,
     wasserstein1_1d,
@@ -107,6 +109,37 @@ class TestMeasurePath:
         e = GridDensity.gaussian(1.0, 0.5, -4.0, 0.05, 160)
         path = MeasurePath(np.array([0.0, 1.0]), [m, e])
         assert path.at(0.9) is e
+
+
+def _caller_arrays():
+    """Each value type that stores arrays, built from float arrays of the caller's: (value, {field: array})."""
+    values, times, weights = np.full(4, 1.0), np.array([0.0, 1.0]), np.full(2, 0.5)
+    grid = GridDensity(0.0, 0.25, values)
+    column, vector = np.zeros((2, 1)), np.zeros(2)
+    x0, v0, controls, w = np.zeros(2), np.array([1.0, -1.0]), np.zeros((2, 3)), np.full(2, 0.5)
+    knots, phi = np.array([0.0, 1.0, 2.0, 3.0]), np.array([1.0, 0.5, 0.2, 0.1])
+    return {
+        "GridDensity": (grid, {"values": values}),
+        "ParticleEnsemble (N, 1)": (ParticleEnsemble(column, weights, 1), {"points": column, "weights": weights}),
+        "ParticleEnsemble (N,)": (ParticleEnsemble(vector, np.full(2, 0.5), 1), {"points": vector}),
+        "MeasurePath": (MeasurePath(times, [grid, grid]), {"times": times}),
+        "TrajectoryEnsemble": (
+            TrajectoryEnsemble(x0, v0, controls, 1.0, w),
+            {"x0": x0, "v0": v0, "controls": controls, "weights": w},
+        ),
+        "CrowdRadialKernel": (CrowdRadialKernel(knots, phi), {"r_knots": knots, "phi_values": phi}),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_caller_arrays()))
+def test_value_types_store_a_read_only_copy(kind):
+    """The caller's arrays stay writable and theirs: writing to them changes no stored field."""
+    value, given_arrays = _caller_arrays()[kind]
+    stored = {name: getattr(value, name).copy() for name in given_arrays}
+    for name, arr in given_arrays.items():
+        arr[...] = 7.0
+        assert np.array_equal(getattr(value, name), stored[name]), name
+        assert not getattr(value, name).flags.writeable, name
 
 
 class TestMoment2:
