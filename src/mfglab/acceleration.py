@@ -30,7 +30,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .kernels import CuckerSmaleKernel, _cs_pair_sum, _flock, _pair_offsets
-from .measures import ParticleEnsemble, _csv_table, _freeze
+from .measures import ParticleEnsemble, _csv_table, _freeze, _positive_finite
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,7 @@ class TrajectoryEnsemble:
             raise ValueError("x0 and v0 must have shape (N,) and controls (N, K)")
         if abs(w.sum() - 1.0) > 1e-12 or np.any(w < 0):
             raise ValueError("weights must be nonnegative and sum to 1")
-        if self.T <= 0:
-            raise ValueError("T must be positive")
+        _positive_finite(T=self.T)
 
     @property
     def n(self) -> int:

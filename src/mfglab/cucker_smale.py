@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import CuckerSmaleKernel, _cs_pair_sum, _flock
-from .measures import MeasurePath, ParticleEnsemble, _march
+from .kernels import CuckerSmaleKernel, _cs_alignment, _flock
+from .measures import MeasurePath, ParticleEnsemble, _march, _positive_finite
 
 
 def cs_rhs(ensemble: ParticleEnsemble, kernel: CuckerSmaleKernel) -> np.ndarray:
@@ -34,14 +34,14 @@ def _rk4(rhs, z, dt, n_steps):
 
 def _phase_rhs(m0: ParticleEnsemble, kernel):
     """Right-hand side on the state z = [pos | vel], (N, 2): returns [vel | -D_vF], with -D_vF
-    the alignment pair sum over the (N, N) offsets."""
+    the alignment acceleration from one (N, N) weight matrix and one product
+    (``kernels._cs_alignment``), on velocities centred on their weighted mean."""
     _flock(m0)
     w = m0.weights
 
     def rhs(z):
         pos, vel = z[:, 0], z[:, 1]
-        (dv_f,) = _cs_pair_sum(kernel, pos, vel, pos, vel, w, grad_v=True)
-        return np.column_stack([vel, -dv_f])
+        return np.column_stack([vel, _cs_alignment(kernel, pos, vel, w)])
 
     return rhs
 
@@ -50,6 +50,7 @@ def richardson_order_ratio(
     m0: ParticleEnsemble, kernel: CuckerSmaleKernel, T: float, dt: float
 ) -> float:
     """Step-halving error ratio |u_dt - u_dt/2| / |u_dt/2 - u_dt/4|; ~16 for RK4."""
+    _positive_finite(T=T, dt=dt)
     rhs = _phase_rhs(m0, kernel)
     n = max(1, round(T / dt))
     z1, z2, z4 = (_rk4(rhs, m0.points, T / k, k) for k in (n, 2 * n, 4 * n))

@@ -22,10 +22,11 @@ recurrence.
 The Cucker-Smale kernel acts on the line too, jointly on
 position-velocity offsets of any shape, k(x,v) = v^2 / g(x) with
 g(x) = (alpha + x^2)^beta elementwise; its weight is not radial in
-(x, v) and not a sum of exponentials.  Its pair sums (the alignment
-force, the energy and gradients of the MFG of acceleration, single-query
-couplings) all go through ``_cs_pair_sum``, one pass over one set of
-offsets.  An ensemble enters that side through ``_flock``, which
+(x, v) and not a sum of exponentials.  The alignment force is one
+(N, N) matrix 1 / g times [w | w u], u the centred velocities
+(``_cs_alignment``); the energy and gradients of the MFG of acceleration
+and single-query couplings go through ``_cs_pair_sum``, one pass over
+one set of offsets.  An ensemble enters that side through ``_flock``, which
 rejects one without velocities.  Atoms are on the line by construction
 (``ParticleEnsemble``); free-form query points go through
 ``measures._line_points``.
@@ -332,12 +333,30 @@ def _decayed_prefix(s, f):
 PAIR_ARRAY_CAP = 2**28
 
 
-def _pair_offsets(xq, vq, x, v):
-    """xq_p - x_q and vq_p - v_q, each (nq, N, ...); raises before allocating past PAIR_ARRAY_CAP."""
-    nbytes = xq.shape[0] * x.nbytes
+def _check_pair_cap(nq, x):
+    """Raises before an (nq, N, ...) pair array against the atoms x would pass PAIR_ARRAY_CAP."""
+    nbytes = nq * x.nbytes
     if nbytes > PAIR_ARRAY_CAP:
         raise ValueError(f"pair arrays of {nbytes} bytes each exceed the cap of {PAIR_ARRAY_CAP} bytes")
+
+
+def _pair_offsets(xq, vq, x, v):
+    """xq_p - x_q and vq_p - v_q, each (nq, N, ...); raises before allocating past PAIR_ARRAY_CAP."""
+    _check_pair_cap(xq.shape[0], x)
     return xq[:, None] - x[None, :], vq[:, None] - v[None, :]
+
+
+def _cs_alignment(kernel, pos, vel, w):
+    """Alignment acceleration -sum_j w_j 2 (v_i - v_j) / g(x_i - x_j) of every atom, (N,), as
+    2 ((A (w u))_i - u_i (A w)_i): A = 1 / g(x_i - x_j) in one (N, N) buffer, both sums from one
+    product A @ [w | w u].  u = v - w.v centres the velocities on their conserved weighted mean;
+    a shift leaves each v_i - v_j alone, but uncentred the difference loses |mean v| / spread digits."""
+    _check_pair_cap(pos.shape[0], pos)
+    a = kernel.g(pos[:, None] - pos[None, :])
+    np.reciprocal(a, out=a)
+    u = vel - w @ vel
+    s = a @ np.column_stack([w, w * u])
+    return 2.0 * (s[:, 1] - u * s[:, 0])
 
 
 def _cs_pair_sum(kernel, xq, vq, x, v, w, wq=None, grad_x=False, grad_v=False):

@@ -244,11 +244,16 @@ class MeasurePath:
         return self.measures[int(np.argmin(np.abs(self.times - t)))]
 
 
-def _n_steps(T: float, dt: float) -> int:
-    """The clock of every time march: round(T / dt) steps of dt, node j at time j * dt; bad T or dt raise ValueError."""
-    for name, value in (("T", T), ("dt", dt)):
+def _positive_finite(**values) -> None:
+    """Raises ValueError naming the first keyword value that is not positive and finite."""
+    for name, value in values.items():
         if not 0 < value < np.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _n_steps(T: float, dt: float) -> int:
+    """The clock of every time march: round(T / dt) steps of dt, node j at time j * dt; bad T or dt raise ValueError."""
+    _positive_finite(T=T, dt=dt)
     if not 0.5 < T / dt < np.inf:  # round() takes 0.5 to 0 steps
         raise ValueError(f"T / dt must round to at least one step and stay finite, got T = {T}, dt = {dt}")
     return round(T / dt)

@@ -124,6 +124,13 @@ class TestTrajectoryEnsemble:
         )
         assert np.array_equal(ens.phase_ensemble(0).points, two_body_phase.points)
 
+    @pytest.mark.parametrize("T", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_horizon_named(self, two_body_phase, cs_flat, T):
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            TrajectoryEnsemble.free_flight(two_body_phase, T, 8)
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            minimize_energy(two_body_phase, cs_flat, 10.0, T, 16)
+
     def test_csv_has_full_state(self, two_body_phase):
         text = TrajectoryEnsemble.free_flight(two_body_phase, 1.0, 4).to_csv()
         assert text.splitlines()[0] == "trajectory,t,x1,v1,a1"

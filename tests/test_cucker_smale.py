@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mfglab import kernels
 from mfglab import (
     CuckerSmaleKernel,
     DimensionError,
@@ -45,6 +46,23 @@ class TestCsRhs:
         with pytest.raises(DimensionError):
             cs_rhs(m, CuckerSmaleKernel())
 
+    def test_one_g_call(self, rng, monkeypatch):
+        """One right-hand side evaluates g once, through CuckerSmaleKernel.g: the benchmark
+        traces that method as its kernels.cs_g span."""
+        calls = []
+        g = CuckerSmaleKernel.g
+        monkeypatch.setattr(CuckerSmaleKernel, "g", lambda self, x: calls.append(x.shape) or g(self, x))
+        cs_rhs(phase_atoms(rng.standard_normal(12), rng.standard_normal(12)), CuckerSmaleKernel(1.0, 0.5))
+        assert calls == [(12, 12)]
+
+    def test_pair_array_cap(self, rng, monkeypatch):
+        # 12 atoms: the (12, 12) weight matrix takes 1152 bytes
+        monkeypatch.setattr(kernels, "PAIR_ARRAY_CAP", 1000)
+        m = phase_atoms(rng.standard_normal(12), rng.standard_normal(12))
+        for call in (lambda: cs_rhs(m, CuckerSmaleKernel()), lambda: solve_cs(m, CuckerSmaleKernel(), 0.1, 0.05)):
+            with pytest.raises(ValueError, match="1152 bytes each exceed the cap of 1000 bytes"):
+                call()
+
 
 class TestSolveCs:
     def test_two_body_exponential_decay(self, cs_flat, two_body_phase):
@@ -69,6 +87,15 @@ class TestSolveCs:
     def test_rk4_order_check(self, cs_flat, two_body_phase):
         ratio = richardson_order_ratio(two_body_phase, cs_flat, 1.0, 0.05)
         assert 8.0 <= ratio <= 32.0
+
+    @pytest.mark.parametrize(
+        "T, dt, name",
+        [(-1.0, 0.01, "T"), (0.0, 0.01, "T"), (float("nan"), 0.01, "T"), (float("inf"), 0.01, "T"), (1.0, 0.0, "dt")],
+    )
+    def test_order_check_rejects_bad_times(self, cs_flat, two_body_phase, T, dt, name):
+        """A backward, empty, NaN or infinite horizon, or a zero step, has no order to probe."""
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            richardson_order_ratio(two_body_phase, cs_flat, T, dt)
 
     def test_velocity_diameter_contracts(self, rng):
         m0 = phase_atoms(rng.standard_normal(16), rng.standard_normal(16))

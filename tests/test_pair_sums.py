@@ -1,16 +1,20 @@
 """Dense per-atom Python-loop oracles for the particle pair sums.
 
-Every particle-side k*m and Dk*m goes through ``kernels._pair_sum`` and
-the Cucker-Smale alignment through ``kernels._cs_pair_sum``.  The
-loops below recompute each sum one atom pair at a time from the radial
-profile phi (or from g for Cucker-Smale) and bound the difference by
-1e-13 times the sum of the absolute terms.  Radial pair sums act on the
+Every particle-side k*m and Dk*m goes through ``kernels._pair_sum``, the
+Cucker-Smale alignment acceleration through ``kernels._cs_alignment``
+(one weight matrix, one product) and the other Cucker-Smale pair sums
+through ``kernels._cs_pair_sum``.  The loops below recompute each sum one
+atom pair at a time from the radial profile phi (or from g for
+Cucker-Smale) and bound the difference by 1e-13 times the sum of the
+absolute terms.  Radial pair sums act on the
 line, (nq,) queries against (N,) atoms: the ``d = 1`` cases match the
 loops, and query points with ``d = 2`` coordinates must raise
 DimensionError (atoms cannot be built off the line; test_measures checks
 that).  ``d_vector_dense_pair_sum`` keeps the dense body the radial sums
 had while they took d-vectors, as the oracle of the dense body that
-replaced it and of the golden values recorded with it.
+replaced it and of the golden values recorded with it;
+``pair_sum_cs_alignment`` keeps the alignment acceleration as
+``_cs_pair_sum`` gave it, the oracle of the Cucker-Smale golden values.
 """
 
 import math
@@ -133,23 +137,63 @@ def test_points_off_the_line_raise():
         psd_check(kernel, points=m.points)
 
 
+def flock(n, seed=5, shift=0.0):
+    """n (x, v) atoms with unequal weights, every velocity shifted by shift."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.2, 1.0, n)
+    return ParticleEnsemble(rng.standard_normal((n, 2)) + [0.0, shift], w / w.sum(), 1)
+
+
+def cs_loop(kernel, m):
+    """Alignment accelerations -sum_j w_j 2 (v_i - v_j) / g(x_i - x_j) and the sums of their
+    absolute terms, pair by pair."""
+    x, v = m.points.T.tolist()
+    acc, scale = np.zeros(m.n), np.zeros(m.n)
+    for i in range(m.n):
+        for j in range(m.n):
+            g = (kernel.alpha + (x[i] - x[j]) ** 2) ** kernel.beta
+            term = -m.weights[j] * 2.0 * (v[i] - v[j]) / g
+            acc[i] += term
+            scale[i] += abs(term)
+    return acc, scale
+
+
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.5])
 def test_cs_rhs_matches_loop(beta):
-    kernel = CuckerSmaleKernel(0.7, beta)
-    rng = np.random.default_rng(5)
-    w = rng.uniform(0.2, 1.0, 20)
-    m = ParticleEnsemble(rng.standard_normal((20, 2)), w / w.sum(), 1)
+    kernel, m = CuckerSmaleKernel(0.7, beta), flock(20)
     got = cs_rhs(m, kernel)
     assert got.shape == (20,)
-    x, v = m.points.T.tolist()
-    for i in range(m.n):
-        acc = scale = 0.0
-        for j in range(m.n):
-            g = (kernel.alpha + (x[i] - x[j]) ** 2) ** beta
-            term = -m.weights[j] * 2.0 * (v[i] - v[j]) / g
-            acc += term
-            scale += abs(term)
-        assert abs(got[i] - acc) <= TOL * scale
+    acc, scale = cs_loop(kernel, m)
+    assert np.all(np.abs(got - acc) <= TOL * scale)
+
+
+@pytest.mark.parametrize("shift", [1e3, 1e6])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.5])
+def test_cs_rhs_galilean(beta, shift):
+    """Velocities far from zero: the matrix form sums on velocities centred on their weighted
+    mean, so a common shift costs no digits against the loop (uncentred it lost
+    |mean v| / spread of them, 3e-10 of the scale at 1e6)."""
+    kernel, m = CuckerSmaleKernel(0.7, beta), flock(40, shift=shift)
+    acc, scale = cs_loop(kernel, m)
+    assert np.all(np.abs(cs_rhs(m, kernel) - acc) <= TOL * scale)
+
+
+def pair_sum_cs_alignment(kernel, pos, vel, w):
+    """The alignment acceleration as the RK4 right-hand side took it before the matrix form:
+    -D_vF from ``_cs_pair_sum(grad_v=True)`` over the (N, N) offsets.  The golden
+    Cucker-Smale values were recorded with it, bit for bit."""
+    (dv_f,) = kernels._cs_pair_sum(kernel, pos, vel, pos, vel, w, grad_v=True)
+    return -dv_f
+
+
+@pytest.mark.parametrize("n", [2, 24, 192])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.5])
+def test_cs_alignment_matches_pair_sum(beta, n):
+    kernel, m = CuckerSmaleKernel(0.7, beta), flock(n, seed=n)
+    pos, vel = m.points.T
+    old = pair_sum_cs_alignment(kernel, pos, vel, m.weights)
+    scale = np.sum(np.abs(m.weights * 2.0 * (vel[:, None] - vel) / kernel.g(pos[:, None] - pos)), axis=1)
+    assert np.all(np.abs(kernels._cs_alignment(kernel, pos, vel, m.weights) - old) <= TOL * scale)
 
 
 @pytest.mark.parametrize("draw", [1, 2])
