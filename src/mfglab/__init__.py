@@ -30,7 +30,7 @@ from .convergence import (
     run_lambda_sweep_acceleration,
     run_lambda_sweep_classic,
 )
-from .cucker_smale import cs_rhs, richardson_order_ratio, sample_to_atoms, solve_cs
+from .cucker_smale import cs_rhs, richardson_order_ratio, solve_cs
 from .errors import (
     BoundaryLeakError,
     CflError,
@@ -62,7 +62,6 @@ from .measures import (
     MeasurePath,
     ParticleEnsemble,
     moment2,
-    rebin,
     wasserstein1_1d,
     wasserstein1_particles,
 )

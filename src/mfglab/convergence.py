@@ -341,7 +341,6 @@ def _acceleration_row(
     T: float,
     n_intervals: int,
     reference: MeasurePath,
-    seed: int,
 ) -> dict:
     # the EL certificate degrades like (lam dt)^2, so refine with lam
     k_lam = max(n_intervals, int(np.ceil(64 * lam * T)))
@@ -356,7 +355,7 @@ def _acceleration_row(
     nearest = lambda times, t: int(np.argmin(np.abs(times - t)))
     pairs = [(nearest(ens.times, t), nearest(reference.times, t)) for t in (*_window_times(T), 0.5 * T)]
     w1 = {
-        (j, r): wasserstein1_particles(ens.phase_ensemble(j), reference.measures[r], seed=seed)
+        (j, r): wasserstein1_particles(ens.phase_ensemble(j), reference.measures[r])
         for j, r in dict.fromkeys(pairs)
     }
     w1_sup, w1_half = max(w1[p] for p in pairs[:-1]), w1[pairs[-1]]
@@ -396,7 +395,9 @@ def run_lambda_sweep_acceleration(
 
     The same atom set is used for every lambda; the reference alignment
     flow is integrated on those identical atoms and its step-halving
-    ratio is reported as the reference's own error control.
+    ratio is reported as the reference's own error control.  Nothing here
+    is random: seed is only recorded in the report (the CLI passes the seed
+    it drew m0 with).
     """
     if not isinstance(kernel, CuckerSmaleKernel):
         raise TypeError("the acceleration sweep takes a Cucker-Smale kernel")
@@ -404,7 +405,7 @@ def run_lambda_sweep_acceleration(
     reference = solve_cs(m0, kernel, T, dt_reference, save_every=1)
     ratio = richardson_order_ratio(m0, kernel, T, dt_reference * 8)
 
-    rows = [_acceleration_row(lam, m0, kernel, T, n_intervals, reference, seed) for lam in lambdas]
+    rows = [_acceleration_row(lam, m0, kernel, T, n_intervals, reference) for lam in lambdas]
 
     return ConvergenceReport(
         family="acceleration",

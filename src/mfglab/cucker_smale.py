@@ -73,10 +73,3 @@ def solve_cs(
     rhs = _phase_rhs(m0, kernel)
     step = lambda z, t: _rk4(rhs, z, dt, 1)
     return _march(m0, m0.points, step, lambda z: ParticleEnsemble(z, m0.weights, 1), T, dt, save_every)
-
-
-def sample_to_atoms(density_sampler, n: int, seed: int) -> ParticleEnsemble:
-    """i.i.d. sampling of a non-atomic m0 on the line to n equal-weight (x, v) atoms (recorded seed);
-    density_sampler(rng, n) returns their (n, 2) coordinates."""
-    rng = np.random.default_rng(seed)
-    return ParticleEnsemble.equal_weights(density_sampler(rng, n), 1)

@@ -11,8 +11,8 @@ Two concrete representations are used throughout the lab:
 All types hold read-only copies of their arrays (``_freeze``); operations
 are pure.  Query points on the line enter through ``_line_points``.  The
 limit solvers step in ``_march`` on ``_n_steps``, the clock of every march.
-Particle W1 picks its method from the input alone: exact sorted on the
-line, the transport LP up to EXACT_W1_SIZE_CAP couplings, sliced above.
+W1 is exact or refused: the CDF formula on one grid, the sorted formula
+on the line, an optimal assignment between equal-weight phase-space flocks.
 """
 
 from __future__ import annotations
@@ -20,15 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionError, GridError
 
 MASS_TOL_GRID = 1e-10
 MASS_TOL_PARTICLES = 1e-12
 
-#: largest N_a * N_b for which wasserstein1_particles solves the exact transport LP (d > 1)
+#: largest N * N cost matrix wasserstein1_particles builds for a phase-space assignment; larger flocks raise
 EXACT_W1_SIZE_CAP = 2**18
 
 
@@ -294,38 +293,13 @@ def moment2(m, selector: str = "all") -> float:
     return float(np.sum(m.weights * np.sum(coords**2, axis=1)))
 
 
-def rebin(m: GridDensity, origin: float, dx: float, n: int) -> GridDensity:
-    """Mass-conservative rebinning onto a new uniform grid.
-
-    A new cell takes the increment of the old CDF across its edges.  The
-    density is piecewise constant, so that CDF is piecewise linear and
-    each old cell's mass is split in proportion to the overlap length.
-    """
-    edges = m.cell_edges
-    outside = (edges[1:] <= origin) | (edges[:-1] >= origin + n * dx)
-    if np.any((m.values > 0) & outside):
-        raise GridError("old cell carries mass outside the new grid")
-    cdf = np.concatenate([[0.0], m.cdf()])
-    mass = np.diff(np.interp(origin + np.arange(n + 1) * dx, edges, cdf))
-    if abs(mass.sum() - cdf[-1]) > 1e-9:
-        raise GridError("rebinning lost mass; new grid does not cover the support")
-    return GridDensity(origin, dx, mass / (mass.sum() * dx))
-
-
-def _common_grid(a: GridDensity, b: GridDensity):
-    dx = min(a.dx, b.dx)
-    origin = min(a.origin, b.origin)
-    right = max(a.cell_edges[-1], b.cell_edges[-1])
-    n = int(np.ceil((right - origin) / dx - 1e-12))
-    return origin, dx, n
-
-
 def wasserstein1_1d(a: GridDensity, b: GridDensity) -> float:
-    """W1 distance between two 1D grid densities, via the CDF formula."""
+    """W1 distance between two densities on one grid, via the CDF formula; grids that differ raise GridError."""
     if not a.same_grid(b):
-        origin, dx, n = _common_grid(a, b)
-        a = rebin(a, origin, dx, n)
-        b = rebin(b, origin, dx, n)
+        raise GridError(
+            f"W1 compares densities on one grid, not (origin {a.origin}, dx {a.dx}, n {a.n}) "
+            f"and (origin {b.origin}, dx {b.dx}, n {b.n})"
+        )
     return float(a.dx * np.sum(np.abs(a.cdf() - b.cdf())))
 
 
@@ -344,51 +318,30 @@ def _w1_sorted_1d(xa, wa, xb, wb) -> float:
     return float(np.sum(np.abs(cdf_diff) * np.diff(xs)))
 
 
-def _w1_exact_lp(a: ParticleEnsemble, b: ParticleEnsemble) -> float:
-    diff = a.points[:, None, :] - b.points[None, :, :]
-    cost = np.sqrt(np.sum(diff**2, axis=2))
-    na, nb = a.n, b.n
-    # row marginals then column marginals of the transport plan
-    rows_i = np.repeat(np.arange(na), nb)
-    cols_j = np.tile(np.arange(nb), na)
-    var = np.arange(na * nb)
-    A = sparse.coo_matrix(
-        (
-            np.ones(2 * na * nb),
-            (np.concatenate([rows_i, na + cols_j]), np.concatenate([var, var])),
-        ),
-        shape=(na + nb, na * nb),
-    ).tocsr()
-    rhs = np.concatenate([a.weights, b.weights])
-    res = linprog(cost.ravel(), A_eq=A, b_eq=rhs, bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    return float(res.fun)
+def wasserstein1_particles(a: ParticleEnsemble, b: ParticleEnsemble) -> float:
+    """W1 distance between particle ensembles, exact or refused.
 
-
-def _w1_sliced(a: ParticleEnsemble, b: ParticleEnsemble, seed: int) -> float:
-    """Mean of the exact 1D distances over 64 seeded random projections; a lower bound on W1."""
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    for _ in range(64):
-        u = rng.standard_normal(a.d_total)
-        u /= np.linalg.norm(u)
-        total += _w1_sorted_1d(a.points @ u, a.weights, b.points @ u, b.weights)
-    return total / 64
-
-
-def wasserstein1_particles(a: ParticleEnsemble, b: ParticleEnsemble, seed: int = 0) -> float:
-    """W1 distance between particle ensembles.
-
-    Exact on the line at any size (sorted CDF formula).  Above one
-    dimension: the exact transport LP up to EXACT_W1_SIZE_CAP coupling
-    variables N_a * N_b, and above that the sliced estimate over 64
-    projections drawn from seed.
+    On the line: the sorted CDF formula, for any weights and sizes.  In phase space: two flocks of
+    the same N equal-weight atoms, whose optimal plan is a permutation, so W1 is the optimal
+    assignment on the (N, N) Euclidean cost; other sizes or weights, or N * N above
+    EXACT_W1_SIZE_CAP, raise ValueError.
     """
     if a.d_total != b.d_total:
         raise DimensionError(f"dimension mismatch: {a.d_total} vs {b.d_total}")
     if a.d_total == 1:
         return _w1_sorted_1d(a.points[:, 0], a.weights, b.points[:, 0], b.weights)
-    if a.n * b.n <= EXACT_W1_SIZE_CAP:
-        return _w1_exact_lp(a, b)
-    return _w1_sliced(a, b, seed)
+    n = a.n
+    if b.n != n:
+        raise ValueError(f"phase-space W1 compares flocks of one size, not {n} and {b.n} atoms")
+    for m in (a, b):
+        if np.any(m.weights != m.weights[0]):
+            raise ValueError(
+                f"phase-space W1 takes equal weights, not weights {m.weights.min()} to {m.weights.max()} on {n} atoms"
+            )
+    if n * n > EXACT_W1_SIZE_CAP:
+        raise ValueError(
+            f"phase-space W1 of {n} atoms needs {n} * {n} costs, above EXACT_W1_SIZE_CAP = {EXACT_W1_SIZE_CAP}"
+        )
+    cost = np.linalg.norm(a.points[:, None, :] - b.points[None, :, :], axis=2)
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum() / n)

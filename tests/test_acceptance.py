@@ -26,6 +26,7 @@ from mfglab import (
     cs_rhs,
     fp_forward,
     hjb_backward,
+    minimize_energy,
     moment2,
     psd_check,
     richardson_order_ratio,
@@ -221,6 +222,33 @@ def test_flocking_limit_trend(accel_sweep):
     w1 = accel_sweep.column("w1_at_half_T")
     assert np.all(np.diff(w1) < 0)
     assert time.perf_counter() - t0 < 600.0
+
+
+def linear_quadratic_velocity(u0, lam, T, t):
+    """Centred velocity of the flat-weight (beta = 0, g = 1) acceleration MFG.
+
+    With g = 1 the coupling is the velocity variance, so each centred velocity u minimizes
+    int e^{-lam t} (u'^2 / (2 lam) + u^2) dt: u'' - lam u' - 2 lam u = 0, u(0) = u0, u'(T) = 0.
+    The roots are r_pm = (lam +- sqrt(lam^2 + 8 lam)) / 2; the growing mode is written as
+    e^{r_+ (t - T)} so that no exponent is positive (e^{r_+ T} overflows for large lam).
+    """
+    disc = np.sqrt(lam * lam + 8.0 * lam)
+    r_plus, r_minus = 0.5 * (lam + disc), 0.5 * (lam - disc)
+    b = u0 / (1.0 - (r_minus / r_plus) * np.exp((r_minus - r_plus) * T))
+    return b * (np.exp(r_minus * t) - (r_minus / r_plus) * np.exp(r_minus * T + r_plus * (t - T)))
+
+
+@pytest.mark.parametrize("lam", [10.0, 20.0, 40.0])
+def test_linear_quadratic_flock_oracle(lam):
+    # at K = 64 lam the discretization error is O((lam dt)^2) with lam dt = 1/64: measured
+    # 7.8e-6, 7.6e-6 and 8.6e-6 on t <= T/2 at lam = 10, 20, 40 (1.9e-6 at K = 128 lam)
+    T = 1.0
+    ens = minimize_energy(two_body(), CS_FLAT, lam, T, int(64 * lam)).ensemble
+    u0 = ens.v0 - ens.weights @ ens.v0
+    u = ens.velocities - ens.weights @ ens.velocities
+    keep = ens.times <= 0.5 * T
+    exact = linear_quadratic_velocity(u0[:, None], lam, T, ens.times[None, keep])
+    assert np.max(np.abs(u[:, keep] - exact)) <= 2e-5
 
 
 class TestPsdVerdicts:

@@ -13,7 +13,6 @@ from mfglab import (
     minimize_energy,
     moment2,
     richardson_order_ratio,
-    sample_to_atoms,
     solve_cs,
 )
 
@@ -110,25 +109,17 @@ class TestSolveCs:
 
 
 class TestSampling:
-    def test_sample_to_atoms_deterministic(self):
-        sampler = lambda rng, n: np.column_stack(
-            [rng.standard_normal(n), rng.standard_normal(n)]
-        )
-        a = sample_to_atoms(sampler, 32, seed=5)
-        b = sample_to_atoms(sampler, 32, seed=5)
-        assert np.array_equal(a.points, b.points)
-        assert a.is_phase_space
-
     def test_two_resolution_consistency(self):
-        # doubling N moves the empirical solution by O(N^{-1/2}), not more
+        # two 96-atom samples of one law: the flow moves their W1 by a bounded factor, not more
         from mfglab.measures import wasserstein1_particles
 
-        sampler = lambda rng, n: np.column_stack(
-            [0.5 * rng.standard_normal(n), rng.standard_normal(n)]
-        )
+        def flock(seed, n=96):
+            rng = np.random.default_rng(seed)
+            x, v = 0.5 * rng.standard_normal(n), rng.standard_normal(n)
+            return ParticleEnsemble.equal_weights(np.column_stack([x, v]), 1)
+
         kernel = CuckerSmaleKernel(1.0, 0.4)
-        mA = sample_to_atoms(sampler, 64, seed=1)
-        mB = sample_to_atoms(sampler, 128, seed=2)
+        mA, mB = flock(1), flock(2)
         d0 = wasserstein1_particles(mA, mB)
         pA = solve_cs(mA, kernel, 1.0, 1e-2)
         pB = solve_cs(mB, kernel, 1.0, 1e-2)

@@ -1,9 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.optimize import linprog
 
 from mfglab import (
     CrowdRadialKernel,
@@ -14,11 +17,33 @@ from mfglab import (
     ParticleEnsemble,
     TrajectoryEnsemble,
     moment2,
-    rebin,
     wasserstein1_1d,
     wasserstein1_particles,
 )
-from mfglab.measures import EXACT_W1_SIZE_CAP, _w1_exact_lp, _w1_sliced
+from mfglab.measures import EXACT_W1_SIZE_CAP
+
+
+def _w1_exact_lp(a: ParticleEnsemble, b: ParticleEnsemble) -> float:
+    """Oracle: W1 as the transport LP over all N_a * N_b couplings, any sizes and weights."""
+    diff = a.points[:, None, :] - b.points[None, :, :]
+    cost = np.sqrt(np.sum(diff**2, axis=2))
+    na, nb = a.n, b.n
+    # row marginals then column marginals of the transport plan
+    rows_i = np.repeat(np.arange(na), nb)
+    cols_j = np.tile(np.arange(nb), na)
+    var = np.arange(na * nb)
+    A = sparse.coo_matrix(
+        (
+            np.ones(2 * na * nb),
+            (np.concatenate([rows_i, na + cols_j]), np.concatenate([var, var])),
+        ),
+        shape=(na + nb, na * nb),
+    ).tocsr()
+    rhs = np.concatenate([a.weights, b.weights])
+    res = linprog(cost.ravel(), A_eq=A, b_eq=rhs, bounds=(0, None), method="highs")
+    if not res.success:
+        raise RuntimeError(f"transport LP failed: {res.message}")
+    return float(res.fun)
 
 
 def delta_on_grid(x0, origin=-4.0, dx=0.01, n=800):
@@ -192,10 +217,14 @@ class TestWasserstein1Grid:
         # quantile-map oracle: int_0^1 |q - 2q| dq = 1/2
         assert wasserstein1_1d(a, b) == pytest.approx(0.5, abs=dx)
 
-    def test_mismatched_grids_resampled(self):
+    @pytest.mark.parametrize("origin, dx, n", [(-1.5, 0.01, 300), (-1.0, 0.015, 300), (-1.0, 0.01, 301)])
+    def test_mismatched_grids_refused(self, origin, dx, n):
         a = GridDensity.uniform(0.0, 1.0, -1.0, 0.01, 300)
-        b = GridDensity.uniform(0.0, 1.0, -1.5, 0.015, 300)
-        assert wasserstein1_1d(a, b) < 0.02
+        b = GridDensity.uniform(0.0, 1.0, origin, dx, n)
+        with pytest.raises(GridError, match=f"origin {origin}, dx {dx}, n {n}"):
+            wasserstein1_1d(a, b)
+        with pytest.raises(GridError, match="origin -1.0, dx 0.01, n 300"):
+            wasserstein1_1d(b, a)
 
     def test_symmetry_and_triangle_inequality(self, rng):
         ms = []
@@ -240,39 +269,20 @@ class TestWasserstein1Particles:
         d2 = _w1_exact_lp(a2, b2)
         assert d2 == pytest.approx(d1, abs=1e-8)
 
-    def test_sliced_lower_bounds_exact(self, rng):
-        # projecting onto a unit vector is 1-Lipschitz, so every slice
-        # underestimates W1; the mean must land between (2/pi) exact
-        # (isotropic worst case) and exact itself
-        a = ParticleEnsemble.equal_weights(rng.standard_normal((30, 2)), 1)
-        b = ParticleEnsemble.equal_weights(rng.standard_normal((30, 2)) + 1.0, 1)
-        exact = _w1_exact_lp(a, b)
-        sliced = _w1_sliced(a, b, seed=7)
-        assert sliced <= exact * (1.0 + 1e-12)
-        assert sliced >= 0.5 * exact
-
-    def test_sliced_deterministic_under_seed(self, rng):
-        a = ParticleEnsemble.equal_weights(rng.standard_normal((10, 2)), 1)
-        b = ParticleEnsemble.equal_weights(rng.standard_normal((10, 2)), 1)
-        d1 = _w1_sliced(a, b, seed=3)
-        d2 = _w1_sliced(a, b, seed=3)
-        assert d1 == d2
-
     def test_method_follows_dimension_and_size(self, rng):
         # 600 * 600 > EXACT_W1_SIZE_CAP: exact in position space at any size; in phase space
-        # the transport LP up to the cap, sliced above it
+        # the assignment up to the cap, refused above it
         assert 600 * 600 > EXACT_W1_SIZE_CAP
         x = rng.standard_normal((600, 2))
         line = ParticleEnsemble.equal_weights(x[:, :1], 1)
         assert wasserstein1_particles(line, ParticleEnsemble(line.points + 0.25, line.weights, 1)) == pytest.approx(
             0.25, abs=1e-12
         )
-        a = ParticleEnsemble.equal_weights(x, 1)
-        b = ParticleEnsemble.equal_weights(x + 1.0, 1)
-        assert wasserstein1_particles(a, b, seed=5) == _w1_sliced(a, b, seed=5)
+        with pytest.raises(ValueError, match="EXACT_W1_SIZE_CAP"):
+            wasserstein1_particles(ParticleEnsemble.equal_weights(x, 1), ParticleEnsemble.equal_weights(x + 1.0, 1))
         small_a = ParticleEnsemble.equal_weights(x[:20], 1)
         small_b = ParticleEnsemble.equal_weights(x[20:40], 1)
-        assert wasserstein1_particles(small_a, small_b) == _w1_exact_lp(small_a, small_b)
+        assert wasserstein1_particles(small_a, small_b) == pytest.approx(_w1_exact_lp(small_a, small_b), rel=1e-12)
 
     def test_dimension_mismatch(self):
         a = ParticleEnsemble.equal_weights(np.zeros((2, 1)), 1)
@@ -281,17 +291,44 @@ class TestWasserstein1Particles:
             wasserstein1_particles(a, b)
 
 
-class TestRebin:
-    def test_mass_conserved(self, rng):
-        vals = rng.uniform(0.0, 1.0, 50)
-        m = GridDensity.from_unnormalized(-1.0, 0.04, vals)
-        r = rebin(m, -1.3, 0.05, 60)
-        assert abs(r.dx * r.values.sum() - 1.0) < 1e-12
+class TestPhaseSpaceW1Refusals:
+    """Phase-space W1 is an assignment between flocks of one size and equal weights, or nothing."""
 
-    def test_refinement_preserves_cdf(self):
-        m = GridDensity.uniform(0.0, 1.0, 0.0, 0.25, 4)
-        r = rebin(m, 0.0, 0.125, 8)
-        assert wasserstein1_1d(m, r) < 1e-12
+    def test_unequal_sizes_refused(self, rng):
+        a = ParticleEnsemble.equal_weights(rng.standard_normal((3, 2)), 1)
+        b = ParticleEnsemble.equal_weights(rng.standard_normal((4, 2)), 1)
+        for x, y, sizes in ((a, b, "3 and 4"), (b, a, "4 and 3")):
+            with pytest.raises(ValueError, match=sizes):
+                wasserstein1_particles(x, y)
+
+    def test_unequal_weights_refused(self, rng):
+        pts = rng.standard_normal((3, 2))
+        even = ParticleEnsemble.equal_weights(pts, 1)
+        uneven = ParticleEnsemble(pts, [0.5, 0.25, 0.25], 1)
+        for x, y in ((even, uneven), (uneven, even)):
+            with pytest.raises(ValueError, match="equal weights, not weights 0.25 to 0.5 on 3 atoms"):
+                wasserstein1_particles(x, y)
+
+    def test_past_the_cap_refused_before_allocating(self, rng):
+        n = int(np.sqrt(EXACT_W1_SIZE_CAP)) + 1
+        a = ParticleEnsemble.equal_weights(rng.standard_normal((n, 2)), 1)
+        b = ParticleEnsemble.equal_weights(rng.standard_normal((n, 2)), 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"{n} \\* {n} costs"):
+                wasserstein1_particles(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n  # the (N, N) cost would take 8 N^2 bytes
+
+    def test_at_the_cap_solved(self):
+        n = int(np.sqrt(EXACT_W1_SIZE_CAP))
+        assert n * n == EXACT_W1_SIZE_CAP
+        x = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
+        a = ParticleEnsemble.equal_weights(x, 1)
+        b = ParticleEnsemble.equal_weights(x[::-1] + [0.0, 0.5], 1)
+        assert wasserstein1_particles(a, b) == pytest.approx(0.5, rel=1e-12)
 
 
 @st.composite
@@ -301,39 +338,7 @@ def grid_densities(draw):
     return GridDensity.from_unnormalized(draw(st.floats(-5.0, 5.0)), draw(st.floats(0.01, 1.0)), values)
 
 
-def mass_left_of(m, x):
-    """Mass of m in (-inf, x], cell by cell."""
-    lo = m.cell_edges[:-1]
-    return sum(v * m.dx * min(max((x - a) / m.dx, 0.0), 1.0) for v, a in zip(m.values, lo))
-
-
-class TestRebinProperties:
-    @given(grid_densities(), st.floats(0.0, 2.0), st.floats(0.01, 1.0), st.integers(0, 4))
-    def test_mass_conserved_left_of_every_new_edge(self, m, pad, dx, extra):
-        origin = m.origin - pad
-        n = int(np.ceil((m.cell_edges[-1] - origin) / dx)) + extra
-        r = rebin(m, origin, dx, n)
-        assert r.dx * r.values.sum() == pytest.approx(1.0, abs=1e-12)
-        for edge, cdf in zip(r.cell_edges[1:], r.cdf()):
-            assert cdf == pytest.approx(mass_left_of(m, edge), abs=1e-12)
-
-    @given(grid_densities())
-    def test_identity_on_the_same_grid(self, m):
-        r = rebin(m, m.origin, m.dx, m.n)
-        assert np.max(np.abs(r.values - m.values)) <= 1e-12 * np.max(m.values)
-
-    @given(grid_densities(), st.integers(2, 5))
-    def test_refinement_keeps_w1_zero(self, m, factor):
-        r = rebin(m, m.origin, m.dx / factor, m.n * factor)
-        assert wasserstein1_1d(m, r) < 1e-12
-
-    @given(grid_densities(), st.floats(0.0, 3.0), st.booleans())
-    def test_mass_outside_new_grid_rejected(self, m, gap, to_the_right):
-        n = 10
-        origin = m.cell_edges[-1] + gap if to_the_right else m.origin - gap - n * m.dx
-        with pytest.raises(GridError):
-            rebin(m, origin, m.dx, n)
-
+class TestWasserstein1GridProperties:
     @given(grid_densities(), st.integers(0, 10))
     def test_w1_of_a_shift_is_the_shift(self, m, cells):
         padded = np.concatenate([m.values, np.zeros(cells)])
@@ -352,7 +357,22 @@ def line_ensembles(draw, max_atoms=6):
     return ParticleEnsemble(np.array(x)[:, None], w / w.sum(), 1)
 
 
+@st.composite
+def flock_pairs(draw, max_atoms=10):
+    """Two equal-weight phase-space flocks of one size; coordinates from a few shared values
+    or anywhere, so atoms coincide within and across flocks."""
+    n = draw(st.integers(1, max_atoms))
+    coord = st.one_of(st.sampled_from([-1.5, 0.0, 2.0]), st.floats(-10.0, 10.0))
+    flocks = (np.array(draw(st.lists(coord, min_size=2 * n, max_size=2 * n))).reshape(n, 2) for _ in range(2))
+    return tuple(ParticleEnsemble.equal_weights(x, 1) for x in flocks)
+
+
 class TestWasserstein1ParticleProperties:
+    @given(flock_pairs())
+    def test_phase_space_equals_transport_lp(self, pair):
+        a, b = pair
+        assert wasserstein1_particles(a, b) == pytest.approx(_w1_exact_lp(a, b), rel=1e-12, abs=1e-12)
+
     @given(line_ensembles(), line_ensembles())
     def test_1d_equals_transport_lp(self, a, b):
         assert wasserstein1_particles(a, b) == pytest.approx(_w1_exact_lp(a, b), rel=1e-12, abs=1e-12)
