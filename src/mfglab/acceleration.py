@@ -14,11 +14,15 @@ is minimized by quasi-Newton descent with the exact discrete gradient
 certified by the sup-norm residual of the rearranged fourth-order
 Euler-Lagrange identity.
 
-One objective evaluation is one pass without Python loops: node and
-adjoint states are running sums (``np.cumsum`` adds in sequence, so they
-round as the step-by-step recursions do), and the energy and interaction
-gradients come from one Cucker-Smale pair sum over one set of offsets.
-Curves live on the line: controls are (N, K) and node states (N, K+1).
+One objective evaluation is one pass with no Python loop over atoms or
+intervals: node and adjoint states are running sums (``np.cumsum`` adds
+in sequence, so they round as the step-by-step recursions do), and the
+energy and interaction gradients come from one Cucker-Smale pair pass
+(``kernels._cs_pair_pass``), which takes the time nodes in chunks of a
+fixed byte budget: no pair array grows with K, and the rest of the
+evaluation holds O(N K) node and adjoint arrays.  The reported energy
+(``discrete_energy``) sums ``kernel.value`` over the same chunks.  Curves live on the line: controls are (N, K) and node
+states (N, K+1).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import minimize
 
-from .kernels import CuckerSmaleKernel, _cs_pair_sum, _flock, _pair_offsets
+from .kernels import CuckerSmaleKernel, _cs_pair_pass, _flock, _node_chunks
 from .measures import ParticleEnsemble, _csv_table, _freeze, _positive_finite
 
 
@@ -156,9 +160,18 @@ def _energy(ens: TrajectoryEnsemble, lam: float, pairs: np.ndarray) -> EnergyBre
 
 
 def discrete_energy(ens: TrajectoryEnsemble, kernel: CuckerSmaleKernel, lam: float) -> EnergyBreakdown:
-    """Discounted energy of the ensemble (exact control quadrature, trapezoid coupling)."""
+    """Discounted energy of the ensemble (exact control quadrature, trapezoid coupling).
+
+    The node pair sums take ``kernel.value`` on the (N, N, nodes) offsets of one node chunk
+    at a time (``kernels._node_chunks``); each node sums its pairs in the same order whatever
+    its chunk, so the chunks change no bit.
+    """
     x, v, w = ens.positions, ens.velocities, ens.weights
-    return _energy(ens, lam, np.einsum("p,q,pqj->j", w, w, kernel.value(*_pair_offsets(x, v, x, v))))
+    pairs = [
+        np.einsum("p,q,pqj->j", w, w, kernel.value(x[:, None, c] - x[None, :, c], v[:, None, c] - v[None, :, c]))
+        for c in _node_chunks(len(x), x.T)
+    ]
+    return _energy(ens, lam, np.concatenate(pairs))
 
 
 def energy_gradient(
@@ -166,9 +179,9 @@ def energy_gradient(
 ) -> tuple[EnergyBreakdown, np.ndarray]:
     """The discrete energy and its exact gradient w.r.t. every control, (N, K).
 
-    One pair sum gives the energy and the per-node interaction
-    gradients.  Reverse accumulation pushes those back through the
-    kinematic recursion: the adjoint states are suffix sums, px_j of the
+    One Cucker-Smale pair pass gives the energy and the per-node
+    interaction gradients.  Reverse accumulation pushes those back
+    through the kinematic recursion: the adjoint states are suffix sums, px_j of the
     position gradients after node j and pv_j of the interleaved
     [gv_K, dt px_{K-1}, gv_{K-1}, dt px_{K-2}, ...], each added in the
     order the backward recursion adds them.
@@ -176,7 +189,7 @@ def energy_gradient(
     K = ens.n_intervals
     dt = ens.dt
     x, v, w = ens.positions, ens.velocities, ens.weights
-    pairs, gx, gv = _cs_pair_sum(kernel, x, v, x, v, w, wq=w, grad_x=True, grad_v=True)
+    pairs, gx, gv = _cs_pair_pass(kernel, x, v, x, v, w, w)
     qw = _quadrature_weights(ens.times, lam)
     cw = _control_weights(ens.times, lam)
     gx = w[:, None] * gx * qw[None, :]
@@ -278,7 +291,7 @@ def el_residual(ens: TrajectoryEnsemble, kernel: CuckerSmaleKernel, lam: float) 
     xm = 0.5 * (x[:, :-1] + x[:, 1:])
     vm = 0.5 * (v[:, :-1] + v[:, 1:])
 
-    dxF, dvF = _cs_pair_sum(kernel, xm, vm, xm, vm, ens.weights, grad_x=True, grad_v=True)
+    _, dxF, dvF = _cs_pair_pass(kernel, xm, vm, xm, vm, ens.weights)
 
     jerk = (a[:, 2:] - a[:, :-2]) / (2 * dt)  # x''' at midpoints 1..K-2
     snap = (a[:, 2:] - 2 * a[:, 1:-1] + a[:, :-2]) / dt**2

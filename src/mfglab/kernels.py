@@ -22,14 +22,17 @@ recurrence.
 The Cucker-Smale kernel acts on the line too, jointly on
 position-velocity offsets of any shape, k(x,v) = v^2 / g(x) with
 g(x) = (alpha + x^2)^beta elementwise; its weight is not radial in
-(x, v) and not a sum of exponentials.  The alignment force is one
-(N, N) matrix 1 / g times [w | w u], u the centred velocities
-(``_cs_alignment``); the energy and gradients of the MFG of acceleration
-and single-query couplings go through ``_cs_pair_sum``, one pass over
-one set of offsets.  An ensemble enters that side through ``_flock``, which
-rejects one without velocities.  Atoms are on the line by construction
-(``ParticleEnsemble``); free-form query points go through
-``measures._line_points``.
+(x, v) and not a sum of exponentials.  Its pair sums are weight-matrix
+products on centred velocities u: the alignment force is one (N, N)
+matrix 1 / g times [w | w u] (``_cs_alignment``); the energy and
+gradients of the MFG of acceleration, its EL residual and the
+single-query couplings take, at each time node, A = 1 / g and its
+x-derivative B times [w | w u | w u^2] (``_cs_pair_pass``), over chunks
+of nodes whose pair arrays fit a fixed byte budget, so their memory does
+not grow with the number of nodes.  An ensemble enters that side through
+``_flock``, which rejects one without velocities.  Atoms are on the line
+by construction (``ParticleEnsemble``); free-form query points go
+through ``measures._line_points``.
 """
 
 from __future__ import annotations
@@ -329,21 +332,15 @@ def _decayed_prefix(s, f):
     return s
 
 
-#: largest single pair offset array a Cucker-Smale pair sum may allocate, in bytes
+#: largest (nq, N) Cucker-Smale weight matrix of one time node a pair pass may allocate, in bytes
 PAIR_ARRAY_CAP = 2**28
 
 
 def _check_pair_cap(nq, x):
-    """Raises before an (nq, N, ...) pair array against the atoms x would pass PAIR_ARRAY_CAP."""
+    """Raises before an (nq, N) pair array against the atoms x (N,) would pass PAIR_ARRAY_CAP."""
     nbytes = nq * x.nbytes
     if nbytes > PAIR_ARRAY_CAP:
         raise ValueError(f"pair arrays of {nbytes} bytes each exceed the cap of {PAIR_ARRAY_CAP} bytes")
-
-
-def _pair_offsets(xq, vq, x, v):
-    """xq_p - x_q and vq_p - v_q, each (nq, N, ...); raises before allocating past PAIR_ARRAY_CAP."""
-    _check_pair_cap(xq.shape[0], x)
-    return xq[:, None] - x[None, :], vq[:, None] - v[None, :]
 
 
 def _cs_alignment(kernel, pos, vel, w):
@@ -359,45 +356,64 @@ def _cs_alignment(kernel, pos, vel, w):
     return 2.0 * (s[:, 1] - u * s[:, 0])
 
 
-def _cs_pair_sum(kernel, xq, vq, x, v, w, wq=None, grad_x=False, grad_v=False):
-    """Cucker-Smale pair sums between query states xq, vq (nq, ...) and atoms x, v (N, ...) on the line.
+#: byte budget of one chunk of (nq, N) per-node pair arrays in _cs_pair_pass and the
+#: discrete energy; more time nodes go in more chunks.  One pass at N = 24, K = 5120 took
+#: 31, 35 and 53 ms with 256 KiB, 1 MiB and 4 MiB chunks, and at N = 96, K = 1280 173, 134
+#: and 141 ms, against 92 and 471 ms over whole (N, N, K+1) arrays (2-core x86-64,
+#: numpy 2.4, one BLAS thread, best of 15)
+_CS_NODE_BYTES = 2**20
 
-    Returns, in this order and only those asked for: sum_pq wq_p w_q k
-    (over the middle axes) when query weights wq are given, and
-    sum_q w_q D_x k and sum_q w_q D_v k at every query, (nq, ...).
-    The offsets are built once and g once (``kernel.g``); k = v^2 / g,
-    D_x k = -v^2 2 beta (alpha + x^2)^(-beta-1) x and D_v k = 2 v / g
-    round as their pointwise forms do, and each (nq, N, ...) buffer is
-    reused in place or dropped once spent.
+
+def _node_chunks(nq, x):
+    """Slices of the node axis of the node-major atom states x, (J, N), each of as many nodes as
+    have their (nq, N) pair arrays fit in _CS_NODE_BYTES, at least one; raises before one node's
+    array would pass PAIR_ARRAY_CAP, so no pair array is larger than the budget or one node's."""
+    _check_pair_cap(nq, x[0])
+    rows = max(1, _CS_NODE_BYTES // (nq * x[0].nbytes))
+    return [slice(j, j + rows) for j in range(0, len(x), rows)]
+
+
+def _cs_pair_pass(kernel, xq, vq, x, v, w, wq=None):
+    """Cucker-Smale pair sums between query states xq, vq and atoms x, v on the line, node by
+    node: (nq,) and (N,) states at one time node, or (nq, J) and (N, J) at J nodes.
+
+    Returns sum_pq wq_p w_q k per node (None without query weights wq), and sum_q w_q D_x k
+    and sum_q w_q D_v k at every query, in the shape of xq.  At each node, with d = xq_p - x_q,
+    A = 1 / g(d) (``kernel.g``), B = D_x A = -2 beta d A / (alpha + d^2) and u the velocities
+    centred on w.v, k = (uq_p - u_q)^2 A expands into
+
+        sum_q w_q k    = uq^2 (A w) - 2 uq (A w u) + A (w u^2),
+        sum_q w_q D_vk = 2 (uq (A w) - A (w u)),
+        sum_q w_q D_xk = uq^2 (B w) - 2 uq (B w u) + B (w u^2),
+
+    so each node needs its (nq, N) matrices A and B and the products A @ [w | w u | w u^2]
+    and B @ [...], batched over the nodes of a chunk (``_node_chunks``); no velocity offset
+    is formed.  Centring keeps a common velocity shift from costing digits, as in
+    ``_cs_alignment``.
     """
-    dx, dv = _pair_offsets(xq, vq, x, v)
-    g = kernel.g(dx)
-    out = []
-    if wq is not None or grad_x:
-        vv = dv**2
-    if wq is not None:
-        out.append(np.einsum("p,q,pq...->...", wq, w, vv / g))
-    if grad_v:
-        dv *= 2.0
-        dv /= g
-        gv = np.einsum("q,pq...->p...", w, dv)
-    del dv, g
-    if grad_x:
-        q = dx**2
-        q += kernel.alpha
-        q **= -kernel.beta - 1.0
-        # -v^2 * 2 * beta * q, multiplied left to right in the buffer of v^2
-        np.negative(vv, out=vv)
-        vv *= 2.0
-        vv *= kernel.beta
-        vv *= q
-        del q
-        dx *= vv
-        del vv
-        out.append(np.einsum("q,pq...->p...", w, dx))
-    if grad_v:
-        out.append(gv)
-    return out
+    shape = xq.shape
+    xq, vq, x, v = (s.reshape(len(s), -1).T for s in (xq, vq, x, v))  # node-major, (J, nq) and (J, N)
+    vbar = v @ w
+    f, gx, gv = np.empty((3,) + xq.shape)
+    for c in _node_chunks(xq.shape[1], x):
+        u, uq = v[c] - vbar[c, None], vq[c] - vbar[c, None]
+        wu = w * u
+        weights = np.stack(np.broadcast_arrays(w, wu, wu * u), axis=-1)  # [w | w u | w u^2] per node
+        d = xq[c, :, None] - x[c, None, :]
+        a = kernel.g(d)
+        np.reciprocal(a, out=a)
+        sa = a @ weights
+        b = d * d  # B / (-2 beta) = d A / (alpha + d^2)
+        b += kernel.alpha
+        np.divide(d, b, out=b)
+        b *= a
+        sb = (b @ weights) * (-2.0 * kernel.beta)
+        del d, a, b
+        f[c] = uq * (uq * sa[..., 0] - 2.0 * sa[..., 1]) + sa[..., 2]
+        gv[c] = 2.0 * (uq * sa[..., 0] - sa[..., 1])
+        gx[c] = uq * (uq * sb[..., 0] - 2.0 * sb[..., 1]) + sb[..., 2]
+    pairs = None if wq is None else (f @ wq).reshape(shape[1:])
+    return pairs, gx.T.reshape(shape), gv.T.reshape(shape)
 
 
 def _flock(m):
@@ -422,9 +438,8 @@ def _coupling(kernel, x, m, v, gradient):
         raise DimensionError(f"the coupling takes one query point, not {xq.size} positions and {vq.size} velocities")
     if cs:
         pos, vel = _flock(m)
-        wq = None if gradient else np.ones(1)
-        sums = _cs_pair_sum(kernel, xq, vq, pos, vel, m.weights, wq, gradient, gradient)
-        return tuple(s.item() for s in sums) if gradient else sums[0].item()
+        value, dx_f, dv_f = _cs_pair_pass(kernel, xq, vq, pos, vel, m.weights, np.ones(1))
+        return (dx_f.item(), dv_f.item()) if gradient else value.item()
     if isinstance(m, GridDensity):
         return _grid_sum(kernel, xq, m, gradient).item()
     return _pair_sum(kernel, xq, m.positions[:, 0], m.weights, gradient).item()

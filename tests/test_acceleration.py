@@ -17,6 +17,7 @@ from mfglab import (
 )
 from mfglab.acceleration import _control_weights, _quadrature_weights
 from mfglab.measures import wasserstein1_particles
+from test_pair_sums import dense_cs_pair_pass, dense_cs_pair_sum
 
 
 # -- the step-by-step bodies the running sums and the one pair pass replaced, kept as oracles --
@@ -220,15 +221,25 @@ class TestEnergyGradient:
 
 @pytest.mark.parametrize("draw", [1, 2])
 @pytest.mark.parametrize("K", [1, 2, 17])
-def test_running_sums_and_one_pair_pass_match_loops(draw, K):
-    """States, energy and gradient equal the loop oracles bit for bit, unequal weights,
-    for two random ensembles on the line."""
+def test_running_sums_and_one_pair_pass_match_loops(draw, K, monkeypatch):
+    """States equal the loop oracle bit for bit, unequal weights, for two random ensembles on
+    the line.  The energy and gradient do too with the dense pair-sum oracle patched in for the
+    pass; the shipped pass sums in another order, and its interaction energy (also against
+    discrete_energy) stays within 1e-14 relative and its gradient within 1e-14 of the largest
+    entry (measured 5.8e-16 and 3.2e-16); the control energy is unchanged, bit for bit."""
     rng = np.random.default_rng(100 * draw + K)
     kernel = CuckerSmaleKernel(0.7, 0.5)
     ens = random_ensemble(rng, 6, K)
     x, v = loop_states(ens)
     assert np.array_equal(ens.positions, x) and np.array_equal(ens.velocities, v)
     control, interaction, grad = loop_energy_gradient(ens, kernel, 7.0)
+    energy, gradient = energy_gradient(ens, kernel, 7.0)
+    reported = discrete_energy(ens, kernel, 7.0)
+    assert energy.control == reported.control == control
+    assert energy.interaction == pytest.approx(interaction, rel=1e-14, abs=0.0)
+    assert reported.interaction == pytest.approx(energy.interaction, rel=1e-14, abs=0.0)
+    assert np.max(np.abs(gradient - grad)) <= 1e-14 * np.max(np.abs(grad))
+    monkeypatch.setattr(acceleration, "_cs_pair_pass", dense_cs_pair_pass)
     energy, gradient = energy_gradient(ens, kernel, 7.0)
     assert (energy.control, energy.interaction) == (control, interaction)
     assert discrete_energy(ens, kernel, 7.0) == energy
@@ -237,11 +248,12 @@ def test_running_sums_and_one_pair_pass_match_loops(draw, K):
 
 @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5])
 def test_pair_pass_matches_three_calls(beta, rng):
-    """Every exponent of g, including the fast powers numpy special-cases, rounds as before."""
+    """The dense oracle of the pass rounds as three separate pointwise calls do, for every
+    exponent of g, including the fast powers numpy special-cases."""
     kernel = CuckerSmaleKernel(1.3, beta)
     ens = random_ensemble(rng, 5, 9)
     x, v, w = ens.positions, ens.velocities, ens.weights
-    got = kernels._cs_pair_sum(kernel, x, v, x, v, w, wq=w, grad_x=True, grad_v=True)
+    got = dense_cs_pair_sum(kernel, x, v, x, v, w, wq=w, grad_x=True, grad_v=True)
     for a, b in zip(got, three_call_pair_sums(x, v, w, kernel)):
         assert np.array_equal(a, b)
 
@@ -264,22 +276,23 @@ class TestMinimizeEnergy:
         assert d < 0.05
 
     def test_one_pair_build_per_evaluation(self, rng, monkeypatch):
-        """The offsets are built once per L-BFGS evaluation, plus once for the final
-        energy and once for the EL residual."""
+        """The pair pass runs once per L-BFGS evaluation, plus once for the EL residual; the
+        final energy sums kernel.value over the node chunks without it."""
         calls = []
-        build = kernels._pair_offsets
-        for module in (kernels, acceleration):  # discrete_energy builds them itself
-            monkeypatch.setattr(module, "_pair_offsets", lambda *args: calls.append(1) or build(*args))
+        run = kernels._cs_pair_pass
+        monkeypatch.setattr(acceleration, "_cs_pair_pass", lambda *args: calls.append(1) or run(*args))
         m0 = ParticleEnsemble.equal_weights(rng.standard_normal((5, 2)), 1)
         res = minimize_energy(m0, CuckerSmaleKernel(1.0, 0.5), 10.0, 1.0, 64)
         assert res.function_evaluations > res.iterations > 0
-        assert len(calls) == res.function_evaluations + 2
+        assert len(calls) == res.function_evaluations + 1
 
     def test_objective_peak_memory(self, rng):
-        """One energy-and-gradient evaluation at N = 24, K = 512 peaks at
-        5.0 pair arrays of (N, N, K+1) floats; the separate energy and gradient
-        passes it replaced peaked at 7.0 in the gradient alone."""
-        ens = random_ensemble(rng, 24, 512)
+        """One energy-and-gradient evaluation at N = 24, K = 5120 allocates a few node chunks
+        of the pair pass and O(N K) node and adjoint arrays, no (N, N, K+1) one: its peak stays
+        under 4 chunk budgets plus 12 (N, K+1) arrays (16 MB), and under half of one pair array
+        (11.8 MB).  Measured 10.0 MB, most of it the adjoint sums; the dense pass peaked at 5.0
+        pair arrays at K = 512."""
+        ens = random_ensemble(rng, 24, 5120)
         ens.positions  # node states are cached, not part of the pass
         tracemalloc.start()
         try:
@@ -287,21 +300,30 @@ class TestMinimizeEnergy:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / (24 * 24 * 513 * 8) < 6.0
+        assert peak < 4 * kernels._CS_NODE_BYTES + 12 * ens.positions.nbytes
+        assert peak < 0.5 * 24 * 24 * 5121 * 8
 
     def test_variable_budget_cap(self, cs_flat, rng):
         m0 = ParticleEnsemble.equal_weights(rng.standard_normal((200, 2)), 1)
         with pytest.raises(ValueError, match="budget"):
             minimize_energy(m0, cs_flat, 10.0, 1.0, 10**4)
 
-    def test_pair_array_cap(self, cs_flat, rng):
-        # N K = 1e6 passes the variable budget, but each (N, N, K+1)
-        # pair array would take 200 * 200 * 5001 * 8 bytes = 1.6 GB
-        m0 = ParticleEnsemble.equal_weights(rng.standard_normal((200, 2)), 1)
-        with pytest.raises(ValueError, match="1600320000 bytes"):
-            minimize_energy(m0, cs_flat, 10.0, 1.0, 5000)
-        with pytest.raises(ValueError, match="1600320000 bytes"):
-            discrete_energy(TrajectoryEnsemble.free_flight(m0, 1.0, 5000), cs_flat, 10.0)
+    def test_pair_array_cap(self, cs_flat, rng, monkeypatch):
+        """The cap bounds the (nq, N) matrix of one time node, the smallest piece the node
+        chunks can hold: 12 atoms take 12 * 12 * 8 = 1152 bytes a node."""
+        monkeypatch.setattr(kernels, "PAIR_ARRAY_CAP", 1000)
+        m0 = ParticleEnsemble.equal_weights(rng.standard_normal((12, 2)), 1)
+        ens = TrajectoryEnsemble.free_flight(m0, 1.0, 16)
+        for call in (
+            lambda: minimize_energy(m0, cs_flat, 10.0, 1.0, 16),
+            lambda: discrete_energy(ens, cs_flat, 10.0),
+            lambda: energy_gradient(ens, cs_flat, 10.0),
+            lambda: el_residual(ens, cs_flat, 10.0),
+        ):
+            with pytest.raises(ValueError, match="1152 bytes each exceed the cap of 1000 bytes"):
+                call()
+        monkeypatch.setattr(kernels, "PAIR_ARRAY_CAP", 1152)
+        assert discrete_energy(ens, cs_flat, 10.0).total > 0.0
 
 
 class TestElResidual:

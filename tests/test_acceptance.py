@@ -7,10 +7,12 @@ kernel positivity verdicts.  Tolerances are part of the contract and
 deliberately hard-coded.
 """
 
+import functools
 import time
 
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
 
 from mfglab import (
     CuckerSmaleKernel,
@@ -37,6 +39,7 @@ from mfglab import (
     solve_cs,
     solve_mfg_fixed_point,
 )
+from mfglab.acceleration import _control_weights, _quadrature_weights
 from mfglab.convergence import sample_grid_to_atoms, w1_grid_vs_particles
 from mfglab.kernels import CrowdRadialKernel
 from mfglab.measures import wasserstein1_particles
@@ -238,17 +241,77 @@ def linear_quadratic_velocity(u0, lam, T, t):
     return b * (np.exp(r_minus * t) - (r_minus / r_plus) * np.exp(r_minus * T + r_plus * (t - T)))
 
 
+def linear_quadratic_discrete_velocity(lam, T, K):
+    """Exact minimizer of the discrete flat-weight (beta = 0, g = 1) energy: the centred velocity
+    per unit initial centred velocity, y, at the K+1 nodes.
+
+    With g = 1 the interaction is the weighted velocity variance and the mean control costs
+    without helping, so the minimizer has mean control 0 and every atom's controls are u0_i psi,
+    its centred velocities u0_i y with y = 1 + dt cumsum(psi), y_0 = 1.  Each atom then minimizes
+    w_i u0_i^2 f(psi), f = sum_j cw_j psi_j^2 / (2 lam) + sum_j qw_j y_j^2 (exact control
+    weights, trapezoid weights), a K-dimensional linear least-squares problem.  In y_1..y_K,
+    with c_j = cw_j / (2 lam dt^2), f = sum_j c_j (y_{j+1} - y_j)^2 + qw_j y_j^2: its normal
+    equations are symmetric, tridiagonal and diagonally dominant (the scalar backward Riccati
+    recursion), solved here by banded Cholesky in O(K).
+    """
+    times = np.linspace(0.0, T, K + 1)
+    c = _control_weights(times, lam) / (2.0 * lam * (T / K) ** 2)
+    qw = _quadrature_weights(times, lam)
+    bands = np.zeros((2, K))
+    bands[0, 1:] = -c[1:]
+    bands[1] = qw[1:] + c + np.append(c[1:], 0.0)
+    rhs = np.zeros(K)
+    rhs[0] = c[0]
+    return np.concatenate([[1.0], solveh_banded(bands, rhs)])
+
+
+def test_linear_quadratic_discrete_oracle_is_least_squares():
+    """The banded solve is the least-squares minimizer of f over psi: at lam = 10, K = 640,
+    np.linalg.lstsq on the stacked system (in b = sqrt(cw / lam) psi, whose control part is
+    |b|^2 / 2) gives the same node velocities within 1e-12 (measured 3.8e-14)."""
+    lam, T, K = 10.0, 1.0, 640
+    times = np.linspace(0.0, T, K + 1)
+    s = np.sqrt(_control_weights(times, lam) / lam)
+    rows = np.sqrt(_quadrature_weights(times, lam)[1:])
+    cumsum = (T / K) * np.tril(np.ones((K, K))) / s  # y_1..y_K - 1 = cumsum @ b
+    system = np.vstack([np.eye(K) / np.sqrt(2.0), rows[:, None] * cumsum])
+    b = np.linalg.lstsq(system, np.concatenate([np.zeros(K), -rows]), rcond=None)[0]
+    y = 1.0 + np.concatenate([[0.0], cumsum @ b])
+    assert np.max(np.abs(y - linear_quadratic_discrete_velocity(lam, T, K))) <= 1e-12
+
+
+@functools.cache
+def linear_quadratic_flock(lam):
+    """The minimizer of the flat-weight two-body flock at T = 1, K = 64 lam, with its centred
+    initial and node velocities."""
+    ens = minimize_energy(two_body(), CS_FLAT, lam, 1.0, int(64 * lam)).ensemble
+    return ens, ens.v0 - ens.weights @ ens.v0, ens.velocities - ens.weights @ ens.velocities
+
+
 @pytest.mark.parametrize("lam", [10.0, 20.0, 40.0])
 def test_linear_quadratic_flock_oracle(lam):
     # at K = 64 lam the discretization error is O((lam dt)^2) with lam dt = 1/64: measured
     # 7.8e-6, 7.6e-6 and 8.6e-6 on t <= T/2 at lam = 10, 20, 40 (1.9e-6 at K = 128 lam)
-    T = 1.0
-    ens = minimize_energy(two_body(), CS_FLAT, lam, T, int(64 * lam)).ensemble
-    u0 = ens.v0 - ens.weights @ ens.v0
-    u = ens.velocities - ens.weights @ ens.velocities
-    keep = ens.times <= 0.5 * T
-    exact = linear_quadratic_velocity(u0[:, None], lam, T, ens.times[None, keep])
+    ens, u0, u = linear_quadratic_flock(lam)
+    keep = ens.times <= 0.5 * ens.T
+    exact = linear_quadratic_velocity(u0[:, None], lam, ens.T, ens.times[None, keep])
     assert np.max(np.abs(u[:, keep] - exact)) <= 2e-5
+
+
+#: measured gaps of minimize_energy to the exact discrete minimizer on t <= T/2: 1.0e-10, 7.1e-9
+#: and 1.1e-6 at lam = 10, 20, 40, against 7.8e-6, 7.6e-6 and 7.5e-6 between the discrete and the
+#: continuous minimizer, so the pins sit about 5x above the solver's gap and, at lam = 10 and 20,
+#: far below the discretization error; the solver's gap grows with lam, as the uncertified
+#: lam = 80 row of the sweep does
+DISCRETE_LQ_TOLERANCE = {10.0: 5e-10, 20.0: 4e-8, 40.0: 5e-6}
+
+
+@pytest.mark.parametrize("lam", [10.0, 20.0, 40.0])
+def test_linear_quadratic_discrete_oracle(lam):
+    ens, u0, u = linear_quadratic_flock(lam)
+    keep = ens.times <= 0.5 * ens.T
+    exact = u0[:, None] * linear_quadratic_discrete_velocity(lam, ens.T, ens.n_intervals)[keep]
+    assert np.max(np.abs(u[:, keep] - exact)) <= DISCRETE_LQ_TOLERANCE[lam]
 
 
 class TestPsdVerdicts:

@@ -29,15 +29,30 @@ LU to LAPACK pttrf/pttrs, which moves the last digits.
 
 The Cucker-Smale values (``cs_final``, ``richardson`` and the
 ``csv.states`` digest) were recorded with the alignment acceleration
-from ``_cs_pair_sum(grad_v=True)``, kept as the test oracle
-``test_pair_sums.pair_sum_cs_alignment``: on it they stay bit-identical
-and byte-identical.  The shipped matrix form (``_cs_alignment``: one
-weight matrix, one product, centred velocities) sums the same terms in
-another order, within 4e-16 of the scale per call.  It is pinned
+from the dense pair sum (``dense_cs_pair_sum(grad_v=True)``), kept as
+the test oracle ``test_pair_sums.pair_sum_cs_alignment``: on it they
+stay bit-identical and byte-identical.  The shipped matrix form
+(``_cs_alignment``: one weight matrix, one product, centred velocities)
+sums the same terms in another order, within 4e-16 of the scale per
+call.  It is pinned
 against the same values within 1e-14 absolute on the final states and
 on the parsed ``states.csv`` values (the gap is 2.2e-16), and 1e-6
 relative on the Richardson ratio (3.0e-8), which divides two
 roundoff-sized differences.
+
+The ``acceleration`` values (energy, gradient, EL residual, L-BFGS
+controls and iterations) were recorded with the Cucker-Smale pair sum
+over whole (N, N, K+1) offset arrays, kept as the test oracle
+``test_pair_sums.dense_cs_pair_sum``: patched in for the shipped pass
+(``kernels._cs_pair_pass``: weight matrices node by node, in chunks of
+nodes, and products with [w | w u | w u^2] on centred velocities), they
+stay bit-identical.  The shipped pass sums the same terms in another
+order.  Its reported energy (``discrete_energy``, ``kernel.value`` over
+node chunks) and EL residual stay bit-identical; the gradient is pinned
+within 1e-14 of its largest entry (gap 1.1e-19, 1.5e-16 of it), the
+objective's interaction energy within 1e-14 relative (4.3e-16), the
+L-BFGS controls within 1e-13 absolute (8.9e-16) and the iteration count
+exactly (8 on both).
 
 The ``csv.phase`` digest was re-recorded when atoms came to live on the
 line only: its ensemble of 5 phase-space atoms in d = 2 (columns
@@ -54,7 +69,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfglab import cucker_smale, kernels
+from mfglab import acceleration, cucker_smale, kernels
 from mfglab import (
     ConvergenceReport,
     CrowdRadialKernel,
@@ -78,7 +93,7 @@ from mfglab import (
     validate_coupling,
 )
 from mfglab.cli import main
-from test_pair_sums import d_vector_dense_pair_sum, pair_sum_cs_alignment
+from test_pair_sums import d_vector_dense_pair_sum, dense_cs_pair_pass, pair_sum_cs_alignment
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden.json").read_text())
 
@@ -218,7 +233,7 @@ def csv_artifacts(tmp: Path) -> dict:
 
 def _on_path(path, fn):
     """fn() with every radial pair sum on the dense body, on its d-vector oracle or on the sorted body;
-    on the oracle path the Cucker-Smale alignment takes its ``_cs_pair_sum`` oracle too."""
+    on the oracle path the Cucker-Smale alignment takes its dense pair-sum oracle too."""
     with pytest.MonkeyPatch.context() as mp:
         if path in ("dense", "oracle"):
             for cls in (ExponentialKernel, MorseKernel):
@@ -275,8 +290,20 @@ def test_snapshot_counts(computed):
     assert computed["cs_len"] == GOLDEN["integrations"]["cs_len"]
 
 
+def _on_dense_cs_pass(fn):
+    """fn() with the dense Cucker-Smale pair-sum oracle in place of the shipped pair pass."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(acceleration, "_cs_pair_pass", dense_cs_pair_pass)
+        return fn()
+
+
 @pytest.fixture(scope="module")
 def accel():
+    return _on_dense_cs_pass(accelerations)
+
+
+@pytest.fixture(scope="module")
+def accel_shipped():
     return accelerations()
 
 
@@ -285,12 +312,27 @@ def test_acceleration_bit_identical(accel, key):
     assert np.array_equal(np.array(accel[key]), np.array(GOLDEN["acceleration"][key]))
 
 
+def test_acceleration_near_golden(accel_shipped):
+    """The shipped pair pass against the recorded values, within the tolerances stated above."""
+    expected, got = GOLDEN["acceleration"], accel_shipped
+    assert got["energy"] == expected["energy"]
+    assert got["el_residual"] == expected["el_residual"]
+    gradient = np.array(expected["gradient"])
+    assert np.max(np.abs(np.array(got["gradient"]) - gradient)) <= 1e-14 * np.max(np.abs(gradient))
+    assert np.max(np.abs(np.array(got["minimize_controls"]) - expected["minimize_controls"])) <= 1e-13
+    assert got["minimize_iterations"] == expected["minimize_iterations"]
+
+
 def test_objective_energy_bit_identical():
-    """The energy the L-BFGS objective sees comes from the pass that gives the gradient
-    (``kernels._cs_pair_sum``, which replaced ``acceleration._pair_gradients`` and the
-    separate value pass); it equals the recorded energy bit for bit."""
-    energy, _ = energy_gradient(_accel_ensemble(), CuckerSmaleKernel(1.0, 0.5), 10.0)
+    """The energy the L-BFGS objective sees comes from the pass that gives the gradient; on the
+    dense oracle it equals the recorded energy bit for bit, on the shipped pass the control part
+    does and the interaction part stays within 1e-14 relative."""
+    energy, _ = _on_dense_cs_pass(lambda: energy_gradient(_accel_ensemble(), CuckerSmaleKernel(1.0, 0.5), 10.0))
     assert [energy.control, energy.interaction] == GOLDEN["acceleration"]["energy"]
+    energy, _ = energy_gradient(_accel_ensemble(), CuckerSmaleKernel(1.0, 0.5), 10.0)
+    control, interaction = GOLDEN["acceleration"]["energy"]
+    assert energy.control == control
+    assert energy.interaction == pytest.approx(interaction, rel=1e-14, abs=0.0)
 
 
 def test_minimize_iterations(accel):

@@ -3,7 +3,8 @@
 Every particle-side k*m and Dk*m goes through ``kernels._pair_sum``, the
 Cucker-Smale alignment acceleration through ``kernels._cs_alignment``
 (one weight matrix, one product) and the other Cucker-Smale pair sums
-through ``kernels._cs_pair_sum``.  The loops below recompute each sum one
+through ``kernels._cs_pair_pass`` (weight matrices node by node, in
+chunks of time nodes).  The loops below recompute each sum one
 atom pair at a time from the radial profile phi (or from g for
 Cucker-Smale) and bound the difference by 1e-13 times the sum of the
 absolute terms.  Radial pair sums act on the
@@ -13,8 +14,10 @@ DimensionError (atoms cannot be built off the line; test_measures checks
 that).  ``d_vector_dense_pair_sum`` keeps the dense body the radial sums
 had while they took d-vectors, as the oracle of the dense body that
 replaced it and of the golden values recorded with it;
-``pair_sum_cs_alignment`` keeps the alignment acceleration as
-``_cs_pair_sum`` gave it, the oracle of the Cucker-Smale golden values.
+``dense_cs_pair_sum`` keeps the Cucker-Smale pair sum over whole
+(nq, N, ...) offset arrays that the pass replaced, and
+``pair_sum_cs_alignment`` the alignment acceleration as it gave it:
+they are the oracles of the Cucker-Smale and acceleration golden values.
 """
 
 import math
@@ -178,11 +181,58 @@ def test_cs_rhs_galilean(beta, shift):
     assert np.all(np.abs(cs_rhs(m, kernel) - acc) <= TOL * scale)
 
 
+def dense_cs_pair_sum(kernel, xq, vq, x, v, w, wq=None, grad_x=False, grad_v=False):
+    """Cucker-Smale pair sums between query states xq, vq (nq, ...) and atoms x, v (N, ...) on the
+    line, as ``kernels._cs_pair_sum`` gave them over whole (nq, N, ...) offset arrays.
+
+    Returns, in this order and only those asked for: sum_pq wq_p w_q k (over the middle axes)
+    when query weights wq are given, and sum_q w_q D_x k and sum_q w_q D_v k at every query.
+    k = v^2 / g, D_x k = -v^2 2 beta (alpha + x^2)^(-beta-1) x and D_v k = 2 v / g round as
+    their pointwise forms do.  The golden acceleration values were recorded with it, bit for bit.
+    """
+    kernels._check_pair_cap(xq.shape[0], x)
+    dx, dv = xq[:, None] - x[None, :], vq[:, None] - v[None, :]
+    g = kernel.g(dx)
+    out = []
+    if wq is not None or grad_x:
+        vv = dv**2
+    if wq is not None:
+        out.append(np.einsum("p,q,pq...->...", wq, w, vv / g))
+    if grad_v:
+        dv *= 2.0
+        dv /= g
+        gv = np.einsum("q,pq...->p...", w, dv)
+    del dv, g
+    if grad_x:
+        q = dx**2
+        q += kernel.alpha
+        q **= -kernel.beta - 1.0
+        # -v^2 * 2 * beta * q, multiplied left to right in the buffer of v^2
+        np.negative(vv, out=vv)
+        vv *= 2.0
+        vv *= kernel.beta
+        vv *= q
+        del q
+        dx *= vv
+        del vv
+        out.append(np.einsum("q,pq...->p...", w, dx))
+    if grad_v:
+        out.append(gv)
+    return out
+
+
+def dense_cs_pair_pass(kernel, xq, vq, x, v, w, wq=None):
+    """``dense_cs_pair_sum`` behind the interface of ``kernels._cs_pair_pass``, to patch in
+    for it on the oracle path of the goldens."""
+    sums = dense_cs_pair_sum(kernel, xq, vq, x, v, w, wq, grad_x=True, grad_v=True)
+    return (None, *sums) if wq is None else tuple(sums)
+
+
 def pair_sum_cs_alignment(kernel, pos, vel, w):
     """The alignment acceleration as the RK4 right-hand side took it before the matrix form:
-    -D_vF from ``_cs_pair_sum(grad_v=True)`` over the (N, N) offsets.  The golden
+    -D_vF from ``dense_cs_pair_sum(grad_v=True)`` over the (N, N) offsets.  The golden
     Cucker-Smale values were recorded with it, bit for bit."""
-    (dv_f,) = kernels._cs_pair_sum(kernel, pos, vel, pos, vel, w, grad_v=True)
+    (dv_f,) = dense_cs_pair_sum(kernel, pos, vel, pos, vel, w, grad_v=True)
     return -dv_f
 
 
@@ -199,7 +249,7 @@ def test_cs_alignment_matches_pair_sum(beta, n):
 @pytest.mark.parametrize("draw", [1, 2])
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.5])
 def test_cs_coupling_matches_old_sums(beta, draw):
-    """The single-query Cucker-Smale coupling goes through kernels._cs_pair_sum; it stays
+    """The single-query Cucker-Smale coupling goes through kernels._cs_pair_pass; it stays
     within 1e-15 of the np.sum over the pointwise k, D_x k and D_v k it replaced,
     relative to the sum of the absolute terms (for the value, the value itself),
     on two random ensembles on the line."""
@@ -217,6 +267,62 @@ def test_cs_coupling_matches_old_sums(beta, draw):
         for new, old in zip(got, terms):
             assert type(new) is float
             assert abs(new - np.sum(old)) <= 1e-15 * np.sum(np.abs(old))
+
+
+def node_states(n, nodes, seed, shift=0.0):
+    """Random (N, J) positions and velocities, velocities shifted by shift, and unequal weights."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.2, 1.0, n)
+    return rng.standard_normal((n, nodes)), rng.standard_normal((n, nodes)) + shift, w / w.sum()
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e3, 1e6])
+@pytest.mark.parametrize("n, nodes", [(2, 9), (24, 40), (96, 12)])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.5])
+def test_cs_pair_pass_matches_dense(beta, n, nodes, shift):
+    """The pass sums the expanded quadratic forms in centred velocities; per node it stays within
+    1e-13 of the sum of the absolute pointwise terms of the dense oracle (measured at most 9.1e-15,
+    on the pair energy at N = 96 with velocities shifted by 1e6; 1.1e-15 on the gradients)."""
+    kernel = CuckerSmaleKernel(0.7, beta)
+    x, v, w = node_states(n, nodes, n + nodes, shift)
+    got = kernels._cs_pair_pass(kernel, x, v, x, v, w, w)
+    dx, dv = x[:, None] - x[None], v[:, None] - v[None]
+    scales = (
+        np.einsum("p,q,pqj->j", w, w, dv**2 / kernel.g(dx)),
+        np.einsum("q,pqj->pj", w, np.abs(dv**2 * 2.0 * beta * (kernel.alpha + dx**2) ** (-beta - 1.0) * dx)),
+        np.einsum("q,pqj->pj", w, np.abs(2.0 * dv / kernel.g(dx))),
+    )
+    for new, old, scale in zip(got, dense_cs_pair_sum(kernel, x, v, x, v, w, w, True, True), scales):
+        assert new.shape == old.shape
+        assert np.all(np.abs(new - old) <= TOL * scale)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.5])
+def test_cs_pair_pass_chunks(beta, monkeypatch):
+    """Each node's sums do not depend on how many nodes share its chunk: one node, seven nodes
+    or all 40 a chunk agree within 1e-15 relative (measured: bit for bit)."""
+    kernel = CuckerSmaleKernel(0.7, beta)
+    x, v, w = node_states(24, 40, 3)
+    node = 24 * 24 * 8
+    runs = []
+    for budget in (node, 7 * node, 40 * node):
+        monkeypatch.setattr(kernels, "_CS_NODE_BYTES", budget)
+        runs.append(kernels._cs_pair_pass(kernel, x, v, x, v, w, w))
+    for run in runs[:2]:
+        for got, whole in zip(run, runs[2]):
+            assert np.all(np.abs(got - whole) <= 1e-15 * np.abs(whole))
+
+
+def test_cs_pair_pass_one_g_per_chunk(monkeypatch):
+    """The pass evaluates g through CuckerSmaleKernel.g once per chunk of nodes, on the chunk's
+    offsets only: the benchmark traces that method as its kernels.cs_g span."""
+    calls = []
+    g = CuckerSmaleKernel.g
+    monkeypatch.setattr(CuckerSmaleKernel, "g", lambda self, d: calls.append(d.shape) or g(self, d))
+    monkeypatch.setattr(kernels, "_CS_NODE_BYTES", 7 * 5 * 5 * 8)
+    x, v, w = node_states(5, 17, 4)
+    kernels._cs_pair_pass(CuckerSmaleKernel(1.0, 0.5), x, v, x, v, w)
+    assert calls == [(7, 5, 5), (7, 5, 5), (3, 5, 5)]
 
 
 def d_vector_dense_pair_sum(kernel, xq, pos, w, gradient):
