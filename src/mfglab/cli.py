@@ -94,6 +94,7 @@ def _cmd_solve_accel(desc, out, seed):
     doc = _base_doc(desc, seed)
     doc.update(
         converged=result.converged,
+        certified=result.certified,
         iterations=result.iterations,
         gradient_norm=result.gradient_norm,
         el_residual=result.el_residual,
@@ -101,7 +102,7 @@ def _cmd_solve_accel(desc, out, seed):
     )
     _write_json(out / "solution.json", doc)
     (out / "trajectories.csv").write_text(result.ensemble.to_csv())
-    return 0 if result.converged else 3
+    return 0 if result.converged and result.certified else 3
 
 
 def _cmd_solve_cs(desc, out, seed):

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .acceleration import minimize_energy
+from .acceleration import DECISION_VARIABLE_BUDGET, EL_TOLERANCE, minimize_energy
 from .aggregation import solve_aggregation_fv, solve_aggregation_particles
 from .cucker_smale import richardson_order_ratio, solve_cs
 from .errors import BoundaryLeakError, CflError, StabilityError
@@ -44,8 +44,6 @@ from .mfg_pde import MfgSolution, PdeConfig, coupling_on_grid, solve_mfg_fixed_p
 DIAGNOSTIC_WINDOW = 0.75
 #: number of sampled diagnostic times inside the window
 N_DIAGNOSTIC_TIMES = 7
-#: certification tolerance for the Euler-Lagrange residual
-EL_TOLERANCE = 1e-4
 #: cap of the lambda-scaled linear-growth and semiconcavity diagnostics
 C_TILDE = 10.0
 #: cap of sup_t ||m(t)||_inf
@@ -208,6 +206,18 @@ def _window_times(T: float) -> np.ndarray:
     return np.linspace(0.0, DIAGNOSTIC_WINDOW * T, N_DIAGNOSTIC_TIMES)
 
 
+def _sweep_lambdas(lambdas) -> list:
+    """The sweep's lambdas as sorted floats; a repeated, non-positive or non-finite one raises
+    here, before any validator or solve runs."""
+    lams = sorted(float(l) for l in lambdas)
+    for i, lam in enumerate(lams):
+        if not 0 < lam < np.inf:
+            raise ValueError(f"lambda = {lam}: every lambda must be positive and finite")
+        if i and lam == lams[i - 1]:
+            raise ValueError(f"lambda = {lam} appears twice: the lambdas of a sweep must be distinct")
+    return lams
+
+
 #: numeric columns of a classic row; NaN in the row of a lambda whose solve raised
 _CLASSIC_DIAGNOSTICS = (
     "iterations", "fixed_point_residual", "fixed_point_fallbacks", "w1_sup", "residual_lam_u",
@@ -281,7 +291,7 @@ def run_lambda_sweep_classic(
     kernel,
     m0: GridDensity,
     lambdas,
-    base_config: PdeConfig | None = None,
+    base_config: PdeConfig,
     n_cross_particles: int = 400,
     seed: int = 0,
 ) -> ConvergenceReport:
@@ -294,9 +304,7 @@ def run_lambda_sweep_classic(
     BoundaryLeakError or a StabilityError (CflError included) gives a
     flagged row that names the error and carries NaN diagnostics.
     """
-    lambdas = sorted(float(l) for l in lambdas)
-    if base_config is None:
-        base_config = PdeConfig(lam=lambdas[0])
+    lambdas = _sweep_lambdas(lambdas)
     coupling_report = validate_coupling(kernel, seed=seed)
     ham_report = validate_hamiltonian(ham, seed=seed)
     c0 = max(coupling_report.c0, ham_report.growth_constant)
@@ -334,6 +342,11 @@ def run_lambda_sweep_classic(
     )
 
 
+def _row_intervals(lam: float, T: float, n_intervals: int) -> int:
+    """K of the acceleration row at lam: the EL certificate degrades like (lam dt)^2, so refine with lam."""
+    return max(n_intervals, int(np.ceil(64 * lam * T)))
+
+
 def _acceleration_row(
     lam: float,
     m0: ParticleEnsemble,
@@ -342,13 +355,11 @@ def _acceleration_row(
     n_intervals: int,
     reference: MeasurePath,
 ) -> dict:
-    # the EL certificate degrades like (lam dt)^2, so refine with lam
-    k_lam = max(n_intervals, int(np.ceil(64 * lam * T)))
+    k_lam = _row_intervals(lam, T, n_intervals)
     t0 = time.perf_counter()
     result = minimize_energy(m0, kernel, lam, T, k_lam)
     wall = time.perf_counter() - t0
     ens = result.ensemble
-    certified = bool(np.isfinite(result.el_residual) and result.el_residual <= EL_TOLERANCE)
 
     # (trajectory node, reference snapshot) at each window time, then at T/2, which is one of them;
     # one transport solve per distinct pair, matched on indices (float window times can miss T/2)
@@ -364,8 +375,8 @@ def _acceleration_row(
     bound = 2.0 * kernel.c0 * m2v / lam
     return {
         "converged": bool(result.converged),
-        "certified": certified,
-        "flagged": bool(not (result.converged and certified)),
+        "certified": result.certified,
+        "flagged": bool(not (result.converged and result.certified)),
         "iterations": int(result.iterations),
         "lbfgs_nfev": int(result.function_evaluations),
         "gradient_norm": float(result.gradient_norm),
@@ -397,11 +408,19 @@ def run_lambda_sweep_acceleration(
     flow is integrated on those identical atoms and its step-halving
     ratio is reported as the reference's own error control.  Nothing here
     is random: seed is only recorded in the report (the CLI passes the seed
-    it drew m0 with).
+    it drew m0 with).  Every row's decision-variable budget N K is checked
+    before the reference solve.
     """
     if not isinstance(kernel, CuckerSmaleKernel):
         raise TypeError("the acceleration sweep takes a Cucker-Smale kernel")
-    lambdas = sorted(float(l) for l in lambdas)
+    lambdas = _sweep_lambdas(lambdas)
+    for lam in lambdas:
+        k_lam = _row_intervals(lam, T, n_intervals)
+        if m0.n * k_lam > DECISION_VARIABLE_BUDGET:
+            raise ValueError(
+                f"lambda = {lam:g} needs K = {k_lam} intervals for N = {m0.n} atoms: "
+                f"N K = {m0.n * k_lam} exceeds the decision-variable budget of {DECISION_VARIABLE_BUDGET}"
+            )
     reference = solve_cs(m0, kernel, T, dt_reference, save_every=1)
     ratio = richardson_order_ratio(m0, kernel, T, dt_reference * 8)
 

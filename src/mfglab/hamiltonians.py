@@ -1,9 +1,8 @@
 """Hamiltonians H(p, x) = |p|^2/2 - v(x).p with smooth bounded drifts.
 
 The quadratic-plus-drift family, with a zero, constant or sinusoidal
-drift field, covers every experiment in the lab; the validator also
-accepts externally supplied Hamiltonian callables so the failure paths
-can be exercised.
+drift field, covers every experiment in the lab, and it is the only
+family the validator takes.
 """
 
 from __future__ import annotations
@@ -17,10 +16,10 @@ from .kernels import VALIDATOR_SPAN
 
 @dataclass(frozen=True)
 class DriftField:
-    """Smooth bounded vector field v(x) with declared derivative bounds.
+    """Smooth bounded vector field v(x) on the line.
 
-    Variants: zero, constant c, or sinusoidal A sin(omega x)
-    (componentwise on the first coordinate).
+    Variants: zero, constant c, or sinusoidal A sin(omega x); its bounds
+    are measured by validate_hamiltonian, not declared.
     """
 
     variant: str = "zero"
@@ -39,18 +38,6 @@ class DriftField:
             return np.full_like(x, self.amplitude)
         return self.amplitude * np.sin(self.frequency * x)
 
-    @property
-    def sup_norm(self) -> float:
-        if self.variant == "zero":
-            return 0.0
-        return abs(self.amplitude)
-
-    @property
-    def lipschitz(self) -> float:
-        if self.variant == "sinusoidal":
-            return abs(self.amplitude * self.frequency)
-        return 0.0
-
 
 @dataclass(frozen=True)
 class QuadraticDriftHamiltonian:
@@ -65,11 +52,6 @@ class QuadraticDriftHamiltonian:
     def grad_p(self, p, x):
         return np.asarray(p, dtype=float) - self.drift(x)
 
-    @property
-    def c0(self) -> float:
-        """Growth constant: -c0 <= H <= c0 (1 + |p|^2)."""
-        return max(1.0, 0.5 + self.drift.sup_norm**2)
-
 
 @dataclass(frozen=True)
 class HamiltonianValidationReport:
@@ -81,25 +63,17 @@ class HamiltonianValidationReport:
     budget: int
 
 
-def validate_hamiltonian(h, budget: int = 2000, seed: int = 0) -> HamiltonianValidationReport:
+def validate_hamiltonian(h: QuadraticDriftHamiltonian, budget: int = 2000, seed: int = 0) -> HamiltonianValidationReport:
     """Sampled verification of convexity, growth and x-regularity.
 
-    `h` is either a QuadraticDriftHamiltonian or a plain callable H(p, x)
-    that acts elementwise on arrays; D_pH of a callable is a central
-    difference.  Each sample draws p, an unused q, x and y, in that order,
-    from [-VALIDATOR_SPAN, VALIDATOR_SPAN].
+    Each sample draws p, an unused q, x and y, in that order, from
+    [-VALIDATOR_SPAN, VALIDATOR_SPAN].
     """
     if budget < 1000:
         raise ValueError("budget must be at least 1000 samples")
-    if isinstance(h, QuadraticDriftHamiltonian):
-        H, DpH = h.value, h.grad_p
-    else:
-        H = h
-
-        def DpH(p, x):
-            eps = 1e-6 * np.maximum(1.0, np.abs(p))
-            return (H(p + eps, x) - H(p - eps, x)) / (2 * eps)
-
+    if not isinstance(h, QuadraticDriftHamiltonian):
+        raise TypeError(f"validate_hamiltonian takes a QuadraticDriftHamiltonian, not {type(h).__name__}")
+    H, DpH = h.value, h.grad_p
     p, _, x, y = np.random.default_rng(seed).uniform(-VALIDATOR_SPAN, VALIDATOR_SPAN, (budget, 4)).T
     hp = 1e-3
     h_px = H(p, x)

@@ -135,14 +135,6 @@ class GridDensity:
     def to_csv(self) -> str:
         return _csv_table(["x", "value"], zip(self.cell_centers.tolist(), self.values.tolist()))
 
-    @classmethod
-    def from_csv(cls, text: str) -> "GridDensity":
-        rows = [line for line in text.strip().splitlines()[1:] if line]
-        data = np.array([[float(c) for c in row.split(",")] for row in rows])
-        x, v = data[:, 0], data[:, 1]
-        dx = float(x[1] - x[0])
-        return cls(float(x[0]) - 0.5 * dx, dx, v)
-
 
 @dataclass(frozen=True)
 class ParticleEnsemble:
@@ -206,11 +198,6 @@ class ParticleEnsemble:
     def to_csv(self) -> str:
         rows = (p + [w] for p, w in zip(self.points.tolist(), self.weights.tolist()))
         return _csv_table(self._csv_columns(), rows)
-
-    @classmethod
-    def from_csv(cls, text: str) -> "ParticleEnsemble":
-        data = np.array([[float(c) for c in row.split(",")] for row in text.strip().splitlines()[1:] if row])
-        return cls(data[:, :-1], data[:, -1], 1)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from mfglab import (
     moment2,
     solve_cs,
 )
-from mfglab.acceleration import _control_weights, _quadrature_weights
+from mfglab.acceleration import EL_TOLERANCE, _control_weights, _quadrature_weights
 from mfglab.measures import wasserstein1_particles
 from test_pair_sums import dense_cs_pair_pass, dense_cs_pair_sum
 
@@ -265,7 +265,7 @@ class TestMinimizeEnergy:
         bound = 2.0 * cs_flat.c0 * moment2(two_body_phase, "velocity") / lam
         assert res.converged
         assert res.energy.total <= 1.05 * bound
-        assert res.el_residual <= 1e-4
+        assert res.el_residual <= EL_TOLERANCE and res.certified
 
     def test_close_to_cs_characteristics(self, cs_flat, two_body_phase):
         lam = 40.0
@@ -337,6 +337,11 @@ class TestElResidual:
         ens = TrajectoryEnsemble.free_flight(two_body_phase, 1.0, 4)
         with pytest.raises(ValueError, match="8"):
             el_residual(ens, cs_flat, 5.0)
+
+    def test_certified_needs_a_finite_residual(self, cs_flat, two_body_phase):
+        """Below 8 intervals there is no EL residual (NaN), so no certificate."""
+        res = minimize_energy(two_body_phase, cs_flat, 10.0, 1.0, 4)
+        assert np.isnan(res.el_residual) and not res.certified
 
     def test_perturbation_raises_residual(self, cs_flat, two_body_phase):
         res = minimize_energy(two_body_phase, cs_flat, 10.0, 1.0, 640)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mfglab import ConfigError, ExponentialKernel, MorseKernel, parse_config, write_config
 from mfglab.cli import main
 from mfglab.config import KERNEL_NAMES
+from mfglab.convergence import EL_TOLERANCE
 
 
 MINIMAL = "[model]\nkernel = exponential\n"
@@ -347,6 +348,39 @@ class TestCli:
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "ConfigError"
         assert err["message"].startswith(f"model.kernel: {command} needs ")
+
+    @pytest.mark.parametrize("n_intervals, status", [(640, 0), (64, 3)])
+    def test_solve_accel_exits_on_the_certificate(self, tmp_path, capsys, n_intervals, status):
+        """The default two-atom flock at lambda = 10: L-BFGS stops either way, but at K = 64 the EL
+        residual (1.0e-3) misses EL_TOLERANCE and the command exits 3; the artifacts are written
+        either way.  K = 640 certifies (1.1e-5)."""
+        cfg = self.write(
+            tmp_path, f"[model]\nkernel = cucker-smale\nbeta = 0.5\n[solver]\nlambda = 10\nn_intervals = {n_intervals}\n"
+        )
+        out = tmp_path / "run"
+        assert main(["solve-accel", "--config", cfg, "--out", str(out)]) == status
+        doc = json.loads((out / "solution.json").read_text())
+        assert doc["converged"]
+        assert doc["certified"] == (status == 0)
+        assert (doc["el_residual"] <= EL_TOLERANCE) == (status == 0)
+        assert (out / "trajectories.csv").exists()
+
+    def test_sweep_classic_tiny(self, tmp_path, capsys):
+        cfg = self.write(
+            tmp_path,
+            "[model]\nkernel = exponential\n"
+            "[solver]\nn_x = 64\ndt = 0.01\nT = 0.5\n"
+            "[sweep]\nlambdas = 5, 20\ncross_particles = 20\n"
+            "[output]\nprefix = sweep\n",
+        )
+        out = tmp_path / "run"
+        assert main(["sweep-classic", "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads((out / "sweep.json").read_text())
+        assert doc["lambdas"] == [5.0, 20.0]
+        assert len(doc["rows"]) == 2 and not any(row["flagged"] for row in doc["rows"])
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[0].split(",") == ["lambda", *sorted(doc["rows"][0])]
+        assert len(lines) == 3
 
     def test_sweep_accel_smoke(self, tmp_path, capsys):
         cfg = self.write(

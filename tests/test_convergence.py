@@ -185,6 +185,50 @@ class TestClassicSweep:
         assert a["reference"] == b["reference"]
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("a solver ran before the sweep checked its inputs")
+
+
+class TestSweepLambdas:
+    """Both drivers check their lambdas before any validator or solve: every solver the
+    drivers call is replaced by one that fails the test if it runs."""
+
+    @pytest.fixture
+    def no_solves(self, monkeypatch):
+        for name in (
+            "validate_coupling", "validate_hamiltonian", "solve_aggregation_fv", "solve_aggregation_particles",
+            "solve_mfg_fixed_point", "solve_cs", "richardson_order_ratio", "minimize_energy",
+        ):
+            monkeypatch.setattr(convergence, name, _refuse)
+
+    @pytest.mark.parametrize(
+        "lambdas, message",
+        [
+            ([5.0, 5.0], "lambda = 5.0 appears twice"),
+            ([20.0, 5.0, 20.0], "lambda = 20.0 appears twice"),
+            ([5.0, 0.0], "lambda = 0.0: every lambda must be positive"),
+            ([-1.0, 5.0], "lambda = -1.0: every lambda must be positive"),
+            ([5.0, np.inf], "lambda = inf: every lambda must be positive and finite"),
+            ([np.nan, 5.0], "lambda = nan: every lambda must be positive and finite"),
+        ],
+        ids=["repeat", "repeat-unsorted", "zero", "negative", "inf", "nan"],
+    )
+    def test_bad_lambdas_raise_before_any_solve(self, no_solves, zero_ham, exp_kernel, cs_flat, lambdas, message):
+        cfg = small_config(5.0)
+        with pytest.raises(ValueError, match=message):
+            run_lambda_sweep_classic(zero_ham, exp_kernel, small_m0(cfg), lambdas, base_config=cfg)
+        m0 = ParticleEnsemble.equal_weights(np.array([[0.0, 1.0], [0.0, -1.0]]), 1)
+        with pytest.raises(ValueError, match=message):
+            run_lambda_sweep_acceleration(cs_flat, m0, lambdas, n_intervals=64)
+
+    def test_decision_variable_budget_checked_up_front(self, no_solves, rng):
+        """24 atoms at lambda = 700 take K = 64 * 700 = 44,800 intervals: N K = 1,075,200 is over the
+        budget, and the sweep says so before the reference or the lambda = 10 row is solved."""
+        m0 = ParticleEnsemble.equal_weights(rng.standard_normal((24, 2)), 1)
+        with pytest.raises(ValueError, match="lambda = 700 needs K = 44800 intervals for N = 24 atoms"):
+            run_lambda_sweep_acceleration(CuckerSmaleKernel(1.0, 0.5), m0, [10.0, 700.0])
+
+
 class TestAccelerationSweep:
     def test_single_particle_zero_distance(self):
         m0 = ParticleEnsemble.equal_weights(np.array([[0.2, 0.8]]), 1)
