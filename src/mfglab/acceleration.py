@@ -18,11 +18,14 @@ One objective evaluation is one pass with no Python loop over atoms or
 intervals: node and adjoint states are running sums (``np.cumsum`` adds
 in sequence, so they round as the step-by-step recursions do), and the
 energy and interaction gradients come from one Cucker-Smale pair pass
-(``kernels._cs_pair_pass``), which takes the time nodes in chunks of a
-fixed byte budget: no pair array grows with K, and the rest of the
-evaluation holds O(N K) node and adjoint arrays.  The reported energy
-(``discrete_energy``) sums ``kernel.value`` over the same chunks.  Curves live on the line: controls are (N, K) and node
-states (N, K+1).
+(``kernels._cs_pair_pass``).  Phi sums an even k over ordered pairs, so
+the pass takes each unordered pair p < q once, on (M, nodes) pair
+differences with the time nodes innermost, M = N(N-1)/2, in chunks of
+nodes within a fixed byte budget: no pair array grows with K, and the
+rest of the evaluation holds O(N K) node and adjoint arrays.  The
+reported energy (``discrete_energy``) applies ``kernel.value`` to the
+same pair offsets.  Curves live on the line: controls are (N, K) and
+node states (N, K+1).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import minimize
 
-from .kernels import CuckerSmaleKernel, _cs_pair_pass, _flock, _node_chunks
+from .kernels import CuckerSmaleKernel, _cs_pair_energy, _cs_pair_pass, _flock
 from .measures import ParticleEnsemble, _csv_table, _freeze, _positive_finite
 
 
@@ -160,18 +163,9 @@ def _energy(ens: TrajectoryEnsemble, lam: float, pairs: np.ndarray) -> EnergyBre
 
 
 def discrete_energy(ens: TrajectoryEnsemble, kernel: CuckerSmaleKernel, lam: float) -> EnergyBreakdown:
-    """Discounted energy of the ensemble (exact control quadrature, trapezoid coupling).
-
-    The node pair sums take ``kernel.value`` on the (N, N, nodes) offsets of one node chunk
-    at a time (``kernels._node_chunks``); each node sums its pairs in the same order whatever
-    its chunk, so the chunks change no bit.
-    """
-    x, v, w = ens.positions, ens.velocities, ens.weights
-    pairs = [
-        np.einsum("p,q,pqj->j", w, w, kernel.value(x[:, None, c] - x[None, :, c], v[:, None, c] - v[None, :, c]))
-        for c in _node_chunks(len(x), x.T)
-    ]
-    return _energy(ens, lam, np.concatenate(pairs))
+    """Discounted energy of the ensemble (exact control quadrature, trapezoid coupling); the
+    node pair sums apply ``kernel.value`` to the pair offsets (``kernels._cs_pair_energy``)."""
+    return _energy(ens, lam, _cs_pair_energy(kernel, ens.positions, ens.velocities, ens.weights))
 
 
 def energy_gradient(
@@ -189,19 +183,23 @@ def energy_gradient(
     K = ens.n_intervals
     dt = ens.dt
     x, v, w = ens.positions, ens.velocities, ens.weights
-    pairs, gx, gv = _cs_pair_pass(kernel, x, v, x, v, w, w)
+    pairs, gx, gv = _cs_pair_pass(kernel, x, v, w)
     qw = _quadrature_weights(ens.times, lam)
     cw = _control_weights(ens.times, lam)
-    gx = w[:, None] * gx * qw[None, :]
-    gv = w[:, None] * gv * qw[None, :]
+    for g in (gx, gv):  # the pass's own arrays, weighted in place: w g qw
+        g *= w[:, None]
+        g *= qw
 
     px = np.cumsum(gx[:, :0:-1], axis=1)[:, ::-1]  # px[:, j] = dE/dx_{j+1} + ... + dE/dx_K
     steps = np.empty((ens.n, 2 * K - 1))
     steps[:, 0::2] = gv[:, :0:-1]
     steps[:, 1::2] = dt * px[:, :0:-1]
-    pv = np.cumsum(steps, axis=1)[:, ::-2]  # every other partial sum, back in node order
-    control_cost = w[:, None] * ens.controls * cw[None, :] / lam
-    return _energy(ens, lam, pairs), control_cost + 0.5 * dt**2 * px + dt * pv
+    del gx, gv
+    pv = np.cumsum(steps, axis=1, out=steps)[:, ::-2]  # every other partial sum, back in node order
+    grad = w[:, None] * ens.controls * cw[None, :] / lam
+    grad += 0.5 * dt**2 * px
+    grad += dt * pv
+    return _energy(ens, lam, pairs), grad
 
 
 #: L-BFGS-B tolerance on the largest projected gradient entry
@@ -303,7 +301,7 @@ def el_residual(ens: TrajectoryEnsemble, kernel: CuckerSmaleKernel, lam: float) 
     xm = 0.5 * (x[:, :-1] + x[:, 1:])
     vm = 0.5 * (v[:, :-1] + v[:, 1:])
 
-    _, dxF, dvF = _cs_pair_pass(kernel, xm, vm, xm, vm, ens.weights)
+    _, dxF, dvF = _cs_pair_pass(kernel, xm, vm, ens.weights)
 
     jerk = (a[:, 2:] - a[:, :-2]) / (2 * dt)  # x''' at midpoints 1..K-2
     snap = (a[:, 2:] - 2 * a[:, 1:-1] + a[:, :-2]) / dt**2

@@ -22,14 +22,16 @@ recurrence.
 The Cucker-Smale kernel acts on the line too, jointly on
 position-velocity offsets of any shape, k(x,v) = v^2 / g(x) with
 g(x) = (alpha + x^2)^beta elementwise; its weight is not radial in
-(x, v) and not a sum of exponentials.  Its pair sums are weight-matrix
-products on centred velocities u: the alignment force is one (N, N)
-matrix 1 / g times [w | w u] (``_cs_alignment``); the energy and
-gradients of the MFG of acceleration, its EL residual and the
-single-query couplings take, at each time node, A = 1 / g and its
-x-derivative B times [w | w u | w u^2] (``_cs_pair_pass``), over chunks
-of nodes whose pair arrays fit a fixed byte budget, so their memory does
-not grow with the number of nodes.  An ensemble enters that side through
+(x, v) and not a sum of exponentials.  The alignment force is one
+(N, N) weight matrix 1 / g times [w | w u] on centred velocities u
+(``_cs_alignment``).  The energy and gradients of the MFG of
+acceleration, its EL residual and the single-query couplings go over a
+list of pairs (``_cs_pair_sums``): a flock's unordered pairs p < q once
+each (k is even in a pair), or a query's pairs with the atoms.  Pair
+differences are gathered chunk by chunk of time nodes into buffers
+that fit a fixed byte budget, so their memory does not grow with the
+number of nodes, and a sparse signed incidence matrix sends the odd
+gradients back to the atoms.  An ensemble enters that side through
 ``_flock``, which rejects one without velocities.  Atoms are on the line
 by construction (``ParticleEnsemble``); free-form query points go
 through ``measures._line_points``.
@@ -38,9 +40,11 @@ through ``measures._line_points``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.sparse import csc_array
 
 from .errors import DimensionError
 from .measures import GridDensity, ParticleEnsemble, _freeze, _line_points
@@ -204,7 +208,13 @@ class CuckerSmaleKernel:
             raise ValueError("beta must be nonnegative")
 
     def g(self, x):
-        return (self.alpha + np.asarray(x, dtype=float) ** 2) ** self.beta
+        return self._g_of_q(self.alpha + np.asarray(x, dtype=float) ** 2)
+
+    def _g_of_q(self, q):
+        """g as a function of q = alpha + x^2, in place on the float array q: the pair pass
+        forms q once for both g and D_x g."""
+        q **= self.beta
+        return q
 
     def value(self, x, v):
         return np.asarray(v, dtype=float) ** 2 / self.g(x)
@@ -332,13 +342,13 @@ def _decayed_prefix(s, f):
     return s
 
 
-#: largest (nq, N) Cucker-Smale weight matrix of one time node a pair pass may allocate, in bytes
+#: largest pair array of one time node a Cucker-Smale pair sum may allocate, in bytes: the
+#: (N, N) weight matrix of ``_cs_alignment``, the (M,) pair column of ``_cs_pair_sums``
 PAIR_ARRAY_CAP = 2**28
 
 
-def _check_pair_cap(nq, x):
-    """Raises before an (nq, N) pair array against the atoms x (N,) would pass PAIR_ARRAY_CAP."""
-    nbytes = nq * x.nbytes
+def _check_pair_cap(nbytes):
+    """Raises before a pair array of nbytes bytes a node would pass PAIR_ARRAY_CAP."""
     if nbytes > PAIR_ARRAY_CAP:
         raise ValueError(f"pair arrays of {nbytes} bytes each exceed the cap of {PAIR_ARRAY_CAP} bytes")
 
@@ -348,7 +358,7 @@ def _cs_alignment(kernel, pos, vel, w):
     2 ((A (w u))_i - u_i (A w)_i): A = 1 / g(x_i - x_j) in one (N, N) buffer, both sums from one
     product A @ [w | w u].  u = v - w.v centres the velocities on their conserved weighted mean;
     a shift leaves each v_i - v_j alone, but uncentred the difference loses |mean v| / spread digits."""
-    _check_pair_cap(pos.shape[0], pos)
+    _check_pair_cap(pos.size * pos.nbytes)
     a = kernel.g(pos[:, None] - pos[None, :])
     np.reciprocal(a, out=a)
     u = vel - w @ vel
@@ -356,64 +366,131 @@ def _cs_alignment(kernel, pos, vel, w):
     return 2.0 * (s[:, 1] - u * s[:, 0])
 
 
-#: byte budget of one chunk of (nq, N) per-node pair arrays in _cs_pair_pass and the
-#: discrete energy; more time nodes go in more chunks.  One pass at N = 24, K = 5120 took
-#: 31, 35 and 53 ms with 256 KiB, 1 MiB and 4 MiB chunks, and at N = 96, K = 1280 173, 134
-#: and 141 ms, against 92 and 471 ms over whole (N, N, K+1) arrays (2-core x86-64,
-#: numpy 2.4, one BLAS thread, best of 15)
-_CS_NODE_BYTES = 2**20
+class _PairTable(NamedTuple):
+    """M pairs (first[c], second[c]) of rows of atom-major states, and two sparse weight
+    matrices over them: ``energy`` (1, M) sums a pair array to one value per node and
+    ``scatter`` (rows, M) sends it back to the rows.  Each output entry adds its terms in
+    pair order, whatever the number of nodes."""
+
+    first: np.ndarray
+    second: np.ndarray
+    energy: csc_array
+    scatter: csc_array
 
 
-def _node_chunks(nq, x):
-    """Slices of the node axis of the node-major atom states x, (J, N), each of as many nodes as
-    have their (nq, N) pair arrays fit in _CS_NODE_BYTES, at least one; raises before one node's
-    array would pass PAIR_ARRAY_CAP, so no pair array is larger than the budget or one node's."""
-    _check_pair_cap(nq, x[0])
-    rows = max(1, _CS_NODE_BYTES // (nq * x[0].nbytes))
-    return [slice(j, j + rows) for j in range(0, len(x), rows)]
+def _pair_row(weights):
+    """The pair weights (M,) as a sparse (1, M) row."""
+    m = len(weights)
+    return csc_array((weights, np.zeros(m, dtype=int), np.arange(m + 1)), shape=(1, m))
 
 
-def _cs_pair_pass(kernel, xq, vq, x, v, w, wq=None):
-    """Cucker-Smale pair sums between query states xq, vq and atoms x, v on the line, node by
-    node: (nq,) and (N,) states at one time node, or (nq, J) and (N, J) at J nodes.
+def _flock_pairs(w):
+    """Each unordered pair p < q of N atoms of weights w (N,) once, M = N(N-1)/2 pairs: the
+    energy weight of a pair is 2 w_p w_q, and a quantity odd in the pair, f(q, p) = -f(p, q),
+    goes back as S[p, c] = w_q and S[q, c] = -w_p.  Raises before any allocation when one
+    node's pair column would pass PAIR_ARRAY_CAP."""
+    n = len(w)
+    _check_pair_cap(n * (n - 1) // 2 * w.itemsize)
+    first, second = np.triu_indices(n, 1)
+    wf, ws = w[first], w[second]
+    m = len(first)
+    # column c holds w_q at row p and -w_p at row q
+    entries = (np.column_stack([ws, -wf]).ravel(), np.column_stack([first, second]).ravel(), np.arange(0, 2 * m + 1, 2))
+    return _PairTable(first, second, _pair_row(2.0 * wf * ws), csc_array(entries, shape=(n, m)))
 
-    Returns sum_pq wq_p w_q k per node (None without query weights wq), and sum_q w_q D_x k
-    and sum_q w_q D_v k at every query, in the shape of xq.  At each node, with d = xq_p - x_q,
-    A = 1 / g(d) (``kernel.g``), B = D_x A = -2 beta d A / (alpha + d^2) and u the velocities
-    centred on w.v, k = (uq_p - u_q)^2 A expands into
 
-        sum_q w_q k    = uq^2 (A w) - 2 uq (A w u) + A (w u^2),
-        sum_q w_q D_vk = 2 (uq (A w) - A (w u)),
-        sum_q w_q D_xk = uq^2 (B w) - 2 uq (B w u) + B (w u^2),
+def _query_pairs(w):
+    """The pairs (0, q) of one query state stacked above N atoms of weights w (N,), at rows
+    q = 1..N: the energy weights and the scatter to the query's row are both w_q."""
+    n = len(w)
+    _check_pair_cap(n * w.itemsize)
+    row = _pair_row(w)
+    return _PairTable(np.zeros(n, dtype=int), np.arange(1, n + 1), row, row)
 
-    so each node needs its (nq, N) matrices A and B and the products A @ [w | w u | w u^2]
-    and B @ [...], batched over the nodes of a chunk (``_node_chunks``); no velocity offset
-    is formed.  Centring keeps a common velocity shift from costing digits, as in
-    ``_cs_alignment``.
+
+#: byte budget of the pair temporaries of one chunk of time nodes in _cs_pair_sums (three
+#: (M, nodes) buffers) and the discrete energy; more nodes go in more chunks.  One pass at
+#: N = 24, K = 5120 took 17-18, 14, 12-13 and 12-16 ms with 256 KiB, 512 KiB, 1 MiB and 2 MiB
+#: chunks, at N = 96, K = 1280 108-116, 71-89, 62-75 and 62-66 ms, and at N = 192, K = 320
+#: 123-131, 122-137, 83-97 and 65-73 ms; the per-node (N, N) matrices it replaced took 34-40,
+#: 132 and 149-166 ms (2-core x86-64, numpy 2.4, one BLAS thread, best of 15, two runs)
+_CS_PAIR_BYTES = 2**20
+
+
+def _pair_offsets(pairs, x, v):
+    """Pair offsets d = x[first] - x[second] and du = v[first] - v[second], (M, nodes), of the
+    atom-major states x, v (n, J), chunk by chunk of time nodes: yields the node slice, d, du
+    and a third buffer of their shape that the caller may overwrite.  The three are gathered
+    in place into buffers reused from chunk to chunk, which fit _CS_PAIR_BYTES together (one
+    node at least)."""
+    m, nodes = len(pairs.first), x.shape[1]
+    cols = max(1, min(nodes, _CS_PAIR_BYTES // (3 * 8 * max(m, 1))))
+    buffers = np.empty((3, m * cols))
+    for j in range(0, nodes, cols):
+        c, n = slice(j, j + cols), min(cols, nodes - j)
+        d, du, spare = (b[: m * n].reshape(m, n) for b in buffers)
+        for out, s in ((d, x[:, c]), (du, v[:, c])):
+            # the indices are in range; mode="clip" keeps take from buffering its output
+            np.take(s, pairs.first, axis=0, out=out, mode="clip")
+            np.take(s, pairs.second, axis=0, out=spare, mode="clip")
+            out -= spare
+        yield c, d, du, spare
+
+
+def _cs_pair_sums(kernel, x, v, pairs):
+    """Cucker-Smale pair sums over the pairs of a ``_PairTable`` of the states x, v on the line:
+    (n,) at one time node, or atom-major (n, J) at J nodes.
+
+    Returns sum_c e_c k(d_c, du_c) per node, and the scattered sums of D_x k and D_v k, each
+    (rows,) per node.  k = du^2 A with A = 1 / g(d) is even in the pair, D_x k and D_v k odd.
+    Per chunk of nodes (``_pair_offsets``), q = alpha + d^2 is formed once, g from it through
+    ``CuckerSmaleKernel._g_of_q``, and the three pair arrays
+
+        du A              (scattered, times 2, into the D_v sums),
+        du^2 A            (the energy),
+        du^2 A d / q      (scattered, times -2 beta, into the D_x sums)
+
+    are built in place in the chunk's buffers.  Time nodes are the inner axis, each pair's
+    node row contiguous; pair differences need no velocity centring.
     """
-    shape = xq.shape
-    xq, vq, x, v = (s.reshape(len(s), -1).T for s in (xq, vq, x, v))  # node-major, (J, nq) and (J, N)
-    vbar = v @ w
-    f, gx, gv = np.empty((3,) + xq.shape)
-    for c in _node_chunks(xq.shape[1], x):
-        u, uq = v[c] - vbar[c, None], vq[c] - vbar[c, None]
-        wu = w * u
-        weights = np.stack(np.broadcast_arrays(w, wu, wu * u), axis=-1)  # [w | w u | w u^2] per node
-        d = xq[c, :, None] - x[c, None, :]
-        a = kernel.g(d)
-        np.reciprocal(a, out=a)
-        sa = a @ weights
-        b = d * d  # B / (-2 beta) = d A / (alpha + d^2)
-        b += kernel.alpha
-        np.divide(d, b, out=b)
-        b *= a
-        sb = (b @ weights) * (-2.0 * kernel.beta)
-        del d, a, b
-        f[c] = uq * (uq * sa[..., 0] - 2.0 * sa[..., 1]) + sa[..., 2]
-        gv[c] = 2.0 * (uq * sa[..., 0] - sa[..., 1])
-        gx[c] = uq * (uq * sb[..., 0] - 2.0 * sb[..., 1]) + sb[..., 2]
-    pairs = None if wq is None else (f @ wq).reshape(shape[1:])
-    return pairs, gx.T.reshape(shape), gv.T.reshape(shape)
+    shape = x.shape
+    x, v = x.reshape(len(x), -1), v.reshape(len(v), -1)
+    nodes, rows = x.shape[1], pairs.scatter.shape[0]
+    energy, gx, gv = np.empty(nodes), np.empty((rows, nodes)), np.empty((rows, nodes))
+    for c, d, du, q in _pair_offsets(pairs, x, v):
+        np.multiply(d, d, out=q)
+        q += kernel.alpha
+        d /= q
+        np.reciprocal(kernel._g_of_q(q), out=q)
+        q *= du  # du A
+        du *= q  # du^2 A
+        d *= du  # du^2 A d / q
+        energy[c] = (pairs.energy @ du)[0]
+        gv[:, c] = pairs.scatter @ q
+        gx[:, c] = pairs.scatter @ d
+    gv *= 2.0
+    gx *= -2.0 * kernel.beta
+    return energy.reshape(shape[1:]), gx.reshape((rows,) + shape[1:]), gv.reshape((rows,) + shape[1:])
+
+
+def _cs_pair_pass(kernel, x, v, w):
+    """The pair sums of a flock of N atoms of weights w (N,) with itself, states x, v (N,) or
+    atom-major (N, J): returns sum_pq w_p w_q k per node, and sum_q w_q D_x k and
+    sum_q w_q D_v k at every atom, in the shape of x; each unordered pair is taken once
+    (``_flock_pairs``)."""
+    return _cs_pair_sums(kernel, x, v, _flock_pairs(w))
+
+
+def _cs_pair_energy(kernel, x, v, w):
+    """sum_pq w_p w_q k per node, (J,), of a flock of N atoms of weights w (N,) at the
+    atom-major states x, v (N, J), from ``kernel.value`` on the offsets of each unordered
+    pair, weighted 2 w_p w_q; each node sums its pairs in pair order whatever its chunk, so
+    the chunks change no bit."""
+    pairs = _flock_pairs(w)
+    energy = np.empty(x.shape[1])
+    for c, d, du, _ in _pair_offsets(pairs, x, v):
+        energy[c] = (pairs.energy @ kernel.value(d, du))[0]
+    return energy
 
 
 def _flock(m):
@@ -438,7 +515,9 @@ def _coupling(kernel, x, m, v, gradient):
         raise DimensionError(f"the coupling takes one query point, not {xq.size} positions and {vq.size} velocities")
     if cs:
         pos, vel = _flock(m)
-        value, dx_f, dv_f = _cs_pair_pass(kernel, xq, vq, pos, vel, m.weights, np.ones(1))
+        # the query stacked above the atoms, paired with each atom once
+        x_all, v_all = np.concatenate([xq, pos]), np.concatenate([vq, vel])
+        value, dx_f, dv_f = _cs_pair_sums(kernel, x_all, v_all, _query_pairs(m.weights))
         return (dx_f.item(), dv_f.item()) if gradient else value.item()
     if isinstance(m, GridDensity):
         return _grid_sum(kernel, xq, m, gradient).item()

@@ -17,7 +17,7 @@ from mfglab import (
 )
 from mfglab.acceleration import EL_TOLERANCE, _control_weights, _quadrature_weights
 from mfglab.measures import wasserstein1_particles
-from test_pair_sums import dense_cs_pair_pass, dense_cs_pair_sum
+from test_pair_sums import dense_cs_pair_energy, dense_cs_pair_pass, dense_cs_pair_sum
 
 
 # -- the step-by-step bodies the running sums and the one pair pass replaced, kept as oracles --
@@ -224,9 +224,10 @@ class TestEnergyGradient:
 def test_running_sums_and_one_pair_pass_match_loops(draw, K, monkeypatch):
     """States equal the loop oracle bit for bit, unequal weights, for two random ensembles on
     the line.  The energy and gradient do too with the dense pair-sum oracle patched in for the
-    pass; the shipped pass sums in another order, and its interaction energy (also against
-    discrete_energy) stays within 1e-14 relative and its gradient within 1e-14 of the largest
-    entry (measured 5.8e-16 and 3.2e-16); the control energy is unchanged, bit for bit."""
+    pass and the reported energy's pair sums; the shipped pass sums each unordered pair once,
+    in another order, and its interaction energy (also against discrete_energy) stays within
+    1e-14 relative and its gradient within 1e-14 of the largest entry (measured 4.4e-16 and
+    8.1e-17); the control energy is unchanged, bit for bit."""
     rng = np.random.default_rng(100 * draw + K)
     kernel = CuckerSmaleKernel(0.7, 0.5)
     ens = random_ensemble(rng, 6, K)
@@ -240,6 +241,7 @@ def test_running_sums_and_one_pair_pass_match_loops(draw, K, monkeypatch):
     assert reported.interaction == pytest.approx(energy.interaction, rel=1e-14, abs=0.0)
     assert np.max(np.abs(gradient - grad)) <= 1e-14 * np.max(np.abs(grad))
     monkeypatch.setattr(acceleration, "_cs_pair_pass", dense_cs_pair_pass)
+    monkeypatch.setattr(acceleration, "_cs_pair_energy", dense_cs_pair_energy)
     energy, gradient = energy_gradient(ens, kernel, 7.0)
     assert (energy.control, energy.interaction) == (control, interaction)
     assert discrete_energy(ens, kernel, 7.0) == energy
@@ -277,7 +279,7 @@ class TestMinimizeEnergy:
 
     def test_one_pair_build_per_evaluation(self, rng, monkeypatch):
         """The pair pass runs once per L-BFGS evaluation, plus once for the EL residual; the
-        final energy sums kernel.value over the node chunks without it."""
+        final energy sums kernel.value over the pairs without it."""
         calls = []
         run = kernels._cs_pair_pass
         monkeypatch.setattr(acceleration, "_cs_pair_pass", lambda *args: calls.append(1) or run(*args))
@@ -287,11 +289,13 @@ class TestMinimizeEnergy:
         assert len(calls) == res.function_evaluations + 1
 
     def test_objective_peak_memory(self, rng):
-        """One energy-and-gradient evaluation at N = 24, K = 5120 allocates a few node chunks
-        of the pair pass and O(N K) node and adjoint arrays, no (N, N, K+1) one: its peak stays
-        under 4 chunk budgets plus 12 (N, K+1) arrays (16 MB), and under half of one pair array
-        (11.8 MB).  Measured 10.0 MB, most of it the adjoint sums; the dense pass peaked at 5.0
-        pair arrays at K = 512."""
+        """One energy-and-gradient evaluation at N = 24, K = 5120 allocates the three chunk
+        buffers of the pair pass, together within one chunk budget, and O(N K) node, gradient
+        and adjoint arrays, no (N, N, K+1) one: its peak stays under one chunk budget plus 8
+        (N, K+1) arrays (8.9 MB), and under half of one pair array (11.8 MB).  Measured 7.1 MB,
+        most of it the adjoint sums, which weight the pass's gradients and take their partial
+        sums in place (10.0 MB with fresh arrays there and the 1 MiB chunks of per-node (N, N)
+        matrices); the dense pass peaked at 5.0 pair arrays at K = 512."""
         ens = random_ensemble(rng, 24, 5120)
         ens.positions  # node states are cached, not part of the pass
         tracemalloc.start()
@@ -300,7 +304,7 @@ class TestMinimizeEnergy:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * kernels._CS_NODE_BYTES + 12 * ens.positions.nbytes
+        assert peak < kernels._CS_PAIR_BYTES + 8 * ens.positions.nbytes
         assert peak < 0.5 * 24 * 24 * 5121 * 8
 
     def test_variable_budget_cap(self, cs_flat, rng):
@@ -309,9 +313,9 @@ class TestMinimizeEnergy:
             minimize_energy(m0, cs_flat, 10.0, 1.0, 10**4)
 
     def test_pair_array_cap(self, cs_flat, rng, monkeypatch):
-        """The cap bounds the (nq, N) matrix of one time node, the smallest piece the node
-        chunks can hold: 12 atoms take 12 * 12 * 8 = 1152 bytes a node."""
-        monkeypatch.setattr(kernels, "PAIR_ARRAY_CAP", 1000)
+        """The cap bounds the pair column of one time node, the smallest piece the node
+        chunks can hold: 12 atoms make 66 pairs, 66 * 8 = 528 bytes a node."""
+        monkeypatch.setattr(kernels, "PAIR_ARRAY_CAP", 527)
         m0 = ParticleEnsemble.equal_weights(rng.standard_normal((12, 2)), 1)
         ens = TrajectoryEnsemble.free_flight(m0, 1.0, 16)
         for call in (
@@ -320,9 +324,9 @@ class TestMinimizeEnergy:
             lambda: energy_gradient(ens, cs_flat, 10.0),
             lambda: el_residual(ens, cs_flat, 10.0),
         ):
-            with pytest.raises(ValueError, match="1152 bytes each exceed the cap of 1000 bytes"):
+            with pytest.raises(ValueError, match="528 bytes each exceed the cap of 527 bytes"):
                 call()
-        monkeypatch.setattr(kernels, "PAIR_ARRAY_CAP", 1152)
+        monkeypatch.setattr(kernels, "PAIR_ARRAY_CAP", 528)
         assert discrete_energy(ens, cs_flat, 10.0).total > 0.0
 
 

@@ -298,6 +298,32 @@ def test_linear_quadratic_flock_oracle(lam):
     assert np.max(np.abs(u[:, keep] - exact)) <= 2e-5
 
 
+def lam_gap_at_half_T(u_half, u0, lam):
+    """lam (u(T/2) - u0 e^{-1}) / u0 at T = 1: the scaled velocity gap to the kinetic limit
+    u0 e^{-2t} (cs_rhs at beta = 0), per unit initial centred velocity."""
+    return lam * (u_half - u0 * np.exp(-1.0)) / u0
+
+
+@pytest.mark.parametrize("lam", [10.0, 20.0, 40.0])
+def test_linear_quadratic_gap_at_half_T(lam):
+    """The measured lam * gap at T/2 matches its closed form within lam * 2e-5, the velocity
+    tolerance of the flock oracle above scaled by lam: measured 0.57869, 0.64426 and 0.68610
+    against 0.57862, 0.64410 and 0.68576 at lam = 10, 20, 40."""
+    ens, u0, u = linear_quadratic_flock(lam)
+    j = ens.n_intervals // 2  # the node at T/2
+    exact = lam_gap_at_half_T(linear_quadratic_velocity(1.0, lam, ens.T, 0.5 * ens.T), 1.0, lam)
+    assert np.all(np.abs(lam_gap_at_half_T(u[:, j], u0, lam) - exact) <= lam * 2e-5)
+
+
+def test_linear_quadratic_gap_tends_to_two_over_e():
+    """The closed-form lam * gap at T/2 rises with lam toward 2/e (0.7358), the leading-order
+    gap (4t/lam) u0 e^{-2t} at t = 1/2: 0.579 at lam = 10, 0.7356 at lam = 10^4."""
+    lams = np.array([10.0, 20.0, 40.0, 80.0, 160.0, 1e3, 1e4])
+    gaps = lam_gap_at_half_T(linear_quadratic_velocity(1.0, lams, 1.0, 0.5), 1.0, lams)
+    assert np.all(np.diff(gaps) > 0) and np.all(gaps < 2.0 / np.e)
+    assert 2.0 / np.e - gaps[-1] < 1e-3
+
+
 #: measured gaps of minimize_energy to the exact discrete minimizer on t <= T/2: 1.0e-10, 7.1e-9
 #: and 1.1e-6 at lam = 10, 20, 40, against 7.8e-6, 7.6e-6 and 7.5e-6 between the discrete and the
 #: continuous minimizer, so the pins sit about 5x above the solver's gap and, at lam = 10 and 20,

@@ -349,21 +349,33 @@ class TestCli:
         assert err["error"] == "ConfigError"
         assert err["message"].startswith(f"model.kernel: {command} needs ")
 
-    @pytest.mark.parametrize("n_intervals, status", [(640, 0), (64, 3)])
-    def test_solve_accel_exits_on_the_certificate(self, tmp_path, capsys, n_intervals, status):
-        """The default two-atom flock at lambda = 10: L-BFGS stops either way, but at K = 64 the EL
-        residual (1.0e-3) misses EL_TOLERANCE and the command exits 3; the artifacts are written
-        either way.  K = 640 certifies (1.1e-5)."""
+    @pytest.mark.parametrize("lam, status", [(10, 0), (80, 3)])
+    def test_solve_accel_exits_on_the_certificate(self, tmp_path, capsys, lam, status):
+        """The default two-atom flock at n_intervals = 64, which is a floor: K follows the
+        sweep's rule max(n_intervals, ceil(64 lambda T)) and goes into solution.json.  At
+        lambda = 10 (K = 640) the EL residual certifies (1.1e-5) and the command exits 0; at
+        lambda = 80 (K = 5120) L-BFGS stops too, but the residual (5.1e-4) misses EL_TOLERANCE
+        and the command exits 3.  The artifacts are written either way."""
         cfg = self.write(
-            tmp_path, f"[model]\nkernel = cucker-smale\nbeta = 0.5\n[solver]\nlambda = 10\nn_intervals = {n_intervals}\n"
+            tmp_path, f"[model]\nkernel = cucker-smale\nbeta = 0.5\n[solver]\nlambda = {lam}\nn_intervals = 64\n"
         )
         out = tmp_path / "run"
         assert main(["solve-accel", "--config", cfg, "--out", str(out)]) == status
         doc = json.loads((out / "solution.json").read_text())
+        assert doc["n_intervals"] == 64 * lam
         assert doc["converged"]
         assert doc["certified"] == (status == 0)
         assert (doc["el_residual"] <= EL_TOLERANCE) == (status == 0)
         assert (out / "trajectories.csv").exists()
+
+    def test_solve_accel_default_config_certifies(self, tmp_path, capsys):
+        """The default config (beta = 0.5, lambda = 10, n_intervals = 128) solves at K = 640 and
+        exits 0."""
+        cfg = self.write(tmp_path, "[model]\nkernel = cucker-smale\nbeta = 0.5\n")
+        out = tmp_path / "run"
+        assert main(["solve-accel", "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads((out / "solution.json").read_text())
+        assert doc["n_intervals"] == 640 and doc["certified"]
 
     def test_sweep_classic_tiny(self, tmp_path, capsys):
         cfg = self.write(

@@ -44,15 +44,19 @@ The ``acceleration`` values (energy, gradient, EL residual, L-BFGS
 controls and iterations) were recorded with the Cucker-Smale pair sum
 over whole (N, N, K+1) offset arrays, kept as the test oracle
 ``test_pair_sums.dense_cs_pair_sum``: patched in for the shipped pass
-(``kernels._cs_pair_pass``: weight matrices node by node, in chunks of
-nodes, and products with [w | w u | w u^2] on centred velocities), they
-stay bit-identical.  The shipped pass sums the same terms in another
-order.  Its reported energy (``discrete_energy``, ``kernel.value`` over
-node chunks) and EL residual stay bit-identical; the gradient is pinned
-within 1e-14 of its largest entry (gap 1.1e-19, 1.5e-16 of it), the
-objective's interaction energy within 1e-14 relative (4.3e-16), the
-L-BFGS controls within 1e-13 absolute (8.9e-16) and the iteration count
-exactly (8 on both).
+and for the reported energy's pair sums (``kernels._cs_pair_pass`` and
+``kernels._cs_pair_energy``: each unordered pair once, on pair
+differences, in chunks of time nodes), they stay bit-identical.  The
+shipped path sums the same terms in another order.  Its EL residual
+and the control energy stay bit-identical; the reported interaction
+energy (``discrete_energy``, ``kernel.value`` on the pairs) and the
+objective's are pinned within 1e-14 relative (1.1e-16 and 2.1e-16), the
+gradient within 1e-14 of its largest entry (gap 5.4e-20, 7.3e-17 of
+it), the L-BFGS controls within 1e-13 absolute (5.5e-14) and the
+iteration count within one: L-BFGS-B stops when the relative reduction
+of the energy falls to roundoff, so the summation order decides the
+last step (9 iterations on the shipped path, 8 on the oracle, both
+ending at the same energy with a 2.7e-10 gradient).
 
 The ``csv.phase`` digest was re-recorded when atoms came to live on the
 line only: its ensemble of 5 phase-space atoms in d = 2 (columns
@@ -93,7 +97,7 @@ from mfglab import (
     validate_coupling,
 )
 from mfglab.cli import main
-from test_pair_sums import d_vector_dense_pair_sum, dense_cs_pair_pass, pair_sum_cs_alignment
+from test_pair_sums import d_vector_dense_pair_sum, dense_cs_pair_energy, dense_cs_pair_pass, pair_sum_cs_alignment
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden.json").read_text())
 
@@ -291,9 +295,11 @@ def test_snapshot_counts(computed):
 
 
 def _on_dense_cs_pass(fn):
-    """fn() with the dense Cucker-Smale pair-sum oracle in place of the shipped pair pass."""
+    """fn() with the dense Cucker-Smale pair-sum oracle in place of the shipped pair pass and
+    the reported energy's pair sums."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(acceleration, "_cs_pair_pass", dense_cs_pair_pass)
+        mp.setattr(acceleration, "_cs_pair_energy", dense_cs_pair_energy)
         return fn()
 
 
@@ -315,12 +321,13 @@ def test_acceleration_bit_identical(accel, key):
 def test_acceleration_near_golden(accel_shipped):
     """The shipped pair pass against the recorded values, within the tolerances stated above."""
     expected, got = GOLDEN["acceleration"], accel_shipped
-    assert got["energy"] == expected["energy"]
+    assert got["energy"][0] == expected["energy"][0]
+    assert got["energy"][1] == pytest.approx(expected["energy"][1], rel=1e-14, abs=0.0)
     assert got["el_residual"] == expected["el_residual"]
     gradient = np.array(expected["gradient"])
     assert np.max(np.abs(np.array(got["gradient"]) - gradient)) <= 1e-14 * np.max(np.abs(gradient))
     assert np.max(np.abs(np.array(got["minimize_controls"]) - expected["minimize_controls"])) <= 1e-13
-    assert got["minimize_iterations"] == expected["minimize_iterations"]
+    assert abs(got["minimize_iterations"] - expected["minimize_iterations"]) <= 1
 
 
 def test_objective_energy_bit_identical():

@@ -3,8 +3,8 @@
 Every particle-side k*m and Dk*m goes through ``kernels._pair_sum``, the
 Cucker-Smale alignment acceleration through ``kernels._cs_alignment``
 (one weight matrix, one product) and the other Cucker-Smale pair sums
-through ``kernels._cs_pair_pass`` (weight matrices node by node, in
-chunks of time nodes).  The loops below recompute each sum one
+through ``kernels._cs_pair_sums`` (each pair once, on pair differences,
+in chunks of time nodes).  The loops below recompute each sum one
 atom pair at a time from the radial profile phi (or from g for
 Cucker-Smale) and bound the difference by 1e-13 times the sum of the
 absolute terms.  Radial pair sums act on the
@@ -190,7 +190,7 @@ def dense_cs_pair_sum(kernel, xq, vq, x, v, w, wq=None, grad_x=False, grad_v=Fal
     k = v^2 / g, D_x k = -v^2 2 beta (alpha + x^2)^(-beta-1) x and D_v k = 2 v / g round as
     their pointwise forms do.  The golden acceleration values were recorded with it, bit for bit.
     """
-    kernels._check_pair_cap(xq.shape[0], x)
+    kernels._check_pair_cap(xq.shape[0] * x.nbytes)
     dx, dv = xq[:, None] - x[None, :], vq[:, None] - v[None, :]
     g = kernel.g(dx)
     out = []
@@ -221,11 +221,17 @@ def dense_cs_pair_sum(kernel, xq, vq, x, v, w, wq=None, grad_x=False, grad_v=Fal
     return out
 
 
-def dense_cs_pair_pass(kernel, xq, vq, x, v, w, wq=None):
-    """``dense_cs_pair_sum`` behind the interface of ``kernels._cs_pair_pass``, to patch in
-    for it on the oracle path of the goldens."""
-    sums = dense_cs_pair_sum(kernel, xq, vq, x, v, w, wq, grad_x=True, grad_v=True)
-    return (None, *sums) if wq is None else tuple(sums)
+def dense_cs_pair_pass(kernel, x, v, w):
+    """``dense_cs_pair_sum`` of a flock with itself behind the interface of
+    ``kernels._cs_pair_pass``, to patch in for it on the oracle path of the goldens."""
+    return tuple(dense_cs_pair_sum(kernel, x, v, x, v, w, w, grad_x=True, grad_v=True))
+
+
+def dense_cs_pair_energy(kernel, x, v, w):
+    """The energy of ``dense_cs_pair_sum`` behind the interface of ``kernels._cs_pair_energy``:
+    the discrete energy summed over whole (N, N, nodes) offset arrays, as it was recorded."""
+    (energy,) = dense_cs_pair_sum(kernel, x, v, x, v, w, w)
+    return energy
 
 
 def pair_sum_cs_alignment(kernel, pos, vel, w):
@@ -249,7 +255,7 @@ def test_cs_alignment_matches_pair_sum(beta, n):
 @pytest.mark.parametrize("draw", [1, 2])
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.5])
 def test_cs_coupling_matches_old_sums(beta, draw):
-    """The single-query Cucker-Smale coupling goes through kernels._cs_pair_pass; it stays
+    """The single-query Cucker-Smale coupling goes through kernels._cs_pair_sums; it stays
     within 1e-15 of the np.sum over the pointwise k, D_x k and D_v k it replaced,
     relative to the sum of the absolute terms (for the value, the value itself),
     on two random ensembles on the line."""
@@ -277,52 +283,61 @@ def node_states(n, nodes, seed, shift=0.0):
 
 
 @pytest.mark.parametrize("shift", [0.0, 1e3, 1e6])
-@pytest.mark.parametrize("n, nodes", [(2, 9), (24, 40), (96, 12)])
+@pytest.mark.parametrize("n, nodes", [(1, 3), (2, 9), (5, 7), (24, 40), (96, 12)])
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.5])
 def test_cs_pair_pass_matches_dense(beta, n, nodes, shift):
-    """The pass sums the expanded quadratic forms in centred velocities; per node it stays within
-    1e-13 of the sum of the absolute pointwise terms of the dense oracle (measured at most 9.1e-15,
-    on the pair energy at N = 96 with velocities shifted by 1e6; 1.1e-15 on the gradients)."""
+    """The pass takes each unordered pair once, on pair differences; per node it stays within
+    1e-13 of the sum of the absolute pointwise terms of the dense oracle (measured at most
+    9.5e-15, on the pair energy at N = 96 with velocities shifted by 1e6; 1.1e-15 on the
+    gradients), and so does the energy from kernel.value on the same pairs.  One atom has no
+    pair: every sum is zero."""
     kernel = CuckerSmaleKernel(0.7, beta)
     x, v, w = node_states(n, nodes, n + nodes, shift)
-    got = kernels._cs_pair_pass(kernel, x, v, x, v, w, w)
+    energy, gx, gv = kernels._cs_pair_pass(kernel, x, v, w)
     dx, dv = x[:, None] - x[None], v[:, None] - v[None]
     scales = (
         np.einsum("p,q,pqj->j", w, w, dv**2 / kernel.g(dx)),
         np.einsum("q,pqj->pj", w, np.abs(dv**2 * 2.0 * beta * (kernel.alpha + dx**2) ** (-beta - 1.0) * dx)),
         np.einsum("q,pqj->pj", w, np.abs(2.0 * dv / kernel.g(dx))),
     )
-    for new, old, scale in zip(got, dense_cs_pair_sum(kernel, x, v, x, v, w, w, True, True), scales):
+    got = (energy, gx, gv, kernels._cs_pair_energy(kernel, x, v, w))
+    dense = dense_cs_pair_sum(kernel, x, v, x, v, w, w, True, True)
+    for new, old, scale in zip(got, dense + dense[:1], scales + scales[:1]):
         assert new.shape == old.shape
         assert np.all(np.abs(new - old) <= TOL * scale)
+    if n == 1:
+        assert not np.any(energy) and not np.any(gx) and not np.any(gv)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.5])
 def test_cs_pair_pass_chunks(beta, monkeypatch):
-    """Each node's sums do not depend on how many nodes share its chunk: one node, seven nodes
-    or all 40 a chunk agree within 1e-15 relative (measured: bit for bit)."""
+    """The sums do not depend on how many nodes share a chunk: one node, seven nodes or all
+    40 a chunk agree bit for bit, for the pass and for the energy from kernel.value."""
     kernel = CuckerSmaleKernel(0.7, beta)
     x, v, w = node_states(24, 40, 3)
-    node = 24 * 24 * 8
+    node = 3 * 276 * 8  # the three (M,) pair columns of one node, M = 24 * 23 / 2
     runs = []
     for budget in (node, 7 * node, 40 * node):
-        monkeypatch.setattr(kernels, "_CS_NODE_BYTES", budget)
-        runs.append(kernels._cs_pair_pass(kernel, x, v, x, v, w, w))
+        monkeypatch.setattr(kernels, "_CS_PAIR_BYTES", budget)
+        runs.append((*kernels._cs_pair_pass(kernel, x, v, w), kernels._cs_pair_energy(kernel, x, v, w)))
     for run in runs[:2]:
         for got, whole in zip(run, runs[2]):
-            assert np.all(np.abs(got - whole) <= 1e-15 * np.abs(whole))
+            assert np.array_equal(got, whole)
 
 
-def test_cs_pair_pass_one_g_per_chunk(monkeypatch):
-    """The pass evaluates g through CuckerSmaleKernel.g once per chunk of nodes, on the chunk's
-    offsets only: the benchmark traces that method as its kernels.cs_g span."""
+def test_cs_pair_pass_takes_each_pair_once(monkeypatch):
+    """A pass evaluates g on M = N(N-1)/2 pair entries a node, not N^2, from q = alpha + d^2
+    formed once per chunk (CuckerSmaleKernel._g_of_q; CuckerSmaleKernel.g, which squares
+    again, is not called); the chunk budget is three (M, nodes) buffers."""
     calls = []
-    g = CuckerSmaleKernel.g
-    monkeypatch.setattr(CuckerSmaleKernel, "g", lambda self, d: calls.append(d.shape) or g(self, d))
-    monkeypatch.setattr(kernels, "_CS_NODE_BYTES", 7 * 5 * 5 * 8)
+    g_of_q = CuckerSmaleKernel._g_of_q
+    monkeypatch.setattr(CuckerSmaleKernel, "_g_of_q", lambda self, q: calls.append(q.shape) or g_of_q(self, q))
+    monkeypatch.setattr(CuckerSmaleKernel, "g", lambda self, x: pytest.fail("g called"))
+    monkeypatch.setattr(kernels, "_CS_PAIR_BYTES", 7 * 3 * 10 * 8)
     x, v, w = node_states(5, 17, 4)
-    kernels._cs_pair_pass(CuckerSmaleKernel(1.0, 0.5), x, v, x, v, w)
-    assert calls == [(7, 5, 5), (7, 5, 5), (3, 5, 5)]
+    kernels._cs_pair_pass(CuckerSmaleKernel(1.0, 0.5), x, v, w)
+    assert calls == [(10, 7), (10, 7), (10, 3)]
+    assert sum(m * nodes for m, nodes in calls) == 10 * 17 < 5 * 5 * 17
 
 
 def d_vector_dense_pair_sum(kernel, xq, pos, w, gradient):
