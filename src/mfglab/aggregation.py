@@ -18,7 +18,7 @@ import numpy as np
 from .cucker_smale import _rk4
 from .errors import DimensionError, DivergenceError
 from .hamiltonians import QuadraticDriftHamiltonian
-from .kernels import CuckerSmaleKernel, _grid_matrix, _grid_sum, _pair_sum
+from .kernels import CuckerSmaleKernel, _grid_matrix, _grid_sum, _pair_sum, _self_pair_sum
 from .measures import GridDensity, MeasurePath, ParticleEnsemble, _line_points, _march
 from .mfg_pde import _check_cfl, _DiffusionSolver, transport_step
 
@@ -58,7 +58,8 @@ def solve_aggregation_particles(
     if m0.is_phase_space:
         raise DimensionError("position-space ensemble expected")
     w = m0.weights
-    rhs = lambda p: ham.drift(p) - _pair_sum(kernel, p, p, w, gradient=True)
+    pair_force = _self_pair_sum(kernel, w, gradient=True)
+    rhs = lambda p: ham.drift(p) - pair_force(p)
 
     def step(pos, t):
         pos = _rk4(rhs, pos, dt, 1)

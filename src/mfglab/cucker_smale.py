@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kernels import CuckerSmaleKernel, _cs_alignment, _flock
-from .measures import MeasurePath, ParticleEnsemble, _march, _positive_finite
+from .measures import MeasurePath, ParticleEnsemble, _march, _n_steps
 
 
 def cs_rhs(ensemble: ParticleEnsemble, kernel: CuckerSmaleKernel) -> np.ndarray:
@@ -37,11 +37,13 @@ def _phase_rhs(m0: ParticleEnsemble, kernel):
     the alignment acceleration from one (N, N) weight matrix and one product
     (``kernels._cs_alignment``), on velocities centred on their weighted mean."""
     _flock(m0)
-    w = m0.weights
+    alignment = _cs_alignment(kernel, m0.weights)
 
     def rhs(z):
-        pos, vel = z[:, 0], z[:, 1]
-        return np.column_stack([vel, _cs_alignment(kernel, pos, vel, w)])
+        out = np.empty_like(z)
+        out[:, 0] = z[:, 1]
+        alignment(z[:, 0], z[:, 1], out[:, 1])
+        return out
 
     return rhs
 
@@ -50,9 +52,8 @@ def richardson_order_ratio(
     m0: ParticleEnsemble, kernel: CuckerSmaleKernel, T: float, dt: float
 ) -> float:
     """Step-halving error ratio |u_dt - u_dt/2| / |u_dt/2 - u_dt/4|; ~16 for RK4."""
-    _positive_finite(T=T, dt=dt)
+    n = _n_steps(T, dt)
     rhs = _phase_rhs(m0, kernel)
-    n = max(1, round(T / dt))
     z1, z2, z4 = (_rk4(rhs, m0.points, T / k, k) for k in (n, 2 * n, 4 * n))
     e1 = np.max(np.abs(z1 - z2))
     e2 = np.max(np.abs(z2 - z4))

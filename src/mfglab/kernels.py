@@ -8,10 +8,13 @@ crowd kernel, zero) act on the line: value and gradient work elementwise
 on 1D offsets of any shape, k(x) = phi(|x|) and Dk(x) = phi'(|x|) sign(x),
 so Dk(0) = 0 at a kink.  Their pair sums take (nq,) queries and (N,) atoms.
 
-``_pair_sum`` has two bodies.  Under a kernel whose profile is a sum of
-exponentials, phi(r) = sum_k c_k exp(-a_k r) (exponential: one term;
-Morse: two), it sorts the atoms and sums exactly in O(N log N) from
-decayed prefix sums (``_sorted_pair_sum``).  Everything else -- the
+``_pair_sum`` has two bodies, and so has ``_self_pair_sum``, the sum of
+a flock with itself that the particle solver takes.  Under a kernel whose
+profile is a sum of exponentials, phi(r) = sum_k c_k exp(-a_k r)
+(exponential: one term; Morse: two), the sorted body sums exactly in
+O(N log N) (``_sorted_self_sum``): with anchored factors e^{a (p - c)},
+each side of every atom is one cumsum, and a query is an atom of weight
+0 (``_sorted_pair_sum``).  Everything else -- the
 repulsive-attractive, crowd and zero kernels, and fewer than
 ``_SORTED_MIN_ATOMS`` atoms or query points, where sorting costs more
 than it saves -- goes through the dense (nq, N) offset array
@@ -81,7 +84,7 @@ class ExponentialKernel:
 
     @property
     def _exp_terms(self):
-        """(c_k, a_k) with phi(r) = sum_k c_k exp(-a_k r), for ``_sorted_pair_sum``."""
+        """(c_k, a_k) with phi(r) = sum_k c_k exp(-a_k r), for the sorted pair sums."""
         return ((self.alpha, self.a),)
 
     value = _radial_value
@@ -133,7 +136,7 @@ class MorseKernel:
 
     @property
     def _exp_terms(self):
-        """(c_k, a_k) with phi(r) = sum_k c_k exp(-a_k r), for ``_sorted_pair_sum``."""
+        """(c_k, a_k) with phi(r) = sum_k c_k exp(-a_k r), for the sorted pair sums."""
         return ((1.0, 1.0), (-self.G, 1.0 / self.L))
 
     def equilibrium_gap(self) -> float:
@@ -250,27 +253,31 @@ def _grid_sum(kernel, xq, m, gradient=False):
     return values @ _grid_matrix(kernel, xq, y, dx, gradient).T
 
 
-#: below this many atoms, or query points, _pair_sum stays dense: the sort and
-#: the scan cost a few dozen numpy calls whatever N is.  Per RK4 step of the
-#: particle solver (as many queries as atoms), dense took 250-260 us and sorted
-#: 386-422 us at 96 exponential atoms, 375-450 and 283-287 us at 112; for Morse
-#: both took 465-529 us at 96 atoms.  One query against 600 atoms took 15-29 us
-#: dense and 153-223 us sorted (2-core x86-64, numpy 2.4, best of 15, two runs)
-_SORTED_MIN_ATOMS = 96
+#: below this many atoms, or query points, the pair sums stay dense: a sorted sum costs a few dozen numpy
+#: calls whatever N is.  Per RK4 step of the particle solver, dense took 97-99 us and the self body 85-134 us
+#: at 32 exponential atoms, 100-141 and 85-144 us at 48, 128-175 and 87-138 us at 64, 244-311 and 110-150 us
+#: at 96, for Morse 180-189 and 92-103 us at 64; with the atoms as separate queries the sorted body took
+#: 127-208 us at 48 and 134-202 us at 64.  One query against 600 atoms took 11-19 us dense and 58-87 us
+#: sorted (2-core x86-64, numpy 2.4, best of 15, two runs)
+_SORTED_MIN_ATOMS = 64
 
 
 def _pair_sum(kernel, xq, pos, w, gradient=False):
-    """sum_j w_j k(xq_i - pos_j), or sum_j w_j Dk(xq_i - pos_j), (nq,),
-    for queries xq (nq,) and atoms pos (N,) on the line.
-
-    Sorted and exact under a sum-of-exponentials profile, dense in the
-    atoms otherwise.
-    """
-    if min(len(xq), len(pos)) >= _SORTED_MIN_ATOMS:
-        terms = getattr(kernel, "_exp_terms", None)
-        if terms is not None:
-            return _sorted_pair_sum(terms, xq, pos, w, gradient)
+    """sum_j w_j k(xq_i - pos_j), or sum_j w_j Dk(xq_i - pos_j), (nq,), for queries xq (nq,) and atoms
+    pos (N,) on the line: sorted and exact under a sum-of-exponentials profile, dense otherwise."""
+    terms = getattr(kernel, "_exp_terms", None)
+    if terms is not None and min(len(xq), len(pos)) >= _SORTED_MIN_ATOMS:
+        return _sorted_pair_sum(terms, xq, pos, w, gradient)
     return _dense_pair_sum(kernel, xq, pos, w, gradient)
+
+
+def _self_pair_sum(kernel, w, gradient=False):
+    """pair_sum(pos): _pair_sum of a flock of weights w (N,) at the positions pos (N,) with itself as
+    the queries; sorted (``_sorted_self_sum``) where _pair_sum sorts, dense otherwise."""
+    terms = getattr(kernel, "_exp_terms", None)
+    if terms is not None and len(w) >= _SORTED_MIN_ATOMS:
+        return _sorted_self_sum(terms, w, gradient)
+    return lambda pos: _dense_pair_sum(kernel, pos, pos, w, gradient)
 
 
 #: byte budget of one (nq, N) offset array in _dense_pair_sum; more queries go in chunks
@@ -294,52 +301,61 @@ def _dense_pair_sum(kernel, xq, pos, w, gradient):
 
 
 def _sorted_pair_sum(terms, xq, pos, w, gradient):
-    """_pair_sum in 1D for phi(r) = sum_k c_k exp(-a_k r), exact in O((N + nq) log N).
+    """_pair_sum in 1D for phi(r) = sum_k c_k exp(-a_k r), exact in O((N + nq) log (N + nq)): the
+    self sum of the atoms and the queries, the queries weighing 0."""
+    weights = np.concatenate((np.zeros(len(xq)), w))
+    return _sorted_self_sum(terms, weights, gradient)(np.concatenate((xq, pos)))[: len(xq)]
 
-    With the atoms sorted, the left sum L_k(x) = sum_{p_j < x} w_j e^{-a_k (x - p_j)}
-    is the decayed prefix sum at the last atom left of x times e^{-a_k d},
-    d the distance to that atom; the right sum R_k mirrors it.  The value
-    is sum_k c_k (L_k + R_k) plus phi(0) w for atoms at x itself (counted
-    on the left at distance 0); the gradient sum_k -a_k c_k (L_k - R_k)
-    leaves them out (Dk(0) = 0).  Every factor is e^{-a d} with d >= 0, so
-    nothing overflows at any spread.
-    """
+
+#: widest a_max (p - p_s) of an anchored factor e^{a (p - p_s)} in _sorted_self_sum.  Its rounded argument
+#: t is off by up to about t eps, and so is the factor; a sum divides two factors of one block, so each
+#: term is off by at most about (2 S + 3) eps, 1.5e-14 at S = 32, against (a r + 1) eps for e^{-a r} in
+#: the dense body.  Factors stay in [e^-S, e^S] ~ [1.3e-14, 7.9e13]: no weight sum below 1e294 overflows
+_ANCHOR_SPAN = 32.0
+
+
+def _sorted_self_sum(terms, w, gradient):
+    """pair_sum(pos), the _self_pair_sum for phi(r) = sum_k c_k exp(-a_k r), exact in O(N log N), set up once
+    per flock.  With the atoms sorted, it is sum_k c_k (L_k + R_k), or sum_k -a_k c_k (L_k - R_k), at atom i,
+    from L_k = sum_{j < m_i} w_j e^{-a_k (p_i - p_j)} and R_k = sum_{j >= hi_i} w_j e^{-a_k (p_j - p_i)}, where
+    the atoms at p_i start at lo_i and end at hi_i: m = hi counts them at distance 0 in the value, m = lo
+    leaves them out of the gradient (Dk(0) = 0).  In a block of atoms from p_s, the anchored factors E =
+    e^{a (p - p_s)} make each side one cumsum, L = (sum_{j < m} w_j E_j) / E_i and R = (sum_{j >= hi} w_j / E_j)
+    E_i.  A block starts every _ANCHOR_SPAN / max(a); the atoms before (after) it enter as one decayed sum."""
     c, a = np.array(terms).T
-    order = np.argsort(pos, kind="stable")
-    p, ws, x = pos[order], w[order], xq
-    n, nq, k = len(p), len(x), len(a)
-    hi = np.searchsorted(p, x, "right")  # atoms right of x: p[hi:]
-    last = np.searchsorted(p, x, "left") if gradient else hi  # atoms counted left of x: p[:last]
-    padded = np.concatenate(([-np.inf], p, [np.inf]))
-    # one exp for every factor: neighbour gaps, then x to its nearest counted atom on each side
-    decay = np.exp(np.concatenate((np.diff(p), x - padded[last], padded[hi + 1] - x))[:, None] * -a)
-    gaps = decay[: n - 1]
-    # columns [:k] sum from the left, columns [k:] from the right (atoms reversed);
-    # row m is the sum over the first m atoms, decayed to the m-th
-    s = np.zeros((n + 1, 2 * k))
-    f = np.zeros((n + 1, 2 * k))
-    s[1:, :k], s[1:, k:] = ws[:, None], ws[::-1, None]
-    f[2:, :k], f[2:, k:] = gaps, gaps[::-1]
-    sums = _decayed_prefix(s, f)
-    left = decay[n - 1 : n - 1 + nq] * sums[last, :k]
-    right = decay[n - 1 + nq :] * sums[n - hi, k:]
-    if gradient:
-        return (left - right) @ (-a * c)
-    return (left + right) @ c
+    coef, rate, n = (-a * c if gradient else c), max(a), len(w)
+    acc = np.zeros((len(a), n + 1))  # column j sums the first j atoms, then the last j; column 0 stays 0
+    left, right = np.empty((len(a), n)), np.empty((len(a), n))
 
+    def pair_sum(pos):
+        order = pos.argsort(kind="stable")
+        p, ws = pos[order], w[order]
+        hi = p.searchsorted(p, "right")
+        m = p.searchsorted(p, "left") if gradient else hi
+        blocks, anchor = [(0, n)], p[0]
+        if rate * (p[-1] - p[0]) > _ANCHOR_SPAN:
+            starts = np.flatnonzero(np.diff(np.floor((p - p[0]) * (rate / _ANCHOR_SPAN)), prepend=-1.0))
+            anchor = np.repeat(p[starts], np.diff(starts, append=n))
+            blocks = list(zip(starts, [*starts[1:], n]))
+            carry = np.exp(np.multiply.outer(-a, p[starts[1:]] - p[starts[:-1]]))  # anchor to anchor
+        f = np.exp(a[:, None] * (p - anchor))
+        np.multiply(ws, f, out=acc[:, 1:])
+        for b, (s, e) in enumerate(blocks):
+            if b:
+                acc[:, s] *= carry[:, b - 1]
+            acc[:, s : e + 1].cumsum(axis=1, out=acc[:, s : e + 1])
+            np.divide(acc.take(m[s:e], axis=1), f[:, s:e], out=left[:, s:e])
+        np.divide(ws[::-1], f[:, ::-1], out=acc[:, 1:])
+        for b, (s, e) in reversed(list(enumerate(blocks))):
+            if b < len(blocks) - 1:
+                acc[:, n - e] *= carry[:, b]
+            acc[:, n - e : n - s + 1].cumsum(axis=1, out=acc[:, n - e : n - s + 1])
+            np.multiply(acc.take(n - hi[s:e], axis=1), f[:, s:e], out=right[:, s:e])
+        out = np.empty(n)
+        out[order] = coef @ (left - right if gradient else left + right)
+        return out
 
-def _decayed_prefix(s, f):
-    """Column-wise S_i = s_i + f_i S_{i-1}, S_0 = s_0, in place by a log-depth doubling scan.
-
-    f has the shape of s (f_0 unused) and entries in [0, 1], so the
-    running products only shrink (or underflow to 0).
-    """
-    shift = 1
-    while shift < len(s):
-        s[shift:] += f[shift:] * s[:-shift]
-        f[shift:] *= f[:-shift]
-        shift *= 2
-    return s
+    return pair_sum
 
 
 #: largest pair array of one time node a Cucker-Smale pair sum may allocate, in bytes: the
@@ -353,17 +369,26 @@ def _check_pair_cap(nbytes):
         raise ValueError(f"pair arrays of {nbytes} bytes each exceed the cap of {PAIR_ARRAY_CAP} bytes")
 
 
-def _cs_alignment(kernel, pos, vel, w):
-    """Alignment acceleration -sum_j w_j 2 (v_i - v_j) / g(x_i - x_j) of every atom, (N,), as
-    2 ((A (w u))_i - u_i (A w)_i): A = 1 / g(x_i - x_j) in one (N, N) buffer, both sums from one
-    product A @ [w | w u].  u = v - w.v centres the velocities on their conserved weighted mean;
-    a shift leaves each v_i - v_j alone, but uncentred the difference loses |mean v| / spread digits."""
-    _check_pair_cap(pos.size * pos.nbytes)
-    a = kernel.g(pos[:, None] - pos[None, :])
-    np.reciprocal(a, out=a)
-    u = vel - w @ vel
-    s = a @ np.column_stack([w, w * u])
-    return 2.0 * (s[:, 1] - u * s[:, 0])
+def _cs_alignment(kernel, w):
+    """acc(pos, vel, out) writing the alignment acceleration -sum_j w_j 2 (v_i - v_j) / g(x_i - x_j) of a
+    flock of weights w (N,) into out (N,): 2 ((A (w u))_i - u_i (A w)_i), A = 1 / g(x_i - x_j), from one
+    product A @ [w | w u] in buffers allocated once.  u = v - w.v centres the velocities on their weighted
+    mean; a shift leaves each v_i - v_j alone, but uncentred the difference loses |mean v| / spread digits."""
+    n = len(w)
+    _check_pair_cap(n * n * w.itemsize)
+    offsets, operand = np.empty((n, n)), np.column_stack([w, w])  # column 1 becomes w u
+
+    def acc(pos, vel, out):
+        a = kernel.g(np.subtract.outer(pos, pos, out=offsets))
+        np.reciprocal(a, out=a)
+        u = vel - w @ vel
+        np.multiply(w, u, out=operand[:, 1])
+        s = a @ operand
+        np.subtract(s[:, 1], np.multiply(u, s[:, 0], out=out), out=out)
+        out *= 2.0
+        return out
+
+    return acc
 
 
 class _PairTable(NamedTuple):

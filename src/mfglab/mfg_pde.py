@@ -15,8 +15,8 @@ Scheme
 ------
 * discount term integrated exactly per step (integrating factor
   exp(-lam dt)), so dt is constrained by the advective CFL only;
-* Godunov upwinding on the quadratic part of H, simple upwinding on the
-  drift part: a monotone scheme selecting the viscosity solution;
+* Godunov upwinding on the quadratic part of H (one square per cell), simple
+  upwinding on a nonzero drift: a monotone scheme selecting the viscosity solution;
 * diffusion implicit, homogeneous Neumann walls: I - dt nu Lap is symmetric
   positive definite and tridiagonal, factored once by LAPACK pttrf and solved
   in place by pttrs at every step;
@@ -168,9 +168,11 @@ def hjb_backward(
 
     F_nodes = coupling_on_grid(kernel, m_path, x)
 
-    # lam^-1 H(lam Du, x) = (lam/2)|Du|^2 - v(x).Du: Godunov on the quadratic part, upwind on the
-    # drift part, whose advection speed -v splits once into its two signs
+    # lam^-1 H(lam Du, x) = (lam/2)|Du|^2 - v(x).Du: Godunov on the quadratic part, max(p_minus, -p_plus, 0)^2
+    # squared once (rounded squares are monotone on x >= 0); upwind on the drift part, whose advection
+    # speed -v splits once into its two signs, skipped when v = 0 (it would add +0.0)
     a_plus, a_minus = np.maximum(-v, 0.0), np.minimum(-v, 0.0)
+    drift = np.any(v)
     u = np.zeros((cfg.n_steps + 1, cfg.n_x))
     grad = np.zeros(cfg.n_x + 1)  # one-sided differences between zero Neumann ghosts (no slope at the walls)
     p_minus, p_plus, inner = grad[:-1], grad[1:], grad[1:-1]
@@ -179,12 +181,13 @@ def hjb_backward(
         for j in range(cfg.n_steps - 1, -1, -1):
             un = u[j + 1]
             np.divide(np.subtract(un[1:], un[:-1], out=inner), dx, out=inner)
-            np.square(np.maximum(p_minus, 0.0, out=ham_term), out=ham_term)
-            np.maximum(ham_term, np.square(np.minimum(p_plus, 0.0, out=work), out=work), out=ham_term)
+            np.maximum(np.negative(p_plus, out=work), p_minus, out=work)
+            np.square(np.maximum(work, 0.0, out=work), out=ham_term)
             ham_term *= 0.5 * lam
-            np.multiply(a_plus, p_minus, out=drift_term)
-            drift_term += np.multiply(a_minus, p_plus, out=work)
-            ham_term += drift_term
+            if drift:
+                np.multiply(a_plus, p_minus, out=drift_term)
+                drift_term += np.multiply(a_minus, p_plus, out=work)
+                ham_term += drift_term
             rhs = np.subtract(F_nodes[j + 1], ham_term, out=ham_term)
             rhs *= source_gain
             u_new = np.multiply(un, decay, out=u[j])

@@ -96,6 +96,12 @@ class TestSolveCs:
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
             richardson_order_ratio(two_body_phase, cs_flat, T, dt)
 
+    def test_order_check_rejects_a_horizon_shorter_than_half_a_step(self, cs_flat, two_body_phase):
+        """T / dt = 0.375 rounds to no step: the probe raises as every march does, rather than
+        halving one step of size T."""
+        with pytest.raises(ValueError, match=r"T / dt must round to at least one step .* T = 0\.003, dt = 0\.008"):
+            richardson_order_ratio(two_body_phase, cs_flat, 0.003, 0.008)
+
     def test_velocity_diameter_contracts(self, rng):
         m0 = phase_atoms(rng.standard_normal(16), rng.standard_normal(16))
         path = solve_cs(m0, CuckerSmaleKernel(2.0, 0.2), 3.0, 1e-2)

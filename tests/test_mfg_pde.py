@@ -228,7 +228,57 @@ class TestPdeConfig:
             PdeConfig(**{"lam": 1.0, name: bad})
 
 
+def old_hjb_sweep(cfg, ham, kernel, m_path):
+    """The backward sweep of hjb_backward as it was before its step took max(p_minus, -p_plus, 0)
+    and squared it once, and before it skipped a zero drift: two squares, their max, and the
+    upwinded drift terms added at every step.  The oracle of its bit-identity."""
+    lam, dt, dx = cfg.lam, cfg.dt, cfg.dx
+    v = ham.drift(cfg.cell_centers)
+    diffuse = mfg_pde._DiffusionSolver(cfg.n_x, dx, dt, cfg.viscosity)
+    decay = np.exp(-lam * dt)
+    source_gain = (1.0 - decay) / lam
+    F_nodes = coupling_on_grid(kernel, m_path, cfg.cell_centers)
+    a_plus, a_minus = np.maximum(-v, 0.0), np.minimum(-v, 0.0)
+    u = np.zeros((cfg.n_steps + 1, cfg.n_x))
+    grad = np.zeros(cfg.n_x + 1)
+    p_minus, p_plus, inner = grad[:-1], grad[1:], grad[1:-1]
+    ham_term, drift_term, work = np.empty(cfg.n_x), np.empty(cfg.n_x), np.empty(cfg.n_x)
+    for j in range(cfg.n_steps - 1, -1, -1):
+        un = u[j + 1]
+        np.divide(np.subtract(un[1:], un[:-1], out=inner), dx, out=inner)
+        np.square(np.maximum(p_minus, 0.0, out=ham_term), out=ham_term)
+        np.maximum(ham_term, np.square(np.minimum(p_plus, 0.0, out=work), out=work), out=ham_term)
+        ham_term *= 0.5 * lam
+        np.multiply(a_plus, p_minus, out=drift_term)
+        drift_term += np.multiply(a_minus, p_plus, out=work)
+        ham_term += drift_term
+        rhs = np.subtract(F_nodes[j + 1], ham_term, out=ham_term)
+        rhs *= source_gain
+        u_new = np.multiply(un, decay, out=u[j])
+        u_new += rhs
+        diffuse(u_new)
+    return u
+
+
 class TestHjbBackward:
+    @pytest.mark.parametrize(
+        "drift",
+        [DriftField("zero"), DriftField("constant", 0.3), DriftField("sinusoidal", 0.5, 2.0)],
+        ids=["zero", "constant", "sinusoidal"],
+    )
+    @pytest.mark.parametrize("kernel", [ExponentialKernel(1.0, 1.0), MorseKernel(0.5, 2.0)], ids=["exp", "morse"])
+    def test_step_bit_identical_to_old_sweep(self, drift, kernel):
+        """One square of max(p_minus, -p_plus, 0) instead of the max of two squares, and no drift
+        terms under a zero drift, leave every value of u as it was, bit for bit, on a density
+        moving across the grid (u has slopes of both signs, so both Godunov branches act)."""
+        cfg = PdeConfig(lam=10.0, T=0.5, n_x=128, dt=2e-3)
+        centres = np.linspace(-1.0, 1.0, cfg.n_steps + 1)
+        m_path = np.stack([GridDensity.gaussian(c, 0.5, -6.0, cfg.dx, cfg.n_x).values for c in centres])
+        ham = QuadraticDriftHamiltonian(drift)
+        u = hjb_backward(cfg, ham, kernel, m_path)
+        assert np.any(np.diff(u, axis=1) > 0) and np.any(np.diff(u, axis=1) < 0)
+        assert np.array_equal(u, old_hjb_sweep(cfg, ham, kernel, m_path))
+
     def test_no_coupling_no_drift_gives_zero(self, zero_ham, gauss_m0):
         cfg = PdeConfig(lam=10.0)
         u = hjb_backward(cfg, zero_ham, ZeroKernel(), frozen_path(cfg, gauss_m0))

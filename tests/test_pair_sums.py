@@ -1,7 +1,8 @@
 """Dense per-atom Python-loop oracles for the particle pair sums.
 
-Every particle-side k*m and Dk*m goes through ``kernels._pair_sum``, the
-Cucker-Smale alignment acceleration through ``kernels._cs_alignment``
+Every particle-side k*m and Dk*m goes through ``kernels._pair_sum`` (a
+flock with itself through ``kernels._self_pair_sum``), the Cucker-Smale
+alignment acceleration through ``kernels._cs_alignment``
 (one weight matrix, one product) and the other Cucker-Smale pair sums
 through ``kernels._cs_pair_sums`` (each pair once, on pair differences,
 in chunks of time nodes).  The loops below recompute each sum one
@@ -234,12 +235,17 @@ def dense_cs_pair_energy(kernel, x, v, w):
     return energy
 
 
-def pair_sum_cs_alignment(kernel, pos, vel, w):
-    """The alignment acceleration as the RK4 right-hand side took it before the matrix form:
-    -D_vF from ``dense_cs_pair_sum(grad_v=True)`` over the (N, N) offsets.  The golden
+def pair_sum_cs_alignment(kernel, w):
+    """The alignment acceleration as the RK4 right-hand side took it before the matrix form,
+    behind the interface of ``kernels._cs_alignment``: -D_vF from
+    ``dense_cs_pair_sum(grad_v=True)`` over the (N, N) offsets, written into out.  The golden
     Cucker-Smale values were recorded with it, bit for bit."""
-    (dv_f,) = dense_cs_pair_sum(kernel, pos, vel, pos, vel, w, grad_v=True)
-    return -dv_f
+
+    def acc(pos, vel, out):
+        (dv_f,) = dense_cs_pair_sum(kernel, pos, vel, pos, vel, w, grad_v=True)
+        return np.negative(dv_f, out=out)
+
+    return acc
 
 
 @pytest.mark.parametrize("n", [2, 24, 192])
@@ -247,9 +253,9 @@ def pair_sum_cs_alignment(kernel, pos, vel, w):
 def test_cs_alignment_matches_pair_sum(beta, n):
     kernel, m = CuckerSmaleKernel(0.7, beta), flock(n, seed=n)
     pos, vel = m.points.T
-    old = pair_sum_cs_alignment(kernel, pos, vel, m.weights)
+    old = pair_sum_cs_alignment(kernel, m.weights)(pos, vel, np.empty(n))
     scale = np.sum(np.abs(m.weights * 2.0 * (vel[:, None] - vel) / kernel.g(pos[:, None] - pos)), axis=1)
-    assert np.all(np.abs(kernels._cs_alignment(kernel, pos, vel, m.weights) - old) <= TOL * scale)
+    assert np.all(np.abs(kernels._cs_alignment(kernel, m.weights)(pos, vel, np.empty(n)) - old) <= TOL * scale)
 
 
 @pytest.mark.parametrize("draw", [1, 2])
@@ -361,7 +367,7 @@ def d_vector_dense_pair_sum(kernel, xq, pos, w, gradient):
     return np.einsum("j,ijd->id", w, terms[..., None])[:, 0]
 
 
-# -- the sorted 1D path (kernels._sorted_pair_sum) against the dense body --
+# -- the sorted 1D bodies (kernels._sorted_self_sum, _sorted_pair_sum) against the dense body --
 
 SORTED = {
     "exponential": ExponentialKernel(1.5, 0.8),
@@ -377,8 +383,9 @@ def sorted_cases(draw):
     pool = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12))
     pos = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
     if draw(st.booleans()):
-        # a second cluster: a * (max - min) >= 1500 for the fastest rate of each
-        # kernel here, past where one shift e^{a (p - c)} overflows (about 1420)
+        # a second cluster: a * (max - min) >= 1500 for the fastest rate of each kernel
+        # here, past where one anchored factor e^{a (p - c)} would overflow (about 1420):
+        # the sorted bodies start a new anchor block (kernels._ANCHOR_SPAN)
         gap = draw(st.floats(3100.0, 1e6))
         pos += [gap + p for p in draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=10))]
     w = draw(st.lists(st.floats(0.01, 1.0), min_size=len(pos), max_size=len(pos)))
@@ -421,6 +428,41 @@ def test_sorted_matches_dense(name, case):
 
 @pytest.mark.parametrize("name", list(SORTED))
 @given(case=sorted_cases())
+def test_sorted_self_matches_dense(name, case):
+    """The self body, the atoms as their own queries, against the dense body: coincident atoms
+    count at distance 0 in the value and not in the gradient, and far clusters keep their digits."""
+    kernel, (pos, w, _) = SORTED[name], case
+    value_scale, grad_scale = exp_term_scales(kernel, pos, pos, w)
+    value = kernels._sorted_self_sum(kernel._exp_terms, w, False)(pos)
+    grad = kernels._sorted_self_sum(kernel._exp_terms, w, True)(pos)
+    assert value.shape == grad.shape == (len(pos),)
+    assert np.all(np.abs(value - kernels._dense_pair_sum(kernel, pos, pos, w, False)) <= TOL * value_scale)
+    assert np.all(np.abs(grad - kernels._dense_pair_sum(kernel, pos, pos, w, True)) <= TOL * grad_scale)
+
+
+@pytest.mark.parametrize("span", [0.5, 4.0, 32.0])
+@pytest.mark.parametrize("name", list(SORTED))
+def test_sorted_bodies_across_anchor_blocks(name, span, monkeypatch):
+    """A flock 500 wide with neighbours about 1.25 apart, every fifth atom doubled, in more than
+    ten blocks at each block width: the sums carried from block to block weigh as much as the
+    block's own, and both sorted bodies stay within the dense body's roundoff."""
+    monkeypatch.setattr(kernels, "_ANCHOR_SPAN", span)
+    kernel, rng = SORTED[name], np.random.default_rng(17)
+    pos = rng.uniform(-250.0, 250.0, 400)
+    pos[::5] = pos[1::5]
+    w = rng.uniform(0.01, 1.0, 400)
+    xq = np.concatenate([pos[:20], rng.uniform(-260.0, 260.0, 20)])
+    assert max(a for _, a in kernel._exp_terms) * np.ptp(pos) > 10 * span
+    for gradient, scale in zip((False, True), exp_term_scales(kernel, pos, pos, w)):
+        dense = kernels._dense_pair_sum(kernel, pos, pos, w, gradient)
+        assert np.all(np.abs(kernels._sorted_self_sum(kernel._exp_terms, w, gradient)(pos) - dense) <= TOL * scale)
+    for gradient, scale in zip((False, True), exp_term_scales(kernel, xq, pos, w)):
+        dense = kernels._dense_pair_sum(kernel, xq, pos, w, gradient)
+        assert np.all(np.abs(kernels._sorted_pair_sum(kernel._exp_terms, xq, pos, w, gradient) - dense) <= TOL * scale)
+
+
+@pytest.mark.parametrize("name", list(SORTED))
+@given(case=sorted_cases())
 def test_dense_matches_d_vector_oracle(name, case):
     """The (nq, N) dense body sums the same terms as the d-vector one: values bit for bit,
     gradients phi'(r) sign(x) against phi'(r) / r * x within 1e-13 of the sum of |terms|."""
@@ -454,10 +496,14 @@ def test_dense_gradient_at_subnormal_offset_1d():
     dense = kernels._dense_pair_sum(kernel, xq, pos, w, True)
     assert np.array_equal(dense, [-1.0, 1.0])
     assert np.array_equal(dense, kernels._sorted_pair_sum(kernel._exp_terms, xq, pos, w, True))
+    # the two queries as a flock: each sees the other at a subnormal distance
+    assert np.array_equal(kernels._sorted_self_sum(kernel._exp_terms, np.ones(2), True)(xq), [-1.0, 1.0])
 
 
 def test_path_selection(monkeypatch):
-    """Sorted under exponential sums from _SORTED_MIN_ATOMS atoms and queries on, dense otherwise."""
+    """Sorted under exponential sums from _SORTED_MIN_ATOMS = 64 atoms and queries on (the
+    measured crossover of the self body), dense otherwise; the self sum selects on the atoms."""
+    assert kernels._SORTED_MIN_ATOMS == 64
     calls = []
     dense = kernels._dense_pair_sum
     monkeypatch.setattr(kernels, "_dense_pair_sum", lambda *args: calls.append(args[0]) or dense(*args))
@@ -465,11 +511,34 @@ def test_path_selection(monkeypatch):
     w = np.full(n, 1.0 / n)
     for kernel in (RADIAL["exponential"], RADIAL["morse"]):
         kernels._pair_sum(kernel, np.zeros(n), np.linspace(0.0, 1.0, n), w)
+        kernels._self_pair_sum(kernel, w)(np.linspace(0.0, 1.0, n))
     assert calls == []
     kernels._pair_sum(RADIAL["morse"], np.zeros(n), np.zeros(n - 1), np.full(n - 1, 1.0 / (n - 1)))
     kernels._pair_sum(RADIAL["morse"], np.zeros(n - 1), np.zeros(n), w)
     kernels._pair_sum(RADIAL["repulsive_attractive"], np.zeros(n), np.zeros(n), w)
-    assert calls == [RADIAL["morse"]] * 2 + [RADIAL["repulsive_attractive"]]
+    kernels._self_pair_sum(RADIAL["morse"], np.full(n - 1, 1.0 / (n - 1)))(np.zeros(n - 1))
+    kernels._self_pair_sum(RADIAL["repulsive_attractive"], w)(np.zeros(n))
+    morse, ra = RADIAL["morse"], RADIAL["repulsive_attractive"]
+    assert calls == [morse, morse, ra, morse, ra]
+
+
+@pytest.mark.parametrize("name", ["exponential", "morse"])
+def test_particle_solver_takes_the_self_body(name, monkeypatch):
+    """solve_aggregation_particles sums its flock with itself through the self body from
+    _SORTED_MIN_ATOMS atoms on, set up once per solve, and below through the dense body,
+    once per RK4 stage."""
+    calls = []
+    for body in ("_sorted_self_sum", "_dense_pair_sum", "_sorted_pair_sum"):
+        wrapped = getattr(kernels, body)
+        spy = lambda *args, body=body, wrapped=wrapped: calls.append(body) or wrapped(*args)
+        monkeypatch.setattr(kernels, body, spy)
+    ham = QuadraticDriftHamiltonian(DriftField("zero"))
+    n = kernels._SORTED_MIN_ATOMS
+    for atoms, expected in ((n, ["_sorted_self_sum"]), (n - 1, ["_dense_pair_sum"] * 8)):
+        m0 = ParticleEnsemble.equal_weights(np.linspace(-1.0, 1.0, atoms), 1)
+        calls.clear()
+        solve_aggregation_particles(ham, RADIAL[name], m0, 0.02, 0.01)
+        assert calls == expected
 
 
 class _CountingKernel:
