@@ -50,9 +50,10 @@ def solve_aggregation_particles(
     dt: float,
 ) -> MeasurePath:
     """RK4 integration of the self-consistent characteristics, the (N,) positions, on the clock of
-    measures._march (about 512 snapshots and the last).  Each atom moves with the drift of the running
-    empirical measure; weights are constant.  Exceeding BLOWUP_RADIUS raises (expected for attractive
-    non-semiconcave kernels, where no global bound holds)."""
+    measures._march (every node of a run of fewer than 1,024 steps, 512 to 768 of a longer one, and the
+    last).  Each atom moves with the drift of the running empirical measure; weights are constant.
+    Exceeding BLOWUP_RADIUS raises (expected for attractive non-semiconcave kernels, where no global
+    bound holds)."""
     if isinstance(kernel, CuckerSmaleKernel):
         raise TypeError("use the Cucker-Smale solver for phase-space dynamics")
     if m0.is_phase_space:

@@ -70,7 +70,8 @@ def solve_cs(
     save_every: int | None = None,
 ) -> MeasurePath:
     """RK4 integration of the coupled characteristic system on the clock of measures._march,
-    saving every save_every-th step (by default about 512 snapshots) and the last."""
+    saving every save_every-th step and the last (by default every step of a run of fewer than 1,024 steps,
+    512 to 768 of a longer one)."""
     rhs = _phase_rhs(m0, kernel)
     step = lambda z, t: _rk4(rhs, z, dt, 1)
     return _march(m0, m0.points, step, lambda z: ParticleEnsemble(z, m0.weights, 1), T, dt, save_every)

@@ -20,7 +20,11 @@ repulsive-attractive, crowd and zero kernels, and fewer than
 than it saves -- goes through the dense (nq, N) offset array
 (``_dense_pair_sum``), which also serves as the test oracle.  The
 repulsive-attractive profile r exp(-a r) would need a two-term
-recurrence.
+recurrence.  Every dense pair array -- ``_dense_pair_sum``,
+``_grid_matrix``, ``psd_check`` and ``_cs_alignment`` -- takes its
+offsets xq_i - pos_j from one rank-2 product [xq | 1] @ [1 ; -pos]
+(``_outer_offsets``): bit for bit the subtraction, save that an exact
+zero is +0.0, and several times faster than a broadcast one.
 
 The Cucker-Smale kernel acts on the line too, jointly on
 position-velocity offsets of any shape, k(x,v) = v^2 / g(x) with
@@ -240,9 +244,32 @@ RADIAL_KERNELS = (
 )
 
 
+def _offset_operands(nq, n):
+    """The two factors of ``_outer_offsets`` for nq queries and n atoms, (nq, 2) and (2, n), with
+    their ones in place: a caller that forms offsets again and again keeps them between calls."""
+    return np.ones((nq, 2)), np.ones((2, n))
+
+
+def _outer_offsets(xq, pos, out=None, operands=None):
+    """The (nq, N) pair offsets xq_i - pos_j of points xq (nq,) and pos (N,) on the line, as one rank-2
+    product [xq | 1] @ [1 ; -pos], written into out when given and formed in the ``_offset_operands``
+    factors when given.  Every dense pair array takes its offsets from here.
+
+    Each entry is xq_i * 1 + 1 * (-pos_j): two exact products and one rounding, so it equals the
+    subtraction xq_i - pos_j bit for bit, inf and NaN included, however the BLAS orders or fuses the
+    two terms.  The one difference: an exact zero offset is +0.0 (OpenBLAS sums into an accumulator that
+    starts at +0.0), where -0.0 - 0.0 gives -0.0.  A column-broadcast subtraction runs several times
+    slower than this product (at N = 192, one BLAS thread: 35-50 us against 9-15 us).
+    """
+    left, right = _offset_operands(len(xq), len(pos)) if operands is None else operands
+    left[:, 0] = xq
+    np.negative(pos, out=right[1])
+    return np.matmul(left, right, out=out)
+
+
 def _grid_matrix(kernel, xq, y, dx, gradient=False):
     """(len(xq), len(y)) quadrature matrix dx * k(xq_i - y_j), or dx * Dk(xq_i - y_j), in 1D."""
-    diffs = np.asarray(xq, dtype=float)[:, None] - y
+    diffs = _outer_offsets(xq, y)
     return dx * (kernel.gradient(diffs) if gradient else kernel.value(diffs))
 
 
@@ -254,11 +281,13 @@ def _grid_sum(kernel, xq, m, gradient=False):
 
 
 #: below this many atoms, or query points, the pair sums stay dense: a sorted sum costs a few dozen numpy
-#: calls whatever N is.  Per RK4 step of the particle solver, dense took 97-99 us and the self body 85-134 us
-#: at 32 exponential atoms, 100-141 and 85-144 us at 48, 128-175 and 87-138 us at 64, 244-311 and 110-150 us
-#: at 96, for Morse 180-189 and 92-103 us at 64; with the atoms as separate queries the sorted body took
-#: 127-208 us at 48 and 134-202 us at 64.  One query against 600 atoms took 11-19 us dense and 58-87 us
-#: sorted (2-core x86-64, numpy 2.4, best of 15, two runs)
+#: calls whatever N is.  Per RK4 step of the particle solver, with the dense offsets from _outer_offsets,
+#: dense took 76-77 us and the self body 83-95 us at 32 exponential atoms, 145-148 and 101-106 us at 48,
+#: 131-132 and 89 us at 64, 213-227 and 93-95 us at 96; for Morse 97-103 and 87-97 us at 32, 126-143 and
+#: 88-91 us at 48, 189-199 and 102-106 us at 64.  With the atoms as separate queries the sorted body took
+#: 140-182 us at 48 and 133-137 us at 64.  One query against 600 atoms took 14 us dense and 59-60 us
+#: sorted (2-core x86-64, numpy 2.4, one BLAS thread, best of 15, two runs).  The crossover lies between
+#: 32 and 48 atoms; 64 is kept, since moving it changes which body runs and so the output bits
 _SORTED_MIN_ATOMS = 64
 
 
@@ -296,7 +325,7 @@ def _dense_pair_sum(kernel, xq, pos, w, gradient):
     if len(xq) > rows:
         parts = [_dense_pair_sum(kernel, xq[i : i + rows], pos, w, gradient) for i in range(0, len(xq), rows)]
         return np.concatenate(parts)
-    diffs = xq[:, None] - pos
+    diffs = _outer_offsets(xq, pos)
     return np.sum(w * (kernel.gradient(diffs) if gradient else kernel.value(diffs)), axis=-1)
 
 
@@ -372,14 +401,16 @@ def _check_pair_cap(nbytes):
 def _cs_alignment(kernel, w):
     """acc(pos, vel, out) writing the alignment acceleration -sum_j w_j 2 (v_i - v_j) / g(x_i - x_j) of a
     flock of weights w (N,) into out (N,): 2 ((A (w u))_i - u_i (A w)_i), A = 1 / g(x_i - x_j), from one
-    product A @ [w | w u] in buffers allocated once.  u = v - w.v centres the velocities on their weighted
-    mean; a shift leaves each v_i - v_j alone, but uncentred the difference loses |mean v| / spread digits."""
+    product A @ [w | w u], the offsets from ``_outer_offsets``, in buffers allocated once.  u = v - w.v
+    centres the velocities on their weighted mean; a shift leaves each v_i - v_j alone, but uncentred the
+    difference loses |mean v| / spread digits."""
     n = len(w)
     _check_pair_cap(n * n * w.itemsize)
-    offsets, operand = np.empty((n, n)), np.column_stack([w, w])  # column 1 becomes w u
+    offsets, factors = np.empty((n, n)), _offset_operands(n, n)
+    operand = np.column_stack([w, w])  # column 1 becomes w u
 
     def acc(pos, vel, out):
-        a = kernel.g(np.subtract.outer(pos, pos, out=offsets))
+        a = kernel.g(_outer_offsets(pos, pos, offsets, factors))
         np.reciprocal(a, out=a)
         u = vel - w @ vel
         np.multiply(w, u, out=operand[:, 1])
@@ -674,7 +705,7 @@ def psd_check(kernel, n_points: int = 64, seed: int = 0, points=None) -> PsdVerd
         rng = np.random.default_rng(seed)
         points = rng.uniform(-VALIDATOR_SPAN, VALIDATOR_SPAN, size=n_points)
     points = _line_points(points, "psd_check")
-    gram = kernel.value(points[:, None] - points)
+    gram = kernel.value(_outer_offsets(points, points))
     eigs = np.linalg.eigvalsh(gram)
     threshold = -1e-10 * max(np.abs(eigs).max(), 1e-300)
     return PsdVerdict(

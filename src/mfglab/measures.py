@@ -247,7 +247,8 @@ def _n_steps(T: float, dt: float) -> int:
 
 def _march(m0, state, step, snapshot, T: float, dt: float, save_every: int | None = None) -> MeasurePath:
     """The stepping loop of every limit solver: state = step(state, j * dt) for j = 1..n = _n_steps(T, dt); the
-    path keeps node 0 (m0), every save_every-th node (about 512 by default) and the last, as snapshot(state)."""
+    path keeps node 0 (m0), every save_every-th node and the last, as snapshot(state).  By default save_every =
+    max(1, n // 512): every node of a run of fewer than 1,024 steps, and 512 to 768 nodes of a longer one."""
     n = _n_steps(T, dt)
     save_every = max(1, n // 512) if save_every is None else save_every
     if not save_every >= 1:

@@ -47,7 +47,7 @@ class TestNodesOnTheClock:
         nodes = np.round(times / dt).astype(int)
         assert np.array_equal(times, dt * nodes)
         assert nodes[0] == 0 and nodes[-1] == n
-        # the FV path keeps every node; the particle paths keep about 512 and the last
+        # the FV path keeps every node; the particle paths every max(1, n // 512)-th and the last
         gaps = np.diff(nodes)
         assert np.all(gaps == 1) if solver == "fv" else np.all((gaps >= 1) & (gaps <= max(1, n // 512)))
 

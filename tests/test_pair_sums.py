@@ -19,6 +19,10 @@ replaced it and of the golden values recorded with it;
 (nq, N, ...) offset arrays that the pass replaced, and
 ``pair_sum_cs_alignment`` the alignment acceleration as it gave it:
 they are the oracles of the Cucker-Smale and acceleration golden values.
+Every dense offset array now comes from one rank-2 product
+(``kernels._outer_offsets``); the offset tests pin it to the subtraction
+bit for bit, and ``subtract_cs_alignment`` keeps the alignment body that
+formed its offsets with ``np.subtract.outer``, the oracle of ``solve_cs``.
 """
 
 import math
@@ -28,7 +32,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mfglab import kernels
+from mfglab import cucker_smale, kernels
 from mfglab import (
     CrowdRadialKernel,
     CuckerSmaleKernel,
@@ -45,7 +49,9 @@ from mfglab import (
     grad_coupling,
     limit_drift,
     psd_check,
+    richardson_order_ratio,
     solve_aggregation_particles,
+    solve_cs,
 )
 
 RADIAL = {
@@ -567,3 +573,103 @@ def test_dense_chunks_bit_identical(monkeypatch, rng, d, gradient):
     chunked = kernels._dense_pair_sum(kernel, xq, pos, w, gradient)
     assert kernel.rows == [37] + [3] * 12 + [1]
     assert np.array_equal(chunked, whole)
+
+
+# -- pair offsets (kernels._outer_offsets) against the subtraction they replaced --
+
+
+def offset_cases():
+    """(xq, pos) pairs: random, clustered 1e-12 apart, spread over 1e8, one query, one atom,
+    rectangular both ways."""
+    rng = np.random.default_rng(21)
+    clustered = 0.3 + 1e-12 * np.arange(40.0)
+    wide = 1e8 * rng.standard_normal(50)
+    return {
+        "random": (rng.standard_normal(60), rng.standard_normal(60)),
+        "clustered": (clustered, clustered[::-1].copy()),
+        "wide": (wide, wide + rng.standard_normal(50)),
+        "one_query": (rng.standard_normal(1), rng.standard_normal(33)),
+        "one_atom": (rng.standard_normal(33), rng.standard_normal(1)),
+        "tall": (rng.standard_normal(70), rng.uniform(-1e3, 1e3, 9)),
+        "flat": (rng.uniform(-1e-6, 1e-6, 9), rng.standard_normal(70)),
+    }
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("case", list(offset_cases()))
+def test_outer_offsets_match_subtraction(case):
+    """Each offset is xq_i * 1 + 1 * (-pos_j), two exact products and one rounding: the product
+    equals np.subtract.outer and the broadcast xq[:, None] - pos bit for bit, also when it writes
+    into a caller's buffer and reuses its factors."""
+    xq, pos = offset_cases()[case]
+    expected = np.subtract.outer(xq, pos)
+    assert same_bits(xq[:, None] - pos, expected)
+    assert same_bits(kernels._outer_offsets(xq, pos), expected)
+    out, factors = np.full((len(xq), len(pos)), np.nan), kernels._offset_operands(len(xq), len(pos))
+    for _ in range(2):
+        assert kernels._outer_offsets(xq, pos, out, factors) is out
+        assert same_bits(out, expected)
+
+
+def test_outer_offsets_propagate_inf_and_nan():
+    """inf, -inf, NaN and overflow land where the subtraction puts them, with the same sign on
+    every infinity; the finite entries agree bit for bit.  (A NaN carries no meaningful sign.)"""
+    special = np.array([np.inf, -np.inf, np.nan, 1e308, -1e308, 2.5, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.subtract.outer(special, special[::-1])
+        got = kernels._outer_offsets(special, special[::-1])
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert nan.any() and np.isinf(expected).any()
+    assert same_bits(got[~nan], expected[~nan])
+
+
+def test_outer_offsets_exact_zero_is_positive():
+    """The one difference from the subtraction: an exact zero offset is always +0.0.  The
+    subtraction gives -0.0 for -0.0 - 0.0; the product sums -0.0 * 1 and 1 * -0.0 into a BLAS
+    accumulator that starts at +0.0 and gives +0.0.  Every other exact zero is +0.0 in both."""
+    zeros = np.array([-0.0, 0.0])
+    expected = np.subtract.outer(zeros, zeros)
+    got = kernels._outer_offsets(zeros, zeros)
+    assert np.array_equal(np.signbit(expected), [[False, True], [False, False]])
+    assert not np.signbit(got).any()
+    assert np.array_equal(got, expected)  # equal as numbers
+
+
+def subtract_cs_alignment(kernel, w):
+    """``kernels._cs_alignment`` as it formed its offsets before the rank-2 product, with
+    np.subtract.outer into the (N, N) buffer: the oracle of the product form, bit for bit."""
+    n = len(w)
+    offsets, operand = np.empty((n, n)), np.column_stack([w, w])
+
+    def acc(pos, vel, out):
+        a = kernel.g(np.subtract.outer(pos, pos, out=offsets))
+        np.reciprocal(a, out=a)
+        u = vel - w @ vel
+        np.multiply(w, u, out=operand[:, 1])
+        s = a @ operand
+        np.subtract(s[:, 1], np.multiply(u, s[:, 0], out=out), out=out)
+        out *= 2.0
+        return out
+
+    return acc
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.5])
+def test_solve_cs_bit_identical_to_subtraction_oracle(beta, monkeypatch):
+    """solve_cs on a 192-atom flock over 50 RK4 steps, and the Richardson ratio, are bit for bit
+    what they were with the offsets from np.subtract.outer."""
+    kernel, m0 = CuckerSmaleKernel(0.7, beta), flock(192, seed=19, shift=3.0)
+    runs = []
+    for alignment in (kernels._cs_alignment, subtract_cs_alignment):
+        monkeypatch.setattr(cucker_smale, "_cs_alignment", alignment)
+        path = solve_cs(m0, kernel, 0.5, 0.01)
+        runs.append((path, richardson_order_ratio(m0, kernel, 0.08, 0.02)))
+    (new, new_ratio), (old, old_ratio) = runs
+    assert len(new.times) == 51
+    assert np.array_equal(new.times, old.times)
+    assert all(same_bits(a.points, b.points) for a, b in zip(new.measures, old.measures))
+    assert new_ratio == old_ratio
