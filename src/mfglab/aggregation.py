@@ -18,7 +18,7 @@ import numpy as np
 from .cucker_smale import _rk4
 from .errors import DimensionError, DivergenceError
 from .hamiltonians import QuadraticDriftHamiltonian
-from .kernels import CuckerSmaleKernel, _grid_matrix, _grid_sum, _pair_sum, _self_pair_sum
+from .kernels import CuckerSmaleKernel, _grid_matrix, _measure_sum, _self_pair_sum
 from .measures import GridDensity, MeasurePath, ParticleEnsemble, _line_points, _march
 from .mfg_pde import _check_cfl, _DiffusionSolver, transport_step
 
@@ -32,13 +32,7 @@ def limit_drift(ham: QuadraticDriftHamiltonian, kernel, x, m):
     if isinstance(kernel, CuckerSmaleKernel):
         raise TypeError("limit_drift takes a position-space kernel")
     xq = _line_points(x, "limit_drift")
-    if isinstance(m, GridDensity):
-        dk = _grid_sum(kernel, xq, m, gradient=True)
-    elif isinstance(m, ParticleEnsemble):
-        dk = _pair_sum(kernel, xq, m.positions[:, 0], m.weights, gradient=True)
-    else:
-        raise TypeError(f"unsupported measure type {type(m)!r}")
-    out = ham.drift(xq) - dk
+    out = ham.drift(xq) - _measure_sum(kernel, xq, m, gradient=True)
     return out.item() if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 

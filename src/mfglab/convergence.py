@@ -299,12 +299,15 @@ def run_lambda_sweep_classic(
 
     The reference is the inviscid finite-volume limit solve on the same
     grid; its own error is estimated by a particle cross-check and
-    reported alongside the per-lambda distances.  Non-converged inner
+    reported alongside the per-lambda distances (n_cross_particles atoms,
+    at least 1, checked with the lambdas before any solve).  Non-converged inner
     solves are flagged, never fatal; an inner solve that raises
     BoundaryLeakError or a StabilityError (CflError included) gives a
     flagged row that names the error and carries NaN diagnostics.
     """
     lambdas = _sweep_lambdas(lambdas)
+    if not n_cross_particles >= 1:
+        raise ValueError(f"n_cross_particles must be at least 1, got {n_cross_particles}")
     coupling_report = validate_coupling(kernel, seed=seed)
     ham_report = validate_hamiltonian(ham, seed=seed)
     c0 = max(coupling_report.c0, ham_report.growth_constant)

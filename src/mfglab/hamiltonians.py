@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import VALIDATOR_SPAN
+from .kernels import VALIDATOR_BUDGET, VALIDATOR_SPAN
 
 
 @dataclass(frozen=True)
@@ -63,18 +63,17 @@ class HamiltonianValidationReport:
     budget: int
 
 
-def validate_hamiltonian(h: QuadraticDriftHamiltonian, budget: int = 2000, seed: int = 0) -> HamiltonianValidationReport:
+def validate_hamiltonian(h: QuadraticDriftHamiltonian, seed: int = 0) -> HamiltonianValidationReport:
     """Sampled verification of convexity, growth and x-regularity.
 
-    Each sample draws p, an unused q, x and y, in that order, from
-    [-VALIDATOR_SPAN, VALIDATOR_SPAN].
+    Each of VALIDATOR_BUDGET samples draws p, an unused q, x and y, in
+    that order, from [-VALIDATOR_SPAN, VALIDATOR_SPAN]; the report
+    records the seed and the budget.
     """
-    if budget < 1000:
-        raise ValueError("budget must be at least 1000 samples")
     if not isinstance(h, QuadraticDriftHamiltonian):
         raise TypeError(f"validate_hamiltonian takes a QuadraticDriftHamiltonian, not {type(h).__name__}")
     H, DpH = h.value, h.grad_p
-    p, _, x, y = np.random.default_rng(seed).uniform(-VALIDATOR_SPAN, VALIDATOR_SPAN, (budget, 4)).T
+    p, _, x, y = np.random.default_rng(seed).uniform(-VALIDATOR_SPAN, VALIDATOR_SPAN, (VALIDATOR_BUDGET, 4)).T
     hp = 1e-3
     h_px = H(p, x)
     d2 = (H(p + hp, x) - 2 * h_px + H(p - hp, x)) / hp**2  # one-dimensional convexity modulus
@@ -90,5 +89,5 @@ def validate_hamiltonian(h: QuadraticDriftHamiltonian, budget: int = 2000, seed:
         growth_constant=float(np.fmax.reduce(growth, initial=1.0)),
         x_lipschitz_constant=float(np.fmax.reduce(lip, initial=0.0)),
         seed=seed,
-        budget=budget,
+        budget=VALIDATOR_BUDGET,
     )

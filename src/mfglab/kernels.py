@@ -1,30 +1,31 @@
 """Interaction kernels, the nonlocal coupling F(x,m)=k*m, and validators.
 
 This is the one place k*m and Dk*m are evaluated: ``_grid_sum`` by 1D
-grid quadrature, ``_pair_sum`` over the atoms of an empirical measure.
+grid quadrature, ``_dense_pair_sum`` over the atoms of an empirical
+measure; ``_measure_sum`` picks one of the two for a measure's type.
 
 The radial kernels (exponential, repulsive-attractive, Morse, tabulated
 crowd kernel, zero) act on the line: value and gradient work elementwise
 on 1D offsets of any shape, k(x) = phi(|x|) and Dk(x) = phi'(|x|) sign(x),
 so Dk(0) = 0 at a kink.  Their pair sums take (nq,) queries and (N,) atoms.
 
-``_pair_sum`` has two bodies, and so has ``_self_pair_sum``, the sum of
-a flock with itself that the particle solver takes.  Under a kernel whose
-profile is a sum of exponentials, phi(r) = sum_k c_k exp(-a_k r)
-(exponential: one term; Morse: two), the sorted body sums exactly in
-O(N log N) (``_sorted_self_sum``): with anchored factors e^{a (p - c)},
-each side of every atom is one cumsum, and a query is an atom of weight
-0 (``_sorted_pair_sum``).  Everything else -- the
-repulsive-attractive, crowd and zero kernels, and fewer than
-``_SORTED_MIN_ATOMS`` atoms or query points, where sorting costs more
-than it saves -- goes through the dense (nq, N) offset array
-(``_dense_pair_sum``), which also serves as the test oracle.  The
-repulsive-attractive profile r exp(-a r) would need a two-term
-recurrence.  Every dense pair array -- ``_dense_pair_sum``,
-``_grid_matrix``, ``psd_check`` and ``_cs_alignment`` -- takes its
-offsets xq_i - pos_j from one rank-2 product [xq | 1] @ [1 ; -pos]
-(``_outer_offsets``): bit for bit the subtraction, save that an exact
-zero is +0.0, and several times faster than a broadcast one.
+Query points against atoms (the couplings, ``limit_drift``, the
+validator) go through one body, the dense (nq, N) offset array
+(``_dense_pair_sum``).  The sum of a flock with itself that the particle
+solver takes (``_self_pair_sum``) has a second, sorted body: under a
+kernel whose profile is a sum of exponentials, phi(r) = sum_k c_k
+exp(-a_k r) (exponential: one term; Morse: two), it sums exactly in
+O(N log N) (``_sorted_self_sum``), with anchored factors e^{a (p - c)}
+making each side of every atom one cumsum.  The repulsive-attractive,
+crowd and zero kernels, and flocks of fewer than ``_SORTED_MIN_ATOMS``
+atoms, where sorting costs more than it saves, stay dense; the dense
+body is the sorted one's test oracle.  The repulsive-attractive profile
+r exp(-a r) would need a two-term recurrence.  Every dense pair array --
+``_dense_pair_sum``, ``_grid_matrix``, ``psd_check`` and
+``_cs_alignment`` -- takes its offsets xq_i - pos_j from one rank-2
+product [xq | 1] @ [1 ; -pos] (``_outer_offsets``): bit for bit the
+subtraction, save that an exact zero is +0.0, and several times faster
+than a broadcast one.
 
 The Cucker-Smale kernel acts on the line too, jointly on
 position-velocity offsets of any shape, k(x,v) = v^2 / g(x) with
@@ -280,29 +281,19 @@ def _grid_sum(kernel, xq, m, gradient=False):
     return values @ _grid_matrix(kernel, xq, y, dx, gradient).T
 
 
-#: below this many atoms, or query points, the pair sums stay dense: a sorted sum costs a few dozen numpy
-#: calls whatever N is.  Per RK4 step of the particle solver, with the dense offsets from _outer_offsets,
-#: dense took 76-77 us and the self body 83-95 us at 32 exponential atoms, 145-148 and 101-106 us at 48,
-#: 131-132 and 89 us at 64, 213-227 and 93-95 us at 96; for Morse 97-103 and 87-97 us at 32, 126-143 and
-#: 88-91 us at 48, 189-199 and 102-106 us at 64.  With the atoms as separate queries the sorted body took
-#: 140-182 us at 48 and 133-137 us at 64.  One query against 600 atoms took 14 us dense and 59-60 us
-#: sorted (2-core x86-64, numpy 2.4, one BLAS thread, best of 15, two runs).  The crossover lies between
-#: 32 and 48 atoms; 64 is kept, since moving it changes which body runs and so the output bits
+#: below this many atoms a flock's self sum stays dense: a sorted sum costs a few dozen numpy calls whatever
+#: N is.  Per RK4 step of the particle solver, with the dense offsets from _outer_offsets, dense took 76-77 us
+#: and the self body 83-95 us at 32 exponential atoms, 145-148 and 101-106 us at 48, 131-132 and 89 us at 64,
+#: 213-227 and 93-95 us at 96; for Morse 97-103 and 87-97 us at 32, 126-143 and 88-91 us at 48, 189-199 and
+#: 102-106 us at 64 (2-core x86-64, numpy 2.4, one BLAS thread, best of 15, two runs).  The crossover lies
+#: between 32 and 48 atoms; 64 is kept, since moving it changes which body runs and so the output bits
 _SORTED_MIN_ATOMS = 64
 
 
-def _pair_sum(kernel, xq, pos, w, gradient=False):
-    """sum_j w_j k(xq_i - pos_j), or sum_j w_j Dk(xq_i - pos_j), (nq,), for queries xq (nq,) and atoms
-    pos (N,) on the line: sorted and exact under a sum-of-exponentials profile, dense otherwise."""
-    terms = getattr(kernel, "_exp_terms", None)
-    if terms is not None and min(len(xq), len(pos)) >= _SORTED_MIN_ATOMS:
-        return _sorted_pair_sum(terms, xq, pos, w, gradient)
-    return _dense_pair_sum(kernel, xq, pos, w, gradient)
-
-
 def _self_pair_sum(kernel, w, gradient=False):
-    """pair_sum(pos): _pair_sum of a flock of weights w (N,) at the positions pos (N,) with itself as
-    the queries; sorted (``_sorted_self_sum``) where _pair_sum sorts, dense otherwise."""
+    """pair_sum(pos): sum_j w_j k(pos_i - pos_j), or sum_j w_j Dk(pos_i - pos_j), (N,), of a flock of weights
+    w (N,) at the positions pos (N,): sorted (``_sorted_self_sum``) under a sum-of-exponentials profile from
+    _SORTED_MIN_ATOMS atoms on, dense otherwise."""
     terms = getattr(kernel, "_exp_terms", None)
     if terms is not None and len(w) >= _SORTED_MIN_ATOMS:
         return _sorted_self_sum(terms, w, gradient)
@@ -314,7 +305,8 @@ _DENSE_PAIR_BYTES = 2**24
 
 
 def _dense_pair_sum(kernel, xq, pos, w, gradient):
-    """_pair_sum through (nq, N) arrays of offsets, chunked over the queries to
+    """sum_j w_j k(xq_i - pos_j), or sum_j w_j Dk(xq_i - pos_j), (nq,), for queries xq (nq,) and atoms
+    pos (N,) on the line, through (nq, N) arrays of offsets chunked over the queries to
     _DENSE_PAIR_BYTES each: any radial kernel.
 
     np.sum reduces each query's row on its own, so a sum does not depend on
@@ -329,11 +321,14 @@ def _dense_pair_sum(kernel, xq, pos, w, gradient):
     return np.sum(w * (kernel.gradient(diffs) if gradient else kernel.value(diffs)), axis=-1)
 
 
-def _sorted_pair_sum(terms, xq, pos, w, gradient):
-    """_pair_sum in 1D for phi(r) = sum_k c_k exp(-a_k r), exact in O((N + nq) log (N + nq)): the
-    self sum of the atoms and the queries, the queries weighing 0."""
-    weights = np.concatenate((np.zeros(len(xq)), w))
-    return _sorted_self_sum(terms, weights, gradient)(np.concatenate((xq, pos)))[: len(xq)]
+def _measure_sum(kernel, xq, m, gradient):
+    """(k*m)(xq_i), or (Dk*m)(xq_i), (nq,), of a radial kernel at queries xq (nq,) on the line: grid
+    quadrature on a GridDensity, the dense pair sum over the atoms of a ParticleEnsemble."""
+    if isinstance(m, GridDensity):
+        return _grid_sum(kernel, xq, m, gradient)
+    if isinstance(m, ParticleEnsemble):
+        return _dense_pair_sum(kernel, xq, m.positions[:, 0], m.weights, gradient)
+    raise TypeError(f"unsupported measure type {type(m)!r}")
 
 
 #: widest a_max (p - p_s) of an anchored factor e^{a (p - p_s)} in _sorted_self_sum.  Its rounded argument
@@ -564,8 +559,6 @@ def _coupling(kernel, x, m, v, gradient):
         raise DimensionError("Cucker-Smale kernel needs a velocity argument")
     if not cs and v is not None:
         raise DimensionError("velocity argument only valid for the Cucker-Smale kernel")
-    if not isinstance(m, (GridDensity, ParticleEnsemble)):
-        raise TypeError(f"unsupported measure type {type(m)!r}")
     xq, vq = (_line_points(q, "the coupling") for q in (x, 0.0 if v is None else v))
     if xq.size != 1 or vq.size != 1:
         raise DimensionError(f"the coupling takes one query point, not {xq.size} positions and {vq.size} velocities")
@@ -575,9 +568,7 @@ def _coupling(kernel, x, m, v, gradient):
         x_all, v_all = np.concatenate([xq, pos]), np.concatenate([vq, vel])
         value, dx_f, dv_f = _cs_pair_sums(kernel, x_all, v_all, _query_pairs(m.weights))
         return (dx_f.item(), dv_f.item()) if gradient else value.item()
-    if isinstance(m, GridDensity):
-        return _grid_sum(kernel, xq, m, gradient).item()
-    return _pair_sum(kernel, xq, m.positions[:, 0], m.weights, gradient).item()
+    return _measure_sum(kernel, xq, m, gradient).item()
 
 
 def eval_coupling(kernel, x, m, v=None):
@@ -614,19 +605,21 @@ class CouplingValidationReport:
 VALIDATOR_CAP = 1e3
 #: the validators and psd_check sample points from [-VALIDATOR_SPAN, VALIDATOR_SPAN]
 VALIDATOR_SPAN = 5.0
+#: samples each validator draws (validate_coupling, validate_hamiltonian); their reports record it as budget
+VALIDATOR_BUDGET = 2000
 
 
-def validate_coupling(kernel, budget: int = 2000, seed: int = 0) -> CouplingValidationReport:
+def validate_coupling(kernel, seed: int = 0) -> CouplingValidationReport:
     """Randomized sampling check of Lipschitz / growth / semiconcavity of F.
 
-    A pass means "no counterexample at this budget"; the report records
-    the seed and the tightest sampled constants.  Position-space kernels
+    Draws VALIDATOR_BUDGET samples from the seed.  A pass means "no
+    counterexample in these samples"; the report records the seed, the
+    budget and the tightest sampled constants.  Position-space kernels
     only (the Cucker-Smale coupling obeys different, quadratic bounds).
     """
     if isinstance(kernel, CuckerSmaleKernel):
         raise TypeError("validate_coupling applies to position-space kernels only")
-    if budget < 1000:
-        raise ValueError("budget must be at least 1000 sample triples")
+    budget = VALIDATOR_BUDGET
     rng = np.random.default_rng(seed)
     span = VALIDATOR_SPAN
     # small random atomic measures in 1D; constants of radial kernels are
@@ -648,7 +641,7 @@ def validate_coupling(kernel, budget: int = 2000, seed: int = 0) -> CouplingVali
     f = np.stack([x, y, x + h, x - h], axis=1)  # the four queries of each draw, overwritten by F there
     for k, m in enumerate(ensembles):
         mine = i == k
-        f[mine] = _pair_sum(kernel, f[mine].ravel(), m.positions[:, 0], m.weights).reshape(-1, 4)
+        f[mine] = _dense_pair_sum(kernel, f[mine].ravel(), m.positions[:, 0], m.weights, False).reshape(-1, 4)
     fx, fy, fp, fm = f.T
     far = np.abs(x - y) > 1e-9
     lip = np.max(np.abs(fx - fy)[far] / np.abs(x - y)[far], initial=-np.inf)
@@ -691,20 +684,19 @@ class PsdVerdict:
         return "PSD-consistent" if self.is_psd else "NOT-PSD"
 
 
-def psd_check(kernel, n_points: int = 64, seed: int = 0, points=None) -> PsdVerdict:
-    """Eigenvalue test of the Gram matrix k(x_i - x_j) on points of the line,
-    random ones or given ``points`` of shape (n,) or (n, 1); ``PsdVerdict.points`` is (n,).
+def psd_check(kernel, seed: int = 0, points=None) -> PsdVerdict:
+    """Eigenvalue test of the Gram matrix k(x_i - x_j) on points of the line: the given ``points``,
+    at least 2, of shape (n,) or (n, 1), or else 64 drawn from the seed; ``PsdVerdict.points`` is (n,).
 
     A negative eigenvalue below -1e-10 * ||K|| certifies that k is not a
     positive semidefinite kernel (so the MFG uniqueness/monotonicity
     structure is absent); otherwise the result is consistent with PSD.
     """
     if points is None:
-        if not 2 <= n_points <= 512:
-            raise ValueError("n_points must be in [2, 512]")
-        rng = np.random.default_rng(seed)
-        points = rng.uniform(-VALIDATOR_SPAN, VALIDATOR_SPAN, size=n_points)
+        points = np.random.default_rng(seed).uniform(-VALIDATOR_SPAN, VALIDATOR_SPAN, size=64)
     points = _line_points(points, "psd_check")
+    if points.size < 2:
+        raise ValueError(f"psd_check needs at least 2 points, got {points.size}")
     gram = kernel.value(_outer_offsets(points, points))
     eigs = np.linalg.eigvalsh(gram)
     threshold = -1e-10 * max(np.abs(eigs).max(), 1e-300)

@@ -189,6 +189,8 @@ class ParticleEnsemble:
     @classmethod
     def equal_weights(cls, points, spatial_dim: int) -> "ParticleEnsemble":
         n = len(points) if np.ndim(points) else 1
+        if n == 0:
+            raise ValueError("equal_weights needs at least one point")
         return cls(points, np.full(n, 1.0 / n), spatial_dim)
 
     def _csv_columns(self) -> list:
@@ -267,17 +269,14 @@ def moment2(m, selector: str = "all") -> float:
     selector is "all" (every coordinate) or "velocity" (the velocity
     block of a phase-space ensemble).
     """
+    if selector not in ("all", "velocity"):
+        raise ValueError(f"unknown selector {selector!r}")
     if isinstance(m, GridDensity):
         if selector == "velocity":
             raise DimensionError("grid densities carry no velocity block")
         x = m.cell_centers
         return float(m.dx * np.sum(m.values * x**2))
-    if selector == "velocity":
-        coords = m.velocities
-    elif selector == "all":
-        coords = m.points
-    else:
-        raise ValueError(f"unknown selector {selector!r}")
+    coords = m.velocities if selector == "velocity" else m.points
     return float(np.sum(m.weights * np.sum(coords**2, axis=1)))
 
 

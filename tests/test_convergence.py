@@ -221,6 +221,12 @@ class TestSweepLambdas:
         with pytest.raises(ValueError, match=message):
             run_lambda_sweep_acceleration(cs_flat, m0, lambdas, n_intervals=64)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_empty_cross_check_raises_before_any_solve(self, no_solves, zero_ham, exp_kernel, n):
+        cfg = small_config(5.0)
+        with pytest.raises(ValueError, match=f"n_cross_particles must be at least 1, got {n}"):
+            run_lambda_sweep_classic(zero_ham, exp_kernel, small_m0(cfg), [5.0], base_config=cfg, n_cross_particles=n)
+
     def test_decision_variable_budget_checked_up_front(self, no_solves, rng):
         """24 atoms at lambda = 700 take K = 64 * 700 = 44,800 intervals: N K = 1,075,200 is over the
         budget, and the sweep says so before the reference or the lambda = 10 row is solved."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mfglab import DriftField, QuadraticDriftHamiltonian, validate_hamiltonian
-from mfglab.kernels import VALIDATOR_SPAN
+from mfglab.kernels import VALIDATOR_BUDGET, VALIDATOR_SPAN
 
 
 def scalar_validation(h, budget=2000, seed=0):
@@ -114,8 +114,9 @@ class TestValidateHamiltonian:
             validate_hamiltonian(DriftField("zero"), seed=0)
 
     def test_budget_floor(self, zero_ham):
-        with pytest.raises(ValueError):
-            validate_hamiltonian(zero_ham, budget=10)
+        """Every validation draws VALIDATOR_BUDGET = 2000 samples, at least 1000, and records the count."""
+        assert VALIDATOR_BUDGET == 2000
+        assert validate_hamiltonian(zero_ham, seed=4).budget == VALIDATOR_BUDGET
 
     def test_deterministic(self, zero_ham):
         assert validate_hamiltonian(zero_ham, seed=3) == validate_hamiltonian(zero_ham, seed=3)

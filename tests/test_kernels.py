@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mfglab import kernels
 from mfglab import (
     CrowdRadialKernel,
     CuckerSmaleKernel,
@@ -236,8 +237,9 @@ def single_query_validation(kernel, budget, seed, span=5.0):
 class TestValidateCoupling:
     @pytest.mark.parametrize("kernel", ALL_RADIAL, ids=lambda k: type(k).__name__)
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_batched_queries_bit_identical(self, kernel, seed):
-        rep = validate_coupling(kernel, budget=1000, seed=seed)
+    def test_batched_queries_bit_identical(self, kernel, seed, monkeypatch):
+        monkeypatch.setattr(kernels, "VALIDATOR_BUDGET", 1000)
+        rep = validate_coupling(kernel, seed=seed)
         got = (rep.lipschitz_constant, rep.growth_constant, rep.semiconcavity_constant, rep.witness)
         assert got == single_query_validation(kernel, 1000, seed)
 
@@ -267,8 +269,9 @@ class TestValidateCoupling:
         assert a == b
 
     def test_budget_floor(self):
-        with pytest.raises(ValueError):
-            validate_coupling(ExponentialKernel(), budget=100)
+        """Every validation draws VALIDATOR_BUDGET = 2000 samples, at least 1000, and records the count."""
+        assert kernels.VALIDATOR_BUDGET == 2000
+        assert validate_coupling(ExponentialKernel(), seed=4).budget == kernels.VALIDATOR_BUDGET
 
     def test_cs_kernel_rejected(self):
         with pytest.raises(TypeError):
@@ -285,25 +288,28 @@ class TestPsdCheck:
         assert verdict.min_eigenvalue == pytest.approx(-abs(c), abs=1e-12)
 
     def test_exponential_psd_consistent(self):
-        verdict = psd_check(ExponentialKernel(1.0, 1.0), n_points=64, seed=0)
+        verdict = psd_check(ExponentialKernel(1.0, 1.0), seed=0)
         assert verdict.label == "PSD-consistent"
 
     def test_morse_gl_above_one_not_psd(self):
         # G*L = 2.7 > 1: the zero-frequency Fourier mass 2(1 - G L) is negative
-        verdict = psd_check(MorseKernel(0.9, 3.0), n_points=128, seed=0)
+        points = np.random.default_rng(0).uniform(-5, 5, 128)
+        verdict = psd_check(MorseKernel(0.9, 3.0), points=points)
         assert verdict.label == "NOT-PSD"
 
     def test_deterministic_under_seed(self):
-        a = psd_check(ExponentialKernel(1.0, 1.0), n_points=32, seed=9)
-        b = psd_check(ExponentialKernel(1.0, 1.0), n_points=32, seed=9)
+        a = psd_check(ExponentialKernel(1.0, 1.0), seed=9)
+        b = psd_check(ExponentialKernel(1.0, 1.0), seed=9)
+        assert a.points.shape == (64,)
         assert a.min_eigenvalue == b.min_eigenvalue
         assert np.array_equal(a.points, b.points)
 
     def test_n_points_range(self):
-        with pytest.raises(ValueError):
-            psd_check(ExponentialKernel(), n_points=1)
-        with pytest.raises(ValueError):
-            psd_check(ExponentialKernel(), n_points=1000)
+        """Given points set the size of the Gram matrix: fewer than 2 raise before any eigenvalue."""
+        for points in ([], [0.3], np.zeros((1, 1))):
+            with pytest.raises(ValueError, match="psd_check needs at least 2 points"):
+                psd_check(ExponentialKernel(), points=points)
+        assert psd_check(ExponentialKernel(), points=[0.0, 1.0]).points.shape == (2,)
 
 
 class TestCrowdKernel:

@@ -112,6 +112,11 @@ class TestParticleEnsemble:
         assert e.n == 2 and not e.is_phase_space
         assert np.array_equal(e.points, [[1.0], [2.0]])
 
+    def test_equal_weights_of_no_points_raise(self):
+        for points in (np.zeros(0), np.zeros((0, 1)), np.zeros((0, 2))):
+            with pytest.raises(ValueError, match="equal_weights needs at least one point"):
+                ParticleEnsemble.equal_weights(points, 1)
+
     def test_csv_round_trip_phase_space(self, rng):
         e = ParticleEnsemble.equal_weights(rng.standard_normal((5, 2)), 1)
         text = e.to_csv()
@@ -190,6 +195,13 @@ class TestMoment2:
         e = ParticleEnsemble.equal_weights(np.zeros((2, 1)), 1)
         with pytest.raises(DimensionError):
             moment2(e, "velocity")
+
+    def test_unknown_selector_raises_on_both_representations(self):
+        grid = GridDensity.uniform(-1.0, 1.0, -1.0, 0.25, 8)
+        atoms = ParticleEnsemble.equal_weights(np.zeros((2, 2)), 1)
+        for m in (grid, atoms):
+            with pytest.raises(ValueError, match="unknown selector 'bogus'"):
+                moment2(m, "bogus")
 
     def test_permutation_and_zero_weight_invariance(self, rng):
         pts = rng.standard_normal((6, 2))

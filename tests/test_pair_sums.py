@@ -1,7 +1,8 @@
 """Dense per-atom Python-loop oracles for the particle pair sums.
 
-Every particle-side k*m and Dk*m goes through ``kernels._pair_sum`` (a
-flock with itself through ``kernels._self_pair_sum``), the Cucker-Smale
+Every particle-side k*m and Dk*m of query points goes through
+``kernels._dense_pair_sum`` (a flock with itself through
+``kernels._self_pair_sum``, sorted or dense), the Cucker-Smale
 alignment acceleration through ``kernels._cs_alignment``
 (one weight matrix, one product) and the other Cucker-Smale pair sums
 through ``kernels._cs_pair_sums`` (each pair once, on pair differences,
@@ -145,6 +146,20 @@ def test_points_off_the_line_raise():
         solve_aggregation_particles(ham, kernel, m, 1.0, 0.1)
     with pytest.raises(DimensionError, match=OFF_THE_LINE):
         psd_check(kernel, points=m.points)
+
+
+@pytest.mark.parametrize("name", ["exponential", "morse"])
+def test_unsupported_measure_raises(name):
+    """A radial query against anything but a grid density or an ensemble raises one TypeError."""
+    kernel, ham = RADIAL[name], QuadraticDriftHamiltonian(DriftField("zero"))
+    calls = (
+        lambda m: eval_coupling(kernel, 0.5, m),
+        lambda m: grad_coupling(kernel, 0.5, m),
+        lambda m: limit_drift(ham, kernel, np.zeros(3), m),
+    )
+    for call in calls:
+        with pytest.raises(TypeError, match="unsupported measure type <class 'list'>"):
+            call([0.0, 1.0])
 
 
 def flock(n, seed=5, shift=0.0):
@@ -373,7 +388,7 @@ def d_vector_dense_pair_sum(kernel, xq, pos, w, gradient):
     return np.einsum("j,ijd->id", w, terms[..., None])[:, 0]
 
 
-# -- the sorted 1D bodies (kernels._sorted_self_sum, _sorted_pair_sum) against the dense body --
+# -- the sorted self body (kernels._sorted_self_sum) against the dense body --
 
 SORTED = {
     "exponential": ExponentialKernel(1.5, 0.8),
@@ -422,18 +437,6 @@ def exp_term_scales(kernel, xq, pos, w):
 
 @pytest.mark.parametrize("name", list(SORTED))
 @given(case=sorted_cases())
-def test_sorted_matches_dense(name, case):
-    kernel, (pos, w, xq) = SORTED[name], case
-    value_scale, grad_scale = exp_term_scales(kernel, xq, pos, w)
-    value = kernels._sorted_pair_sum(kernel._exp_terms, xq, pos, w, False)
-    grad = kernels._sorted_pair_sum(kernel._exp_terms, xq, pos, w, True)
-    assert value.shape == grad.shape == (len(xq),)
-    assert np.all(np.abs(value - kernels._dense_pair_sum(kernel, xq, pos, w, False)) <= TOL * value_scale)
-    assert np.all(np.abs(grad - kernels._dense_pair_sum(kernel, xq, pos, w, True)) <= TOL * grad_scale)
-
-
-@pytest.mark.parametrize("name", list(SORTED))
-@given(case=sorted_cases())
 def test_sorted_self_matches_dense(name, case):
     """The self body, the atoms as their own queries, against the dense body: coincident atoms
     count at distance 0 in the value and not in the gradient, and far clusters keep their digits."""
@@ -451,20 +454,16 @@ def test_sorted_self_matches_dense(name, case):
 def test_sorted_bodies_across_anchor_blocks(name, span, monkeypatch):
     """A flock 500 wide with neighbours about 1.25 apart, every fifth atom doubled, in more than
     ten blocks at each block width: the sums carried from block to block weigh as much as the
-    block's own, and both sorted bodies stay within the dense body's roundoff."""
+    block's own, and the sorted self body stays within the dense body's roundoff."""
     monkeypatch.setattr(kernels, "_ANCHOR_SPAN", span)
     kernel, rng = SORTED[name], np.random.default_rng(17)
     pos = rng.uniform(-250.0, 250.0, 400)
     pos[::5] = pos[1::5]
     w = rng.uniform(0.01, 1.0, 400)
-    xq = np.concatenate([pos[:20], rng.uniform(-260.0, 260.0, 20)])
     assert max(a for _, a in kernel._exp_terms) * np.ptp(pos) > 10 * span
     for gradient, scale in zip((False, True), exp_term_scales(kernel, pos, pos, w)):
         dense = kernels._dense_pair_sum(kernel, pos, pos, w, gradient)
         assert np.all(np.abs(kernels._sorted_self_sum(kernel._exp_terms, w, gradient)(pos) - dense) <= TOL * scale)
-    for gradient, scale in zip((False, True), exp_term_scales(kernel, xq, pos, w)):
-        dense = kernels._dense_pair_sum(kernel, xq, pos, w, gradient)
-        assert np.all(np.abs(kernels._sorted_pair_sum(kernel._exp_terms, xq, pos, w, gradient) - dense) <= TOL * scale)
 
 
 @pytest.mark.parametrize("name", list(SORTED))
@@ -482,11 +481,13 @@ def test_dense_matches_d_vector_oracle(name, case):
 
 
 @pytest.mark.parametrize("name", ["exponential", "morse"])
-def test_sorted_path_through_public_functions(name, monkeypatch):
-    monkeypatch.setattr(kernels, "_SORTED_MIN_ATOMS", 1)
-    kernel, m = RADIAL[name], ensemble()
+def test_sorted_path_through_public_functions(name):
+    """80 queries against 96 atoms under an exponential-sum kernel, sizes at which the self sum
+    sorts: limit_drift, eval_coupling and grad_coupling sum on the dense body and match the loop."""
+    kernel, m = RADIAL[name], ensemble(96)
     ham = QuadraticDriftHamiltonian(DriftField("sinusoidal", 0.5, 2.0))
-    xq = queries(m)
+    xq = np.append(np.random.default_rng(99).uniform(-3.0, 3.0, 79), m.positions[4])
+    assert min(len(xq), m.n) >= kernels._SORTED_MIN_ATOMS
     drift = limit_drift(ham, kernel, xq, m)
     for x, row in zip(xq, drift):
         f, f_scale, g, g_scale = oracle(kernel, x, m)
@@ -499,16 +500,14 @@ def test_dense_gradient_at_subnormal_offset_1d():
     """An atom at 0 and a query at 2.2e-313: dphi(|x|) sign(x) is exact where dphi(r) / r would overflow."""
     kernel = ExponentialKernel(1.0, 1.0)
     xq, pos, w = np.array([2.2e-313, -2.2e-313]), np.zeros(1), np.ones(1)
-    dense = kernels._dense_pair_sum(kernel, xq, pos, w, True)
-    assert np.array_equal(dense, [-1.0, 1.0])
-    assert np.array_equal(dense, kernels._sorted_pair_sum(kernel._exp_terms, xq, pos, w, True))
+    assert np.array_equal(kernels._dense_pair_sum(kernel, xq, pos, w, True), [-1.0, 1.0])
     # the two queries as a flock: each sees the other at a subnormal distance
     assert np.array_equal(kernels._sorted_self_sum(kernel._exp_terms, np.ones(2), True)(xq), [-1.0, 1.0])
 
 
 def test_path_selection(monkeypatch):
-    """Sorted under exponential sums from _SORTED_MIN_ATOMS = 64 atoms and queries on (the
-    measured crossover of the self body), dense otherwise; the self sum selects on the atoms."""
+    """The self sum is sorted under exponential sums from _SORTED_MIN_ATOMS = 64 atoms on (the
+    measured crossover of the self body), dense otherwise; query sums are dense at any size."""
     assert kernels._SORTED_MIN_ATOMS == 64
     calls = []
     dense = kernels._dense_pair_sum
@@ -516,16 +515,13 @@ def test_path_selection(monkeypatch):
     n = kernels._SORTED_MIN_ATOMS
     w = np.full(n, 1.0 / n)
     for kernel in (RADIAL["exponential"], RADIAL["morse"]):
-        kernels._pair_sum(kernel, np.zeros(n), np.linspace(0.0, 1.0, n), w)
         kernels._self_pair_sum(kernel, w)(np.linspace(0.0, 1.0, n))
     assert calls == []
-    kernels._pair_sum(RADIAL["morse"], np.zeros(n), np.zeros(n - 1), np.full(n - 1, 1.0 / (n - 1)))
-    kernels._pair_sum(RADIAL["morse"], np.zeros(n - 1), np.zeros(n), w)
-    kernels._pair_sum(RADIAL["repulsive_attractive"], np.zeros(n), np.zeros(n), w)
-    kernels._self_pair_sum(RADIAL["morse"], np.full(n - 1, 1.0 / (n - 1)))(np.zeros(n - 1))
-    kernels._self_pair_sum(RADIAL["repulsive_attractive"], w)(np.zeros(n))
     morse, ra = RADIAL["morse"], RADIAL["repulsive_attractive"]
-    assert calls == [morse, morse, ra, morse, ra]
+    kernels._self_pair_sum(morse, np.full(n - 1, 1.0 / (n - 1)))(np.zeros(n - 1))
+    kernels._self_pair_sum(ra, w)(np.zeros(n))
+    kernels._measure_sum(morse, np.zeros(n), ParticleEnsemble(np.linspace(0.0, 1.0, n), w, 1), False)
+    assert calls == [morse, ra, morse]
 
 
 @pytest.mark.parametrize("name", ["exponential", "morse"])
@@ -534,7 +530,7 @@ def test_particle_solver_takes_the_self_body(name, monkeypatch):
     _SORTED_MIN_ATOMS atoms on, set up once per solve, and below through the dense body,
     once per RK4 stage."""
     calls = []
-    for body in ("_sorted_self_sum", "_dense_pair_sum", "_sorted_pair_sum"):
+    for body in ("_sorted_self_sum", "_dense_pair_sum"):
         wrapped = getattr(kernels, body)
         spy = lambda *args, body=body, wrapped=wrapped: calls.append(body) or wrapped(*args)
         monkeypatch.setattr(kernels, body, spy)
