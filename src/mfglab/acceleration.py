@@ -37,7 +37,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .kernels import CuckerSmaleKernel, _cs_pair_energy, _cs_pair_pass, _flock
-from .measures import ParticleEnsemble, _csv_table, _freeze, _positive_finite
+from .measures import MASS_TOL_PARTICLES, ParticleEnsemble, _csv_table, _freeze, _positive_finite
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class TrajectoryEnsemble:
                 raise ValueError(f"{name} must be finite")
         if x0.ndim != 1 or v0.shape != x0.shape or a.ndim != 2 or a.shape[0] != x0.size:
             raise ValueError("x0 and v0 must have shape (N,) and controls (N, K)")
-        if abs(w.sum() - 1.0) > 1e-12 or np.any(w < 0):
+        if abs(w.sum() - 1.0) > MASS_TOL_PARTICLES or np.any(w < 0):
             raise ValueError("weights must be nonnegative and sum to 1")
         _positive_finite(T=self.T)
 
@@ -152,6 +152,17 @@ def _quadrature_weights(times: np.ndarray, lam: float) -> np.ndarray:
 def _control_weights(times: np.ndarray, lam: float) -> np.ndarray:
     """Exact per-interval integral of e^(-lam t) dt."""
     return (np.exp(-lam * times[:-1]) - np.exp(-lam * times[1:])) / lam
+
+
+def _preconditioner(weights: np.ndarray, lam: float, T: float, n_intervals: int) -> np.ndarray:
+    """The scale s = sqrt(w_i c_j / lam), (N, K), of the controls b = s a in which the control Hessian is the
+    identity, c_j = int e^(-lam t) dt over the K intervals of [0, T]; raises ValueError on a zero entry."""
+    s = np.sqrt(weights[:, None] * _control_weights(np.linspace(0.0, T, n_intervals + 1), lam) / lam)
+    if not np.all(s > 0):
+        raise ValueError(f"lambda = {lam:g}, T = {T:g}: the control preconditioner sqrt(w_i c_j / lambda) has a "
+                         "zero entry; the c_j underflow to 0 as lambda T nears 745, and every atom needs a "
+                         "positive weight")
+    return s
 
 
 def _energy(ens: TrajectoryEnsemble, lam: float, pairs: np.ndarray) -> EnergyBreakdown:
@@ -245,11 +256,8 @@ def minimize_energy(
         raise ValueError(f"decision-variable budget exceeded (N K > {DECISION_VARIABLE_BUDGET})")
     shape = start.controls.shape
 
-    # precondition: in variables b = s * a the control Hessian is the
-    # identity (the raw problem is conditioned like e^{lam T}, hopeless
-    # for a quasi-Newton start)
-    cw = _control_weights(start.times, lam)
-    s = np.sqrt(start.weights[:, None] * cw[None, :] / lam)
+    # precondition: the raw problem is conditioned like e^{lam T}, hopeless for a quasi-Newton start
+    s = _preconditioner(start.weights, lam, T, n_intervals)
 
     def objective(theta):
         e, g = energy_gradient(start.with_controls(theta.reshape(shape) / s), kernel, lam)

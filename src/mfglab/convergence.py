@@ -22,13 +22,14 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .acceleration import DECISION_VARIABLE_BUDGET, EL_TOLERANCE, minimize_energy
+from .acceleration import DECISION_VARIABLE_BUDGET, EL_TOLERANCE, _preconditioner, minimize_energy
 from .aggregation import solve_aggregation_fv, solve_aggregation_particles
 from .cucker_smale import richardson_order_ratio, solve_cs
 from .errors import BoundaryLeakError, CflError, StabilityError
 from .hamiltonians import QuadraticDriftHamiltonian, validate_hamiltonian
 from .kernels import CuckerSmaleKernel, _grid_sum, validate_coupling
 from .measures import (
+    MASS_TOL_GRID,
     GridDensity,
     MeasurePath,
     ParticleEnsemble,
@@ -38,7 +39,7 @@ from .measures import (
     wasserstein1_1d,
     wasserstein1_particles,
 )
-from .mfg_pde import MfgSolution, PdeConfig, coupling_on_grid, solve_mfg_fixed_point
+from .mfg_pde import MfgSolution, PdeConfig, _grid_values, coupling_on_grid, solve_mfg_fixed_point
 
 #: fraction of [0, T] used for limit diagnostics (terminal layer excluded)
 DIAGNOSTIC_WINDOW = 0.75
@@ -194,7 +195,7 @@ def diagnostics_bounds(sol: MfgSolution, c0: float = 1.0) -> BoundsVerdict:
         m_sup=m_sup,
         m_bounded_ok=m_sup <= M_SUP_CAP,
         mass_error=mass_error,
-        mass_ok=mass_error <= 1e-10,
+        mass_ok=mass_error <= MASS_TOL_GRID,
         min_density=min_density,
         nonneg_ok=min_density >= 0.0,
         support_radius=support_radius,
@@ -300,12 +301,13 @@ def run_lambda_sweep_classic(
     The reference is the inviscid finite-volume limit solve on the same
     grid; its own error is estimated by a particle cross-check and
     reported alongside the per-lambda distances (n_cross_particles atoms,
-    at least 1, checked with the lambdas before any solve).  Non-converged inner
-    solves are flagged, never fatal; an inner solve that raises
+    at least 1, checked with the lambdas and m0's grid before any solve).
+    Non-converged inner solves are flagged, never fatal; an inner solve that raises
     BoundaryLeakError or a StabilityError (CflError included) gives a
     flagged row that names the error and carries NaN diagnostics.
     """
     lambdas = _sweep_lambdas(lambdas)
+    _grid_values(base_config, m0, "initial density")
     if not n_cross_particles >= 1:
         raise ValueError(f"n_cross_particles must be at least 1, got {n_cross_particles}")
     coupling_report = validate_coupling(kernel, seed=seed)
@@ -411,8 +413,8 @@ def run_lambda_sweep_acceleration(
     flow is integrated on those identical atoms and its step-halving
     ratio is reported as the reference's own error control.  Nothing here
     is random: seed is only recorded in the report (the CLI passes the seed
-    it drew m0 with).  Every row's decision-variable budget N K is checked
-    before the reference solve.
+    it drew m0 with).  Every row's decision-variable budget N K and control
+    preconditioner are checked before the reference solve.
     """
     if not isinstance(kernel, CuckerSmaleKernel):
         raise TypeError("the acceleration sweep takes a Cucker-Smale kernel")
@@ -424,6 +426,7 @@ def run_lambda_sweep_acceleration(
                 f"lambda = {lam:g} needs K = {k_lam} intervals for N = {m0.n} atoms: "
                 f"N K = {m0.n * k_lam} exceeds the decision-variable budget of {DECISION_VARIABLE_BUDGET}"
             )
+        _preconditioner(m0.weights, lam, T, k_lam)
     reference = solve_cs(m0, kernel, T, dt_reference, save_every=1)
     ratio = richardson_order_ratio(m0, kernel, T, dt_reference * 8)
 

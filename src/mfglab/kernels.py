@@ -12,15 +12,16 @@ so Dk(0) = 0 at a kink.  Their pair sums take (nq,) queries and (N,) atoms.
 Query points against atoms (the couplings, ``limit_drift``, the
 validator) go through one body, the dense (nq, N) offset array
 (``_dense_pair_sum``).  The sum of a flock with itself that the particle
-solver takes (``_self_pair_sum``) has a second, sorted body: under a
-kernel whose profile is a sum of exponentials, phi(r) = sum_k c_k
-exp(-a_k r) (exponential: one term; Morse: two), it sums exactly in
-O(N log N) (``_sorted_self_sum``), with anchored factors e^{a (p - c)}
-making each side of every atom one cumsum.  The repulsive-attractive,
-crowd and zero kernels, and flocks of fewer than ``_SORTED_MIN_ATOMS``
-atoms, where sorting costs more than it saves, stay dense; the dense
-body is the sorted one's test oracle.  The repulsive-attractive profile
-r exp(-a r) would need a two-term recurrence.  Every dense pair array --
+solver takes (``_self_pair_sum``) is chosen by the kernel.  A kernel
+whose profile is a sum of exponentials, phi(r) = sum_k c_k exp(-a_k r),
+states only its terms (``_exp_terms``; zero: none, exponential: one,
+Morse: two), takes phi and phi' from them (``_exp_phi``, ``_exp_dphi``)
+and sums its flock exactly in O(N log N) at any N (``_sorted_self_sum``),
+with anchored factors e^{a (p - c)} making each side of every atom one
+cumsum; the zero kernel's empty sum is exact zeros with no pair work.
+The repulsive-attractive and crowd kernels stay on the dense body, the
+sorted one's test oracle; the repulsive-attractive profile r exp(-a r)
+would need a two-term recurrence.  Every dense pair array --
 ``_dense_pair_sum``, ``_grid_matrix``, ``psd_check`` and
 ``_cs_alignment`` -- takes its offsets xq_i - pos_j from one rank-2
 product [xq | 1] @ [1 ; -pos] (``_outer_offsets``): bit for bit the
@@ -70,6 +71,19 @@ def _radial_grad(kernel, x):
     return kernel.dphi(np.abs(x)) * np.sign(x)
 
 
+def _exp_phi(kernel, r, gradient=False):
+    """phi(r) = sum_k c_k exp(-a_k r) over the kernel's ``_exp_terms`` (c_k, a_k), or with gradient
+    phi'(r) = sum_k -a_k c_k exp(-a_k r), at distances r of any shape; the empty sum is zeros."""
+    r = np.asarray(r, dtype=float)
+    terms = [(-a * c if gradient else c) * np.exp(-a * r) for c, a in kernel._exp_terms]
+    return sum(terms[1:], terms[0]) if terms else np.zeros_like(r)
+
+
+def _exp_dphi(kernel, r):
+    """phi'(r) of a sum of exponentials (``_exp_phi``)."""
+    return _exp_phi(kernel, r, gradient=True)
+
+
 @dataclass(frozen=True)
 class ExponentialKernel:
     """k(x) = alpha * exp(-a |x|); repulsive for alpha > 0."""
@@ -81,17 +95,13 @@ class ExponentialKernel:
         if self.a <= 0:
             raise ValueError("a must be positive")
 
-    def phi(self, r):
-        return self.alpha * np.exp(-self.a * np.asarray(r, dtype=float))
-
-    def dphi(self, r):
-        return -self.a * self.alpha * np.exp(-self.a * np.asarray(r, dtype=float))
-
     @property
     def _exp_terms(self):
-        """(c_k, a_k) with phi(r) = sum_k c_k exp(-a_k r), for the sorted pair sums."""
+        """(c_k, a_k) with phi(r) = sum_k c_k exp(-a_k r)."""
         return ((self.alpha, self.a),)
 
+    phi = _exp_phi
+    dphi = _exp_dphi
     value = _radial_value
     gradient = _radial_grad
 
@@ -131,23 +141,17 @@ class MorseKernel:
         if self.L <= 1:
             raise ValueError("Morse kernel requires L > 1")
 
-    def phi(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.exp(-r) - self.G * np.exp(-r / self.L)
-
-    def dphi(self, r):
-        r = np.asarray(r, dtype=float)
-        return -np.exp(-r) + (self.G / self.L) * np.exp(-r / self.L)
-
     @property
     def _exp_terms(self):
-        """(c_k, a_k) with phi(r) = sum_k c_k exp(-a_k r), for the sorted pair sums."""
+        """(c_k, a_k) with phi(r) = sum_k c_k exp(-a_k r)."""
         return ((1.0, 1.0), (-self.G, 1.0 / self.L))
 
     def equilibrium_gap(self) -> float:
         """Two-body equilibrium distance, the root of phi'."""
         return self.L / (self.L - 1.0) * np.log(self.L / self.G)
 
+    phi = _exp_phi
+    dphi = _exp_dphi
     value = _radial_value
     gradient = _radial_grad
 
@@ -190,14 +194,11 @@ class CrowdRadialKernel:
 
 @dataclass(frozen=True)
 class ZeroKernel:
-    """k = 0; switches off the coupling."""
+    """k = 0; switches off the coupling: the empty sum of exponentials."""
 
-    def phi(self, r):
-        return np.zeros_like(np.asarray(r, dtype=float))
-
-    def dphi(self, r):
-        return np.zeros_like(np.asarray(r, dtype=float))
-
+    _exp_terms = ()
+    phi = _exp_phi
+    dphi = _exp_dphi
     value = _radial_value
     gradient = _radial_grad
 
@@ -236,15 +237,6 @@ class CuckerSmaleKernel:
         return float(max(1.0, 2.0 / inf_g, dg_over_g, 2.0 / np.sqrt(inf_g)))
 
 
-RADIAL_KERNELS = (
-    ExponentialKernel,
-    RepulsiveAttractiveKernel,
-    MorseKernel,
-    CrowdRadialKernel,
-    ZeroKernel,
-)
-
-
 def _offset_operands(nq, n):
     """The two factors of ``_outer_offsets`` for nq queries and n atoms, (nq, 2) and (2, n), with
     their ones in place: a caller that forms offsets again and again keeps them between calls."""
@@ -281,23 +273,14 @@ def _grid_sum(kernel, xq, m, gradient=False):
     return values @ _grid_matrix(kernel, xq, y, dx, gradient).T
 
 
-#: below this many atoms a flock's self sum stays dense: a sorted sum costs a few dozen numpy calls whatever
-#: N is.  Per RK4 step of the particle solver, with the dense offsets from _outer_offsets, dense took 76-77 us
-#: and the self body 83-95 us at 32 exponential atoms, 145-148 and 101-106 us at 48, 131-132 and 89 us at 64,
-#: 213-227 and 93-95 us at 96; for Morse 97-103 and 87-97 us at 32, 126-143 and 88-91 us at 48, 189-199 and
-#: 102-106 us at 64 (2-core x86-64, numpy 2.4, one BLAS thread, best of 15, two runs).  The crossover lies
-#: between 32 and 48 atoms; 64 is kept, since moving it changes which body runs and so the output bits
-_SORTED_MIN_ATOMS = 64
-
-
 def _self_pair_sum(kernel, w, gradient=False):
     """pair_sum(pos): sum_j w_j k(pos_i - pos_j), or sum_j w_j Dk(pos_i - pos_j), (N,), of a flock of weights
-    w (N,) at the positions pos (N,): sorted (``_sorted_self_sum``) under a sum-of-exponentials profile from
-    _SORTED_MIN_ATOMS atoms on, dense otherwise."""
+    w (N,) at the positions pos (N,), with the body the kernel chooses: sorted (``_sorted_self_sum``) under
+    a sum of exponentials, zero's empty sum included, at any N; dense otherwise."""
     terms = getattr(kernel, "_exp_terms", None)
-    if terms is not None and len(w) >= _SORTED_MIN_ATOMS:
-        return _sorted_self_sum(terms, w, gradient)
-    return lambda pos: _dense_pair_sum(kernel, pos, pos, w, gradient)
+    if terms is None:
+        return lambda pos: _dense_pair_sum(kernel, pos, pos, w, gradient)
+    return _sorted_self_sum(terms, w, gradient)
 
 
 #: byte budget of one (nq, N) offset array in _dense_pair_sum; more queries go in chunks
@@ -345,7 +328,10 @@ def _sorted_self_sum(terms, w, gradient):
     the atoms at p_i start at lo_i and end at hi_i: m = hi counts them at distance 0 in the value, m = lo
     leaves them out of the gradient (Dk(0) = 0).  In a block of atoms from p_s, the anchored factors E =
     e^{a (p - p_s)} make each side one cumsum, L = (sum_{j < m} w_j E_j) / E_i and R = (sum_{j >= hi} w_j / E_j)
-    E_i.  A block starts every _ANCHOR_SPAN / max(a); the atoms before (after) it enter as one decayed sum."""
+    E_i.  A block starts every _ANCHOR_SPAN / max(a); the atoms before (after) it enter as one decayed sum.
+    No terms (the zero kernel) is exact zeros with no pair work."""
+    if not terms:
+        return lambda pos: np.zeros(len(w))
     c, a = np.array(terms).T
     coef, rate, n = (-a * c if gradient else c), max(a), len(w)
     acc = np.zeros((len(a), n + 1))  # column j sums the first j atoms, then the last j; column 0 stays 0

@@ -312,6 +312,18 @@ class TestMinimizeEnergy:
         with pytest.raises(ValueError, match="budget"):
             minimize_energy(m0, cs_flat, 10.0, 1.0, 10**4)
 
+    def test_underflowing_discount_named(self, cs_flat):
+        """At lambda T = 800 the last of K = 51,200 interval weights (e^(-lambda t_j) - e^(-lambda t_j+1))
+        / lambda underflow to 0 (N K = 102,400 is within the budget): the call names lambda and T before
+        any objective evaluation, where 0/0 controls used to fail as "controls must be finite"."""
+        m0 = ParticleEnsemble.equal_weights(np.array([[0.0, 1.0], [0.0, -1.0]]), 1)
+        with pytest.raises(ValueError, match=r"lambda = 800, T = 1: the control preconditioner"):
+            minimize_energy(m0, cs_flat, 800.0, 1.0, 51_200)
+        # a weightless atom has a zero row, whatever the discount
+        m0 = ParticleEnsemble(np.array([[0.0, 1.0], [0.0, -1.0]]), np.array([1.0, 0.0]), 1)
+        with pytest.raises(ValueError, match=r"lambda = 10, T = 1: the control preconditioner"):
+            minimize_energy(m0, cs_flat, 10.0, 1.0, 16)
+
     def test_pair_array_cap(self, cs_flat, rng, monkeypatch):
         """The cap bounds the pair column of one time node, the smallest piece the node
         chunks can hold: 12 atoms make 66 pairs, 66 * 8 = 528 bytes a node."""

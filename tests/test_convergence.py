@@ -7,6 +7,7 @@ from mfglab import (
     ConvergenceReport,
     CuckerSmaleKernel,
     ExponentialKernel,
+    GridError,
     MfgSolution,
     ParticleEnsemble,
     PdeConfig,
@@ -233,6 +234,20 @@ class TestSweepLambdas:
         m0 = ParticleEnsemble.equal_weights(rng.standard_normal((24, 2)), 1)
         with pytest.raises(ValueError, match="lambda = 700 needs K = 44800 intervals for N = 24 atoms"):
             run_lambda_sweep_acceleration(CuckerSmaleKernel(1.0, 0.5), m0, [10.0, 700.0])
+
+
+    def test_underflowing_discount_checked_up_front(self, no_solves):
+        """Two atoms at lambda = 800 take K = 51,200 intervals, within the budget, but the control
+        weights underflow: the sweep names lambda and T before the reference or the lambda = 10 row."""
+        m0 = ParticleEnsemble.equal_weights(np.array([[0.0, 1.0], [0.0, -1.0]]), 1)
+        with pytest.raises(ValueError, match=r"lambda = 800, T = 1: the control preconditioner"):
+            run_lambda_sweep_acceleration(CuckerSmaleKernel(1.0, 0.5), m0, [10.0, 800.0])
+
+    def test_off_grid_density_raises_before_any_solve(self, no_solves, zero_ham, exp_kernel):
+        cfg = small_config(5.0)
+        for m0 in (small_m0(small_config(5.0, n_x=64)), small_m0(small_config(5.0, half_width=4.0))):
+            with pytest.raises(GridError, match="initial density is not on the config's grid"):
+                run_lambda_sweep_classic(zero_ham, exp_kernel, m0, [5.0], base_config=cfg)
 
 
 class TestAccelerationSweep:

@@ -17,8 +17,11 @@ sums.  They were recorded with the dense body of d-vector offsets,
 ``test_pair_sums.d_vector_dense_pair_sum``: on that oracle the particles
 stay bit-identical.  The dense body on the line sums the same values and
 gradient terms within an ulp each, so on it the validator constants stay
-bit-identical and the particles within 1e-14; the sorted self body is
-pinned within the roundoff of its different summation order.
+bit-identical and the particles within 1e-14; the sorted self body,
+which the Morse kernel chooses, is pinned within the roundoff of its
+different summation order.  The dense and oracle paths put the self sum
+on the dense body by patching ``_self_pair_sum`` in ``kernels`` and in
+``aggregation``, which imports it.
 
 The ``csv.u0`` and ``csv.m_final`` digests were re-recorded when the
 MFG fixed point became Anderson-accelerated and began to stop on every
@@ -74,7 +77,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfglab import acceleration, cucker_smale, kernels
+from mfglab import acceleration, aggregation, cucker_smale, kernels
 from mfglab import (
     ConvergenceReport,
     CrowdRadialKernel,
@@ -239,15 +242,20 @@ def csv_artifacts(tmp: Path) -> dict:
     }
 
 
+def _dense_self_sum(kernel, w, gradient=False):
+    """``kernels._self_pair_sum`` on the dense body, whatever the kernel: kernels._dense_pair_sum is looked up
+    at each call, so the d-vector oracle applies once it is patched in."""
+    return lambda pos: kernels._dense_pair_sum(kernel, pos, pos, w, gradient)
+
+
 def _on_path(path, fn):
     """fn() with every radial pair sum on the dense body or on its d-vector oracle, or with every self sum
-    on the sorted body; on the oracle path the Cucker-Smale alignment takes its dense pair-sum oracle too."""
+    on the body its kernel chooses (sorted for a sum of exponentials); on the oracle path the Cucker-Smale
+    alignment takes its dense pair-sum oracle too."""
     with pytest.MonkeyPatch.context() as mp:
         if path in ("dense", "oracle"):
-            for cls in (ExponentialKernel, MorseKernel):
-                mp.setattr(cls, "_exp_terms", None)
-        else:
-            mp.setattr(kernels, "_SORTED_MIN_ATOMS", 1)
+            for module in (kernels, aggregation):
+                mp.setattr(module, "_self_pair_sum", _dense_self_sum)
         if path == "oracle":
             mp.setattr(kernels, "_dense_pair_sum", d_vector_dense_pair_sum)
             mp.setattr(cucker_smale, "_cs_alignment", pair_sum_cs_alignment)

@@ -65,6 +65,28 @@ class TestEvalKernel:
             assert np.array_equal(f(x.reshape(100, 100)), flat.reshape(100, 100))
         assert kernel.gradient(0.0) == 0.0
 
+    @pytest.mark.parametrize(
+        "kernel",
+        [ExponentialKernel(1.0, 1.0), ExponentialKernel(-1.0, 2.0), ExponentialKernel(1.5, 0.8),
+         MorseKernel(0.5, 2.0), MorseKernel(0.3, 2.0), ZeroKernel()],
+        ids=repr,
+    )
+    def test_exp_sum_profiles_match_closed_forms(self, kernel):
+        """phi and phi' taken from the exponential terms alone are the closed forms bit for bit:
+        alpha e^{-a r} and -a alpha e^{-a r}; at L = 2, where 1/L is exact, e^{-r} - G e^{-r/L}
+        and -e^{-r} + (G/L) e^{-r/L}; and +0.0 for the zero kernel's empty sum."""
+        r = np.linspace(0.0, 30.0, 100_001)
+        if isinstance(kernel, ExponentialKernel):
+            alpha, a = kernel.alpha, kernel.a
+            phi, dphi = alpha * np.exp(-a * r), -a * alpha * np.exp(-a * r)
+        elif isinstance(kernel, MorseKernel):
+            G, L = kernel.G, kernel.L
+            phi, dphi = np.exp(-r) - G * np.exp(-r / L), -np.exp(-r) + (G / L) * np.exp(-r / L)
+        else:
+            phi = dphi = np.zeros_like(r)
+        assert kernel.phi(r).tobytes() == phi.tobytes()
+        assert kernel.dphi(r).tobytes() == dphi.tobytes()
+
     def test_cs_evenness_joint(self, rng):
         k = CuckerSmaleKernel(2.0, 0.7)
         x, v = rng.standard_normal((5, 2)), rng.standard_normal((5, 2))

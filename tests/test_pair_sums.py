@@ -2,7 +2,7 @@
 
 Every particle-side k*m and Dk*m of query points goes through
 ``kernels._dense_pair_sum`` (a flock with itself through
-``kernels._self_pair_sum``, sorted or dense), the Cucker-Smale
+``kernels._self_pair_sum``, sorted or dense by kernel), the Cucker-Smale
 alignment acceleration through ``kernels._cs_alignment``
 (one weight matrix, one product) and the other Cucker-Smale pair sums
 through ``kernels._cs_pair_sums`` (each pair once, on pair differences,
@@ -449,6 +449,29 @@ def test_sorted_self_matches_dense(name, case):
     assert np.all(np.abs(grad - kernels._dense_pair_sum(kernel, pos, pos, w, True)) <= TOL * grad_scale)
 
 
+@pytest.mark.parametrize("n", [1, 2, 8, 24])
+@pytest.mark.parametrize("name", ["zero", "exponential", "morse"])
+def test_sorted_self_matches_dense_small_flocks(name, n, monkeypatch):
+    """Flocks far below any sorting crossover, every third atom doubled, take the sorted body through
+    _self_pair_sum and match the dense body; the zero kernel's empty sum is exact zeros and never
+    reaches the dense body."""
+    kernel, rng = RADIAL[name], np.random.default_rng(n)
+    pos = rng.uniform(-3.0, 3.0, n)
+    pos[2::3] = pos[1::3][: len(pos[2::3])]
+    w = rng.uniform(0.1, 1.0, n)
+    dense = kernels._dense_pair_sum
+    expected = [dense(kernel, pos, pos, w, gradient) for gradient in (False, True)]
+    calls = []
+    monkeypatch.setattr(kernels, "_dense_pair_sum", lambda *args: calls.append(args[0]) or dense(*args))
+    for gradient, scale, want in zip((False, True), exp_term_scales(kernel, pos, pos, w), expected):
+        got = kernels._self_pair_sum(kernel, w, gradient)(pos)
+        assert got.shape == (n,)
+        assert np.all(np.abs(got - want) <= TOL * scale)
+    assert calls == []
+    if name == "zero":
+        assert kernels._self_pair_sum(kernel, w, True)(pos).tobytes() == np.zeros(n).tobytes()
+
+
 @pytest.mark.parametrize("span", [0.5, 4.0, 32.0])
 @pytest.mark.parametrize("name", list(SORTED))
 def test_sorted_bodies_across_anchor_blocks(name, span, monkeypatch):
@@ -482,12 +505,11 @@ def test_dense_matches_d_vector_oracle(name, case):
 
 @pytest.mark.parametrize("name", ["exponential", "morse"])
 def test_sorted_path_through_public_functions(name):
-    """80 queries against 96 atoms under an exponential-sum kernel, sizes at which the self sum
-    sorts: limit_drift, eval_coupling and grad_coupling sum on the dense body and match the loop."""
+    """80 queries against 96 atoms under an exponential-sum kernel, whose self sum of that flock is
+    sorted: limit_drift, eval_coupling and grad_coupling sum on the dense body and match the loop."""
     kernel, m = RADIAL[name], ensemble(96)
     ham = QuadraticDriftHamiltonian(DriftField("sinusoidal", 0.5, 2.0))
     xq = np.append(np.random.default_rng(99).uniform(-3.0, 3.0, 79), m.positions[4])
-    assert min(len(xq), m.n) >= kernels._SORTED_MIN_ATOMS
     drift = limit_drift(ham, kernel, xq, m)
     for x, row in zip(xq, drift):
         f, f_scale, g, g_scale = oracle(kernel, x, m)
@@ -506,40 +528,42 @@ def test_dense_gradient_at_subnormal_offset_1d():
 
 
 def test_path_selection(monkeypatch):
-    """The self sum is sorted under exponential sums from _SORTED_MIN_ATOMS = 64 atoms on (the
-    measured crossover of the self body), dense otherwise; query sums are dense at any size."""
-    assert kernels._SORTED_MIN_ATOMS == 64
+    """The kernel chooses the self body: sorted under a sum of exponentials (zero, exponential,
+    Morse) at any number of atoms, dense under the repulsive-attractive and crowd kernels; query
+    sums are dense at any size."""
     calls = []
     dense = kernels._dense_pair_sum
     monkeypatch.setattr(kernels, "_dense_pair_sum", lambda *args: calls.append(args[0]) or dense(*args))
-    n = kernels._SORTED_MIN_ATOMS
-    w = np.full(n, 1.0 / n)
-    for kernel in (RADIAL["exponential"], RADIAL["morse"]):
-        kernels._self_pair_sum(kernel, w)(np.linspace(0.0, 1.0, n))
+    for n in (1, 2, 63, 64):
+        w = np.full(n, 1.0 / n)
+        for name in ("zero", "exponential", "morse"):
+            kernels._self_pair_sum(RADIAL[name], w)(np.linspace(0.0, 1.0, n))
     assert calls == []
-    morse, ra = RADIAL["morse"], RADIAL["repulsive_attractive"]
-    kernels._self_pair_sum(morse, np.full(n - 1, 1.0 / (n - 1)))(np.zeros(n - 1))
-    kernels._self_pair_sum(ra, w)(np.zeros(n))
-    kernels._measure_sum(morse, np.zeros(n), ParticleEnsemble(np.linspace(0.0, 1.0, n), w, 1), False)
-    assert calls == [morse, ra, morse]
+    morse, ra, crowd = RADIAL["morse"], RADIAL["repulsive_attractive"], RADIAL["crowd"]
+    w = np.full(2, 0.5)
+    kernels._self_pair_sum(ra, w)(np.zeros(2))
+    kernels._self_pair_sum(crowd, w)(np.zeros(2))
+    kernels._measure_sum(morse, np.zeros(2), ParticleEnsemble(np.linspace(0.0, 1.0, 2), w, 1), False)
+    assert calls == [ra, crowd, morse]
 
 
 @pytest.mark.parametrize("name", ["exponential", "morse"])
 def test_particle_solver_takes_the_self_body(name, monkeypatch):
-    """solve_aggregation_particles sums its flock with itself through the self body from
-    _SORTED_MIN_ATOMS atoms on, set up once per solve, and below through the dense body,
-    once per RK4 stage."""
+    """solve_aggregation_particles sums its flock with itself through the body the kernel chooses,
+    set up once per solve: the sorted body under an exponential sum at 2 atoms as at 64, and the
+    dense body, once per RK4 stage, under the repulsive-attractive kernel."""
     calls = []
     for body in ("_sorted_self_sum", "_dense_pair_sum"):
         wrapped = getattr(kernels, body)
         spy = lambda *args, body=body, wrapped=wrapped: calls.append(body) or wrapped(*args)
         monkeypatch.setattr(kernels, body, spy)
     ham = QuadraticDriftHamiltonian(DriftField("zero"))
-    n = kernels._SORTED_MIN_ATOMS
-    for atoms, expected in ((n, ["_sorted_self_sum"]), (n - 1, ["_dense_pair_sum"] * 8)):
+    cases = ((RADIAL[name], 64, ["_sorted_self_sum"]), (RADIAL[name], 2, ["_sorted_self_sum"]),
+             (RADIAL["repulsive_attractive"], 64, ["_dense_pair_sum"] * 8))
+    for kernel, atoms, expected in cases:
         m0 = ParticleEnsemble.equal_weights(np.linspace(-1.0, 1.0, atoms), 1)
         calls.clear()
-        solve_aggregation_particles(ham, RADIAL[name], m0, 0.02, 0.01)
+        solve_aggregation_particles(ham, kernel, m0, 0.02, 0.01)
         assert calls == expected
 
 
