@@ -10,9 +10,10 @@ variables.  The discounted energy
     Phi(m) = (1/2) sum_{p,q} w_p w_q k(x_p-x_q, v_p-v_q),
 
 is minimized by quasi-Newton descent with the exact discrete gradient
-(reverse accumulation through the kinematic recursion).  Minimizers are
-certified by the sup-norm residual of the rearranged fourth-order
-Euler-Lagrange identity.
+(reverse accumulation through the kinematic recursion).  A solve has one
+admission check, ``_preconditioner`` (the budget N K, then a scale that
+does not underflow), and one verdict, ``MinimizeResult.certified``: the
+sup-norm residual of the rearranged fourth-order Euler-Lagrange identity.
 
 One objective evaluation is one pass with no Python loop over atoms or
 intervals: node and adjoint states are running sums (``np.cumsum`` adds
@@ -154,9 +155,17 @@ def _control_weights(times: np.ndarray, lam: float) -> np.ndarray:
     return (np.exp(-lam * times[:-1]) - np.exp(-lam * times[1:])) / lam
 
 
+#: cap on the decision variables N K of one minimization
+DECISION_VARIABLE_BUDGET = 10**6
+
+
 def _preconditioner(weights: np.ndarray, lam: float, T: float, n_intervals: int) -> np.ndarray:
-    """The scale s = sqrt(w_i c_j / lam), (N, K), of the controls b = s a in which the control Hessian is the
-    identity, c_j = int e^(-lam t) dt over the K intervals of [0, T]; raises ValueError on a zero entry."""
+    """Admit a solve: ValueError if N K exceeds DECISION_VARIABLE_BUDGET, then if an entry of the scale is zero.
+    The scale s = sqrt(w_i c_j / lam), (N, K), c_j = int e^(-lam t) dt over the K intervals of [0, T], gives the
+    controls b = s a in which the control Hessian is the identity."""
+    if (nk := weights.size * n_intervals) > DECISION_VARIABLE_BUDGET:
+        raise ValueError(f"lambda = {lam:g} needs K = {n_intervals} intervals for N = {weights.size} atoms: "
+                         f"N K = {nk} exceeds the decision-variable budget of {DECISION_VARIABLE_BUDGET}")
     s = np.sqrt(weights[:, None] * _control_weights(np.linspace(0.0, T, n_intervals + 1), lam) / lam)
     if not np.all(s > 0):
         raise ValueError(f"lambda = {lam:g}, T = {T:g}: the control preconditioner sqrt(w_i c_j / lambda) has a "
@@ -217,24 +226,22 @@ def energy_gradient(
 LBFGS_GTOL = 1e-11
 #: L-BFGS-B iteration cap
 LBFGS_MAX_ITERATIONS = 500
-#: cap on the decision variables N K of one minimization
-DECISION_VARIABLE_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
 class MinimizeResult:
+    """A minimization and its one verdict, ``certified``; the L-BFGS-B counts are reported, not judged."""
+
     ensemble: TrajectoryEnsemble
     energy: EnergyBreakdown
     gradient_norm: float
-    converged: bool
     iterations: int
     el_residual: float
     function_evaluations: int  # objective (energy and gradient) evaluations by L-BFGS-B
 
     @property
     def certified(self) -> bool:
-        """The Euler-Lagrange certificate holds: el_residual is finite and at most EL_TOLERANCE.
-        ``converged`` is the optimizer's own verdict and may hold without it."""
+        """The Euler-Lagrange certificate holds: el_residual is finite and at most EL_TOLERANCE."""
         return bool(np.isfinite(self.el_residual) and self.el_residual <= EL_TOLERANCE)
 
 
@@ -251,12 +258,10 @@ def minimize_energy(
     both the start point and the comparison competitor behind the
     a priori energy bound 2 C0 M_{2,v}(m0) / lam.
     """
-    start = TrajectoryEnsemble.free_flight(m0, T, n_intervals)
-    if m0.n * n_intervals > DECISION_VARIABLE_BUDGET:
-        raise ValueError(f"decision-variable budget exceeded (N K > {DECISION_VARIABLE_BUDGET})")
+    start = TrajectoryEnsemble.free_flight(m0, T, n_intervals)  # checks T before the scale uses it
     shape = start.controls.shape
 
-    # precondition: the raw problem is conditioned like e^{lam T}, hopeless for a quasi-Newton start
+    # admit, and precondition: the raw problem is conditioned like e^{lam T}, hopeless for a quasi-Newton start
     s = _preconditioner(start.weights, lam, T, n_intervals)
 
     def objective(theta):
@@ -271,22 +276,23 @@ def minimize_energy(
         options={"gtol": LBFGS_GTOL, "ftol": 1e-16, "maxiter": LBFGS_MAX_ITERATIONS},
     )
     ens = start.with_controls(res.x.reshape(shape) / s)
-    energy = discrete_energy(ens, kernel, lam)
-    gnorm = float(np.max(np.abs(res.jac)))
-    residual = el_residual(ens, kernel, lam) if n_intervals >= 8 else np.nan
     return MinimizeResult(
         ensemble=ens,
-        energy=energy,
-        gradient_norm=gnorm,
-        converged=bool(res.success or gnorm <= 10 * LBFGS_GTOL),
+        energy=discrete_energy(ens, kernel, lam),
+        gradient_norm=float(np.max(np.abs(res.jac))),
         iterations=int(res.nit),
-        el_residual=residual,
+        el_residual=el_residual(ens, kernel, lam) if n_intervals >= 8 else np.nan,
         function_evaluations=int(res.nfev),
     )
 
 
 #: certification tolerance for el_residual
 EL_TOLERANCE = 1e-4
+
+
+def _row_intervals(lam: float, T: float, n_intervals: int) -> int:
+    """K of a solve at lam, at least n_intervals: the EL certificate degrades like (lam dt)^2, so refine with lam."""
+    return max(n_intervals, int(np.ceil(64 * lam * T)))
 
 
 def el_residual(ens: TrajectoryEnsemble, kernel: CuckerSmaleKernel, lam: float) -> float:

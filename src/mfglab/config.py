@@ -207,7 +207,7 @@ def _validate(values: dict) -> None:
         raise ConfigError(f"model.a: must be positive, got {m['a']}")
     if m["drift"] not in ("zero", "constant", "sinusoidal"):
         raise ConfigError(f"model.drift: unknown drift {m['drift']!r}")
-    for key in ("lambda", "T", "dt", "half_width"):
+    for key in ("lambda", "T", "dt", "half_width", "tolerance"):
         if s[key] <= 0:
             raise ConfigError(f"solver.{key}: must be positive, got {s[key]}")
     try:

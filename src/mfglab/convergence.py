@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .acceleration import DECISION_VARIABLE_BUDGET, EL_TOLERANCE, _preconditioner, minimize_energy
+from .acceleration import EL_TOLERANCE, _preconditioner, _row_intervals, minimize_energy
 from .aggregation import solve_aggregation_fv, solve_aggregation_particles
 from .cucker_smale import richardson_order_ratio, solve_cs
 from .errors import BoundaryLeakError, CflError, StabilityError
@@ -33,6 +33,7 @@ from .measures import (
     GridDensity,
     MeasurePath,
     ParticleEnsemble,
+    _check_w1_size,
     _csv_table,
     _w1_sorted_1d,
     moment2,
@@ -347,11 +348,6 @@ def run_lambda_sweep_classic(
     )
 
 
-def _row_intervals(lam: float, T: float, n_intervals: int) -> int:
-    """K of the acceleration row at lam: the EL certificate degrades like (lam dt)^2, so refine with lam."""
-    return max(n_intervals, int(np.ceil(64 * lam * T)))
-
-
 def _acceleration_row(
     lam: float,
     m0: ParticleEnsemble,
@@ -379,9 +375,9 @@ def _acceleration_row(
     m2v = moment2(m0, selector="velocity")
     bound = 2.0 * kernel.c0 * m2v / lam
     return {
-        "converged": bool(result.converged),
+        "converged": result.certified,  # mirrors the one verdict: the bench workload reads row["converged"]
         "certified": result.certified,
-        "flagged": bool(not (result.converged and result.certified)),
+        "flagged": not result.certified,
         "iterations": int(result.iterations),
         "lbfgs_nfev": int(result.function_evaluations),
         "gradient_norm": float(result.gradient_norm),
@@ -413,20 +409,15 @@ def run_lambda_sweep_acceleration(
     flow is integrated on those identical atoms and its step-halving
     ratio is reported as the reference's own error control.  Nothing here
     is random: seed is only recorded in the report (the CLI passes the seed
-    it drew m0 with).  Every row's decision-variable budget N K and control
-    preconditioner are checked before the reference solve.
+    it drew m0 with).  Every row's admission check (``_preconditioner``) and
+    the size of the exact phase-space W1 run before the reference solve.
     """
     if not isinstance(kernel, CuckerSmaleKernel):
         raise TypeError("the acceleration sweep takes a Cucker-Smale kernel")
     lambdas = _sweep_lambdas(lambdas)
+    _check_w1_size(m0.n)
     for lam in lambdas:
-        k_lam = _row_intervals(lam, T, n_intervals)
-        if m0.n * k_lam > DECISION_VARIABLE_BUDGET:
-            raise ValueError(
-                f"lambda = {lam:g} needs K = {k_lam} intervals for N = {m0.n} atoms: "
-                f"N K = {m0.n * k_lam} exceeds the decision-variable budget of {DECISION_VARIABLE_BUDGET}"
-            )
-        _preconditioner(m0.weights, lam, T, k_lam)
+        _preconditioner(m0.weights, lam, T, _row_intervals(lam, T, n_intervals))
     reference = solve_cs(m0, kernel, T, dt_reference, save_every=1)
     ratio = richardson_order_ratio(m0, kernel, T, dt_reference * 8)
 

@@ -305,6 +305,13 @@ def _w1_sorted_1d(xa, wa, xb, wb) -> float:
     return float(np.sum(np.abs(cdf_diff) * np.diff(xs)))
 
 
+def _check_w1_size(n: int) -> None:
+    """Refuse an exact phase-space W1 of n atoms whose (n, n) cost matrix exceeds EXACT_W1_SIZE_CAP."""
+    if n * n > EXACT_W1_SIZE_CAP:
+        raise ValueError(f"phase-space W1 of {n} atoms needs {n} * {n} costs, above EXACT_W1_SIZE_CAP = "
+                         f"{EXACT_W1_SIZE_CAP}")
+
+
 def wasserstein1_particles(a: ParticleEnsemble, b: ParticleEnsemble) -> float:
     """W1 distance between particle ensembles, exact or refused.
 
@@ -325,10 +332,7 @@ def wasserstein1_particles(a: ParticleEnsemble, b: ParticleEnsemble) -> float:
             raise ValueError(
                 f"phase-space W1 takes equal weights, not weights {m.weights.min()} to {m.weights.max()} on {n} atoms"
             )
-    if n * n > EXACT_W1_SIZE_CAP:
-        raise ValueError(
-            f"phase-space W1 of {n} atoms needs {n} * {n} costs, above EXACT_W1_SIZE_CAP = {EXACT_W1_SIZE_CAP}"
-        )
+    _check_w1_size(n)
     cost = np.linalg.norm(a.points[:, None, :] - b.points[None, :, :], axis=2)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum() / n)

@@ -65,8 +65,9 @@ class PdeConfig:
         for name in ("lam", "T", "dt", "half_width", "nu", "tolerance"):
             if not np.isfinite(getattr(self, name) or 0.0):  # nu = None selects the schedule
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        for name in ("lam", "tolerance"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         _n_steps(self.T, self.dt)
         if self.half_width <= 0 or self.n_x < 8:
             raise ValueError("invalid discretization parameters")

@@ -19,7 +19,7 @@ from mfglab import (
     solve_aggregation_particles,
     solve_mfg_fixed_point,
 )
-from mfglab import convergence
+from mfglab import acceleration, convergence
 from mfglab.measures import GridDensity
 
 
@@ -235,6 +235,22 @@ class TestSweepLambdas:
         with pytest.raises(ValueError, match="lambda = 700 needs K = 44800 intervals for N = 24 atoms"):
             run_lambda_sweep_acceleration(CuckerSmaleKernel(1.0, 0.5), m0, [10.0, 700.0])
 
+    def test_budget_message_is_the_solvers(self, no_solves, rng):
+        """The sweep and minimize_energy share one admission check, so they refuse with one message."""
+        m0 = ParticleEnsemble.equal_weights(rng.standard_normal((24, 2)), 1)
+        with pytest.raises(ValueError) as swept:
+            run_lambda_sweep_acceleration(CuckerSmaleKernel(1.0, 0.5), m0, [700.0])
+        with pytest.raises(ValueError) as solved:
+            acceleration.minimize_energy(m0, CuckerSmaleKernel(1.0, 0.5), 700.0, 1.0, 44_800)
+        assert str(swept.value) == str(solved.value)
+        assert str(solved.value).endswith("N K = 1075200 exceeds the decision-variable budget of 1000000")
+
+    def test_w1_size_checked_up_front(self, no_solves, rng):
+        """513 atoms are within the decision-variable budget at lambda = 1 and 2, but their exact
+        phase-space W1 is over EXACT_W1_SIZE_CAP: the sweep says so before the reference solve."""
+        m0 = ParticleEnsemble.equal_weights(rng.standard_normal((513, 2)), 1)
+        with pytest.raises(ValueError, match=r"phase-space W1 of 513 atoms needs 513 \* 513 costs, above EXACT_W1"):
+            run_lambda_sweep_acceleration(CuckerSmaleKernel(1.0, 0.5), m0, [1.0, 2.0])
 
     def test_underflowing_discount_checked_up_front(self, no_solves):
         """Two atoms at lambda = 800 take K = 51,200 intervals, within the budget, but the control
@@ -268,6 +284,13 @@ class TestAccelerationSweep:
         assert np.all(rep.column("energy_bound_ok") == 1.0)
         assert np.all(rep.column("certified") == 1.0)
         assert 8.0 <= rep.reference["step_halving_ratio"] <= 32.0
+
+    def test_uncertified_row_is_flagged(self, cs_flat, two_body_phase):
+        """At lambda = 80 (K = 5120) the beta = 0 two-body minimizer misses the EL certificate
+        (1.58e-3): the row's mirrored converged column, certified and flagged all read it."""
+        row = run_lambda_sweep_acceleration(cs_flat, two_body_phase, [80.0]).rows[0]
+        assert row["el_residual"] > convergence.EL_TOLERANCE
+        assert (row["converged"], row["certified"], row["flagged"]) == (False, False, True)
 
     def test_one_transport_solve_per_node_pair(self, cs_flat, two_body_phase, monkeypatch):
         """w1_at_half_T reads the W1 the window solved at T/2, matched on node indices (at

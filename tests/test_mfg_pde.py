@@ -221,6 +221,12 @@ class TestPdeConfig:
         with pytest.raises(ValueError):
             PdeConfig(lam=1.0, T=-1.0)
 
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0])
+    def test_tolerance_must_be_positive(self, tolerance):
+        """A fixed point with tolerance <= 0 could never stop before max_iterations."""
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            PdeConfig(lam=1.0, tolerance=tolerance)
+
     @pytest.mark.parametrize("name", ["lam", "T", "dt", "half_width", "nu", "tolerance"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_rejected(self, name, bad):
