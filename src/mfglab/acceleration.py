@@ -60,8 +60,8 @@ class TrajectoryEnsemble:
         for name, arr in (("x0", x0), ("v0", v0), ("controls", a), ("weights", w)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
-        if x0.ndim != 1 or v0.shape != x0.shape or a.ndim != 2 or a.shape[0] != x0.size:
-            raise ValueError("x0 and v0 must have shape (N,) and controls (N, K)")
+        if x0.ndim != 1 or v0.shape != x0.shape or a.ndim != 2 or a.shape[0] != x0.size or a.shape[1] < 1:
+            raise ValueError(f"x0 and v0 must have shape (N,) and controls (N, K) with K >= 1, got controls {a.shape}")
         if abs(w.sum() - 1.0) > MASS_TOL_PARTICLES or np.any(w < 0):
             raise ValueError("weights must be nonnegative and sum to 1")
         _positive_finite(T=self.T)

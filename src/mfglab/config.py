@@ -3,7 +3,8 @@
 One experiment is one config file with sections [model], [solver],
 [sweep], [output].  Parsing applies documented defaults, records which
 fields were defaulted, and validates everything up front with errors
-naming the exact field path (e.g. "solver.lambda").
+naming the exact field path (e.g. "solver.lambda").  The model objects
+state their own parameter rules; parsing builds them and adds the path.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .convergence import _sweep_lambdas
+from .errors import ConfigError, ParameterError
 from .hamiltonians import DriftField, QuadraticDriftHamiltonian
 from .kernels import CuckerSmaleKernel, ExponentialKernel, MorseKernel, RepulsiveAttractiveKernel, ZeroKernel
-from .measures import GridDensity, ParticleEnsemble, _n_steps
+from .measures import GridDensity, ParticleEnsemble
 from .mfg_pde import PdeConfig
 
 KERNEL_NAMES = ("zero", "exponential", "repulsive-attractive", "morse", "cucker-smale")
@@ -176,68 +178,38 @@ def parse_config(text: str) -> ExperimentDescription:
                 defaulted.append(f"{section}.{key}")
         values[section] = out
 
-    _validate(values)
-    return ExperimentDescription(
-        model=values["model"],
-        solver=values["solver"],
-        sweep=values["sweep"],
-        output=values["output"],
-        defaults_applied=tuple(defaulted),
-    )
+    desc = ExperimentDescription(**values, defaults_applied=tuple(defaulted))
+    _validate(desc)
+    return desc
 
 
-def _validate(values: dict) -> None:
-    m, s, sw = values["model"], values["solver"], values["sweep"]
+def _in_section(section: str, build, *args):
+    """build(*args), a ParameterError on parameter p made a ConfigError on section.p (lam is lambda, variant drift)."""
+    try:
+        return build(*args)
+    except ParameterError as exc:
+        key = {"lam": "lambda", "variant": "drift"}.get(exc.name, exc.name)
+        raise ConfigError(f"{section}.{key}: {exc.reason}") from exc
+
+
+def _validate(desc: ExperimentDescription) -> None:
+    """The INI layer's rules, then the model objects' own as the description builds them, then the m0 mass
+    check, which needs their validated grid and never allocates it."""
+    m, s, sw = desc.model, desc.solver, desc.sweep
     for section, spec in _SECTIONS.items():
         for key, (_, typ) in spec.items():
-            if typ is float and not np.isfinite(values[section][key]):
-                raise ConfigError(f"{section}.{key}: must be finite, got {values[section][key]}")
+            if typ is float and not np.isfinite(value := getattr(desc, section)[key]):
+                raise ConfigError(f"{section}.{key}: must be finite, got {value}")
     if m["kernel"] not in KERNEL_NAMES:
         raise ConfigError(f"model.kernel: unknown kernel {m['kernel']!r}; choose from {KERNEL_NAMES}")
-    if m["kernel"] == "morse":
-        if not 0 < m["G"] < 1:
-            raise ConfigError(f"model.G: Morse kernel requires 0 < G < 1, got {m['G']}")
-        if m["L"] <= 1:
-            raise ConfigError(f"model.L: Morse kernel requires L > 1, got {m['L']}")
-    if m["kernel"] == "cucker-smale" and m["alpha"] <= 0:
-        raise ConfigError(f"model.alpha: must be positive, got {m['alpha']}")
-    if m["kernel"] == "cucker-smale" and m["beta"] < 0:
-        raise ConfigError(f"model.beta: must be nonnegative, got {m['beta']}")
-    if m["kernel"] in ("exponential", "repulsive-attractive") and m["a"] <= 0:
-        raise ConfigError(f"model.a: must be positive, got {m['a']}")
-    if m["drift"] not in ("zero", "constant", "sinusoidal"):
-        raise ConfigError(f"model.drift: unknown drift {m['drift']!r}")
-    for key in ("lambda", "T", "dt", "half_width", "tolerance"):
-        if s[key] <= 0:
-            raise ConfigError(f"solver.{key}: must be positive, got {s[key]}")
-    try:
-        _n_steps(s["T"], s["dt"])
-    except ValueError as exc:
-        raise ConfigError(f"solver.dt: {exc}") from exc
-    if s["max_iterations"] < 1:
-        raise ConfigError(f"solver.max_iterations: must be at least 1, got {s['max_iterations']}")
     if s["nu"] != "auto":
         try:
-            nu = float(s["nu"])
+            float(s["nu"])
         except ValueError as exc:
             raise ConfigError(f"solver.nu: expected 'auto' or a number, got {s['nu']!r}") from exc
-        if not 0 <= nu < np.inf:
-            raise ConfigError(f"solver.nu: must be finite and nonnegative, got {nu}")
-    if s["n_x"] < 8:
-        raise ConfigError(f"solver.n_x: need at least 8 cells, got {s['n_x']}")
     for key in ("m0_sigma", "n_intervals", "n_atoms"):
         if s[key] <= 0:
             raise ConfigError(f"solver.{key}: must be positive, got {s[key]}")
-    hw, c = np.float64(s["half_width"]), s["m0_center"]
-    with np.errstate(all="ignore"):  # extreme values only decide whether the cells or the peak degenerate
-        dx = 2.0 * hw / s["n_x"]
-        if not np.finfo(float).tiny <= dx < np.inf:
-            raise ConfigError(f"solver.half_width: the cell width 2 half_width / n_x = {dx} must be normal and finite")
-        # build_m0_grid samples N(m0_center, m0_sigma^2) at the cell centres; the one nearest m0_center must get mass
-        nearest = -hw + (np.clip(np.floor((c + hw) / dx), 0, s["n_x"] - 1) + 0.5) * dx
-        if not np.exp(-0.5 * ((nearest - c) / s["m0_sigma"]) ** 2) > 0:
-            key = "m0_center" if abs(c) >= hw else "m0_sigma"
-            raise ConfigError(f"solver.{key}: N({c}, {s['m0_sigma']}^2) puts no mass on the cells of [-{hw}, {hw}]")
     if s["atoms_x"] or s["atoms_v"]:
         lengths = []
         for key, other in (("atoms_x", "atoms_v"), ("atoms_v", "atoms_x")):
@@ -256,14 +228,24 @@ def _validate(values: dict) -> None:
         lams = _floats(sw["lambdas"])
     except ValueError as exc:
         raise ConfigError(f"sweep.lambdas: cannot parse {sw['lambdas']!r}") from exc
-    if not all(0 < l < np.inf for l in lams):
-        raise ConfigError(f"sweep.lambdas: every lambda must be positive and finite, got {lams}")
-    if sorted(lams) != lams or len(set(lams)) != len(lams):
-        raise ConfigError(f"sweep.lambdas: must be strictly increasing, got {lams}")
     if sw["cross_particles"] < 1:
         raise ConfigError(f"sweep.cross_particles: must be positive, got {sw['cross_particles']}")
     if sw["threads"] != 1:
         raise ConfigError(f"sweep.threads: only 1 is supported (sweeps run serially), got {sw['threads']}")
+
+    _in_section("model", desc.build_kernel)
+    _in_section("model", desc.build_hamiltonian)
+    cfg = _in_section("solver", desc.build_pde_config)
+    if _in_section("sweep", _sweep_lambdas, lams) != lams:
+        raise ConfigError(f"sweep.lambdas: must be written in increasing order, got {lams}")
+
+    # build_m0_grid samples N(m0_center, m0_sigma^2) at the cell centres; the one nearest m0_center must get mass
+    hw, dx, c, sigma = np.float64(cfg.half_width), cfg.dx, s["m0_center"], s["m0_sigma"]
+    with np.errstate(all="ignore"):  # extreme values only decide whether the peak degenerates
+        nearest = -hw + (np.clip(np.floor((c + hw) / dx), 0, cfg.n_x - 1) + 0.5) * dx
+        if not np.exp(-0.5 * ((nearest - c) / sigma) ** 2) > 0:
+            key = "m0_center" if abs(c) >= hw else "m0_sigma"
+            raise ConfigError(f"solver.{key}: N({c}, {sigma}^2) puts no mass on the cells of [-{hw}, {hw}]")
 
 
 def write_config(desc: ExperimentDescription) -> str:

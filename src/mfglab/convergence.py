@@ -25,7 +25,7 @@ import numpy as np
 from .acceleration import EL_TOLERANCE, _preconditioner, _row_intervals, minimize_energy
 from .aggregation import solve_aggregation_fv, solve_aggregation_particles
 from .cucker_smale import richardson_order_ratio, solve_cs
-from .errors import BoundaryLeakError, CflError, StabilityError
+from .errors import BoundaryLeakError, CflError, ParameterError, StabilityError
 from .hamiltonians import QuadraticDriftHamiltonian, validate_hamiltonian
 from .kernels import CuckerSmaleKernel, _grid_sum, validate_coupling
 from .measures import (
@@ -33,7 +33,7 @@ from .measures import (
     GridDensity,
     MeasurePath,
     ParticleEnsemble,
-    _check_w1_size,
+    _check_exact_w1,
     _csv_table,
     _w1_sorted_1d,
     moment2,
@@ -214,9 +214,9 @@ def _sweep_lambdas(lambdas) -> list:
     lams = sorted(float(l) for l in lambdas)
     for i, lam in enumerate(lams):
         if not 0 < lam < np.inf:
-            raise ValueError(f"lambda = {lam}: every lambda must be positive and finite")
+            raise ParameterError("lambdas", f"lambda = {lam}: every lambda must be positive and finite")
         if i and lam == lams[i - 1]:
-            raise ValueError(f"lambda = {lam} appears twice: the lambdas of a sweep must be distinct")
+            raise ParameterError("lambdas", f"lambda = {lam} appears twice: the lambdas of a sweep must be distinct")
     return lams
 
 
@@ -410,12 +410,12 @@ def run_lambda_sweep_acceleration(
     ratio is reported as the reference's own error control.  Nothing here
     is random: seed is only recorded in the report (the CLI passes the seed
     it drew m0 with).  Every row's admission check (``_preconditioner``) and
-    the size of the exact phase-space W1 run before the reference solve.
+    the exact phase-space W1's (``_check_exact_w1``) run before the reference solve.
     """
     if not isinstance(kernel, CuckerSmaleKernel):
         raise TypeError("the acceleration sweep takes a Cucker-Smale kernel")
     lambdas = _sweep_lambdas(lambdas)
-    _check_w1_size(m0.n)
+    _check_exact_w1(m0)
     for lam in lambdas:
         _preconditioner(m0.weights, lam, T, _row_intervals(lam, T, n_intervals))
     reference = solve_cs(m0, kernel, T, dt_reference, save_every=1)

@@ -27,3 +27,11 @@ class BoundaryLeakError(RuntimeError):
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message carries the field path."""
+
+
+class ParameterError(ValueError):
+    """A model object's parameter ``name`` breaks its rule; ``reason`` is the message less a leading name."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name, self.reason = name, message.removeprefix(f"{name} ")

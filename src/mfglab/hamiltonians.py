@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParameterError
 from .kernels import VALIDATOR_BUDGET, VALIDATOR_SPAN
+from .measures import _finite
 
 
 @dataclass(frozen=True)
@@ -28,7 +30,8 @@ class DriftField:
 
     def __post_init__(self):
         if self.variant not in ("zero", "constant", "sinusoidal"):
-            raise ValueError(f"unknown drift variant {self.variant!r}")
+            raise ParameterError("variant", f"unknown drift variant {self.variant!r}")
+        _finite(amplitude=self.amplitude, frequency=self.frequency)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

@@ -55,8 +55,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.sparse import csc_array
 
-from .errors import DimensionError
-from .measures import GridDensity, ParticleEnsemble, _freeze, _line_points
+from .errors import DimensionError, ParameterError
+from .measures import GridDensity, ParticleEnsemble, _finite, _freeze, _line_points, _positive_finite
 
 
 def _radial_value(kernel, x):
@@ -92,8 +92,8 @@ class ExponentialKernel:
     a: float = 1.0
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("a must be positive")
+        _finite(alpha=self.alpha)
+        _positive_finite(a=self.a)
 
     @property
     def _exp_terms(self):
@@ -113,8 +113,7 @@ class RepulsiveAttractiveKernel:
     a: float = 1.0
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("a must be positive")
+        _positive_finite(a=self.a)
 
     def phi(self, r):
         r = np.asarray(r, dtype=float)
@@ -137,9 +136,9 @@ class MorseKernel:
 
     def __post_init__(self):
         if not 0 < self.G < 1:
-            raise ValueError("Morse kernel requires 0 < G < 1")
-        if self.L <= 1:
-            raise ValueError("Morse kernel requires L > 1")
+            raise ParameterError("G", f"Morse kernel requires 0 < G < 1, got {self.G}")
+        if not 1 < self.L < np.inf:
+            raise ParameterError("L", f"Morse kernel requires a finite L > 1, got {self.L}")
 
     @property
     def _exp_terms(self):
@@ -211,10 +210,9 @@ class CuckerSmaleKernel:
     beta: float = 0.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+        _positive_finite(alpha=self.alpha)
+        if not 0 <= self.beta < np.inf:
+            raise ParameterError("beta", f"beta must be nonnegative and finite, got {self.beta}")
 
     def g(self, x):
         return self._g_of_q(self.alpha + np.asarray(x, dtype=float) ** 2)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import DimensionError, GridError
+from .errors import DimensionError, GridError, ParameterError
 
 MASS_TOL_GRID = 1e-10
 MASS_TOL_PARTICLES = 1e-12
@@ -126,11 +126,7 @@ class GridDensity:
         return np.cumsum(self.values) * self.dx
 
     def same_grid(self, other: "GridDensity") -> bool:
-        return (
-            self.n == other.n
-            and abs(self.dx - other.dx) < 1e-14 * self.dx
-            and abs(self.origin - other.origin) < 1e-12 * max(1.0, abs(self.origin))
-        )
+        return _on_grid(other, self.origin, self.dx, self.n)
 
     def to_csv(self) -> str:
         return _csv_table(["x", "value"], zip(self.cell_centers.tolist(), self.values.tolist()))
@@ -232,18 +228,30 @@ class MeasurePath:
         return self.measures[int(np.argmin(np.abs(self.times - t)))]
 
 
+def _on_grid(m: GridDensity, origin: float, dx: float, n: int) -> bool:
+    """Whether m has the n cells of width dx from origin, up to 1e-14 dx and 1e-12 max(1, |origin|) of that grid."""
+    return m.n == n and abs(m.dx - dx) < 1e-14 * dx and abs(m.origin - origin) < 1e-12 * max(1.0, abs(origin))
+
+
+def _finite(**values) -> None:
+    """Raises ParameterError naming the first keyword value that is not finite."""
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise ParameterError(name, f"{name} must be finite, got {value}")
+
+
 def _positive_finite(**values) -> None:
-    """Raises ValueError naming the first keyword value that is not positive and finite."""
+    """Raises ParameterError naming the first keyword value that is not positive and finite."""
     for name, value in values.items():
         if not 0 < value < np.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+            raise ParameterError(name, f"{name} must be positive and finite, got {value}")
 
 
 def _n_steps(T: float, dt: float) -> int:
     """The clock of every time march: round(T / dt) steps of dt, node j at time j * dt; bad T or dt raise ValueError."""
     _positive_finite(T=T, dt=dt)
     if not 0.5 < T / dt < np.inf:  # round() takes 0.5 to 0 steps
-        raise ValueError(f"T / dt must round to at least one step and stay finite, got T = {T}, dt = {dt}")
+        raise ParameterError("dt", f"T / dt must round to at least one step and stay finite, got T = {T}, dt = {dt}")
     return round(T / dt)
 
 
@@ -305,8 +313,11 @@ def _w1_sorted_1d(xa, wa, xb, wb) -> float:
     return float(np.sum(np.abs(cdf_diff) * np.diff(xs)))
 
 
-def _check_w1_size(n: int) -> None:
-    """Refuse an exact phase-space W1 of n atoms whose (n, n) cost matrix exceeds EXACT_W1_SIZE_CAP."""
+def _check_exact_w1(m: ParticleEnsemble) -> None:
+    """Admit flock m to the exact phase-space W1: equal weights, and an (n, n) cost matrix within EXACT_W1_SIZE_CAP."""
+    w, n = m.weights, m.n
+    if np.any(w != w[0]):
+        raise ValueError(f"phase-space W1 takes equal weights, not weights {w.min()} to {w.max()} on {n} atoms")
     if n * n > EXACT_W1_SIZE_CAP:
         raise ValueError(f"phase-space W1 of {n} atoms needs {n} * {n} costs, above EXACT_W1_SIZE_CAP = "
                          f"{EXACT_W1_SIZE_CAP}")
@@ -328,11 +339,7 @@ def wasserstein1_particles(a: ParticleEnsemble, b: ParticleEnsemble) -> float:
     if b.n != n:
         raise ValueError(f"phase-space W1 compares flocks of one size, not {n} and {b.n} atoms")
     for m in (a, b):
-        if np.any(m.weights != m.weights[0]):
-            raise ValueError(
-                f"phase-space W1 takes equal weights, not weights {m.weights.min()} to {m.weights.max()} on {n} atoms"
-            )
-    _check_w1_size(n)
+        _check_exact_w1(m)
     cost = np.linalg.norm(a.points[:, None, :] - b.points[None, :, :], axis=2)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum() / n)

@@ -40,10 +40,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .errors import BoundaryLeakError, CflError, GridError, StabilityError
+from .errors import BoundaryLeakError, CflError, GridError, ParameterError, StabilityError
 from .hamiltonians import QuadraticDriftHamiltonian
 from .kernels import CuckerSmaleKernel, _grid_sum
-from .measures import GridDensity, _check_densities, _n_steps
+from .measures import GridDensity, _check_densities, _finite, _n_steps, _on_grid
 
 BOUNDARY_MASS_TOL = 1e-7
 
@@ -62,19 +62,21 @@ class PdeConfig:
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        for name in ("lam", "T", "dt", "half_width", "nu", "tolerance"):
-            if not np.isfinite(getattr(self, name) or 0.0):  # nu = None selects the schedule
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        for name in ("lam", "tolerance"):
+        nu = 0.0 if self.nu is None else self.nu  # None selects the schedule
+        _finite(lam=self.lam, T=self.T, dt=self.dt, half_width=self.half_width, nu=nu, tolerance=self.tolerance)
+        for name in ("lam", "tolerance", "half_width"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+                raise ParameterError(name, f"{name} must be positive, got {getattr(self, name)}")
         _n_steps(self.T, self.dt)
-        if self.half_width <= 0 or self.n_x < 8:
-            raise ValueError("invalid discretization parameters")
-        if self.nu is not None and self.nu < 0:
-            raise ValueError("nu must be nonnegative")
+        if self.n_x < 8:
+            raise ParameterError("n_x", f"n_x must be at least 8 cells, got {self.n_x}")
+        dx = 2.0 * float(self.half_width) / self.n_x  # self.dx in Python floats, which overflow to inf quietly
+        if not np.finfo(float).tiny <= dx < np.inf:
+            raise ParameterError("half_width", f"the cell width 2 half_width / n_x = {dx} must be normal and finite")
+        if nu < 0:
+            raise ParameterError("nu", f"nu must be nonnegative, got {nu}")
         if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+            raise ParameterError("max_iterations", f"max_iterations must be at least 1, got {self.max_iterations}")
 
     @property
     def viscosity(self) -> float:
@@ -141,8 +143,7 @@ def coupling_on_grid(kernel, m: GridDensity | np.ndarray, x: np.ndarray) -> np.n
 
 
 def _grid_values(cfg: PdeConfig, m, what: str) -> np.ndarray:
-    on_grid = isinstance(m, GridDensity) and m.n == cfg.n_x and abs(m.dx - cfg.dx) < 1e-14 * cfg.dx
-    if not (on_grid and abs(m.origin + cfg.half_width) < 1e-12 * max(1.0, cfg.half_width)):
+    if not (isinstance(m, GridDensity) and _on_grid(m, -cfg.half_width, cfg.dx, cfg.n_x)):
         raise GridError(f"{what} is not on the config's grid of {cfg.n_x} cells over +-{cfg.half_width}")
     return m.values
 

@@ -132,6 +132,14 @@ class TestTrajectoryEnsemble:
         with pytest.raises(ValueError, match="T must be positive and finite"):
             minimize_energy(two_body_phase, cs_flat, 10.0, T, 16)
 
+    def test_empty_control_grid_rejected(self, two_body_phase, cs_flat):
+        """K = 0 intervals would make dt = T / 0: the ensemble refuses it by name instead."""
+        message = r"controls \(N, K\) with K >= 1, got controls \(2, 0\)"
+        with pytest.raises(ValueError, match=message):
+            TrajectoryEnsemble(np.zeros(2), np.zeros(2), np.zeros((2, 0)), 1.0, np.full(2, 0.5))
+        with pytest.raises(ValueError, match=message):
+            minimize_energy(two_body_phase, cs_flat, 10.0, 1.0, 0)
+
     def test_csv_has_full_state(self, two_body_phase):
         text = TrajectoryEnsemble.free_flight(two_body_phase, 1.0, 4).to_csv()
         assert text.splitlines()[0] == "trajectory,t,x1,v1,a1"

@@ -1,14 +1,29 @@
 import json
+import re
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from mfglab import ConfigError, ExponentialKernel, MorseKernel, parse_config, write_config
+from mfglab import (
+    ConfigError,
+    CuckerSmaleKernel,
+    DriftField,
+    ExponentialKernel,
+    MorseKernel,
+    ParticleEnsemble,
+    PdeConfig,
+    RepulsiveAttractiveKernel,
+    parse_config,
+    run_lambda_sweep_acceleration,
+    write_config,
+)
 from mfglab.cli import main
 from mfglab.config import KERNEL_NAMES
 from mfglab.convergence import EL_TOLERANCE
+from mfglab.errors import ParameterError
 
 
 MINIMAL = "[model]\nkernel = exponential\n"
@@ -173,6 +188,71 @@ class TestParseConfig:
         assert parse_config(write_config(desc)) == desc
         with pytest.raises(ConfigError, match="^sweep.threads: "):
             parse_config("[sweep]\nthreads = 2\n")
+
+
+NAN, INF = float("nan"), float("inf")
+FLOCK = ParticleEnsemble.equal_weights(np.array([[0.0, 1.0], [0.0, -1.0]]), 1)
+
+#: (API call, the parameter it names, the same value in a config, the field path it names)
+RULES = [
+    # accepted by the constructors before they checked finiteness
+    (partial(ExponentialKernel, a=NAN), "a", "[model]\nkernel = exponential\na = nan\n", "model.a"),
+    (partial(CuckerSmaleKernel, alpha=NAN), "alpha", "[model]\nkernel = cucker-smale\nalpha = nan\n",
+     "model.alpha"),
+    (partial(CuckerSmaleKernel, beta=INF), "beta", "[model]\nkernel = cucker-smale\nbeta = inf\n",
+     "model.beta"),
+    (partial(MorseKernel, L=INF), "L", "[model]\nkernel = morse\nL = inf\n", "model.L"),
+    (partial(RepulsiveAttractiveKernel, a=INF), "a", "[model]\nkernel = repulsive-attractive\na = inf\n",
+     "model.a"),
+    (partial(DriftField, "constant", amplitude=NAN), "amplitude",
+     "[model]\ndrift = constant\ndrift_amplitude = nan\n", "model.drift_amplitude"),
+    # accepted by PdeConfig with a cell width of 0 and of inf
+    (partial(PdeConfig, lam=1.0, half_width=5e-324), "half_width", "[solver]\nhalf_width = 5e-324\n",
+     "solver.half_width"),
+    (partial(PdeConfig, lam=1.0, half_width=1e308), "half_width", "[solver]\nhalf_width = 1e308\n",
+     "solver.half_width"),
+    # the ranges both sides checked already
+    (partial(ExponentialKernel, alpha=INF), "alpha", "[model]\nkernel = exponential\nalpha = inf\n", "model.alpha"),
+    (partial(ExponentialKernel, a=0.0), "a", "[model]\nkernel = exponential\na = 0\n", "model.a"),
+    (partial(RepulsiveAttractiveKernel, a=-1.0), "a", "[model]\nkernel = repulsive-attractive\na = -1\n", "model.a"),
+    (partial(MorseKernel, G=1.5), "G", "[model]\nkernel = morse\nG = 1.5\n", "model.G"),
+    (partial(MorseKernel, L=0.5), "L", "[model]\nkernel = morse\nL = 0.5\n", "model.L"),
+    (partial(CuckerSmaleKernel, alpha=0.0), "alpha", "[model]\nkernel = cucker-smale\nalpha = 0\n", "model.alpha"),
+    (partial(CuckerSmaleKernel, beta=-1.0), "beta", "[model]\nkernel = cucker-smale\nbeta = -1\n", "model.beta"),
+    (partial(DriftField, "quadratic"), "variant", "[model]\ndrift = quadratic\n", "model.drift"),
+    (partial(DriftField, "sinusoidal", frequency=INF), "frequency",
+     "[model]\ndrift = sinusoidal\ndrift_frequency = inf\n", "model.drift_frequency"),
+    (partial(PdeConfig, lam=-1.0), "lam", "[solver]\nlambda = -1\n", "solver.lambda"),
+    (partial(PdeConfig, lam=NAN), "lam", "[solver]\nlambda = nan\n", "solver.lambda"),
+    (partial(PdeConfig, lam=1.0, T=0.0), "T", "[solver]\nT = 0\n", "solver.T"),
+    (partial(PdeConfig, lam=1.0, dt=-0.01), "dt", "[solver]\ndt = -0.01\n", "solver.dt"),
+    (partial(PdeConfig, lam=1.0, T=1e-9, dt=0.01), "dt", "[solver]\nT = 1e-9\ndt = 0.01\n", "solver.dt"),
+    (partial(PdeConfig, lam=1.0, half_width=-1.0), "half_width", "[solver]\nhalf_width = -1\n", "solver.half_width"),
+    (partial(PdeConfig, lam=1.0, n_x=4), "n_x", "[solver]\nn_x = 4\n", "solver.n_x"),
+    (partial(PdeConfig, lam=1.0, nu=-0.5), "nu", "[solver]\nnu = -0.5\n", "solver.nu"),
+    (partial(PdeConfig, lam=1.0, nu=NAN), "nu", "[solver]\nnu = nan\n", "solver.nu"),
+    (partial(PdeConfig, lam=1.0, max_iterations=0), "max_iterations", "[solver]\nmax_iterations = 0\n",
+     "solver.max_iterations"),
+    (partial(PdeConfig, lam=1.0, tolerance=0.0), "tolerance", "[solver]\ntolerance = 0\n", "solver.tolerance"),
+    (partial(run_lambda_sweep_acceleration, CuckerSmaleKernel(), FLOCK, [5.0, INF]), "lambdas",
+     "[sweep]\nlambdas = 5, inf\n", "sweep.lambdas"),
+    (partial(run_lambda_sweep_acceleration, CuckerSmaleKernel(), FLOCK, [5.0, 5.0]), "lambdas",
+     "[sweep]\nlambdas = 5, 5\n", "sweep.lambdas"),
+]
+
+
+@pytest.mark.parametrize("api, name, text, path", RULES, ids=[path for *_, path in RULES])
+def test_api_and_config_agree(api, name, text, path):
+    """Each model object states its rules once: a bad value raises ParameterError naming the parameter
+    through the API, and ConfigError on its field path through a config.  A rule the INI layer checks
+    first (a non-finite float) gives its own reason; every other gives the object's."""
+    with pytest.raises(ParameterError) as raised:
+        api()
+    assert raised.value.name == name
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}: ") as parsed:
+        parse_config(text)
+    ini_reason = f"must be finite, got {text.split()[-1]}"  # the INI layer's own rule for every float field
+    assert str(parsed.value) in (f"{path}: {raised.value.reason}", f"{path}: {ini_reason}")
 
 
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)

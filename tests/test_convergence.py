@@ -252,6 +252,16 @@ class TestSweepLambdas:
         with pytest.raises(ValueError, match=r"phase-space W1 of 513 atoms needs 513 \* 513 costs, above EXACT_W1"):
             run_lambda_sweep_acceleration(CuckerSmaleKernel(1.0, 0.5), m0, [1.0, 2.0])
 
+    def test_w1_weights_checked_up_front(self, no_solves, monkeypatch):
+        """A flock of weights 0.25 and 0.75 has no exact phase-space W1: the sweep says so with
+        wasserstein1_particles' message before the reference solve_cs runs."""
+        calls = []
+        monkeypatch.setattr(convergence, "solve_cs", lambda *args, **kwargs: calls.append(args))
+        m0 = ParticleEnsemble(np.array([[0.0, 1.0], [1.0, -1.0]]), [0.25, 0.75], 1)
+        with pytest.raises(ValueError, match="phase-space W1 takes equal weights, not weights 0.25 to 0.75 on 2 atoms"):
+            run_lambda_sweep_acceleration(CuckerSmaleKernel(1.0, 0.5), m0, [10.0, 40.0])
+        assert calls == []
+
     def test_underflowing_discount_checked_up_front(self, no_solves):
         """Two atoms at lambda = 800 take K = 51,200 intervals, within the budget, but the control
         weights underflow: the sweep names lambda and T before the reference or the lambda = 10 row."""
