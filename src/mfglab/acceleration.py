@@ -9,8 +9,11 @@ variables.  The discounted energy
         + int e^{-lam t} Phi(m(t)) dt,
     Phi(m) = (1/2) sum_{p,q} w_p w_q k(x_p-x_q, v_p-v_q),
 
-is minimized by quasi-Newton descent with the exact discrete gradient
-(reverse accumulation through the kinematic recursion).  A solve has one
+is discretized with exact control weights and product-trapezoid
+interaction weights (``measures._exp_trapezoid_weights``), and minimized
+by an Anderson fixed point in the preconditioned controls on the exact
+discrete gradient (reverse accumulation through the kinematic
+recursion).  A solve has one
 admission check, ``_preconditioner`` (the budget N K, then a scale that
 does not underflow), and one verdict, ``MinimizeResult.certified``: the
 sup-norm residual of the rearranged fourth-order Euler-Lagrange identity.
@@ -35,10 +38,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .kernels import CuckerSmaleKernel, _cs_pair_energy, _cs_pair_pass, _flock
-from .measures import MASS_TOL_PARTICLES, ParticleEnsemble, _csv_table, _freeze, _positive_finite
+from .measures import MASS_TOL_PARTICLES, ParticleEnsemble, _csv_table, _exp_trapezoid_weights, _freeze, _positive_finite
 
 
 @dataclass(frozen=True)
@@ -142,14 +144,6 @@ class EnergyBreakdown:
         return self.control + self.interaction
 
 
-def _quadrature_weights(times: np.ndarray, lam: float) -> np.ndarray:
-    """Trapezoid weights for int e^(-lam t) f(t) dt on the nodes."""
-    dt = times[1] - times[0]
-    c = np.full(times.size, dt)
-    c[0] = c[-1] = 0.5 * dt
-    return c * np.exp(-lam * times)
-
-
 def _control_weights(times: np.ndarray, lam: float) -> np.ndarray:
     """Exact per-interval integral of e^(-lam t) dt."""
     return (np.exp(-lam * times[:-1]) - np.exp(-lam * times[1:])) / lam
@@ -175,15 +169,15 @@ def _preconditioner(weights: np.ndarray, lam: float, T: float, n_intervals: int)
 
 
 def _energy(ens: TrajectoryEnsemble, lam: float, pairs: np.ndarray) -> EnergyBreakdown:
-    """Exact control quadrature plus the trapezoid rule over the node pair sums sum_pq w_p w_q k, (K+1,)."""
+    """Exact control quadrature plus the product trapezoid over the node pair sums sum_pq w_p w_q k, (K+1,)."""
     times = ens.times
     cw = _control_weights(times, lam)
     control = float(np.sum(ens.weights[:, None] * ens.controls**2 * cw[None, :]) / (2.0 * lam))
-    return EnergyBreakdown(control=control, interaction=float(_quadrature_weights(times, lam) @ (0.5 * pairs)))
+    return EnergyBreakdown(control=control, interaction=float(_exp_trapezoid_weights(times, lam) @ (0.5 * pairs)))
 
 
 def discrete_energy(ens: TrajectoryEnsemble, kernel: CuckerSmaleKernel, lam: float) -> EnergyBreakdown:
-    """Discounted energy of the ensemble (exact control quadrature, trapezoid coupling); the
+    """Discounted energy of the ensemble (exact control quadrature, product-trapezoid coupling); the
     node pair sums apply ``kernel.value`` to the pair offsets (``kernels._cs_pair_energy``)."""
     return _energy(ens, lam, _cs_pair_energy(kernel, ens.positions, ens.velocities, ens.weights))
 
@@ -204,7 +198,7 @@ def energy_gradient(
     dt = ens.dt
     x, v, w = ens.positions, ens.velocities, ens.weights
     pairs, gx, gv = _cs_pair_pass(kernel, x, v, w)
-    qw = _quadrature_weights(ens.times, lam)
+    qw = _exp_trapezoid_weights(ens.times, lam)
     cw = _control_weights(ens.times, lam)
     for g in (gx, gv):  # the pass's own arrays, weighted in place: w g qw
         g *= w[:, None]
@@ -222,22 +216,23 @@ def energy_gradient(
     return _energy(ens, lam, pairs), grad
 
 
-#: L-BFGS-B tolerance on the largest projected gradient entry
-LBFGS_GTOL = 1e-11
-#: L-BFGS-B iteration cap
-LBFGS_MAX_ITERATIONS = 500
+#: the fixed point stops once its control step, max_{t <= T/2} |f/s| / (1 + max|a|), is at most this
+CONTROL_STEP_TOLERANCE = 1e-10
+#: cap on the objective evaluations of one minimization; at the cap the best iterate is returned
+MAX_OBJECTIVE_EVALUATIONS = 40
 
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """A minimization and its one verdict, ``certified``; the L-BFGS-B counts are reported, not judged."""
+    """A minimization and its one verdict, ``certified``; the fixed-point counts and the final control
+    step are reported, not judged."""
 
     ensemble: TrajectoryEnsemble
     energy: EnergyBreakdown
-    gradient_norm: float
-    iterations: int
+    control_step: float  # max_{t <= T/2} |f/s| / (1 + max|a|) at the returned iterate
+    iterations: int  # fixed-point steps
     el_residual: float
-    function_evaluations: int  # objective (energy and gradient) evaluations by L-BFGS-B
+    function_evaluations: int  # objective (energy and gradient) evaluations
 
     @property
     def certified(self) -> bool:
@@ -252,37 +247,57 @@ def minimize_energy(
     T: float,
     n_intervals: int,
 ) -> MinimizeResult:
-    """Quasi-Newton minimization of the discounted energy from free flight.
+    """Minimize the discounted energy by a fixed point in the preconditioned controls b = s a.
 
-    Free flight is the exact minimizer of the control term, so it is
-    both the start point and the comparison competitor behind the
-    a priori energy bound 2 C0 M_{2,v}(m0) / lam.
+    In b the control Hessian is the identity, so b -> b - grad_b J is a contraction (ratio about
+    5/lam from lam = 20 on).  The scheme is that of ``mfg_pde.solve_mfg_fixed_point``: Anderson type
+    II at depth 1, b+ = g - gamma (g - g_prev) with g = b + f, f = -grad_b J, gamma = argmin |f -
+    gamma (f - f_prev)|; a rising control step takes the half step b + f/2 instead and drops the
+    history.  It starts from free flight, the exact minimizer of the control term and the competitor
+    behind the a priori energy bound 2 C0 M_{2,v}(m0) / lam, and stops once the control step
+    max_{t <= T/2} |f/s| / (1 + max|a|) is at most CONTROL_STEP_TOLERANCE, or after
+    MAX_OBJECTIVE_EVALUATIONS evaluations with the iterate of the smallest step.  The step is a
+    stop rule, not a verdict: ``el_residual`` runs once, on the returned iterate.
     """
     start = TrajectoryEnsemble.free_flight(m0, T, n_intervals)  # checks T before the scale uses it
-    shape = start.controls.shape
-
-    # admit, and precondition: the raw problem is conditioned like e^{lam T}, hopeless for a quasi-Newton start
+    # admit, and precondition: the raw problem is conditioned like e^{lam T}, hopeless for a fixed point
     s = _preconditioner(start.weights, lam, T, n_intervals)
+    window = 0.5 * (start.times[:-1] + start.times[1:]) <= 0.5 * T  # interval midpoints, as el_residual
 
-    def objective(theta):
-        e, g = energy_gradient(start.with_controls(theta.reshape(shape) / s), kernel, lam)
-        return e.total, (g / s).ravel()
+    def control_step(b):
+        """f = -grad_b J at b, and the size of the control step it makes."""
+        a = b / s
+        f = energy_gradient(start.with_controls(a), kernel, lam)[1]
+        f /= -s
+        return f, float(np.max(np.abs(f[:, window] / s[:, window])) / (1.0 + np.max(np.abs(a))))
 
-    res = minimize(
-        objective,
-        np.zeros(s.size),
-        jac=True,
-        method="L-BFGS-B",
-        options={"gtol": LBFGS_GTOL, "ftol": 1e-16, "maxiter": LBFGS_MAX_ITERATIONS},
-    )
-    ens = start.with_controls(res.x.reshape(shape) / s)
+    b = np.zeros(s.shape)
+    f, step = control_step(b)
+    best, evaluations, previous, g_prev, f_prev = (step, b), 1, np.inf, None, None
+    while step > CONTROL_STEP_TOLERANCE and evaluations < MAX_OBJECTIVE_EVALUATIONS:
+        g = b + f
+        if step > previous:
+            b, g_prev = b + 0.5 * f, None  # the safeguard: a half step, and no history
+        elif g_prev is None:
+            b, g_prev = g, g  # no history: a plain step
+        else:
+            df = f - f_prev
+            gamma = np.vdot(f, df) / (np.vdot(df, df) or 1.0)
+            b, g_prev = g - gamma * (g - g_prev), g
+        f_prev, previous = f, step
+        f, step = control_step(b)
+        evaluations += 1
+        if step < best[0]:
+            best = (step, b)
+    step, b = best
+    ens = start.with_controls(b / s)
     return MinimizeResult(
         ensemble=ens,
         energy=discrete_energy(ens, kernel, lam),
-        gradient_norm=float(np.max(np.abs(res.jac))),
-        iterations=int(res.nit),
+        control_step=step,
+        iterations=evaluations - 1,
         el_residual=el_residual(ens, kernel, lam) if n_intervals >= 8 else np.nan,
-        function_evaluations=int(res.nfev),
+        function_evaluations=evaluations,
     )
 
 
@@ -290,9 +305,21 @@ def minimize_energy(
 EL_TOLERANCE = 1e-4
 
 
+#: K of a sweep row is a multiple of this, so that every diagnostic window time (the multiples of T/8 up to
+#: 3T/4, ``convergence._window_times``) and T/2 are nodes
+_NODE_MULTIPLE = 8
+
+
 def _row_intervals(lam: float, T: float, n_intervals: int) -> int:
-    """K of a solve at lam, at least n_intervals: the EL certificate degrades like (lam dt)^2, so refine with lam."""
-    return max(n_intervals, int(np.ceil(64 * lam * T)))
+    """K of a solve at lam: max(n_intervals, 70 T sqrt(lam) rounded up to a multiple of _NODE_MULTIPLE).
+
+    The exact control weights and the product-trapezoid interaction weights leave the discrete
+    minimizer off the Euler-Lagrange identity by EL ~ 0.13 lam dt^2 = 0.13 lam T^2 / K^2 (measured
+    0.12-0.14 on the 24-atom flock of the accel-sweep benchmark, lam = 10 to 640).  Asking for EL at
+    most 2.65e-5, below EL_TOLERANCE / 3, gives K >= T sqrt(0.13 lam / 2.65e-5) = 70 T sqrt(lam):
+    224, 320, 448 and 632 intervals at lam = 10, 20, 40 and 80, T = 1.
+    """
+    return max(n_intervals, _NODE_MULTIPLE * int(np.ceil(70.0 * T * np.sqrt(lam) / _NODE_MULTIPLE)))
 
 
 def el_residual(ens: TrajectoryEnsemble, kernel: CuckerSmaleKernel, lam: float) -> float:

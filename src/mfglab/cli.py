@@ -97,7 +97,7 @@ def _cmd_solve_accel(desc, out, seed):
         n_intervals=n_intervals,
         certified=result.certified,
         iterations=result.iterations,
-        gradient_norm=result.gradient_norm,
+        control_step=result.control_step,
         el_residual=result.el_residual,
         energy={"control": result.energy.control, "interaction": result.energy.interaction, "total": result.energy.total},
     )

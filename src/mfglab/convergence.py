@@ -379,8 +379,8 @@ def _acceleration_row(
         "certified": result.certified,
         "flagged": not result.certified,
         "iterations": int(result.iterations),
-        "lbfgs_nfev": int(result.function_evaluations),
-        "gradient_norm": float(result.gradient_norm),
+        "objective_evaluations": int(result.function_evaluations),
+        "control_step": float(result.control_step),
         "el_residual": float(result.el_residual),
         "energy_total": float(result.energy.total),
         "energy_control": float(result.energy.control),

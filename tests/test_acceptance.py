@@ -39,7 +39,8 @@ from mfglab import (
     solve_cs,
     solve_mfg_fixed_point,
 )
-from mfglab.acceleration import _control_weights, _quadrature_weights
+from mfglab.acceleration import _control_weights
+from mfglab.measures import _exp_trapezoid_weights
 from mfglab.convergence import sample_grid_to_atoms, w1_grid_vs_particles
 from mfglab.kernels import CrowdRadialKernel
 from mfglab.measures import wasserstein1_particles
@@ -69,7 +70,7 @@ def classic_sweep():
 @pytest.fixture(scope="module")
 def accel_sweep():
     return run_lambda_sweep_acceleration(
-        CS_FLAT, two_body(), [10.0, 20.0, 40.0], T=1.0, n_intervals=128, seed=0
+        CS_FLAT, two_body(), [10.0, 20.0, 40.0, 80.0], T=1.0, n_intervals=128, seed=0
     )
 
 
@@ -249,14 +250,14 @@ def linear_quadratic_discrete_velocity(lam, T, K):
     without helping, so the minimizer has mean control 0 and every atom's controls are u0_i psi,
     its centred velocities u0_i y with y = 1 + dt cumsum(psi), y_0 = 1.  Each atom then minimizes
     w_i u0_i^2 f(psi), f = sum_j cw_j psi_j^2 / (2 lam) + sum_j qw_j y_j^2 (exact control
-    weights, trapezoid weights), a K-dimensional linear least-squares problem.  In y_1..y_K,
+    weights, product-trapezoid weights), a K-dimensional linear least-squares problem.  In y_1..y_K,
     with c_j = cw_j / (2 lam dt^2), f = sum_j c_j (y_{j+1} - y_j)^2 + qw_j y_j^2: its normal
     equations are symmetric, tridiagonal and diagonally dominant (the scalar backward Riccati
     recursion), solved here by banded Cholesky in O(K).
     """
     times = np.linspace(0.0, T, K + 1)
     c = _control_weights(times, lam) / (2.0 * lam * (T / K) ** 2)
-    qw = _quadrature_weights(times, lam)
+    qw = _exp_trapezoid_weights(times, lam)
     bands = np.zeros((2, K))
     bands[0, 1:] = -c[1:]
     bands[1] = qw[1:] + c + np.append(c[1:], 0.0)
@@ -272,7 +273,7 @@ def test_linear_quadratic_discrete_oracle_is_least_squares():
     lam, T, K = 10.0, 1.0, 640
     times = np.linspace(0.0, T, K + 1)
     s = np.sqrt(_control_weights(times, lam) / lam)
-    rows = np.sqrt(_quadrature_weights(times, lam)[1:])
+    rows = np.sqrt(_exp_trapezoid_weights(times, lam)[1:])
     cumsum = (T / K) * np.tril(np.ones((K, K))) / s  # y_1..y_K - 1 = cumsum @ b
     system = np.vstack([np.eye(K) / np.sqrt(2.0), rows[:, None] * cumsum])
     b = np.linalg.lstsq(system, np.concatenate([np.zeros(K), -rows]), rcond=None)[0]
@@ -288,10 +289,11 @@ def linear_quadratic_flock(lam):
     return ens, ens.v0 - ens.weights @ ens.v0, ens.velocities - ens.weights @ ens.velocities
 
 
-@pytest.mark.parametrize("lam", [10.0, 20.0, 40.0])
+@pytest.mark.parametrize("lam", [10.0, 20.0, 40.0, 80.0])
 def test_linear_quadratic_flock_oracle(lam):
-    # at K = 64 lam the discretization error is O((lam dt)^2) with lam dt = 1/64: measured
-    # 7.8e-6, 7.6e-6 and 8.6e-6 on t <= T/2 at lam = 10, 20, 40 (1.9e-6 at K = 128 lam)
+    # at K = 64 lam the product-trapezoid discretization error on t <= T/2 measured 1.3e-6,
+    # 6.9e-7, 3.6e-7 and 1.8e-7 at lam = 10, 20, 40, 80 (7.8e-6, 7.6e-6 and 8.6e-6 at lam = 10,
+    # 20, 40 under the trapezoid weights); one pin for all four
     ens, u0, u = linear_quadratic_flock(lam)
     keep = ens.times <= 0.5 * ens.T
     exact = linear_quadratic_velocity(u0[:, None], lam, ens.T, ens.times[None, keep])
@@ -304,11 +306,11 @@ def lam_gap_at_half_T(u_half, u0, lam):
     return lam * (u_half - u0 * np.exp(-1.0)) / u0
 
 
-@pytest.mark.parametrize("lam", [10.0, 20.0, 40.0])
+@pytest.mark.parametrize("lam", [10.0, 20.0, 40.0, 80.0])
 def test_linear_quadratic_gap_at_half_T(lam):
     """The measured lam * gap at T/2 matches its closed form within lam * 2e-5, the velocity
-    tolerance of the flock oracle above scaled by lam: measured 0.57869, 0.64426 and 0.68610
-    against 0.57862, 0.64410 and 0.68576 at lam = 10, 20, 40."""
+    tolerance of the flock oracle above scaled by lam: measured 0.578629, 0.644118, 0.685773 and
+    0.709553 against 0.578616, 0.644104, 0.685759 and 0.709539 at lam = 10, 20, 40, 80."""
     ens, u0, u = linear_quadratic_flock(lam)
     j = ens.n_intervals // 2  # the node at T/2
     exact = lam_gap_at_half_T(linear_quadratic_velocity(1.0, lam, ens.T, 0.5 * ens.T), 1.0, lam)
@@ -324,15 +326,15 @@ def test_linear_quadratic_gap_tends_to_two_over_e():
     assert 2.0 / np.e - gaps[-1] < 1e-3
 
 
-#: measured gaps of minimize_energy to the exact discrete minimizer on t <= T/2: 1.0e-10, 7.1e-9
-#: and 1.1e-6 at lam = 10, 20, 40, against 7.8e-6, 7.6e-6 and 7.5e-6 between the discrete and the
-#: continuous minimizer, so the pins sit about 5x above the solver's gap and, at lam = 10 and 20,
-#: far below the discretization error; the solver's gap grows with lam, as the uncertified
-#: lam = 80 row of the sweep does
-DISCRETE_LQ_TOLERANCE = {10.0: 5e-10, 20.0: 4e-8, 40.0: 5e-6}
+#: gaps of minimize_energy to the exact discrete minimizer on t <= T/2.  The pins at lam = 10, 20
+#: and 40 were set 5x above the gaps L-BFGS-B left (1.0e-10, 7.1e-9 and 1.1e-6, growing with lam up
+#: to its uncertified lam = 80 row); the fixed point, stopped on a 1e-10 control step, leaves
+#: 2.7e-11, 6.9e-12, 1.4e-12 and 3.1e-13 at lam = 10, 20, 40 and 80, against 1.3e-6 to 1.8e-7
+#: between the discrete and the continuous minimizer.  The lam = 80 pin sits about 6x above its gap.
+DISCRETE_LQ_TOLERANCE = {10.0: 5e-10, 20.0: 4e-8, 40.0: 5e-6, 80.0: 2e-12}
 
 
-@pytest.mark.parametrize("lam", [10.0, 20.0, 40.0])
+@pytest.mark.parametrize("lam", [10.0, 20.0, 40.0, 80.0])
 def test_linear_quadratic_discrete_oracle(lam):
     ens, u0, u = linear_quadratic_flock(lam)
     keep = ens.times <= 0.5 * ens.T

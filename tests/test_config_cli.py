@@ -434,32 +434,38 @@ class TestCli:
         assert err["error"] == "ConfigError"
         assert err["message"].startswith(f"model.kernel: {command} needs ")
 
-    @pytest.mark.parametrize("lam, status", [(10, 0), (80, 3)])
-    def test_solve_accel_exits_on_the_certificate(self, tmp_path, capsys, lam, status):
+    @pytest.mark.parametrize(
+        "model, lam, K, status",
+        [("beta = 0.5", 10, 224, 0), ("beta = 0.5", 80, 632, 0), ("alpha = 0.01\nbeta = 2", 10, 224, 3)],
+        ids=["10-0", "80-0", "stiff-10-3"],
+    )
+    def test_solve_accel_exits_on_the_certificate(self, tmp_path, capsys, model, lam, K, status):
         """The default two-atom flock at n_intervals = 64, which is a floor: K follows the
-        sweep's rule max(n_intervals, ceil(64 lambda T)) and goes into solution.json.  At
-        lambda = 10 (K = 640) the EL residual certifies (1.1e-5) and the command exits 0; at
-        lambda = 80 (K = 5120) the residual (5.1e-4) misses EL_TOLERANCE and the command exits 3.
-        certified is the one verdict in solution.json.  The artifacts are written either way."""
+        sweep's rule, 70 lambda^(1/2) T rounded up to a multiple of 8, and goes into
+        solution.json.  At beta = 0.5 the EL residual certifies at lambda = 10 (1.7e-5) and 80
+        (1.3e-5), and the command exits 0.  With alpha = 0.01 and beta = 2 the fixed point reaches
+        its evaluation cap at lambda = 10 with EL 122, and the command exits 3.  certified is the one
+        verdict in solution.json.  The artifacts are written either way."""
         cfg = self.write(
-            tmp_path, f"[model]\nkernel = cucker-smale\nbeta = 0.5\n[solver]\nlambda = {lam}\nn_intervals = 64\n"
+            tmp_path, f"[model]\nkernel = cucker-smale\n{model}\n[solver]\nlambda = {lam}\nn_intervals = 64\n"
         )
         out = tmp_path / "run"
         assert main(["solve-accel", "--config", cfg, "--out", str(out)]) == status
         doc = json.loads((out / "solution.json").read_text())
-        assert doc["n_intervals"] == 64 * lam
+        assert doc["n_intervals"] == K
         assert doc["certified"] == (status == 0) and "converged" not in doc
         assert (doc["el_residual"] <= EL_TOLERANCE) == (status == 0)
+        assert doc["control_step"] > 0.0 and "gradient_norm" not in doc
         assert (out / "trajectories.csv").exists()
 
     def test_solve_accel_default_config_certifies(self, tmp_path, capsys):
-        """The default config (beta = 0.5, lambda = 10, n_intervals = 128) solves at K = 640 and
+        """The default config (beta = 0.5, lambda = 10, n_intervals = 128) solves at K = 224 and
         exits 0."""
         cfg = self.write(tmp_path, "[model]\nkernel = cucker-smale\nbeta = 0.5\n")
         out = tmp_path / "run"
         assert main(["solve-accel", "--config", cfg, "--out", str(out)]) == 0
         doc = json.loads((out / "solution.json").read_text())
-        assert doc["n_intervals"] == 640 and doc["certified"]
+        assert doc["n_intervals"] == 224 and doc["certified"]
 
     def test_sweep_classic_tiny(self, tmp_path, capsys):
         cfg = self.write(

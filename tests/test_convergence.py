@@ -229,21 +229,22 @@ class TestSweepLambdas:
             run_lambda_sweep_classic(zero_ham, exp_kernel, small_m0(cfg), [5.0], base_config=cfg, n_cross_particles=n)
 
     def test_decision_variable_budget_checked_up_front(self, no_solves, rng):
-        """24 atoms at lambda = 700 take K = 64 * 700 = 44,800 intervals: N K = 1,075,200 is over the
+        """512 atoms, the most the exact W1 admits, at T = 2 and lambda = 300 take K = 2,432 intervals
+        (70 T sqrt(lambda) = 2,424.9, rounded up to a multiple of 8): N K = 1,245,184 is over the
         budget, and the sweep says so before the reference or the lambda = 10 row is solved."""
-        m0 = ParticleEnsemble.equal_weights(rng.standard_normal((24, 2)), 1)
-        with pytest.raises(ValueError, match="lambda = 700 needs K = 44800 intervals for N = 24 atoms"):
-            run_lambda_sweep_acceleration(CuckerSmaleKernel(1.0, 0.5), m0, [10.0, 700.0])
+        m0 = ParticleEnsemble.equal_weights(rng.standard_normal((512, 2)), 1)
+        with pytest.raises(ValueError, match="lambda = 300 needs K = 2432 intervals for N = 512 atoms"):
+            run_lambda_sweep_acceleration(CuckerSmaleKernel(1.0, 0.5), m0, [10.0, 300.0], T=2.0)
 
     def test_budget_message_is_the_solvers(self, no_solves, rng):
         """The sweep and minimize_energy share one admission check, so they refuse with one message."""
-        m0 = ParticleEnsemble.equal_weights(rng.standard_normal((24, 2)), 1)
+        m0 = ParticleEnsemble.equal_weights(rng.standard_normal((512, 2)), 1)
         with pytest.raises(ValueError) as swept:
-            run_lambda_sweep_acceleration(CuckerSmaleKernel(1.0, 0.5), m0, [700.0])
+            run_lambda_sweep_acceleration(CuckerSmaleKernel(1.0, 0.5), m0, [300.0], T=2.0)
         with pytest.raises(ValueError) as solved:
-            acceleration.minimize_energy(m0, CuckerSmaleKernel(1.0, 0.5), 700.0, 1.0, 44_800)
+            acceleration.minimize_energy(m0, CuckerSmaleKernel(1.0, 0.5), 300.0, 2.0, 2432)
         assert str(swept.value) == str(solved.value)
-        assert str(solved.value).endswith("N K = 1075200 exceeds the decision-variable budget of 1000000")
+        assert str(solved.value).endswith("N K = 1245184 exceeds the decision-variable budget of 1000000")
 
     def test_w1_size_checked_up_front(self, no_solves, rng):
         """513 atoms are within the decision-variable budget at lambda = 1 and 2, but their exact
@@ -295,12 +296,27 @@ class TestAccelerationSweep:
         assert np.all(rep.column("certified") == 1.0)
         assert 8.0 <= rep.reference["step_halving_ratio"] <= 32.0
 
-    def test_uncertified_row_is_flagged(self, cs_flat, two_body_phase):
-        """At lambda = 80 (K = 5120) the beta = 0 two-body minimizer misses the EL certificate
-        (1.58e-3): the row's mirrored converged column, certified and flagged all read it."""
-        row = run_lambda_sweep_acceleration(cs_flat, two_body_phase, [80.0]).rows[0]
+    def test_uncertified_row_is_flagged(self, two_body_phase):
+        """With alpha = 0.01 and beta = 2 the two-body fixed point at lambda = 10 (K = 224) cycles to
+        its evaluation cap and misses the EL certificate (EL 88): the row's mirrored converged
+        column, certified and flagged all read it, and it reports the evaluations and the step."""
+        row = run_lambda_sweep_acceleration(CuckerSmaleKernel(0.01, 2.0), two_body_phase, [10.0]).rows[0]
         assert row["el_residual"] > convergence.EL_TOLERANCE
         assert (row["converged"], row["certified"], row["flagged"]) == (False, False, True)
+        assert row["objective_evaluations"] == acceleration.MAX_OBJECTIVE_EVALUATIONS
+        assert row["control_step"] > acceleration.CONTROL_STEP_TOLERANCE
+
+    @pytest.mark.parametrize("T", [1.0, 0.7, 2.0])
+    def test_window_times_are_nodes(self, T):
+        """K = max(n_intervals, 70 T sqrt(lambda) rounded up to a multiple of 8): every diagnostic
+        window time, a multiple of T/8, and T/2 lie on a node of every row."""
+        for lam, n_intervals in ((10.0, 8), (20.0, 8), (40.0, 128), (80.0, 8), (640.0, 8)):
+            K = acceleration._row_intervals(lam, T, n_intervals)
+            assert K >= max(n_intervals, 70 * T * np.sqrt(lam)) and K % 8 == 0
+            nodes = np.linspace(0.0, T, K + 1)
+            for t in (*convergence._window_times(T), 0.5 * T):
+                assert np.min(np.abs(nodes - t)) <= 1e-12 * T
+        assert [acceleration._row_intervals(lam, 1.0, 128) for lam in (10.0, 20.0, 40.0, 80.0)] == [224, 320, 448, 632]
 
     def test_one_transport_solve_per_node_pair(self, cs_flat, two_body_phase, monkeypatch):
         """w1_at_half_T reads the W1 the window solved at T/2, matched on node indices (at

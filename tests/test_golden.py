@@ -44,23 +44,32 @@ on the parsed ``states.csv`` values (the gap is 2.2e-16), and 1e-6
 relative on the Richardson ratio (3.0e-8), which divides two
 roundoff-sized differences.
 
-The ``acceleration`` values (energy, gradient, EL residual, L-BFGS
-controls and iterations) were recorded with the Cucker-Smale pair sum
-over whole (N, N, K+1) offset arrays, kept as the test oracle
-``test_pair_sums.dense_cs_pair_sum``: patched in for the shipped pass
-and for the reported energy's pair sums (``kernels._cs_pair_pass`` and
-``kernels._cs_pair_energy``: each unordered pair once, on pair
-differences, in chunks of time nodes), they stay bit-identical.  The
-shipped path sums the same terms in another order.  Its EL residual
-and the control energy stay bit-identical; the reported interaction
-energy (``discrete_energy``, ``kernel.value`` on the pairs) and the
-objective's are pinned within 1e-14 relative (1.1e-16 and 2.1e-16), the
-gradient within 1e-14 of its largest entry (gap 5.4e-20, 7.3e-17 of
-it), the L-BFGS controls within 1e-13 absolute (5.5e-14) and the
-iteration count within one: L-BFGS-B stops when the relative reduction
-of the energy falls to roundoff, so the summation order decides the
-last step (9 iterations on the shipped path, 8 on the oracle, both
-ending at the same energy with a 2.7e-10 gradient).
+The ``acceleration`` values (energy, gradient, EL residual, the
+minimizer's controls and its fixed-point steps) are recorded with the
+Cucker-Smale pair sum over whole (N, N, K+1) offset arrays, kept as the
+test oracle ``test_pair_sums.dense_cs_pair_sum``: patched in for the
+shipped pass and for the reported energy's pair sums
+(``kernels._cs_pair_pass`` and ``kernels._cs_pair_energy``: each
+unordered pair once, on pair differences, in chunks of time nodes), they
+stay bit-identical.  The shipped path sums the same terms in another
+order.  Its EL residual and the control energy stay bit-identical; the
+reported interaction energy (``discrete_energy``, ``kernel.value`` on
+the pairs) and the objective's are pinned within 1e-14 relative (gap
+3.3e-16), the gradient within 1e-14 of its largest entry (1.4e-16 of
+it), the controls within 1e-13 absolute (2.8e-16) and the step count
+within one (18 steps on both paths).
+
+The energy, gradient and controls were re-recorded when the interaction
+integral moved from the trapezoid rule to the product trapezoid
+(``measures._exp_trapezoid_weights``) and L-BFGS-B gave way to the
+Anderson fixed point; the EL residual, which takes no quadrature
+weights, did not move.  ``acceleration_trapezoid`` keeps the values
+recorded before.  With the trapezoid rule patched back in, the oracle
+path gives that energy and gradient bit for bit, and the fixed point
+lands within 1e-6 of the L-BFGS-B controls (3.8e-7: L-BFGS-B stopped on
+a 2.7e-10 gradient in the preconditioned controls, the fixed point on a
+1e-10 control step).  On the product trapezoid the controls move by up
+to 0.067 on a scale of 2.5, since lambda dt = 0.625 at K = 16.
 
 The ``csv.phase`` digest was re-recorded when atoms came to live on the
 line only: its ensemble of 5 phase-space atoms in d = 2 (columns
@@ -343,7 +352,7 @@ def test_acceleration_near_golden(accel_shipped):
 
 
 def test_objective_energy_bit_identical():
-    """The energy the L-BFGS objective sees comes from the pass that gives the gradient; on the
+    """The energy the fixed point's objective sees comes from the pass that gives the gradient; on the
     dense oracle it equals the recorded energy bit for bit, on the shipped pass the control part
     does and the interaction part stays within 1e-14 relative."""
     energy, _ = _on_dense_cs_pass(lambda: energy_gradient(_accel_ensemble(), CuckerSmaleKernel(1.0, 0.5), 10.0))
@@ -356,6 +365,23 @@ def test_objective_energy_bit_identical():
 
 def test_minimize_iterations(accel):
     assert accel["minimize_iterations"] == GOLDEN["acceleration"]["minimize_iterations"]
+
+
+def _trapezoid_weights(times, lam):
+    """The trapezoid rule for int e^(-lam t) f(t) dt that the product trapezoid replaced."""
+    dt = times[1] - times[0]
+    c = np.full(times.size, dt)
+    c[0] = c[-1] = 0.5 * dt
+    return c * np.exp(-lam * times)
+
+
+def test_trapezoid_values_cross_check(monkeypatch):
+    """The values recorded before the re-pin, within the tolerances stated above."""
+    monkeypatch.setattr(acceleration, "_exp_trapezoid_weights", _trapezoid_weights)
+    got, expected = _on_dense_cs_pass(accelerations), GOLDEN["acceleration_trapezoid"]
+    assert got["energy"] == expected["energy"]
+    assert np.array_equal(np.array(got["gradient"]), np.array(expected["gradient"]))
+    assert np.max(np.abs(np.array(got["minimize_controls"]) - expected["minimize_controls"])) <= 1e-6
 
 
 def test_validator_constants_bit_identical():

@@ -21,7 +21,8 @@ from mfglab import (
     wasserstein1_1d,
     wasserstein1_particles,
 )
-from mfglab.measures import EXACT_W1_SIZE_CAP
+from mfglab.errors import ParameterError
+from mfglab.measures import EXACT_W1_SIZE_CAP, _exp_trapezoid_weights
 
 
 def _w1_exact_lp(a: ParticleEnsemble, b: ParticleEnsemble) -> float:
@@ -84,11 +85,32 @@ class TestGridDensity:
         with pytest.raises(ValueError):
             m.values[0] = 1.0
 
+    @pytest.mark.parametrize("dx", [np.nan, np.inf, 0.0, -0.1])
+    def test_cell_width_positive_and_finite(self, dx):
+        """A NaN cell width compares false with 0 and a NaN mass with the tolerance; the grid
+        itself is checked first, by name."""
+        with pytest.raises(ParameterError, match=r"^dx must be positive and finite") as info:
+            GridDensity(0.0, dx, [1.0])
+        assert info.value.name == "dx"
+
+    @pytest.mark.parametrize("origin", [np.nan, np.inf, -np.inf])
+    def test_origin_finite(self, origin):
+        with pytest.raises(ParameterError, match=r"^origin must be finite") as info:
+            GridDensity(origin, 1.0, [1.0])
+        assert info.value.name == "origin"
+
 
 class TestParticleEnsemble:
     def test_weight_sum_enforced(self):
         with pytest.raises(ValueError, match="sum"):
             ParticleEnsemble(np.zeros((3, 1)), np.array([0.5, 0.5, 0.5]), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_weights_finite(self, bad):
+        """A NaN weight is not negative and its sum compares false with the tolerance either way:
+        the sum check is written to fail on it, and on an infinite weight."""
+        with pytest.raises(ValueError, match=f"weights must be finite and sum to 1, got sum {bad}"):
+            ParticleEnsemble([[0.0], [1.0]], [bad, 1.0], 1)
 
     def test_phase_space_split(self):
         e = ParticleEnsemble.equal_weights(np.arange(4.0).reshape(2, 2), 1)
@@ -401,3 +423,50 @@ class TestWasserstein1ParticleProperties:
     def test_shift_costs_its_length(self, a, s):
         shifted = ParticleEnsemble(a.points + s, a.weights, 1)
         assert wasserstein1_particles(a, shifted) == pytest.approx(abs(s), abs=1e-12 * (1.0 + abs(s)))
+
+
+class TestExpTrapezoidWeights:
+    """The product-trapezoid weights of int e^(-lam t) f(t) dt: the piecewise-linear interpolant of
+    f is integrated exactly against the exponential."""
+
+    @staticmethod
+    def exact_linear(p, q, lam, T):
+        """int_0^T e^(-lam t) (p + q t) dt."""
+        return p * -np.expm1(-lam * T) / lam + q * (1.0 - np.exp(-lam * T) * (1.0 + lam * T)) / lam**2
+
+    @pytest.mark.parametrize("lam", [1.0, 10.0, 80.0, 700.0])
+    def test_exact_on_linear_integrands(self, lam, rng):
+        """Exact, up to roundoff, for f linear in t, on uniform and on uneven nodes: steps below
+        and above the series switch at lam h = 1/2 are both met.  (Below lam = 1 the closed form
+        of the oracle itself cancels; test_accurate_as_the_step_shrinks covers small lam h.)"""
+        for times in (np.linspace(0.0, 1.0, 9), np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 15)), [1.0]])):
+            w = _exp_trapezoid_weights(times, lam)
+            for p, q in ((1.0, 0.0), (0.3, -2.0)):
+                exact = self.exact_linear(p, q, lam, 1.0)
+                assert w @ (p + q * times) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    def test_second_order_on_a_curved_integrand(self):
+        """On f = cos(3 t), lam = 10, each halving of the step divides the error by 4."""
+        lam = 10.0
+        exact = (lam - lam * np.exp(-lam) * np.cos(3.0) + 3.0 * np.exp(-lam) * np.sin(3.0)) / (lam**2 + 9.0)
+        errs = []
+        for K in (32, 64, 128, 256):
+            times = np.linspace(0.0, 1.0, K + 1)
+            errs.append(abs(_exp_trapezoid_weights(times, lam) @ np.cos(3.0 * times) - exact))
+        assert errs[0] < 2e-4
+        assert np.allclose(np.array(errs[:-1]) / errs[1:], 4.0, rtol=0.02)
+
+    @pytest.mark.parametrize("z", [1e-12, 1e-8, 1e-4, 0.1, 0.4999, 0.5, 0.5001, 2.0])
+    def test_accurate_as_the_step_shrinks(self, z):
+        """i1 = (1 - e^-z (1 + z)) / lam^2 cancels as z = lam h -> 0, where the closed form loses
+        about 2e-16 / z; the weights of one step keep 1e-15 relative against their series
+        h (1/2 - z/6 + z^2/24 - z^3/120 + ...) and h (1/2 - z/3 + z^2/8 - z^3/30 + ...), summed here
+        to 30 terms, and meet the closed form on both sides of the switch."""
+        h = 0.01
+        left, right = _exp_trapezoid_weights(np.array([0.0, h]), z / h)
+        k = np.arange(30)
+        factorial = np.cumprod(np.concatenate([[1.0], np.arange(1.0, 32.0)]))  # 0! .. 31!
+        series_right = h * np.sum((-z) ** k * (k + 1) / factorial[k + 2])
+        series_left = h * np.sum((-z) ** k / factorial[k + 2])
+        assert right == pytest.approx(series_right, rel=1e-15, abs=0.0)
+        assert left == pytest.approx(series_left, rel=1e-15, abs=0.0)
