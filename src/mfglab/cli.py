@@ -45,14 +45,14 @@ def _cmd_validate_model(desc, out, seed):
     kernel = desc.build_kernel()
     ham = desc.build_hamiltonian()
     doc = _base_doc(desc, seed)
-    doc["hamiltonian"] = vars(validate_hamiltonian(ham, seed=seed)).copy()
+    doc["hamiltonian"] = vars(validate_hamiltonian(ham)).copy()
     if isinstance(kernel, CuckerSmaleKernel):
         doc["coupling"] = {"kind": "cucker-smale", "c0": kernel.c0}
         doc["passed"] = bool(doc["hamiltonian"]["convexity_ok"])
     else:
-        rep = validate_coupling(kernel, seed=seed)
+        rep = validate_coupling(kernel)
         psd = psd_check(kernel, seed=seed)
-        doc["coupling"] = {k: v for k, v in vars(rep).items()}
+        doc["coupling"] = vars(rep).copy()
         doc["psd"] = {"label": psd.label, "min_eigenvalue": psd.min_eigenvalue, "threshold": psd.threshold}
         doc["passed"] = bool(
             rep.lipschitz_ok and rep.growth_ok and rep.semiconcave_ok and doc["hamiltonian"]["convexity_ok"]

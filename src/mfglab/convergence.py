@@ -305,14 +305,16 @@ def run_lambda_sweep_classic(
     at least 1, checked with the lambdas and m0's grid before any solve).
     Non-converged inner solves are flagged, never fatal; an inner solve that raises
     BoundaryLeakError or a StabilityError (CflError included) gives a
-    flagged row that names the error and carries NaN diagnostics.
+    flagged row that names the error and carries NaN diagnostics.  Nothing
+    here is random: the bound's c0 comes from the constants the kernel and
+    the drift state, and seed is only recorded in the report.
     """
     lambdas = _sweep_lambdas(lambdas)
     _grid_values(base_config, m0, "initial density")
     if not n_cross_particles >= 1:
         raise ValueError(f"n_cross_particles must be at least 1, got {n_cross_particles}")
-    coupling_report = validate_coupling(kernel, seed=seed)
-    ham_report = validate_hamiltonian(ham, seed=seed)
+    coupling_report = validate_coupling(kernel)
+    ham_report = validate_hamiltonian(ham)
     c0 = max(coupling_report.c0, ham_report.growth_constant)
 
     T, dt = base_config.T, base_config.dt

@@ -1,4 +1,4 @@
-"""Interaction kernels, the nonlocal coupling F(x,m)=k*m, and validators.
+"""Interaction kernels, the nonlocal coupling F(x,m)=k*m, and its structural constants.
 
 This is the one place k*m and Dk*m are evaluated: ``_grid_sum`` by 1D
 grid quadrature, ``_dense_pair_sum`` over the atoms of an empirical
@@ -9,10 +9,14 @@ crowd kernel, zero) act on the line: value and gradient work elementwise
 on 1D offsets of any shape, k(x) = phi(|x|) and Dk(x) = phi'(|x|) sign(x),
 so Dk(0) = 0 at a kink.  Their pair sums take (nq,) queries and (N,) atoms.
 
-Query points against atoms (the couplings, ``limit_drift``, the
-validator) go through one body, the dense (nq, N) offset array
-(``_dense_pair_sum``).  The sum of a flock with itself that the particle
-solver takes (``_self_pair_sum``) is chosen by the kernel.  A kernel
+Each radial kernel states its profile's sups in closed form
+(``constants``), which ``validate_coupling`` reads: over probability
+measures they are the constants of F, each attained by a point mass.
+
+Query points against atoms (the couplings, ``limit_drift``) go through
+one body, the dense (nq, N) offset array (``_dense_pair_sum``).  The
+sum of a flock with itself that the particle solver takes
+(``_self_pair_sum``) is chosen by the kernel.  A kernel
 whose profile is a sum of exponentials, phi(r) = sum_k c_k exp(-a_k r),
 states only its terms (``_exp_terms``; zero: none, exponential: one,
 Morse: two), takes phi and phi' from them (``_exp_phi``, ``_exp_dphi``)
@@ -84,6 +88,39 @@ def _exp_dphi(kernel, r):
     return _exp_phi(kernel, r, gradient=True)
 
 
+class ProfileConstants(NamedTuple):
+    """sup|phi|, sup|phi'|, the sup of phi'' on r > 0, and phi'(0+) of a radial kernel k(x) = phi(|x|)."""
+
+    sup_phi: float
+    sup_dphi: float
+    sup_d2phi: float
+    dphi0: float
+
+
+def _exp_sup(terms):
+    """sup over r >= 0 of sum_k b_k exp(-a_k r), for one or two terms (b_k, a_k), a_k > 0: the largest
+    of its value at r = 0, its limit 0 as r -> inf and, for two terms of opposite signs, its value at
+    the one critical point r* = ln(-b1 a1 / (b2 a2)) / (a1 - a2) when r* > 0."""
+    candidates = [0.0, sum(b for b, _ in terms)]
+    if len(terms) == 2 and terms[0][0] * terms[1][0] < 0 and terms[0][1] != terms[1][1]:
+        (b1, a1), (b2, a2) = terms
+        r = np.log(-b1 * a1 / (b2 * a2)) / (a1 - a2)
+        if r > 0:
+            candidates.append(b1 * np.exp(-a1 * r) + b2 * np.exp(-a2 * r))
+    return float(max(candidates))
+
+
+def _exp_constants(kernel):
+    """``ProfileConstants`` of phi(r) = sum_k c_k exp(-a_k r) over the kernel's ``_exp_terms``; its n-th
+    derivative is the sum with coefficients (-a_k)^n c_k."""
+
+    def sup(order, sign=1.0):
+        return _exp_sup([(sign * (-a) ** order * c, a) for c, a in kernel._exp_terms])
+
+    dphi0 = float(sum(-a * c for c, a in kernel._exp_terms))
+    return ProfileConstants(max(sup(0), sup(0, -1.0)), max(sup(1), sup(1, -1.0)), sup(2), dphi0)
+
+
 @dataclass(frozen=True)
 class ExponentialKernel:
     """k(x) = alpha * exp(-a |x|); repulsive for alpha > 0."""
@@ -102,6 +139,7 @@ class ExponentialKernel:
 
     phi = _exp_phi
     dphi = _exp_dphi
+    constants = property(_exp_constants)
     value = _radial_value
     gradient = _radial_grad
 
@@ -122,6 +160,12 @@ class RepulsiveAttractiveKernel:
     def dphi(self, r):
         r = np.asarray(r, dtype=float)
         return (self.a * r - 1.0) * np.exp(-self.a * r)
+
+    @property
+    def constants(self):
+        """sup|phi| = 1/(a e) at r = 1/a; |phi'| and phi'' = a (2 - a r) e^{-a r} peak at r -> 0+,
+        where phi'(0+) = -1 is a concave kink."""
+        return ProfileConstants(1.0 / (self.a * np.e), 1.0, 2.0 * self.a, -1.0)
 
     value = _radial_value
     gradient = _radial_grad
@@ -151,6 +195,7 @@ class MorseKernel:
 
     phi = _exp_phi
     dphi = _exp_dphi
+    constants = property(_exp_constants)
     value = _radial_value
     gradient = _radial_grad
 
@@ -187,6 +232,14 @@ class CrowdRadialKernel:
         r = np.asarray(r, dtype=float)
         return np.where(r >= self.R, 0.0, self._spline(np.minimum(r, self.R), 1))
 
+    @property
+    def constants(self):
+        """From the spline on [0, R]: each sup of |phi| and |phi'| is at a knot or a root of the next
+        derivative; phi'' is piecewise linear, so its sup is at a knot.  Beyond R, phi' = phi'' = 0."""
+        s, r = self._spline, self.r_knots
+        sup_abs = [np.nanmax(np.abs(s(np.append(r, s.derivative(n + 1).roots(extrapolate=False)), n))) for n in (0, 1)]
+        return ProfileConstants(*map(float, sup_abs), float(max(s(r, 2).max(), 0.0)), float(s(0.0, 1)))
+
     value = _radial_value
     gradient = _radial_grad
 
@@ -198,6 +251,7 @@ class ZeroKernel:
     _exp_terms = ()
     phi = _exp_phi
     dphi = _exp_dphi
+    constants = property(_exp_constants)
     value = _radial_value
     gradient = _radial_grad
 
@@ -571,7 +625,7 @@ def grad_coupling(kernel, x, m, v=None):
 
 @dataclass(frozen=True)
 class CouplingValidationReport:
-    """Sampled verification of the structural assumptions on F(x, m)."""
+    """The structural constants of F(x, m) = (k * m)(x) over probability measures, as the kernel states them."""
 
     c0: float
     lipschitz_ok: bool
@@ -580,78 +634,28 @@ class CouplingValidationReport:
     lipschitz_constant: float
     growth_constant: float
     semiconcavity_constant: float
-    witness: dict | None
-    seed: int
-    budget: int
 
 
-#: a sampled constant above this cap is treated as "unbounded" (assumption fails)
-VALIDATOR_CAP = 1e3
-#: the validators and psd_check sample points from [-VALIDATOR_SPAN, VALIDATOR_SPAN]
+#: psd_check draws its points from [-VALIDATOR_SPAN, VALIDATOR_SPAN]
 VALIDATOR_SPAN = 5.0
-#: samples each validator draws (validate_coupling, validate_hamiltonian); their reports record it as budget
-VALIDATOR_BUDGET = 2000
 
 
-def validate_coupling(kernel, seed: int = 0) -> CouplingValidationReport:
-    """Randomized sampling check of Lipschitz / growth / semiconcavity of F.
+def validate_coupling(kernel) -> CouplingValidationReport:
+    """Lipschitz, growth and semiconcavity constants of F = k * m from the kernel's ``constants``.
 
-    Draws VALIDATOR_BUDGET samples from the seed.  A pass means "no
-    counterexample in these samples"; the report records the seed, the
-    budget and the tightest sampled constants.  Position-space kernels
+    Over probability measures each is the profile's own sup, attained by a
+    point mass: Lipschitz sup|phi'|, growth sup|phi| (at x = 0), and
+    semiconcavity sup phi'' on r > 0, or inf at a convex kink (phi'(0+) > 0).
+    An assumption holds when its constant is finite.  Position-space kernels
     only (the Cucker-Smale coupling obeys different, quadratic bounds).
     """
     if isinstance(kernel, CuckerSmaleKernel):
         raise TypeError("validate_coupling applies to position-space kernels only")
-    budget = VALIDATOR_BUDGET
-    rng = np.random.default_rng(seed)
-    span = VALIDATOR_SPAN
-    # small random atomic measures in 1D; constants of radial kernels are
-    # dimension-independent and extreme near coincident atoms
-    ensembles = [
-        ParticleEnsemble.equal_weights(rng.uniform(-span, span, size=rng.integers(1, 8)), 1)
-        for _ in range(8)
-    ]
-    draws = np.empty((budget, 4))  # per draw, in the order of the rng stream: ensemble index, x, y, h
-    for row in draws:
-        i = rng.integers(len(ensembles))
-        m = ensembles[i]
-        # a quarter of the second differences centre on an atom: radial kernels
-        # attain their extreme curvature ratios exactly at the kink
-        x = m.positions[rng.integers(m.n), 0] if rng.random() < 0.25 else rng.uniform(-2 * span, 2 * span)
-        y = rng.uniform(-2 * span, 2 * span)
-        row[:] = i, x, y, rng.choice([1e-4, 1e-3, 1e-2, 1e-1, 0.5, 1.0]) * rng.choice([-1.0, 1.0])
-    i, x, y, h = draws.T
-    f = np.stack([x, y, x + h, x - h], axis=1)  # the four queries of each draw, overwritten by F there
-    for k, m in enumerate(ensembles):
-        mine = i == k
-        f[mine] = _dense_pair_sum(kernel, f[mine].ravel(), m.positions[:, 0], m.weights, False).reshape(-1, 4)
-    fx, fy, fp, fm = f.T
-    far = np.abs(x - y) > 1e-9
-    lip = np.max(np.abs(fx - fy)[far] / np.abs(x - y)[far], initial=-np.inf)
-    growth = np.max(np.abs(fx) / (1.0 + np.abs(x)))
-    ratio = (fp + fm - 2.0 * fx) / h**2
-    worst = np.argmax(ratio)
-    sc = ratio[worst]
-    witness = None
-    if sc > VALIDATOR_CAP:
-        witness = {"x": float(x[worst]), "h": float(h[worst]), "second_difference_ratio": float(sc)}
-    lipschitz_ok = lip <= VALIDATOR_CAP
-    growth_ok = growth <= VALIDATOR_CAP
-    semiconcave_ok = sc <= VALIDATOR_CAP
-    c0 = max(1.0, lip, growth, sc if semiconcave_ok else 0.0)
-    return CouplingValidationReport(
-        c0=float(c0),
-        lipschitz_ok=bool(lipschitz_ok),
-        growth_ok=bool(growth_ok),
-        semiconcave_ok=bool(semiconcave_ok),
-        lipschitz_constant=float(lip),
-        growth_constant=float(growth),
-        semiconcavity_constant=float(sc),
-        witness=witness,
-        seed=seed,
-        budget=budget,
-    )
+    s = kernel.constants
+    lip, growth, sc = s.sup_dphi, s.sup_phi, s.sup_d2phi if s.dphi0 <= 0 else np.inf
+    oks = [bool(np.isfinite(c)) for c in (lip, growth, sc)]
+    c0 = max(1.0, lip, growth, sc if oks[2] else 0.0)
+    return CouplingValidationReport(float(c0), *oks, float(lip), float(growth), float(sc))
 
 
 @dataclass(frozen=True)

@@ -352,6 +352,22 @@ class TestCli:
         assert doc["coupling"]["semiconcave_ok"]
         assert "config" in doc and "seed" in doc
 
+    def test_validate_model_reads_stated_constants(self, tmp_path, capsys):
+        """validation.json carries the kernel's stated constants: 2 a for the repulsive-attractive
+        semiconcavity, and no semiconcavity (null) at the attractive exponential kernel's convex kink."""
+        docs = {}
+        models = {"ra": "kernel = repulsive-attractive", "attractive": "kernel = exponential\nalpha = -1"}
+        for name, model in models.items():
+            cfg = self.write(tmp_path, f"[model]\n{model}\n", name=f"{name}.ini")
+            status = main(["validate-model", "--config", cfg, "--out", str(tmp_path / name)])
+            docs[name] = (status, json.loads((tmp_path / name / "validation.json").read_text()))
+        status, doc = docs["ra"]
+        assert status == 0 and doc["coupling"]["semiconcavity_constant"] == 2.0 and doc["coupling"]["c0"] == 2.0
+        status, doc = docs["attractive"]
+        assert status == 3 and doc["coupling"]["semiconcave_ok"] is False
+        assert doc["coupling"]["semiconcavity_constant"] is None
+        assert "seed" not in doc["coupling"] and "witness" not in doc["coupling"]
+
     def test_solve_cs_two_body_matches_oracle(self, tmp_path, capsys):
         cfg = self.write(
             tmp_path,

@@ -11,6 +11,7 @@ from mfglab import (
     MfgSolution,
     ParticleEnsemble,
     PdeConfig,
+    RepulsiveAttractiveKernel,
     ZeroKernel,
     diagnostics_bounds,
     run_lambda_sweep_acceleration,
@@ -172,6 +173,24 @@ class TestClassicSweep:
         assert particles.times[k] == 1124 * cfg.dt == fv.times[1124]
         expected = convergence.w1_grid_vs_particles(fv.measures[1124], particles.measures[k])
         assert rep.reference["cross_validation_w1"] == expected
+
+    def test_sweep_draws_no_random_number(self, zero_ham, exp_kernel, monkeypatch):
+        """The kernel and the drift state their constants, so a sweep makes no random generator."""
+        made, default_rng = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a, **k: made.append(a) or default_rng(*a, **k))
+        cfg = small_config(10.0, n_x=32, dt=1e-2, half_width=4.0)
+        run_lambda_sweep_classic(zero_ham, exp_kernel, small_m0(cfg), [10.0], base_config=cfg, n_cross_particles=20)
+        assert made == []
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_repulsive_attractive_c0_is_seed_free(self, zero_ham, seed):
+        """c0 = 2 a, the stated semiconcavity constant of the repulsive-attractive kernel, at every seed."""
+        cfg = small_config(10.0, n_x=32, dt=1e-2, half_width=4.0)
+        kernel = RepulsiveAttractiveKernel(1.0)
+        rep = run_lambda_sweep_classic(
+            zero_ham, kernel, small_m0(cfg), [10.0], base_config=cfg, n_cross_particles=20, seed=seed
+        )
+        assert rep.setup["coupling_c0"] == 2.0
 
     def test_report_reproducible(self, zero_ham, exp_kernel):
         cfg = small_config(10.0)

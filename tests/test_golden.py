@@ -3,25 +3,24 @@
 The values in data/golden.json were recorded with the two separate RK4
 loops (aggregation particles, Cucker-Smale) and the per-artifact CSV
 writers that the shared ``_rk4`` stepper and ``_csv_table`` writer
-replaced.  The ``acceleration`` and ``validators`` keys were recorded
-with the per-module pair sums (``_pair_interaction``, the particle
-branches of ``eval_coupling``) that the shared radial pair sum and
+replaced.  The ``acceleration`` values were recorded with the
+per-module pair sums (``_pair_interaction``) that
 ``acceleration._pair_gradients`` replaced.  The floats must stay
 bit-identical and the CSV text byte-identical; regenerating the file
 would defeat the check.
 
-The Morse particles and the validator constants go through the radial
-pair sums: the validator's queries through the dense body, the particles'
-flock with itself through the dense body or a sorted one for exponential
-sums.  They were recorded with the dense body of d-vector offsets,
-``test_pair_sums.d_vector_dense_pair_sum``: on that oracle the particles
-stay bit-identical.  The dense body on the line sums the same values and
-gradient terms within an ulp each, so on it the validator constants stay
-bit-identical and the particles within 1e-14; the sorted self body,
-which the Morse kernel chooses, is pinned within the roundoff of its
-different summation order.  The dense and oracle paths put the self sum
-on the dense body by patching ``_self_pair_sum`` in ``kernels`` and in
-``aggregation``, which imports it.
+The Morse particles go through the radial pair sums: the flock with
+itself through the dense body or a sorted one for exponential sums.
+They were recorded with the dense body of d-vector offsets,
+``test_pair_sums.d_vector_dense_pair_sum``: on that oracle they stay
+bit-identical.  The dense body on the line sums the same values and
+gradient terms within an ulp each, so on it the particles stay within
+1e-14; the sorted self body, which the Morse kernel chooses, is pinned
+within the roundoff of its different summation order.  The dense and
+oracle paths put the self sum on the dense body by patching
+``_self_pair_sum`` in ``kernels`` and in ``aggregation``, which imports
+it.  The validator constants once pinned here were sampled; the kernels
+now state them, and ``test_kernels`` holds their exact table.
 
 The ``csv.u0`` and ``csv.m_final`` digests were re-recorded when the
 MFG fixed point became Anderson-accelerated and began to stop on every
@@ -89,17 +88,13 @@ import pytest
 from mfglab import acceleration, aggregation, cucker_smale, kernels
 from mfglab import (
     ConvergenceReport,
-    CrowdRadialKernel,
     CuckerSmaleKernel,
     DriftField,
-    ExponentialKernel,
     GridDensity,
     MorseKernel,
     ParticleEnsemble,
     QuadraticDriftHamiltonian,
-    RepulsiveAttractiveKernel,
     TrajectoryEnsemble,
-    ZeroKernel,
     discrete_energy,
     el_residual,
     energy_gradient,
@@ -107,7 +102,6 @@ from mfglab import (
     richardson_order_ratio,
     solve_aggregation_particles,
     solve_cs,
-    validate_coupling,
 )
 from mfglab.cli import main
 from test_pair_sums import d_vector_dense_pair_sum, dense_cs_pair_energy, dense_cs_pair_pass, pair_sum_cs_alignment
@@ -189,26 +183,6 @@ def accelerations() -> dict:
         "minimize_controls": fit.ensemble.controls[..., None].tolist(),
         "minimize_iterations": fit.iterations,
     }
-
-
-VALIDATED = {
-    "exponential": ExponentialKernel(1.0, 1.0),
-    "repulsive_attractive": RepulsiveAttractiveKernel(1.0),
-    "morse": MorseKernel(0.5, 2.0),
-    "crowd": CrowdRadialKernel(np.array([0.0, 1.0, 2.0, 3.0]), np.array([1.0, 0.5, 0.1, 0.0])),
-    "zero": ZeroKernel(),
-}
-
-
-def validators() -> dict:
-    """The validator constants at the 1000 samples per kernel they were recorded with."""
-    out = {}
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "VALIDATOR_BUDGET", 1000)
-        for name, kernel in VALIDATED.items():
-            rep = validate_coupling(kernel, seed=5)
-            out[name] = [rep.c0, rep.lipschitz_constant, rep.growth_constant, rep.semiconcavity_constant]
-    return out
 
 
 def states_csv(tmp: Path) -> str:
@@ -382,15 +356,6 @@ def test_trapezoid_values_cross_check(monkeypatch):
     assert got["energy"] == expected["energy"]
     assert np.array_equal(np.array(got["gradient"]), np.array(expected["gradient"]))
     assert np.max(np.abs(np.array(got["minimize_controls"]) - expected["minimize_controls"])) <= 1e-6
-
-
-def test_validator_constants_bit_identical():
-    assert _on_path("dense", validators) == GOLDEN["validators"]
-
-
-def test_validator_constants_sorted_path():
-    # the validator's query sums stay on the dense body whichever body the self sums take
-    assert _on_path("sorted", validators) == GOLDEN["validators"]
 
 
 def test_csv_artifacts_byte_identical(tmp_path, monkeypatch):
