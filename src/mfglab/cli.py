@@ -3,13 +3,16 @@
 Every subcommand reads an INI config, runs one experiment, and writes
 JSON/CSV artifacts that inline the config and seeds, so any artifact can
 be re-derived bit-exactly.  Failures exit nonzero and leave a
-machine-readable error.json in the output directory.
+machine-readable error.json in the output directory.  Every JSON artifact,
+error.json included, carries what producing it cost: the process's peak
+RSS in KiB (``peak_rss_kb``) and the command's wall time (``wall_clock_s``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 import traceback
@@ -28,8 +31,11 @@ from .measures import GridDensity, _csv_table
 from .mfg_pde import solve_mfg_fixed_point
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(_json_text(doc) + "\n")
+def _write_json(path: Path, doc: dict, t0: float) -> None:
+    """Write doc as a JSON artifact with its cost at the top level: the peak RSS of this process
+    (``ru_maxrss``, KiB on Linux) and the wall time since t0, the command's start."""
+    cost = {"peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, "wall_clock_s": time.perf_counter() - t0}
+    path.write_text(_json_text({**doc, **cost}) + "\n")
 
 
 def _base_doc(desc: ExperimentDescription, seed: int) -> dict:
@@ -57,8 +63,7 @@ def _cmd_validate_model(desc, out, seed):
         doc["passed"] = bool(
             rep.lipschitz_ok and rep.growth_ok and rep.semiconcave_ok and doc["hamiltonian"]["convexity_ok"]
         )
-    _write_json(out / "validation.json", doc)
-    return 0 if doc["passed"] else 3
+    return 0 if doc["passed"] else 3, "validation.json", doc
 
 
 def _cmd_solve_mfg(desc, out, seed):
@@ -71,10 +76,9 @@ def _cmd_solve_mfg(desc, out, seed):
         converged=sol.converged,
         residual_history=list(sol.residual_history),
     )
-    _write_json(out / "solution.json", doc)
     (out / "u0.csv").write_text(_csv_table(["x", "u"], zip(cfg.cell_centers.tolist(), sol.u_path[0].tolist())))
     (out / "m_final.csv").write_text(GridDensity(-cfg.half_width, cfg.dx, sol.m_path[-1]).to_csv())
-    return 0 if sol.converged else 3
+    return 0 if sol.converged else 3, "solution.json", doc
 
 
 def _cmd_solve_limit(desc, out, seed):
@@ -82,9 +86,8 @@ def _cmd_solve_limit(desc, out, seed):
     path = solve_aggregation_fv(desc.build_hamiltonian(), desc.build_kernel(), desc.build_m0_grid(), s["T"], s["dt"])
     doc = _base_doc(desc, seed)
     doc["n_steps"] = len(path) - 1
-    _write_json(out / "solution.json", doc)
     (out / "m_final.csv").write_text(path.measures[-1].to_csv())
-    return 0
+    return 0, "solution.json", doc
 
 
 def _cmd_solve_accel(desc, out, seed):
@@ -101,9 +104,8 @@ def _cmd_solve_accel(desc, out, seed):
         el_residual=result.el_residual,
         energy={"control": result.energy.control, "interaction": result.energy.interaction, "total": result.energy.total},
     )
-    _write_json(out / "solution.json", doc)
     (out / "trajectories.csv").write_text(result.ensemble.to_csv())
-    return 0 if result.certified else 3
+    return 0 if result.certified else 3, "solution.json", doc
 
 
 def _cmd_solve_cs(desc, out, seed):
@@ -115,7 +117,6 @@ def _cmd_solve_cs(desc, out, seed):
     ratio = richardson_order_ratio(m0, kernel, s["T"], 8 * s["dt"])
     doc = _base_doc(desc, seed)
     doc.update(n_snapshots=len(path), step_halving_ratio=ratio)
-    _write_json(out / "solution.json", doc)
     # one row per atom and snapshot: atom, t, coordinates, weight
     rows = (
         [i, t, *p, w]
@@ -123,7 +124,7 @@ def _cmd_solve_cs(desc, out, seed):
         for i, (p, w) in enumerate(zip(m.points.tolist(), m.weights.tolist()))
     )
     (out / "states.csv").write_text(_csv_table(["atom", "t", *path.measures[0]._csv_columns()], rows))
-    return 0 if 8.0 <= ratio <= 32.0 or ratio == float("inf") else 3
+    return 0 if 8.0 <= ratio <= 32.0 or ratio == float("inf") else 3, "solution.json", doc
 
 
 def _cmd_sweep_classic(desc, out, seed):
@@ -137,9 +138,8 @@ def _cmd_sweep_classic(desc, out, seed):
         seed=seed,
     )
     prefix = desc.output["prefix"]
-    (out / f"{prefix}.json").write_text(report.to_json() + "\n")
     (out / f"{prefix}.csv").write_text(report.to_csv())
-    return 0 if not any(r["flagged"] for r in report.rows) else 3
+    return 0 if not any(r["flagged"] for r in report.rows) else 3, f"{prefix}.json", report.to_doc()
 
 
 def _cmd_sweep_accel(desc, out, seed):
@@ -154,12 +154,12 @@ def _cmd_sweep_accel(desc, out, seed):
         seed=seed,
     )
     prefix = desc.output["prefix"]
-    (out / f"{prefix}.json").write_text(report.to_json() + "\n")
     (out / f"{prefix}.csv").write_text(report.to_csv())
-    return 0 if not any(r["flagged"] for r in report.rows) else 3
+    return 0 if not any(r["flagged"] for r in report.rows) else 3, f"{prefix}.json", report.to_doc()
 
 
-#: command -> (body, whether it takes kernel = cucker-smale; None where either family does)
+#: command -> (body, whether it takes kernel = cucker-smale; None where either family does); a body
+#: writes its CSV artifacts and returns (exit status, JSON artifact name, JSON document)
 _COMMANDS = {
     "validate-model": (_cmd_validate_model, None),
     "solve-mfg": (_cmd_solve_mfg, False),
@@ -195,7 +195,8 @@ def main(argv=None) -> int:
             need = "kernel = cucker-smale" if wants_cs else "a position-space kernel, not cucker-smale"
             raise ConfigError(f"model.kernel: {args.command} needs {need}")
         seed = desc.output["seed"] if args.seed is None else args.seed
-        status = run(desc, out, seed)
+        status, name, doc = run(desc, out, seed)
+        _write_json(out / name, doc, t0)
     except Exception as exc:
         err = {
             "error": type(exc).__name__,
@@ -204,7 +205,7 @@ def main(argv=None) -> int:
             "config": args.config,
             "traceback": traceback.format_exc(),
         }
-        _write_json(out / "error.json", err)
+        _write_json(out / "error.json", err, t0)
         print(json.dumps({"error": err["error"], "message": err["message"]}), file=sys.stderr)
         return 2
     print(

@@ -77,8 +77,8 @@ class ConvergenceReport:
     def column(self, key: str) -> np.ndarray:
         return np.array([row[key] for row in self.rows], dtype=float)
 
-    def to_json(self) -> str:
-        doc = {
+    def to_doc(self) -> dict:
+        return {
             "family": self.family,
             "lambdas": list(self.lambdas),
             "rows": list(self.rows),
@@ -86,7 +86,9 @@ class ConvergenceReport:
             "setup": self.setup,
             "seed": self.seed,
         }
-        return _json_text(doc)
+
+    def to_json(self) -> str:
+        return _json_text(self.to_doc())
 
     def to_csv(self) -> str:
         keys = sorted({k for row in self.rows for k in row})

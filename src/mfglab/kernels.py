@@ -53,14 +53,16 @@ through ``measures._line_points``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.sparse import csc_array
 
 from .errors import DimensionError, ParameterError
 from .measures import GridDensity, ParticleEnsemble, _finite, _freeze, _line_points, _positive_finite
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 
 def _radial_value(kernel, x):
@@ -218,6 +220,9 @@ class CrowdRadialKernel:
             raise ValueError("need at least 4 strictly increasing knots")
         if r[0] != 0.0:
             raise ValueError("knots must start at r = 0")
+        # imported here: no config, command or demo builds this kernel, so `import mfglab` skips scipy.interpolate
+        from scipy.interpolate import CubicSpline
+
         object.__setattr__(self, "_spline", CubicSpline(r, p, bc_type="clamped"))
 
     @property

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionError, GridError, ParameterError
 
@@ -351,13 +350,65 @@ def _check_exact_w1(m: ParticleEnsemble) -> None:
                          f"{EXACT_W1_SIZE_CAP}")
 
 
+def _assignment(cost: np.ndarray) -> np.ndarray:
+    """The column matched to each row in a least-cost perfect matching of the square matrix cost.
+
+    Shortest augmenting paths on reduced costs c_ij - u_i - v_j >= 0 (Jonker & Volgenant, Computing
+    38, 1987, without their auction-like reduction phases).  The row reduction u_i = min_j c_ij matches
+    each row to its least-cost column unless an earlier row took it; every other row then runs one
+    Dijkstra search over the columns that stops at a free column (on a tie, a free one first), the
+    duals move so that each matched pair stays tight, and the path flips.  Each step of a search
+    settles one column, so a search ends within n steps whatever the rounding.  Near flocks (a flock
+    and its limit at the same time) leave few rows to search.
+    """
+    n = len(cost)
+    u = cost.min(axis=1)
+    v = np.zeros(n)
+    row_of = np.full(n, -1)
+    col_of = np.full(n, -1)
+    cols, rows = np.unique(cost.argmin(axis=1), return_index=True)
+    row_of[cols] = rows
+    col_of[rows] = cols
+    for start in np.flatnonzero(col_of < 0):
+        dist = np.full(n, np.inf)  # least reduced cost of a path from start to each column
+        pred = np.zeros(n, dtype=np.intp)  # the row before each column on that path
+        settled = np.zeros(n, dtype=bool)
+        i, base = start, 0.0
+        while True:
+            reach = base + cost[i] - u[i] - v
+            better = (reach < dist) & ~settled
+            dist[better] = reach[better]
+            pred[better] = i
+            open_dist = np.where(settled, np.inf, dist)
+            base = open_dist.min()
+            ties = np.flatnonzero(open_dist == base)
+            free = ties[row_of[ties] < 0]
+            j = free[0] if free.size else ties[0]
+            settled[j] = True
+            if row_of[j] < 0:
+                break
+            i = row_of[j]
+        done = np.flatnonzero(settled)
+        reached = done[done != j]
+        u[start] += base
+        u[row_of[reached]] += base - dist[reached]
+        v[done] -= base - dist[done]
+        while True:  # flip the path that ends at the free column j
+            i = pred[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == start:
+                break
+    return col_of
+
+
 def wasserstein1_particles(a: ParticleEnsemble, b: ParticleEnsemble) -> float:
     """W1 distance between particle ensembles, exact or refused.
 
     On the line: the sorted CDF formula, for any weights and sizes.  In phase space: two flocks of
     the same N equal-weight atoms, whose optimal plan is a permutation, so W1 is the optimal
-    assignment on the (N, N) Euclidean cost; other sizes or weights, or N * N above
-    EXACT_W1_SIZE_CAP, raise ValueError.
+    assignment on the (N, N) Euclidean cost (``_assignment``); other sizes or weights, or N * N
+    above EXACT_W1_SIZE_CAP, raise ValueError.
     """
     if a.d_total != b.d_total:
         raise DimensionError(f"dimension mismatch: {a.d_total} vs {b.d_total}")
@@ -369,5 +420,4 @@ def wasserstein1_particles(a: ParticleEnsemble, b: ParticleEnsemble) -> float:
     for m in (a, b):
         _check_exact_w1(m)
     cost = np.linalg.norm(a.points[:, None, :] - b.points[None, :, :], axis=2)
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum() / n)
+    return float(cost[np.arange(n), _assignment(cost)].sum() / n)

@@ -4,9 +4,16 @@ A name added to or removed from ``mfglab/__init__.py`` shows up here as a
 one-line diff.  Submodules are left out: importing ``mfglab.cli`` (which
 the package itself does not) binds ``cli`` on the package, so their
 presence depends on what ran before.
+
+The import budget: what ``import mfglab`` loads, checked in a fresh
+interpreter, since this one has loaded whatever the other tests needed.
 """
 
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import mfglab
 
@@ -73,3 +80,23 @@ def test_public_names_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert exported == PUBLIC_NAMES
+
+
+#: scipy subpackages that importing the package and its command line must not load
+UNLOADED = ("scipy.optimize", "scipy.interpolate", "scipy.special")
+
+
+def _loaded_after(code: str) -> set:
+    """The UNLOADED modules in sys.modules after running code in a fresh interpreter on this source tree."""
+    env = {**os.environ, "PYTHONPATH": str(Path(mfglab.__file__).parents[1])}
+    probe = f"import sys\n{code}\nprint(' '.join(m for m in {UNLOADED!r} if m in sys.modules))"
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    return set(run.stdout.split())
+
+
+def test_import_budget():
+    """import mfglab, mfglab.cli loads numpy, scipy.linalg and scipy.sparse only;
+    scipy.interpolate (and with it scipy.optimize and scipy.special) loads once a CrowdRadialKernel is built."""
+    assert _loaded_after("import mfglab, mfglab.cli") == set()
+    crowd = "import numpy as np, mfglab\nmfglab.CrowdRadialKernel(np.linspace(0, 1, 5), np.linspace(1, 0, 5))"
+    assert "scipy.interpolate" in _loaded_after(crowd)

@@ -1,5 +1,7 @@
 import json
 import re
+import resource
+import time
 from functools import partial
 
 import numpy as np
@@ -27,6 +29,21 @@ from mfglab.errors import ParameterError
 
 
 MINIMAL = "[model]\nkernel = exponential\n"
+
+CLASSIC_TINY = "[model]\nkernel = exponential\n[solver]\nT = 0.5\nn_x = 64\ndt = 0.01\n"
+FLOCK_TINY = "[model]\nkernel = cucker-smale\nbeta = 0.5\n[solver]\nT = 0.5\ndt = 0.01\nn_intervals = 16\n"
+
+#: command -> (config, JSON artifact, exit status): each writes one JSON artifact; error.json on a bad config
+ARTIFACT_CASES = {
+    "validate-model": (MINIMAL, "validation.json", 0),
+    "solve-mfg": (CLASSIC_TINY, "solution.json", 0),
+    "solve-limit": (CLASSIC_TINY, "solution.json", 0),
+    "solve-accel": (FLOCK_TINY, "solution.json", 0),
+    "solve-cs": (FLOCK_TINY, "solution.json", 0),
+    "sweep-classic": (CLASSIC_TINY + "[sweep]\nlambdas = 5, 20\ncross_particles = 20\n", "sweep.json", 0),
+    "sweep-accel": (FLOCK_TINY + "[sweep]\nlambdas = 10\n", "sweep.json", 0),
+    "error": ("[solver]\nlambda = -3\n", "error.json", 2),
+}
 
 
 class TestParseConfig:
@@ -418,6 +435,23 @@ class TestCli:
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "ConfigError"
         assert "solver.lambda" in err["message"]
+
+    @pytest.mark.parametrize("case", list(ARTIFACT_CASES))
+    def test_json_artifact_carries_its_cost(self, tmp_path, capsys, case):
+        """Every JSON artifact states at its top level the process's peak RSS in KiB, as getrusage
+        reports it, and the command's wall time; a sweep's rows and reference block stay as they were."""
+        text, artifact, status = ARTIFACT_CASES[case]
+        cfg = self.write(tmp_path, text + "[output]\nprefix = sweep\n")
+        out = tmp_path / "run"
+        t0 = time.perf_counter()
+        assert main(["solve-mfg" if case == "error" else case, "--config", cfg, "--out", str(out)]) == status
+        elapsed = time.perf_counter() - t0
+        doc = json.loads((out / artifact).read_text())
+        assert isinstance(doc["peak_rss_kb"], int)
+        assert 0 < doc["peak_rss_kb"] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        assert 0.0 < doc["wall_clock_s"] <= elapsed
+        for block in doc.get("rows", []) + [doc.get("reference", {})]:
+            assert "peak_rss_kb" not in block
 
     def test_threads_flag_removed(self, tmp_path, capsys):
         cfg = self.write(tmp_path, MINIMAL)

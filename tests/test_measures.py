@@ -1,10 +1,11 @@
 import io
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
@@ -50,6 +51,19 @@ def _w1_exact_lp(a: ParticleEnsemble, b: ParticleEnsemble) -> float:
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
     return float(res.fun)
+
+
+def _assignment_minimum(a: ParticleEnsemble, b: ParticleEnsemble) -> float:
+    """Oracle: the least mean cost over all permutations between two flocks of n equal-weight atoms, exact
+    by a DP over subsets: best[S] is the least cost of sending the first |S| atoms of a onto the set S of
+    atoms of b.  It takes 2^n n steps, for the n <= 10 that flock_pairs draws."""
+    cost = np.linalg.norm(a.points[:, None, :] - b.points[None, :, :], axis=2).tolist()
+    n = len(cost)
+    best = [0.0] + [math.inf] * ((1 << n) - 1)
+    for subset in range(1, 1 << n):
+        row = cost[subset.bit_count() - 1]
+        best[subset] = min(best[subset & ~(1 << j)] + row[j] for j in range(n) if subset >> j & 1)
+    return best[-1] / n
 
 
 def delta_on_grid(x0, origin=-4.0, dx=0.01, n=800):
@@ -411,9 +425,31 @@ def flock_pairs(draw, max_atoms=10):
 
 class TestWasserstein1ParticleProperties:
     @given(flock_pairs())
-    def test_phase_space_equals_transport_lp(self, pair):
+    # atoms that coincide within and across the flocks; the transport LP (HiGHS) ends 1.8e-11 above this minimum
+    @example(
+        pair=(
+            ParticleEnsemble.equal_weights(np.array([[-1.5, -1.5], [-1.5, -1.5], [-1.5, -1.5], [-1.5, 0.0]]), 1),
+            ParticleEnsemble.equal_weights(np.array([[-1.5, -1.5], [-1.5, -1.5], [0.0, 0.0], [0.0, -1e-10]]), 1),
+        )
+    )
+    # nearly coincident atoms (two cost columns 4e-15 apart), on which scipy 1.17.1's sparse
+    # Jonker-Volgenant solver (min_weight_full_bipartite_matching) never returns
+    @example(
+        pair=(
+            ParticleEnsemble.equal_weights(
+                np.array([[0.0, -10.0], [-1.5, -1.5], [-2.0, 2.0], [6.604509555080827e-94, 0.0],
+                          [-1.799454330827432, 5e-324], [-1.5, -4.42029091250259]]), 1
+            ),
+            ParticleEnsemble.equal_weights(
+                np.array([[-4.5853401766943034e-104, 6.526774299845531], [0.0, -3.107278141839246],
+                          [7.696883369407491, -1.8990896709258646e-137], [6.604509555080827e-94, 2.0],
+                          [1e-14, 2.0], [0.0, 7.703834708923768]]), 1
+            ),
+        )
+    )
+    def test_phase_space_equals_assignment_minimum(self, pair):
         a, b = pair
-        assert wasserstein1_particles(a, b) == pytest.approx(_w1_exact_lp(a, b), rel=1e-12, abs=1e-12)
+        assert wasserstein1_particles(a, b) == pytest.approx(_assignment_minimum(a, b), rel=1e-12, abs=1e-12)
 
     @given(line_ensembles(), line_ensembles())
     def test_1d_equals_transport_lp(self, a, b):
