@@ -71,10 +71,12 @@ def solve_aggregation_fv(
     m0: GridDensity,
     T: float,
     dt: float,
+    mass_log: list | None = None,
 ) -> MeasurePath:
     """Conservative upwind FV scheme with the nonlocal drift refreshed and CFL-checked each step, on the
     clock of measures._march, keeping every node; raises CflError before the first step whose drift
-    breaks the bound."""
+    breaks the bound.  Each step is renormalized to unit mass (roundoff); the largest correction
+    |dx sum - 1| divided out is appended to mass_log if given."""
     if isinstance(kernel, CuckerSmaleKernel):
         raise TypeError("the FV solver takes a position-space kernel")
     dx = m0.dx
@@ -84,11 +86,18 @@ def solve_aggregation_fv(
     Dk = _grid_matrix(kernel, x_int, m0.cell_centers, dx, gradient=True)
     diffuse = _DiffusionSolver(m0.n, dx, dt, 0.0)  # inviscid: the identity
     out, flux = np.empty(m0.n), np.empty(m0.n - 1)
+    correction = 0.0
 
     def step(m, t):
+        nonlocal correction
         b = v_int - Dk @ m
         _check_cfl(b, dt, dx)
-        m = transport_step(m, b, dt, dx, diffuse, out, flux)
-        return m / (m.sum() * dx)
+        m = transport_step(m, np.maximum(b, 0.0), np.minimum(b, 0.0), dt, dx, diffuse, out, flux)
+        total = m.sum() * dx
+        correction = max(correction, abs(total - 1.0))
+        return m / total
 
-    return _march(m0, m0.values, step, lambda m: GridDensity(m0.origin, dx, m), T, dt, save_every=1)
+    path = _march(m0, m0.values, step, lambda m: GridDensity(m0.origin, dx, m), T, dt, save_every=1)
+    if mass_log is not None:
+        mass_log.append(float(correction))
+    return path

@@ -35,6 +35,7 @@ from .measures import (
     ParticleEnsemble,
     _check_exact_w1,
     _csv_table,
+    _n_steps,
     _w1_sorted_1d,
     moment2,
     wasserstein1_1d,
@@ -210,6 +211,11 @@ def _window_times(T: float) -> np.ndarray:
     return np.linspace(0.0, DIAGNOSTIC_WINDOW * T, N_DIAGNOSTIC_TIMES)
 
 
+def _window_nodes(cfg: PdeConfig) -> np.ndarray:
+    """The node of cfg's clock nearest each window time: the nodes a classic row reads."""
+    return np.abs(cfg.times - _window_times(cfg.T)[:, None]).argmin(axis=1)
+
+
 def _sweep_lambdas(lambdas) -> list:
     """The sweep's lambdas as sorted floats; a repeated, non-positive or non-finite one raises
     here, before any validator or solve runs."""
@@ -260,7 +266,7 @@ def _classic_row(
     du = np.gradient(sol.u_path, dx, axis=-1)  # centred, one-sided at the walls
     # the node nearest each window time, on the MFG stack and on the reference alike: both march on one clock
     w1_sup = res_u = res_du = 0.0
-    for j in np.abs(cfg.times - _window_times(cfg.T)[:, None]).argmin(axis=1):
+    for j in _window_nodes(cfg):
         m_lam = GridDensity(-cfg.half_width, dx, sol.m_path[j])
         m_ref = reference.measures[j]
         w1_sup = max(w1_sup, wasserstein1_1d(m_lam, m_ref))
@@ -319,12 +325,14 @@ def run_lambda_sweep_classic(
     ham_report = validate_hamiltonian(ham)
     c0 = max(coupling_report.c0, ham_report.growth_constant)
 
+    # both references march only to the last node a row reads, n_w steps: the window end, not T
     T, dt = base_config.T, base_config.dt
-    reference = solve_aggregation_fv(ham, kernel, m0, T, dt)
+    T_window = int(_window_nodes(base_config).max()) * dt
+    fv_mass = []
+    reference = solve_aggregation_fv(ham, kernel, m0, T_window, dt, fv_mass)
     atoms = sample_grid_to_atoms(m0, n_cross_particles)
-    particle_ref = solve_aggregation_particles(ham, kernel, atoms, T, dt)
-    k = int(np.argmin(np.abs(particle_ref.times - DIAGNOSTIC_WINDOW * T)))  # a node of both paths
-    cross_error = w1_grid_vs_particles(reference.at(particle_ref.times[k]), particle_ref.measures[k])
+    particle_ref = solve_aggregation_particles(ham, kernel, atoms, T_window, dt)
+    cross_error = w1_grid_vs_particles(reference.measures[-1], particle_ref.measures[-1])  # both at node n_w
 
     rows = [_classic_row(replace(base_config, lam=lam), ham, kernel, m0, reference, c0) for lam in lambdas]
 
@@ -339,6 +347,7 @@ def run_lambda_sweep_classic(
             "n_x": m0.n,
             "cross_validation_w1": float(cross_error),
             "cross_particles": n_cross_particles,
+            "fv_mass_correction": fv_mass[0],  # largest |dx sum - 1| the FV solve divided out; reported, never flagged
         },
         setup={
             "kernel": repr(kernel),
@@ -350,6 +359,10 @@ def run_lambda_sweep_classic(
         },
         seed=seed,
     )
+
+
+def _nearest(times: np.ndarray, t: float) -> int:
+    return int(np.argmin(np.abs(times - t)))
 
 
 def _acceleration_row(
@@ -368,8 +381,7 @@ def _acceleration_row(
 
     # (trajectory node, reference snapshot) at each window time, then at T/2, which is one of them;
     # one transport solve per distinct pair, matched on indices (float window times can miss T/2)
-    nearest = lambda times, t: int(np.argmin(np.abs(times - t)))
-    pairs = [(nearest(ens.times, t), nearest(reference.times, t)) for t in (*_window_times(T), 0.5 * T)]
+    pairs = [(_nearest(ens.times, t), _nearest(reference.times, t)) for t in (*_window_times(T), 0.5 * T)]
     w1 = {
         (j, r): wasserstein1_particles(ens.phase_ensemble(j), reference.measures[r])
         for j, r in dict.fromkeys(pairs)
@@ -422,7 +434,10 @@ def run_lambda_sweep_acceleration(
     _check_exact_w1(m0)
     for lam in lambdas:
         _preconditioner(m0.weights, lam, T, _row_intervals(lam, T, n_intervals))
-    reference = solve_cs(m0, kernel, T, dt_reference, save_every=1)
+    # the reference marches only to the last node a row reads: the one nearest the window end
+    times = dt_reference * np.arange(_n_steps(T, dt_reference) + 1)
+    n_read = max(_nearest(times, t) for t in (*_window_times(T), 0.5 * T))
+    reference = solve_cs(m0, kernel, n_read * dt_reference, dt_reference, save_every=1)
     ratio = richardson_order_ratio(m0, kernel, T, dt_reference * 8)
 
     rows = [_acceleration_row(lam, m0, kernel, T, n_intervals, reference) for lam in lambdas]

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,19 +161,51 @@ class TestClassicSweep:
         row = run_lambda_sweep_classic(*sweep, base_config=cfg, n_cross_particles=50).rows[0]
         assert row["error"] == "BoundaryLeakError" and np.isnan(row["fp_mass_correction"])
 
+    def test_fv_mass_correction_reported(self, zero_ham, exp_kernel):
+        # the roundoff that each FV reference step divides out is reported, not flagged
+        cfg = small_config(10.0)
+        m0 = small_m0(cfg)
+        rep = run_lambda_sweep_classic(zero_ham, exp_kernel, m0, [10.0], base_config=cfg, n_cross_particles=50)
+        log = []
+        solve_aggregation_fv(zero_ham, exp_kernel, m0, 375 * cfg.dt, cfg.dt, log)
+        assert rep.reference["fv_mass_correction"] == log[0]
+        assert 0.0 <= log[0] < 1e-13
+
     def test_cross_check_reads_one_time(self, zero_ham, exp_kernel):
-        # 1,500 steps: the particle path keeps every 2nd node, so the window end 1.125 is no node of
-        # it; the FV reference is read at the particle snapshot's own time, 1.124
+        # 1,500 steps: both references stop at the window end 1.125, node 1125, and the cross-check
+        # compares their last nodes; a particle path over [0, T] keeps every 2nd node and misses it
         cfg = small_config(10.0, T=1.5, dt=1e-3, n_x=32, half_width=4.0)
         m0 = small_m0(cfg)
         rep = run_lambda_sweep_classic(zero_ham, exp_kernel, m0, [10.0], base_config=cfg, n_cross_particles=20)
         fv = solve_aggregation_fv(zero_ham, exp_kernel, m0, cfg.T, cfg.dt)
         atoms = convergence.sample_grid_to_atoms(m0, 20)
-        particles = solve_aggregation_particles(zero_ham, exp_kernel, atoms, cfg.T, cfg.dt)
-        k = int(np.argmin(np.abs(particles.times - 1.125)))
-        assert particles.times[k] == 1124 * cfg.dt == fv.times[1124]
-        expected = convergence.w1_grid_vs_particles(fv.measures[1124], particles.measures[k])
-        assert rep.reference["cross_validation_w1"] == expected
+        particles = solve_aggregation_particles(zero_ham, exp_kernel, atoms, 1125 * cfg.dt, cfg.dt)
+        assert 1125 * cfg.dt not in solve_aggregation_particles(zero_ham, exp_kernel, atoms, cfg.T, cfg.dt).times
+        assert particles.times[-1] == 1125 * cfg.dt == fv.times[1125]
+        expected = convergence.w1_grid_vs_particles(fv.measures[1125], particles.measures[-1])
+        assert rep.reference["cross_validation_w1"] == expected == 0.08495439373303187
+
+    def test_references_stop_at_the_window(self, zero_ham, exp_kernel, monkeypatch):
+        """500 steps: the rows read nodes up to 375, so both references march 375 steps, and every
+        diagnostic equals the one read from references over [0, T]."""
+        cfg = small_config(10.0)
+        m0 = small_m0(cfg)
+        horizons = []
+        for name in ("solve_aggregation_fv", "solve_aggregation_particles"):
+            solve = getattr(convergence, name)
+            monkeypatch.setattr(convergence, name, lambda *a, solve=solve: horizons.append(a[3]) or solve(*a))
+        rep = run_lambda_sweep_classic(zero_ham, exp_kernel, m0, [10.0, 40.0], base_config=cfg, n_cross_particles=50)
+        assert horizons == [375 * cfg.dt] * 2
+        fv = solve_aggregation_fv(zero_ham, exp_kernel, m0, cfg.T, cfg.dt)
+        particles = solve_aggregation_particles(
+            zero_ham, exp_kernel, convergence.sample_grid_to_atoms(m0, 50), cfg.T, cfg.dt
+        )
+        assert rep.reference["cross_validation_w1"] == convergence.w1_grid_vs_particles(
+            fv.measures[375], particles.measures[375]
+        )
+        for lam, row in zip(rep.lambdas, rep.rows):
+            full = convergence._classic_row(replace(cfg, lam=lam), zero_ham, exp_kernel, m0, fv, 1.0)
+            assert (row["w1_sup"], row["residual_lam_du_l1"]) == (full["w1_sup"], full["residual_lam_du_l1"])
 
     def test_sweep_draws_no_random_number(self, zero_ham, exp_kernel, monkeypatch):
         """The kernel and the drift state their constants, so a sweep makes no random generator."""
@@ -352,6 +385,23 @@ class TestAccelerationSweep:
         assert len(solved) == 7
         assert row["w1_at_half_T"] == solved[4]
         assert row["w1_sup"] == max(solved)
+
+    def test_reference_stops_at_the_window(self, monkeypatch):
+        """At T = 0.7 the rows read reference nodes up to 525 of 700: the CS path stops there, the
+        step-halving ratio still integrates [0, T], and w1_sup and w1_at_half_T equal the values read
+        from a reference over [0, T]."""
+        kernel = CuckerSmaleKernel(1.0, 0.5)
+        m0 = ParticleEnsemble.equal_weights(np.array([[-0.5, 0.4], [0.1, -0.3], [0.6, -0.1]]), 1)
+        horizons = []
+        for name in ("solve_cs", "richardson_order_ratio"):
+            solve = getattr(convergence, name)
+            monkeypatch.setattr(convergence, name, lambda *a, solve=solve, **k: horizons.append(a[2]) or solve(*a, **k))
+        rep = run_lambda_sweep_acceleration(kernel, m0, [10.0, 40.0], T=0.7, n_intervals=64)
+        assert horizons == [525 * 1e-3, 0.7]
+        full = convergence.solve_cs(m0, kernel, 0.7, 1e-3, save_every=1)
+        for lam, row in zip(rep.lambdas, rep.rows):
+            expected = convergence._acceleration_row(lam, m0, kernel, 0.7, 64, full)
+            assert (row["w1_sup"], row["w1_at_half_T"]) == (expected["w1_sup"], expected["w1_at_half_T"])
 
     def test_wrong_kernel_type(self, two_body_phase):
         with pytest.raises(TypeError):

@@ -19,6 +19,7 @@ from mfglab import (
     grad_coupling,
     hjb_backward,
     limit_drift,
+    solve_aggregation_fv,
     solve_mfg_fixed_point,
 )
 from mfglab import kernels, mfg_pde
@@ -346,7 +347,68 @@ class TestHjbBackward:
             hjb_backward(cfg, zero_ham, exp_kernel, huge)
 
 
+def old_transport_step(m, b, dt, dx, diffuse):
+    """The transport step as it was before it took the drift's two signs from its caller: it split
+    b into max(b, 0) and min(b, 0) at every step.  The oracle of its bit-identity."""
+    flux = np.maximum(b, 0.0) * m[:-1]
+    flux += np.minimum(b, 0.0) * m[1:]
+    flux *= dt / dx
+    out = m.copy()
+    out[:-1] -= flux
+    out[1:] += flux
+    return np.maximum(diffuse(out), 0.0)
+
+
+def old_fp_forward(cfg, ham, u_path, m0):
+    """fp_forward with the per-step split of old_transport_step, one drift row at a time."""
+    lam, dt, dx = cfg.lam, cfg.dt, cfg.dx
+    v_int = ham.drift(cfg.cell_centers[:-1] + 0.5 * dx)
+    diffuse = mfg_pde._DiffusionSolver(cfg.n_x, dx, dt, cfg.viscosity)
+    m = np.empty((cfg.n_steps + 1, cfg.n_x))
+    m[0] = m0.values
+    for j in range(cfg.n_steps):
+        b = v_int - (u_path[j, 1:] - u_path[j, :-1]) / dx * lam
+        step = old_transport_step(m[j], b, dt, dx, diffuse)
+        m[j + 1] = step / (step.sum() * dx)
+    return m
+
+
+def old_fv_path(ham, kernel, m0, n_steps, dt):
+    """The FV limit solve's nodes with the per-step split of old_transport_step."""
+    x_int = m0.cell_edges[1:-1]
+    v_int = ham.drift(x_int)
+    Dk = kernels._grid_matrix(kernel, x_int, m0.cell_centers, m0.dx, gradient=True)
+    identity = mfg_pde._DiffusionSolver(m0.n, m0.dx, dt, 0.0)
+    m = [m0.values]
+    for _ in range(n_steps):
+        step = old_transport_step(m[-1], v_int - Dk @ m[-1], dt, m0.dx, identity)
+        m.append(step / (step.sum() * m0.dx))
+    return np.array(m)
+
+
 class TestFpForward:
+    def test_block_split_bit_identical_to_per_step_split(self):
+        """150 steps, two full 64-step blocks and a partial one, under a drift of both signs, a
+        nonzero v and nu > 0: every node equals the per-step split's, bit for bit."""
+        cfg = PdeConfig(lam=10.0, T=0.3, n_x=128, dt=2e-3)
+        assert cfg.n_steps == 150 and cfg.viscosity > 0
+        ham = QuadraticDriftHamiltonian(DriftField("sinusoidal", 0.5, 2.0))
+        centres = np.linspace(-1.0, 1.0, cfg.n_steps + 1)
+        m_path = np.stack([GridDensity.gaussian(c, 0.5, -6.0, cfg.dx, cfg.n_x).values for c in centres])
+        u = hjb_backward(cfg, ham, ExponentialKernel(1.0, 1.0), m_path)
+        b = ham.drift(cfg.cell_centers[:-1] + 0.5 * cfg.dx) - cfg.lam * np.diff(u[:-1], axis=1) / cfg.dx
+        assert np.any(b > 0) and np.any(b < 0)
+        m0 = GridDensity.gaussian(0.2, 0.5, -6.0, cfg.dx, cfg.n_x)
+        assert np.array_equal(fp_forward(cfg, ham, u, m0), old_fp_forward(cfg, ham, u, m0))
+
+    def test_fv_bit_identical_to_per_step_split(self, exp_kernel):
+        """The FV limit solve splits its own drift at each step, which its k*m refreshes."""
+        dx, dt = 12.0 / 128, 2e-3
+        ham = QuadraticDriftHamiltonian(DriftField("sinusoidal", 0.5, 2.0))
+        m0 = GridDensity.gaussian(0.2, 0.5, -6.0, dx, 128)
+        path = solve_aggregation_fv(ham, exp_kernel, m0, 150 * dt, dt)
+        assert np.array_equal(np.array([m.values for m in path.measures]), old_fv_path(ham, exp_kernel, m0, 150, dt))
+
     def test_zero_drift_zero_viscosity_stationary(self, zero_ham, gauss_m0):
         cfg = PdeConfig(lam=10.0, nu=0.0)
         u = np.zeros((cfg.n_steps + 1, cfg.n_x))
