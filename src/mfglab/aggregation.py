@@ -54,7 +54,10 @@ def solve_aggregation_particles(
         raise DimensionError("position-space ensemble expected")
     w = m0.weights
     pair_force = _self_pair_sum(kernel, w, gradient=True)
-    rhs = lambda p: ham.drift(p) - pair_force(p)
+    if ham.drift.sup_norm:
+        rhs = lambda p: ham.drift(p) - pair_force(p)
+    else:  # no drift array to build: 0 - f, not -f, leaves a zero force +0.0 as a zero drift does
+        rhs = lambda p: 0.0 - pair_force(p)
 
     def step(pos, t):
         pos = _rk4(rhs, pos, dt, 1)

@@ -34,7 +34,7 @@ def _rk4(rhs, z, dt, n_steps):
 
 def _phase_rhs(m0: ParticleEnsemble, kernel):
     """Right-hand side on the state z = [pos | vel], (N, 2): returns [vel | -D_vF], with -D_vF
-    the alignment acceleration from one (N, N) weight matrix and one product
+    the alignment acceleration from the block-upper staircase of the symmetric weight matrix
     (``kernels._cs_alignment``), on velocities centred on their weighted mean."""
     _flock(m0)
     alignment = _cs_alignment(kernel, m0.weights)

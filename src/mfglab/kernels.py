@@ -26,7 +26,7 @@ cumsum; the zero kernel's empty sum is exact zeros with no pair work.
 The repulsive-attractive and crowd kernels stay on the dense body, the
 sorted one's test oracle; the repulsive-attractive profile r exp(-a r)
 would need a two-term recurrence.  Every dense pair array --
-``_dense_pair_sum``, ``_grid_matrix``, ``psd_check`` and
+``_dense_pair_sum``, ``_grid_matrix``, ``psd_check`` and each block of
 ``_cs_alignment`` -- takes its offsets xq_i - pos_j from one rank-2
 product [xq | 1] @ [1 ; -pos] (``_outer_offsets``): bit for bit the
 subtraction, save that an exact zero is +0.0, and several times faster
@@ -35,9 +35,12 @@ than a broadcast one.
 The Cucker-Smale kernel acts on the line too, jointly on
 position-velocity offsets of any shape, k(x,v) = v^2 / g(x) with
 g(x) = (alpha + x^2)^beta elementwise; its weight is not radial in
-(x, v) and not a sum of exponentials.  The alignment force is one
-(N, N) weight matrix 1 / g times [w | w u] on centred velocities u
-(``_cs_alignment``).  The energy and gradients of the MFG of
+(x, v) and not a sum of exponentials.  The alignment force is the
+symmetric (N, N) weight matrix A = 1 / g times [w | w u] on centred
+velocities u (``_cs_alignment``), of which only the block-upper
+staircase is formed: row blocks of about 96 atoms, each pair weight
+once outside the diagonal squares, and the part of each block right
+of its square applied a second time, transposed.  The energy and gradients of the MFG of
 acceleration, its EL residual and the single-query couplings go over a
 list of pairs (``_cs_pair_sums``): a flock's unordered pairs p < q once
 each (k is even in a pair), or a query's pairs with the atoms.  Pair
@@ -274,7 +277,9 @@ class CuckerSmaleKernel:
             raise ParameterError("beta", f"beta must be nonnegative and finite, got {self.beta}")
 
     def g(self, x):
-        return self._g_of_q(self.alpha + np.asarray(x, dtype=float) ** 2)
+        q = np.square(np.asarray(x, dtype=float))  # one temporary, at any size
+        q += self.alpha
+        return self._g_of_q(q)
 
     def _g_of_q(self, q):
         """g as a function of q = alpha + x^2, in place on the float array q: the pair pass
@@ -294,16 +299,20 @@ class CuckerSmaleKernel:
         return float(max(1.0, 2.0 / inf_g, dg_over_g, 2.0 / np.sqrt(inf_g)))
 
 
-def _offset_operands(nq, n):
-    """The two factors of ``_outer_offsets`` for nq queries and n atoms, (nq, 2) and (2, n), with
-    their ones in place: a caller that forms offsets again and again keeps them between calls."""
-    return np.ones((nq, 2)), np.ones((2, n))
+def _offset_operands(xq, pos):
+    """The two factors of ``_outer_offsets``, [xq | 1] (nq, 2) and [1 ; -pos] (2, N).  A caller that
+    forms offsets again and again keeps them, and views of them, and refills left[:, 0] and right[1]."""
+    left, right = np.ones((len(xq), 2)), np.ones((2, len(pos)))
+    left[:, 0] = xq
+    np.negative(pos, out=right[1])
+    return left, right
 
 
-def _outer_offsets(xq, pos, out=None, operands=None):
+def _outer_offsets(xq, pos, out=None):
     """The (nq, N) pair offsets xq_i - pos_j of points xq (nq,) and pos (N,) on the line, as one rank-2
-    product [xq | 1] @ [1 ; -pos], written into out when given and formed in the ``_offset_operands``
-    factors when given.  Every dense pair array takes its offsets from here.
+    product [xq | 1] @ [1 ; -pos] of the ``_offset_operands`` factors, written into out when given.
+    Every dense pair array takes its offsets from this product, the staircase of ``_cs_alignment``
+    from its blocks of rows and columns.
 
     Each entry is xq_i * 1 + 1 * (-pos_j): two exact products and one rounding, so it equals the
     subtraction xq_i - pos_j bit for bit, inf and NaN included, however the BLAS orders or fuses the
@@ -311,10 +320,7 @@ def _outer_offsets(xq, pos, out=None, operands=None):
     starts at +0.0), where -0.0 - 0.0 gives -0.0.  A column-broadcast subtraction runs several times
     slower than this product (at N = 192, one BLAS thread: 35-50 us against 9-15 us).
     """
-    left, right = _offset_operands(len(xq), len(pos)) if operands is None else operands
-    left[:, 0] = xq
-    np.negative(pos, out=right[1])
-    return np.matmul(left, right, out=out)
+    return np.matmul(*_offset_operands(xq, pos), out=out)
 
 
 def _grid_matrix(kernel, xq, y, dx, gradient=False):
@@ -426,7 +432,7 @@ def _sorted_self_sum(terms, w, gradient):
 
 
 #: largest pair array of one time node a Cucker-Smale pair sum may allocate, in bytes: the
-#: (N, N) weight matrix of ``_cs_alignment``, the (M,) pair column of ``_cs_pair_sums``
+#: staircase buffer of ``_cs_alignment``, the (M,) pair column of ``_cs_pair_sums``
 PAIR_ARRAY_CAP = 2**28
 
 
@@ -436,24 +442,63 @@ def _check_pair_cap(nbytes):
         raise ValueError(f"pair arrays of {nbytes} bytes each exceed the cap of {PAIR_ARRAY_CAP} bytes")
 
 
+#: rows of one block of the staircase of ``_cs_alignment``: a flock of N atoms takes
+#: max(1, round(N / 96)) blocks, one below 144 atoms, so up to 143 atoms keep the bits of the
+#: full matrix.  One alignment call took, in us at N = 24, 96, 144, 192 and 384, 7.7, 24.6, 45.6,
+#: 77.4 and 343 with the full (N, N) matrix and 7.3, 23.1, 39.1, 59.3 and 203 with the staircase
+#: (2-core x86-64, numpy 2.4, one BLAS thread, median of three runs of the best of 15)
+_CS_BLOCK_ROWS = 96
+
+
+def _cs_staircase(n):
+    """The row blocks [lo, hi) of the staircase of an N-atom flock, as even as integer edges make them."""
+    count = max(1, (n + _CS_BLOCK_ROWS // 2) // _CS_BLOCK_ROWS)
+    edges = [i * n // count for i in range(count + 1)]
+    return list(zip(edges, edges[1:]))
+
+
 def _cs_alignment(kernel, w):
     """acc(pos, vel, out) writing the alignment acceleration -sum_j w_j 2 (v_i - v_j) / g(x_i - x_j) of a
-    flock of weights w (N,) into out (N,): 2 ((A (w u))_i - u_i (A w)_i), A = 1 / g(x_i - x_j), from one
-    product A @ [w | w u], the offsets from ``_outer_offsets``, in buffers allocated once.  u = v - w.v
-    centres the velocities on their weighted mean; a shift leaves each v_i - v_j alone, but uncentred the
-    difference loses |mean v| / spread digits."""
+    flock of weights w (N,) into out (N,): 2 ((A (w u))_i - u_i (A w)_i), A = 1 / g(x_i - x_j), from the
+    products s = A @ [w | w u].  u = v - w.v centres the velocities on their weighted mean; a shift leaves
+    each v_i - v_j alone, but uncentred the difference loses |mean v| / spread digits.
+
+    A is symmetric, so only its block-upper staircase is formed: the atoms split into row blocks
+    [lo, hi) (``_cs_staircase``), and block b is the rectangle A[lo:hi, lo:], the offsets of its rows
+    and columns one rank-2 product of views of the ``_outer_offsets`` factors.  The rectangles lie
+    back to back in one flat buffer, on which ``kernel.g`` and the reciprocal run once a call, over
+    N^2 (B + 1) / (2 B) entries for B blocks.  Block b gives s[lo:hi] = A[lo:hi, lo:] @ [w | w u][lo:],
+    and its part right of the diagonal square, mirrored, s[hi:] += A[lo:hi, hi:].T @ [w | w u][lo:hi].
+    Every buffer and view is made here; PAIR_ARRAY_CAP bounds the staircase buffer.  With one block
+    (N < 144) these are the operations of the full matrix A @ [w | w u], bit for bit.
+    """
     n = len(w)
-    _check_pair_cap(n * n * w.itemsize)
-    offsets, factors = np.empty((n, n)), _offset_operands(n, n)
-    operand = np.column_stack([w, w])  # column 1 becomes w u
+    spans = _cs_staircase(n)
+    sizes = [(hi - lo) * (n - lo) for lo, hi in spans]
+    _check_pair_cap(sum(sizes) * w.itemsize)
+    weights, operand, s = np.empty(sum(sizes)), np.column_stack([w, w]), np.empty((n, 2))
+    wu, aw, awu = operand[:, 1], s[:, 0], s[:, 1]  # operand = [w | w u], s = [A w | A (w u)]
+    left, right = _offset_operands(w, w)  # refilled from the positions at each call
+    blocks, mirrors = [], []
+    for (lo, hi), start in zip(spans, np.cumsum([0] + sizes)):
+        rect = weights[start : start + (hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
+        blocks.append((left[lo:hi], right[:, lo:], rect, operand[lo:], s[lo:hi]))
+        if hi < n:
+            mirrors.append((rect[:, hi - lo :].T, operand[lo:hi], np.empty((n - hi, 2)), s[hi:]))
 
     def acc(pos, vel, out):
-        a = kernel.g(_outer_offsets(pos, pos, offsets, factors))
-        np.reciprocal(a, out=a)
+        left[:, 0] = pos  # the factors [pos | 1] and [1 ; -pos], as _offset_operands fills them
+        np.negative(pos, out=right[1])
+        for rows, cols, rect, _, _ in blocks:
+            np.matmul(rows, cols, out=rect)
+        np.reciprocal(kernel.g(weights), out=weights)
         u = vel - w @ vel
-        np.multiply(w, u, out=operand[:, 1])
-        s = a @ operand
-        np.subtract(s[:, 1], np.multiply(u, s[:, 0], out=out), out=out)
+        np.multiply(w, u, out=wu)
+        for _, _, rect, part, dest in blocks:
+            np.matmul(rect, part, out=dest)
+        for mirror, part, tmp, dest in mirrors:
+            dest += np.matmul(mirror, part, out=tmp)
+        np.subtract(awu, np.multiply(u, aw, out=out), out=out)
         out *= 2.0
         return out
 

@@ -213,23 +213,35 @@ def hjb_backward(
     return u
 
 
+def _outflows(b: np.ndarray) -> np.ndarray:
+    """The upwind outflow of every cell but the last through its two interfaces, from interface drifts
+    b (..., n_x - 1): out[..., i] = max(b[..., i], 0) + max(-b[..., i - 1], 0); NaN where b is NaN."""
+    out = np.maximum(b, 0.0)  # through the right interface ...
+    out[..., 1:] -= np.minimum(b[..., :-1], 0.0)  # ... and through the left one
+    return out
+
+
 def _check_cfl(b: np.ndarray, dt: float, dx: float) -> None:
     """Raise CflError unless every cell's upwind outflow dt/dx (max(b_right, 0) + max(-b_left, 0)) is <= 1,
     the bound under which an explicit step keeps the cell nonnegative; a wall cell has one interface.
 
-    b holds the n_x - 1 interior interface drifts of one step, or one row of them per step;
-    64-row blocks keep the temporaries small.
+    b holds the n_x - 1 interior interface drifts of one step, or one row of them per step.  One
+    row, which the FV limit solver checks at every step, takes one pass; a stack goes in 64-row
+    blocks, which keep the temporaries small.  A drift that is not finite bounds no outflow: a NaN
+    gives a NaN outflow, which fails the bound.
     """
     if not b.size:
         return
-    b = b.reshape(-1, b.shape[-1])
-    worst = 0.0
-    for rows in (b[i : i + 64] for i in range(0, len(b), 64)):
-        out = np.maximum(rows, 0.0)  # out[:, i]: outflow of cell i through its right interface ...
-        out[:, 1:] -= np.minimum(rows[:, :-1], 0.0)  # ... and through its left one
-        worst = np.max([worst, out.max(), -rows[:, -1].min()])  # the last cell has only its left interface
+    if b.ndim == 1:
+        # the last cell has only its left interface; a NaN outflow comes first, so max keeps it
+        worst = max(_outflows(b).max(), -b[-1])
+    else:
+        b = b.reshape(-1, b.shape[-1])
+        worst = 0.0
+        for rows in (b[i : i + 64] for i in range(0, len(b), 64)):
+            worst = np.max([worst, _outflows(rows).max(), -rows[:, -1].min()])  # np.max keeps a NaN
     cfl = worst * dt / dx
-    if not cfl <= 1.0:  # np.max keeps a NaN from the drift: a drift that is not finite bounds no outflow
+    if not cfl <= 1.0:
         raise CflError(f"advective CFL violated: largest cell outflow dt/dx = {cfl:.3f}, not <= 1")
 
 

@@ -104,6 +104,22 @@ class TestParticleSolver:
         for m in path.measures:
             assert float(m.weights @ m.positions[:, 0]) == pytest.approx(com0, abs=1e-12)
 
+    @pytest.mark.parametrize("kernel", [MorseKernel(0.5, 2.0), ZeroKernel()], ids=["morse", "zero"])
+    def test_zero_drift_is_skipped_bit_for_bit(self, zero_ham, kernel, rng, monkeypatch):
+        """A drift whose sup_norm is 0 is never evaluated, and the positions are bit for bit those of
+        the right-hand side that subtracts the pair force from the drift's zeros (a zero force stays +0.0)."""
+        m0 = ParticleEnsemble.equal_weights(np.append(rng.standard_normal(15), -0.0)[:, None], 1)  # a +0.0 and a -0.0 step move -0.0 to different bits
+        calls = []
+        drift = DriftField.__call__
+        monkeypatch.setattr(DriftField, "__call__", lambda self, x: calls.append(1) or drift(self, x))
+        new = solve_aggregation_particles(zero_ham, kernel, m0, 0.5, 1e-2)
+        assert calls == []
+        monkeypatch.setattr(DriftField, "sup_norm", property(lambda self: 1.0))  # the drift path
+        old = solve_aggregation_particles(zero_ham, kernel, m0, 0.5, 1e-2)
+        assert len(calls) == 4 * 50
+        for a, b in zip(new.measures, old.measures):
+            assert np.array_equal(a.points.view(np.int64), b.points.view(np.int64))
+
     def test_escape_past_blowup_radius_raises(self, zero_ham, rng, monkeypatch):
         # strong repulsion drives the gap like ln(t): eventually some
         # particle leaves the monitored ball and the solver reports it

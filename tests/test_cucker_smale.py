@@ -46,21 +46,39 @@ class TestCsRhs:
             cs_rhs(m, CuckerSmaleKernel())
 
     def test_one_g_call(self, rng, monkeypatch):
-        """One right-hand side evaluates g once, through CuckerSmaleKernel.g: the benchmark
-        traces that method as its kernels.cs_g span."""
+        """One right-hand side evaluates g once, through CuckerSmaleKernel.g, on the staircase buffer:
+        the benchmark traces that method as its kernels.cs_g span.  12 atoms take one block, the
+        144 weights of the full matrix; 192 take two, 96 * 192 + 96 * 96 weights."""
         calls = []
         g = CuckerSmaleKernel.g
         monkeypatch.setattr(CuckerSmaleKernel, "g", lambda self, x: calls.append(x.shape) or g(self, x))
-        cs_rhs(phase_atoms(rng.standard_normal(12), rng.standard_normal(12)), CuckerSmaleKernel(1.0, 0.5))
-        assert calls == [(12, 12)]
+        for n in (12, 192):
+            cs_rhs(phase_atoms(rng.standard_normal(n), rng.standard_normal(n)), CuckerSmaleKernel(1.0, 0.5))
+        assert calls == [(144,), (27_648,)]
 
     def test_pair_array_cap(self, rng, monkeypatch):
-        # 12 atoms: the (12, 12) weight matrix takes 1152 bytes
+        # 12 atoms: the one-block staircase, the (12, 12) weight matrix, takes 1152 bytes
         monkeypatch.setattr(kernels, "PAIR_ARRAY_CAP", 1000)
         m = phase_atoms(rng.standard_normal(12), rng.standard_normal(12))
         for call in (lambda: cs_rhs(m, CuckerSmaleKernel()), lambda: solve_cs(m, CuckerSmaleKernel(), 0.1, 0.05)):
             with pytest.raises(ValueError, match="1152 bytes each exceed the cap of 1000 bytes"):
                 call()
+
+    def test_pair_array_cap_bounds_the_staircase(self, monkeypatch):
+        """The cap bounds the buffer really allocated: at 192 atoms the staircase holds 27,648
+        weights, 221,184 bytes, not the 294,912 of the full matrix.  A cap of that many bytes
+        passes; one byte less raises before any array is allocated."""
+        w, kernel = np.full(192, 1.0 / 192), CuckerSmaleKernel()
+        monkeypatch.setattr(kernels, "PAIR_ARRAY_CAP", 221_184)
+        kernels._cs_alignment(kernel, w)
+        monkeypatch.setattr(kernels, "PAIR_ARRAY_CAP", 221_183)
+        allocations = []
+        for name in ("empty", "ones", "zeros", "column_stack", "cumsum"):
+            made = getattr(np, name)
+            monkeypatch.setattr(np, name, lambda *a, made=made, name=name, **k: allocations.append(name) or made(*a, **k))
+        with pytest.raises(ValueError, match="221184 bytes each exceed the cap of 221183 bytes"):
+            kernels._cs_alignment(kernel, w)
+        assert allocations == []
 
 
 class TestSolveCs:
@@ -76,6 +94,19 @@ class TestSolveCs:
         vbar0 = float(m0.weights @ m0.velocities[:, 0])
         for m in path.measures:
             assert abs(float(m.weights @ m.velocities[:, 0]) - vbar0) <= 1e-9
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.5])
+    def test_mean_velocity_conserved_on_two_blocks(self, rng, beta):
+        """192 atoms of unequal weights take two blocks: each weight enters both sums it belongs to,
+        so the weighted mean velocity stays at 0 within 1e-15 over 100 RK4 steps."""
+        w = rng.uniform(0.2, 1.0, 192)
+        w /= w.sum()
+        v = rng.standard_normal(192)
+        m0 = ParticleEnsemble(np.column_stack([rng.standard_normal(192), v - w @ v]), w, 1)
+        path = solve_cs(m0, CuckerSmaleKernel(0.7, beta), 1.0, 1e-2)
+        assert len(path.measures) == 101
+        for m in path.measures:
+            assert abs(float(w @ m.velocities[:, 0])) <= 1e-15
 
     def test_velocity_moment_dissipates(self, rng):
         m0 = phase_atoms(rng.standard_normal(32), rng.standard_normal(32))

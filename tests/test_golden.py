@@ -35,9 +35,10 @@ The Cucker-Smale values (``cs_final``, ``richardson`` and the
 from the dense pair sum (``dense_cs_pair_sum(grad_v=True)``), kept as
 the test oracle ``test_pair_sums.pair_sum_cs_alignment``: on it they
 stay bit-identical and byte-identical.  The shipped matrix form
-(``_cs_alignment``: one weight matrix, one product, centred velocities)
-sums the same terms in another order, within 4e-16 of the scale per
-call.  It is pinned
+(``_cs_alignment``: the block-upper staircase of the weight matrix,
+centred velocities; at the 24 atoms here one block, the full matrix
+and one product) sums the same terms in another order, within 4e-16
+of the scale per call.  It is pinned
 against the same values within 1e-14 absolute on the final states and
 on the parsed ``states.csv`` values (the gap is 2.2e-16), and 1e-6
 relative on the Richardson ratio (3.0e-8), which divides two

@@ -382,3 +382,13 @@ class TestCuckerSmaleConstants:
         k = CuckerSmaleKernel(0.5, 1.2)
         x = rng.standard_normal((50, 1))
         assert np.all(k.g(x) >= 1.0 / k.c0 - 1e-12)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.5])
+    def test_g_is_the_closed_form_bit_for_bit(self, rng, beta):
+        """g squares into one temporary and adds alpha in place: bit for bit (alpha + x^2)^beta, on a
+        scalar and on arrays below and above numpy's 256 KiB temporary-elision size."""
+        k = CuckerSmaleKernel(0.7, beta)
+        for x in (0.3, rng.standard_normal(24), rng.standard_normal((96, 400))):
+            expected = (k.alpha + np.asarray(x) ** 2) ** k.beta
+            assert np.shape(k.g(x)) == np.shape(x)
+            assert np.array_equal(np.asarray(k.g(x)).view(np.int64), np.asarray(expected).view(np.int64))

@@ -676,3 +676,35 @@ def test_cfl_rejects_a_non_finite_drift(bad):
     stack[66, 1] = bad  # in the second 64-row block, after a block whose worst outflow is 0
     with pytest.raises(CflError):
         _check_cfl(stack, 1e-3, 0.05)
+
+
+def cfl_verdict(b):
+    """None if _check_cfl passes b at dt/dx = 1, else the CflError message."""
+    try:
+        _check_cfl(b, 0.1, 0.1)
+    except CflError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        interface_drifts((2, -0.5), (3, 0.5)),
+        interface_drifts((2, -0.55), (3, 0.55)),
+        interface_drifts((0, 1.01)),
+        interface_drifts((6, -1.01)),  # the last (wall) cell's outflow is the worst
+        interface_drifts((6, -1.0)),  # on the bound
+        interface_drifts((0, -2.0)),  # the first cell only gains
+        np.array([-1.5]),  # two cells, one interface
+        np.array([0.75]),
+        *(interface_drifts((i, bad)) for i in (0, 3, 6) for bad in (np.nan, np.inf, -np.inf)),
+        *np.random.default_rng(65).uniform(-1.0, 1.0, (8, 255)) * np.linspace(0.45, 0.65, 8)[:, None],
+    ],
+)
+def test_cfl_row_and_stack_verdicts_agree(row):
+    """One row takes its own pass and a stack its 64-row blocks: the two give the same verdict on
+    the row, with the same message, NaN drifts and wall cells included."""
+    stack = np.zeros((70, len(row)))
+    stack[-1] = row
+    assert cfl_verdict(row) == cfl_verdict(row[None]) == cfl_verdict(stack)

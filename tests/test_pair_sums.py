@@ -4,7 +4,7 @@ Every particle-side k*m and Dk*m of query points goes through
 ``kernels._dense_pair_sum`` (a flock with itself through
 ``kernels._self_pair_sum``, sorted or dense by kernel), the Cucker-Smale
 alignment acceleration through ``kernels._cs_alignment``
-(one weight matrix, one product) and the other Cucker-Smale pair sums
+(the block-upper staircase of one weight matrix) and the other Cucker-Smale pair sums
 through ``kernels._cs_pair_sums`` (each pair once, on pair differences,
 in chunks of time nodes).  The loops below recompute each sum one
 atom pair at a time from the radial profile phi (or from g for
@@ -20,10 +20,12 @@ replaced it and of the golden values recorded with it;
 (nq, N, ...) offset arrays that the pass replaced, and
 ``pair_sum_cs_alignment`` the alignment acceleration as it gave it:
 they are the oracles of the Cucker-Smale and acceleration golden values.
-Every dense offset array now comes from one rank-2 product
+``matrix_cs_alignment`` keeps the full-matrix alignment the staircase
+replaced, the oracle of the one-block staircase, bit for bit.  Every
+dense offset array now comes from one rank-2 product
 (``kernels._outer_offsets``); the offset tests pin it to the subtraction
-bit for bit, and ``subtract_cs_alignment`` keeps the alignment body that
-formed its offsets with ``np.subtract.outer``, the oracle of ``solve_cs``.
+bit for bit, and ``subtract_cs_alignment`` builds the same staircase with
+its offsets from ``np.subtract.outer``, the oracle of ``solve_cs``.
 """
 
 import math
@@ -269,14 +271,72 @@ def pair_sum_cs_alignment(kernel, w):
     return acc
 
 
-@pytest.mark.parametrize("n", [2, 24, 192])
+def matrix_cs_alignment(kernel, w):
+    """``kernels._cs_alignment`` as it formed the full (N, N) weight matrix A = 1 / g and one product
+    A @ [w | w u], before the block staircase: the oracle of the one-block staircase, bit for bit."""
+    n = len(w)
+    offsets, operand = np.empty((n, n)), np.column_stack([w, w])
+
+    def acc(pos, vel, out):
+        a = kernel.g(kernels._outer_offsets(pos, pos, offsets))
+        np.reciprocal(a, out=a)
+        u = vel - w @ vel
+        np.multiply(w, u, out=operand[:, 1])
+        s = a @ operand
+        np.subtract(s[:, 1], np.multiply(u, s[:, 0], out=out), out=out)
+        out *= 2.0
+        return out
+
+    return acc
+
+
+def edge_flock(n, seed):
+    """``flock`` with the atoms on either side of each block edge of the staircase coincident:
+    the last atom of a block takes the position and velocity of the first atom of the next."""
+    m = flock(n, seed=seed)
+    pos, vel = m.points.T.copy()
+    for lo, _ in kernels._cs_staircase(n)[1:]:
+        pos[lo - 1], vel[lo - 1] = pos[lo], vel[lo]
+    return pos, vel, m.weights
+
+
+#: flock sizes about the block edges of the staircase: one block up to 143 atoms, two from 144
+#: (95 + 96 rows at 191, 96 + 97 at 193), four at 384
+STAIRCASE_SIZES = [2, 24, 95, 96, 143, 144, 191, 192, 193, 384]
+
+
+def test_staircase_blocks():
+    """The block count follows from N alone: rows of about 96, one block below 144 atoms."""
+    assert [len(kernels._cs_staircase(n)) for n in STAIRCASE_SIZES] == [1, 1, 1, 1, 1, 2, 2, 2, 2, 4]
+    assert kernels._cs_staircase(191) == [(0, 95), (95, 191)]
+    assert kernels._cs_staircase(193) == [(0, 96), (96, 193)]
+    for n in STAIRCASE_SIZES:
+        spans = kernels._cs_staircase(n)
+        assert spans[0][0] == 0 and spans[-1][1] == n
+        assert all(hi == lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+
+
+@pytest.mark.parametrize("n", STAIRCASE_SIZES)
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.5])
 def test_cs_alignment_matches_pair_sum(beta, n):
-    kernel, m = CuckerSmaleKernel(0.7, beta), flock(n, seed=n)
-    pos, vel = m.points.T
-    old = pair_sum_cs_alignment(kernel, m.weights)(pos, vel, np.empty(n))
-    scale = np.sum(np.abs(m.weights * 2.0 * (vel[:, None] - vel) / kernel.g(pos[:, None] - pos)), axis=1)
-    assert np.all(np.abs(kernels._cs_alignment(kernel, m.weights)(pos, vel, np.empty(n)) - old) <= TOL * scale)
+    """The staircase against the dense pair sum, on unequal weights, with coincident atoms across
+    every block edge, whichever side of the diagonal a pair's weight is formed on."""
+    kernel = CuckerSmaleKernel(0.7, beta)
+    pos, vel, w = edge_flock(n, seed=n)
+    old = pair_sum_cs_alignment(kernel, w)(pos, vel, np.empty(n))
+    scale = np.sum(np.abs(w * 2.0 * (vel[:, None] - vel) / kernel.g(pos[:, None] - pos)), axis=1)
+    assert np.all(np.abs(kernels._cs_alignment(kernel, w)(pos, vel, np.empty(n)) - old) <= TOL * scale)
+
+
+@pytest.mark.parametrize("n", [n for n in STAIRCASE_SIZES if n < 144])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.5])
+def test_one_block_is_the_full_matrix(beta, n):
+    """With one block the staircase is the full matrix and its one product, bit for bit, call after call."""
+    kernel = CuckerSmaleKernel(0.7, beta)
+    pos, vel, w = edge_flock(n, seed=n)
+    new, old = kernels._cs_alignment(kernel, w), matrix_cs_alignment(kernel, w)
+    for shift in (0.0, 0.25):
+        assert same_bits(new(pos + shift, vel, np.empty(n)), old(pos + shift, vel, np.empty(n)))
 
 
 @pytest.mark.parametrize("draw", [1, 2])
@@ -623,15 +683,14 @@ def same_bits(a, b):
 def test_outer_offsets_match_subtraction(case):
     """Each offset is xq_i * 1 + 1 * (-pos_j), two exact products and one rounding: the product
     equals np.subtract.outer and the broadcast xq[:, None] - pos bit for bit, also when it writes
-    into a caller's buffer and reuses its factors."""
+    into a caller's buffer."""
     xq, pos = offset_cases()[case]
     expected = np.subtract.outer(xq, pos)
     assert same_bits(xq[:, None] - pos, expected)
     assert same_bits(kernels._outer_offsets(xq, pos), expected)
-    out, factors = np.full((len(xq), len(pos)), np.nan), kernels._offset_operands(len(xq), len(pos))
-    for _ in range(2):
-        assert kernels._outer_offsets(xq, pos, out, factors) is out
-        assert same_bits(out, expected)
+    out = np.full((len(xq), len(pos)), np.nan)
+    assert kernels._outer_offsets(xq, pos, out) is out
+    assert same_bits(out, expected)
 
 
 def test_outer_offsets_propagate_inf_and_nan():
@@ -660,17 +719,25 @@ def test_outer_offsets_exact_zero_is_positive():
 
 
 def subtract_cs_alignment(kernel, w):
-    """``kernels._cs_alignment`` as it formed its offsets before the rank-2 product, with
-    np.subtract.outer into the (N, N) buffer: the oracle of the product form, bit for bit."""
+    """``kernels._cs_alignment`` with the offsets of each block of the staircase from
+    np.subtract.outer, the rectangles concatenated into one array for g: the oracle of the rank-2
+    product form, bit for bit."""
     n = len(w)
-    offsets, operand = np.empty((n, n)), np.column_stack([w, w])
+    spans = kernels._cs_staircase(n)
+    operand = np.column_stack([w, w])
 
     def acc(pos, vel, out):
-        a = kernel.g(np.subtract.outer(pos, pos, out=offsets))
-        np.reciprocal(a, out=a)
+        weights = np.concatenate([np.subtract.outer(pos[lo:hi], pos[lo:]).ravel() for lo, hi in spans])
+        np.reciprocal(kernel.g(weights), out=weights)
+        starts = np.cumsum([0] + [(hi - lo) * (n - lo) for lo, hi in spans])
+        rects = [weights[a:b].reshape(hi - lo, n - lo) for a, b, (lo, hi) in zip(starts, starts[1:], spans)]
         u = vel - w @ vel
         np.multiply(w, u, out=operand[:, 1])
-        s = a @ operand
+        s = np.empty((n, 2))
+        for (lo, hi), rect in zip(spans, rects):
+            s[lo:hi] = rect @ operand[lo:]
+        for (lo, hi), rect in zip(spans, rects):
+            s[hi:] += rect[:, hi - lo :].T @ operand[lo:hi]
         np.subtract(s[:, 1], np.multiply(u, s[:, 0], out=out), out=out)
         out *= 2.0
         return out
@@ -680,8 +747,8 @@ def subtract_cs_alignment(kernel, w):
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.5])
 def test_solve_cs_bit_identical_to_subtraction_oracle(beta, monkeypatch):
-    """solve_cs on a 192-atom flock over 50 RK4 steps, and the Richardson ratio, are bit for bit
-    what they were with the offsets from np.subtract.outer."""
+    """solve_cs on a 192-atom flock (two blocks) over 50 RK4 steps, and the Richardson ratio, are
+    bit for bit what they are with the offsets of the same staircase from np.subtract.outer."""
     kernel, m0 = CuckerSmaleKernel(0.7, beta), flock(192, seed=19, shift=3.0)
     runs = []
     for alignment in (kernels._cs_alignment, subtract_cs_alignment):
