@@ -249,15 +249,16 @@ def minimize_energy(
 ) -> MinimizeResult:
     """Minimize the discounted energy by a fixed point in the preconditioned controls b = s a.
 
-    In b the control Hessian is the identity, so b -> b - grad_b J is a contraction (ratio about
-    5/lam from lam = 20 on).  The scheme is that of ``mfg_pde.solve_mfg_fixed_point``: Anderson type
-    II at depth 1, b+ = g - gamma (g - g_prev) with g = b + f, f = -grad_b J, gamma = argmin |f -
-    gamma (f - f_prev)|; a rising control step takes the half step b + f/2 instead and drops the
-    history.  It starts from free flight, the exact minimizer of the control term and the competitor
-    behind the a priori energy bound 2 C0 M_{2,v}(m0) / lam, and stops once the control step
-    max_{t <= T/2} |f/s| / (1 + max|a|) is at most CONTROL_STEP_TOLERANCE, or after
-    MAX_OBJECTIVE_EVALUATIONS evaluations with the iterate of the smallest step.  The step is a
-    stop rule, not a verdict: ``el_residual`` runs once, on the returned iterate.
+    In b the control Hessian is the identity, so b -> b - grad_b J contracts while the interaction Hessian
+    is small: at alpha = 1 the ratio was about 5/lam from lam = 20 on.  The stiffness grows like
+    sup 1/g = alpha^-beta; at lam = 10 the map did not contract at alpha = 0.1 or 0.01 with beta = 1, nor
+    at alpha = 0.01, beta = 2.  The scheme is that of ``mfg_pde.solve_mfg_fixed_point``: Anderson type II
+    at depth 1, b+ = g - gamma (g - g_prev) with g = b + f, f = -grad_b J, gamma = argmin |f - gamma
+    (f - f_prev)|; a rising control step takes the half step b + f/2 instead and drops the history.  It
+    starts from free flight, the exact minimizer of the control term and the competitor behind the a priori
+    energy bound 2 C0 M_{2,v}(m0) / lam, and stops once the control step max_{t <= T/2} |f/s| / (1 + max|a|)
+    is at most CONTROL_STEP_TOLERANCE, or after MAX_OBJECTIVE_EVALUATIONS evaluations with the iterate of
+    the smallest step.  The step is a stop rule, not a verdict: ``el_residual`` runs once, on the returned iterate.
     """
     start = TrajectoryEnsemble.free_flight(m0, T, n_intervals)  # checks T before the scale uses it
     # admit, and precondition: the raw problem is conditioned like e^{lam T}, hopeless for a fixed point

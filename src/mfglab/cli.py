@@ -57,9 +57,8 @@ def _cmd_validate_model(desc, out, seed):
         doc["passed"] = bool(doc["hamiltonian"]["convexity_ok"])
     else:
         rep = validate_coupling(kernel)
-        psd = psd_check(kernel, seed=seed)
         doc["coupling"] = vars(rep).copy()
-        doc["psd"] = {"label": psd.label, "min_eigenvalue": psd.min_eigenvalue, "threshold": psd.threshold}
+        doc["psd"] = {"label": (psd := psd_check(kernel)).label, **vars(psd)}
         doc["passed"] = bool(
             rep.lipschitz_ok and rep.growth_ok and rep.semiconcave_ok and doc["hamiltonian"]["convexity_ok"]
         )

@@ -12,6 +12,8 @@ so Dk(0) = 0 at a kink.  Their pair sums take (nq,) queries and (N,) atoms.
 Each radial kernel states its profile's sups in closed form
 (``constants``), which ``validate_coupling`` reads: over probability
 measures they are the constants of F, each attained by a point mass.
+Each one a config builds also states the inf of its Fourier transform
+(``transform_inf``); ``psd_check`` reads it as Bochner's PSD verdict.
 
 Query points against atoms (the couplings, ``limit_drift``) go through
 one body, the dense (nq, N) offset array (``_dense_pair_sum``).  The
@@ -25,12 +27,8 @@ with anchored factors e^{a (p - c)} making each side of every atom one
 cumsum; the zero kernel's empty sum is exact zeros with no pair work.
 The repulsive-attractive and crowd kernels stay on the dense body, the
 sorted one's test oracle; the repulsive-attractive profile r exp(-a r)
-would need a two-term recurrence.  Every dense pair array --
-``_dense_pair_sum``, ``_grid_matrix``, ``psd_check`` and each block of
-``_cs_alignment`` -- takes its offsets xq_i - pos_j from one rank-2
-product [xq | 1] @ [1 ; -pos] (``_outer_offsets``): bit for bit the
-subtraction, save that an exact zero is +0.0, and several times faster
-than a broadcast one.
+would need a two-term recurrence.  Every dense pair array takes its
+offsets from one rank-2 product (``_outer_offsets``).
 
 The Cucker-Smale kernel acts on the line too, jointly on
 position-velocity offsets of any shape, k(x,v) = v^2 / g(x) with
@@ -126,6 +124,20 @@ def _exp_constants(kernel):
     return ProfileConstants(max(sup(0), sup(0, -1.0)), max(sup(1), sup(1, -1.0)), sup(2), dphi0)
 
 
+def _exp_transform_inf(kernel):
+    """(inf, xi) over xi >= 0 of k^(xi) = sum_k b_k / (A_k + xi^2), b_k = 2 c_k a_k, A_k = a_k^2, the transform
+    of k(x) = sum_k c_k exp(-a_k |x|) over at most two ``_exp_terms`` (c_k, a_k): in s = xi^2 the smallest of
+    its value at s = 0, its limit 0 as s -> inf (xi = inf, which loses a tie) and, for two terms of opposite
+    signs, its value at the one critical point s* = (A1 - rho A2) / (rho - 1), rho = sqrt(-b1 / b2), if s* > 0."""
+    terms, s = [(2.0 * c * a, a * a) for c, a in kernel._exp_terms], [0.0]
+    if len(terms) == 2 and terms[0][0] * terms[1][0] < 0:
+        (b1, A1), (b2, A2) = terms
+        rho = (-b1 / b2) ** 0.5
+        s += [(A1 - rho * A2) / (rho - 1.0)] if rho != 1.0 else []
+    values = [(float(sum(b / (A + x) for b, A in terms)), x**0.5) for x in s if x >= 0]
+    return min([*values, (0.0, np.inf)], key=lambda v: v[0])
+
+
 @dataclass(frozen=True)
 class ExponentialKernel:
     """k(x) = alpha * exp(-a |x|); repulsive for alpha > 0."""
@@ -145,6 +157,7 @@ class ExponentialKernel:
     phi = _exp_phi
     dphi = _exp_dphi
     constants = property(_exp_constants)
+    transform_inf = property(_exp_transform_inf)
     value = _radial_value
     gradient = _radial_grad
 
@@ -171,6 +184,9 @@ class RepulsiveAttractiveKernel:
         """sup|phi| = 1/(a e) at r = 1/a; |phi'| and phi'' = a (2 - a r) e^{-a r} peak at r -> 0+,
         where phi'(0+) = -1 is a concave kink."""
         return ProfileConstants(1.0 / (self.a * np.e), 1.0, 2.0 * self.a, -1.0)
+
+    # k^(xi) = 2 (xi^2 - a^2) / (a^2 + xi^2)^2 rises from -2/a^2 at xi = 0 to its max at xi = sqrt(3) a
+    transform_inf = property(lambda self: (-2.0 / self.a**2, 0.0))
 
     value = _radial_value
     gradient = _radial_grad
@@ -201,6 +217,7 @@ class MorseKernel:
     phi = _exp_phi
     dphi = _exp_dphi
     constants = property(_exp_constants)
+    transform_inf = property(_exp_transform_inf)
     value = _radial_value
     gradient = _radial_grad
 
@@ -260,6 +277,7 @@ class ZeroKernel:
     phi = _exp_phi
     dphi = _exp_dphi
     constants = property(_exp_constants)
+    transform_inf = property(_exp_transform_inf)
     value = _radial_value
     gradient = _radial_grad
 
@@ -686,10 +704,6 @@ class CouplingValidationReport:
     semiconcavity_constant: float
 
 
-#: psd_check draws its points from [-VALIDATOR_SPAN, VALIDATOR_SPAN]
-VALIDATOR_SPAN = 5.0
-
-
 def validate_coupling(kernel) -> CouplingValidationReport:
     """Lipschitz, growth and semiconcavity constants of F = k * m from the kernel's ``constants``.
 
@@ -710,37 +724,22 @@ def validate_coupling(kernel) -> CouplingValidationReport:
 
 @dataclass(frozen=True)
 class PsdVerdict:
-    """Outcome of the Gram-matrix positive semidefiniteness probe."""
+    """k is PSD iff k^ >= 0 (Bochner): ``min_transform`` is the inf of k^ over xi >= 0, at ``xi_min`` (inf: approached)."""
 
     is_psd: bool
-    min_eigenvalue: float
-    threshold: float
-    points: np.ndarray
+    min_transform: float
+    xi_min: float
 
     @property
     def label(self) -> str:
-        return "PSD-consistent" if self.is_psd else "NOT-PSD"
+        return "PSD" if self.is_psd else "NOT-PSD"
 
 
-def psd_check(kernel, seed: int = 0, points=None) -> PsdVerdict:
-    """Eigenvalue test of the Gram matrix k(x_i - x_j) on points of the line: the given ``points``,
-    at least 2, of shape (n,) or (n, 1), or else 64 drawn from the seed; ``PsdVerdict.points`` is (n,).
-
-    A negative eigenvalue below -1e-10 * ||K|| certifies that k is not a
-    positive semidefinite kernel (so the MFG uniqueness/monotonicity
-    structure is absent); otherwise the result is consistent with PSD.
-    """
-    if points is None:
-        points = np.random.default_rng(seed).uniform(-VALIDATOR_SPAN, VALIDATOR_SPAN, size=64)
-    points = _line_points(points, "psd_check")
-    if points.size < 2:
-        raise ValueError(f"psd_check needs at least 2 points, got {points.size}")
-    gram = kernel.value(_outer_offsets(points, points))
-    eigs = np.linalg.eigvalsh(gram)
-    threshold = -1e-10 * max(np.abs(eigs).max(), 1e-300)
-    return PsdVerdict(
-        is_psd=bool(eigs.min() >= threshold),
-        min_eigenvalue=float(eigs.min()),
-        threshold=float(threshold),
-        points=points,
-    )
+def psd_check(kernel) -> PsdVerdict:
+    """The exact verdict from the infimum of k^(xi) = int k(x) e^{-i x xi} dx that the kernel states
+    (``transform_inf``); a PSD kernel makes F = k * m monotone (Lasry-Lions), behind MFG uniqueness.
+    Kernels with no closed-form transform (the tabulated crowd kernel, Cucker-Smale) raise TypeError."""
+    inf = getattr(kernel, "transform_inf", None)
+    if inf is None:
+        raise TypeError(f"psd_check needs a closed-form Fourier transform, which {type(kernel).__name__} lacks")
+    return PsdVerdict(bool(inf[0] >= 0.0), *inf)

@@ -343,18 +343,42 @@ def test_linear_quadratic_discrete_oracle(lam):
 
 
 class TestPsdVerdicts:
+    """Bochner: k is positive semidefinite iff k^(xi) >= 0 for every xi.  The verdicts read the
+    closed-form infimum of the transform; a Gram matrix on 400 points of [-60, 60] agrees in sign."""
+
+    @staticmethod
+    def gram_min_eigenvalue(kernel, x=np.linspace(-60.0, 60.0, 400)):
+        return np.linalg.eigvalsh(kernel.value(x[:, None] - x[None, :])).min()
+
     def test_repulsive_attractive_two_point_not_psd(self):
-        # Gram matrix on {0, 1} is [[0, -e^-1], [-e^-1, 0]]: eigenvalues
-        # are exactly +-e^-1, so the verdict is unambiguous
-        verdict = psd_check(RepulsiveAttractiveKernel(1.0), points=np.array([[0.0], [1.0]]))
+        # k^(xi) = 2 (xi^2 - 1) / (1 + xi^2)^2 at a = 1 is -2 at xi = 0; the Gram matrix on {0, 1} is
+        # [[0, -e^-1], [-e^-1, 0]], with eigenvalues exactly +-e^-1, so both verdicts are unambiguous
+        verdict = psd_check(RepulsiveAttractiveKernel(1.0))
         assert verdict.label == "NOT-PSD"
-        assert verdict.min_eigenvalue == pytest.approx(-np.exp(-1.0), abs=1e-12)
+        assert (verdict.min_transform, verdict.xi_min) == (-2.0, 0.0)
+        assert self.gram_min_eigenvalue(RepulsiveAttractiveKernel(1.0), np.array([0.0, 1.0])) == pytest.approx(
+            -np.exp(-1.0), abs=1e-12
+        )
 
     def test_exponential_psd_consistent(self):
-        verdict = psd_check(ExponentialKernel(1.0, 1.0), seed=0)
-        assert verdict.label == "PSD-consistent"
+        # 2 a / (a^2 + xi^2) > 0: the infimum 0 is only approached, as xi -> inf
+        verdict = psd_check(ExponentialKernel(1.0, 1.0))
+        assert verdict.label == "PSD"
+        assert (verdict.min_transform, verdict.xi_min) == (0.0, np.inf)
+        assert self.gram_min_eigenvalue(ExponentialKernel(1.0, 1.0)) > 0
 
-    def test_deterministic_under_seed(self):
-        a = psd_check(ExponentialKernel(1.0, 1.0), seed=9)
-        b = psd_check(ExponentialKernel(1.0, 1.0), seed=9)
-        assert a.min_eigenvalue == b.min_eigenvalue
+    def test_morse_past_the_border_not_psd(self):
+        # k^(0) = 2 (1 - G L): -0.02 at G = 0.505, L = 2, where the Gram matrix reads -1.66e-2, and
+        # exactly 0 at the default G L = 1, which is PSD
+        verdict = psd_check(MorseKernel(0.505, 2.0))
+        assert verdict.label == "NOT-PSD" and verdict.xi_min == 0.0
+        assert verdict.min_transform == pytest.approx(-0.02, abs=1e-14)
+        assert self.gram_min_eigenvalue(MorseKernel(0.505, 2.0)) == pytest.approx(-1.66e-2, abs=1e-4)
+        border = psd_check(MorseKernel(0.5, 2.0))
+        assert (border.label, border.min_transform, border.xi_min) == ("PSD", 0.0, 0.0)
+
+    def test_deterministic_under_seed(self, monkeypatch):
+        # the verdict takes no seed and draws nothing
+        a = psd_check(MorseKernel(0.505, 2.0))
+        monkeypatch.setattr(np.random, "default_rng", None)
+        assert psd_check(MorseKernel(0.505, 2.0)) == a

@@ -385,6 +385,22 @@ class TestCli:
         assert doc["coupling"]["semiconcavity_constant"] is None
         assert "seed" not in doc["coupling"] and "witness" not in doc["coupling"]
 
+    def test_validate_model_psd_block(self, tmp_path, capsys):
+        """The psd block is the exact verdict: Morse just past G L = 1 is not PSD (k^(0) = -0.02), the
+        default Morse kernel sits on the border (0.0 at xi = 0), and the repulsive exponential kernel
+        only approaches its infimum 0 (xi_min inf, null).  The verdict does not enter passed."""
+        models = {"past": "kernel = morse\nG = 0.505\nL = 2", "border": "kernel = morse", "exp": "kernel = exponential"}
+        psd = {}
+        for name, model in models.items():
+            cfg = self.write(tmp_path, f"[model]\n{model}\n", name=f"{name}.ini")
+            assert main(["validate-model", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            psd[name] = json.loads((tmp_path / name / "validation.json").read_text())["psd"]
+        assert set(psd["past"]) == {"label", "is_psd", "min_transform", "xi_min"}
+        assert (psd["past"]["label"], psd["past"]["is_psd"], psd["past"]["xi_min"]) == ("NOT-PSD", False, 0.0)
+        assert psd["past"]["min_transform"] == pytest.approx(-0.02, abs=1e-14)
+        assert psd["border"] == {"label": "PSD", "is_psd": True, "min_transform": 0.0, "xi_min": 0.0}
+        assert psd["exp"] == {"label": "PSD", "is_psd": True, "min_transform": 0.0, "xi_min": None}
+
     def test_solve_cs_two_body_matches_oracle(self, tmp_path, capsys):
         cfg = self.write(
             tmp_path,

@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from mfglab import (
     CrowdRadialKernel,
@@ -16,6 +19,7 @@ from mfglab import (
     psd_check,
     validate_coupling,
 )
+from mfglab.kernels import _exp_phi, _exp_transform_inf
 
 ALL_RADIAL = [
     ExponentialKernel(1.0, 1.0),
@@ -329,38 +333,119 @@ class TestValidateCoupling:
             validate_coupling(CuckerSmaleKernel())
 
 
+def transform_by_quadrature(kernel, xi):
+    """k^(xi) = int k(x) e^{-i x xi} dx = 2 int_0^inf phi(r) cos(xi r) dr by adaptive quadrature, the
+    Fourier weight taken by QAWF at xi > 0."""
+    f = lambda r: 2.0 * float(kernel.phi(r))  # noqa: E731
+    return quad(f, 0.0, np.inf, weight="cos", wvar=xi)[0] if xi > 0 else quad(f, 0.0, np.inf)[0]
+
+
+def gram_oracle_is_psd(kernel):
+    """The wide-window Gram probe: PSD when the smallest eigenvalue of k(x_i - x_j) on 400 points of
+    [-60, 60] is at least -1e-10 of the largest in modulus.  Its spacing and width resolve the negative
+    band |xi| < 0.08 of the Morse kernel at G = 0.505, L = 2, which a window of width 10 misses."""
+    x = np.linspace(-60.0, 60.0, 400)
+    eigs = np.linalg.eigvalsh(kernel.value(x[:, None] - x[None, :]))
+    return bool(eigs.min() >= -1e-10 * np.abs(eigs).max())
+
+
+PSD_CASES = [
+    ExponentialKernel(1.0, 1.0),
+    ExponentialKernel(1.0, 0.05),
+    ExponentialKernel(-1.0, 2.0),
+    RepulsiveAttractiveKernel(1.0),
+    RepulsiveAttractiveKernel(2.0),
+    MorseKernel(0.3, 2.0),
+    MorseKernel(0.5, 2.0),
+    MorseKernel(0.505, 2.0),
+    MorseKernel(0.52, 2.0),
+    MorseKernel(0.55, 2.0),
+    MorseKernel(0.9, 3.0),
+    MorseKernel(0.99, 1.5),
+    ZeroKernel(),
+]
+
+
 class TestPsdCheck:
     def test_repulsive_attractive_two_points(self):
-        pts = np.array([[0.0], [1.0]])
-        verdict = psd_check(RepulsiveAttractiveKernel(1.0), points=pts)
-        assert verdict.label == "NOT-PSD"
-        c = -np.exp(-1.0)  # k(1) = -1*e^-1
-        # Gram [[0, c], [c, 0]] has eigenvalues +-|c|
-        assert verdict.min_eigenvalue == pytest.approx(-abs(c), abs=1e-12)
+        """-|x| e^{-a|x|} transforms to 2 (xi^2 - a^2) / (a^2 + xi^2)^2, least at xi = 0: -2/a^2, which
+        quadrature reads too.  The two-point Gram matrix on {0, 1}, [[0, -e^-1], [-e^-1, 0]], has the
+        eigenvalue -e^-1 and agrees."""
+        for a, least in ((1.0, -2.0), (2.0, -0.5)):
+            verdict = psd_check(RepulsiveAttractiveKernel(a))
+            assert verdict.label == "NOT-PSD" and not verdict.is_psd
+            assert (verdict.min_transform, verdict.xi_min) == (least, 0.0)
+            assert transform_by_quadrature(RepulsiveAttractiveKernel(a), 0.0) == pytest.approx(least, abs=1e-8)
+        gram = RepulsiveAttractiveKernel(1.0).value(np.subtract.outer([0.0, 1.0], [0.0, 1.0]))
+        assert np.linalg.eigvalsh(gram).min() == pytest.approx(-np.exp(-1.0), abs=1e-15)
 
     def test_exponential_psd_consistent(self):
-        verdict = psd_check(ExponentialKernel(1.0, 1.0), seed=0)
-        assert verdict.label == "PSD-consistent"
+        """alpha > 0: 2 alpha a / (a^2 + xi^2) > 0 only approaches its infimum 0 (xi_min inf); alpha = -1,
+        a = 2 is least at xi = 0, -2/a = -1."""
+        verdict = psd_check(ExponentialKernel(1.0, 1.0))
+        assert verdict.label == "PSD"
+        assert (verdict.is_psd, verdict.min_transform, verdict.xi_min) == (True, 0.0, np.inf)
+        verdict = psd_check(ExponentialKernel(-1.0, 2.0))
+        assert (verdict.label, verdict.min_transform, verdict.xi_min) == ("NOT-PSD", -1.0, 0.0)
 
     def test_morse_gl_above_one_not_psd(self):
-        # G*L = 2.7 > 1: the zero-frequency Fourier mass 2(1 - G L) is negative
-        points = np.random.default_rng(0).uniform(-5, 5, 128)
-        verdict = psd_check(MorseKernel(0.9, 3.0), points=points)
-        assert verdict.label == "NOT-PSD"
+        """k^(0) = 2 (1 - G L) < 0 once G L > 1: -3.4 at G L = 2.7, and -0.02 just past the border at
+        G = 0.505, L = 2, inside a negative band |xi| < 0.08."""
+        for kernel, least in ((MorseKernel(0.9, 3.0), -3.4), (MorseKernel(0.505, 2.0), -0.02)):
+            verdict = psd_check(kernel)
+            assert verdict.label == "NOT-PSD"
+            assert verdict.min_transform == pytest.approx(least, abs=1e-14)
+            assert verdict.xi_min == 0.0
 
-    def test_deterministic_under_seed(self):
-        a = psd_check(ExponentialKernel(1.0, 1.0), seed=9)
-        b = psd_check(ExponentialKernel(1.0, 1.0), seed=9)
-        assert a.points.shape == (64,)
-        assert a.min_eigenvalue == b.min_eigenvalue
-        assert np.array_equal(a.points, b.points)
+    def test_morse_border_is_psd(self):
+        """At G L = 1 (the default G = 0.5, L = 2, and G = 0.25, L = 4) the transform
+        2 / (1 + xi^2) - 2 G L / (1 + L^2 xi^2) is 0 at xi = 0 and positive beyond: PSD, with the
+        infimum 0.0 attained at xi = 0."""
+        for kernel in (MorseKernel(0.5, 2.0), MorseKernel(0.25, 4.0)):
+            verdict = psd_check(kernel)
+            assert (verdict.label, verdict.is_psd, verdict.min_transform, verdict.xi_min) == ("PSD", True, 0.0, 0.0)
 
-    def test_n_points_range(self):
-        """Given points set the size of the Gram matrix: fewer than 2 raise before any eigenvalue."""
-        for points in ([], [0.3], np.zeros((1, 1))):
-            with pytest.raises(ValueError, match="psd_check needs at least 2 points"):
-                psd_check(ExponentialKernel(), points=points)
-        assert psd_check(ExponentialKernel(), points=[0.0, 1.0]).points.shape == (2,)
+    def test_zero_kernel_psd(self):
+        verdict = psd_check(ZeroKernel())
+        assert (verdict.label, verdict.min_transform, verdict.xi_min) == ("PSD", 0.0, 0.0)
+
+    def test_no_closed_form_raises(self):
+        crowd = CrowdRadialKernel(np.array([0.0, 1.0, 2.0, 3.0]), np.array([1.0, 0.5, 0.1, 0.0]))
+        for kernel in (crowd, CuckerSmaleKernel()):
+            with pytest.raises(TypeError, match="closed-form Fourier transform"):
+                psd_check(kernel)
+
+    def test_deterministic_under_seed(self, monkeypatch):
+        """The verdict takes no seed and draws nothing, so it is the same whatever the global state."""
+        verdicts = [psd_check(kernel) for kernel in PSD_CASES]
+        monkeypatch.setattr(np.random, "default_rng", None)
+        assert [psd_check(kernel) for kernel in PSD_CASES] == verdicts
+
+    @pytest.mark.parametrize("kernel", PSD_CASES, ids=repr)
+    def test_verdict_agrees_with_the_gram_oracle(self, kernel):
+        assert psd_check(kernel).is_psd == gram_oracle_is_psd(kernel)
+
+    @pytest.mark.parametrize("kernel", PSD_CASES, ids=repr)
+    def test_infimum_matches_quadrature(self, kernel):
+        """The stated infimum is the transform by quadrature at xi_min, and no frequency of a grid
+        over [0, 20] goes below it."""
+        verdict = psd_check(kernel)
+        if np.isfinite(verdict.xi_min):
+            assert transform_by_quadrature(kernel, verdict.xi_min) == pytest.approx(verdict.min_transform, abs=1e-8)
+        for xi in np.linspace(0.0, 20.0, 41):
+            assert transform_by_quadrature(kernel, xi) >= verdict.min_transform - 1e-8
+
+    def test_critical_point_minimum(self):
+        """Two terms of opposite signs whose infimum is interior: e^{-r/2} - e^{-2r} transforms to
+        1 / (1/4 + s) - 4 / (4 + s) in s = xi^2, least at s* = (A1 - rho A2) / (rho - 1) = 3.5
+        (rho = 1/2), -4/15.  No config builds it: Morse's slower term is the negative one."""
+        kernel = SimpleNamespace(_exp_terms=((1.0, 0.5), (-1.0, 2.0)))
+        kernel.phi = lambda r: _exp_phi(kernel, r)
+        least, xi = _exp_transform_inf(kernel)
+        assert least == pytest.approx(-4.0 / 15.0, abs=1e-15) and xi == pytest.approx(np.sqrt(3.5), abs=1e-15)
+        assert transform_by_quadrature(kernel, xi) == pytest.approx(least, abs=1e-8)
+        s = np.linspace(0.0, 50.0, 500_001)
+        assert np.min(1.0 / (0.25 + s) - 4.0 / (4.0 + s)) >= least - 1e-15
 
 
 class TestCrowdKernel:

@@ -51,7 +51,6 @@ from mfglab import (
     eval_coupling,
     grad_coupling,
     limit_drift,
-    psd_check,
     richardson_order_ratio,
     solve_aggregation_particles,
     solve_cs,
@@ -140,14 +139,14 @@ def test_limit_drift_matches_loop(name, d):
 
 def test_points_off_the_line_raise():
     """Two coordinates per point never reach a radial sum: on the line they make (x, v)
-    atoms, which the particle solver rejects, and psd_check rejects them as points."""
+    atoms, which the particle solver rejects, and limit_drift rejects them as query points."""
     kernel = RADIAL["morse"]
     m = ParticleEnsemble.equal_weights(np.random.default_rng(3).uniform(-2.0, 2.0, (30, 2)), 1)
     ham = QuadraticDriftHamiltonian(DriftField("zero"))
     with pytest.raises(DimensionError, match="position-space ensemble expected"):
         solve_aggregation_particles(ham, kernel, m, 1.0, 0.1)
     with pytest.raises(DimensionError, match=OFF_THE_LINE):
-        psd_check(kernel, points=m.points)
+        limit_drift(ham, kernel, m.points, m)
 
 
 @pytest.mark.parametrize("name", ["exponential", "morse"])
