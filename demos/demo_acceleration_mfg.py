@@ -26,6 +26,8 @@ def main():
             f"{lam:8.1f} {row['n_intervals']:6d} {row['energy_total']:10.4f} {row['energy_bound']:10.4f}"
             f" {row['el_residual']:10.2e} {row['w1_at_half_T']:10.4f}"
         )
+    ref = report.reference
+    print(f"kinetic reference: RK4 at h = T/{round(ref['T'] / ref['h'])}, error estimate {ref['error_estimate']:.1e}")
     print()
     print("energy stays under the 2 c0 M2(v)/lambda bound and the midpoint")
     print("marginal tracks the Cucker-Smale flow ever more closely.")

@@ -60,7 +60,7 @@ def solve_aggregation_particles(
         rhs = lambda p: 0.0 - pair_force(p)
 
     def step(pos, t):
-        pos = _rk4(rhs, pos, dt, 1)
+        pos = _rk4(rhs, pos, dt)
         if not np.all(np.isfinite(pos)) or np.max(np.abs(pos)) > BLOWUP_RADIUS:
             raise DivergenceError(f"trajectories diverged at t={t:.4f} under kernel {kernel!r}")
         return pos

@@ -154,7 +154,9 @@ def _cmd_sweep_accel(desc, out, seed):
     )
     prefix = desc.output["prefix"]
     (out / f"{prefix}.csv").write_text(report.to_csv())
-    return 0 if not any(r["flagged"] for r in report.rows) else 3, f"{prefix}.json", report.to_doc()
+    # a reference the dt cap stopped above its tolerance fails the sweep as a ratio outside [8, 32] fails solve-cs
+    ok = report.reference["resolved"] and not any(r["flagged"] for r in report.rows)
+    return 0 if ok else 3, f"{prefix}.json", report.to_doc()
 
 
 #: command -> (body, whether it takes kernel = cucker-smale; None where either family does); a body

@@ -434,6 +434,15 @@ class TestCli:
         assert json.loads((out / "solution.json").read_text())["step_halving_ratio"] == 4.0
         assert (out / "states.csv").exists()
 
+    def test_sweep_accel_exits_3_on_an_unresolved_reference(self, tmp_path, capsys):
+        """alpha = 0.01, beta = 2 on the default two-atom flock: the dt cap stops the reference ladder
+        above its tolerance, so sweep-accel writes its report with "resolved": false and exits 3."""
+        cfg = self.write(tmp_path, "[model]\nkernel = cucker-smale\nalpha = 0.01\nbeta = 2\n[sweep]\nlambdas = 10\n")
+        out = tmp_path / "run"
+        assert main(["sweep-accel", "--config", cfg, "--out", str(out)]) == 3
+        ref = json.loads((out / "report.json").read_text())["reference"]
+        assert ref["resolved"] is False and ref["error_estimate"] > ref["error_tolerance"]
+
     def test_solve_limit_writes_density(self, tmp_path, capsys):
         cfg = self.write(
             tmp_path,

@@ -19,9 +19,10 @@ from mfglab import (
     run_lambda_sweep_classic,
     solve_aggregation_fv,
     solve_aggregation_particles,
+    solve_cs,
     solve_mfg_fixed_point,
 )
-from mfglab import acceleration, convergence
+from mfglab import acceleration, convergence, cucker_smale
 from mfglab.measures import GridDensity
 
 
@@ -250,9 +251,10 @@ class TestSweepLambdas:
     def no_solves(self, monkeypatch):
         for name in (
             "validate_coupling", "validate_hamiltonian", "solve_aggregation_fv", "solve_aggregation_particles",
-            "solve_mfg_fixed_point", "solve_cs", "richardson_order_ratio", "minimize_energy",
+            "solve_mfg_fixed_point", "richardson_order_ratio", "minimize_energy",
         ):
             monkeypatch.setattr(convergence, name, _refuse)
+        monkeypatch.setattr(cucker_smale, "solve_cs", _refuse)
 
     @pytest.mark.parametrize(
         "lambdas, message",
@@ -307,9 +309,9 @@ class TestSweepLambdas:
 
     def test_w1_weights_checked_up_front(self, no_solves, monkeypatch):
         """A flock of weights 0.25 and 0.75 has no exact phase-space W1: the sweep says so with
-        wasserstein1_particles' message before the reference solve_cs runs."""
+        wasserstein1_particles' message before the reference ladder's solve_cs runs."""
         calls = []
-        monkeypatch.setattr(convergence, "solve_cs", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(cucker_smale, "solve_cs", lambda *args, **kwargs: calls.append(args))
         m0 = ParticleEnsemble(np.array([[0.0, 1.0], [1.0, -1.0]]), [0.25, 0.75], 1)
         with pytest.raises(ValueError, match="phase-space W1 takes equal weights, not weights 0.25 to 0.75 on 2 atoms"):
             run_lambda_sweep_acceleration(CuckerSmaleKernel(1.0, 0.5), m0, [10.0, 40.0])
@@ -386,22 +388,72 @@ class TestAccelerationSweep:
         assert row["w1_at_half_T"] == solved[4]
         assert row["w1_sup"] == max(solved)
 
-    def test_reference_stops_at_the_window(self, monkeypatch):
-        """At T = 0.7 the rows read reference nodes up to 525 of 700: the CS path stops there, the
-        step-halving ratio still integrates [0, T], and w1_sup and w1_at_half_T equal the values read
-        from a reference over [0, T]."""
-        kernel = CuckerSmaleKernel(1.0, 0.5)
-        m0 = ParticleEnsemble.equal_weights(np.array([[-0.5, 0.4], [0.1, -0.3], [0.6, -0.1]]), 1)
-        horizons = []
-        for name in ("solve_cs", "richardson_order_ratio"):
-            solve = getattr(convergence, name)
-            monkeypatch.setattr(convergence, name, lambda *a, solve=solve, **k: horizons.append(a[2]) or solve(*a, **k))
-        rep = run_lambda_sweep_acceleration(kernel, m0, [10.0, 40.0], T=0.7, n_intervals=64)
-        assert horizons == [525 * 1e-3, 0.7]
-        full = convergence.solve_cs(m0, kernel, 0.7, 1e-3, save_every=1)
+    THREE_ATOMS = np.array([[-0.5, 0.4], [0.1, -0.3], [0.6, -0.1]])
+
+    def test_reference_ladder_marches_the_window(self, monkeypatch):
+        """At T = 0.7 every march of the ladder stops at the window end 0.75 T and saves the 7 window
+        nodes; k rises from 2 (4h = T/8) until the estimate is at most REFERENCE_TOLERANCE, each lower
+        level reads above it, and rk4_steps counts every RK4 step the ladder took."""
+        kernel, m0, T = CuckerSmaleKernel(1.0, 0.5), ParticleEnsemble.equal_weights(self.THREE_ATOMS, 1), 0.7
+        probes, horizons, steps = [], [], []
+        probe, solve, rk4 = convergence.richardson_order_ratio, cucker_smale.solve_cs, cucker_smale._rk4
+
+        def recording_probe(m0, kernel, T, dt, save_every=None, finest=None):
+            ratio = probe(m0, kernel, T, dt, save_every, finest)
+            probes.append((T, dt, finest[-1][1]))
+            return ratio
+
+        monkeypatch.setattr(convergence, "richardson_order_ratio", recording_probe)
+        monkeypatch.setattr(cucker_smale, "solve_cs", lambda *a, **k: horizons.append(a[2]) or solve(*a, **k))
+        monkeypatch.setattr(cucker_smale, "_rk4", lambda rhs, z, dt: steps.append(1) or rk4(rhs, z, dt))
+        ref = run_lambda_sweep_acceleration(kernel, m0, [10.0], T=T, n_intervals=64).reference
+        assert len(probes) >= 1 and horizons == [0.75 * T] * 3 * len(probes) == [ref["horizon"]] * 3 * len(probes)
+        assert [dt for _, dt, _ in probes] == [T / 8 / 2**j for j in range(len(probes))]
+        assert ref["h"] == probes[-1][1] / 4
+        assert all(est > convergence.REFERENCE_TOLERANCE for _, _, est in probes[:-1])
+        assert ref["error_estimate"] == probes[-1][2] <= ref["error_tolerance"] == convergence.REFERENCE_TOLERANCE
+        assert ref["resolved"] is True and 8.0 <= ref["step_halving_ratio"] <= 32.0
+        assert ref["rk4_steps"] == len(steps) == 7 * sum(6 * 2**j for j in range(len(probes)))
+        assert ref["dt"] == 1e-3 and ref["T"] == T
+
+    def test_w1_columns_within_the_reference_error(self):
+        """Against the rows read from the dense dt = 1e-3 solve_cs reference (state error near 1e-14),
+        w1_sup and w1_at_half_T move by at most sqrt(2) error_estimate: W1 is 1-Lipschitz in each atom,
+        whose phase-space error is at most sqrt(2) times the largest entry's (measured: 0.47-0.54)."""
+        kernel, m0, T = CuckerSmaleKernel(1.0, 0.5), ParticleEnsemble.equal_weights(self.THREE_ATOMS, 1), 0.7
+        rep = run_lambda_sweep_acceleration(kernel, m0, [10.0, 40.0], T=T, n_intervals=64)
+        bound = np.sqrt(2.0) * rep.reference["error_estimate"]
+        dense = solve_cs(m0, kernel, T, 1e-3, save_every=1)
         for lam, row in zip(rep.lambdas, rep.rows):
-            expected = convergence._acceleration_row(lam, m0, kernel, 0.7, 64, full)
-            assert (row["w1_sup"], row["w1_at_half_T"]) == (expected["w1_sup"], expected["w1_at_half_T"])
+            expected = convergence._acceleration_row(lam, m0, kernel, T, 64, dense)
+            for key in ("w1_sup", "w1_at_half_T"):
+                assert abs(row[key] - expected[key]) <= bound
+
+    def test_error_estimate_bounds_the_actual_error(self):
+        """On the 3-atom flock at T = 0.7 the reference's largest state error at the window nodes,
+        against an RK4 march at T/1024, is at most its error_estimate (measured: 0.98 of it)."""
+        kernel, m0, T = CuckerSmaleKernel(1.0, 0.5), ParticleEnsemble.equal_weights(self.THREE_ATOMS, 1), 0.7
+        reference, ladder = convergence._kinetic_reference(m0, kernel, T, 1e-3)
+        oracle = solve_cs(m0, kernel, 0.75 * T, T / 1024, save_every=128)
+        assert np.allclose(oracle.times, reference.times, rtol=0.0, atol=1e-15)
+        error = max(np.max(np.abs(a.points - b.points)) for a, b in zip(reference.measures, oracle.measures))
+        assert 0.0 < error <= ladder["error_estimate"] <= convergence.REFERENCE_TOLERANCE
+
+    def test_unresolved_reference_is_flagged(self, two_body_phase):
+        """alpha = 0.01, beta = 2 (1/g = 1e4 at x = 0): the dt = 1e-3 cap stops the ladder at
+        h = T/512 with an estimate of about 46, far above REFERENCE_TOLERANCE, so the reference reads
+        resolved = false; its ratio (about 9.5) alone would pass the RK4 window [8, 32]."""
+        ref = run_lambda_sweep_acceleration(CuckerSmaleKernel(0.01, 2.0), two_body_phase, [10.0]).reference
+        assert ref["h"] == 1.0 / 512 and ref["h"] / 2 < ref["dt"] <= ref["h"]
+        assert ref["error_estimate"] > 1e3 * convergence.REFERENCE_TOLERANCE
+        assert ref["resolved"] is False
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_bad_reference_cap_raises(self, two_body_phase, dt):
+        """The ladder refines until it meets the tolerance or the cap: a cap that is not positive and
+        finite could not stop it, so it raises before any march."""
+        with pytest.raises(ValueError, match="^dt must be positive and finite"):
+            run_lambda_sweep_acceleration(CuckerSmaleKernel(0.01, 2.0), two_body_phase, [10.0], dt_reference=dt)
 
     def test_wrong_kernel_type(self, two_body_phase):
         with pytest.raises(TypeError):

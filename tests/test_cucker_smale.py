@@ -118,6 +118,23 @@ class TestSolveCs:
         ratio = richardson_order_ratio(two_body_phase, cs_flat, 1.0, 0.05)
         assert 8.0 <= ratio <= 32.0
 
+    def test_order_check_saves_its_marches_at_equal_nodes(self, rng):
+        """save_every = 2 on 6 steps of 0.1: the three solve_cs marches meet at t = 0, 0.2, 0.4 and 0.6,
+        the ratio is max |z_dt - z_dt/2| / max |z_dt/2 - z_dt/4| over those nodes, and finest receives
+        the dt/4 march of those nodes with the estimate max |z_dt/4 - z_dt/2| / 15."""
+        m0, kernel = phase_atoms(rng.standard_normal(5), rng.standard_normal(5)), CuckerSmaleKernel(1.0, 0.5)
+        finest = []
+        ratio = richardson_order_ratio(m0, kernel, 0.6, 0.1, save_every=2, finest=finest)
+        z1, z2, z4 = (
+            np.stack([m.points for m in solve_cs(m0, kernel, 0.6, dt, save_every=every).measures])
+            for dt, every in ((0.1, 2), (0.05, 4), (0.025, 8))
+        )
+        assert ratio == np.max(np.abs(z1 - z2)) / np.max(np.abs(z2 - z4))
+        (path, estimate), = finest
+        assert np.allclose(path.times, [0.0, 0.2, 0.4, 0.6], rtol=0.0, atol=1e-15)
+        assert np.array_equal(np.stack([m.points for m in path.measures]), z4)
+        assert estimate == np.max(np.abs(z4 - z2)) / 15.0
+
     @pytest.mark.parametrize(
         "T, dt, name",
         [(-1.0, 0.01, "T"), (0.0, 0.01, "T"), (float("nan"), 0.01, "T"), (float("inf"), 0.01, "T"), (1.0, 0.0, "dt")],
