@@ -11,9 +11,9 @@ variables.  The discounted energy
 
 is discretized with exact control weights and product-trapezoid
 interaction weights (``measures._exp_trapezoid_weights``), and minimized
-by an Anderson fixed point in the preconditioned controls on the exact
-discrete gradient (reverse accumulation through the kinematic
-recursion).  A solve has one
+by ``measures._anderson``, the fixed point ``mfg_pde`` shares, in the
+preconditioned controls on the exact discrete gradient (reverse
+accumulation through the kinematic recursion).  A solve has one
 admission check, ``_preconditioner`` (the budget N K, then a scale that
 does not underflow), and one verdict, ``MinimizeResult.certified``: the
 sup-norm residual of the rearranged fourth-order Euler-Lagrange identity.
@@ -40,7 +40,8 @@ from functools import cached_property
 import numpy as np
 
 from .kernels import CuckerSmaleKernel, _cs_pair_energy, _cs_pair_pass, _flock
-from .measures import MASS_TOL_PARTICLES, ParticleEnsemble, _csv_table, _exp_trapezoid_weights, _freeze, _positive_finite
+from .measures import (MASS_TOL_PARTICLES, ParticleEnsemble, _anderson, _csv_table, _exp_trapezoid_weights, _freeze,
+                       _positive_finite)
 
 
 @dataclass(frozen=True)
@@ -233,6 +234,7 @@ class MinimizeResult:
     iterations: int  # fixed-point steps
     el_residual: float
     function_evaluations: int  # objective (energy and gradient) evaluations
+    fixed_point_fallbacks: int  # half steps taken instead of Anderson steps
 
     @property
     def certified(self) -> bool:
@@ -252,53 +254,34 @@ def minimize_energy(
     In b the control Hessian is the identity, so b -> b - grad_b J contracts while the interaction Hessian
     is small: at alpha = 1 the ratio was about 5/lam from lam = 20 on.  The stiffness grows like
     sup 1/g = alpha^-beta; at lam = 10 the map did not contract at alpha = 0.1 or 0.01 with beta = 1, nor
-    at alpha = 0.01, beta = 2.  The scheme is that of ``mfg_pde.solve_mfg_fixed_point``: Anderson type II
-    at depth 1, b+ = g - gamma (g - g_prev) with g = b + f, f = -grad_b J, gamma = argmin |f - gamma
-    (f - f_prev)|; a rising control step takes the half step b + f/2 instead and drops the history.  It
-    starts from free flight, the exact minimizer of the control term and the competitor behind the a priori
+    at alpha = 0.01, beta = 2.  The fixed point is ``measures._anderson`` on b -> g = b + f, f = -grad_b J,
+    the driver of ``mfg_pde.solve_mfg_fixed_point`` too; its half steps are counted in fixed_point_fallbacks.
+    It starts from free flight, the exact minimizer of the control term and the competitor behind the a priori
     energy bound 2 C0 M_{2,v}(m0) / lam, and stops once the control step max_{t <= T/2} |f/s| / (1 + max|a|)
-    is at most CONTROL_STEP_TOLERANCE, or after MAX_OBJECTIVE_EVALUATIONS evaluations with the iterate of
-    the smallest step.  The step is a stop rule, not a verdict: ``el_residual`` runs once, on the returned iterate.
+    is at most CONTROL_STEP_TOLERANCE, or after MAX_OBJECTIVE_EVALUATIONS evaluations with the iterate of the
+    first smallest step.  The step is a stop rule, not a verdict: ``el_residual`` runs once, on the returned iterate.
     """
     start = TrajectoryEnsemble.free_flight(m0, T, n_intervals)  # checks T before the scale uses it
     # admit, and precondition: the raw problem is conditioned like e^{lam T}, hopeless for a fixed point
     s = _preconditioner(start.weights, lam, T, n_intervals)
     window = 0.5 * (start.times[:-1] + start.times[1:]) <= 0.5 * T  # interval midpoints, as el_residual
 
-    def control_step(b):
-        """f = -grad_b J at b, and the size of the control step it makes."""
+    def evaluate(b):  # f = -grad_b J, the image b + f, and the size of the control step f
         a = b / s
         f = energy_gradient(start.with_controls(a), kernel, lam)[1]
         f /= -s
-        return f, float(np.max(np.abs(f[:, window] / s[:, window])) / (1.0 + np.max(np.abs(a))))
+        return f, b + f, float(np.max(np.abs(f[:, window] / s[:, window])) / (1.0 + np.max(np.abs(a)))), b
 
-    b = np.zeros(s.shape)
-    f, step = control_step(b)
-    best, evaluations, previous, g_prev, f_prev = (step, b), 1, np.inf, None, None
-    while step > CONTROL_STEP_TOLERANCE and evaluations < MAX_OBJECTIVE_EVALUATIONS:
-        g = b + f
-        if step > previous:
-            b, g_prev = b + 0.5 * f, None  # the safeguard: a half step, and no history
-        elif g_prev is None:
-            b, g_prev = g, g  # no history: a plain step
-        else:
-            df = f - f_prev
-            gamma = np.vdot(f, df) / (np.vdot(df, df) or 1.0)
-            b, g_prev = g - gamma * (g - g_prev), g
-        f_prev, previous = f, step
-        f, step = control_step(b)
-        evaluations += 1
-        if step < best[0]:
-            best = (step, b)
-    step, b = best
+    b, steps, half_steps = _anderson(np.zeros(s.shape), evaluate, CONTROL_STEP_TOLERANCE, MAX_OBJECTIVE_EVALUATIONS)
     ens = start.with_controls(b / s)
     return MinimizeResult(
         ensemble=ens,
         energy=discrete_energy(ens, kernel, lam),
-        control_step=step,
-        iterations=evaluations - 1,
+        control_step=min(steps),  # the driver's pick: min keeps the first smallest
+        iterations=len(steps) - 1,
         el_residual=el_residual(ens, kernel, lam) if n_intervals >= 8 else np.nan,
-        function_evaluations=evaluations,
+        function_evaluations=len(steps),
+        fixed_point_fallbacks=half_steps,
     )
 
 

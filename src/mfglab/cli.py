@@ -71,6 +71,8 @@ def _cmd_solve_mfg(desc, out, seed):
     doc = _base_doc(desc, seed)
     doc.update(
         iterations=sol.iterations,
+        hjb_sweeps=sol.hjb_sweeps,
+        fp_steps=sol.hjb_sweeps * cfg.n_steps,
         residual=sol.residual,
         converged=sol.converged,
         residual_history=list(sol.residual_history),
@@ -99,6 +101,7 @@ def _cmd_solve_accel(desc, out, seed):
         n_intervals=n_intervals,
         certified=result.certified,
         iterations=result.iterations,
+        fixed_point_fallbacks=result.fixed_point_fallbacks,
         control_step=result.control_step,
         el_residual=result.el_residual,
         energy={"control": result.energy.control, "interaction": result.energy.interaction, "total": result.energy.total},

@@ -44,8 +44,6 @@ _SOLVER_DEFAULTS = {
     "n_x": (256, int),
     "dt": (1e-3, float),
     "nu": ("auto", str),  # "auto" -> lambda**-0.5 schedule; else a float
-    "max_iterations": (200, int),
-    "tolerance": (1e-6, float),
     "m0_center": (0.0, float),
     "m0_sigma": (0.5, float),
     "n_intervals": (128, int),
@@ -116,8 +114,6 @@ class ExperimentDescription:
             n_x=s["n_x"],
             dt=s["dt"],
             nu=nu,
-            max_iterations=s["max_iterations"],
-            tolerance=s["tolerance"],
         )
 
     def build_m0_grid(self) -> GridDensity:

@@ -234,7 +234,7 @@ def _sweep_lambdas(lambdas) -> list:
 
 #: numeric columns of a classic row; NaN in the row of a lambda whose solve raised
 _CLASSIC_DIAGNOSTICS = (
-    "iterations", "fixed_point_residual", "fixed_point_fallbacks", "w1_sup", "residual_lam_u",
+    "iterations", "hjb_sweeps", "fp_steps", "fixed_point_residual", "fixed_point_fallbacks", "w1_sup", "residual_lam_u",
     "residual_lam_du_l1", "du_sup_scaled", "u_growth_scaled", "d2u_upper_scaled", "m_sup", "mass_error",
     "fp_mass_correction",  # reported, never flagged
 )
@@ -283,6 +283,8 @@ def _classic_row(
         "converged": bool(sol.converged),
         "flagged": bool(not sol.converged),
         "iterations": int(sol.iterations),
+        "hjb_sweeps": int(sol.hjb_sweeps),
+        "fp_steps": int(sol.hjb_sweeps * cfg.n_steps),
         "fixed_point_residual": float(sol.residual),
         "fixed_point_fallbacks": int(sol.fallbacks),
         "w1_sup": float(w1_sup),
@@ -400,6 +402,7 @@ def _acceleration_row(
         "flagged": not result.certified,
         "iterations": int(result.iterations),
         "objective_evaluations": int(result.function_evaluations),
+        "fixed_point_fallbacks": int(result.fixed_point_fallbacks),
         "control_step": float(result.control_step),
         "el_residual": float(result.el_residual),
         "energy_total": float(result.energy.total),

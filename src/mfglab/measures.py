@@ -10,7 +10,8 @@ Two concrete representations are used throughout the lab:
 
 All types hold read-only copies of their arrays (``_freeze``); operations
 are pure.  Query points on the line enter through ``_line_points``.  The
-limit solvers step in ``_march`` on ``_n_steps``, the clock of every march;
+limit solvers step in ``_march`` on ``_n_steps``, the clock of every march, and
+both MFG fixed points iterate in ``_anderson``;
 ``_exp_trapezoid_weights`` integrates against the discount e^(-lam t) on nodes.
 W1 is exact or refused: the CDF formula on one grid, the sorted formula
 on the line, an optimal assignment between equal-weight phase-space flocks.
@@ -296,6 +297,36 @@ def _march(m0, state, step, snapshot, T: float, dt: float, save_every: int | Non
         if j % save_every == 0 or j == n:
             snaps[j] = snapshot(state)
     return MeasurePath(dt * np.array(list(snaps)), list(snaps.values()))
+
+
+def _anderson(x, evaluate, tolerance: float, max_evaluations: int):
+    """The fixed point of both MFG systems: Anderson type II at depth 1 (Walker & Ni, SINUM 2011), no damping.
+    evaluate(x) returns (f, g, size, kept): the image g of x, f = g - x (it may write f into x's buffer), the size
+    of f and what to keep of x.  The next x is g - gamma (g - g_prev), gamma = argmin |f - gamma (f - f_prev)|, or
+    the half step g - f/2, which drops the history, where the size rose; steps write into f buffers or a copy of
+    g, never into a g.  Stops once size <= tolerance (or is NaN), or after max_evaluations evaluations; returns the kept value
+    of the first smallest size, every size in order and the count of half steps."""
+    sizes, best, half_steps, g_prev, spare = [], None, 0, None, None  # spare: the f of g_prev
+    while True:
+        f, g, size, kept = evaluate(x)
+        sizes.append(size)
+        if best is None or size < best[0]:
+            best = (size, kept)
+        if not size > tolerance or len(sizes) >= max_evaluations:
+            return best[1], sizes, half_steps
+        if len(sizes) >= 2 and size > sizes[-2]:
+            half_steps += 1
+            x, g_prev = np.subtract(g, np.multiply(f, 0.5, out=f), out=f), None
+            continue
+        if g_prev is None:
+            spare = g.copy()  # no history: a plain step, to a copy of g, which evaluate may overwrite as x
+        else:
+            df = np.subtract(f, spare, out=spare)
+            gamma = np.vdot(f, df) / (np.vdot(df, df) or 1.0)
+            np.subtract(g, g_prev, out=spare)
+            spare *= -gamma
+            spare += g
+        x, spare, g_prev = spare, f, g
 
 
 def moment2(m, selector: str = "all") -> float:

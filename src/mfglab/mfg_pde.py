@@ -30,7 +30,7 @@ Scheme
 * the density path is one (n_steps+1, n_x) stack throughout: fp_forward
   returns one, checked once as a whole, hjb_backward takes one, and
   MfgSolution.m_path is the best one, read-only;
-* the fixed point: one scheme, Anderson mixing with a damped Picard safeguard,
+* the fixed point: ``measures._anderson``, which the MFG of acceleration shares,
   stopping on the W1 gap at every node; CFL and HJB monotonicity checked on
   whole stacks.
 """
@@ -45,14 +45,18 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from .errors import BoundaryLeakError, CflError, GridError, ParameterError, StabilityError
 from .hamiltonians import QuadraticDriftHamiltonian
 from .kernels import CuckerSmaleKernel, _grid_sum
-from .measures import GridDensity, _check_densities, _finite, _n_steps, _on_grid
+from .measures import GridDensity, _anderson, _check_densities, _finite, _n_steps, _on_grid
 
 BOUNDARY_MASS_TOL = 1e-7
+#: the fixed point stops once its residual, max W1(m, g) over every node, is at most this
+FIXED_POINT_TOLERANCE = 1e-6
+#: cap on the fixed point's evaluations (HJB and FP sweep pairs past the warm start); at the cap the best is returned
+MAX_FIXED_POINT_EVALUATIONS = 200
 
 
 @dataclass(frozen=True)
 class PdeConfig:
-    """Discretization and fixed-point parameters for one MFG solve."""
+    """Discretization parameters for one MFG solve."""
 
     lam: float
     T: float = 1.0
@@ -60,13 +64,11 @@ class PdeConfig:
     n_x: int = 256
     dt: float = 1e-3
     nu: float | None = None  # None -> schedule nu = lam**-0.5
-    max_iterations: int = 200
-    tolerance: float = 1e-6
 
     def __post_init__(self):
         nu = 0.0 if self.nu is None else self.nu  # None selects the schedule
-        _finite(lam=self.lam, T=self.T, dt=self.dt, half_width=self.half_width, nu=nu, tolerance=self.tolerance)
-        for name in ("lam", "tolerance", "half_width"):
+        _finite(lam=self.lam, T=self.T, dt=self.dt, half_width=self.half_width, nu=nu)
+        for name in ("lam", "half_width"):
             if getattr(self, name) <= 0:
                 raise ParameterError(name, f"{name} must be positive, got {getattr(self, name)}")
         _n_steps(self.T, self.dt)
@@ -77,8 +79,6 @@ class PdeConfig:
             raise ParameterError("half_width", f"the cell width 2 half_width / n_x = {dx} must be normal and finite")
         if nu < 0:
             raise ParameterError("nu", f"nu must be nonnegative, got {nu}")
-        if self.max_iterations < 1:
-            raise ParameterError("max_iterations", f"max_iterations must be at least 1, got {self.max_iterations}")
 
     @property
     def viscosity(self) -> float:
@@ -111,9 +111,14 @@ class MfgSolution:
     iterations: int
     residual: float
     converged: bool
-    fallbacks: int = 0  # damped Picard safeguard steps taken instead of Anderson steps
+    fallbacks: int = 0  # half steps taken instead of Anderson steps
     residual_history: tuple = field(default=(), repr=False)
     fp_mass_correction: float = 0.0  # largest |dx sum - 1| that fp_forward divided out in the solve
+
+    @property
+    def hjb_sweeps(self) -> int:
+        """HJB sweeps of the solve, the warm start's included; each feeds one FP sweep of n_steps steps."""
+        return len(self.residual_history) + 1
 
 
 class _DiffusionSolver:
@@ -327,46 +332,24 @@ def solve_mfg_fixed_point(
     kernel,
     m0: GridDensity,
 ) -> MfgSolution:
-    """Iterate m -> u = HJB(m) -> g = FP(u) to g = m, stopping on max W1(m, g) over every node.
-
-    Anderson-accelerated (type II, Walker & Ni, SINUM 2011; depth 1, no damping):
-    m+ = g - gamma (g - g_prev), gamma = argmin |f - gamma (f - f_prev)| for f = g - m.  A rising
-    residual takes one damped Picard step m + f/2 instead and drops the history (counted in
-    fallbacks).  A mixed m may leave the densities: it enters the HJB only through the linear k*m.
-    The best FP output is returned, flagged if not converged.
+    """Iterate m -> u = HJB(m) -> g = FP(u) to g = m by ``measures._anderson``, from the warm start FP(HJB(m0)),
+    stopping once max W1(m, g) over every node is at most FIXED_POINT_TOLERANCE, or after
+    MAX_FIXED_POINT_EVALUATIONS evaluations.  A mixed m may leave the densities: it enters the HJB only
+    through the linear k*m.  The FP output of the first smallest residual is returned, flagged if not converged.
     """
     mass_log = []  # the largest mass correction of every FP sweep
     # warm start: best response to the frozen initial density
     frozen = np.tile(_grid_values(cfg, m0, "initial density"), (cfg.n_steps + 1, 1))
     m = fp_forward(cfg, ham, hjb_backward(cfg, ham, kernel, frozen), m0, mass_log)
-    spare = np.empty_like(m)  # with m, the two stacks the loop overwrites in place
-    g_prev, history, best, fallbacks = None, [], None, 0  # history: g_prev (held, not copied), its f in spare
-    for it in range(1, cfg.max_iterations + 1):
+
+    def evaluate(m):
         u_path = hjb_backward(cfg, ham, kernel, m)
         g = fp_forward(cfg, ham, u_path, m0, mass_log)
         f = np.subtract(g, m, out=m)  # m is spent; its buffer holds the residual f
-        residual = _w1_sup(f, cfg.dx)
-        history.append(residual)
-        if best is None or residual <= best[0]:
-            best = (residual, u_path, g, it)
-        if residual < cfg.tolerance:
-            break  # best is this iterate: every earlier residual was >= tolerance
-        if len(history) >= 2 and residual > history[-2]:
-            fallbacks += 1
-            g_prev = None
-            m = np.add(g, np.multiply(f, -0.5, out=f), out=f)  # the safeguard: g - f/2 = m + f/2
-            m /= m.sum(axis=1, keepdims=True) * cfg.dx
-            continue
-        if g_prev is None:
-            np.copyto(spare, g)  # no history: a plain Picard step
-        else:
-            df = np.subtract(f, spare, out=spare)
-            gamma = np.vdot(f, df) / (np.vdot(df, df) or 1.0)
-            np.subtract(g, g_prev, out=spare)
-            spare *= -gamma
-            spare += g
-        m, spare, g_prev = spare, f, g
-    residual, u_path, m_path, it = best
+        return f, g, _w1_sup(f, cfg.dx), (u_path, g)
+
+    (u_path, m_path), history, fallbacks = _anderson(m, evaluate, FIXED_POINT_TOLERANCE, MAX_FIXED_POINT_EVALUATIONS)
     m_path.setflags(write=False)
-    converged = residual < cfg.tolerance
-    return MfgSolution(cfg, u_path, m_path, it, residual, converged, fallbacks, tuple(history), max(mass_log))
+    residual = min(history)  # the driver's pick: min keeps the first smallest
+    return MfgSolution(cfg, u_path, m_path, history.index(residual) + 1, residual, residual <= FIXED_POINT_TOLERANCE,
+                       fallbacks, tuple(history), max(mass_log))

@@ -22,6 +22,7 @@ from mfglab import (
     run_lambda_sweep_acceleration,
     write_config,
 )
+from mfglab import mfg_pde
 from mfglab.cli import main
 from mfglab.config import KERNEL_NAMES
 from mfglab.convergence import EL_TOLERANCE
@@ -97,7 +98,6 @@ class TestParseConfig:
             ("solver.dt", "nan"),
             ("solver.half_width", "inf"),
             ("model.beta", "nan"),
-            ("solver.tolerance", "inf"),
             ("solver.m0_center", "nan"),
             ("model.alpha", "-inf"),
             ("solver.nu", "nan"),
@@ -126,11 +126,6 @@ class TestParseConfig:
             parse_config("[model]\nmass = 3\n")
         with pytest.raises(ConfigError, match="unknown section"):
             parse_config("[physics]\nkernel = zero\n")
-
-    @pytest.mark.parametrize("raw", ["0.0", "-1.0"])
-    def test_tolerance_must_be_positive(self, raw):
-        with pytest.raises(ConfigError, match=rf"^solver.tolerance: must be positive, got {raw}"):
-            parse_config(f"[solver]\ntolerance = {raw}\n")
 
     def test_negative_viscosity(self):
         with pytest.raises(ConfigError, match="solver.nu"):
@@ -170,7 +165,7 @@ class TestParseConfig:
             ("solver.T", "-1.0"),
             ("solver.T", "0.0"),
             ("solver.dt", "0.0"),
-            ("solver.max_iterations", "0"),
+            ("solver.max_iterations", "0"),  # a removed key: unknown, and named by its path
             ("sweep.cross_particles", "0"),
         ],
     )
@@ -182,7 +177,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=rf"^{field}: "):
             parse_config(text)
 
-    @pytest.mark.parametrize("key", ["mode", "theta"])
+    @pytest.mark.parametrize("key", ["mode", "theta", "tolerance", "max_iterations"])
     def test_removed_fixed_point_options_are_unknown(self, key):
         with pytest.raises(ConfigError, match=rf"^solver.{key}: unknown option"):
             parse_config(f"[solver]\n{key} = 0.5\n")
@@ -248,9 +243,6 @@ RULES = [
     (partial(PdeConfig, lam=1.0, n_x=4), "n_x", "[solver]\nn_x = 4\n", "solver.n_x"),
     (partial(PdeConfig, lam=1.0, nu=-0.5), "nu", "[solver]\nnu = -0.5\n", "solver.nu"),
     (partial(PdeConfig, lam=1.0, nu=NAN), "nu", "[solver]\nnu = nan\n", "solver.nu"),
-    (partial(PdeConfig, lam=1.0, max_iterations=0), "max_iterations", "[solver]\nmax_iterations = 0\n",
-     "solver.max_iterations"),
-    (partial(PdeConfig, lam=1.0, tolerance=0.0), "tolerance", "[solver]\ntolerance = 0\n", "solver.tolerance"),
     (partial(run_lambda_sweep_acceleration, CuckerSmaleKernel(), FLOCK, [5.0, INF]), "lambdas",
      "[sweep]\nlambdas = 5, inf\n", "sweep.lambdas"),
     (partial(run_lambda_sweep_acceleration, CuckerSmaleKernel(), FLOCK, [5.0, 5.0]), "lambdas",
@@ -297,8 +289,6 @@ FIELDS = {
         "n_x": st.integers(8, 2**40),
         "dt": POSITIVE,
         "nu": st.one_of(st.just("auto"), st.floats(min_value=0.0, allow_infinity=False).map(repr)),
-        "max_iterations": st.integers(min_value=1),
-        "tolerance": POSITIVE,
         "m0_center": FINITE,
         "m0_sigma": POSITIVE,
         "n_intervals": st.integers(1, 2**40),
@@ -443,6 +433,18 @@ class TestCli:
         ref = json.loads((out / "report.json").read_text())["reference"]
         assert ref["resolved"] is False and ref["error_estimate"] > ref["error_tolerance"]
 
+    def test_solve_mfg_states_its_sweeps(self, tmp_path, capsys, monkeypatch):
+        """solution.json states the HJB sweeps of the solve, the warm start's included, and the FP
+        transport steps, n_steps = 50 per sweep: a spy on hjb_backward counts the same sweeps."""
+        backward, sweeps = mfg_pde.hjb_backward, []
+        monkeypatch.setattr(mfg_pde, "hjb_backward", lambda *args: sweeps.append(1) or backward(*args))
+        cfg = self.write(tmp_path, CLASSIC_TINY)
+        out = tmp_path / "run"
+        assert main(["solve-mfg", "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads((out / "solution.json").read_text())
+        assert doc["hjb_sweeps"] == len(sweeps) == doc["iterations"] + 1 == len(doc["residual_history"]) + 1
+        assert doc["fp_steps"] == 50 * len(sweeps)
+
     def test_solve_limit_writes_density(self, tmp_path, capsys):
         cfg = self.write(
             tmp_path,
@@ -518,9 +520,10 @@ class TestCli:
         """The default two-atom flock at n_intervals = 64, which is a floor: K follows the
         sweep's rule, 70 lambda^(1/2) T rounded up to a multiple of 8, and goes into
         solution.json.  At beta = 0.5 the EL residual certifies at lambda = 10 (1.7e-5) and 80
-        (1.3e-5), and the command exits 0.  With alpha = 0.01 and beta = 2 the fixed point reaches
-        its evaluation cap at lambda = 10 with EL 122, and the command exits 3.  certified is the one
-        verdict in solution.json.  The artifacts are written either way."""
+        (1.3e-5), and the command exits 0, and the fixed point takes no half step.  With alpha = 0.01
+        and beta = 2 the map does not contract: the fixed point takes half steps (26 of its 39 steps),
+        reaches its evaluation cap at lambda = 10 with EL 122, and the command exits 3.  certified is
+        the one verdict in solution.json.  The artifacts are written either way."""
         cfg = self.write(
             tmp_path, f"[model]\nkernel = cucker-smale\n{model}\n[solver]\nlambda = {lam}\nn_intervals = 64\n"
         )
@@ -531,6 +534,7 @@ class TestCli:
         assert doc["certified"] == (status == 0) and "converged" not in doc
         assert (doc["el_residual"] <= EL_TOLERANCE) == (status == 0)
         assert doc["control_step"] > 0.0 and "gradient_norm" not in doc
+        assert (doc["fixed_point_fallbacks"] > 0) == (status == 3)
         assert (out / "trajectories.csv").exists()
 
     def test_solve_accel_default_config_certifies(self, tmp_path, capsys):

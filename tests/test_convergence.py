@@ -22,7 +22,7 @@ from mfglab import (
     solve_cs,
     solve_mfg_fixed_point,
 )
-from mfglab import acceleration, convergence, cucker_smale
+from mfglab import acceleration, convergence, cucker_smale, mfg_pde
 from mfglab.measures import GridDensity
 
 
@@ -131,6 +131,21 @@ class TestClassicSweep:
         assert np.all(rep.column("converged") == 1.0)
         assert np.all(rep.column("fixed_point_fallbacks") == 0.0)
 
+    def test_sweep_counters_match_spies(self, zero_ham, exp_kernel, monkeypatch):
+        """A row's hjb_sweeps counts the HJB sweeps of its solve, the warm start's included, one more than
+        its iterations when it converges; fp_steps counts its FP transport steps, n_steps per sweep."""
+        cfg = small_config(5.0)
+        backward, step, sweeps, steps = mfg_pde.hjb_backward, mfg_pde.transport_step, [], []
+        monkeypatch.setattr(mfg_pde, "hjb_backward", lambda cfg, *args: sweeps.append(cfg.lam) or backward(cfg, *args))
+        monkeypatch.setattr(mfg_pde, "transport_step", lambda *args: steps.append(1) or step(*args))
+        rep = run_lambda_sweep_classic(
+            zero_ham, exp_kernel, small_m0(cfg), [5.0, 20.0], base_config=cfg, n_cross_particles=50
+        )
+        for lam, row in zip(rep.lambdas, rep.rows):
+            assert row["converged"] and row["hjb_sweeps"] == sweeps.count(lam) == row["iterations"] + 1
+            assert row["fp_steps"] == row["hjb_sweeps"] * cfg.n_steps
+        assert sum(row["fp_steps"] for row in rep.rows) == len(steps)
+
     def test_failing_lambda_is_a_flagged_row(self, zero_ham, exp_kernel):
         # on [-1, 1] the m0 tails reach the boundary cells and every MFG
         # solve raises; the FV reference has no leak check and still solves
@@ -143,6 +158,7 @@ class TestClassicSweep:
             assert row["flagged"] and not row["converged"] and not row["bounds_ok"]
             assert np.isnan(row["iterations"]) and np.isnan(row["w1_sup"])
             assert np.isnan(row["fixed_point_fallbacks"])
+            assert np.isnan(row["hjb_sweeps"]) and np.isnan(row["fp_steps"])
         assert np.isfinite(rep.reference["cross_validation_w1"])
         assert rep.to_csv().splitlines()[1].startswith("5.0,False,False,")
         # strict JSON: the NaN diagnostics are written as null, not as bare NaN tokens

@@ -23,7 +23,7 @@ from mfglab import (
     wasserstein1_particles,
 )
 from mfglab.errors import ParameterError
-from mfglab.measures import EXACT_W1_SIZE_CAP, _exp_trapezoid_weights
+from mfglab.measures import EXACT_W1_SIZE_CAP, _anderson, _exp_trapezoid_weights
 
 
 def _w1_exact_lp(a: ParticleEnsemble, b: ParticleEnsemble) -> float:
@@ -510,3 +510,89 @@ class TestExpTrapezoidWeights:
         series_left = h * np.sum((-z) ** k / factorial[k + 2])
         assert right == pytest.approx(series_right, rel=1e-15, abs=0.0)
         assert left == pytest.approx(series_left, rel=1e-15, abs=0.0)
+
+
+def affine_map(rng, n, contraction):
+    """x -> M x + c on R^n: M symmetric with eigenvalues spread over [-0.6, 0.95], or nonnormal with spectral
+    radius below 1; returns (M, c, the fixed point (I - M)^-1 c)."""
+    if contraction == "symmetric":
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        M = Q @ np.diag(np.linspace(-0.6, 0.95, n)) @ Q.T
+    else:
+        M = 0.9 * rng.standard_normal((n, n)) / np.sqrt(n)
+        assert np.abs(np.linalg.eigvals(M)).max() < 1.0
+    c = rng.standard_normal(n)
+    return M, c, np.linalg.solve(np.eye(n) - M, c)
+
+
+def affine_evaluate(M, c, aliased=False):
+    """The driver's evaluate for x -> M x + c: the size is max |f|, and x is kept; aliased writes f into x."""
+
+    def evaluate(x):
+        g = M @ x + c
+        kept = x.copy()
+        f = np.subtract(g, x, out=x) if aliased else g - x
+        return f, g, float(np.abs(f).max()), kept
+
+    return evaluate
+
+
+def scripted_evaluate(sizes, calls):
+    """An evaluate whose sizes are scripted: it records each x it gets, and keeps the evaluation's index."""
+
+    def evaluate(x):
+        calls.append(x.copy())
+        g = np.array([len(calls), -1.0])
+        return g - x, g, sizes[len(calls) - 1], len(calls) - 1
+
+    return evaluate
+
+
+class TestAnderson:
+    """The fixed-point driver of both MFG systems (measures._anderson)."""
+
+    def test_affine_contraction_beats_picard(self, rng):
+        """On x -> M x + c, whose slowest mode contracts by 0.95, the driver reaches the fixed point in
+        fewer than a third of the evaluations plain Picard takes to the same stop rule (measured 110
+        against 537); the kept x is within the stop's residual 1e-12 times |(I - M)^-1| <= 20 of it."""
+        M, c, fixed = affine_map(rng, 12, "symmetric")
+        kept, sizes, _ = _anderson(np.zeros(12), affine_evaluate(M, c), 1e-12, 1000)
+        assert sizes[-1] <= 1e-12 and all(size > 1e-12 for size in sizes[:-1])
+        assert np.abs(kept - fixed).max() <= 20 * 1e-12
+        x, picard = np.zeros(12), 1
+        while np.abs((g := M @ x + c) - x).max() > 1e-12:
+            x, picard = g, picard + 1
+        assert 3 * len(sizes) < picard
+
+    def test_a_rising_size_takes_one_half_step(self):
+        """Sizes 4, 2, 3, 1, 0: only the 3 rises, and it takes the half step g - f/2, which drops the
+        history, so the step after it is plain (to g); the zero stops the driver."""
+        calls = []
+        kept, sizes, half_steps = _anderson(np.zeros(2), scripted_evaluate([4.0, 2.0, 3.0, 1.0, 0.0], calls), 0.0, 10)
+        assert half_steps == 1 and sizes == [4.0, 2.0, 3.0, 1.0, 0.0] and kept == 4
+        g3, f3 = np.array([3.0, -1.0]), np.array([3.0, -1.0]) - calls[2]
+        assert np.array_equal(calls[3], g3 - f3 / 2)
+        assert np.array_equal(calls[4], [4.0, -1.0])
+
+    def test_cap_keeps_the_first_smallest(self):
+        """At the cap the driver returns what it kept at the first of two equal smallest sizes."""
+        calls = []
+        kept, sizes, _ = _anderson(np.zeros(2), scripted_evaluate([3.0, 1.0, 2.0, 1.0, 5.0, 0.0], calls), 0.5, 5)
+        assert len(calls) == 5 and sizes == [3.0, 1.0, 2.0, 1.0, 5.0] and kept == 1
+
+    def test_a_nan_size_stops(self):
+        calls = []
+        kept, sizes, _ = _anderson(np.zeros(2), scripted_evaluate([3.0, np.nan, 1.0], calls), 0.5, 5)
+        assert len(sizes) == 2 and kept == 0
+
+    @pytest.mark.parametrize("contraction", ["symmetric", "nonnormal"])
+    def test_evaluate_may_write_f_into_x(self, rng, contraction):
+        """An evaluate that writes f into x's buffer gives the sizes, bit for bit, and the fixed point of one
+        that does not: the driver steps in its own buffers and in those f came in, never in a g, and its
+        plain step copies g.  The nonnormal map takes half steps (measured 20 in 132 evaluations)."""
+        M, c, _ = affine_map(rng, 12, contraction)
+        runs = [_anderson(np.zeros(12), affine_evaluate(M, c, aliased), 1e-12, 1000) for aliased in (False, True)]
+        (kept, sizes, half_steps), (kept_aliased, sizes_aliased, half_steps_aliased) = runs
+        assert sizes_aliased == sizes and half_steps_aliased == half_steps
+        assert np.array_equal(kept_aliased, kept)
+        assert half_steps > 0 or contraction == "symmetric"

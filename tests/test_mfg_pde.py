@@ -58,9 +58,9 @@ def w1_nodes(a, b, dx):
 def damped_picard(cfg, ham, kernel, m0):
     """Oracle: the damped Picard loop that Anderson mixing replaced, stopping on every node."""
     m = fp_forward(cfg, ham, hjb_backward(cfg, ham, kernel, frozen_path(cfg, m0)), m0)
-    for it in range(1, cfg.max_iterations + 1):
+    for it in range(1, mfg_pde.MAX_FIXED_POINT_EVALUATIONS + 1):
         m_plus = fp_forward(cfg, ham, hjb_backward(cfg, ham, kernel, m), m0)
-        if np.max(w1_nodes(m, m_plus, cfg.dx)) < cfg.tolerance:
+        if np.max(w1_nodes(m, m_plus, cfg.dx)) <= mfg_pde.FIXED_POINT_TOLERANCE:
             return m_plus, it
         m = 0.5 * m + 0.5 * m_plus
         m /= m.sum(axis=1, keepdims=True) * cfg.dx
@@ -217,18 +217,10 @@ class TestPdeConfig:
             PdeConfig(lam=-1.0)
         with pytest.raises(ValueError):
             PdeConfig(lam=1.0, nu=-0.1)
-        with pytest.raises(ValueError, match="max_iterations"):
-            PdeConfig(lam=1.0, max_iterations=0)
         with pytest.raises(ValueError):
             PdeConfig(lam=1.0, T=-1.0)
 
-    @pytest.mark.parametrize("tolerance", [0.0, -1.0])
-    def test_tolerance_must_be_positive(self, tolerance):
-        """A fixed point with tolerance <= 0 could never stop before max_iterations."""
-        with pytest.raises(ValueError, match="tolerance must be positive"):
-            PdeConfig(lam=1.0, tolerance=tolerance)
-
-    @pytest.mark.parametrize("name", ["lam", "T", "dt", "half_width", "nu", "tolerance"])
+    @pytest.mark.parametrize("name", ["lam", "T", "dt", "half_width", "nu"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_rejected(self, name, bad):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -540,13 +532,25 @@ class TestFixedPoint:
         assert sol.residual < 1e-6
         assert np.all(np.isfinite(sol.u_path))
 
-    def test_non_convergence_flagged_not_raised(self, zero_ham, exp_kernel):
-        cfg = PdeConfig(lam=20.0, n_x=128, dt=2e-3, max_iterations=2, tolerance=1e-14)
+    def test_non_convergence_flagged_not_raised(self, zero_ham, exp_kernel, monkeypatch):
+        monkeypatch.setattr(mfg_pde, "MAX_FIXED_POINT_EVALUATIONS", 2)
+        monkeypatch.setattr(mfg_pde, "FIXED_POINT_TOLERANCE", 1e-14)
+        cfg = PdeConfig(lam=20.0, n_x=128, dt=2e-3)
         m0 = GridDensity.gaussian(0.0, 0.5, -cfg.half_width, cfg.dx, cfg.n_x)
         sol = solve_mfg_fixed_point(cfg, zero_ham, exp_kernel, m0)
         assert not sol.converged
         assert sol.iterations <= 2
         assert np.isfinite(sol.residual)
+
+    def test_stops_at_a_residual_equal_to_the_tolerance(self, zero_ham, exp_kernel, monkeypatch):
+        """The stop rule is residual <= FIXED_POINT_TOLERANCE, the acceleration side's rule: a tolerance
+        equal to the third residual stops the solve there, converged, on the same residuals."""
+        cfg = PdeConfig(lam=20.0, n_x=64, dt=4e-3)
+        m0 = GridDensity.gaussian(0.1, 0.5, -cfg.half_width, cfg.dx, cfg.n_x)
+        history = solve_mfg_fixed_point(cfg, zero_ham, exp_kernel, m0).residual_history
+        monkeypatch.setattr(mfg_pde, "FIXED_POINT_TOLERANCE", history[2])
+        sol = solve_mfg_fixed_point(cfg, zero_ham, exp_kernel, m0)
+        assert sol.converged and sol.iterations == 3 and sol.residual_history == history[:3]
 
     def test_golden_fixed_point(self, exp_kernel):
         cfg = PdeConfig(lam=20.0, n_x=64, dt=4e-3)
