@@ -41,8 +41,10 @@ def main():
             f" {'ok' if row['bounds_ok'] else 'FLAG':>7}"
         )
     print()
+    ref = report.reference
     print("cross-check of the FV reference against %d particles: W1 = %.4f" % (
-        report.reference["cross_particles"], report.reference["cross_validation_w1"]))
+        ref["cross_particles"], ref["cross_validation_w1"]))
+    print(f"particle march: RK4 at h = {ref['particle_h']:.4g}, error estimate {ref['particle_error_estimate']:.1e}")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,15 @@ from .cucker_smale import _rk4
 from .errors import DimensionError, DivergenceError
 from .hamiltonians import QuadraticDriftHamiltonian
 from .kernels import CuckerSmaleKernel, _grid_matrix, _measure_sum, _self_pair_sum
-from .measures import GridDensity, MeasurePath, ParticleEnsemble, _line_points, _march
+from .measures import (
+    GridDensity,
+    MeasurePath,
+    ParticleEnsemble,
+    _check_densities,
+    _line_points,
+    _march,
+    _n_steps,
+)
 from .mfg_pde import _check_cfl, _DiffusionSolver, transport_step
 
 #: solve_aggregation_particles raises once an atom leaves [-BLOWUP_RADIUS, BLOWUP_RADIUS]
@@ -75,11 +83,13 @@ def solve_aggregation_fv(
     T: float,
     dt: float,
     mass_log: list | None = None,
+    nodes: list | np.ndarray | None = None,
 ) -> MeasurePath:
     """Conservative upwind FV scheme with the nonlocal drift refreshed and CFL-checked each step, on the
-    clock of measures._march, keeping every node; raises CflError before the first step whose drift
-    breaks the bound.  Each step is renormalized to unit mass (roundoff); the largest correction
-    |dx sum - 1| divided out is appended to mass_log if given."""
+    clock of measures._march, keeping every node, or only the increasing node indices in nodes; raises
+    CflError before the first step whose drift breaks the bound.  Each step is renormalized to unit mass
+    (roundoff); the largest correction |dx sum - 1| divided out is appended to mass_log if given.  Every
+    node computed is checked once, as one stack (measures._check_densities), kept or not."""
     if isinstance(kernel, CuckerSmaleKernel):
         raise TypeError("the FV solver takes a position-space kernel")
     dx = m0.dx
@@ -90,6 +100,9 @@ def solve_aggregation_fv(
     diffuse = _DiffusionSolver(m0.n, dx, dt, 0.0)  # inviscid: the identity
     out, flux = np.empty(m0.n), np.empty(m0.n - 1)
     correction = 0.0
+    values = np.empty((_n_steps(T, dt) + 1, m0.n))  # every node, one row per step
+    values[0] = m0.values
+    rows = iter(values[1:])
 
     def step(m, t):
         nonlocal correction
@@ -98,9 +111,11 @@ def solve_aggregation_fv(
         m = transport_step(m, np.maximum(b, 0.0), np.minimum(b, 0.0), dt, dx, diffuse, out, flux)
         total = m.sum() * dx
         correction = max(correction, abs(total - 1.0))
-        return m / total
+        return np.divide(m, total, out=next(rows))
 
-    path = _march(m0, m0.values, step, lambda m: GridDensity(m0.origin, dx, m), T, dt, save_every=1)
+    times = _march(values[0], values[0], step, lambda m: m, T, dt, save_every=1).times  # a path of row views
+    _check_densities(values, dx)
+    keep = range(len(values)) if nodes is None else nodes
     if mass_log is not None:
         mass_log.append(float(correction))
-    return path
+    return MeasurePath(times[keep], [GridDensity(m0.origin, dx, values[j]) if j else m0 for j in keep])

@@ -24,7 +24,7 @@ import numpy as np
 
 from .acceleration import EL_TOLERANCE, _preconditioner, _row_intervals, minimize_energy
 from .aggregation import solve_aggregation_fv, solve_aggregation_particles
-from .cucker_smale import richardson_order_ratio
+from .cucker_smale import _step_halving, richardson_order_ratio
 from .errors import BoundaryLeakError, CflError, ParameterError, StabilityError
 from .hamiltonians import QuadraticDriftHamiltonian, validate_hamiltonian
 from .kernels import CuckerSmaleKernel, _grid_sum, validate_coupling
@@ -35,7 +35,6 @@ from .measures import (
     ParticleEnsemble,
     _check_exact_w1,
     _csv_table,
-    _n_steps,
     _positive_finite,
     _w1_sorted_1d,
     moment2,
@@ -54,8 +53,8 @@ C_TILDE = 10.0
 M_SUP_CAP = 100.0
 #: factor on the caps that absorbs discretization error
 BOUNDS_SLACK = 1.25
-#: largest error_estimate of a resolved acceleration reference; lam T < 745 keeps lam^-2 / 10, the first-order
-#: corrector's target, above 1.8e-7, more than 100 times this
+#: largest error_estimate of a resolved particle reference, in both sweeps; lam T < 745 keeps lam^-2 / 10, the
+#: first-order corrector's target, above 1.8e-7, more than 100 times this
 REFERENCE_TOLERANCE = 1e-9
 
 
@@ -267,17 +266,18 @@ def _classic_row(
 
     x = cfg.cell_centers
     lam, dx = cfg.lam, cfg.dx
-    du = np.gradient(sol.u_path, dx, axis=-1)  # centred, one-sided at the walls
     # the node nearest each window time, on the MFG stack and on the reference alike: both march on one clock
+    nodes = _window_nodes(cfg)
+    du = np.gradient(sol.u_path[nodes], dx, axis=-1)  # along x: centred, one-sided at the walls
     w1_sup = res_u = res_du = 0.0
-    for j in _window_nodes(cfg):
+    for j, du_j in zip(nodes, du):
         m_lam = GridDensity(-cfg.half_width, dx, sol.m_path[j])
-        m_ref = reference.measures[j]
+        m_ref = reference.at(j * cfg.dt)  # node j itself: the reference keeps every node a row reads
         w1_sup = max(w1_sup, wasserstein1_1d(m_lam, m_ref))
         F = coupling_on_grid(kernel, m_lam, x)
         res_u = max(res_u, float(np.max(np.abs(lam * sol.u_path[j] - F))))
         dF = _grid_sum(kernel, x, m_ref, gradient=True)
-        res_du = max(res_du, float(dx * np.sum(np.abs(lam * du[j] - dF))))
+        res_du = max(res_du, float(dx * np.sum(np.abs(lam * du_j - dF))))
     bounds = diagnostics_bounds(sol, c0=c0)
     return {
         "converged": bool(sol.converged),
@@ -317,6 +317,9 @@ def run_lambda_sweep_classic(
     grid; its own error is estimated by a particle cross-check and
     reported alongside the per-lambda distances (n_cross_particles atoms,
     at least 1, checked with the lambdas and m0's grid before any solve).
+    The cross-check's atoms come from the finest march of a step-halving
+    ladder (``_resolve``) capped by base_config.dt; the report states its
+    h, its error estimate, its RK4 steps and whether it is resolved.
     Non-converged inner solves are flagged, never fatal; an inner solve that raises
     BoundaryLeakError or a StabilityError (CflError included) gives a
     flagged row that names the error and carries NaN diagnostics.  Nothing
@@ -333,12 +336,19 @@ def run_lambda_sweep_classic(
 
     # both references march only to the last node a row reads, n_w steps: the window end, not T
     T, dt = base_config.T, base_config.dt
-    T_window = int(_window_nodes(base_config).max()) * dt
+    nodes = _window_nodes(base_config)
+    T_window = int(nodes.max()) * dt
     fv_mass = []
-    reference = solve_aggregation_fv(ham, kernel, m0, T_window, dt, fv_mass)
+    reference = solve_aggregation_fv(ham, kernel, m0, T_window, dt, fv_mass, nodes=np.unique(nodes))
     atoms = sample_grid_to_atoms(m0, n_cross_particles)
-    particle_ref = solve_aggregation_particles(ham, kernel, atoms, T_window, dt)
-    cross_error = w1_grid_vs_particles(reference.measures[-1], particle_ref.measures[-1])  # both at node n_w
+
+    def march(count):
+        path = solve_aggregation_particles(ham, kernel, atoms, T_window, T_window / count)
+        return path, path.measures[-1].points  # compared where the cross-check reads them
+
+    # 4h = T_window / 8 on the first level, as the acceleration ladder's 4h = T / 8
+    (particles, estimate, _, rk4_steps), h, resolved = _resolve(_step_halving(march, 8), T_window / 32, dt)
+    cross_error = w1_grid_vs_particles(reference.measures[-1], particles.measures[-1])  # both at the window end
 
     rows = [_classic_row(replace(base_config, lam=lam), ham, kernel, m0, reference, c0) for lam in lambdas]
 
@@ -353,6 +363,11 @@ def run_lambda_sweep_classic(
             "n_x": m0.n,
             "cross_validation_w1": float(cross_error),
             "cross_particles": n_cross_particles,
+            "particle_h": h,
+            "particle_error_estimate": estimate,
+            "error_tolerance": REFERENCE_TOLERANCE,
+            "particle_rk4_steps": rk4_steps,
+            "particle_resolved": resolved,
             "fv_mass_correction": fv_mass[0],  # largest |dx sum - 1| the FV solve divided out; reported, never flagged
         },
         setup={
@@ -417,29 +432,34 @@ def _acceleration_row(
     }
 
 
+def _resolve(levels, h, dt_cap):
+    """The stop rule of both particle references: walks the step-halving levels (``cucker_smale._step_halving``),
+    whose finest steps are h, h/2, ..., to the first whose error estimate is at most REFERENCE_TOLERANCE, or to
+    the first whose h/2 would fall below dt_cap (the first level always runs).  Returns that level, its h, and
+    whether its estimate meets the tolerance (the reference is resolved)."""
+    for level in levels:
+        if level[1] <= REFERENCE_TOLERANCE or h / 2 < dt_cap:
+            return level, h, bool(level[1] <= REFERENCE_TOLERANCE)
+        h /= 2
+
+
 def _kinetic_reference(m0: ParticleEnsemble, kernel: CuckerSmaleKernel, T: float, dt_cap: float):
     """The acceleration sweep's reference: a step-halving ladder of RK4 marches at 4h, 2h and h = T / (8 2^k) to
     the window end, each saving the window nodes (multiples of T/8, T/2 among them).  k starts at 2, the coarsest
-    ladder whose 4h clock hits every T/8, and rises until error_estimate <= REFERENCE_TOLERANCE; dt_cap stops it
-    before h would fall below dt_cap (past k = 2, which always runs), and then the reference is not resolved.
-    Returns the finest march, which is the reference, and the keys the report states of it."""
+    ladder whose 4h clock hits every T/8: richardson_order_ratio's three marches; each further level marches one
+    new clock (``_resolve`` stops the ladder).  Returns the finest march, which is the reference, and the keys the
+    report states of it."""
     horizon = DIAGNOSTIC_WINDOW * T
-    k, rk4_steps = 2, 0
-    while True:
-        h = T / (8 * 2**k)
-        finest = []
-        ratio = richardson_order_ratio(m0, kernel, horizon, 4 * h, save_every=2 ** (k - 2), finest=finest)
-        (path, estimate), = finest
-        rk4_steps += 7 * _n_steps(horizon, 4 * h)  # n, 2n and 4n steps
-        if estimate <= REFERENCE_TOLERANCE or h / 2 < dt_cap:
-            break
-        k += 1
+    finest = []
+    richardson_order_ratio(m0, kernel, horizon, T / 8, save_every=1, finest=finest)
+    (_, _, levels), = finest
+    (path, estimate, ratio, rk4_steps), h, resolved = _resolve(levels, T / 32, dt_cap)
     return path, {
         "horizon": horizon,
         "h": h,
         "error_estimate": estimate,
         "error_tolerance": REFERENCE_TOLERANCE,
-        "resolved": bool(estimate <= REFERENCE_TOLERANCE),
+        "resolved": resolved,
         "rk4_steps": rk4_steps,
         "step_halving_ratio": ratio,
     }

@@ -4,13 +4,20 @@ For atomic initial data the particle system *is* the measure-valued
 solution (pushforward of m0 under the characteristic flow); the only
 discretization is in time (RK4).  solve_cs only integrates;
 richardson_order_ratio marches three solve_cs clocks and compares them
-(``mfglab solve-cs`` calls it at 8 dt over [0, T]; the acceleration
-sweep calls it on a step-halving ladder, saves the window nodes and
-takes the finest march as its reference).  The flock lives on the line:
-the RK4 state is the (N, 2) array [pos | vel].
+(``mfglab solve-cs`` calls it at 8 dt over [0, T]).  That comparison is
+the first level of ``_step_halving``, the ladder behind both particle
+references: each further level marches one new clock, at half the finest
+step, and compares it with the two before.  The acceleration sweep climbs
+it from richardson_order_ratio's first level on solve_cs marches saving
+the window nodes, the classic sweep on particle marches
+(``aggregation.solve_aggregation_particles``) compared at the window end;
+each takes the finest march as its reference.  The flock lives on the
+line: the RK4 state is the (N, 2) array [pos | vel].
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -48,6 +55,22 @@ def _phase_rhs(m0: ParticleEnsemble, kernel):
     return rhs
 
 
+def _step_halving(march, n):
+    """The step-halving ladder of RK4 marches: level k = 0, 1, ... marches n_k = n 2^k, 2 n_k and 4 n_k steps, and
+    its two finer marches are the next level's two coarser ones, so each level past the first marches one new
+    clock.  march(count) returns the march of count steps and the states it is compared at.  Yields, level by
+    level, the finest march, its error estimate max |z_4n - z_2n| / 15 (RK4's local extrapolation, 2^4 - 1), the
+    ratio max |z_n - z_2n| / max |z_2n - z_4n| (~16 for RK4; inf when the finer gap is 0) and the RK4 steps
+    marched so far."""
+    (_, z1), (_, z2), steps = march(n), march(2 * n), 3 * n
+    while True:
+        path, z4 = march(4 * n)
+        steps += 4 * n
+        e1, e2 = np.max(np.abs(z1 - z2)), np.max(np.abs(z2 - z4))
+        yield path, float(e2 / 15.0), (np.inf if e2 == 0.0 else float(e1 / e2)), steps
+        z1, z2, n = z2, z4, 2 * n
+
+
 def richardson_order_ratio(
     m0: ParticleEnsemble,
     kernel: CuckerSmaleKernel,
@@ -60,19 +83,22 @@ def richardson_order_ratio(
 
     The three marches are solve_cs runs of n = _n_steps(T, dt), 2n and 4n steps of T/n, T/2n and T/4n, and
     the maxima run over the nodes all three save: node 0, every save_every-th node of the coarsest clock and T
-    (by default T alone).  A list passed as finest receives the finest march, a MeasurePath of those nodes,
-    and its error estimate max |z_dt/4 - z_dt/2| / 15 (RK4's local extrapolation, 2^4 - 1)."""
+    (by default T alone); they are the first level of ``_step_halving``.  A list passed as finest receives the
+    finest march, a MeasurePath of those nodes, its error estimate max |z_dt/4 - z_dt/2| / 15, and the ladder
+    from this level on: an iterator of each level's (finest march, estimate, ratio, RK4 steps so far), whose
+    every next() past this level marches one new clock, at half the finest step."""
     n = _n_steps(T, dt)
     every = n if save_every is None else save_every
-    paths = [solve_cs(m0, kernel, T, T / (c * n), save_every=c * every) for c in (1, 2, 4)]
-    z1, z2, z4 = (np.stack([m.points for m in path.measures]) for path in paths)
-    e1 = np.max(np.abs(z1 - z2))
-    e2 = np.max(np.abs(z2 - z4))
+
+    def march(count):
+        path = solve_cs(m0, kernel, T, T / count, save_every=count // n * every)
+        return path, np.stack([m.points for m in path.measures])
+
+    levels = _step_halving(march, n)
+    first = next(levels)
     if finest is not None:
-        finest.append((paths[2], float(e2 / 15.0)))
-    if e2 == 0.0:
-        return np.inf
-    return float(e1 / e2)
+        finest.append((first[0], first[1], itertools.chain([first], levels)))
+    return first[2]
 
 
 def solve_cs(

@@ -3,6 +3,8 @@
 This is the one place k*m and Dk*m are evaluated: ``_grid_sum`` by 1D
 grid quadrature, ``_dense_pair_sum`` over the atoms of an empirical
 measure; ``_measure_sum`` picks one of the two for a measure's type.
+The quadrature matrices (``_grid_matrix``) are formed once per kernel
+and grid: a small memo keeps the last few, read-only.
 
 The radial kernels (exponential, repulsive-attractive, Morse, tabulated
 crowd kernel, zero) act on the line: value and gradient work elementwise
@@ -341,10 +343,33 @@ def _outer_offsets(xq, pos, out=None):
     return np.matmul(*_offset_operands(xq, pos), out=out)
 
 
+#: how many _grid_matrix results the memo keeps; past it, the oldest goes
+_GRID_MEMO_SIZE = 4
+_grid_memo: dict = {}
+
+
 def _grid_matrix(kernel, xq, y, dx, gradient=False):
-    """(len(xq), len(y)) quadrature matrix dx * k(xq_i - y_j), or dx * Dk(xq_i - y_j), in 1D."""
-    diffs = _outer_offsets(xq, y)
-    return dx * (kernel.gradient(diffs) if gradient else kernel.value(diffs))
+    """(len(xq), len(y)) quadrature matrix dx * k(xq_i - y_j), or dx * Dk(xq_i - y_j), in 1D, read-only.
+
+    A sweep asks for the same few matrices again and again (one per HJB sweep, two per window node of a
+    row), so the last _GRID_MEMO_SIZE are kept, keyed by the kernel and the exact bytes of xq, y and dx; the
+    kernel's repr joins the key, since alpha = -0.0 and 0.0 compare equal.  A kernel that cannot be hashed
+    (CrowdRadialKernel's tables) skips the memo."""
+    xq, y = np.asarray(xq, dtype=float), np.asarray(y, dtype=float)
+    try:
+        key = (kernel, repr(kernel), bool(gradient), float(dx), xq.tobytes(), y.tobytes())
+        matrix = _grid_memo.get(key)
+    except TypeError:
+        key = matrix = None
+    if matrix is None:
+        diffs = _outer_offsets(xq, y)
+        matrix = dx * (kernel.gradient(diffs) if gradient else kernel.value(diffs))
+        matrix.setflags(write=False)
+        if key is not None:
+            _grid_memo[key] = matrix
+            if len(_grid_memo) > _GRID_MEMO_SIZE:
+                del _grid_memo[next(iter(_grid_memo))]
+    return matrix
 
 
 def _grid_sum(kernel, xq, m, gradient=False):

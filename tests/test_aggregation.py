@@ -156,6 +156,21 @@ class TestFvSolver:
         )
         assert w1_grid_vs_particles(fv.measures[-1], pp.measures[-1]) < 0.02
 
+    def test_kept_nodes_are_the_full_paths(self, zero_ham, gauss_m0, exp_kernel, monkeypatch):
+        """nodes = 0, 7, 50: the path keeps those three of the 51 nodes, bit for bit the full path's
+        (node 0 is m0 itself), and wraps two densities; every node computed is still checked, as one
+        (51, n_x) stack."""
+        full = solve_aggregation_fv(zero_ham, exp_kernel, gauss_m0, 0.05, 1e-3)
+        check, checked, made = aggregation._check_densities, [], []
+        monkeypatch.setattr(aggregation, "_check_densities", lambda v, dx: checked.append(v.shape) or check(v, dx))
+        init = GridDensity.__post_init__
+        monkeypatch.setattr(GridDensity, "__post_init__", lambda self: made.append(1) or init(self))
+        kept = solve_aggregation_fv(zero_ham, exp_kernel, gauss_m0, 0.05, 1e-3, nodes=[0, 7, 50])
+        assert checked == [(51, gauss_m0.n)] and len(made) == 2
+        assert np.array_equal(kept.times, full.times[[0, 7, 50]]) and kept.measures[0] is gauss_m0
+        for m, j in zip(kept.measures, (0, 7, 50)):
+            assert np.array_equal(m.values, full.measures[j].values)
+
     def test_diverging_cell_outflow_raises(self, gauss_m0):
         # repulsion from one full cell: its interface drifts are -+max|b|, with max|b| dt/dx = 0.9,
         # so it would lose 1.8 of its mass in one explicit step

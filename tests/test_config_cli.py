@@ -433,6 +433,21 @@ class TestCli:
         ref = json.loads((out / "report.json").read_text())["reference"]
         assert ref["resolved"] is False and ref["error_estimate"] > ref["error_tolerance"]
 
+    def test_sweep_classic_exits_3_on_an_unresolved_cross_check(self, tmp_path, capsys):
+        """The attractive exponential kernel (alpha = -5) collapses the 20 cross-check atoms onto each other
+        within the window, where the kink of the kernel at 0 makes the drift jump and RK4 loses its order:
+        the dt = 0.01 cap stops the particle ladder on its first level with an estimate near 2e-3, so
+        sweep-classic writes its report with "particle_resolved": false and exits 3, though no row is
+        flagged."""
+        model = CLASSIC_TINY.replace("kernel = exponential\n", "kernel = exponential\nalpha = -5\n")
+        cfg = self.write(tmp_path, model + "[sweep]\nlambdas = 5\ncross_particles = 20\n")
+        out = tmp_path / "run"
+        assert main(["sweep-classic", "--config", cfg, "--out", str(out)]) == 3
+        report = json.loads((out / "report.json").read_text())
+        ref = report["reference"]
+        assert ref["particle_resolved"] is False and ref["particle_error_estimate"] > ref["error_tolerance"]
+        assert not any(row["flagged"] for row in report["rows"])
+
     def test_solve_mfg_states_its_sweeps(self, tmp_path, capsys, monkeypatch):
         """solution.json states the HJB sweeps of the solve, the warm start's included, and the FP
         transport steps, n_steps = 50 per sweep: a spy on hjb_backward counts the same sweeps."""

@@ -22,7 +22,7 @@ from mfglab import (
     solve_cs,
     solve_mfg_fixed_point,
 )
-from mfglab import acceleration, convergence, cucker_smale, mfg_pde
+from mfglab import acceleration, convergence, cucker_smale, kernels, mfg_pde
 from mfglab.measures import GridDensity
 
 
@@ -189,40 +189,69 @@ class TestClassicSweep:
         assert 0.0 <= log[0] < 1e-13
 
     def test_cross_check_reads_one_time(self, zero_ham, exp_kernel):
-        # 1,500 steps: both references stop at the window end 1.125, node 1125, and the cross-check
-        # compares their last nodes; a particle path over [0, T] keeps every 2nd node and misses it
+        # 1,500 steps: both references stop at the window end 1.125, node 1125; the cross-check compares
+        # the FV node there with the last node of the particle ladder's finest march, 32 steps of 1.125 / 32,
+        # which meets REFERENCE_TOLERANCE on its first level (estimate 5.7e-11)
         cfg = small_config(10.0, T=1.5, dt=1e-3, n_x=32, half_width=4.0)
         m0 = small_m0(cfg)
         rep = run_lambda_sweep_classic(zero_ham, exp_kernel, m0, [10.0], base_config=cfg, n_cross_particles=20)
+        ref = rep.reference
+        assert ref["particle_h"] == 1125 * cfg.dt / 32 and ref["particle_rk4_steps"] == 8 + 16 + 32
+        assert ref["particle_resolved"] is True and ref["particle_error_estimate"] <= ref["error_tolerance"]
         fv = solve_aggregation_fv(zero_ham, exp_kernel, m0, cfg.T, cfg.dt)
         atoms = convergence.sample_grid_to_atoms(m0, 20)
-        particles = solve_aggregation_particles(zero_ham, exp_kernel, atoms, 1125 * cfg.dt, cfg.dt)
-        assert 1125 * cfg.dt not in solve_aggregation_particles(zero_ham, exp_kernel, atoms, cfg.T, cfg.dt).times
-        assert particles.times[-1] == 1125 * cfg.dt == fv.times[1125]
+        particles = solve_aggregation_particles(zero_ham, exp_kernel, atoms, 1125 * cfg.dt, ref["particle_h"])
+        assert fv.times[1125] == 1125 * cfg.dt
         expected = convergence.w1_grid_vs_particles(fv.measures[1125], particles.measures[-1])
-        assert rep.reference["cross_validation_w1"] == expected == 0.08495439373303187
+        assert ref["cross_validation_w1"] == expected == 0.08495439372273907
 
     def test_references_stop_at_the_window(self, zero_ham, exp_kernel, monkeypatch):
-        """500 steps: the rows read nodes up to 375, so both references march 375 steps, and every
-        diagnostic equals the one read from references over [0, T]."""
+        """500 steps: the rows read nodes up to 375, so the FV reference and every march of the particle
+        ladder stop at 375 dt; the FV path keeps the nodes the rows read, and every row diagnostic equals
+        the one read from an FV path over [0, T].  The cross-check reads the ladder's finest march, within
+        REFERENCE_TOLERANCE of the one a particle march on the sweep's clock gives."""
         cfg = small_config(10.0)
         m0 = small_m0(cfg)
-        horizons = []
+        calls = []
         for name in ("solve_aggregation_fv", "solve_aggregation_particles"):
             solve = getattr(convergence, name)
-            monkeypatch.setattr(convergence, name, lambda *a, solve=solve: horizons.append(a[3]) or solve(*a))
+            monkeypatch.setattr(
+                convergence, name, lambda *a, solve=solve, **k: calls.append((a[3], solve(*a, **k))) or calls[-1][1]
+            )
         rep = run_lambda_sweep_classic(zero_ham, exp_kernel, m0, [10.0, 40.0], base_config=cfg, n_cross_particles=50)
-        assert horizons == [375 * cfg.dt] * 2
+        assert [T for T, _ in calls] == [375 * cfg.dt] * len(calls) and len(calls) >= 4
+        nodes = convergence._window_nodes(cfg)
+        assert nodes[-1] == 375 and np.array_equal(calls[0][1].times, cfg.times[nodes])
         fv = solve_aggregation_fv(zero_ham, exp_kernel, m0, cfg.T, cfg.dt)
+        finest = calls[-1][1]
+        cross = rep.reference["cross_validation_w1"]
+        assert cross == convergence.w1_grid_vs_particles(fv.measures[375], finest.measures[-1])
         particles = solve_aggregation_particles(
             zero_ham, exp_kernel, convergence.sample_grid_to_atoms(m0, 50), cfg.T, cfg.dt
         )
-        assert rep.reference["cross_validation_w1"] == convergence.w1_grid_vs_particles(
-            fv.measures[375], particles.measures[375]
-        )
+        on_the_clock = convergence.w1_grid_vs_particles(fv.measures[375], particles.measures[375])
+        assert abs(cross - on_the_clock) <= convergence.REFERENCE_TOLERANCE
         for lam, row in zip(rep.lambdas, rep.rows):
             full = convergence._classic_row(replace(cfg, lam=lam), zero_ham, exp_kernel, m0, fv, 1.0)
             assert (row["w1_sup"], row["residual_lam_du_l1"]) == (full["w1_sup"], full["residual_lam_du_l1"])
+
+    def test_grid_matrix_memo_keeps_every_column(self, zero_ham, exp_kernel, monkeypatch):
+        """The sweep's grid matrices come from the kernels._grid_matrix memo: with it, the kernel builds
+        a value matrix at most twice (the HJB stack's and the rows' grid spacing); with the memo cleared
+        before every build, far more often, and every column of the report reads the same bits."""
+        cfg = small_config(5.0)
+        args = (zero_ham, exp_kernel, small_m0(cfg), [5.0, 20.0])
+        value, builds = ExponentialKernel.value, []
+        monkeypatch.setattr(ExponentialKernel, "value", lambda self, x: builds.append(1) or value(self, x))
+        monkeypatch.setattr(kernels, "_grid_memo", {})
+        kept = run_lambda_sweep_classic(*args, base_config=cfg, n_cross_particles=50)
+        memo_builds = len(builds)
+        monkeypatch.setattr(kernels, "_grid_memo", {})
+        monkeypatch.setattr(kernels, "_GRID_MEMO_SIZE", 0)  # each matrix goes as soon as it is built
+        fresh = run_lambda_sweep_classic(*args, base_config=cfg, n_cross_particles=50)
+        assert 1 <= memo_builds <= 2 and len(builds) - memo_builds > 10
+        assert [r.pop("wall_clock_s") > 0 for r in kept.rows + fresh.rows] == [True] * 4
+        assert kept.to_json() == fresh.to_json()
 
     def test_sweep_draws_no_random_number(self, zero_ham, exp_kernel, monkeypatch):
         """The kernel and the drift state their constants, so a sweep makes no random generator."""
@@ -408,29 +437,55 @@ class TestAccelerationSweep:
 
     def test_reference_ladder_marches_the_window(self, monkeypatch):
         """At T = 0.7 every march of the ladder stops at the window end 0.75 T and saves the 7 window
-        nodes; k rises from 2 (4h = T/8) until the estimate is at most REFERENCE_TOLERANCE, each lower
-        level reads above it, and rk4_steps counts every RK4 step the ladder took."""
+        nodes.  k starts at 2 (4h = T/8) with richardson_order_ratio's three marches, and each further
+        level marches one new clock, at half the finest step, until the estimate is at most
+        REFERENCE_TOLERANCE; each lower level reads above it, and rk4_steps counts every RK4 step the
+        ladder took, each clock once."""
         kernel, m0, T = CuckerSmaleKernel(1.0, 0.5), ParticleEnsemble.equal_weights(self.THREE_ATOMS, 1), 0.7
-        probes, horizons, steps = [], [], []
+        probes, marches, steps = [], [], []
         probe, solve, rk4 = convergence.richardson_order_ratio, cucker_smale.solve_cs, cucker_smale._rk4
 
         def recording_probe(m0, kernel, T, dt, save_every=None, finest=None):
-            ratio = probe(m0, kernel, T, dt, save_every, finest)
-            probes.append((T, dt, finest[-1][1]))
-            return ratio
+            probes.append((T, dt, save_every))
+            return probe(m0, kernel, T, dt, save_every, finest)
 
         monkeypatch.setattr(convergence, "richardson_order_ratio", recording_probe)
-        monkeypatch.setattr(cucker_smale, "solve_cs", lambda *a, **k: horizons.append(a[2]) or solve(*a, **k))
+        march = lambda *a, **k: marches.append((a[2:4], solve(*a, **k))) or marches[-1][1]
+        monkeypatch.setattr(cucker_smale, "solve_cs", march)
         monkeypatch.setattr(cucker_smale, "_rk4", lambda rhs, z, dt: steps.append(1) or rk4(rhs, z, dt))
         ref = run_lambda_sweep_acceleration(kernel, m0, [10.0], T=T, n_intervals=64).reference
-        assert len(probes) >= 1 and horizons == [0.75 * T] * 3 * len(probes) == [ref["horizon"]] * 3 * len(probes)
-        assert [dt for _, dt, _ in probes] == [T / 8 / 2**j for j in range(len(probes))]
-        assert ref["h"] == probes[-1][1] / 4
-        assert all(est > convergence.REFERENCE_TOLERANCE for _, _, est in probes[:-1])
-        assert ref["error_estimate"] == probes[-1][2] <= ref["error_tolerance"] == convergence.REFERENCE_TOLERANCE
+        horizon = ref["horizon"]
+        assert horizon == 0.75 * T and probes == [(horizon, T / 8, 1)]
+        assert [clock for clock, _ in marches] == [(horizon, horizon / (6 * 2**j)) for j in range(len(marches))]
+        assert all(len(path) == 7 for _, path in marches)
+        assert ref["h"] == T / 32 / 2 ** (len(marches) - 3)
+        z = [np.stack([m.points for m in path.measures]) for _, path in marches]
+        gaps = [np.max(np.abs(a - b)) for a, b in zip(z, z[1:])]
+        assert all(gap / 15.0 > convergence.REFERENCE_TOLERANCE for gap in gaps[1:-1])
+        assert ref["error_estimate"] == gaps[-1] / 15.0 <= ref["error_tolerance"] == convergence.REFERENCE_TOLERANCE
+        assert ref["step_halving_ratio"] == gaps[-2] / gaps[-1]
         assert ref["resolved"] is True and 8.0 <= ref["step_halving_ratio"] <= 32.0
-        assert ref["rk4_steps"] == len(steps) == 7 * sum(6 * 2**j for j in range(len(probes)))
+        assert ref["rk4_steps"] == len(steps) == sum(6 * 2**j for j in range(len(marches))) == 6 + 12 + 24 + 48
         assert ref["dt"] == 1e-3 and ref["T"] == T
+
+    def test_ladder_reuses_its_marches_on_the_bench_flock(self):
+        """The 24-atom flock (seed 0, beta = 0.5, T = 1) stops at h = T/128.  Its finest march,
+        error_estimate and step_halving_ratio are those of a fresh richardson_order_ratio at the last
+        level's 4h = T/32, and each level past the first marches one new clock: 186 RK4 steps, where
+        three fresh probes take 294."""
+        rng = np.random.default_rng(0)
+        x, v = rng.standard_normal(24), rng.standard_normal(24)
+        m0 = ParticleEnsemble.equal_weights(np.column_stack([x, v - v.mean()]), 1)
+        kernel, T = CuckerSmaleKernel(1.0, 0.5), 1.0
+        reference, ladder = convergence._kinetic_reference(m0, kernel, T, 1e-3)
+        assert ladder["h"] == T / 128 and ladder["resolved"] is True
+        assert ladder["rk4_steps"] == 6 + 12 + 24 + 48 + 96 == 186
+        finest = []
+        ratio = convergence.richardson_order_ratio(m0, kernel, 0.75 * T, T / 32, save_every=4, finest=finest)
+        (path, estimate, _), = finest
+        assert (ladder["error_estimate"], ladder["step_halving_ratio"]) == (estimate, ratio)
+        assert np.array_equal(reference.times, path.times)
+        assert all(np.array_equal(a.points, b.points) for a, b in zip(reference.measures, path.measures))
 
     def test_w1_columns_within_the_reference_error(self):
         """Against the rows read from the dense dt = 1e-3 solve_cs reference (state error near 1e-14),

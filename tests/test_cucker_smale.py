@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfglab import kernels
+from mfglab import cucker_smale, kernels
 from mfglab import (
     CuckerSmaleKernel,
     DimensionError,
@@ -121,7 +121,8 @@ class TestSolveCs:
     def test_order_check_saves_its_marches_at_equal_nodes(self, rng):
         """save_every = 2 on 6 steps of 0.1: the three solve_cs marches meet at t = 0, 0.2, 0.4 and 0.6,
         the ratio is max |z_dt - z_dt/2| / max |z_dt/2 - z_dt/4| over those nodes, and finest receives
-        the dt/4 march of those nodes with the estimate max |z_dt/4 - z_dt/2| / 15."""
+        the dt/4 march of those nodes with the estimate max |z_dt/4 - z_dt/2| / 15, and the ladder from
+        this level on."""
         m0, kernel = phase_atoms(rng.standard_normal(5), rng.standard_normal(5)), CuckerSmaleKernel(1.0, 0.5)
         finest = []
         ratio = richardson_order_ratio(m0, kernel, 0.6, 0.1, save_every=2, finest=finest)
@@ -130,10 +131,44 @@ class TestSolveCs:
             for dt, every in ((0.1, 2), (0.05, 4), (0.025, 8))
         )
         assert ratio == np.max(np.abs(z1 - z2)) / np.max(np.abs(z2 - z4))
-        (path, estimate), = finest
+        (path, estimate, levels), = finest
         assert np.allclose(path.times, [0.0, 0.2, 0.4, 0.6], rtol=0.0, atol=1e-15)
         assert np.array_equal(np.stack([m.points for m in path.measures]), z4)
         assert estimate == np.max(np.abs(z4 - z2)) / 15.0
+        first = next(levels)
+        assert first[0] is path and first[1:] == (estimate, ratio, 42)
+
+    def test_order_check_keeps_its_bits(self):
+        """Called as the limit-particles benchmark calls it (8 dt over [0, T], node 0 and T compared), the
+        probe equals three fresh solve_cs marches of 125, 250 and 500 steps bit for bit, on the 24-atom
+        flock of seed 0."""
+        rng = np.random.default_rng(0)
+        x, v = rng.standard_normal(24), rng.standard_normal(24)
+        m0, kernel = phase_atoms(x, v - v.mean()), CuckerSmaleKernel(1.0, 0.5)
+        z1, z2, z4 = (
+            np.stack([m.points for m in solve_cs(m0, kernel, 1.0, 1.0 / n, save_every=n).measures])
+            for n in (125, 250, 500)
+        )
+        ratio = richardson_order_ratio(m0, kernel, 1.0, 8e-3)
+        assert ratio == float(np.max(np.abs(z1 - z2)) / np.max(np.abs(z2 - z4)))
+
+    def test_ladder_level_marches_one_new_clock(self, rng, monkeypatch):
+        """The level after dt = 0.1 (6 steps) reuses the marches at 0.05 and 0.025 and marches 48 steps of
+        0.0125 alone; its finest march, estimate and ratio are those of a fresh probe at dt = 0.05, and its
+        RK4 steps count every march once: 6 + 12 + 24 + 48."""
+        m0, kernel = phase_atoms(rng.standard_normal(5), rng.standard_normal(5)), CuckerSmaleKernel(1.0, 0.5)
+        fresh = []
+        fresh_ratio = richardson_order_ratio(m0, kernel, 0.6, 0.05, save_every=4, finest=fresh)
+        finest, solve, dts = [], cucker_smale.solve_cs, []
+        monkeypatch.setattr(cucker_smale, "solve_cs", lambda *a, **k: dts.append(a[3]) or solve(*a, **k))
+        richardson_order_ratio(m0, kernel, 0.6, 0.1, save_every=2, finest=finest)
+        (_, _, levels), = finest
+        next(levels)
+        path, estimate, ratio, steps = next(levels)
+        assert dts == [0.6 / 6, 0.6 / 12, 0.6 / 24, 0.6 / 48]
+        assert (estimate, ratio, steps) == (fresh[0][1], fresh_ratio, 90)
+        assert np.array_equal(path.times, fresh[0][0].times)
+        assert all(np.array_equal(a.points, b.points) for a, b in zip(path.measures, fresh[0][0].measures))
 
     @pytest.mark.parametrize(
         "T, dt, name",

@@ -19,6 +19,7 @@ from mfglab import (
     psd_check,
     validate_coupling,
 )
+from mfglab import kernels
 from mfglab.kernels import _exp_phi, _exp_transform_inf
 
 ALL_RADIAL = [
@@ -457,6 +458,47 @@ class TestCrowdKernel:
     def test_knots_must_start_at_zero(self):
         with pytest.raises(ValueError):
             CrowdRadialKernel(np.array([0.5, 1.0, 2.0, 3.0]), np.zeros(4))
+
+
+class TestGridMatrixMemo:
+    """_grid_matrix keeps its last few matrices, read-only, keyed by the kernel and the exact grid."""
+
+    X = (np.arange(16) + 0.5) * 0.25 - 2.0
+
+    def test_memoized_matrix_is_read_only(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_grid_memo", {})
+        matrix = kernels._grid_matrix(ExponentialKernel(), self.X, self.X, 0.25)
+        assert kernels._grid_matrix(ExponentialKernel(1.0, 1.0), self.X.copy(), self.X, 0.25) is matrix
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 1.0
+
+    def test_key_tells_kernels_grids_and_zero_signs_apart(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_grid_memo", {})
+        x = self.X
+        value = kernels._grid_matrix(ExponentialKernel(), x, x, 0.25)
+        others = [
+            kernels._grid_matrix(ExponentialKernel(), x, x, 0.25, gradient=True),
+            kernels._grid_matrix(ExponentialKernel(), x + 0.25, x, 0.25),
+            kernels._grid_matrix(ExponentialKernel(), x, x, 0.5),
+            kernels._grid_matrix(ExponentialKernel(2.0, 1.0), x, x, 0.25),
+        ]
+        assert all(m is not value for m in others)
+        # alpha = -0.0 and 0.0 compare equal, but their matrices differ in the sign of every zero
+        pos = kernels._grid_matrix(ExponentialKernel(0.0), x, x, 0.25)
+        neg = kernels._grid_matrix(ExponentialKernel(-0.0), x, x, 0.25)
+        assert not np.signbit(pos).any() and np.signbit(neg).all()
+        assert len(kernels._grid_memo) == kernels._GRID_MEMO_SIZE
+
+    def test_unhashable_kernel_sums_without_the_memo(self):
+        """CrowdRadialKernel holds its tables as arrays, so it cannot be hashed: its grid sums are built
+        every time, leave the memo as it was, and match the quadrature sum."""
+        crowd = CrowdRadialKernel(np.array([0.0, 1.0, 2.0, 3.0]), np.array([1.0, 0.5, 0.1, 0.0]))
+        m = GridDensity.gaussian(0.0, 0.5, -3.0, 0.05, 120)
+        x, keys = m.cell_centers, list(kernels._grid_memo)
+        for gradient, k in ((False, crowd.value), (True, crowd.gradient)):
+            expected = [np.sum(m.dx * m.values * k(xi - x)) for xi in x]
+            assert kernels._grid_sum(crowd, x, m, gradient) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        assert list(kernels._grid_memo) == keys
 
 
 class TestCuckerSmaleConstants:
