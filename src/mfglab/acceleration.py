@@ -18,6 +18,10 @@ admission check, ``_preconditioner`` (the budget N K, then a scale that
 does not underflow), and one verdict, ``MinimizeResult.certified``: the
 sup-norm residual of the rearranged fourth-order Euler-Lagrange identity.
 
+What the objective needs that depends only on the weights, T, K and lam
+(``_Objective``: the two sets of quadrature weights and the flock's pair
+table, ``kernels._flock_pairs``) is formed once per minimization, after
+admission; each evaluation forms only what depends on the controls.
 One objective evaluation is one pass with no Python loop over atoms or
 intervals: node and adjoint states are running sums (``np.cumsum`` adds
 in sequence, so they round as the step-by-step recursions do), and the
@@ -28,18 +32,19 @@ differences with the time nodes innermost, M = N(N-1)/2, in chunks of
 nodes within a fixed byte budget: no pair array grows with K, and the
 rest of the evaluation holds O(N K) node and adjoint arrays.  The
 reported energy (``discrete_energy``) applies ``kernel.value`` to the
-same pair offsets.  Curves live on the line: controls are (N, K) and
-node states (N, K+1).
+same pair offsets, over a table of its own, as does ``el_residual``.
+Curves live on the line: controls are (N, K) and node states (N, K+1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import CuckerSmaleKernel, _cs_pair_energy, _cs_pair_pass, _flock
+from .kernels import CuckerSmaleKernel, _cs_pair_energy, _cs_pair_pass, _flock, _flock_pairs, _PairTable
 from .measures import (MASS_TOL_PARTICLES, ParticleEnsemble, _anderson, _csv_table, _exp_trapezoid_weights, _freeze,
                        _positive_finite)
 
@@ -81,9 +86,12 @@ class TrajectoryEnsemble:
     def dt(self) -> float:
         return self.T / self.n_intervals
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.n_intervals + 1)
+        """The K+1 node times, read-only."""
+        times = np.linspace(0.0, self.T, self.n_intervals + 1)
+        times.setflags(write=False)
+        return times
 
     @cached_property
     def _states(self):
@@ -154,53 +162,71 @@ def _control_weights(times: np.ndarray, lam: float) -> np.ndarray:
 DECISION_VARIABLE_BUDGET = 10**6
 
 
-def _preconditioner(weights: np.ndarray, lam: float, T: float, n_intervals: int) -> np.ndarray:
-    """Admit a solve: ValueError if N K exceeds DECISION_VARIABLE_BUDGET, then if an entry of the scale is zero.
-    The scale s = sqrt(w_i c_j / lam), (N, K), c_j = int e^(-lam t) dt over the K intervals of [0, T], gives the
-    controls b = s a in which the control Hessian is the identity."""
+def _preconditioner(weights: np.ndarray, lam: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Admit a solve on the node times (K+1,) of [0, T]: ValueError if N K exceeds DECISION_VARIABLE_BUDGET, then
+    if an entry of the scale is zero.  The scale s = sqrt(w_i c_j / lam), (N, K), c_j = int e^(-lam t) dt over the
+    K intervals, gives the controls b = s a in which the control Hessian is the identity.  Returns s and the c_j."""
+    n_intervals, T = times.size - 1, times[-1]
     if (nk := weights.size * n_intervals) > DECISION_VARIABLE_BUDGET:
         raise ValueError(f"lambda = {lam:g} needs K = {n_intervals} intervals for N = {weights.size} atoms: "
                          f"N K = {nk} exceeds the decision-variable budget of {DECISION_VARIABLE_BUDGET}")
-    s = np.sqrt(weights[:, None] * _control_weights(np.linspace(0.0, T, n_intervals + 1), lam) / lam)
+    cw = _control_weights(times, lam)
+    s = np.sqrt(weights[:, None] * cw / lam)
     if not np.all(s > 0):
         raise ValueError(f"lambda = {lam:g}, T = {T:g}: the control preconditioner sqrt(w_i c_j / lambda) has a "
                          "zero entry; the c_j underflow to 0 as lambda T nears 745, and every atom needs a "
                          "positive weight")
-    return s
+    return s, cw
 
 
-def _energy(ens: TrajectoryEnsemble, lam: float, pairs: np.ndarray) -> EnergyBreakdown:
-    """Exact control quadrature plus the product trapezoid over the node pair sums sum_pq w_p w_q k, (K+1,)."""
-    times = ens.times
-    cw = _control_weights(times, lam)
+class _Objective(NamedTuple):
+    """The constants of the discrete energy that depend only on the weights, T, K and lam: the
+    product-trapezoid interaction weights qw (K+1,), the exact control weights cw (K,) and the
+    flock's pair table (``kernels._flock_pairs``)."""
+
+    qw: np.ndarray
+    cw: np.ndarray
+    pairs: _PairTable
+
+
+def _energy(
+    ens: TrajectoryEnsemble, lam: float, pairs: np.ndarray, qw: np.ndarray, cw: np.ndarray
+) -> EnergyBreakdown:
+    """Exact control quadrature (weights cw) plus the product trapezoid (weights qw) over the node pair sums
+    sum_pq w_p w_q k, (K+1,)."""
     control = float(np.sum(ens.weights[:, None] * ens.controls**2 * cw[None, :]) / (2.0 * lam))
-    return EnergyBreakdown(control=control, interaction=float(_exp_trapezoid_weights(times, lam) @ (0.5 * pairs)))
+    return EnergyBreakdown(control=control, interaction=float(qw @ (0.5 * pairs)))
 
 
 def discrete_energy(ens: TrajectoryEnsemble, kernel: CuckerSmaleKernel, lam: float) -> EnergyBreakdown:
     """Discounted energy of the ensemble (exact control quadrature, product-trapezoid coupling); the
     node pair sums apply ``kernel.value`` to the pair offsets (``kernels._cs_pair_energy``)."""
-    return _energy(ens, lam, _cs_pair_energy(kernel, ens.positions, ens.velocities, ens.weights))
+    pairs = _cs_pair_energy(kernel, ens.positions, ens.velocities, ens.weights)
+    return _energy(ens, lam, pairs, _exp_trapezoid_weights(ens.times, lam), _control_weights(ens.times, lam))
 
 
 def energy_gradient(
-    ens: TrajectoryEnsemble, kernel: CuckerSmaleKernel, lam: float
+    ens: TrajectoryEnsemble, kernel: CuckerSmaleKernel, lam: float, objective: _Objective | None = None
 ) -> tuple[EnergyBreakdown, np.ndarray]:
     """The discrete energy and its exact gradient w.r.t. every control, (N, K).
 
-    One Cucker-Smale pair pass gives the energy and the per-node
-    interaction gradients.  Reverse accumulation pushes those back
-    through the kinematic recursion: the adjoint states are suffix sums, px_j of the
-    position gradients after node j and pv_j of the interleaved
-    [gv_K, dt px_{K-1}, gv_{K-1}, dt px_{K-2}, ...], each added in the
-    order the backward recursion adds them.
+    objective holds the quadrature weights and the pair table, which depend only on the weights,
+    T, K and lam; ``minimize_energy`` forms them once per solve and passes them to every
+    evaluation, and a call without them forms them from ens and lam.  One Cucker-Smale pair
+    pass over that table gives the energy and the per-node interaction gradients.  Reverse
+    accumulation pushes those back through the kinematic recursion: the adjoint states are
+    suffix sums, px_j of the position gradients after node j and pv_j of the interleaved
+    [gv_K, dt px_{K-1}, gv_{K-1}, dt px_{K-2}, ...], each added in the order the backward
+    recursion adds them.
     """
     K = ens.n_intervals
     dt = ens.dt
     x, v, w = ens.positions, ens.velocities, ens.weights
-    pairs, gx, gv = _cs_pair_pass(kernel, x, v, w)
-    qw = _exp_trapezoid_weights(ens.times, lam)
-    cw = _control_weights(ens.times, lam)
+    if objective is None:
+        times = ens.times
+        objective = _Objective(_exp_trapezoid_weights(times, lam), _control_weights(times, lam), _flock_pairs(w))
+    qw, cw, table = objective
+    pairs, gx, gv = _cs_pair_pass(kernel, x, v, w, table)
     for g in (gx, gv):  # the pass's own arrays, weighted in place: w g qw
         g *= w[:, None]
         g *= qw
@@ -214,7 +240,7 @@ def energy_gradient(
     grad = w[:, None] * ens.controls * cw[None, :] / lam
     grad += 0.5 * dt**2 * px
     grad += dt * pv
-    return _energy(ens, lam, pairs), grad
+    return _energy(ens, lam, pairs, qw, cw), grad
 
 
 #: the fixed point stops once its control step, max_{t <= T/2} |f/s| / (1 + max|a|), is at most this
@@ -260,15 +286,18 @@ def minimize_energy(
     energy bound 2 C0 M_{2,v}(m0) / lam, and stops once the control step max_{t <= T/2} |f/s| / (1 + max|a|)
     is at most CONTROL_STEP_TOLERANCE, or after MAX_OBJECTIVE_EVALUATIONS evaluations with the iterate of the
     first smallest step.  The step is a stop rule, not a verdict: ``el_residual`` runs once, on the returned iterate.
+    The objective's constants (``_Objective``) are formed once, after admission, and serve every evaluation.
     """
     start = TrajectoryEnsemble.free_flight(m0, T, n_intervals)  # checks T before the scale uses it
+    times = start.times
     # admit, and precondition: the raw problem is conditioned like e^{lam T}, hopeless for a fixed point
-    s = _preconditioner(start.weights, lam, T, n_intervals)
-    window = 0.5 * (start.times[:-1] + start.times[1:]) <= 0.5 * T  # interval midpoints, as el_residual
+    s, cw = _preconditioner(start.weights, lam, times)
+    objective = _Objective(_exp_trapezoid_weights(times, lam), cw, _flock_pairs(start.weights))
+    window = 0.5 * (times[:-1] + times[1:]) <= 0.5 * T  # interval midpoints, as el_residual
 
     def evaluate(b):  # f = -grad_b J, the image b + f, and the size of the control step f
         a = b / s
-        f = energy_gradient(start.with_controls(a), kernel, lam)[1]
+        f = energy_gradient(start.with_controls(a), kernel, lam, objective)[1]
         f /= -s
         return f, b + f, float(np.max(np.abs(f[:, window] / s[:, window])) / (1.0 + np.max(np.abs(a)))), b
 

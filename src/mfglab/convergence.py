@@ -489,7 +489,7 @@ def run_lambda_sweep_acceleration(
     lambdas = _sweep_lambdas(lambdas)
     _check_exact_w1(m0)
     for lam in lambdas:
-        _preconditioner(m0.weights, lam, T, _row_intervals(lam, T, n_intervals))
+        _preconditioner(m0.weights, lam, np.linspace(0.0, T, _row_intervals(lam, T, n_intervals) + 1))
     _positive_finite(T=T, dt=dt_reference)
     reference, ladder = _kinetic_reference(m0, kernel, T, dt_reference)
 

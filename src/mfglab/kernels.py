@@ -3,8 +3,9 @@
 This is the one place k*m and Dk*m are evaluated: ``_grid_sum`` by 1D
 grid quadrature, ``_dense_pair_sum`` over the atoms of an empirical
 measure; ``_measure_sum`` picks one of the two for a measure's type.
-The quadrature matrices (``_grid_matrix``) are formed once per kernel
-and grid: a small memo keeps the last few, read-only.
+The cell-centre quadrature matrices (``_grid_matrix``), which a sweep
+asks for again and again, are formed once per kernel and grid: a small
+memo keeps the last few, read-only.
 
 The radial kernels (exponential, repulsive-attractive, Morse, tabulated
 crowd kernel, zero) act on the line: value and gradient work elementwise
@@ -351,13 +352,15 @@ _grid_memo: dict = {}
 def _grid_matrix(kernel, xq, y, dx, gradient=False):
     """(len(xq), len(y)) quadrature matrix dx * k(xq_i - y_j), or dx * Dk(xq_i - y_j), in 1D, read-only.
 
-    A sweep asks for the same few matrices again and again (one per HJB sweep, two per window node of a
-    row), so the last _GRID_MEMO_SIZE are kept, keyed by the kernel and the exact bytes of xq, y and dx; the
-    kernel's repr joins the key, since alpha = -0.0 and 0.0 compare equal.  A kernel that cannot be hashed
-    (CrowdRadialKernel's tables) skips the memo."""
+    A sweep asks for the same few cell-centre matrices again and again (one per HJB sweep, two per window
+    node of a row), so the last _GRID_MEMO_SIZE of those, xq = y bit for bit, are kept, keyed by the kernel and
+    the exact bytes of the grid and dx; the kernel's repr joins the key, since alpha = -0.0 and 0.0 compare
+    equal.  Any other matrix (the FV solver's interface gradients, formed once a solve) is not kept, and
+    neither is one of a kernel that cannot be hashed (CrowdRadialKernel's tables)."""
     xq, y = np.asarray(xq, dtype=float), np.asarray(y, dtype=float)
+    grid = xq.tobytes()
     try:
-        key = (kernel, repr(kernel), bool(gradient), float(dx), xq.tobytes(), y.tobytes())
+        key = (kernel, repr(kernel), bool(gradient), float(dx), grid) if grid == y.tobytes() else None
         matrix = _grid_memo.get(key)
     except TypeError:
         key = matrix = None
@@ -552,7 +555,9 @@ class _PairTable(NamedTuple):
     """M pairs (first[c], second[c]) of rows of atom-major states, and two sparse weight
     matrices over them: ``energy`` (1, M) sums a pair array to one value per node and
     ``scatter`` (rows, M) sends it back to the rows.  Each output entry adds its terms in
-    pair order, whatever the number of nodes."""
+    pair order, whatever the number of nodes.  A table depends only on the weights, so a
+    caller that passes the same flock again and again keeps it: ``minimize_energy`` builds
+    one per minimization for all its objective evaluations."""
 
     first: np.ndarray
     second: np.ndarray
@@ -655,12 +660,12 @@ def _cs_pair_sums(kernel, x, v, pairs):
     return energy.reshape(shape[1:]), gx.reshape((rows,) + shape[1:]), gv.reshape((rows,) + shape[1:])
 
 
-def _cs_pair_pass(kernel, x, v, w):
+def _cs_pair_pass(kernel, x, v, w, pairs=None):
     """The pair sums of a flock of N atoms of weights w (N,) with itself, states x, v (N,) or
     atom-major (N, J): returns sum_pq w_p w_q k per node, and sum_q w_q D_x k and
-    sum_q w_q D_v k at every atom, in the shape of x; each unordered pair is taken once
-    (``_flock_pairs``)."""
-    return _cs_pair_sums(kernel, x, v, _flock_pairs(w))
+    sum_q w_q D_v k at every atom, in the shape of x; each unordered pair is taken once, over
+    the table pairs, ``_flock_pairs(w)``, built here when not given."""
+    return _cs_pair_sums(kernel, x, v, _flock_pairs(w) if pairs is None else pairs)
 
 
 def _cs_pair_energy(kernel, x, v, w):

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -148,6 +149,11 @@ class TestTrajectoryEnsemble:
         with pytest.raises(ValueError, match=message):
             minimize_energy(two_body_phase, cs_flat, 10.0, 1.0, 0)
 
+    def test_times_are_formed_once_read_only(self, two_body_phase):
+        ens = TrajectoryEnsemble.free_flight(two_body_phase, 1.0, 8)
+        assert ens.times is ens.times and not ens.times.flags.writeable
+        assert np.array_equal(ens.times, np.linspace(0.0, 1.0, 9))
+
     def test_csv_has_full_state(self, two_body_phase):
         text = TrajectoryEnsemble.free_flight(two_body_phase, 1.0, 4).to_csv()
         assert text.splitlines()[0] == "trajectory,t,x1,v1,a1"
@@ -288,7 +294,7 @@ def test_pair_pass_matches_three_calls(beta, rng):
 
 def _step_size(controls, gradient, ens, lam):
     """The control step max_{t <= T/2} |grad_a J / s^2| / (1 + max|a|) of minimize_energy."""
-    s2 = _preconditioner(ens.weights, lam, ens.T, ens.n_intervals) ** 2
+    s2 = _preconditioner(ens.weights, lam, ens.times)[0] ** 2
     window = 0.5 * (ens.times[:-1] + ens.times[1:]) <= 0.5 * ens.T
     return np.max(np.abs(gradient / s2)[:, window]) / (1.0 + np.max(np.abs(controls)))
 
@@ -310,17 +316,76 @@ class TestMinimizeEnergy:
         d = wasserstein1_particles(res.ensemble.phase_ensemble(j), ref.at(0.5))
         assert d < 0.05
 
-    def test_one_pair_build_per_evaluation(self, rng, monkeypatch):
+    @pytest.mark.parametrize("run", [kernels._cs_pair_pass, dense_cs_pair_pass], ids=["shipped", "dense"])
+    def test_one_pair_pass_per_evaluation(self, run, rng, monkeypatch):
         """The pair pass runs once per objective evaluation, plus once for the EL residual; the
         final energy sums kernel.value over the pairs without it.  The fixed point evaluates its
-        start, then once per step."""
+        start, then once per step.  The dense oracle patched in for the pass sees every one of
+        them, though the evaluations hand the pass the solve's pair table."""
         calls = []
-        run = kernels._cs_pair_pass
         monkeypatch.setattr(acceleration, "_cs_pair_pass", lambda *args: calls.append(1) or run(*args))
         m0 = ParticleEnsemble.equal_weights(rng.standard_normal((5, 2)), 1)
         res = minimize_energy(m0, CuckerSmaleKernel(1.0, 0.5), 10.0, 1.0, 64)
         assert res.function_evaluations == res.iterations + 1 > 1
         assert len(calls) == res.function_evaluations + 1
+
+    def test_constants_formed_once_per_solve(self, rng, monkeypatch):
+        """The objective's pair table and quadrature weights are formed once per minimization, not
+        once per evaluation; the reported energy and the EL residual each form their own."""
+        where, counts = ["minimize_energy"], Counter()
+
+        def counting(module, name):
+            run = getattr(module, name)
+            label = f"{module.__name__.rsplit('.', 1)[1]}.{name}"
+            monkeypatch.setattr(module, name, lambda *args: counts.update([(where[-1], label)]) or run(*args))
+
+        def phase(name):
+            run = getattr(acceleration, name)
+
+            def within(*args):
+                where.append(name)
+                try:
+                    return run(*args)
+                finally:
+                    where.pop()
+
+            monkeypatch.setattr(acceleration, name, within)
+
+        for name in ("_flock_pairs", "_exp_trapezoid_weights", "_control_weights"):
+            counting(acceleration, name)
+        counting(kernels, "_flock_pairs")
+        phase("discrete_energy")
+        phase("el_residual")
+        m0 = ParticleEnsemble.equal_weights(rng.standard_normal((5, 2)), 1)
+        res = minimize_energy(m0, CuckerSmaleKernel(1.0, 0.5), 10.0, 1.0, 64)
+        assert res.function_evaluations > 1
+        assert counts == {
+            ("minimize_energy", "acceleration._flock_pairs"): 1,
+            ("minimize_energy", "acceleration._exp_trapezoid_weights"): 1,
+            ("minimize_energy", "acceleration._control_weights"): 1,
+            ("discrete_energy", "kernels._flock_pairs"): 1,
+            ("discrete_energy", "acceleration._exp_trapezoid_weights"): 1,
+            ("discrete_energy", "acceleration._control_weights"): 1,
+            ("el_residual", "kernels._flock_pairs"): 1,
+        }
+
+    def test_constants_once_change_no_bit(self, monkeypatch):
+        """On the 24-atom flock of the acceleration sweep (seed 0, beta = 0.5) at lambda = 10,
+        K = 224, the solve with its constants formed once gives the controls, energy, EL residual
+        and control step of one whose evaluations each form their own, bit for bit."""
+        rng = np.random.default_rng(0)
+        x, v = rng.standard_normal(24), rng.standard_normal(24)
+        m0 = ParticleEnsemble.equal_weights(np.column_stack([x, v - v.mean()]), 1)
+        kernel, K = CuckerSmaleKernel(1.0, 0.5), _row_intervals(10.0, 1.0, 128)
+        assert K == 224
+        kept = minimize_energy(m0, kernel, 10.0, 1.0, K)
+        run = acceleration.energy_gradient
+        monkeypatch.setattr(acceleration, "energy_gradient", lambda ens, kernel, lam, objective: run(ens, kernel, lam))
+        fresh = minimize_energy(m0, kernel, 10.0, 1.0, K)
+        assert np.array_equal(kept.ensemble.controls, fresh.ensemble.controls)
+        assert kept.energy == fresh.energy
+        assert kept.el_residual == fresh.el_residual and kept.control_step == fresh.control_step
+        assert kept.function_evaluations == fresh.function_evaluations
 
     def test_objective_peak_memory(self, rng):
         """One energy-and-gradient evaluation at N = 24, K = 5120 allocates the three chunk
@@ -351,7 +416,7 @@ class TestMinimizeEnergy:
         lam = 80.0
         for K in (632, 5120):
             start = TrajectoryEnsemble.free_flight(two_body_phase, 1.0, K)
-            s = _preconditioner(start.weights, lam, 1.0, K)
+            s = _preconditioner(start.weights, lam, start.times)[0]
 
             def objective(b):
                 energy, g = energy_gradient(start.with_controls(b.reshape(s.shape) / s), cs_flat, lam)

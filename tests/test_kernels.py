@@ -17,6 +17,7 @@ from mfglab import (
     eval_coupling,
     grad_coupling,
     psd_check,
+    solve_aggregation_fv,
     validate_coupling,
 )
 from mfglab import kernels
@@ -488,6 +489,16 @@ class TestGridMatrixMemo:
         neg = kernels._grid_matrix(ExponentialKernel(-0.0), x, x, 0.25)
         assert not np.signbit(pos).any() and np.signbit(neg).all()
         assert len(kernels._grid_memo) == kernels._GRID_MEMO_SIZE
+
+    def test_fv_solve_leaves_the_memo_as_it_found_it(self, monkeypatch, zero_ham, exp_kernel, gauss_m0):
+        """Only the cell-centre matrices are kept: the FV solver's interface gradient matrix
+        (n_x - 1, n_x), formed once a solve, is built afresh each time and leaves the memo alone."""
+        monkeypatch.setattr(kernels, "_grid_memo", {})
+        kept = kernels._grid_matrix(ExponentialKernel(), self.X, self.X, 0.25)
+        memo = list(kernels._grid_memo.items())
+        paths = [solve_aggregation_fv(zero_ham, exp_kernel, gauss_m0, 0.01, 1e-3) for _ in range(2)]
+        assert list(kernels._grid_memo.items()) == memo and memo[0][1] is kept
+        assert np.array_equal(paths[0].measures[-1].values, paths[1].measures[-1].values)
 
     def test_unhashable_kernel_sums_without_the_memo(self):
         """CrowdRadialKernel holds its tables as arrays, so it cannot be hashed: its grid sums are built

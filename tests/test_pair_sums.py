@@ -244,9 +244,10 @@ def dense_cs_pair_sum(kernel, xq, vq, x, v, w, wq=None, grad_x=False, grad_v=Fal
     return out
 
 
-def dense_cs_pair_pass(kernel, x, v, w):
+def dense_cs_pair_pass(kernel, x, v, w, pairs=None):
     """``dense_cs_pair_sum`` of a flock with itself behind the interface of
-    ``kernels._cs_pair_pass``, to patch in for it on the oracle path of the goldens."""
+    ``kernels._cs_pair_pass``, to patch in for it on the oracle path of the goldens; it sums
+    over whole (N, N, nodes) offset arrays, so it reads no pair table."""
     return tuple(dense_cs_pair_sum(kernel, x, v, x, v, w, w, grad_x=True, grad_v=True))
 
 
