@@ -24,7 +24,7 @@ def main():
     m0 = make_flock(rng)
     for beta in (0.2, 1.5):
         kernel = CuckerSmaleKernel(1.0, beta)
-        path = solve_cs(m0, kernel, 10.0, 1e-2, save_every=200)
+        path = solve_cs(m0, kernel, 10.0, 1e-2, range(0, 1001, 200))
         print(f"beta = {beta}")
         print(f"{'t':>6} {'velocity spread':>16} {'M2 velocity':>14}")
         for t, m in zip(path.times, path.measures):

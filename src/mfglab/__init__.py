@@ -21,7 +21,7 @@ from .acceleration import (
     energy_gradient,
     minimize_energy,
 )
-from .aggregation import limit_drift, solve_aggregation_fv, solve_aggregation_particles
+from .aggregation import solve_aggregation_fv, solve_aggregation_particles
 from .config import ExperimentDescription, parse_config, write_config
 from .convergence import (
     BoundsVerdict,
@@ -30,7 +30,7 @@ from .convergence import (
     run_lambda_sweep_acceleration,
     run_lambda_sweep_classic,
 )
-from .cucker_smale import cs_rhs, richardson_order_ratio, solve_cs
+from .cucker_smale import richardson_order_ratio, solve_cs
 from .errors import (
     BoundaryLeakError,
     CflError,
@@ -52,8 +52,6 @@ from .kernels import (
     MorseKernel,
     RepulsiveAttractiveKernel,
     ZeroKernel,
-    eval_coupling,
-    grad_coupling,
     psd_check,
     validate_coupling,
 )

@@ -286,12 +286,15 @@ def minimize_energy(
     energy bound 2 C0 M_{2,v}(m0) / lam, and stops once the control step max_{t <= T/2} |f/s| / (1 + max|a|)
     is at most CONTROL_STEP_TOLERANCE, or after MAX_OBJECTIVE_EVALUATIONS evaluations with the iterate of the
     first smallest step.  The step is a stop rule, not a verdict: ``el_residual`` runs once, on the returned iterate.
-    The objective's constants (``_Objective``) are formed once, after admission, and serve every evaluation.
+    Admission (``_preconditioner``) reads only the weights and the node times, so a refused solve builds no
+    (N, K) array; the objective's constants (``_Objective``) are formed once, after it, and serve every evaluation.
     """
-    start = TrajectoryEnsemble.free_flight(m0, T, n_intervals)  # checks T before the scale uses it
-    times = start.times
+    _flock(m0)
+    _positive_finite(T=T)
+    times = np.linspace(0.0, T, n_intervals + 1)  # the node times of the start, TrajectoryEnsemble.times
     # admit, and precondition: the raw problem is conditioned like e^{lam T}, hopeless for a fixed point
-    s, cw = _preconditioner(start.weights, lam, times)
+    s, cw = _preconditioner(m0.weights, lam, times)
+    start = TrajectoryEnsemble.free_flight(m0, T, n_intervals)
     objective = _Objective(_exp_trapezoid_weights(times, lam), cw, _flock_pairs(start.weights))
     window = 0.5 * (times[:-1] + times[1:]) <= 0.5 * T  # interval midpoints, as el_residual
 

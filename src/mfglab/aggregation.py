@@ -18,30 +18,12 @@ import numpy as np
 from .cucker_smale import _rk4
 from .errors import DimensionError, DivergenceError
 from .hamiltonians import QuadraticDriftHamiltonian
-from .kernels import CuckerSmaleKernel, _grid_matrix, _measure_sum, _self_pair_sum
-from .measures import (
-    GridDensity,
-    MeasurePath,
-    ParticleEnsemble,
-    _check_densities,
-    _line_points,
-    _march,
-    _n_steps,
-)
+from .kernels import CuckerSmaleKernel, _grid_matrix, _self_pair_sum
+from .measures import GridDensity, MeasurePath, ParticleEnsemble, _check_densities, _march, _n_steps
 from .mfg_pde import _check_cfl, _DiffusionSolver, transport_step
 
 #: solve_aggregation_particles raises once an atom leaves [-BLOWUP_RADIUS, BLOWUP_RADIUS]
 BLOWUP_RADIUS = 50.0
-
-
-def limit_drift(ham: QuadraticDriftHamiltonian, kernel, x, m):
-    """Drift of the limit equation at query points x on the line, a scalar, (n,) or (n, 1);
-    the result has the shape of x (a float for a scalar)."""
-    if isinstance(kernel, CuckerSmaleKernel):
-        raise TypeError("limit_drift takes a position-space kernel")
-    xq = _line_points(x, "limit_drift")
-    out = ham.drift(xq) - _measure_sum(kernel, xq, m, gradient=True)
-    return out.item() if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
 def solve_aggregation_particles(
@@ -50,12 +32,12 @@ def solve_aggregation_particles(
     m0: ParticleEnsemble,
     T: float,
     dt: float,
+    nodes=None,
 ) -> MeasurePath:
     """RK4 integration of the self-consistent characteristics, the (N,) positions, on the clock of
-    measures._march (every node of a run of fewer than 1,024 steps, 512 to 768 of a longer one, and the
-    last).  Each atom moves with the drift of the running empirical measure; weights are constant.
-    Exceeding BLOWUP_RADIUS raises (expected for attractive non-semiconcave kernels, where no global
-    bound holds)."""
+    measures._march, keeping node 0 and the node indices in nodes (by default node 0 and T).  Each atom
+    moves with the drift of the running empirical measure; weights are constant.  Exceeding
+    BLOWUP_RADIUS raises (expected for attractive non-semiconcave kernels, where no global bound holds)."""
     if isinstance(kernel, CuckerSmaleKernel):
         raise TypeError("use the Cucker-Smale solver for phase-space dynamics")
     if m0.is_phase_space:
@@ -73,7 +55,7 @@ def solve_aggregation_particles(
             raise DivergenceError(f"trajectories diverged at t={t:.4f} under kernel {kernel!r}")
         return pos
 
-    return _march(m0, m0.positions[:, 0], step, lambda pos: ParticleEnsemble(pos, w, 1), T, dt)
+    return _march(m0, m0.positions[:, 0], step, lambda pos: ParticleEnsemble(pos, w, 1), T, dt, nodes)
 
 
 def solve_aggregation_fv(
@@ -83,13 +65,13 @@ def solve_aggregation_fv(
     T: float,
     dt: float,
     mass_log: list | None = None,
-    nodes: list | np.ndarray | None = None,
+    nodes=None,
 ) -> MeasurePath:
     """Conservative upwind FV scheme with the nonlocal drift refreshed and CFL-checked each step, on the
-    clock of measures._march, keeping every node, or only the increasing node indices in nodes; raises
+    clock of measures._march, keeping node 0 and the node indices in nodes (by default node 0 and T); raises
     CflError before the first step whose drift breaks the bound.  Each step is renormalized to unit mass
     (roundoff); the largest correction |dx sum - 1| divided out is appended to mass_log if given.  Every
-    node computed is checked once, as one stack (measures._check_densities), kept or not."""
+    node computed is checked, as one stack (measures._check_densities), kept or not."""
     if isinstance(kernel, CuckerSmaleKernel):
         raise TypeError("the FV solver takes a position-space kernel")
     dx = m0.dx
@@ -113,9 +95,8 @@ def solve_aggregation_fv(
         correction = max(correction, abs(total - 1.0))
         return np.divide(m, total, out=next(rows))
 
-    times = _march(values[0], values[0], step, lambda m: m, T, dt, save_every=1).times  # a path of row views
+    path = _march(m0, values[0], step, lambda m: GridDensity(m0.origin, dx, m), T, dt, nodes)
     _check_densities(values, dx)
-    keep = range(len(values)) if nodes is None else nodes
     if mass_log is not None:
         mass_log.append(float(correction))
-    return MeasurePath(times[keep], [GridDensity(m0.origin, dx, values[j]) if j else m0 for j in keep])
+    return path

@@ -27,7 +27,7 @@ from .cucker_smale import richardson_order_ratio, solve_cs
 from .errors import ConfigError
 from .hamiltonians import validate_hamiltonian
 from .kernels import CuckerSmaleKernel, psd_check, validate_coupling
-from .measures import GridDensity, _csv_table
+from .measures import GridDensity, _csv_table, _n_steps
 from .mfg_pde import solve_mfg_fixed_point
 
 
@@ -86,7 +86,7 @@ def _cmd_solve_limit(desc, out, seed):
     s = desc.solver
     path = solve_aggregation_fv(desc.build_hamiltonian(), desc.build_kernel(), desc.build_m0_grid(), s["T"], s["dt"])
     doc = _base_doc(desc, seed)
-    doc["n_steps"] = len(path) - 1
+    doc["n_steps"] = _n_steps(s["T"], s["dt"])
     (out / "m_final.csv").write_text(path.measures[-1].to_csv())
     return 0, "solution.json", doc
 
@@ -114,7 +114,9 @@ def _cmd_solve_cs(desc, out, seed):
     kernel = desc.build_kernel()
     s = desc.solver
     m0 = desc.build_m0_atoms(seed)
-    path = solve_cs(m0, kernel, s["T"], s["dt"])
+    n = _n_steps(s["T"], s["dt"])
+    # every node of a run of fewer than 1,024 steps, every (n // 512)-th and the last, 513 to 769 nodes, of a longer one
+    path = solve_cs(m0, kernel, s["T"], s["dt"], [*range(0, n, max(1, n // 512)), n])
     # the order probe of the acceleration sweep: RK4 reads ~16; inf means no error left to halve
     ratio = richardson_order_ratio(m0, kernel, s["T"], 8 * s["dt"])
     doc = _base_doc(desc, seed)

@@ -35,6 +35,7 @@ from .measures import (
     ParticleEnsemble,
     _check_exact_w1,
     _csv_table,
+    _n_steps,
     _positive_finite,
     _w1_sorted_1d,
     moment2,
@@ -78,9 +79,6 @@ class ConvergenceReport:
         if np.any(np.diff(lams) <= 0):
             raise ValueError("lambda values must be strictly increasing")
 
-    def column(self, key: str) -> np.ndarray:
-        return np.array([row[key] for row in self.rows], dtype=float)
-
     def to_doc(self) -> dict:
         return {
             "family": self.family,
@@ -90,9 +88,6 @@ class ConvergenceReport:
             "setup": self.setup,
             "seed": self.seed,
         }
-
-    def to_json(self) -> str:
-        return _json_text(self.to_doc())
 
     def to_csv(self) -> str:
         keys = sorted({k for row in self.rows for k in row})
@@ -451,7 +446,7 @@ def _kinetic_reference(m0: ParticleEnsemble, kernel: CuckerSmaleKernel, T: float
     report states of it."""
     horizon = DIAGNOSTIC_WINDOW * T
     finest = []
-    richardson_order_ratio(m0, kernel, horizon, T / 8, save_every=1, finest=finest)
+    richardson_order_ratio(m0, kernel, horizon, T / 8, range(_n_steps(horizon, T / 8) + 1), finest)
     (_, _, levels), = finest
     (path, estimate, ratio, rk4_steps), h, resolved = _resolve(levels, T / 32, dt_cap)
     return path, {

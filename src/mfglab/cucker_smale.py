@@ -8,11 +8,13 @@ richardson_order_ratio marches three solve_cs clocks and compares them
 the first level of ``_step_halving``, the ladder behind both particle
 references: each further level marches one new clock, at half the finest
 step, and compares it with the two before.  The acceleration sweep climbs
-it from richardson_order_ratio's first level on solve_cs marches saving
+it from richardson_order_ratio's first level on solve_cs marches keeping
 the window nodes, the classic sweep on particle marches
 (``aggregation.solve_aggregation_particles``) compared at the window end;
-each takes the finest march as its reference.  The flock lives on the
-line: the RK4 state is the (N, 2) array [pos | vel].
+each takes the finest march as its reference.  Every march keeps node 0
+and the nodes its caller names (by default T alone).  The flock lives on
+the line: the RK4 state is the (N, 2) array [pos | vel], and its
+right-hand side (``_phase_rhs``) serves the marches alone.
 """
 
 from __future__ import annotations
@@ -23,11 +25,6 @@ import numpy as np
 
 from .kernels import CuckerSmaleKernel, _cs_alignment, _flock
 from .measures import MeasurePath, ParticleEnsemble, _march, _n_steps
-
-
-def cs_rhs(ensemble: ParticleEnsemble, kernel: CuckerSmaleKernel) -> np.ndarray:
-    """Per-atom alignment acceleration a_i = -sum_j w_j 2(v_i - v_j)/g(x_i - x_j), (N,)."""
-    return _phase_rhs(ensemble, kernel)(ensemble.points)[:, 1]
 
 
 def _rk4(rhs, z, dt):
@@ -76,22 +73,22 @@ def richardson_order_ratio(
     kernel: CuckerSmaleKernel,
     T: float,
     dt: float,
-    save_every: int | None = None,
+    nodes=None,
     finest: list | None = None,
 ) -> float:
     """Step-halving error ratio max |z_dt - z_dt/2| / max |z_dt/2 - z_dt/4|; ~16 for RK4.
 
     The three marches are solve_cs runs of n = _n_steps(T, dt), 2n and 4n steps of T/n, T/2n and T/4n, and
-    the maxima run over the nodes all three save: node 0, every save_every-th node of the coarsest clock and T
-    (by default T alone); they are the first level of ``_step_halving``.  A list passed as finest receives the
-    finest march, a MeasurePath of those nodes, its error estimate max |z_dt/4 - z_dt/2| / 15, and the ladder
+    the maxima run over the nodes all three keep: node 0 and the node indices in nodes on the coarsest clock
+    (by default node 0 and T); they are the first level of ``_step_halving``.  A list passed as finest receives
+    the finest march, a MeasurePath of those nodes, its error estimate max |z_dt/4 - z_dt/2| / 15, and the ladder
     from this level on: an iterator of each level's (finest march, estimate, ratio, RK4 steps so far), whose
     every next() past this level marches one new clock, at half the finest step."""
     n = _n_steps(T, dt)
-    every = n if save_every is None else save_every
+    nodes = None if nodes is None else list(nodes)  # every march reads them again
 
     def march(count):
-        path = solve_cs(m0, kernel, T, T / count, save_every=count // n * every)
+        path = solve_cs(m0, kernel, T, T / count, None if nodes is None else [j * (count // n) for j in nodes])
         return path, np.stack([m.points for m in path.measures])
 
     levels = _step_halving(march, n)
@@ -106,11 +103,10 @@ def solve_cs(
     kernel: CuckerSmaleKernel,
     T: float,
     dt: float,
-    save_every: int | None = None,
+    nodes=None,
 ) -> MeasurePath:
-    """RK4 integration of the coupled characteristic system on the clock of measures._march,
-    saving every save_every-th step and the last (by default every step of a run of fewer than 1,024 steps,
-    512 to 768 of a longer one)."""
+    """RK4 integration of the coupled characteristic system on the clock of measures._march, keeping
+    node 0 and the node indices in nodes (by default node 0 and T)."""
     rhs = _phase_rhs(m0, kernel)
     step = lambda z, t: _rk4(rhs, z, dt)
-    return _march(m0, m0.points, step, lambda z: ParticleEnsemble(z, m0.weights, 1), T, dt, save_every)
+    return _march(m0, m0.points, step, lambda z: ParticleEnsemble(z, m0.weights, 1), T, dt, nodes)

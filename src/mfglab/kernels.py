@@ -1,11 +1,10 @@
 """Interaction kernels, the nonlocal coupling F(x,m)=k*m, and its structural constants.
 
 This is the one place k*m and Dk*m are evaluated: ``_grid_sum`` by 1D
-grid quadrature, ``_dense_pair_sum`` over the atoms of an empirical
-measure; ``_measure_sum`` picks one of the two for a measure's type.
-The cell-centre quadrature matrices (``_grid_matrix``), which a sweep
-asks for again and again, are formed once per kernel and grid: a small
-memo keeps the last few, read-only.
+grid quadrature on a grid density, the pair sums below over the atoms
+of a flock.  The cell-centre quadrature matrices (``_grid_matrix``),
+which a sweep asks for again and again, are formed once per kernel and
+grid: a small memo keeps the last few, read-only.
 
 The radial kernels (exponential, repulsive-attractive, Morse, tabulated
 crowd kernel, zero) act on the line: value and gradient work elementwise
@@ -18,10 +17,9 @@ measures they are the constants of F, each attained by a point mass.
 Each one a config builds also states the inf of its Fourier transform
 (``transform_inf``); ``psd_check`` reads it as Bochner's PSD verdict.
 
-Query points against atoms (the couplings, ``limit_drift``) go through
-one body, the dense (nq, N) offset array (``_dense_pair_sum``).  The
-sum of a flock with itself that the particle solver takes
-(``_self_pair_sum``) is chosen by the kernel.  A kernel
+The sum of a flock with itself that the particle solver takes
+(``_self_pair_sum``) is chosen by the kernel: the dense (nq, N) offset
+array (``_dense_pair_sum``) or a sorted body.  A kernel
 whose profile is a sum of exponentials, phi(r) = sum_k c_k exp(-a_k r),
 states only its terms (``_exp_terms``; zero: none, exponential: one,
 Morse: two), takes phi and phi' from them (``_exp_phi``, ``_exp_dphi``)
@@ -41,17 +39,15 @@ symmetric (N, N) weight matrix A = 1 / g times [w | w u] on centred
 velocities u (``_cs_alignment``), of which only the block-upper
 staircase is formed: row blocks of about 96 atoms, each pair weight
 once outside the diagonal squares, and the part of each block right
-of its square applied a second time, transposed.  The energy and gradients of the MFG of
-acceleration, its EL residual and the single-query couplings go over a
-list of pairs (``_cs_pair_sums``): a flock's unordered pairs p < q once
-each (k is even in a pair), or a query's pairs with the atoms.  Pair
-differences are gathered chunk by chunk of time nodes into buffers
-that fit a fixed byte budget, so their memory does not grow with the
-number of nodes, and a sparse signed incidence matrix sends the odd
-gradients back to the atoms.  An ensemble enters that side through
-``_flock``, which rejects one without velocities.  Atoms are on the line
-by construction (``ParticleEnsemble``); free-form query points go
-through ``measures._line_points``.
+of its square applied a second time, transposed.  The energy and
+gradients of the MFG of acceleration and its EL residual go over a list
+of pairs (``_cs_pair_pass``): a flock's unordered pairs p < q once each
+(k is even in a pair).  Pair differences are gathered chunk by chunk of
+time nodes into buffers that fit a fixed byte budget, so their memory
+does not grow with the number of nodes, and a sparse signed incidence
+matrix sends the odd gradients back to the atoms.  An ensemble enters
+that side through ``_flock``, which rejects one without velocities.  Atoms are on the line
+by construction (``ParticleEnsemble``).
 """
 
 from __future__ import annotations
@@ -63,7 +59,7 @@ import numpy as np
 from scipy.sparse import csc_array
 
 from .errors import DimensionError, ParameterError
-from .measures import GridDensity, ParticleEnsemble, _finite, _freeze, _line_points, _positive_finite
+from .measures import GridDensity, ParticleEnsemble, _finite, _freeze, _positive_finite
 
 if TYPE_CHECKING:
     from scipy.interpolate import CubicSpline
@@ -413,16 +409,6 @@ def _dense_pair_sum(kernel, xq, pos, w, gradient):
     return np.sum(w * (kernel.gradient(diffs) if gradient else kernel.value(diffs)), axis=-1)
 
 
-def _measure_sum(kernel, xq, m, gradient):
-    """(k*m)(xq_i), or (Dk*m)(xq_i), (nq,), of a radial kernel at queries xq (nq,) on the line: grid
-    quadrature on a GridDensity, the dense pair sum over the atoms of a ParticleEnsemble."""
-    if isinstance(m, GridDensity):
-        return _grid_sum(kernel, xq, m, gradient)
-    if isinstance(m, ParticleEnsemble):
-        return _dense_pair_sum(kernel, xq, m.positions[:, 0], m.weights, gradient)
-    raise TypeError(f"unsupported measure type {type(m)!r}")
-
-
 #: widest a_max (p - p_s) of an anchored factor e^{a (p - p_s)} in _sorted_self_sum.  Its rounded argument
 #: t is off by up to about t eps, and so is the factor; a sum divides two factors of one block, so each
 #: term is off by at most about (2 S + 3) eps, 1.5e-14 at S = 32, against (a r + 1) eps for e^{-a r} in
@@ -478,7 +464,7 @@ def _sorted_self_sum(terms, w, gradient):
 
 
 #: largest pair array of one time node a Cucker-Smale pair sum may allocate, in bytes: the
-#: staircase buffer of ``_cs_alignment``, the (M,) pair column of ``_cs_pair_sums``
+#: staircase buffer of ``_cs_alignment``, the (M,) pair column of ``_cs_pair_pass``
 PAIR_ARRAY_CAP = 2**28
 
 
@@ -565,12 +551,6 @@ class _PairTable(NamedTuple):
     scatter: csc_array
 
 
-def _pair_row(weights):
-    """The pair weights (M,) as a sparse (1, M) row."""
-    m = len(weights)
-    return csc_array((weights, np.zeros(m, dtype=int), np.arange(m + 1)), shape=(1, m))
-
-
 def _flock_pairs(w):
     """Each unordered pair p < q of N atoms of weights w (N,) once, M = N(N-1)/2 pairs: the
     energy weight of a pair is 2 w_p w_q, and a quantity odd in the pair, f(q, p) = -f(p, q),
@@ -583,19 +563,11 @@ def _flock_pairs(w):
     m = len(first)
     # column c holds w_q at row p and -w_p at row q
     entries = (np.column_stack([ws, -wf]).ravel(), np.column_stack([first, second]).ravel(), np.arange(0, 2 * m + 1, 2))
-    return _PairTable(first, second, _pair_row(2.0 * wf * ws), csc_array(entries, shape=(n, m)))
+    energy = csc_array((2.0 * wf * ws, np.zeros(m, dtype=int), np.arange(m + 1)), shape=(1, m))
+    return _PairTable(first, second, energy, csc_array(entries, shape=(n, m)))
 
 
-def _query_pairs(w):
-    """The pairs (0, q) of one query state stacked above N atoms of weights w (N,), at rows
-    q = 1..N: the energy weights and the scatter to the query's row are both w_q."""
-    n = len(w)
-    _check_pair_cap(n * w.itemsize)
-    row = _pair_row(w)
-    return _PairTable(np.zeros(n, dtype=int), np.arange(1, n + 1), row, row)
-
-
-#: byte budget of the pair temporaries of one chunk of time nodes in _cs_pair_sums (three
+#: byte budget of the pair temporaries of one chunk of time nodes in _cs_pair_pass (three
 #: (M, nodes) buffers) and the discrete energy; more nodes go in more chunks.  One pass at
 #: N = 24, K = 5120 took 17-18, 14, 12-13 and 12-16 ms with 256 KiB, 512 KiB, 1 MiB and 2 MiB
 #: chunks, at N = 96, K = 1280 108-116, 71-89, 62-75 and 62-66 ms, and at N = 192, K = 320
@@ -624,13 +596,14 @@ def _pair_offsets(pairs, x, v):
         yield c, d, du, spare
 
 
-def _cs_pair_sums(kernel, x, v, pairs):
-    """Cucker-Smale pair sums over the pairs of a ``_PairTable`` of the states x, v on the line:
-    (n,) at one time node, or atom-major (n, J) at J nodes.
+def _cs_pair_pass(kernel, x, v, w, pairs=None):
+    """The pair sums of a flock of N atoms of weights w (N,) with itself, states x, v on the line,
+    (N,) at one time node or atom-major (N, J) at J nodes: returns sum_pq w_p w_q k per node, and
+    sum_q w_q D_x k and sum_q w_q D_v k at every atom, in the shape of x.  Each unordered pair is
+    taken once, over the table pairs, ``_flock_pairs(w)``, built here when not given.
 
-    Returns sum_c e_c k(d_c, du_c) per node, and the scattered sums of D_x k and D_v k, each
-    (rows,) per node.  k = du^2 A with A = 1 / g(d) is even in the pair, D_x k and D_v k odd.
-    Per chunk of nodes (``_pair_offsets``), q = alpha + d^2 is formed once, g from it through
+    k = du^2 A with A = 1 / g(d) is even in the pair, D_x k and D_v k odd.  Per chunk of nodes
+    (``_pair_offsets``), q = alpha + d^2 is formed once, g from it through
     ``CuckerSmaleKernel._g_of_q``, and the three pair arrays
 
         du A              (scattered, times 2, into the D_v sums),
@@ -640,10 +613,11 @@ def _cs_pair_sums(kernel, x, v, pairs):
     are built in place in the chunk's buffers.  Time nodes are the inner axis, each pair's
     node row contiguous; pair differences need no velocity centring.
     """
-    shape = x.shape
-    x, v = x.reshape(len(x), -1), v.reshape(len(v), -1)
-    nodes, rows = x.shape[1], pairs.scatter.shape[0]
-    energy, gx, gv = np.empty(nodes), np.empty((rows, nodes)), np.empty((rows, nodes))
+    pairs = _flock_pairs(w) if pairs is None else pairs
+    shape, n = x.shape, len(x)
+    x, v = x.reshape(n, -1), v.reshape(n, -1)
+    nodes = x.shape[1]
+    energy, gx, gv = np.empty(nodes), np.empty((n, nodes)), np.empty((n, nodes))
     for c, d, du, q in _pair_offsets(pairs, x, v):
         np.multiply(d, d, out=q)
         q += kernel.alpha
@@ -657,15 +631,7 @@ def _cs_pair_sums(kernel, x, v, pairs):
         gx[:, c] = pairs.scatter @ d
     gv *= 2.0
     gx *= -2.0 * kernel.beta
-    return energy.reshape(shape[1:]), gx.reshape((rows,) + shape[1:]), gv.reshape((rows,) + shape[1:])
-
-
-def _cs_pair_pass(kernel, x, v, w, pairs=None):
-    """The pair sums of a flock of N atoms of weights w (N,) with itself, states x, v (N,) or
-    atom-major (N, J): returns sum_pq w_p w_q k per node, and sum_q w_q D_x k and
-    sum_q w_q D_v k at every atom, in the shape of x; each unordered pair is taken once, over
-    the table pairs, ``_flock_pairs(w)``, built here when not given."""
-    return _cs_pair_sums(kernel, x, v, _flock_pairs(w) if pairs is None else pairs)
+    return energy.reshape(shape[1:]), gx.reshape(shape), gv.reshape(shape)
 
 
 def _cs_pair_energy(kernel, x, v, w):
@@ -686,39 +652,6 @@ def _flock(m):
     if not (isinstance(m, ParticleEnsemble) and m.is_phase_space):
         raise DimensionError("the Cucker-Smale side needs a phase-space ensemble")
     return m.points[:, 0], m.points[:, 1]
-
-
-def _coupling(kernel, x, m, v, gradient):
-    """Shared body of eval_coupling and grad_coupling at one query point on the line."""
-    cs = isinstance(kernel, CuckerSmaleKernel)
-    if cs and v is None:
-        raise DimensionError("Cucker-Smale kernel needs a velocity argument")
-    if not cs and v is not None:
-        raise DimensionError("velocity argument only valid for the Cucker-Smale kernel")
-    xq, vq = (_line_points(q, "the coupling") for q in (x, 0.0 if v is None else v))
-    if xq.size != 1 or vq.size != 1:
-        raise DimensionError(f"the coupling takes one query point, not {xq.size} positions and {vq.size} velocities")
-    if cs:
-        pos, vel = _flock(m)
-        # the query stacked above the atoms, paired with each atom once
-        x_all, v_all = np.concatenate([xq, pos]), np.concatenate([vq, vel])
-        value, dx_f, dv_f = _cs_pair_sums(kernel, x_all, v_all, _query_pairs(m.weights))
-        return (dx_f.item(), dv_f.item()) if gradient else value.item()
-    return _measure_sum(kernel, xq, m, gradient).item()
-
-
-def eval_coupling(kernel, x, m, v=None):
-    """F(x, m) = (k * m)(x), or F(x, v, m) for the Cucker-Smale kernel."""
-    return _coupling(kernel, x, m, v, gradient=False)
-
-
-def grad_coupling(kernel, x, m, v=None):
-    """Analytic gradient of the coupling.
-
-    Returns the float D_x F for the radial kernels and the pair of
-    floats (D_x F, D_v F) for the Cucker-Smale kernel.
-    """
-    return _coupling(kernel, x, m, v, gradient=True)
 
 
 @dataclass(frozen=True)

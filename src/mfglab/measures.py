@@ -9,9 +9,9 @@ Two concrete representations are used throughout the lab:
   characteristic / variational solvers.
 
 All types hold read-only copies of their arrays (``_freeze``); operations
-are pure.  Query points on the line enter through ``_line_points``.  The
-limit solvers step in ``_march`` on ``_n_steps``, the clock of every march, and
-both MFG fixed points iterate in ``_anderson``;
+are pure.  The limit solvers step in ``_march`` on ``_n_steps``, the clock
+of every march, keeping the nodes their caller names, and both MFG fixed
+points iterate in ``_anderson``;
 ``_exp_trapezoid_weights`` integrates against the discount e^(-lam t) on nodes.
 W1 is exact or refused: the CDF formula on one grid, the sorted formula
 on the line, an optimal assignment between equal-weight phase-space flocks.
@@ -42,15 +42,6 @@ def _check_densities(values: np.ndarray, dx: float) -> None:
     mass = dx * values.sum(axis=-1)
     if np.any(np.abs(mass - 1.0) > MASS_TOL_GRID):
         raise ValueError(f"density mass {mass} deviates from 1 beyond {MASS_TOL_GRID}")
-
-
-def _line_points(x, what: str) -> np.ndarray:
-    """Query points on the line, a scalar, (n,) or (n, 1), as a float (n,) array;
-    any other shape raises DimensionError naming ``what``."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim > 2 or x.shape[1:] not in ((), (1,)):
-        raise DimensionError(f"{what} takes points on the line, a scalar, (n,) or (n, 1), not {x.shape}")
-    return x.reshape(-1)
 
 
 def _freeze(obj, **arrays) -> tuple:
@@ -104,12 +95,6 @@ class GridDensity:
     def gaussian(cls, center: float, sigma: float, origin: float, dx: float, n: int) -> "GridDensity":
         x = origin + (np.arange(n) + 0.5) * dx
         return cls.from_unnormalized(origin, dx, np.exp(-0.5 * ((x - center) / sigma) ** 2))
-
-    @classmethod
-    def uniform(cls, lo: float, hi: float, origin: float, dx: float, n: int) -> "GridDensity":
-        x = origin + (np.arange(n) + 0.5) * dx
-        profile = ((x >= lo) & (x < hi)).astype(float)
-        return cls.from_unnormalized(origin, dx, profile)
 
     @property
     def n(self) -> int:
@@ -226,8 +211,11 @@ class MeasurePath:
         return len(self.measures)
 
     def at(self, t: float):
-        """Measure at the node closest to t."""
-        return self.measures[int(np.argmin(np.abs(self.times - t)))]
+        """The measure at the kept node within 1e-9 max(1, |t|) of t; any other t raises ValueError."""
+        i = int(np.argmin(np.abs(self.times - t)))
+        if not abs(self.times[i] - t) <= 1e-9 * max(1.0, abs(t)):
+            raise ValueError(f"t = {t} is not a kept node of this path; the nearest kept time is {self.times[i]}")
+        return self.measures[i]
 
 
 def _on_grid(m: GridDensity, origin: float, dx: float, n: int) -> bool:
@@ -283,18 +271,19 @@ def _exp_trapezoid_weights(times: np.ndarray, lam: float) -> np.ndarray:
     return w
 
 
-def _march(m0, state, step, snapshot, T: float, dt: float, save_every: int | None = None) -> MeasurePath:
+def _march(m0, state, step, snapshot, T: float, dt: float, nodes=None) -> MeasurePath:
     """The stepping loop of every limit solver: state = step(state, j * dt) for j = 1..n = _n_steps(T, dt); the
-    path keeps node 0 (m0), every save_every-th node and the last, as snapshot(state).  By default save_every =
-    max(1, n // 512): every node of a run of fewer than 1,024 steps, and 512 to 768 nodes of a longer one."""
+    path keeps node 0 (m0) and the node indices in nodes, each as snapshot(state); nodes = None keeps node 0 and
+    node n.  nodes must be integers increasing strictly within [0, n]; any other entry raises ValueError."""
     n = _n_steps(T, dt)
-    save_every = max(1, n // 512) if save_every is None else save_every
-    if not save_every >= 1:
-        raise ValueError(f"save_every must be at least 1, got {save_every}")
-    snaps = {0: m0}  # node -> measure
+    keep = [n] if nodes is None else list(nodes)
+    for i, j in enumerate(keep):
+        if not (isinstance(j, (int, np.integer)) and (keep[i - 1] if i else -1) < j <= n):
+            raise ValueError(f"nodes must be integers increasing strictly from 0 to n = {n}, not {j!r} at position {i}")
+    kept, snaps = set(keep), {0: m0}  # node -> measure
     for j in range(1, n + 1):
         state = step(state, j * dt)
-        if j % save_every == 0 or j == n:
+        if j in kept:
             snaps[j] = snapshot(state)
     return MeasurePath(dt * np.array(list(snaps)), list(snaps.values()))
 

@@ -311,7 +311,7 @@ class TestMinimizeEnergy:
     def test_close_to_cs_characteristics(self, cs_flat, two_body_phase):
         lam = 40.0
         res = minimize_energy(two_body_phase, cs_flat, lam, 1.0, 2560)
-        ref = solve_cs(two_body_phase, cs_flat, 1.0, 1e-3)
+        ref = solve_cs(two_body_phase, cs_flat, 1.0, 1e-3, [500])
         j = res.ensemble.n_intervals // 2
         d = wasserstein1_particles(res.ensemble.phase_ensemble(j), ref.at(0.5))
         assert d < 0.05
@@ -478,6 +478,19 @@ class TestMinimizeEnergy:
         m0 = ParticleEnsemble.equal_weights(rng.standard_normal((200, 2)), 1)
         with pytest.raises(ValueError, match="budget"):
             minimize_energy(m0, cs_flat, 10.0, 1.0, 10**4)
+
+    def test_budget_refused_before_any_allocation(self, cs_flat, rng):
+        """N K = 4e6 past the budget raises before the (N, K) start is built: the refusal of 1,000 atoms at
+        K = 4,000 peaks below 8 MB under tracemalloc, where the start alone would take 32 MB."""
+        m0 = ParticleEnsemble.equal_weights(rng.standard_normal((1000, 2)), 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the decision-variable budget"):
+                minimize_energy(m0, cs_flat, 10.0, 1.0, 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_underflowing_discount_named(self, cs_flat):
         """At lambda T = 800 the last of K = 51,200 interval weights (e^(-lambda t_j) - e^(-lambda t_j+1))

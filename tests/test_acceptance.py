@@ -25,7 +25,6 @@ from mfglab import (
     QuadraticDriftHamiltonian,
     RepulsiveAttractiveKernel,
     ZeroKernel,
-    cs_rhs,
     fp_forward,
     hjb_backward,
     minimize_energy,
@@ -44,6 +43,7 @@ from mfglab.measures import _exp_trapezoid_weights
 from mfglab.convergence import sample_grid_to_atoms, w1_grid_vs_particles
 from mfglab.kernels import CrowdRadialKernel
 from mfglab.measures import wasserstein1_particles
+from test_convergence import column
 
 ZERO_HAM = QuadraticDriftHamiltonian(DriftField("zero"))
 EXP_KERNEL = ExponentialKernel(1.0, 1.0)
@@ -120,13 +120,13 @@ def test_value_gradient_lambda_scaling():
 
 
 def test_residuals_decrease_and_w1_halves(classic_sweep):
-    res_u = classic_sweep.column("residual_lam_u")
-    res_du = classic_sweep.column("residual_lam_du_l1")
-    w1 = classic_sweep.column("w1_sup")
+    res_u = column(classic_sweep, "residual_lam_u")
+    res_du = column(classic_sweep, "residual_lam_du_l1")
+    w1 = column(classic_sweep, "w1_sup")
     assert np.all(np.diff(res_u) < 0)
     assert np.all(np.diff(res_du) < 0)
     assert w1[-1] < 0.5 * w1[0]
-    assert np.all(classic_sweep.column("converged") == 1.0)
+    assert np.all(column(classic_sweep, "converged") == 1.0)
 
 
 class TestAggregationOracles:
@@ -164,7 +164,7 @@ class TestFlockingSuite:
         m0 = ParticleEnsemble.equal_weights(
             np.column_stack([rng.standard_normal(64), rng.standard_normal(64)]), 1
         )
-        path = solve_cs(m0, CuckerSmaleKernel(1.0, 0.5), 5.0, 1e-3, save_every=100)
+        path = solve_cs(m0, CuckerSmaleKernel(1.0, 0.5), 5.0, 1e-3, range(0, 5001, 100))
         vbar0 = float(m0.weights @ m0.velocities[:, 0])
         drift = max(
             abs(float(m.weights @ m.velocities[:, 0]) - vbar0) for m in path.measures
@@ -176,7 +176,7 @@ class TestFlockingSuite:
         m0 = ParticleEnsemble.equal_weights(
             np.column_stack([rng.standard_normal(32), rng.standard_normal(32)]), 1
         )
-        path = solve_cs(m0, CuckerSmaleKernel(1.0, 0.5), 5.0, 1e-3, save_every=10)
+        path = solve_cs(m0, CuckerSmaleKernel(1.0, 0.5), 5.0, 1e-3, range(0, 5001, 10))
         m2v = np.array([moment2(m, "velocity") for m in path.measures])
         assert np.all(np.diff(m2v) <= 1e-12)
 
@@ -223,7 +223,7 @@ def test_energy_bound_and_equilibrium_certificate(accel_sweep):
 
 def test_flocking_limit_trend(accel_sweep):
     t0 = time.perf_counter()
-    w1 = accel_sweep.column("w1_at_half_T")
+    w1 = column(accel_sweep, "w1_at_half_T")
     assert np.all(np.diff(w1) < 0)
     assert time.perf_counter() - t0 < 600.0
 
@@ -302,7 +302,7 @@ def test_linear_quadratic_flock_oracle(lam):
 
 def lam_gap_at_half_T(u_half, u0, lam):
     """lam (u(T/2) - u0 e^{-1}) / u0 at T = 1: the scaled velocity gap to the kinetic limit
-    u0 e^{-2t} (cs_rhs at beta = 0), per unit initial centred velocity."""
+    u0 e^{-2t} (the alignment at beta = 0), per unit initial centred velocity."""
     return lam * (u_half - u0 * np.exp(-1.0)) / u0
 
 

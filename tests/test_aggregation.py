@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfglab import aggregation
+from mfglab import aggregation, kernels
 from mfglab import (
     CflError,
     DivergenceError,
@@ -12,8 +12,6 @@ from mfglab import (
     ParticleEnsemble,
     QuadraticDriftHamiltonian,
     ZeroKernel,
-    grad_coupling,
-    limit_drift,
     solve_aggregation_fv,
     solve_aggregation_particles,
 )
@@ -25,52 +23,37 @@ def atoms(*xs):
 
 
 class TestLimitDrift:
+    """The drift b(x, m) = v(x) - (Dk * m)(x) of the limit equation, as the solvers take it: the particle
+    solver from the drift field and the flock's self sum, the FV solver from its interface matrix."""
+
     def test_no_coupling_reduces_to_drift(self):
+        """Under the zero kernel each atom follows x' = 2 sin x alone, solved by tan(x/2) = tan(x0/2) e^{2t}."""
         ham = QuadraticDriftHamiltonian(DriftField("sinusoidal", amplitude=2.0))
-        m = atoms(0.0, 1.0)
-        x = np.array([[0.3], [1.1]])
-        out = limit_drift(ham, ZeroKernel(), x, m)
-        assert np.allclose(out[:, 0], 2.0 * np.sin([0.3, 1.1]), atol=1e-14)
+        x0 = np.array([0.3, 1.1])
+        path = solve_aggregation_particles(ham, ZeroKernel(), atoms(*x0), 0.5, 1e-3)
+        exact = 2.0 * np.arctan(np.tan(x0 / 2) * np.exp(2.0 * 0.5))
+        assert np.allclose(path.measures[-1].positions[:, 0], exact, rtol=0.0, atol=1e-12)
 
-    def test_single_atom_gives_minus_dk(self, zero_ham, exp_kernel):
-        y = 0.4
-        m = atoms(y)
-        x = np.array([[1.4]])
-        out = limit_drift(zero_ham, exp_kernel, x, m)
+    def test_single_atom_gives_minus_dk(self, exp_kernel):
+        y, x = 0.4, np.array([1.4])
+        out = -kernels._dense_pair_sum(exp_kernel, x, np.array([y]), np.ones(1), True)
         # -Dk(x - y) = -d/dx e^{-|x-y|} = +e^{-1}
-        assert out[0, 0] == pytest.approx(np.exp(-1.0), abs=1e-12)
+        assert out[0] == pytest.approx(np.exp(-1.0), abs=1e-12)
 
-    def test_two_atom_repulsion_outward(self, zero_ham):
+    def test_two_atom_repulsion_outward(self):
         d = 0.8
         m = atoms(-d / 2, d / 2)
-        out = limit_drift(zero_ham, ExponentialKernel(1.0, 1.0), np.array([[d / 2]]), m)
-        assert out[0, 0] == pytest.approx(0.5 * np.exp(-d), abs=1e-12)
+        out = -kernels._self_pair_sum(ExponentialKernel(1.0, 1.0), m.weights, gradient=True)(m.positions[:, 0])
+        assert out[1] == pytest.approx(0.5 * np.exp(-d), abs=1e-12) and out[0] == -out[1]
 
-    def test_grid_and_particle_measures_agree(self, zero_ham, exp_kernel, gauss_m0):
+    def test_grid_and_particle_measures_agree(self, exp_kernel, gauss_m0):
         from mfglab.convergence import sample_grid_to_atoms
 
         m_part = sample_grid_to_atoms(gauss_m0, 4000)
         xq = np.array([-1.0, 0.0, 0.7])
-        dg = limit_drift(zero_ham, exp_kernel, xq, gauss_m0)
-        dp = limit_drift(zero_ham, exp_kernel, xq[:, None], m_part)
-        assert np.allclose(dg, dp[:, 0], atol=5e-3)
-
-    @pytest.mark.parametrize("shape", [(), (3,), (3, 1)], ids=["scalar", "n", "n-1"])
-    @pytest.mark.parametrize("measure", ["grid", "particles"])
-    def test_query_shapes(self, measure, shape, exp_kernel, gauss_m0):
-        """Both measure types take a scalar, (n,) or (n, 1) and answer in its shape,
-        a float for a scalar, with the drift minus the pointwise D_xF at each point."""
-        ham = QuadraticDriftHamiltonian(DriftField("sinusoidal", 0.5, 2.0))
-        m = gauss_m0 if measure == "grid" else atoms(-0.5, 0.2, 1.0)
-        points = np.array([-1.0, 0.0, 0.7])
-        x = points[0] if shape == () else points.reshape(shape)
-        out = limit_drift(ham, exp_kernel, x, m)
-        if shape == ():
-            assert type(out) is float
-        else:
-            assert out.shape == shape
-        expected = [ham.drift(p) - grad_coupling(exp_kernel, p, m) for p in np.ravel(x)]
-        assert np.allclose(np.ravel(out), expected, rtol=0.0, atol=1e-14)
+        dg = kernels._grid_sum(exp_kernel, xq, gauss_m0, gradient=True)
+        dp = kernels._dense_pair_sum(exp_kernel, xq, m_part.positions[:, 0], m_part.weights, True)
+        assert np.allclose(dg, dp, atol=5e-3)
 
 
 class TestParticleSolver:
@@ -160,7 +143,7 @@ class TestFvSolver:
         """nodes = 0, 7, 50: the path keeps those three of the 51 nodes, bit for bit the full path's
         (node 0 is m0 itself), and wraps two densities; every node computed is still checked, as one
         (51, n_x) stack."""
-        full = solve_aggregation_fv(zero_ham, exp_kernel, gauss_m0, 0.05, 1e-3)
+        full = solve_aggregation_fv(zero_ham, exp_kernel, gauss_m0, 0.05, 1e-3, nodes=range(51))
         check, checked, made = aggregation._check_densities, [], []
         monkeypatch.setattr(aggregation, "_check_densities", lambda v, dx: checked.append(v.shape) or check(v, dx))
         init = GridDensity.__post_init__
@@ -171,6 +154,17 @@ class TestFvSolver:
         for m, j in zip(kept.measures, (0, 7, 50)):
             assert np.array_equal(m.values, full.measures[j].values)
 
+    def test_default_builds_one_density(self, zero_ham, gauss_m0, exp_kernel, monkeypatch):
+        """By default the path keeps m0 itself and the density at T, the one GridDensity the solve
+        builds; the 51 nodes computed are checked once, as one stack."""
+        check, checked, made = aggregation._check_densities, [], []
+        monkeypatch.setattr(aggregation, "_check_densities", lambda v, dx: checked.append(v.shape) or check(v, dx))
+        init = GridDensity.__post_init__
+        monkeypatch.setattr(GridDensity, "__post_init__", lambda self: made.append(1) or init(self))
+        path = solve_aggregation_fv(zero_ham, exp_kernel, gauss_m0, 0.05, 1e-3)
+        assert len(made) == 1 and checked == [(51, gauss_m0.n)]
+        assert np.array_equal(path.times, [0.0, 0.05]) and path.measures[0] is gauss_m0
+
     def test_diverging_cell_outflow_raises(self, gauss_m0):
         # repulsion from one full cell: its interface drifts are -+max|b|, with max|b| dt/dx = 0.9,
         # so it would lose 1.8 of its mass in one explicit step
@@ -178,7 +172,7 @@ class TestFvSolver:
         dx, values = gauss_m0.dx, np.zeros(gauss_m0.n)
         values[128] = 1.0 / dx
         m0 = GridDensity(gauss_m0.origin, dx, values)
-        b = limit_drift(QuadraticDriftHamiltonian(), kernel, m0.cell_edges[1:-1], m0)
+        b = -kernels._grid_sum(kernel, m0.cell_edges[1:-1], m0, gradient=True)
         assert b[127] < 0.0 < b[128] and np.max(np.abs(b)) == max(-b[127], b[128])
         dt = 0.9 * dx / np.max(np.abs(b))
         with pytest.raises(CflError, match="outflow"):

@@ -44,16 +44,12 @@ PUBLIC_NAMES = [
     "StabilityError",
     "TrajectoryEnsemble",
     "ZeroKernel",
-    "cs_rhs",
     "diagnostics_bounds",
     "discrete_energy",
     "el_residual",
     "energy_gradient",
-    "eval_coupling",
     "fp_forward",
-    "grad_coupling",
     "hjb_backward",
-    "limit_drift",
     "minimize_energy",
     "moment2",
     "parse_config",

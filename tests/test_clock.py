@@ -2,8 +2,9 @@
 
 solve_aggregation_fv, solve_aggregation_particles and solve_cs march on
 measures._march, and PdeConfig labels its nodes from the same clock, so
-the MFG stack and the limit paths share their node times; bad time inputs
-fail before any step, naming the argument.
+the MFG stack and the limit paths share their node times.  A path keeps
+node 0 and the nodes its caller names, by default node 0 and T; bad
+time inputs and bad node lists fail before any step, naming the argument.
 """
 
 import re
@@ -31,9 +32,9 @@ ATOMS = ParticleEnsemble.equal_weights(np.array([-0.5, 0.1, 0.6]), 1)
 FLOCK = ParticleEnsemble.equal_weights(np.array([[-0.5, 1.0], [0.2, -0.4], [0.7, -0.6]]), 1)
 
 PATHS = {
-    "fv": lambda T, dt: solve_aggregation_fv(HAM, KERNEL, M0_GRID, T, dt),
-    "particles": lambda T, dt: solve_aggregation_particles(HAM, KERNEL, ATOMS, T, dt),
-    "cs": lambda T, dt: solve_cs(FLOCK, CuckerSmaleKernel(1.0, 0.5), T, dt),
+    "fv": lambda T, dt, nodes=None: solve_aggregation_fv(HAM, KERNEL, M0_GRID, T, dt, nodes=nodes),
+    "particles": lambda T, dt, nodes=None: solve_aggregation_particles(HAM, KERNEL, ATOMS, T, dt, nodes),
+    "cs": lambda T, dt, nodes=None: solve_cs(FLOCK, CuckerSmaleKernel(1.0, 0.5), T, dt, nodes),
 }
 ENTRY_POINTS = {**PATHS, "PdeConfig": lambda T, dt: PdeConfig(lam=1.0, T=T, dt=dt)}
 
@@ -42,14 +43,11 @@ ENTRY_POINTS = {**PATHS, "PdeConfig": lambda T, dt: PdeConfig(lam=1.0, T=T, dt=d
 class TestNodesOnTheClock:
     @pytest.mark.parametrize("solver", PATHS)
     def test_path_nodes(self, solver, T, dt):
-        times = PATHS[solver](T, dt).times
+        """By default a path keeps node 0 and node n; named nodes, here every seventh and n, land at j * dt."""
         n = round(T / dt)
-        nodes = np.round(times / dt).astype(int)
-        assert np.array_equal(times, dt * nodes)
-        assert nodes[0] == 0 and nodes[-1] == n
-        # the FV path keeps every node; the particle paths every max(1, n // 512)-th and the last
-        gaps = np.diff(nodes)
-        assert np.all(gaps == 1) if solver == "fv" else np.all((gaps >= 1) & (gaps <= max(1, n // 512)))
+        assert np.array_equal(PATHS[solver](T, dt).times, [0.0, dt * n])
+        nodes = [*range(0, n, 7), n]
+        assert np.array_equal(PATHS[solver](T, dt, nodes).times, dt * np.array(nodes))
 
     def test_pde_config_times(self, T, dt):
         cfg = PdeConfig(lam=1.0, T=T, dt=dt)
@@ -60,7 +58,7 @@ class TestNodesOnTheClock:
 def test_mfg_nodes_are_the_reference_nodes():
     # T / dt = 333.33: 333 steps of dt end at 0.999, and both label node 333 so
     cfg = PdeConfig(lam=1.0, T=1.0, dt=0.003)
-    assert np.array_equal(cfg.times, PATHS["fv"](cfg.T, cfg.dt).times)
+    assert np.array_equal(cfg.times, PATHS["fv"](cfg.T, cfg.dt, range(cfg.n_steps + 1)).times)
     assert cfg.times[-1] == 333 * 0.003
 
 
@@ -84,7 +82,25 @@ def test_bad_time_input_names_argument(entry, T, dt, name):
         ENTRY_POINTS[entry](T, dt)
 
 
-@pytest.mark.parametrize("save_every", [0, -3, float("nan")])
-def test_save_every_below_one_raises(save_every):
-    with pytest.raises(ValueError, match="^save_every"):
-        solve_cs(FLOCK, CuckerSmaleKernel(1.0, 0.5), 1.0, 0.01, save_every=save_every)
+@pytest.mark.parametrize("solver", PATHS)
+def test_default_path_is_zero_and_T(solver):
+    """Called without nodes, every solver keeps exactly the times 0 and T, and at(T) reads the last."""
+    path = PATHS[solver](0.5, 0.01)
+    assert np.array_equal(path.times, [0.0, 0.5]) and path.at(0.5) is path.measures[-1]
+
+
+BAD_NODES = {
+    "non-integer": [0, 2.5, 50],
+    "repeated": [0, 3, 3],
+    "decreasing": [0, 7, 3],
+    "negative": [-1, 3],
+    "past-n": [0, 51],
+}
+
+
+@pytest.mark.parametrize("solver", PATHS)
+@pytest.mark.parametrize("case", BAD_NODES)
+def test_bad_nodes_raise(case, solver):
+    """Nodes are integers increasing strictly within [0, n], n = 50 here; any other list raises before a step."""
+    with pytest.raises(ValueError, match="^nodes must be integers increasing strictly from 0 to n = 50"):
+        PATHS[solver](0.5, 0.01, BAD_NODES[case])

@@ -424,6 +424,16 @@ class TestCli:
         assert json.loads((out / "solution.json").read_text())["step_halving_ratio"] == 4.0
         assert (out / "states.csv").exists()
 
+    def test_solve_cs_snapshots_every_third_node_of_2000_steps(self, tmp_path, capsys):
+        """T = 2 at dt = 1e-3: solve-cs names every (2000 // 512)-th node and the last, 668 snapshots of
+        the default two-atom flock; a run below 1,024 steps names every node."""
+        cfg = self.write(tmp_path, "[model]\nkernel = cucker-smale\nbeta = 0.5\n[solver]\nT = 2.0\ndt = 0.001\n")
+        out = tmp_path / "run"
+        assert main(["solve-cs", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "solution.json").read_text())["n_snapshots"] == 668
+        times = [float(line.split(",")[1]) for line in (out / "states.csv").read_text().splitlines()[1::2]]
+        assert times == (0.001 * np.array([*range(0, 2000, 3), 2000])).tolist()
+
     def test_sweep_accel_exits_3_on_an_unresolved_reference(self, tmp_path, capsys):
         """alpha = 0.01, beta = 2 on the default two-atom flock: the dt cap stops the reference ladder
         above its tolerance, so sweep-accel writes its report with "resolved": false and exits 3."""

@@ -23,6 +23,7 @@ from mfglab import (
     solve_mfg_fixed_point,
 )
 from mfglab import acceleration, convergence, cucker_smale, kernels, mfg_pde
+from mfglab.convergence import _json_text
 from mfglab.measures import GridDensity
 
 
@@ -40,6 +41,11 @@ def small_m0(cfg):
     return GridDensity.gaussian(0.0, 0.5, -cfg.half_width, cfg.dx, cfg.n_x)
 
 
+def column(report, key):
+    """The values of one diagnostic over the report's rows, as floats."""
+    return np.array([row[key] for row in report.rows], dtype=float)
+
+
 class TestConvergenceReport:
     def test_lambdas_strictly_increasing(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -53,7 +59,7 @@ class TestConvergenceReport:
         rep = ConvergenceReport(
             "classic", (5.0,), ({"w1_sup": 0.1, "converged": True},), {"dt": 1e-3}, {"s": 1}, 7
         )
-        doc = json.loads(rep.to_json())
+        doc = json.loads(_json_text(rep.to_doc()))
         assert doc["lambdas"] == [5.0]
         assert doc["rows"][0]["w1_sup"] == 0.1
         lines = rep.to_csv().splitlines()
@@ -63,7 +69,7 @@ class TestConvergenceReport:
     def test_numpy_non_finite_values_are_null(self):
         row = {"ratio": np.float64(np.inf), "trace": np.array([1.5, np.nan]), "n": np.int64(3)}
         rep = ConvergenceReport("acceleration", (5.0,), (row,), {"r": float("-inf")}, {}, 0)
-        doc = json.loads(rep.to_json(), parse_constant=_reject_constant)
+        doc = json.loads(_json_text(rep.to_doc()), parse_constant=_reject_constant)
         assert doc["rows"][0] == {"ratio": None, "trace": [1.5, None], "n": 3}
         assert doc["reference"] == {"r": None}
 
@@ -126,10 +132,10 @@ class TestClassicSweep:
             zero_ham, exp_kernel, small_m0(cfg), [5.0, 20.0, 80.0],
             base_config=cfg, n_cross_particles=100,
         )
-        res_u = rep.column("residual_lam_u")
+        res_u = column(rep, "residual_lam_u")
         assert np.all(np.diff(res_u) < 0)
-        assert np.all(rep.column("converged") == 1.0)
-        assert np.all(rep.column("fixed_point_fallbacks") == 0.0)
+        assert np.all(column(rep, "converged") == 1.0)
+        assert np.all(column(rep, "fixed_point_fallbacks") == 0.0)
 
     def test_sweep_counters_match_spies(self, zero_ham, exp_kernel, monkeypatch):
         """A row's hjb_sweeps counts the HJB sweeps of its solve, the warm start's included, one more than
@@ -162,7 +168,7 @@ class TestClassicSweep:
         assert np.isfinite(rep.reference["cross_validation_w1"])
         assert rep.to_csv().splitlines()[1].startswith("5.0,False,False,")
         # strict JSON: the NaN diagnostics are written as null, not as bare NaN tokens
-        doc = json.loads(rep.to_json(), parse_constant=_reject_constant)
+        doc = json.loads(_json_text(rep.to_doc()), parse_constant=_reject_constant)
         assert doc["rows"][0]["w1_sup"] is None and doc["rows"][0]["error"] == "BoundaryLeakError"
 
     def test_fp_mass_correction_column(self, zero_ham, exp_kernel):
@@ -198,11 +204,11 @@ class TestClassicSweep:
         ref = rep.reference
         assert ref["particle_h"] == 1125 * cfg.dt / 32 and ref["particle_rk4_steps"] == 8 + 16 + 32
         assert ref["particle_resolved"] is True and ref["particle_error_estimate"] <= ref["error_tolerance"]
-        fv = solve_aggregation_fv(zero_ham, exp_kernel, m0, cfg.T, cfg.dt)
+        fv = solve_aggregation_fv(zero_ham, exp_kernel, m0, cfg.T, cfg.dt, nodes=[1125])
         atoms = convergence.sample_grid_to_atoms(m0, 20)
         particles = solve_aggregation_particles(zero_ham, exp_kernel, atoms, 1125 * cfg.dt, ref["particle_h"])
-        assert fv.times[1125] == 1125 * cfg.dt
-        expected = convergence.w1_grid_vs_particles(fv.measures[1125], particles.measures[-1])
+        assert fv.times[1] == 1125 * cfg.dt
+        expected = convergence.w1_grid_vs_particles(fv.measures[1], particles.measures[-1])
         assert ref["cross_validation_w1"] == expected == 0.08495439372273907
 
     def test_references_stop_at_the_window(self, zero_ham, exp_kernel, monkeypatch):
@@ -222,14 +228,14 @@ class TestClassicSweep:
         assert [T for T, _ in calls] == [375 * cfg.dt] * len(calls) and len(calls) >= 4
         nodes = convergence._window_nodes(cfg)
         assert nodes[-1] == 375 and np.array_equal(calls[0][1].times, cfg.times[nodes])
-        fv = solve_aggregation_fv(zero_ham, exp_kernel, m0, cfg.T, cfg.dt)
+        fv = solve_aggregation_fv(zero_ham, exp_kernel, m0, cfg.T, cfg.dt, nodes=range(cfg.n_steps + 1))
         finest = calls[-1][1]
         cross = rep.reference["cross_validation_w1"]
         assert cross == convergence.w1_grid_vs_particles(fv.measures[375], finest.measures[-1])
         particles = solve_aggregation_particles(
-            zero_ham, exp_kernel, convergence.sample_grid_to_atoms(m0, 50), cfg.T, cfg.dt
+            zero_ham, exp_kernel, convergence.sample_grid_to_atoms(m0, 50), cfg.T, cfg.dt, [375]
         )
-        on_the_clock = convergence.w1_grid_vs_particles(fv.measures[375], particles.measures[375])
+        on_the_clock = convergence.w1_grid_vs_particles(fv.measures[375], particles.at(375 * cfg.dt))
         assert abs(cross - on_the_clock) <= convergence.REFERENCE_TOLERANCE
         for lam, row in zip(rep.lambdas, rep.rows):
             full = convergence._classic_row(replace(cfg, lam=lam), zero_ham, exp_kernel, m0, fv, 1.0)
@@ -251,7 +257,7 @@ class TestClassicSweep:
         fresh = run_lambda_sweep_classic(*args, base_config=cfg, n_cross_particles=50)
         assert 1 <= memo_builds <= 2 and len(builds) - memo_builds > 10
         assert [r.pop("wall_clock_s") > 0 for r in kept.rows + fresh.rows] == [True] * 4
-        assert kept.to_json() == fresh.to_json()
+        assert _json_text(kept.to_doc()) == _json_text(fresh.to_doc())
 
     def test_sweep_draws_no_random_number(self, zero_ham, exp_kernel, monkeypatch):
         """The kernel and the drift state their constants, so a sweep makes no random generator."""
@@ -276,7 +282,7 @@ class TestClassicSweep:
         args = (zero_ham, exp_kernel, small_m0(cfg), [10.0])
         r1 = run_lambda_sweep_classic(*args, base_config=cfg, n_cross_particles=50, seed=3)
         r2 = run_lambda_sweep_classic(*args, base_config=cfg, n_cross_particles=50, seed=3)
-        a, b = json.loads(r1.to_json()), json.loads(r2.to_json())
+        a, b = json.loads(_json_text(r1.to_doc())), json.loads(_json_text(r2.to_doc()))
         for rowa, rowb in zip(a["rows"], b["rows"]):
             rowa.pop("wall_clock_s")
             rowb.pop("wall_clock_s")
@@ -389,10 +395,10 @@ class TestAccelerationSweep:
         rep = run_lambda_sweep_acceleration(
             cs_flat, two_body_phase, [10.0, 20.0, 40.0], T=1.0
         )
-        w1 = rep.column("w1_at_half_T")
+        w1 = column(rep, "w1_at_half_T")
         assert np.all(np.diff(w1) < 0)
-        assert np.all(rep.column("energy_bound_ok") == 1.0)
-        assert np.all(rep.column("certified") == 1.0)
+        assert np.all(column(rep, "energy_bound_ok") == 1.0)
+        assert np.all(column(rep, "certified") == 1.0)
         assert 8.0 <= rep.reference["step_halving_ratio"] <= 32.0
 
     def test_uncertified_row_is_flagged(self, two_body_phase):
@@ -445,9 +451,9 @@ class TestAccelerationSweep:
         probes, marches, steps = [], [], []
         probe, solve, rk4 = convergence.richardson_order_ratio, cucker_smale.solve_cs, cucker_smale._rk4
 
-        def recording_probe(m0, kernel, T, dt, save_every=None, finest=None):
-            probes.append((T, dt, save_every))
-            return probe(m0, kernel, T, dt, save_every, finest)
+        def recording_probe(m0, kernel, T, dt, nodes=None, finest=None):
+            probes.append((T, dt, list(nodes)))
+            return probe(m0, kernel, T, dt, nodes, finest)
 
         monkeypatch.setattr(convergence, "richardson_order_ratio", recording_probe)
         march = lambda *a, **k: marches.append((a[2:4], solve(*a, **k))) or marches[-1][1]
@@ -455,7 +461,7 @@ class TestAccelerationSweep:
         monkeypatch.setattr(cucker_smale, "_rk4", lambda rhs, z, dt: steps.append(1) or rk4(rhs, z, dt))
         ref = run_lambda_sweep_acceleration(kernel, m0, [10.0], T=T, n_intervals=64).reference
         horizon = ref["horizon"]
-        assert horizon == 0.75 * T and probes == [(horizon, T / 8, 1)]
+        assert horizon == 0.75 * T and probes == [(horizon, T / 8, [0, 1, 2, 3, 4, 5, 6])]
         assert [clock for clock, _ in marches] == [(horizon, horizon / (6 * 2**j)) for j in range(len(marches))]
         assert all(len(path) == 7 for _, path in marches)
         assert ref["h"] == T / 32 / 2 ** (len(marches) - 3)
@@ -481,7 +487,7 @@ class TestAccelerationSweep:
         assert ladder["h"] == T / 128 and ladder["resolved"] is True
         assert ladder["rk4_steps"] == 6 + 12 + 24 + 48 + 96 == 186
         finest = []
-        ratio = convergence.richardson_order_ratio(m0, kernel, 0.75 * T, T / 32, save_every=4, finest=finest)
+        ratio = convergence.richardson_order_ratio(m0, kernel, 0.75 * T, T / 32, range(0, 25, 4), finest)
         (path, estimate, _), = finest
         assert (ladder["error_estimate"], ladder["step_halving_ratio"]) == (estimate, ratio)
         assert np.array_equal(reference.times, path.times)
@@ -494,7 +500,7 @@ class TestAccelerationSweep:
         kernel, m0, T = CuckerSmaleKernel(1.0, 0.5), ParticleEnsemble.equal_weights(self.THREE_ATOMS, 1), 0.7
         rep = run_lambda_sweep_acceleration(kernel, m0, [10.0, 40.0], T=T, n_intervals=64)
         bound = np.sqrt(2.0) * rep.reference["error_estimate"]
-        dense = solve_cs(m0, kernel, T, 1e-3, save_every=1)
+        dense = solve_cs(m0, kernel, T, 1e-3, range(701))
         for lam, row in zip(rep.lambdas, rep.rows):
             expected = convergence._acceleration_row(lam, m0, kernel, T, 64, dense)
             for key in ("w1_sup", "w1_at_half_T"):
@@ -505,7 +511,7 @@ class TestAccelerationSweep:
         against an RK4 march at T/1024, is at most its error_estimate (measured: 0.98 of it)."""
         kernel, m0, T = CuckerSmaleKernel(1.0, 0.5), ParticleEnsemble.equal_weights(self.THREE_ATOMS, 1), 0.7
         reference, ladder = convergence._kinetic_reference(m0, kernel, T, 1e-3)
-        oracle = solve_cs(m0, kernel, 0.75 * T, T / 1024, save_every=128)
+        oracle = solve_cs(m0, kernel, 0.75 * T, T / 1024, range(0, 769, 128))
         assert np.allclose(oracle.times, reference.times, rtol=0.0, atol=1e-15)
         error = max(np.max(np.abs(a.points - b.points)) for a, b in zip(reference.measures, oracle.measures))
         assert 0.0 < error <= ladder["error_estimate"] <= convergence.REFERENCE_TOLERANCE

@@ -7,14 +7,13 @@ from mfglab import (
     DimensionError,
     ParticleEnsemble,
     TrajectoryEnsemble,
-    cs_rhs,
-    eval_coupling,
-    grad_coupling,
     minimize_energy,
     moment2,
     richardson_order_ratio,
+    run_lambda_sweep_acceleration,
     solve_cs,
 )
+from test_pair_sums import cs_rhs
 
 
 def phase_atoms(xs, vs):
@@ -90,7 +89,7 @@ class TestSolveCs:
 
     def test_mean_velocity_conserved(self, rng):
         m0 = phase_atoms(rng.standard_normal(64), rng.standard_normal(64))
-        path = solve_cs(m0, CuckerSmaleKernel(1.0, 0.5), 5.0, 1e-3, save_every=100)
+        path = solve_cs(m0, CuckerSmaleKernel(1.0, 0.5), 5.0, 1e-3, range(0, 5001, 100))
         vbar0 = float(m0.weights @ m0.velocities[:, 0])
         for m in path.measures:
             assert abs(float(m.weights @ m.velocities[:, 0]) - vbar0) <= 1e-9
@@ -103,14 +102,14 @@ class TestSolveCs:
         w /= w.sum()
         v = rng.standard_normal(192)
         m0 = ParticleEnsemble(np.column_stack([rng.standard_normal(192), v - w @ v]), w, 1)
-        path = solve_cs(m0, CuckerSmaleKernel(0.7, beta), 1.0, 1e-2)
+        path = solve_cs(m0, CuckerSmaleKernel(0.7, beta), 1.0, 1e-2, range(101))
         assert len(path.measures) == 101
         for m in path.measures:
             assert abs(float(w @ m.velocities[:, 0])) <= 1e-15
 
     def test_velocity_moment_dissipates(self, rng):
         m0 = phase_atoms(rng.standard_normal(32), rng.standard_normal(32))
-        path = solve_cs(m0, CuckerSmaleKernel(1.0, 0.5), 5.0, 1e-3, save_every=10)
+        path = solve_cs(m0, CuckerSmaleKernel(1.0, 0.5), 5.0, 1e-3, range(0, 5001, 10))
         m2v = np.array([moment2(m, "velocity") for m in path.measures])
         assert np.all(np.diff(m2v) <= 1e-12)
 
@@ -119,16 +118,16 @@ class TestSolveCs:
         assert 8.0 <= ratio <= 32.0
 
     def test_order_check_saves_its_marches_at_equal_nodes(self, rng):
-        """save_every = 2 on 6 steps of 0.1: the three solve_cs marches meet at t = 0, 0.2, 0.4 and 0.6,
+        """nodes 0, 2, 4 and 6 of 6 steps of 0.1: the three solve_cs marches meet at t = 0, 0.2, 0.4 and 0.6,
         the ratio is max |z_dt - z_dt/2| / max |z_dt/2 - z_dt/4| over those nodes, and finest receives
         the dt/4 march of those nodes with the estimate max |z_dt/4 - z_dt/2| / 15, and the ladder from
         this level on."""
         m0, kernel = phase_atoms(rng.standard_normal(5), rng.standard_normal(5)), CuckerSmaleKernel(1.0, 0.5)
         finest = []
-        ratio = richardson_order_ratio(m0, kernel, 0.6, 0.1, save_every=2, finest=finest)
+        ratio = richardson_order_ratio(m0, kernel, 0.6, 0.1, range(0, 7, 2), finest)
         z1, z2, z4 = (
-            np.stack([m.points for m in solve_cs(m0, kernel, 0.6, dt, save_every=every).measures])
-            for dt, every in ((0.1, 2), (0.05, 4), (0.025, 8))
+            np.stack([m.points for m in solve_cs(m0, kernel, 0.6, dt, range(0, n + 1, n // 3)).measures])
+            for dt, n in ((0.1, 6), (0.05, 12), (0.025, 24))
         )
         assert ratio == np.max(np.abs(z1 - z2)) / np.max(np.abs(z2 - z4))
         (path, estimate, levels), = finest
@@ -146,7 +145,7 @@ class TestSolveCs:
         x, v = rng.standard_normal(24), rng.standard_normal(24)
         m0, kernel = phase_atoms(x, v - v.mean()), CuckerSmaleKernel(1.0, 0.5)
         z1, z2, z4 = (
-            np.stack([m.points for m in solve_cs(m0, kernel, 1.0, 1.0 / n, save_every=n).measures])
+            np.stack([m.points for m in solve_cs(m0, kernel, 1.0, 1.0 / n).measures])
             for n in (125, 250, 500)
         )
         ratio = richardson_order_ratio(m0, kernel, 1.0, 8e-3)
@@ -158,10 +157,10 @@ class TestSolveCs:
         RK4 steps count every march once: 6 + 12 + 24 + 48."""
         m0, kernel = phase_atoms(rng.standard_normal(5), rng.standard_normal(5)), CuckerSmaleKernel(1.0, 0.5)
         fresh = []
-        fresh_ratio = richardson_order_ratio(m0, kernel, 0.6, 0.05, save_every=4, finest=fresh)
+        fresh_ratio = richardson_order_ratio(m0, kernel, 0.6, 0.05, range(0, 13, 4), fresh)
         finest, solve, dts = [], cucker_smale.solve_cs, []
         monkeypatch.setattr(cucker_smale, "solve_cs", lambda *a, **k: dts.append(a[3]) or solve(*a, **k))
-        richardson_order_ratio(m0, kernel, 0.6, 0.1, save_every=2, finest=finest)
+        richardson_order_ratio(m0, kernel, 0.6, 0.1, range(0, 7, 2), finest)
         (_, _, levels), = finest
         next(levels)
         path, estimate, ratio, steps = next(levels)
@@ -223,8 +222,7 @@ ENTRIES = {
     "cs_rhs": cs_rhs,
     "minimize_energy": lambda m, k: minimize_energy(m, k, 10.0, 1.0, 8),
     "free_flight": lambda m, k: TrajectoryEnsemble.free_flight(m, 1.0, 8),
-    "eval_coupling": lambda m, k: eval_coupling(k, 0.0, m, v=0.0),
-    "grad_coupling": lambda m, k: grad_coupling(k, 0.0, m, v=0.0),
+    "run_lambda_sweep_acceleration": lambda m, k: run_lambda_sweep_acceleration(k, m, [10.0], n_intervals=8),
 }
 
 

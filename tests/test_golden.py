@@ -151,8 +151,8 @@ def _cli(args):
 def integrations() -> dict:
     _, morse_atoms, cs_atoms = _inputs()
     ham = QuadraticDriftHamiltonian(DriftField("zero"))
-    path = solve_aggregation_particles(ham, MorseKernel(0.5, 2.0), morse_atoms, 0.5, 0.01)
-    cs = solve_cs(cs_atoms, CuckerSmaleKernel(1.0, 0.5), 0.2, 0.01)
+    path = solve_aggregation_particles(ham, MorseKernel(0.5, 2.0), morse_atoms, 0.5, 0.01, range(51))  # every node
+    cs = solve_cs(cs_atoms, CuckerSmaleKernel(1.0, 0.5), 0.2, 0.01, range(21))
     return {
         "particles_len": len(path),
         "particles_final": path.measures[-1].points[:, 0].tolist(),

@@ -7,21 +7,19 @@ from scipy.integrate import quad
 from mfglab import (
     CrowdRadialKernel,
     CuckerSmaleKernel,
-    DimensionError,
     ExponentialKernel,
     GridDensity,
     MorseKernel,
     ParticleEnsemble,
     RepulsiveAttractiveKernel,
     ZeroKernel,
-    eval_coupling,
-    grad_coupling,
     psd_check,
     solve_aggregation_fv,
     validate_coupling,
 )
 from mfglab import kernels
-from mfglab.kernels import _exp_phi, _exp_transform_inf
+from mfglab.kernels import _dense_pair_sum, _exp_phi, _exp_transform_inf
+from test_measures import uniform_density
 
 ALL_RADIAL = [
     ExponentialKernel(1.0, 1.0),
@@ -44,14 +42,6 @@ class TestEvalKernel:
         """k(x, v) = v^2 / g(x) elementwise on the line; g == 1 at beta = 0."""
         k = CuckerSmaleKernel(1.0, 0.0)
         assert np.array_equal(k.value(np.array([3.7, -1.0]), np.array([2.0, 0.0])), [4.0, 0.0])
-
-    def test_velocity_argument_policing(self):
-        positions = ParticleEnsemble.equal_weights(np.array([[0.5], [-0.5]]), 1)
-        phase = ParticleEnsemble.equal_weights(np.array([[0.5, 1.0], [-0.5, -1.0]]), 1)
-        with pytest.raises(DimensionError):
-            eval_coupling(ExponentialKernel(), 0.0, positions, v=1.0)
-        with pytest.raises(DimensionError):
-            eval_coupling(CuckerSmaleKernel(), 0.0, phase)
 
     @pytest.mark.parametrize("kernel", ALL_RADIAL, ids=lambda k: type(k).__name__)
     def test_evenness(self, kernel, rng):
@@ -108,30 +98,40 @@ class TestEvalKernel:
             CuckerSmaleKernel(0.0, 1.0)
 
 
+def coupling(kernel, x, m, gradient=False):
+    """F(x, m) = (k * m)(x), or D_xF, of a radial kernel at one point x against the atoms of m, by the dense body."""
+    return _dense_pair_sum(kernel, np.array([x], dtype=float), m.positions[:, 0], m.weights, gradient).item()
+
+
+def cs_coupling(kernel, x, v, m):
+    """F(x, v, m) = sum_j w_j k(x - x_j, v - v_j) of the Cucker-Smale kernel at one state, pointwise."""
+    return float(np.sum(m.weights * kernel.value(x - m.points[:, 0], v - m.points[:, 1])))
+
+
 class TestEvalCoupling:
     def test_single_atom_is_kernel(self, exp_kernel, rng):
         y = 0.7
         m = ParticleEnsemble.equal_weights(np.array([[y]]), 1)
         for x in rng.standard_normal(5):
-            assert eval_coupling(exp_kernel, x, m) == pytest.approx(
-                float(exp_kernel.value(x - y))
-            )
+            assert coupling(exp_kernel, x, m) == pytest.approx(float(exp_kernel.value(x - y)))
 
     def test_exponential_dirac_at_origin(self):
         m = ParticleEnsemble.equal_weights(np.array([[0.0]]), 1)
-        assert eval_coupling(ExponentialKernel(2.0, 1.0), 0.0, m) == pytest.approx(2.0)
+        assert coupling(ExponentialKernel(2.0, 1.0), 0.0, m) == pytest.approx(2.0)
 
     def test_cucker_smale_two_atoms(self, cs_flat):
-        m = ParticleEnsemble.equal_weights(np.array([[0.0, 1.0], [0.0, -1.0]]), 1)
-        assert eval_coupling(cs_flat, np.array([0.0]), m, v=np.array([1.0])) == pytest.approx(2.0)
+        """Opposite unit velocities at one point, g = 1: F = 2 at each atom, so the flock's pair
+        energy sum_pq w_p w_q k is 2 too."""
+        x, v = np.zeros((2, 1)), np.array([[1.0], [-1.0]])
+        assert kernels._cs_pair_energy(cs_flat, x, v, np.full(2, 0.5)) == pytest.approx([2.0])
 
     def test_grid_quadrature_matches_particles(self, exp_kernel):
-        m_grid = GridDensity.uniform(-1.0, 1.0, -2.0, 0.001, 4000)
+        m_grid = uniform_density(-1.0, 1.0, -2.0, 0.001, 4000)
         n = 4000
         atoms = np.linspace(-1.0 + 1.0 / n, 1.0 - 1.0 / n, n)[:, None]
         m_part = ParticleEnsemble.equal_weights(atoms, 1)
-        fg = eval_coupling(exp_kernel, 0.3, m_grid)
-        fp = eval_coupling(exp_kernel, np.array([0.3]), m_part)
+        fg = kernels._grid_sum(exp_kernel, np.array([0.3]), m_grid).item()
+        fp = coupling(exp_kernel, 0.3, m_part)
         assert fg == pytest.approx(fp, abs=1e-5)
 
     def test_linearity_in_m(self, exp_kernel, rng):
@@ -141,11 +141,9 @@ class TestEvalCoupling:
         w2 = rng.uniform(0.1, 1.0, 6)
         w2 /= w2.sum()
         theta = 0.3
-        f1 = eval_coupling(exp_kernel, 0.5, ParticleEnsemble(pts, w1, 1))
-        f2 = eval_coupling(exp_kernel, 0.5, ParticleEnsemble(pts, w2, 1))
-        fmix = eval_coupling(
-            exp_kernel, 0.5, ParticleEnsemble(pts, theta * w1 + (1 - theta) * w2, 1)
-        )
+        f1 = coupling(exp_kernel, 0.5, ParticleEnsemble(pts, w1, 1))
+        f2 = coupling(exp_kernel, 0.5, ParticleEnsemble(pts, w2, 1))
+        fmix = coupling(exp_kernel, 0.5, ParticleEnsemble(pts, theta * w1 + (1 - theta) * w2, 1))
         assert fmix == pytest.approx(theta * f1 + (1 - theta) * f2, abs=1e-12)
 
     def test_cs_growth_bound(self, rng):
@@ -156,40 +154,25 @@ class TestEvalCoupling:
         m = ParticleEnsemble.equal_weights(pts, 1)
         for _ in range(20):
             x, v = rng.standard_normal(), rng.standard_normal()
-            F = eval_coupling(k, np.array([x]), m, v=np.array([v]))
+            F = cs_coupling(k, x, v, m)
             assert 0.0 <= F <= k.c0 * (1.0 + v**2 + moment2(m, "velocity"))
-
-    @pytest.mark.parametrize("branch", ["grid", "particles", "cucker-smale"])
-    def test_multi_point_query_raises(self, branch, gauss_m0):
-        """The couplings take one query point: two raise DimensionError on every measure branch."""
-        kernel, m, v = {
-            "grid": (ExponentialKernel(), gauss_m0, None),
-            "particles": (ExponentialKernel(), ParticleEnsemble.equal_weights(np.array([0.5, -0.5]), 1), None),
-            "cucker-smale": (CuckerSmaleKernel(), ParticleEnsemble.equal_weights(np.eye(2), 1), 0.0),
-        }[branch]
-        for call in (eval_coupling, grad_coupling):
-            with pytest.raises(DimensionError, match="one query point"):
-                call(kernel, np.array([0.1, 0.2]), m, v)
-            if v is not None:
-                with pytest.raises(DimensionError, match="one query point"):
-                    call(kernel, 0.1, m, np.array([0.0, 1.0]))
 
 
 class TestGradCoupling:
     def test_self_query_is_zero(self, rng):
+        """A lone atom feels no force from itself, on the self body its kernel chooses (Dk(0) = 0)."""
         for kernel in ALL_RADIAL:
             x = float(rng.standard_normal())
-            m = ParticleEnsemble.equal_weights(np.array([[x]]), 1)
-            assert grad_coupling(kernel, np.array([x]), m) == 0.0
+            assert kernels._self_pair_sum(kernel, np.ones(1), gradient=True)(np.array([x])).item() == 0.0
 
     def test_cs_dvf_two_atoms(self, cs_flat):
-        m = ParticleEnsemble.equal_weights(np.array([[0.0, 1.0], [0.0, -1.0]]), 1)
-        _, dvf = grad_coupling(cs_flat, np.array([0.0]), m, v=np.array([1.0]))
-        assert dvf == pytest.approx(2.0)
+        """D_vF at the atom (0, 1) of the flock (0, 1), (0, -1): w 2 (1 - (-1)) / g = 2, from the pair pass."""
+        _, _, dvf = kernels._cs_pair_pass(cs_flat, np.zeros(2), np.array([1.0, -1.0]), np.full(2, 0.5))
+        assert dvf[0] == pytest.approx(2.0)
 
     def test_exponential_dirac_derivative(self):
         m = ParticleEnsemble.equal_weights(np.array([[0.0]]), 1)
-        g = grad_coupling(ExponentialKernel(1.0, 1.0), np.array([1.0]), m)
+        g = coupling(ExponentialKernel(1.0, 1.0), 1.0, m, gradient=True)
         assert g == pytest.approx(-np.exp(-1.0), abs=1e-12)
 
     @pytest.mark.parametrize("kernel", ALL_RADIAL, ids=lambda k: type(k).__name__)
@@ -201,11 +184,8 @@ class TestGradCoupling:
             x = rng.uniform(-3, 3)
             if np.min(np.abs(x - pts)) < 10 * h:  # stay away from kinks
                 continue
-            g = grad_coupling(kernel, np.array([x]), m)
-            fd = (
-                eval_coupling(kernel, np.array([x + h]), m)
-                - eval_coupling(kernel, np.array([x - h]), m)
-            ) / (2 * h)
+            g = coupling(kernel, x, m, gradient=True)
+            fd = (coupling(kernel, x + h, m) - coupling(kernel, x - h, m)) / (2 * h)
             assert g == pytest.approx(fd, abs=1e-6 * max(1.0, abs(fd)))
 
     def test_cs_weighted_dvf_sums_to_zero(self, rng):
@@ -213,22 +193,18 @@ class TestGradCoupling:
         pts = rng.standard_normal((8, 2))
         w = rng.uniform(0.1, 1.0, 8)
         w /= w.sum()
-        m = ParticleEnsemble(pts, w, 1)
-        total = 0.0
-        for i in range(8):
-            _, dvf = grad_coupling(k, pts[i, :1], m, v=pts[i, 1:])
-            total += w[i] * dvf
-        assert abs(total) < 1e-12
+        _, _, dvf = kernels._cs_pair_pass(k, pts[:, 0], pts[:, 1], w)
+        assert abs(float(w @ dvf)) < 1e-12
 
     def test_cs_gradient_bounds(self, rng):
+        """|D_xF| <= c0 F and |D_vF| <= c0 sqrt(F) at every atom of a flock, the gradients from its pair pass."""
         k = CuckerSmaleKernel(1.2, 0.9)
-        m = ParticleEnsemble.equal_weights(rng.standard_normal((6, 2)), 1)
-        for _ in range(20):
-            x, v = rng.standard_normal(1), rng.standard_normal(1)
-            F = eval_coupling(k, x, m, v=v)
-            gx, gv = grad_coupling(k, x, m, v=v)
-            assert abs(gx) <= k.c0 * F + 1e-12
-            assert abs(gv) <= k.c0 * np.sqrt(F) + 1e-12
+        m = ParticleEnsemble.equal_weights(rng.standard_normal((20, 2)), 1)
+        _, gx, gv = kernels._cs_pair_pass(k, m.points[:, 0], m.points[:, 1], m.weights)
+        for (x, v), dxf, dvf in zip(m.points, gx, gv):
+            F = cs_coupling(k, x, v, m)
+            assert abs(dxf) <= k.c0 * F + 1e-12
+            assert abs(dvf) <= k.c0 * np.sqrt(F) + 1e-12
 
 
 #: every radial kernel a config builds, and a few more parameters: stated constants against the oracle
@@ -287,7 +263,7 @@ class TestStatedConstants:
         kernel, m = ExponentialKernel(1.0, 1.0), ParticleEnsemble.equal_weights(np.array([0.0]), 1)
         lip = validate_coupling(kernel).lipschitz_constant
         for h in (1e-2, 1e-4, 1e-6):
-            ratio = abs(eval_coupling(kernel, h, m) - eval_coupling(kernel, 0.0, m)) / h
+            ratio = abs(coupling(kernel, h, m) - coupling(kernel, 0.0, m)) / h
             assert ratio <= lip
             assert ratio == pytest.approx(lip, abs=h)
 
@@ -296,7 +272,7 @@ class TestStatedConstants:
         approaches the stated 2 a."""
         kernel, m = RepulsiveAttractiveKernel(1.0), ParticleEnsemble.equal_weights(np.array([0.0]), 1)
         x, h = 1e-3, 1e-4
-        f = [eval_coupling(kernel, q, m) for q in (x - h, x, x + h)]
+        f = [coupling(kernel, q, m) for q in (x - h, x, x + h)]
         ratio = (f[0] + f[2] - 2 * f[1]) / h**2
         assert validate_coupling(kernel).semiconcavity_constant == 2.0
         assert 1.99 < ratio <= 2.0

@@ -26,6 +26,12 @@ from mfglab.errors import ParameterError
 from mfglab.measures import EXACT_W1_SIZE_CAP, _anderson, _exp_trapezoid_weights
 
 
+def uniform_density(lo: float, hi: float, origin: float, dx: float, n: int) -> GridDensity:
+    """The uniform density on [lo, hi) over the n cells of width dx from origin, each cell by its centre."""
+    x = origin + (np.arange(n) + 0.5) * dx
+    return GridDensity.from_unnormalized(origin, dx, ((x >= lo) & (x < hi)).astype(float))
+
+
 def _w1_exact_lp(a: ParticleEnsemble, b: ParticleEnsemble) -> float:
     """Oracle: W1 as the transport LP over all N_a * N_b couplings, any sizes and weights."""
     diff = a.points[:, None, :] - b.points[None, :, :]
@@ -178,11 +184,17 @@ class TestMeasurePath:
         with pytest.raises(ValueError, match="mixed"):
             MeasurePath(np.array([0.0, 1.0]), [m, e])
 
-    def test_at_picks_nearest_node(self):
+    def test_at_off_node_raises(self):
+        """at(t) reads the kept node within 1e-9 max(1, |t|) of t; any other t raises, naming t and the
+        nearest kept time."""
         m = GridDensity.gaussian(0.0, 0.5, -4.0, 0.05, 160)
         e = GridDensity.gaussian(1.0, 0.5, -4.0, 0.05, 160)
         path = MeasurePath(np.array([0.0, 1.0]), [m, e])
-        assert path.at(0.9) is e
+        assert path.at(1.0 + 1e-10) is e and path.at(-1e-10) is m
+        for t, nearest in ((0.9, "1.0"), (1.0 + 1e-8, "1.0"), (0.3, "0.0"), (float("nan"), "0.0")):
+            message = f"^t = {t} is not a kept node of this path; the nearest kept time is {nearest}$"
+            with pytest.raises(ValueError, match=message):
+                path.at(t)
 
 
 def _caller_arrays():
@@ -228,7 +240,7 @@ class TestMoment2:
     def test_uniform_grid_second_moment(self):
         dx = 2.0**-10
         n = int(2.0 / dx)
-        m = GridDensity.uniform(-1.0, 1.0, -1.0, dx, n)
+        m = uniform_density(-1.0, 1.0, -1.0, dx, n)
         assert moment2(m) == pytest.approx(1.0 / 3.0, abs=1e-5)
 
     def test_velocity_selector_needs_phase_space(self):
@@ -237,7 +249,7 @@ class TestMoment2:
             moment2(e, "velocity")
 
     def test_unknown_selector_raises_on_both_representations(self):
-        grid = GridDensity.uniform(-1.0, 1.0, -1.0, 0.25, 8)
+        grid = uniform_density(-1.0, 1.0, -1.0, 0.25, 8)
         atoms = ParticleEnsemble.equal_weights(np.zeros((2, 2)), 1)
         for m in (grid, atoms):
             with pytest.raises(ValueError, match="unknown selector 'bogus'"):
@@ -268,15 +280,15 @@ class TestWasserstein1Grid:
 
     def test_uniform_stretch(self):
         dx = 0.005
-        a = GridDensity.uniform(0.0, 1.0, -0.5, dx, 600)
-        b = GridDensity.uniform(0.0, 2.0, -0.5, dx, 600)
+        a = uniform_density(0.0, 1.0, -0.5, dx, 600)
+        b = uniform_density(0.0, 2.0, -0.5, dx, 600)
         # quantile-map oracle: int_0^1 |q - 2q| dq = 1/2
         assert wasserstein1_1d(a, b) == pytest.approx(0.5, abs=dx)
 
     @pytest.mark.parametrize("origin, dx, n", [(-1.5, 0.01, 300), (-1.0, 0.015, 300), (-1.0, 0.01, 301)])
     def test_mismatched_grids_refused(self, origin, dx, n):
-        a = GridDensity.uniform(0.0, 1.0, -1.0, 0.01, 300)
-        b = GridDensity.uniform(0.0, 1.0, origin, dx, n)
+        a = uniform_density(0.0, 1.0, -1.0, 0.01, 300)
+        b = uniform_density(0.0, 1.0, origin, dx, n)
         with pytest.raises(GridError, match=f"origin {origin}, dx {dx}, n {n}"):
             wasserstein1_1d(a, b)
         with pytest.raises(GridError, match="origin -1.0, dx 0.01, n 300"):

@@ -5,15 +5,15 @@ Every particle-side k*m and Dk*m of query points goes through
 ``kernels._self_pair_sum``, sorted or dense by kernel), the Cucker-Smale
 alignment acceleration through ``kernels._cs_alignment``
 (the block-upper staircase of one weight matrix) and the other Cucker-Smale pair sums
-through ``kernels._cs_pair_sums`` (each pair once, on pair differences,
+through ``kernels._cs_pair_pass`` (each pair once, on pair differences,
 in chunks of time nodes).  The loops below recompute each sum one
 atom pair at a time from the radial profile phi (or from g for
 Cucker-Smale) and bound the difference by 1e-13 times the sum of the
 absolute terms.  Radial pair sums act on the
 line, (nq,) queries against (N,) atoms: the ``d = 1`` cases match the
-loops, and query points with ``d = 2`` coordinates must raise
-DimensionError (atoms cannot be built off the line; test_measures checks
-that).  ``d_vector_dense_pair_sum`` keeps the dense body the radial sums
+loops, and points with ``d = 2`` coordinates are (x, v) atoms, which the
+particle solver refuses under every radial kernel (atoms cannot be built
+off the line; test_measures checks that).  ``d_vector_dense_pair_sum`` keeps the dense body the radial sums
 had while they took d-vectors, as the oracle of the dense body that
 replaced it and of the golden values recorded with it;
 ``dense_cs_pair_sum`` keeps the Cucker-Smale pair sum over whole
@@ -47,10 +47,6 @@ from mfglab import (
     QuadraticDriftHamiltonian,
     RepulsiveAttractiveKernel,
     ZeroKernel,
-    cs_rhs,
-    eval_coupling,
-    grad_coupling,
-    limit_drift,
     richardson_order_ratio,
     solve_aggregation_particles,
     solve_cs,
@@ -93,74 +89,64 @@ def oracle(kernel, x, m):
     return f, f_scale, g, g_scale
 
 
-OFF_THE_LINE = r"takes points on the line, a scalar, \(n,\) or \(n, 1\), not \(\d+, 2\)"
+def dense_sums(kernel, xq, m):
+    """k*m and Dk*m at the queries xq (nq,) through the dense body, as the particle side sums them."""
+    pos, w = m.positions[:, 0], m.weights
+    return (kernels._dense_pair_sum(kernel, xq, pos, w, False), kernels._dense_pair_sum(kernel, xq, pos, w, True))
+
+
+def assert_off_the_line_refused(kernel):
+    """Two coordinates per point make (x, v) atoms, which no radial sum takes: the particle solver refuses them."""
+    m = ParticleEnsemble.equal_weights(np.random.default_rng(3).uniform(-2.0, 2.0, (30, 2)), 1)
+    with pytest.raises(DimensionError, match="position-space ensemble expected"):
+        solve_aggregation_particles(QuadraticDriftHamiltonian(DriftField("zero")), kernel, m, 1.0, 0.1)
 
 
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("name", list(RADIAL))
 def test_eval_and_grad_coupling_match_loop(name, d):
-    """d is the number of coordinates of a query point."""
+    """F = k*m and D_xF = Dk*m at query points against the loop; d is the number of coordinates of a point."""
     kernel, m = RADIAL[name], ensemble()
     if d == 2:
-        for call in (eval_coupling, grad_coupling):
-            with pytest.raises(DimensionError, match=OFF_THE_LINE):
-                call(kernel, np.array([[0.3, -0.4]]), m)
+        assert_off_the_line_refused(kernel)
         return
-    for x in queries(m):
+    xq = queries(m)
+    for x, f_got, g_got in zip(xq, *dense_sums(kernel, xq, m)):
         f, f_scale, g, g_scale = oracle(kernel, x, m)
-        assert abs(eval_coupling(kernel, x, m) - f) <= TOL * f_scale
-        assert abs(grad_coupling(kernel, x, m) - g) <= TOL * g_scale
+        assert abs(f_got - f) <= TOL * f_scale
+        assert abs(g_got - g) <= TOL * g_scale
 
 
 @pytest.mark.parametrize("name", list(RADIAL))
 def test_eval_coupling_scalar_query_1d(name):
+    """One query, a (1,) array: its lone row sums as the loop does."""
     kernel, m = RADIAL[name], ensemble()
     f, f_scale, _, _ = oracle(kernel, 0.7, m)
-    assert abs(eval_coupling(kernel, 0.7, m) - f) <= TOL * f_scale
+    assert abs(dense_sums(kernel, np.array([0.7]), m)[0].item() - f) <= TOL * f_scale
 
 
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("name", list(RADIAL))
 def test_limit_drift_matches_loop(name, d):
-    """d is the number of coordinates of a query point."""
+    """The drift of the limit equation at the atoms, b = v - Dk*m with the self sum the particle solver
+    takes (``_self_pair_sum``), against the loop; d is the number of coordinates of an atom."""
     kernel, m = RADIAL[name], ensemble()
-    ham = QuadraticDriftHamiltonian(DriftField("sinusoidal", 0.5, 2.0))
-    xq = queries(m)
     if d == 2:
-        with pytest.raises(DimensionError, match=OFF_THE_LINE):
-            limit_drift(ham, kernel, np.column_stack([xq, xq]), m)
+        assert_off_the_line_refused(kernel)
         return
-    got = limit_drift(ham, kernel, xq, m)
-    assert got.shape == xq.shape
-    for x, row in zip(xq, got):
+    ham = QuadraticDriftHamiltonian(DriftField("sinusoidal", 0.5, 2.0))
+    pos = m.positions[:, 0]
+    got = ham.drift(pos) - kernels._self_pair_sum(kernel, m.weights, gradient=True)(pos)
+    assert got.shape == pos.shape
+    for x, row in zip(pos, got):
         _, _, g, g_scale = oracle(kernel, x, m)
         assert abs(row - (ham.drift(x) - g)) <= TOL * g_scale
 
 
 def test_points_off_the_line_raise():
     """Two coordinates per point never reach a radial sum: on the line they make (x, v)
-    atoms, which the particle solver rejects, and limit_drift rejects them as query points."""
-    kernel = RADIAL["morse"]
-    m = ParticleEnsemble.equal_weights(np.random.default_rng(3).uniform(-2.0, 2.0, (30, 2)), 1)
-    ham = QuadraticDriftHamiltonian(DriftField("zero"))
-    with pytest.raises(DimensionError, match="position-space ensemble expected"):
-        solve_aggregation_particles(ham, kernel, m, 1.0, 0.1)
-    with pytest.raises(DimensionError, match=OFF_THE_LINE):
-        limit_drift(ham, kernel, m.points, m)
-
-
-@pytest.mark.parametrize("name", ["exponential", "morse"])
-def test_unsupported_measure_raises(name):
-    """A radial query against anything but a grid density or an ensemble raises one TypeError."""
-    kernel, ham = RADIAL[name], QuadraticDriftHamiltonian(DriftField("zero"))
-    calls = (
-        lambda m: eval_coupling(kernel, 0.5, m),
-        lambda m: grad_coupling(kernel, 0.5, m),
-        lambda m: limit_drift(ham, kernel, np.zeros(3), m),
-    )
-    for call in calls:
-        with pytest.raises(TypeError, match="unsupported measure type <class 'list'>"):
-            call([0.0, 1.0])
+    atoms, which the particle solver rejects."""
+    assert_off_the_line_refused(RADIAL["morse"])
 
 
 def flock(n, seed=5, shift=0.0):
@@ -182,6 +168,11 @@ def cs_loop(kernel, m):
             acc[i] += term
             scale[i] += abs(term)
     return acc, scale
+
+
+def cs_rhs(m, kernel):
+    """The alignment accelerations the RK4 right-hand side of solve_cs gives at the flock m's states."""
+    return cucker_smale._phase_rhs(m, kernel)(m.points)[:, 1]
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.5])
@@ -342,24 +333,23 @@ def test_one_block_is_the_full_matrix(beta, n):
 @pytest.mark.parametrize("draw", [1, 2])
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.5])
 def test_cs_coupling_matches_old_sums(beta, draw):
-    """The single-query Cucker-Smale coupling goes through kernels._cs_pair_sums; it stays
-    within 1e-15 of the np.sum over the pointwise k, D_x k and D_v k it replaced,
-    relative to the sum of the absolute terms (for the value, the value itself),
-    on two random ensembles on the line."""
+    """The coupling F(x_p, v_p, m) of a flock at its own atoms, through the flock's pair pass
+    (kernels._cs_pair_pass, each pair once): sum_p w_p F and the gradients D_x F and D_v F at
+    every atom stay within 1e-15 of the np.sum over the pointwise k, D_x k and D_v k, relative
+    to the sum of the absolute terms, on two random ensembles on the line."""
     kernel = CuckerSmaleKernel(0.7, beta)
     rng = np.random.default_rng(8 + draw)
     w = rng.uniform(0.2, 1.0, 24)
     m = ParticleEnsemble(rng.standard_normal((24, 2)), w / w.sum(), 1)
     pos, vel = m.points.T
-    for x, v in rng.standard_normal((5, 2)):
-        dx, dv = x - pos, v - vel
-        g = (kernel.alpha + dx**2) ** beta
-        coef = -(dv**2) * 2.0 * beta * (kernel.alpha + dx**2) ** (-beta - 1.0)
-        terms = (m.weights * (dv**2 / g), m.weights * (coef * dx), m.weights * (2.0 * dv / g))
-        got = (eval_coupling(kernel, x, m, v), *grad_coupling(kernel, x, m, v))
-        for new, old in zip(got, terms):
-            assert type(new) is float
-            assert abs(new - np.sum(old)) <= 1e-15 * np.sum(np.abs(old))
+    energy, gx, gv = kernels._cs_pair_pass(kernel, pos, vel, m.weights)
+    dx, dv = pos[:, None] - pos, vel[:, None] - vel
+    g = (kernel.alpha + dx**2) ** beta
+    coef = -(dv**2) * 2.0 * beta * (kernel.alpha + dx**2) ** (-beta - 1.0)
+    terms = (m.weights[:, None] * m.weights * (dv**2 / g), m.weights * (coef * dx), m.weights * (2.0 * dv / g))
+    for new, old in zip((energy, gx, gv), terms):
+        old = old.reshape(-1) if new.ndim == 0 else old
+        assert np.all(np.abs(new - np.sum(old, axis=-1)) <= 1e-15 * np.sum(np.abs(old), axis=-1))
 
 
 def node_states(n, nodes, seed, shift=0.0):
@@ -564,18 +554,26 @@ def test_dense_matches_d_vector_oracle(name, case):
 
 
 @pytest.mark.parametrize("name", ["exponential", "morse"])
-def test_sorted_path_through_public_functions(name):
-    """80 queries against 96 atoms under an exponential-sum kernel, whose self sum of that flock is
-    sorted: limit_drift, eval_coupling and grad_coupling sum on the dense body and match the loop."""
+def test_sorted_path_through_public_functions(name, monkeypatch):
+    """96 atoms under an exponential-sum kernel: solve_aggregation_particles takes the sorted self sum of
+    that flock, and the drift it integrates matches the loop at every atom; 80 queries against the same
+    atoms sum on the dense body and match the loop too."""
     kernel, m = RADIAL[name], ensemble(96)
     ham = QuadraticDriftHamiltonian(DriftField("sinusoidal", 0.5, 2.0))
+    bodies, sorted_sum = [], kernels._sorted_self_sum
+    monkeypatch.setattr(kernels, "_sorted_self_sum", lambda *a: bodies.append(a[2]) or sorted_sum(*a))
+    solve_aggregation_particles(ham, kernel, m, 0.01, 0.01)
+    assert bodies == [True]
+    pos = m.positions[:, 0]
+    drift = ham.drift(pos) - sorted_sum(kernel._exp_terms, m.weights, True)(pos)
     xq = np.append(np.random.default_rng(99).uniform(-3.0, 3.0, 79), m.positions[4])
-    drift = limit_drift(ham, kernel, xq, m)
-    for x, row in zip(xq, drift):
-        f, f_scale, g, g_scale = oracle(kernel, x, m)
-        assert abs(eval_coupling(kernel, x, m) - f) <= TOL * f_scale
-        assert abs(grad_coupling(kernel, x, m) - g) <= TOL * g_scale
+    for x, row in zip(pos, drift):
+        _, _, g, g_scale = oracle(kernel, x, m)
         assert abs(row - (ham.drift(x) - g)) <= TOL * g_scale
+    for x, f_got, g_got in zip(xq, *dense_sums(kernel, xq, m)):
+        f, f_scale, g, g_scale = oracle(kernel, x, m)
+        assert abs(f_got - f) <= TOL * f_scale
+        assert abs(g_got - g) <= TOL * g_scale
 
 
 def test_dense_gradient_at_subnormal_offset_1d():
@@ -589,8 +587,7 @@ def test_dense_gradient_at_subnormal_offset_1d():
 
 def test_path_selection(monkeypatch):
     """The kernel chooses the self body: sorted under a sum of exponentials (zero, exponential,
-    Morse) at any number of atoms, dense under the repulsive-attractive and crowd kernels; query
-    sums are dense at any size."""
+    Morse) at any number of atoms, dense under the repulsive-attractive and crowd kernels."""
     calls = []
     dense = kernels._dense_pair_sum
     monkeypatch.setattr(kernels, "_dense_pair_sum", lambda *args: calls.append(args[0]) or dense(*args))
@@ -599,12 +596,11 @@ def test_path_selection(monkeypatch):
         for name in ("zero", "exponential", "morse"):
             kernels._self_pair_sum(RADIAL[name], w)(np.linspace(0.0, 1.0, n))
     assert calls == []
-    morse, ra, crowd = RADIAL["morse"], RADIAL["repulsive_attractive"], RADIAL["crowd"]
+    ra, crowd = RADIAL["repulsive_attractive"], RADIAL["crowd"]
     w = np.full(2, 0.5)
     kernels._self_pair_sum(ra, w)(np.zeros(2))
     kernels._self_pair_sum(crowd, w)(np.zeros(2))
-    kernels._measure_sum(morse, np.zeros(2), ParticleEnsemble(np.linspace(0.0, 1.0, 2), w, 1), False)
-    assert calls == [ra, crowd, morse]
+    assert calls == [ra, crowd]
 
 
 @pytest.mark.parametrize("name", ["exponential", "morse"])
@@ -753,7 +749,7 @@ def test_solve_cs_bit_identical_to_subtraction_oracle(beta, monkeypatch):
     runs = []
     for alignment in (kernels._cs_alignment, subtract_cs_alignment):
         monkeypatch.setattr(cucker_smale, "_cs_alignment", alignment)
-        path = solve_cs(m0, kernel, 0.5, 0.01)
+        path = solve_cs(m0, kernel, 0.5, 0.01, range(51))
         runs.append((path, richardson_order_ratio(m0, kernel, 0.08, 0.02)))
     (new, new_ratio), (old, old_ratio) = runs
     assert len(new.times) == 51
