@@ -26,7 +26,9 @@ Scheme
 * the FP drift stack is fixed before its sweep, so its two upwind signs
   max(b, 0) and min(b, 0) are split once per 64-step block, not per step;
 * F = k*m for a whole HJB sweep is one product of the (n_steps+1, n_x)
-  density stack with the matrix dx * k(x_i - x_j);
+  density stack with the matrix dx * k(x_i - x_j); each step integrates
+  it against the discount by the product trapezoid on its two nodes
+  (``measures._exp_trapezoid_weights``, the acceleration side's rule);
 * the density path is one (n_steps+1, n_x) stack throughout: fp_forward
   returns one, checked once as a whole, hjb_backward takes one, and
   MfgSolution.m_path is the best one, read-only;
@@ -45,7 +47,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from .errors import BoundaryLeakError, CflError, GridError, ParameterError, StabilityError
 from .hamiltonians import QuadraticDriftHamiltonian
 from .kernels import CuckerSmaleKernel, _grid_sum
-from .measures import GridDensity, _anderson, _check_densities, _finite, _n_steps, _on_grid
+from .measures import GridDensity, _anderson, _check_densities, _exp_trapezoid_weights, _finite, _n_steps, _on_grid
 
 BOUNDARY_MASS_TOL = 1e-7
 #: the fixed point stops once its residual, max W1(m, g) over every node, is at most this
@@ -174,15 +176,22 @@ def hjb_backward(
     diffuse = _DiffusionSolver(cfg.n_x, dx, dt, nu)
     decay = np.exp(-lam * dt)
     source_gain = (1.0 - decay) / lam
+    u = np.zeros((cfg.n_steps + 1, cfg.n_x))
 
+    # the source of step j, int_0^dt e^(-lam s) F(t_j + s) ds on F linear between the nodes, is the product
+    # trapezoid w_start F_j + w_end F_(j+1), combined once into row j + 1 of F_nodes; u's rows but the last,
+    # each written before it is read, hold w_start F_j meanwhile
     F_nodes = coupling_on_grid(kernel, m_path, x)
+    w_start, w_end = _exp_trapezoid_weights(np.array([0.0, dt]), lam)
+    np.multiply(F_nodes[:-1], w_start, out=u[:-1])
+    F_nodes[1:] *= w_end
+    F_nodes[1:] += u[:-1]
 
     # lam^-1 H(lam Du, x) = (lam/2)|Du|^2 - v(x).Du: Godunov on the quadratic part, max(p_minus, -p_plus, 0)^2
     # squared once (rounded squares are monotone on x >= 0); upwind on the drift part, whose advection
     # speed -v splits once into its two signs, skipped when v = 0 (it would add +0.0)
     a_plus, a_minus = np.maximum(-v, 0.0), np.minimum(-v, 0.0)
     drift = np.any(v)
-    u = np.zeros((cfg.n_steps + 1, cfg.n_x))
     grad = np.zeros(cfg.n_x + 1)  # one-sided differences between zero Neumann ghosts (no slope at the walls)
     p_minus, p_plus, inner = grad[:-1], grad[1:], grad[1:-1]
     ham_term, drift_term, work = np.empty(cfg.n_x), np.empty(cfg.n_x), np.empty(cfg.n_x)
@@ -197,8 +206,8 @@ def hjb_backward(
                 np.multiply(a_plus, p_minus, out=drift_term)
                 drift_term += np.multiply(a_minus, p_plus, out=work)
                 ham_term += drift_term
+            ham_term *= source_gain
             rhs = np.subtract(F_nodes[j + 1], ham_term, out=ham_term)
-            rhs *= source_gain
             u_new = np.multiply(un, decay, out=u[j])
             u_new += rhs
             diffuse(u_new)

@@ -22,7 +22,7 @@ from mfglab import (
 from mfglab import kernels, mfg_pde
 from mfglab.errors import StabilityError
 from mfglab.kernels import CrowdRadialKernel
-from mfglab.measures import _check_densities, moment2, wasserstein1_1d
+from mfglab.measures import _check_densities, _exp_trapezoid_weights, moment2, wasserstein1_1d
 from mfglab.mfg_pde import _check_cfl, _w1_sup, coupling_on_grid
 
 
@@ -138,67 +138,67 @@ class TestGridCoupling:
 
 
 # Golden fixed point: lam=20, n_x=64, dt=4e-3, sinusoidal drift, exponential
-# kernel, m0 = N(0.25, 0.5^2).  Recorded with the Anderson-accelerated loop
-# and its every-node residual.
+# kernel, m0 = N(0.25, 0.5^2).  Recorded with the Anderson-accelerated loop,
+# its every-node residual and the product-trapezoid source of the HJB step.
 GOLDEN_HISTORY = [
-    0.13011254286031682, 0.019986273036870287, 0.0002860334031539303, 2.697851736453174e-05,
-    3.613073828316517e-07,
+    0.1296365238086909, 0.019792696196104683, 0.00028640847821032847,
+    2.683438109958038e-05, 3.659565206017826e-07,
 ]
 # u_path[::50, 3::8] and m_path[::50, 3::8]
 GOLDEN_U = [
-    [0.00022333893931073809, 0.0009940671075194553, 0.004299849815012751, 0.01858701091875232,
-     0.03053637067081396, 0.008608427473682208, 0.001992351544021108, 0.0004508847848564621],
-    [0.00024495444806780305, 0.0010901975179006334, 0.004711952216224719, 0.01891212969843536,
-     0.028368489506372267, 0.009771320143796914, 0.002279752891757834, 0.0005160005380849744],
-    [0.0002726197816991217, 0.0012132364202133946, 0.005226279626105793, 0.018760725559553288,
-     0.026312693473271153, 0.010975218012038018, 0.0026256408801833575, 0.0005944036085481242],
-    [0.0003063869996667413, 0.0013634604408332368, 0.0058150187663969675, 0.018312468206662,
-     0.024453090051153578, 0.012068560311092097, 0.0030258609468657364, 0.0006852381646800797],
-    [0.00033839876733044686, 0.0015071735603280495, 0.006319042795913663, 0.01742144444328966,
-     0.022427983753356306, 0.012750037728524502, 0.003399633736958629, 0.0007693511329669888],
+    [0.00022315431233453677, 0.000993245900813706, 0.004296312393684276, 0.018580954971771,
+     0.03055738429597246, 0.008597652972708267, 0.001989798353031496, 0.00045030654009724756],
+    [0.0002447267325123972, 0.0010891846365973642, 0.00470764105125993, 0.01891215860920583,
+     0.028387853993827785, 0.009760188230941389, 0.002276819628554586, 0.0005153360356182166],
+    [0.0002723490291989212, 0.001212032220016276, 0.005221395754968381, 0.018764284217132866,
+     0.026328844185817005, 0.010965311170297932, 0.002622351793290332, 0.0005936576928748825],
+    [0.0003060745628952264, 0.001362071307145519, 0.005809944061212073, 0.01831758389905635,
+     0.02446640487565253, 0.012060778622609567, 0.0030222745601684474, 0.0006844218321641156],
+    [0.0003380602092082385, 0.0015056682147862196, 0.006314334099033726, 0.017426944179912855,
+     0.022438693977873955, 0.012744572915268947, 0.003395952788837874, 0.0007685074672457909],
     [0.0] * 8,
 ]
 GOLDEN_M = [
     [5.293677194341061e-28, 2.215342274440398e-15, 1.1441260612871128e-06, 0.07292166635238427,
      0.5735733351328288, 0.0005567637931967242, 6.669644400845562e-11, 9.860161701477889e-22],
-    [1.051225755203506e-17, 3.439438398495421e-10, 0.0002226121234543042, 0.16221038593754303,
-     0.4934990694114147, 0.010825259760346794, 1.7874966951722825e-07, 2.355176703211015e-14],
-    [3.6598989063276094e-14, 6.490588729588671e-08, 0.0023818409803822043, 0.20409387591664227,
-     0.4180020543484971, 0.04039977743255023, 8.944163823890295e-06, 1.6442875930348804e-11],
-    [6.385779004419281e-12, 1.6681851625137339e-06, 0.00921628808105948, 0.21565654418925442,
-     0.3594719297099282, 0.08000042275737976, 0.00010278121312433143, 1.1307449704174979e-09],
-    [2.4502117473776385e-10, 1.556561321528938e-05, 0.02145691291352011, 0.2129242369146681,
-     0.3139900532064625, 0.11741856134968919, 0.0005401656230655798, 2.281042854447459e-08],
-    [3.755384361254147e-09, 7.8460961500861e-05, 0.036841875541866256, 0.2040696242828772,
-     0.27928624290068876, 0.14625688396399586, 0.0017368167227794576, 2.1448021300383442e-07],
+    [1.0511017386831986e-17, 3.43868340951505e-10, 0.00022259026872278672, 0.16230517687337356,
+     0.49342565670298716, 0.010827598263971557, 1.7868203746748242e-07, 2.354770502433623e-14],
+    [3.6589918545207136e-14, 6.48887814456767e-08, 0.0023824897775664654, 0.20419734881641355,
+     0.4178656696967776, 0.04042919474865294, 8.940964072278314e-06, 1.6436390389725076e-11],
+    [6.384063734792137e-12, 1.6679841529410198e-06, 0.009222017000208908, 0.2157236252923863,
+     0.3593215740708695, 0.08007198937658139, 0.00010277378336389398, 1.1302807253735301e-09],
+    [2.4497420317195845e-10, 1.5567070792909192e-05, 0.021474338468015983, 0.21295398646681948,
+     0.3138448619873628, 0.11751774798401012, 0.0005402950070186962, 2.2804138612158656e-08],
+    [3.75516830646233e-09, 7.848521908352898e-05, 0.03687345596399525, 0.20407259203537007,
+     0.27915476602712486, 0.14635910233841276, 0.0017376795293900646, 2.1446399660707544e-07],
 ]
 # The same samples as the damped Picard loop (15 iterations, 9-node residual) recorded them.
 PICARD_U = [
-    [0.00022333894267345525, 0.0009940671223312685, 0.004299849876407936, 0.018587011043804388,
-     0.03053637030296183, 0.008608427667916113, 0.001992351591447429, 0.0004508847957822329],
-    [0.0002449544664937645, 0.001090197599774218, 0.004711952567034341, 0.018912129730805558,
-     0.028368487714452842, 0.00977132118035075, 0.00227975314410807, 0.0005160005953404682],
-    [0.00027261981088113317, 0.0012132365499644138, 0.005226280171508395, 0.01876072498975562,
-     0.026312691830422022, 0.010975219193463738, 0.002625641238625712, 0.0005944036897677953],
-    [0.00030638703801770317, 0.0013634606113415416, 0.005815019422730513, 0.018312468245992683,
-     0.024453087999767507, 0.012068561092461938, 0.003025861318264895, 0.0006852382489918731],
-    [0.0003383988146114503, 0.0015071737706660489, 0.0063190435103262135, 0.017421445203651954,
-     0.022427980920043628, 0.012750038454424843, 0.003399634053341951, 0.0007693512054771193],
+    [0.00022315431561385453, 0.0009932459152516547, 0.004296312453424916, 0.018580955094421373,
+     0.030557383940633974, 0.00859765316166162, 0.001989798399246752, 0.0004503065507523773],
+    [0.0002447267512256059, 0.001089184719746628, 0.004707641407568243, 0.018912158659874997,
+     0.02838785215084886, 0.009760189287807815, 0.0022768198853106757, 0.0005153360938757983],
+    [0.000272349058830006, 0.0012120323517668978, 0.005221396309269176, 0.018764283608338737,
+     0.026328842520454095, 0.010965312387536048, 0.0026223521601789392, 0.0005936577760068973],
+    [0.00030607460155270976, 0.0013620714790201758, 0.005809944723166427, 0.018317583878155595,
+     0.024466402853175934, 0.012060779416083854, 0.0030222749403911375, 0.000684421918471503],
+    [0.00033806025661383467, 0.0015056684256822147, 0.0063143348116440935, 0.017426944951822124,
+     0.022438691121924162, 0.012744573627340036, 0.003395953114415308, 0.000768507541836421],
     [0.0] * 8,
 ]
 PICARD_M = [
     [5.293677194341061e-28, 2.215342274440398e-15, 1.1441260612871128e-06, 0.07292166635238427,
      0.5735733351328288, 0.0005567637931967242, 6.669644400845562e-11, 9.860161701477889e-22],
-    [1.0512257591085796e-17, 3.4394384307187184e-10, 0.00022261212563090755, 0.16221037983557687,
-     0.49349907511463176, 0.010825259739262181, 1.787496728653188e-07, 2.355176717066985e-14],
-    [3.659898953641871e-14, 6.49058887007902e-08, 0.002381840968802142, 0.20409386905862834,
-     0.41800206317742145, 0.04039977528292073, 8.944164158421997e-06, 1.6442876304328045e-11],
-    [6.385779142965551e-12, 1.6681852021362635e-06, 0.009216287693497374, 0.21565653890325795,
-     0.3594719410250117, 0.08000041688779894, 0.00010278121602282265, 1.1307450121486235e-09],
-    [2.4502118095463253e-10, 1.5565613420291614e-05, 0.021456911584588463, 0.21292422711689635,
-     0.31399007195504597, 0.11741855496811691, 0.00054016562172686, 2.281042941788417e-08],
-    [3.755384444175913e-09, 7.846096114030832e-05, 0.03684187349638743, 0.2040696139226468,
-     0.27928626483366953, 0.1462568754401408, 0.0017368166685903614, 2.1448021854475e-07],
+    [1.0511017425556376e-17, 3.438683441747103e-10, 0.00022259027094557126, 0.16230517062911587,
+     0.4934256625321422, 0.010827598249293576, 1.786820408267452e-07, 2.3547705161949974e-14],
+    [3.6589919021112847e-14, 6.48887828735958e-08, 0.002382489767378407, 0.20419734169880524,
+     0.4178656788882638, 0.040429192577446676, 8.940964415045832e-06, 1.6436390766844033e-11],
+    [6.384063875503487e-12, 1.6679841937321368e-06, 0.009222016606918643, 0.21572362026717726,
+     0.35932158536688813, 0.08007198328186747, 0.0001027737864108624, 1.130280767981148e-09],
+    [2.449742095343235e-10, 1.556707100676452e-05, 0.0214743370879154, 0.21295397708394737,
+     0.31384488068054867, 0.11751774137977372, 0.0005402950060714864, 2.2804139514923285e-08],
+    [3.755168391821342e-09, 7.848521871085625e-05, 0.036873453827846146, 0.2040725817575289,
+     0.27915478819764006, 0.1463590938015432, 0.0017376794738536696, 2.1446400243131308e-07],
 ]
 
 
@@ -225,13 +225,16 @@ class TestPdeConfig:
 def old_hjb_sweep(cfg, ham, kernel, m_path):
     """The backward sweep of hjb_backward as it was before its step took max(p_minus, -p_plus, 0)
     and squared it once, and before it skipped a zero drift: two squares, their max, and the
-    upwinded drift terms added at every step.  The oracle of its bit-identity."""
+    upwinded drift terms added at every step.  The oracle of its bit-identity.  Its source takes the
+    product-trapezoid weights of one step, as hjb_backward does, in a stack of its own."""
     lam, dt, dx = cfg.lam, cfg.dt, cfg.dx
     v = ham.drift(cfg.cell_centers)
     diffuse = mfg_pde._DiffusionSolver(cfg.n_x, dx, dt, cfg.viscosity)
     decay = np.exp(-lam * dt)
     source_gain = (1.0 - decay) / lam
     F_nodes = coupling_on_grid(kernel, m_path, cfg.cell_centers)
+    w_start, w_end = _exp_trapezoid_weights(np.array([0.0, dt]), lam)
+    source = w_end * F_nodes[1:] + w_start * F_nodes[:-1]
     a_plus, a_minus = np.maximum(-v, 0.0), np.minimum(-v, 0.0)
     u = np.zeros((cfg.n_steps + 1, cfg.n_x))
     grad = np.zeros(cfg.n_x + 1)
@@ -246,8 +249,7 @@ def old_hjb_sweep(cfg, ham, kernel, m_path):
         np.multiply(a_plus, p_minus, out=drift_term)
         drift_term += np.multiply(a_minus, p_plus, out=work)
         ham_term += drift_term
-        rhs = np.subtract(F_nodes[j + 1], ham_term, out=ham_term)
-        rhs *= source_gain
+        rhs = source[j] - source_gain * ham_term
         u_new = np.multiply(un, decay, out=u[j])
         u_new += rhs
         diffuse(u_new)
@@ -561,8 +563,8 @@ class TestFixedPoint:
         assert not m_path.flags.writeable
         np.testing.assert_allclose(sol.u_path[::50, 3::8], GOLDEN_U, rtol=0.0, atol=1e-10)
         np.testing.assert_allclose(m_path[::50, 3::8], GOLDEN_M, rtol=0.0, atol=1e-10)
-        assert sol.u_path.sum() == pytest.approx(125.68014910564075, rel=0.0, abs=1e-10)
-        assert (m_path * cfg.cell_centers).sum() == pytest.approx(407.44244116877684, rel=0.0, abs=1e-10)
+        assert sol.u_path.sum() == pytest.approx(125.67908769899638, rel=0.0, abs=1e-10)
+        assert (m_path * cfg.cell_centers).sum() == pytest.approx(407.48118972106494, rel=0.0, abs=1e-10)
         # both loops stop within the solve tolerance 1e-6 of the same fixed point
         np.testing.assert_allclose(sol.u_path[::50, 3::8], PICARD_U, rtol=0.0, atol=1e-6)
         np.testing.assert_allclose(m_path[::50, 3::8], PICARD_M, rtol=0.0, atol=1e-6)
