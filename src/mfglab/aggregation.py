@@ -71,7 +71,8 @@ def solve_aggregation_fv(
     clock of measures._march, keeping node 0 and the node indices in nodes (by default node 0 and T); raises
     CflError before the first step whose drift breaks the bound.  Each step is renormalized to unit mass
     (roundoff); the largest correction |dx sum - 1| divided out is appended to mass_log if given.  Every
-    node computed is checked, as one stack (measures._check_densities), kept or not."""
+    node is checked (measures._check_densities), kept or not, m0 included, in stacks of up to 64 rows as they
+    fill, so the check's memory does not grow with the step count."""
     if isinstance(kernel, CuckerSmaleKernel):
         raise TypeError("the FV solver takes a position-space kernel")
     dx = m0.dx
@@ -81,22 +82,25 @@ def solve_aggregation_fv(
     Dk = _grid_matrix(kernel, x_int, m0.cell_centers, dx, gradient=True)
     diffuse = _DiffusionSolver(m0.n, dx, dt, 0.0)  # inviscid: the identity
     out, flux = np.empty(m0.n), np.empty(m0.n - 1)
-    correction = 0.0
-    values = np.empty((_n_steps(T, dt) + 1, m0.n))  # every node, one row per step
-    values[0] = m0.values
-    rows = iter(values[1:])
+    correction, filled = 0.0, 1
+    block = np.empty((min(64, _n_steps(T, dt) + 1), m0.n))  # the nodes since the last check, m0 first, one row each
+    block[0] = m0.values
 
     def step(m, t):
-        nonlocal correction
+        nonlocal correction, filled
+        if filled == len(block):  # a full block is checked before its rows are reused
+            _check_densities(block, dx)
+            filled = 0
         b = v_int - Dk @ m
         _check_cfl(b, dt, dx)
         m = transport_step(m, np.maximum(b, 0.0), np.minimum(b, 0.0), dt, dx, diffuse, out, flux)
         total = m.sum() * dx
         correction = max(correction, abs(total - 1.0))
-        return np.divide(m, total, out=next(rows))
+        filled += 1
+        return np.divide(m, total, out=block[filled - 1])
 
-    path = _march(m0, values[0], step, lambda m: GridDensity(m0.origin, dx, m), T, dt, nodes)
-    _check_densities(values, dx)
+    path = _march(m0, block[0], step, lambda m: GridDensity(m0.origin, dx, m), T, dt, nodes)
+    _check_densities(block[:filled], dx)
     if mass_log is not None:
         mass_log.append(float(correction))
     return path

@@ -22,7 +22,7 @@ from . import __version__
 from .acceleration import _row_intervals, minimize_energy
 from .aggregation import solve_aggregation_fv
 from .config import ExperimentDescription, parse_config, write_config
-from .convergence import _json_text, run_lambda_sweep_acceleration, run_lambda_sweep_classic
+from .convergence import REFERENCE_TOLERANCE, _json_text, run_lambda_sweep_acceleration, run_lambda_sweep_classic
 from .cucker_smale import richardson_order_ratio, solve_cs
 from .errors import ConfigError
 from .hamiltonians import validate_hamiltonian
@@ -72,7 +72,7 @@ def _cmd_solve_mfg(desc, out, seed):
     doc.update(
         iterations=sol.iterations,
         hjb_sweeps=sol.hjb_sweeps,
-        fp_steps=sol.hjb_sweeps * cfg.n_steps,
+        fp_steps=sol.fp_steps,
         residual=sol.residual,
         converged=sol.converged,
         residual_history=list(sol.residual_history),
@@ -117,10 +117,19 @@ def _cmd_solve_cs(desc, out, seed):
     n = _n_steps(s["T"], s["dt"])
     # every node of a run of fewer than 1,024 steps, every (n // 512)-th and the last, 513 to 769 nodes, of a longer one
     path = solve_cs(m0, kernel, s["T"], s["dt"], [*range(0, n, max(1, n // 512)), n])
-    # the order probe of the acceleration sweep: RK4 reads ~16; inf means no error left to halve
-    ratio = richardson_order_ratio(m0, kernel, s["T"], 8 * s["dt"])
+    # the order probe of the acceleration sweep: RK4 reads ~16; inf means no error left to halve.  Its finest
+    # march, at 2 dt, states its error estimate |z_2dt - z_4dt| / 15, as both sweeps' references do
+    finest = []
+    ratio = richardson_order_ratio(m0, kernel, s["T"], 8 * s["dt"], finest=finest)
+    (_, estimate, _), = finest
     doc = _base_doc(desc, seed)
-    doc.update(n_snapshots=len(path), step_halving_ratio=ratio)
+    doc.update(
+        n_snapshots=len(path),
+        step_halving_ratio=ratio,
+        error_estimate=estimate,
+        error_tolerance=REFERENCE_TOLERANCE,
+        resolved=estimate <= REFERENCE_TOLERANCE,
+    )
     # one row per atom and snapshot: atom, t, coordinates, weight
     rows = (
         [i, t, *p, w]

@@ -4,7 +4,9 @@ Two sweep drivers, one per model family:
 
 * classic: for each discount lambda, solve the coupled HJB/FP system and
   measure its distance to the nonlocal continuity (aggregation) limit,
-  together with the ergodic residuals lam*u - F and lam*Du - D_xF;
+  together with the ergodic residuals lam*u - F and lam*Du - D_xF, on a
+  clock each row picks from a step-halving ladder: the coarsest rung
+  whose dt error estimate is a stated fraction of its dx error estimate;
 * acceleration: for each lambda, minimize the discounted trajectory
   energy and measure the distance of the induced phase-space flow to the
   kinetic alignment reference.
@@ -57,6 +59,10 @@ BOUNDS_SLACK = 1.25
 #: largest error_estimate of a resolved particle reference, in both sweeps; lam T < 745 keeps lam^-2 / 10, the
 #: first-order corrector's target, above 1.8e-7, more than 100 times this
 REFERENCE_TOLERANCE = 1e-9
+#: a classic row's clock is resolved once its dt_error_estimate is at most this fraction of its dx_error_estimate
+CLOCK_ERROR_FRACTION = 0.25
+#: the coarsest rung of a classic row's clock ladder: T / 128, whose nodes hold every window time (multiples of T/8)
+FIRST_RUNG_STEPS = 128
 
 
 @dataclass(frozen=True)
@@ -65,7 +71,7 @@ class ConvergenceReport:
 
     family: str  # "classic" | "acceleration"
     lambdas: tuple
-    rows: tuple  # one dict per lambda, scalar diagnostics only
+    rows: tuple  # one dict per lambda: scalar diagnostics, and a classic row's clock_ladder list
     reference: dict  # reference solver config + its cross-validation error
     setup: dict  # everything needed to reproduce the sweep bit-exactly
     seed: int
@@ -90,7 +96,9 @@ class ConvergenceReport:
         }
 
     def to_csv(self) -> str:
-        keys = sorted({k for row in self.rows for k in row})
+        """One line per lambda, one column per scalar diagnostic; a list (a classic row's clock_ladder) is in the
+        JSON alone."""
+        keys = sorted({k for row in self.rows for k, v in row.items() if not isinstance(v, list)})
         rows = ([lam, *(row.get(k) for k in keys)] for lam, row in zip(self.lambdas, self.rows))
         return _csv_table(["lambda", *keys], rows)
 
@@ -226,12 +234,100 @@ def _sweep_lambdas(lambdas) -> list:
     return lams
 
 
-#: numeric columns of a classic row; NaN in the row of a lambda whose solve raised
+#: numeric columns of a classic row; NaN in the row of a lambda whose every rung raised
 _CLASSIC_DIAGNOSTICS = (
     "iterations", "hjb_sweeps", "fp_steps", "fixed_point_residual", "fixed_point_fallbacks", "w1_sup", "residual_lam_u",
     "residual_lam_du_l1", "du_sup_scaled", "u_growth_scaled", "d2u_upper_scaled", "m_sup", "mass_error",
     "fp_mass_correction",  # reported, never flagged
+    "dt",
 )
+
+
+def _window_w1(sol: MfgSolution, window) -> float:
+    """sup over the window times of W1(m_lam, reference): window holds the reference at each window time,
+    which is a node of the solve's clock."""
+    cfg = sol.config
+    return max(
+        wasserstein1_1d(GridDensity(-cfg.half_width, cfg.dx, sol.m_path[j]), m_ref)
+        for j, m_ref in zip(_window_nodes(cfg), window)
+    )
+
+
+def _prolong(m_path: np.ndarray) -> np.ndarray:
+    """A density stack on the clock of half the step: every node kept, each new one the mean of its two neighbours."""
+    fine = np.empty((2 * len(m_path) - 1, m_path.shape[1]))
+    fine[::2] = m_path
+    np.add(m_path[:-1], m_path[1:], out=fine[1::2])
+    fine[1::2] *= 0.5
+    return fine
+
+
+def _companion_meshes(n_x: int) -> tuple:
+    """The cell counts a row's dx companion tries, in order: n_x / 2 (an even n_x of at least 16), then 2 n_x."""
+    return (n_x // 2, 2 * n_x) if n_x % 2 == 0 and n_x >= 16 else (2 * n_x,)
+
+
+def _regrid(m: GridDensity, n: int) -> GridDensity:
+    """m on n = m.n / 2 cells, each the mean of two (the mass kept), or on n = 2 m.n cells, each half of one of m's
+    (the same measure)."""
+    if 2 * n == m.n:
+        return GridDensity(m.origin, 2.0 * m.dx, 0.5 * (m.values[0::2] + m.values[1::2]))
+    return GridDensity(m.origin, 0.5 * m.dx, np.repeat(m.values, 2))
+
+
+def _clock_ladder(cfg, ham, kernel, m0, window, companion, state):
+    """The rungs of a classic row: solves at h = T / 128, T / 256, ..., each yielded as (solve, dt error estimate),
+    or (None, None) for a rung that raised BoundaryLeakError or a StabilityError (CflError included), which is
+    skipped.  A rung past the first starts its fixed point from the last rung's density stack, prolonged
+    (``_prolong``); after a skipped rung it starts cold.  The estimate is |w1_sup(h) - w1_sup(2h)| (first order),
+    None without a solved rung at 2h.
+
+    The first rung solved also solves the dx companion, on the first mesh of ``_companion_meshes`` whose solve does
+    not raise (a coarse cell next to a wall can hold past BOUNDARY_MASS_TOL where the row's cell does not);
+    companion(n) gives m0 and the reference at each window time on n cells.  Its estimate, first order, is
+    |w1_sup(dx) - w1_sup(dx')| dx / |dx' - dx|.  state records each rung's entry, the last rung solved with its
+    estimate and w1_sup, the companion's mesh, error and estimate, and the HJB sweeps and FP steps of every solve."""
+    h, start, previous = cfg.T / FIRST_RUNG_STEPS, None, None
+    while True:
+        rung = replace(cfg, dt=h)
+        try:
+            sol = solve_mfg_fixed_point(rung, ham, kernel, m0, start)
+        except (BoundaryLeakError, StabilityError) as exc:
+            state["rungs"].append({"dt": h, "hjb_sweeps": _spend(state, *exc.spent), "w1_sup": None,
+                                   "error": type(exc).__name__})
+            start = previous = None
+            yield None, None
+            h /= 2
+            continue
+        w1 = _window_w1(sol, window)
+        estimate = None if previous is None else abs(w1 - previous)
+        state["rungs"].append({"dt": h, "hjb_sweeps": _spend(state, sol.hjb_sweeps, sol.fp_steps), "w1_sup": w1,
+                               "error": None})
+        state["last"] = (sol, estimate, w1)
+        for n_x in _companion_meshes(rung.n_x) if companion is not None else ():
+            companion_m0, companion_window = companion(n_x)
+            try:
+                other = solve_mfg_fixed_point(replace(rung, n_x=n_x), ham, kernel, companion_m0)
+            except (BoundaryLeakError, StabilityError) as exc:
+                state["companion_hjb_sweeps"] += _spend(state, *exc.spent)
+                state["companion_error"] = type(exc).__name__
+                continue
+            state["companion_hjb_sweeps"] += _spend(state, other.hjb_sweeps, other.fp_steps)
+            gap = abs(w1 - _window_w1(other, companion_window))
+            state["dx_error_estimate"] = gap * rung.dx / abs(other.config.dx - rung.dx)
+            state["companion_n_x"] = n_x
+            break
+        companion = None
+        yield sol, estimate
+        start, previous = _prolong(sol.m_path), w1
+        h /= 2
+
+
+def _spend(state: dict, hjb_sweeps: int, fp_steps: int) -> int:
+    """Add a solve's HJB sweeps and FP steps, returned or raised, to the row's; returns the sweeps."""
+    state["hjb_sweeps"] += hjb_sweeps
+    state["fp_steps"] += fp_steps
+    return hjb_sweeps
 
 
 def _classic_row(
@@ -239,47 +335,65 @@ def _classic_row(
     ham: QuadraticDriftHamiltonian,
     kernel,
     m0: GridDensity,
-    reference: MeasurePath,
+    window,
     c0: float,
+    companion=None,
 ) -> dict:
+    """One lambda of the classic sweep: climbs ``_clock_ladder`` with cfg.dt as the cap on the finest rung, to the
+    first rung whose dt_error_estimate is at most CLOCK_ERROR_FRACTION of the dx_error_estimate (``_resolve``),
+    and reads the row's diagnostics on the last rung solved.  window holds the reference at each window time."""
     t0 = time.perf_counter()
-    try:
-        sol = solve_mfg_fixed_point(cfg, ham, kernel, m0)
-    except (BoundaryLeakError, CflError, StabilityError) as exc:
-        # one failing lambda is a flagged row, not a failed sweep
+    state = {"rungs": [], "last": None, "dx_error_estimate": None, "companion_n_x": None, "companion_hjb_sweeps": 0,
+             "companion_error": None, "hjb_sweeps": 0, "fp_steps": 0}
+
+    def clock_ok(level):
+        dx_error = state["dx_error_estimate"]
+        return level[1] is not None and dx_error is not None and level[1] <= CLOCK_ERROR_FRACTION * dx_error
+
+    levels = _clock_ladder(cfg, ham, kernel, m0, window, companion, state)
+    _, _, resolved = _resolve(levels, cfg.T / FIRST_RUNG_STEPS, cfg.dt, clock_ok)
+    rungs = state["rungs"]
+    clock = {
+        "clock_resolved": resolved,
+        "rungs_skipped": sum(r["error"] is not None for r in rungs),
+        "clock_ladder": rungs,
+        "companion_n_x": state["companion_n_x"],
+        "companion_hjb_sweeps": state["companion_hjb_sweeps"],
+        "companion_error": state["companion_error"],
+        "dx_error_estimate": state["dx_error_estimate"],
+    }
+    if state["last"] is None:
+        # every rung raised: one failing lambda is a flagged row, not a failed sweep
         row = dict.fromkeys(_CLASSIC_DIAGNOSTICS, float("nan"))
         row.update(
             converged=False,
             flagged=True,
-            error=type(exc).__name__,
+            error=rungs[-1]["error"],
             bounds_ok=False,
             viscosity=float(cfg.viscosity),
+            dt_error_estimate=None,
+            **clock,
             wall_clock_s=time.perf_counter() - t0,
         )
         return row
-    wall = time.perf_counter() - t0
+    sol, dt_error, w1_sup = state["last"]
+    cfg = sol.config
 
-    x = cfg.cell_centers
-    lam, dx = cfg.lam, cfg.dx
-    # the node nearest each window time, on the MFG stack and on the reference alike: both march on one clock
+    x, lam, dx = cfg.cell_centers, cfg.lam, cfg.dx
+    # the node of each window time on the row's clock, as stacks: window holds the reference there
     nodes = _window_nodes(cfg)
-    du = np.gradient(sol.u_path[nodes], dx, axis=-1)  # along x: centred, one-sided at the walls
-    w1_sup = res_u = res_du = 0.0
-    for j, du_j in zip(nodes, du):
-        m_lam = GridDensity(-cfg.half_width, dx, sol.m_path[j])
-        m_ref = reference.at(j * cfg.dt)  # node j itself: the reference keeps every node a row reads
-        w1_sup = max(w1_sup, wasserstein1_1d(m_lam, m_ref))
-        F = coupling_on_grid(kernel, m_lam, x)
-        res_u = max(res_u, float(np.max(np.abs(lam * sol.u_path[j] - F))))
-        dF = _grid_sum(kernel, x, m_ref, gradient=True)
-        res_du = max(res_du, float(dx * np.sum(np.abs(lam * du_j - dF))))
+    u = sol.u_path[nodes]
+    du = np.gradient(u, dx, axis=-1)  # along x: centred, one-sided at the walls
+    res_u = float(np.max(np.abs(lam * u - coupling_on_grid(kernel, sol.m_path[nodes], x))))
+    dF = _grid_sum(kernel, x, np.stack([m.values for m in window]), gradient=True)
+    res_du = float(dx * np.abs(lam * du - dF).sum(axis=1).max())
     bounds = diagnostics_bounds(sol, c0=c0)
     return {
         "converged": bool(sol.converged),
         "flagged": bool(not sol.converged),
         "iterations": int(sol.iterations),
-        "hjb_sweeps": int(sol.hjb_sweeps),
-        "fp_steps": int(sol.hjb_sweeps * cfg.n_steps),
+        "hjb_sweeps": state["hjb_sweeps"],
+        "fp_steps": state["fp_steps"],
         "fixed_point_residual": float(sol.residual),
         "fixed_point_fallbacks": int(sol.fallbacks),
         "w1_sup": float(w1_sup),
@@ -293,7 +407,10 @@ def _classic_row(
         "fp_mass_correction": float(sol.fp_mass_correction),
         "bounds_ok": bool(bounds.all_ok),
         "viscosity": float(cfg.viscosity),
-        "wall_clock_s": float(wall),
+        "dt": float(cfg.dt),
+        "dt_error_estimate": dt_error,
+        **clock,
+        "wall_clock_s": float(time.perf_counter() - t0),
     }
 
 
@@ -315,11 +432,19 @@ def run_lambda_sweep_classic(
     The cross-check's atoms come from the finest march of a step-halving
     ladder (``_resolve``) capped by base_config.dt; the report states its
     h, its error estimate, its RK4 steps and whether it is resolved.
-    Non-converged inner solves are flagged, never fatal; an inner solve that raises
-    BoundaryLeakError or a StabilityError (CflError included) gives a
-    flagged row that names the error and carries NaN diagnostics.  Nothing
-    here is random: the bound's c0 comes from the constants the kernel and
-    the drift state, and seed is only recorded in the report.
+
+    The FV reference marches on base_config.dt; each row climbs its own
+    clock ladder (``_classic_row``), h = T / 128, T / 256, ... with
+    base_config.dt the cap on the finest rung, and reads the reference at
+    the node nearest each window time, a node of every rung.  The dx
+    error estimate of a row comes from a companion solve at n_x / 2, or
+    at 2 n_x where that raises, against the FV reference re-solved on
+    that mesh, once per sweep.  Non-converged inner solves are flagged, never
+    fatal; a rung that raises BoundaryLeakError or a StabilityError
+    (CflError included) is skipped, and a row whose every rung raised is
+    a flagged row that names the error and carries NaN diagnostics.
+    Nothing here is random: the bound's c0 comes from the constants the
+    kernel and the drift state, and seed is only recorded in the report.
     """
     lambdas = _sweep_lambdas(lambdas)
     _grid_values(base_config, m0, "initial density")
@@ -329,12 +454,29 @@ def run_lambda_sweep_classic(
     ham_report = validate_hamiltonian(ham)
     c0 = max(coupling_report.c0, ham_report.growth_constant)
 
-    # both references march only to the last node a row reads, n_w steps: the window end, not T
-    T, dt = base_config.T, base_config.dt
-    nodes = _window_nodes(base_config)
-    T_window = int(nodes.max()) * dt
+    # both references march only to the last node a row reads, n_w steps: the window end, not T; the FV clock
+    # has every window time (a multiple of T/8) as a node, as each rung has: the sweep's dt, or, where its n
+    # steps are no multiple of 8, the next finer step T / (8 ceil(n / 8))
+    T, dt, n = base_config.T, base_config.dt, base_config.n_steps
+    fv_dt = dt if n % 8 == 0 else T / (8 * -(-n // 8))
+    nodes = _window_nodes(replace(base_config, dt=fv_dt))
+    T_window = int(nodes[-1]) * fv_dt
     fv_mass = []
-    reference = solve_aggregation_fv(ham, kernel, m0, T_window, dt, fv_mass, nodes=np.unique(nodes))
+
+    def window(m, mass_log=None):
+        """The FV reference from m, and its measure at each window time."""
+        path = solve_aggregation_fv(ham, kernel, m, T_window, fv_dt, mass_log, nodes=list(nodes))
+        return path, list(path.measures)
+
+    reference, ref_window = window(m0, fv_mass)
+    companions = {}
+
+    def companion(n):
+        """m0 on n cells and the FV reference on them at each window time, solved once per sweep."""
+        if n not in companions:
+            m = _regrid(m0, n)
+            companions[n] = m, window(m)[1]
+        return companions[n]
     atoms = sample_grid_to_atoms(m0, n_cross_particles)
 
     def march(count):
@@ -342,10 +484,11 @@ def run_lambda_sweep_classic(
         return path, path.measures[-1].points  # compared where the cross-check reads them
 
     # 4h = T_window / 8 on the first level, as the acceleration ladder's 4h = T / 8
-    (particles, estimate, _, rk4_steps), h, resolved = _resolve(_step_halving(march, 8), T_window / 32, dt)
+    levels = _step_halving(march, 8)
+    (particles, estimate, _, rk4_steps), h, resolved = _resolve(levels, T_window / 32, dt, _within_reference_tolerance)
     cross_error = w1_grid_vs_particles(reference.measures[-1], particles.measures[-1])  # both at the window end
 
-    rows = [_classic_row(replace(base_config, lam=lam), ham, kernel, m0, reference, c0) for lam in lambdas]
+    rows = [_classic_row(replace(base_config, lam=lam), ham, kernel, m0, ref_window, c0, companion) for lam in lambdas]
 
     return ConvergenceReport(
         family="classic",
@@ -355,6 +498,7 @@ def run_lambda_sweep_classic(
             "solver": "aggregation_fv",
             "T": T,
             "dt": dt,
+            "fv_dt": fv_dt,
             "n_x": m0.n,
             "cross_validation_w1": float(cross_error),
             "cross_particles": n_cross_particles,
@@ -364,6 +508,7 @@ def run_lambda_sweep_classic(
             "particle_rk4_steps": rk4_steps,
             "particle_resolved": resolved,
             "fv_mass_correction": fv_mass[0],  # largest |dx sum - 1| the FV solve divided out; reported, never flagged
+            "clock_error_fraction": CLOCK_ERROR_FRACTION,
         },
         setup={
             "kernel": repr(kernel),
@@ -427,15 +572,22 @@ def _acceleration_row(
     }
 
 
-def _resolve(levels, h, dt_cap):
-    """The stop rule of both particle references: walks the step-halving levels (``cucker_smale._step_halving``),
-    whose finest steps are h, h/2, ..., to the first whose error estimate is at most REFERENCE_TOLERANCE, or to
-    the first whose h/2 would fall below dt_cap (the first level always runs).  Returns that level, its h, and
-    whether its estimate meets the tolerance (the reference is resolved)."""
+def _resolve(levels, h, dt_cap, ok):
+    """The stop rule of every step-halving ladder (both particle references and each classic row): walks the levels,
+    whose finest steps are h, h/2, ..., to the first that passes ok(level), or to the first whose h/2 would fall
+    below dt_cap (the first level always runs).  Returns that level, its h, and whether it passes ok (the ladder is
+    resolved)."""
     for level in levels:
-        if level[1] <= REFERENCE_TOLERANCE or h / 2 < dt_cap:
-            return level, h, bool(level[1] <= REFERENCE_TOLERANCE)
+        resolved = bool(ok(level))
+        if resolved or h / 2 < dt_cap:
+            return level, h, resolved
         h /= 2
+
+
+def _within_reference_tolerance(level) -> bool:
+    """The test of both particle references' ladders (``cucker_smale._step_halving`` levels): error estimate at most
+    REFERENCE_TOLERANCE."""
+    return level[1] <= REFERENCE_TOLERANCE
 
 
 def _kinetic_reference(m0: ParticleEnsemble, kernel: CuckerSmaleKernel, T: float, dt_cap: float):
@@ -448,7 +600,7 @@ def _kinetic_reference(m0: ParticleEnsemble, kernel: CuckerSmaleKernel, T: float
     finest = []
     richardson_order_ratio(m0, kernel, horizon, T / 8, range(_n_steps(horizon, T / 8) + 1), finest)
     (_, _, levels), = finest
-    (path, estimate, ratio, rk4_steps), h, resolved = _resolve(levels, T / 32, dt_cap)
+    (path, estimate, ratio, rk4_steps), h, resolved = _resolve(levels, T / 32, dt_cap, _within_reference_tolerance)
     return path, {
         "horizon": horizon,
         "h": h,

@@ -116,11 +116,17 @@ class MfgSolution:
     fallbacks: int = 0  # half steps taken instead of Anderson steps
     residual_history: tuple = field(default=(), repr=False)
     fp_mass_correction: float = 0.0  # largest |dx sum - 1| that fp_forward divided out in the solve
+    started: bool = False  # whether the solve began from a given stack, in place of the warm-start sweep
 
     @property
     def hjb_sweeps(self) -> int:
         """HJB sweeps of the solve, the warm start's included; each feeds one FP sweep of n_steps steps."""
-        return len(self.residual_history) + 1
+        return len(self.residual_history) + (not self.started)
+
+    @property
+    def fp_steps(self) -> int:
+        """FP transport steps of the solve: n_steps per HJB sweep."""
+        return self.hjb_sweeps * self.config.n_steps
 
 
 class _DiffusionSolver:
@@ -340,25 +346,43 @@ def solve_mfg_fixed_point(
     ham: QuadraticDriftHamiltonian,
     kernel,
     m0: GridDensity,
+    start: np.ndarray | None = None,
 ) -> MfgSolution:
     """Iterate m -> u = HJB(m) -> g = FP(u) to g = m by ``measures._anderson``, from the warm start FP(HJB(m0)),
-    stopping once max W1(m, g) over every node is at most FIXED_POINT_TOLERANCE, or after
-    MAX_FIXED_POINT_EVALUATIONS evaluations.  A mixed m may leave the densities: it enters the HJB only
-    through the linear k*m.  The FP output of the first smallest residual is returned, flagged if not converged.
+    or from start, an (n_steps+1, n_x) stack on the config's clock and cells, if given; stopping once
+    max W1(m, g) over every node is at most FIXED_POINT_TOLERANCE, or after MAX_FIXED_POINT_EVALUATIONS
+    evaluations.  A mixed m may leave the densities: it enters the HJB only through the linear k*m.  The FP
+    output of the first smallest residual is returned, flagged if not converged.  A BoundaryLeakError or
+    StabilityError it raises carries spent = (HJB sweeps begun, FP steps marched) before the raise.
     """
-    mass_log = []  # the largest mass correction of every FP sweep
-    # warm start: best response to the frozen initial density
-    frozen = np.tile(_grid_values(cfg, m0, "initial density"), (cfg.n_steps + 1, 1))
-    m = fp_forward(cfg, ham, hjb_backward(cfg, ham, kernel, frozen), m0, mass_log)
+    mass_log = []  # the largest mass correction of every FP sweep: one entry per FP march run
+    sweeps = [0]  # HJB sweeps begun
+    m0_values = _grid_values(cfg, m0, "initial density")
+
+    def respond(m):
+        sweeps[0] += 1
+        u_path = hjb_backward(cfg, ham, kernel, m)
+        return u_path, fp_forward(cfg, ham, u_path, m0, mass_log)
 
     def evaluate(m):
-        u_path = hjb_backward(cfg, ham, kernel, m)
-        g = fp_forward(cfg, ham, u_path, m0, mass_log)
+        u_path, g = respond(m)
         f = np.subtract(g, m, out=m)  # m is spent; its buffer holds the residual f
         return f, g, _w1_sup(f, cfg.dx), (u_path, g)
 
-    (u_path, m_path), history, fallbacks = _anderson(m, evaluate, FIXED_POINT_TOLERANCE, MAX_FIXED_POINT_EVALUATIONS)
+    if start is not None:
+        m = np.array(start, dtype=float)  # a copy: the fixed point writes into its iterates' buffers
+        shape = (cfg.n_steps + 1, cfg.n_x)
+        if m.shape != shape:
+            raise ValueError(f"start must be the {shape} stack on the solver's clock, got shape {m.shape}")
+    try:
+        if start is None:  # warm start: best response to the frozen initial density
+            _, m = respond(np.tile(m0_values, (cfg.n_steps + 1, 1)))
+        kept, history, fallbacks = _anderson(m, evaluate, FIXED_POINT_TOLERANCE, MAX_FIXED_POINT_EVALUATIONS)
+    except (BoundaryLeakError, StabilityError) as exc:
+        exc.spent = (sweeps[0], len(mass_log) * cfg.n_steps)  # fp_forward logs its march before its leak check
+        raise
+    u_path, m_path = kept
     m_path.setflags(write=False)
     residual = min(history)  # the driver's pick: min keeps the first smallest
     return MfgSolution(cfg, u_path, m_path, history.index(residual) + 1, residual, residual <= FIXED_POINT_TOLERANCE,
-                       fallbacks, tuple(history), max(mass_log))
+                       fallbacks, tuple(history), max(mass_log), start is not None)

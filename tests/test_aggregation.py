@@ -154,6 +154,16 @@ class TestFvSolver:
         for m, j in zip(kept.measures, (0, 7, 50)):
             assert np.array_equal(m.values, full.measures[j].values)
 
+    def test_long_solve_checks_every_node_in_blocks(self, zero_ham, gauss_m0, exp_kernel, monkeypatch):
+        """201 nodes: checked in blocks of 64 rows as they fill, m0 first, each node once, so the check holds
+        64 rows whatever the step count; the densities are bit for bit those of the path keeping every node."""
+        check, checked = aggregation._check_densities, []
+        full = solve_aggregation_fv(zero_ham, exp_kernel, gauss_m0, 0.2, 1e-3, nodes=range(201))
+        monkeypatch.setattr(aggregation, "_check_densities", lambda v, dx: checked.append(v.copy()) or check(v, dx))
+        solve_aggregation_fv(zero_ham, exp_kernel, gauss_m0, 0.2, 1e-3)
+        assert [len(v) for v in checked] == [64, 64, 64, 9]
+        assert np.array_equal(np.concatenate(checked), [m.values for m in full.measures])
+
     def test_default_builds_one_density(self, zero_ham, gauss_m0, exp_kernel, monkeypatch):
         """By default the path keeps m0 itself and the density at T, the one GridDensity the solve
         builds; the 51 nodes computed are checked once, as one stack."""

@@ -3,6 +3,7 @@ import re
 import resource
 import time
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,13 +20,14 @@ from mfglab import (
     PdeConfig,
     RepulsiveAttractiveKernel,
     parse_config,
+    richardson_order_ratio,
     run_lambda_sweep_acceleration,
     write_config,
 )
 from mfglab import mfg_pde
 from mfglab.cli import main
 from mfglab.config import KERNEL_NAMES
-from mfglab.convergence import EL_TOLERANCE
+from mfglab.convergence import EL_TOLERANCE, REFERENCE_TOLERANCE
 from mfglab.errors import ParameterError
 
 
@@ -413,11 +415,17 @@ class TestCli:
         )
         out = tmp_path / "run"
         assert main(["solve-cs", "--config", cfg, "--out", str(out), "--seed", str(seed)]) == 0
-        ratio = json.loads((out / "solution.json").read_text())["step_halving_ratio"]
-        assert 8.0 <= ratio <= 32.0
+        doc = json.loads((out / "solution.json").read_text())
+        assert 8.0 <= doc["step_halving_ratio"] <= 32.0
+        # the error of the probe's finest march, at 2 dt, from the same three marches, as both sweeps state theirs
+        desc, finest = parse_config(Path(cfg).read_text()), []
+        richardson_order_ratio(desc.build_m0_atoms(seed), desc.build_kernel(), 1.0, 0.008, finest=finest)
+        assert doc["error_estimate"] == finest[0][1] and doc["error_tolerance"] == REFERENCE_TOLERANCE
+        assert doc["resolved"] is (doc["error_estimate"] <= REFERENCE_TOLERANCE)
 
     def test_solve_cs_exits_3_outside_the_rk4_window(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("mfglab.cli.richardson_order_ratio", lambda *args: 4.0)
+        fake = lambda *args, finest: finest.append((None, 0.0, None)) or 4.0  # noqa: E731
+        monkeypatch.setattr("mfglab.cli.richardson_order_ratio", fake)
         cfg = self.write(tmp_path, "[model]\nkernel = cucker-smale\n[solver]\nT = 0.1\ndt = 0.01\n")
         out = tmp_path / "run"
         assert main(["solve-cs", "--config", cfg, "--out", str(out)]) == 3
@@ -585,7 +593,9 @@ class TestCli:
         assert doc["lambdas"] == [5.0, 20.0]
         assert len(doc["rows"]) == 2 and not any(row["flagged"] for row in doc["rows"])
         lines = (out / "sweep.csv").read_text().splitlines()
-        assert lines[0].split(",") == ["lambda", *sorted(doc["rows"][0])]
+        # one column per scalar key of a row; the per-rung clock_ladder list is in the JSON alone
+        assert isinstance(doc["rows"][0]["clock_ladder"], list)
+        assert lines[0].split(",") == ["lambda", *sorted(k for k in doc["rows"][0] if k != "clock_ladder")]
         assert len(lines) == 3
 
     def test_sweep_accel_smoke(self, tmp_path, capsys):

@@ -7,11 +7,13 @@ import pytest
 from mfglab import (
     ConvergenceReport,
     CuckerSmaleKernel,
+    DriftField,
     ExponentialKernel,
     GridError,
     MfgSolution,
     ParticleEnsemble,
     PdeConfig,
+    QuadraticDriftHamiltonian,
     RepulsiveAttractiveKernel,
     ZeroKernel,
     diagnostics_bounds,
@@ -138,19 +140,34 @@ class TestClassicSweep:
         assert np.all(column(rep, "fixed_point_fallbacks") == 0.0)
 
     def test_sweep_counters_match_spies(self, zero_ham, exp_kernel, monkeypatch):
-        """A row's hjb_sweeps counts the HJB sweeps of its solve, the warm start's included, one more than
-        its iterations when it converges; fp_steps counts its FP transport steps, n_steps per sweep."""
+        """A row's hjb_sweeps counts the HJB sweeps of every solve it ran, warm starts included: the sum over
+        its clock_ladder entries plus the dx companion's; fp_steps counts its FP transport steps, n_steps of
+        each solve's clock per sweep.  At lambda = 5 the n_x / 2 companion raises BoundaryLeakError after its
+        warm start, which still counts (one HJB sweep and its FP march of 128 steps), and the 2 n_x one gives
+        the dx estimate."""
         cfg = small_config(5.0)
         backward, step, sweeps, steps = mfg_pde.hjb_backward, mfg_pde.transport_step, [], []
-        monkeypatch.setattr(mfg_pde, "hjb_backward", lambda cfg, *args: sweeps.append(cfg.lam) or backward(cfg, *args))
+        monkeypatch.setattr(mfg_pde, "hjb_backward", lambda cfg, *args: sweeps.append(cfg) or backward(cfg, *args))
         monkeypatch.setattr(mfg_pde, "transport_step", lambda *args: steps.append(1) or step(*args))
         rep = run_lambda_sweep_classic(
             zero_ham, exp_kernel, small_m0(cfg), [5.0, 20.0], base_config=cfg, n_cross_particles=50
         )
         for lam, row in zip(rep.lambdas, rep.rows):
-            assert row["converged"] and row["hjb_sweeps"] == sweeps.count(lam) == row["iterations"] + 1
-            assert row["fp_steps"] == row["hjb_sweeps"] * cfg.n_steps
+            ran = [c for c in sweeps if c.lam == lam]
+            ladder = row["clock_ladder"]
+            assert row["converged"] and row["hjb_sweeps"] == len(ran)
+            assert row["hjb_sweeps"] == sum(r["hjb_sweeps"] for r in ladder) + row["companion_hjb_sweeps"]
+            assert row["companion_hjb_sweeps"] == sum(c.n_x != cfg.n_x for c in ran)
+            assert [sum(c.dt == r["dt"] and c.n_x == cfg.n_x for c in ran) for r in ladder] == [
+                r["hjb_sweeps"] for r in ladder
+            ]
+            assert row["fp_steps"] == sum(c.n_steps for c in ran)
+            assert ladder[-1]["hjb_sweeps"] == row["iterations"]  # a warm-started rung has no warm-start sweep
         assert sum(row["fp_steps"] for row in rep.rows) == len(steps)
+        assert sum(c.n_x == cfg.n_x // 2 for c in sweeps if c.lam == 5.0) == 1
+        assert [(row["companion_error"], row["companion_n_x"]) for row in rep.rows] == [
+            ("BoundaryLeakError", 2 * cfg.n_x), (None, cfg.n_x // 2)
+        ]
 
     def test_failing_lambda_is_a_flagged_row(self, zero_ham, exp_kernel):
         # on [-1, 1] the m0 tails reach the boundary cells and every MFG
@@ -189,62 +206,75 @@ class TestClassicSweep:
         cfg = small_config(10.0)
         m0 = small_m0(cfg)
         rep = run_lambda_sweep_classic(zero_ham, exp_kernel, m0, [10.0], base_config=cfg, n_cross_particles=50)
-        log = []
-        solve_aggregation_fv(zero_ham, exp_kernel, m0, 375 * cfg.dt, cfg.dt, log)
+        log, fv_dt = [], rep.reference["fv_dt"]
+        solve_aggregation_fv(zero_ham, exp_kernel, m0, 378 * fv_dt, fv_dt, log)
         assert rep.reference["fv_mass_correction"] == log[0]
         assert 0.0 <= log[0] < 1e-13
 
     def test_cross_check_reads_one_time(self, zero_ham, exp_kernel):
-        # 1,500 steps: both references stop at the window end 1.125, node 1125; the cross-check compares
-        # the FV node there with the last node of the particle ladder's finest march, 32 steps of 1.125 / 32,
-        # which meets REFERENCE_TOLERANCE on its first level (estimate 5.7e-11)
+        # 1,500 steps, no multiple of 8: the references march on 1,504 steps of 1.5 / 1504, whose node 1128 is
+        # the window end 1.125; the cross-check compares the FV node there with the last node of the particle
+        # ladder's finest march, 32 steps of 1.125 / 32, which meets REFERENCE_TOLERANCE on its first level
+        # (estimate 5.7e-11)
         cfg = small_config(10.0, T=1.5, dt=1e-3, n_x=32, half_width=4.0)
         m0 = small_m0(cfg)
         rep = run_lambda_sweep_classic(zero_ham, exp_kernel, m0, [10.0], base_config=cfg, n_cross_particles=20)
         ref = rep.reference
-        assert ref["particle_h"] == 1125 * cfg.dt / 32 and ref["particle_rk4_steps"] == 8 + 16 + 32
+        assert ref["dt"] == cfg.dt and ref["fv_dt"] == 1.5 / 1504
+        assert ref["particle_h"] == 1128 * ref["fv_dt"] / 32 and ref["particle_rk4_steps"] == 8 + 16 + 32
         assert ref["particle_resolved"] is True and ref["particle_error_estimate"] <= ref["error_tolerance"]
-        fv = solve_aggregation_fv(zero_ham, exp_kernel, m0, cfg.T, cfg.dt, nodes=[1125])
+        fv = solve_aggregation_fv(zero_ham, exp_kernel, m0, cfg.T, ref["fv_dt"], nodes=[1128])
         atoms = convergence.sample_grid_to_atoms(m0, 20)
-        particles = solve_aggregation_particles(zero_ham, exp_kernel, atoms, 1125 * cfg.dt, ref["particle_h"])
-        assert fv.times[1] == 1125 * cfg.dt
+        particles = solve_aggregation_particles(zero_ham, exp_kernel, atoms, 1128 * ref["fv_dt"], ref["particle_h"])
+        assert fv.times[1] == 1128 * ref["fv_dt"]
         expected = convergence.w1_grid_vs_particles(fv.measures[1], particles.measures[-1])
-        assert ref["cross_validation_w1"] == expected == 0.08495439372273907
+        assert ref["cross_validation_w1"] == expected == 0.0849544505769175
 
     def test_references_stop_at_the_window(self, zero_ham, exp_kernel, monkeypatch):
-        """500 steps: the rows read nodes up to 375, so the FV reference and every march of the particle
-        ladder stop at 375 dt; the FV path keeps the nodes the rows read, and every row diagnostic equals
-        the one read from an FV path over [0, T].  The cross-check reads the ladder's finest march, within
-        REFERENCE_TOLERANCE of the one a particle march on the sweep's clock gives."""
+        """500 steps, no multiple of 8: the FV reference marches on 504 steps of T / 504, whose nodes 0, 63, ...,
+        378 are the window times, and it and every march of the particle ladder stop at node 378, the window
+        end; the FV path keeps the nodes the rows read, and every row diagnostic equals the one read from an
+        FV path over [0, T].  The cross-check reads the ladder's finest march, within REFERENCE_TOLERANCE of
+        the one a particle march on the FV clock gives."""
         cfg = small_config(10.0)
         m0 = small_m0(cfg)
+        fv_cfg = replace(cfg, dt=cfg.T / 504)
         calls = []
         for name in ("solve_aggregation_fv", "solve_aggregation_particles"):
             solve = getattr(convergence, name)
             monkeypatch.setattr(
-                convergence, name, lambda *a, solve=solve, **k: calls.append((a[3], solve(*a, **k))) or calls[-1][1]
+                convergence, name,
+                lambda *a, name=name, solve=solve, **k: calls.append((name, a[3], solve(*a, **k))) or calls[-1][2],
             )
         rep = run_lambda_sweep_classic(zero_ham, exp_kernel, m0, [10.0, 40.0], base_config=cfg, n_cross_particles=50)
-        assert [T for T, _ in calls] == [375 * cfg.dt] * len(calls) and len(calls) >= 4
-        nodes = convergence._window_nodes(cfg)
-        assert nodes[-1] == 375 and np.array_equal(calls[0][1].times, cfg.times[nodes])
-        fv = solve_aggregation_fv(zero_ham, exp_kernel, m0, cfg.T, cfg.dt, nodes=range(cfg.n_steps + 1))
-        finest = calls[-1][1]
+        assert rep.reference["fv_dt"] == fv_cfg.dt
+        assert [T for _, T, _ in calls] == [378 * fv_cfg.dt] * len(calls) and len(calls) >= 4
+        nodes = convergence._window_nodes(fv_cfg)
+        assert list(nodes) == list(range(0, 379, 63)) and np.array_equal(calls[0][2].times, fv_cfg.times[nodes])
+        fv = solve_aggregation_fv(zero_ham, exp_kernel, m0, cfg.T, fv_cfg.dt, nodes=range(fv_cfg.n_steps + 1))
+        finest = [path for name, _, path in calls if name == "solve_aggregation_particles"][-1]
         cross = rep.reference["cross_validation_w1"]
-        assert cross == convergence.w1_grid_vs_particles(fv.measures[375], finest.measures[-1])
+        assert cross == convergence.w1_grid_vs_particles(fv.measures[378], finest.measures[-1])
         particles = solve_aggregation_particles(
-            zero_ham, exp_kernel, convergence.sample_grid_to_atoms(m0, 50), cfg.T, cfg.dt, [375]
+            zero_ham, exp_kernel, convergence.sample_grid_to_atoms(m0, 50), cfg.T, fv_cfg.dt, [378]
         )
-        on_the_clock = convergence.w1_grid_vs_particles(fv.measures[375], particles.at(375 * cfg.dt))
+        on_the_clock = convergence.w1_grid_vs_particles(fv.measures[378], particles.at(378 * fv_cfg.dt))
         assert abs(cross - on_the_clock) <= convergence.REFERENCE_TOLERANCE
+        window = [fv.measures[j] for j in nodes]
+
+        def companion(n):
+            other = convergence._regrid(m0, n)
+            path = solve_aggregation_fv(zero_ham, exp_kernel, other, cfg.T, fv_cfg.dt, nodes=range(fv_cfg.n_steps + 1))
+            return other, [path.measures[j] for j in nodes]
         for lam, row in zip(rep.lambdas, rep.rows):
-            full = convergence._classic_row(replace(cfg, lam=lam), zero_ham, exp_kernel, m0, fv, 1.0)
+            full = convergence._classic_row(replace(cfg, lam=lam), zero_ham, exp_kernel, m0, window, 1.0, companion)
             assert (row["w1_sup"], row["residual_lam_du_l1"]) == (full["w1_sup"], full["residual_lam_du_l1"])
 
     def test_grid_matrix_memo_keeps_every_column(self, zero_ham, exp_kernel, monkeypatch):
         """The sweep's grid matrices come from the kernels._grid_matrix memo: with it, the kernel builds
-        a value matrix at most twice (the HJB stack's and the rows' grid spacing); with the memo cleared
-        before every build, far more often, and every column of the report reads the same bits."""
+        a value matrix at most once per mesh the sweep solves on (the rows' and their dx companions': n_x / 2,
+        and 2 n_x where the lambda = 5 row's n_x / 2 companion raises); with the memo cleared before every
+        build, far more often, and every column of the report reads the same bits."""
         cfg = small_config(5.0)
         args = (zero_ham, exp_kernel, small_m0(cfg), [5.0, 20.0])
         value, builds = ExponentialKernel.value, []
@@ -255,7 +285,7 @@ class TestClassicSweep:
         monkeypatch.setattr(kernels, "_grid_memo", {})
         monkeypatch.setattr(kernels, "_GRID_MEMO_SIZE", 0)  # each matrix goes as soon as it is built
         fresh = run_lambda_sweep_classic(*args, base_config=cfg, n_cross_particles=50)
-        assert 1 <= memo_builds <= 2 and len(builds) - memo_builds > 10
+        assert 1 <= memo_builds <= 3 and len(builds) - memo_builds > 10
         assert [r.pop("wall_clock_s") > 0 for r in kept.rows + fresh.rows] == [True] * 4
         assert _json_text(kept.to_doc()) == _json_text(fresh.to_doc())
 
@@ -288,6 +318,108 @@ class TestClassicSweep:
             rowb.pop("wall_clock_s")
         assert a["rows"] == b["rows"]
         assert a["reference"] == b["reference"]
+
+
+
+def _window(ham, kernel, m0, cfg):
+    """The FV reference at each window node of cfg's clock, as a classic row reads it."""
+    fv = solve_aggregation_fv(ham, kernel, m0, cfg.T, cfg.dt, nodes=range(cfg.n_steps + 1))
+    return [fv.measures[j] for j in convergence._window_nodes(cfg)]
+
+
+class TestClockLadder:
+    """Each classic row climbs h = T / 128, T / 256, ... to the first rung whose dt error estimate is at most
+    CLOCK_ERROR_FRACTION of its dx error estimate, or to the cap base_config.dt."""
+
+    def test_dt_error_estimate_matches_direct_solves(self, zero_ham, exp_kernel):
+        """The row's dt_error_estimate is |w1_sup(h) - w1_sup(2h)| of its last two rungs, the finer one warm-started;
+        cold solves at h and 2h give the same values within the fixed point's tolerance."""
+        cfg = small_config(20.0, half_width=8.0)
+        m0 = small_m0(cfg)
+        row = run_lambda_sweep_classic(zero_ham, exp_kernel, m0, [20.0], base_config=cfg, n_cross_particles=20).rows[0]
+        assert row["converged"] and row["clock_resolved"] and row["companion_error"] is None
+        assert row["dt"] == cfg.T / 256 and [r["dt"] for r in row["clock_ladder"]] == [cfg.T / 128, cfg.T / 256]
+        window = _window(zero_ham, exp_kernel, m0, cfg)
+        w1 = [convergence._window_w1(solve_mfg_fixed_point(replace(cfg, dt=h), zero_ham, exp_kernel, m0), window)
+              for h in (cfg.T / 128, cfg.T / 256)]
+        tol = mfg_pde.FIXED_POINT_TOLERANCE
+        assert abs(row["w1_sup"] - w1[1]) <= tol
+        assert abs(row["dt_error_estimate"] - abs(w1[1] - w1[0])) <= tol
+        assert row["dt_error_estimate"] <= convergence.CLOCK_ERROR_FRACTION * row["dx_error_estimate"]
+
+    def test_cap_coarser_than_the_first_rung_gives_one_rung(self, zero_ham, exp_kernel):
+        """A cap dt = 0.01 above T / 128: the first rung always runs and is the only one; it has no estimate, so
+        the clock is not resolved, and the row is not flagged for that."""
+        cfg = small_config(10.0, n_x=64, dt=1e-2, T=0.5)
+        row = run_lambda_sweep_classic(
+            zero_ham, exp_kernel, small_m0(cfg), [10.0], base_config=cfg, n_cross_particles=20
+        ).rows[0]
+        assert len(row["clock_ladder"]) == 1 and row["dt"] == cfg.T / 128
+        assert row["dt_error_estimate"] is None and row["clock_resolved"] is False
+        assert row["converged"] and not row["flagged"] and row["rungs_skipped"] == 0
+
+    @pytest.mark.parametrize("cap, finest", [(1.0 / 1024, 1024), (1e-3, 512)])
+    def test_cap_sets_the_finest_rung(self, zero_ham, exp_kernel, monkeypatch, cap, finest):
+        """With no estimate small enough (fraction 0), the ladder climbs to the finest rung the cap allows:
+        T / 1024 under a cap of T / 1024 itself, T / 512 under 1e-3."""
+        monkeypatch.setattr(convergence, "CLOCK_ERROR_FRACTION", 0.0)
+        cfg = small_config(10.0, n_x=64, dt=cap)
+        row = run_lambda_sweep_classic(
+            zero_ham, exp_kernel, small_m0(cfg), [10.0], base_config=cfg, n_cross_particles=20
+        ).rows[0]
+        steps = [128, 256, 512, 1024][: [128, 256, 512, 1024].index(finest) + 1]
+        assert [r["dt"] for r in row["clock_ladder"]] == [cfg.T / n for n in steps]
+        assert row["dt"] == cfg.T / finest and row["clock_resolved"] is False and not row["flagged"]
+        assert row["dt_error_estimate"] == abs(row["clock_ladder"][-1]["w1_sup"] - row["clock_ladder"][-2]["w1_sup"])
+
+    def test_inadmissible_coarse_rung_is_skipped(self):
+        """A constant drift of 3 on cells of 1/128: at h = T / 128 the HJB step is not monotone (3 dt / dx = 1.5),
+        so that rung raises and is skipped; T / 256 (0.75) solves, but without a solved rung at 2h it has no
+        estimate, and T / 512, the cap, gives the row.  The row is converged and not flagged."""
+        ham = QuadraticDriftHamiltonian(DriftField("constant", 3.0))
+        cfg = PdeConfig(lam=20.0, T=0.5, half_width=4.0, n_x=1024, dt=0.5 / 512)
+        m0 = GridDensity.gaussian(-1.5, 0.5, -cfg.half_width, cfg.dx, cfg.n_x)
+        row = run_lambda_sweep_classic(ham, ZeroKernel(), m0, [20.0], base_config=cfg, n_cross_particles=20).rows[0]
+        ladder = row["clock_ladder"]
+        assert [r["error"] for r in ladder] == ["StabilityError", None, None] and row["rungs_skipped"] == 1
+        assert ladder[0]["w1_sup"] is None and ladder[1]["w1_sup"] is not None
+        assert row["dt"] == cfg.T / 512 and row["converged"] and not row["flagged"] and row["bounds_ok"]
+        assert row["dt_error_estimate"] == abs(ladder[2]["w1_sup"] - ladder[1]["w1_sup"])
+        assert row["hjb_sweeps"] == sum(r["hjb_sweeps"] for r in ladder) + row["companion_hjb_sweeps"]
+
+    def test_warm_started_rung_reaches_the_cold_fixed_point(self, zero_ham, exp_kernel):
+        """A rung started from the rung below, prolonged, takes no warm-start sweep and fewer sweeps than a cold
+        solve, and stops within the fixed point's tolerance of the cold solve's density at every node."""
+        coarse = small_config(20.0, dt=1.0 / 128)
+        fine = replace(coarse, dt=1.0 / 256)
+        m0 = small_m0(coarse)
+        start = convergence._prolong(solve_mfg_fixed_point(coarse, zero_ham, exp_kernel, m0).m_path)
+        assert start.shape == (fine.n_steps + 1, fine.n_x)
+        warm = solve_mfg_fixed_point(fine, zero_ham, exp_kernel, m0, start)
+        cold = solve_mfg_fixed_point(fine, zero_ham, exp_kernel, m0)
+        assert warm.converged and cold.converged
+        assert warm.hjb_sweeps == len(warm.residual_history) < cold.hjb_sweeps
+        gap = np.cumsum(warm.m_path - cold.m_path, axis=1)
+        assert np.max(np.abs(gap).sum(axis=1)) * fine.dx**2 <= mfg_pde.FIXED_POINT_TOLERANCE
+
+    def test_start_off_the_clock_raises(self, zero_ham, exp_kernel):
+        cfg = small_config(20.0, dt=1.0 / 128)
+        with pytest.raises(ValueError, match="start must be the"):
+            solve_mfg_fixed_point(cfg, zero_ham, exp_kernel, small_m0(cfg), np.ones((cfg.n_steps, cfg.n_x)))
+
+    def test_prolong_keeps_nodes_and_averages_neighbours(self):
+        m = np.arange(6.0).reshape(3, 2)
+        assert np.array_equal(convergence._prolong(m), [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]])
+
+    def test_companion_meshes_keep_the_mass(self):
+        """The companion tries n_x / 2, then 2 n_x; an odd n_x, or one below 16, goes to 2 n_x alone."""
+        m = small_m0(small_config(10.0))
+        coarse, fine = (convergence._regrid(m, n) for n in convergence._companion_meshes(m.n))
+        assert (coarse.n, coarse.dx, fine.n, fine.dx) == (m.n // 2, 2 * m.dx, 2 * m.n, m.dx / 2)
+        assert coarse.origin == fine.origin == m.origin
+        assert coarse.values.sum() * coarse.dx == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_allclose(fine.cdf()[1::2], m.cdf(), rtol=0.0, atol=1e-14)  # the same measure, finer
+        assert convergence._companion_meshes(15) == (30,) and convergence._companion_meshes(8) == (16,)
 
 
 def _refuse(*args, **kwargs):

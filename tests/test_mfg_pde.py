@@ -20,7 +20,7 @@ from mfglab import (
     solve_mfg_fixed_point,
 )
 from mfglab import kernels, mfg_pde
-from mfglab.errors import StabilityError
+from mfglab.errors import BoundaryLeakError, StabilityError
 from mfglab.kernels import CrowdRadialKernel
 from mfglab.measures import _check_densities, _exp_trapezoid_weights, moment2, wasserstein1_1d
 from mfglab.mfg_pde import _check_cfl, _w1_sup, coupling_on_grid
@@ -596,6 +596,17 @@ class TestFixedPoint:
         assert all(log is logs[0] for log in logs) and len(logs[0]) == sol.iterations + 1
         assert sol.fp_mass_correction == max(logs[0])
         assert 0.0 < sol.fp_mass_correction < 1e-13
+
+    @pytest.mark.parametrize("start", [False, True])
+    def test_a_raised_solve_states_what_it_spent(self, zero_ham, exp_kernel, start):
+        """On [-1, 1] the density reaches the walls: the first FP march raises BoundaryLeakError after its
+        n_steps steps, and the error states that sweep and those steps; from a given start stack the first
+        evaluation's sweep is the one that raises."""
+        cfg = PdeConfig(lam=5.0, half_width=1.0, n_x=32, dt=1e-2)
+        m0 = GridDensity.gaussian(0.0, 0.5, -cfg.half_width, cfg.dx, cfg.n_x)
+        with pytest.raises(BoundaryLeakError) as raised:
+            solve_mfg_fixed_point(cfg, zero_ham, exp_kernel, m0, frozen_path(cfg, m0) if start else None)
+        assert raised.value.spent == (1, cfg.n_steps)
 
     def test_m0_off_the_config_grid_rejected(self, zero_ham, exp_kernel, gauss_m0):
         cfg = PdeConfig(lam=10.0, T=0.1)
