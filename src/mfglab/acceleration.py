@@ -327,7 +327,7 @@ _NODE_MULTIPLE = 8
 
 
 def _row_intervals(lam: float, T: float, n_intervals: int) -> int:
-    """K of a solve at lam: max(n_intervals, 70 T sqrt(lam) rounded up to a multiple of _NODE_MULTIPLE).
+    """K of a solve at lam: max(n_intervals, 70 T sqrt(lam)), rounded up to a multiple of _NODE_MULTIPLE.
 
     The exact control weights and the product-trapezoid interaction weights leave the discrete
     minimizer off the Euler-Lagrange identity by EL ~ 0.13 lam dt^2 = 0.13 lam T^2 / K^2 (measured
@@ -335,7 +335,7 @@ def _row_intervals(lam: float, T: float, n_intervals: int) -> int:
     most 2.65e-5, below EL_TOLERANCE / 3, gives K >= T sqrt(0.13 lam / 2.65e-5) = 70 T sqrt(lam):
     224, 320, 448 and 632 intervals at lam = 10, 20, 40 and 80, T = 1.
     """
-    return max(n_intervals, _NODE_MULTIPLE * int(np.ceil(70.0 * T * np.sqrt(lam) / _NODE_MULTIPLE)))
+    return _NODE_MULTIPLE * int(np.ceil(max(n_intervals, 70.0 * T * np.sqrt(lam)) / _NODE_MULTIPLE))
 
 
 def el_residual(ens: TrajectoryEnsemble, kernel: CuckerSmaleKernel, lam: float) -> float:

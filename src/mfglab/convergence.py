@@ -5,8 +5,8 @@ Two sweep drivers, one per model family:
 * classic: for each discount lambda, solve the coupled HJB/FP system and
   measure its distance to the nonlocal continuity (aggregation) limit,
   together with the ergodic residuals lam*u - F and lam*Du - D_xF, on a
-  clock each row picks from a step-halving ladder: the coarsest rung
-  whose dt error estimate is a stated fraction of its dx error estimate;
+  clock each row climbs to by step halving: the coarsest rung whose dt
+  error estimate is a stated fraction of its dx error estimate;
 * acceleration: for each lambda, minimize the discounted trajectory
   energy and measure the distance of the induced phase-space flow to the
   kinetic alignment reference.
@@ -275,94 +275,64 @@ def _regrid(m: GridDensity, n: int) -> GridDensity:
     return GridDensity(m.origin, 0.5 * m.dx, np.repeat(m.values, 2))
 
 
-def _clock_ladder(cfg, ham, kernel, m0, window, companion, state):
-    """The rungs of a classic row: solves at h = T / 128, T / 256, ..., each yielded as (solve, dt error estimate),
-    or (None, None) for a rung that raised BoundaryLeakError or a StabilityError (CflError included), which is
-    skipped.  A rung past the first starts its fixed point from the last rung's density stack, prolonged
-    (``_prolong``); after a skipped rung it starts cold.  The estimate is |w1_sup(h) - w1_sup(2h)| (first order),
-    None without a solved rung at 2h.
+def _classic_row(cfg: PdeConfig, ham: QuadraticDriftHamiltonian, kernel, meshes, c0: float) -> dict:
+    """One lambda of the classic sweep: solves on the rungs h = T / 128, T / 256, ... until the rung's
+    dt_error_estimate |w1_sup(h) - w1_sup(2h)| (first order; none without a solved rung at 2h) is at most
+    CLOCK_ERROR_FRACTION of the dx_error_estimate, or until h / 2 would fall below cfg.dt, the cap (the first
+    rung always runs).  A rung that raises BoundaryLeakError or a StabilityError (CflError included) is skipped;
+    a rung past the first starts its fixed point from the last rung's density stack, prolonged (``_prolong``),
+    and after a skipped rung it starts cold.  The row's diagnostics are read on the last rung solved.
 
-    The first rung solved also solves the dx companion, on the first mesh of ``_companion_meshes`` whose solve does
-    not raise (a coarse cell next to a wall can hold past BOUNDARY_MASS_TOL where the row's cell does not);
-    companion(n) gives m0 and the reference at each window time on n cells.  Its estimate, first order, is
-    |w1_sup(dx) - w1_sup(dx')| dx / |dx' - dx|.  state records each rung's entry, the last rung solved with its
-    estimate and w1_sup, the companion's mesh, error and estimate, and the HJB sweeps and FP steps of every solve."""
-    h, start, previous = cfg.T / FIRST_RUNG_STEPS, None, None
+    The first rung solved also solves the dx companion, on the first mesh of ``_companion_meshes`` whose solve
+    does not raise (a coarse cell next to a wall can hold past BOUNDARY_MASS_TOL where the row's cell does not);
+    its estimate, first order, is |w1_sup(dx) - w1_sup(dx')| dx / |dx' - dx|.  meshes(n) gives m0 on n cells and
+    the reference at each window time on them.  hjb_sweeps and fp_steps count every solve, raised ones too."""
+    t0 = time.perf_counter()
+    m0, window = meshes(cfg.n_x)
+    spent = {"hjb_sweeps": 0, "fp_steps": 0}
+
+    def solve(rung, m, start=None):
+        """rung's solve from m (None where it raised), its HJB sweeps and the name of the error it raised (None
+        where it did not); its HJB sweeps and FP steps, returned or raised, go to the row's."""
+        try:
+            sol, error = solve_mfg_fixed_point(rung, ham, kernel, m, start), None
+            sweeps, steps = sol.hjb_sweeps, sol.fp_steps
+        except (BoundaryLeakError, StabilityError) as exc:
+            sol, error, (sweeps, steps) = None, type(exc).__name__, exc.spent
+        spent["hjb_sweeps"] += sweeps
+        spent["fp_steps"] += steps
+        return sol, sweeps, error
+
+    rungs = []
+    companion = {"companion_n_x": None, "companion_hjb_sweeps": 0, "companion_error": None, "dx_error_estimate": None}
+    h, start, previous, last = cfg.T / FIRST_RUNG_STEPS, None, None, None
     while True:
         rung = replace(cfg, dt=h)
-        try:
-            sol = solve_mfg_fixed_point(rung, ham, kernel, m0, start)
-        except (BoundaryLeakError, StabilityError) as exc:
-            state["rungs"].append({"dt": h, "hjb_sweeps": _spend(state, *exc.spent), "w1_sup": None,
-                                   "error": type(exc).__name__})
-            start = previous = None
-            yield None, None
-            h /= 2
-            continue
-        w1 = _window_w1(sol, window)
-        estimate = None if previous is None else abs(w1 - previous)
-        state["rungs"].append({"dt": h, "hjb_sweeps": _spend(state, sol.hjb_sweeps, sol.fp_steps), "w1_sup": w1,
-                               "error": None})
-        state["last"] = (sol, estimate, w1)
-        for n_x in _companion_meshes(rung.n_x) if companion is not None else ():
-            companion_m0, companion_window = companion(n_x)
-            try:
-                other = solve_mfg_fixed_point(replace(rung, n_x=n_x), ham, kernel, companion_m0)
-            except (BoundaryLeakError, StabilityError) as exc:
-                state["companion_hjb_sweeps"] += _spend(state, *exc.spent)
-                state["companion_error"] = type(exc).__name__
-                continue
-            state["companion_hjb_sweeps"] += _spend(state, other.hjb_sweeps, other.fp_steps)
-            gap = abs(w1 - _window_w1(other, companion_window))
-            state["dx_error_estimate"] = gap * rung.dx / abs(other.config.dx - rung.dx)
-            state["companion_n_x"] = n_x
+        sol, sweeps, error = solve(rung, m0, start)
+        w1 = None if sol is None else _window_w1(sol, window)
+        rungs.append({"dt": h, "hjb_sweeps": sweeps, "w1_sup": w1, "error": error})
+        estimate = None if w1 is None or previous is None else abs(w1 - previous)
+        if sol is not None:
+            for n_x in _companion_meshes(rung.n_x) if last is None else ():  # the first rung solved
+                other_m0, other_window = meshes(n_x)
+                other, sweeps, error = solve(replace(rung, n_x=n_x), other_m0)
+                companion["companion_hjb_sweeps"] += sweeps
+                if other is None:
+                    companion["companion_error"] = error
+                    continue
+                gap = abs(w1 - _window_w1(other, other_window))
+                companion.update(companion_n_x=n_x, dx_error_estimate=gap * rung.dx / abs(other.config.dx - rung.dx))
+                break
+            last = sol, estimate, w1
+        previous, dx_error = w1, companion["dx_error_estimate"]
+        resolved = estimate is not None and dx_error is not None and estimate <= CLOCK_ERROR_FRACTION * dx_error
+        if resolved or h / 2 < cfg.dt:
             break
-        companion = None
-        yield sol, estimate
-        start, previous = _prolong(sol.m_path), w1
+        start = None if sol is None else _prolong(sol.m_path)
         h /= 2
-
-
-def _spend(state: dict, hjb_sweeps: int, fp_steps: int) -> int:
-    """Add a solve's HJB sweeps and FP steps, returned or raised, to the row's; returns the sweeps."""
-    state["hjb_sweeps"] += hjb_sweeps
-    state["fp_steps"] += fp_steps
-    return hjb_sweeps
-
-
-def _classic_row(
-    cfg: PdeConfig,
-    ham: QuadraticDriftHamiltonian,
-    kernel,
-    m0: GridDensity,
-    window,
-    c0: float,
-    companion=None,
-) -> dict:
-    """One lambda of the classic sweep: climbs ``_clock_ladder`` with cfg.dt as the cap on the finest rung, to the
-    first rung whose dt_error_estimate is at most CLOCK_ERROR_FRACTION of the dx_error_estimate (``_resolve``),
-    and reads the row's diagnostics on the last rung solved.  window holds the reference at each window time."""
-    t0 = time.perf_counter()
-    state = {"rungs": [], "last": None, "dx_error_estimate": None, "companion_n_x": None, "companion_hjb_sweeps": 0,
-             "companion_error": None, "hjb_sweeps": 0, "fp_steps": 0}
-
-    def clock_ok(level):
-        dx_error = state["dx_error_estimate"]
-        return level[1] is not None and dx_error is not None and level[1] <= CLOCK_ERROR_FRACTION * dx_error
-
-    levels = _clock_ladder(cfg, ham, kernel, m0, window, companion, state)
-    _, _, resolved = _resolve(levels, cfg.T / FIRST_RUNG_STEPS, cfg.dt, clock_ok)
-    rungs = state["rungs"]
-    clock = {
-        "clock_resolved": resolved,
-        "rungs_skipped": sum(r["error"] is not None for r in rungs),
-        "clock_ladder": rungs,
-        "companion_n_x": state["companion_n_x"],
-        "companion_hjb_sweeps": state["companion_hjb_sweeps"],
-        "companion_error": state["companion_error"],
-        "dx_error_estimate": state["dx_error_estimate"],
-    }
-    if state["last"] is None:
+    clock = {"clock_resolved": resolved, "rungs_skipped": sum(r["error"] is not None for r in rungs),
+             "clock_ladder": rungs, **companion}
+    if last is None:
         # every rung raised: one failing lambda is a flagged row, not a failed sweep
         row = dict.fromkeys(_CLASSIC_DIAGNOSTICS, float("nan"))
         row.update(
@@ -376,7 +346,7 @@ def _classic_row(
             wall_clock_s=time.perf_counter() - t0,
         )
         return row
-    sol, dt_error, w1_sup = state["last"]
+    sol, dt_error, w1_sup = last
     cfg = sol.config
 
     x, lam, dx = cfg.cell_centers, cfg.lam, cfg.dx
@@ -392,8 +362,7 @@ def _classic_row(
         "converged": bool(sol.converged),
         "flagged": bool(not sol.converged),
         "iterations": int(sol.iterations),
-        "hjb_sweeps": state["hjb_sweeps"],
-        "fp_steps": state["fp_steps"],
+        **spent,
         "fixed_point_residual": float(sol.residual),
         "fixed_point_fallbacks": int(sol.fallbacks),
         "w1_sup": float(w1_sup),
@@ -433,13 +402,15 @@ def run_lambda_sweep_classic(
     ladder (``_resolve``) capped by base_config.dt; the report states its
     h, its error estimate, its RK4 steps and whether it is resolved.
 
-    The FV reference marches on base_config.dt; each row climbs its own
-    clock ladder (``_classic_row``), h = T / 128, T / 256, ... with
-    base_config.dt the cap on the finest rung, and reads the reference at
-    the node nearest each window time, a node of every rung.  The dx
-    error estimate of a row comes from a companion solve at n_x / 2, or
-    at 2 n_x where that raises, against the FV reference re-solved on
-    that mesh, once per sweep.  Non-converged inner solves are flagged, never
+    The FV reference marches on a clock with every window time as a node
+    (fv_dt); each row climbs its own clock (``_classic_row``), h = T / 128,
+    T / 256, ... with base_config.dt the cap on the finest rung, and reads
+    the reference at the node nearest each window time, a node of every
+    rung.  The dx error estimate of a row comes from a companion solve at
+    n_x / 2, or at 2 n_x where that raises, against the FV reference
+    re-solved on that mesh.  The FV reference is solved once per mesh and
+    sweep: m0's own first, then each companion mesh in the first row that
+    needs it.  Non-converged inner solves are flagged, never
     fatal; a rung that raises BoundaryLeakError or a StabilityError
     (CflError included) is skipped, and a row whose every rung raised is
     a flagged row that names the error and carries NaN diagnostics.
@@ -461,22 +432,19 @@ def run_lambda_sweep_classic(
     fv_dt = dt if n % 8 == 0 else T / (8 * -(-n // 8))
     nodes = _window_nodes(replace(base_config, dt=fv_dt))
     T_window = int(nodes[-1]) * fv_dt
-    fv_mass = []
+    fv_mass, memo = [], {}
 
-    def window(m, mass_log=None):
-        """The FV reference from m, and its measure at each window time."""
-        path = solve_aggregation_fv(ham, kernel, m, T_window, fv_dt, mass_log, nodes=list(nodes))
-        return path, list(path.measures)
+    def meshes(n_x):
+        """m0 on n_x cells and the FV reference from it at each window time, solved once per sweep; m0's own
+        mesh is solved first, and its solve alone logs the mass correction the report states."""
+        if n_x not in memo:
+            m = m0 if n_x == m0.n else _regrid(m0, n_x)
+            mass_log = fv_mass if m is m0 else None
+            path = solve_aggregation_fv(ham, kernel, m, T_window, fv_dt, mass_log, nodes=list(nodes))
+            memo[n_x] = m, list(path.measures)
+        return memo[n_x]
 
-    reference, ref_window = window(m0, fv_mass)
-    companions = {}
-
-    def companion(n):
-        """m0 on n cells and the FV reference on them at each window time, solved once per sweep."""
-        if n not in companions:
-            m = _regrid(m0, n)
-            companions[n] = m, window(m)[1]
-        return companions[n]
+    _, window = meshes(m0.n)
     atoms = sample_grid_to_atoms(m0, n_cross_particles)
 
     def march(count):
@@ -485,10 +453,10 @@ def run_lambda_sweep_classic(
 
     # 4h = T_window / 8 on the first level, as the acceleration ladder's 4h = T / 8
     levels = _step_halving(march, 8)
-    (particles, estimate, _, rk4_steps), h, resolved = _resolve(levels, T_window / 32, dt, _within_reference_tolerance)
-    cross_error = w1_grid_vs_particles(reference.measures[-1], particles.measures[-1])  # both at the window end
+    (particles, estimate, _, rk4_steps), h, resolved = _resolve(levels, T_window / 32, dt)
+    cross_error = w1_grid_vs_particles(window[-1], particles.measures[-1])  # both at the window end
 
-    rows = [_classic_row(replace(base_config, lam=lam), ham, kernel, m0, ref_window, c0, companion) for lam in lambdas]
+    rows = [_classic_row(replace(base_config, lam=lam), ham, kernel, meshes, c0) for lam in lambdas]
 
     return ConvergenceReport(
         family="classic",
@@ -572,22 +540,16 @@ def _acceleration_row(
     }
 
 
-def _resolve(levels, h, dt_cap, ok):
-    """The stop rule of every step-halving ladder (both particle references and each classic row): walks the levels,
-    whose finest steps are h, h/2, ..., to the first that passes ok(level), or to the first whose h/2 would fall
-    below dt_cap (the first level always runs).  Returns that level, its h, and whether it passes ok (the ladder is
-    resolved)."""
+def _resolve(levels, h, dt_cap):
+    """The stop rule of both particle references' step-halving ladders (``cucker_smale._step_halving`` levels):
+    walks the levels, whose finest steps are h, h/2, ..., to the first whose error estimate is at most
+    REFERENCE_TOLERANCE, or to the first whose h/2 would fall below dt_cap (the first level always runs).  Returns
+    that level, its h, and whether it is within the tolerance (the ladder is resolved)."""
     for level in levels:
-        resolved = bool(ok(level))
+        resolved = bool(level[1] <= REFERENCE_TOLERANCE)
         if resolved or h / 2 < dt_cap:
             return level, h, resolved
         h /= 2
-
-
-def _within_reference_tolerance(level) -> bool:
-    """The test of both particle references' ladders (``cucker_smale._step_halving`` levels): error estimate at most
-    REFERENCE_TOLERANCE."""
-    return level[1] <= REFERENCE_TOLERANCE
 
 
 def _kinetic_reference(m0: ParticleEnsemble, kernel: CuckerSmaleKernel, T: float, dt_cap: float):
@@ -600,7 +562,7 @@ def _kinetic_reference(m0: ParticleEnsemble, kernel: CuckerSmaleKernel, T: float
     finest = []
     richardson_order_ratio(m0, kernel, horizon, T / 8, range(_n_steps(horizon, T / 8) + 1), finest)
     (_, _, levels), = finest
-    (path, estimate, ratio, rk4_steps), h, resolved = _resolve(levels, T / 32, dt_cap, _within_reference_tolerance)
+    (path, estimate, ratio, rk4_steps), h, resolved = _resolve(levels, T / 32, dt_cap)
     return path, {
         "horizon": horizon,
         "h": h,

@@ -144,14 +144,15 @@ class TestClassicSweep:
         its clock_ladder entries plus the dx companion's; fp_steps counts its FP transport steps, n_steps of
         each solve's clock per sweep.  At lambda = 5 the n_x / 2 companion raises BoundaryLeakError after its
         warm start, which still counts (one HJB sweep and its FP march of 128 steps), and the 2 n_x one gives
-        the dx estimate."""
+        the dx estimate.  The FV reference is solved once per mesh: m0's own first, then n_x / 2 and 2 n_x."""
         cfg = small_config(5.0)
         backward, step, sweeps, steps = mfg_pde.hjb_backward, mfg_pde.transport_step, [], []
+        fv, fv_meshes = convergence.solve_aggregation_fv, []
         monkeypatch.setattr(mfg_pde, "hjb_backward", lambda cfg, *args: sweeps.append(cfg) or backward(cfg, *args))
         monkeypatch.setattr(mfg_pde, "transport_step", lambda *args: steps.append(1) or step(*args))
-        rep = run_lambda_sweep_classic(
-            zero_ham, exp_kernel, small_m0(cfg), [5.0, 20.0], base_config=cfg, n_cross_particles=50
-        )
+        monkeypatch.setattr(convergence, "solve_aggregation_fv", lambda *a, **k: fv_meshes.append(a[2]) or fv(*a, **k))
+        m0 = small_m0(cfg)
+        rep = run_lambda_sweep_classic(zero_ham, exp_kernel, m0, [5.0, 20.0], base_config=cfg, n_cross_particles=50)
         for lam, row in zip(rep.lambdas, rep.rows):
             ran = [c for c in sweeps if c.lam == lam]
             ladder = row["clock_ladder"]
@@ -168,6 +169,7 @@ class TestClassicSweep:
         assert [(row["companion_error"], row["companion_n_x"]) for row in rep.rows] == [
             ("BoundaryLeakError", 2 * cfg.n_x), (None, cfg.n_x // 2)
         ]
+        assert [m.n for m in fv_meshes] == [cfg.n_x, cfg.n_x // 2, 2 * cfg.n_x] and fv_meshes[0] is m0
 
     def test_failing_lambda_is_a_flagged_row(self, zero_ham, exp_kernel):
         # on [-1, 1] the m0 tails reach the boundary cells and every MFG
@@ -260,14 +262,13 @@ class TestClassicSweep:
         )
         on_the_clock = convergence.w1_grid_vs_particles(fv.measures[378], particles.at(378 * fv_cfg.dt))
         assert abs(cross - on_the_clock) <= convergence.REFERENCE_TOLERANCE
-        window = [fv.measures[j] for j in nodes]
 
-        def companion(n):
-            other = convergence._regrid(m0, n)
+        def meshes(n):
+            other = m0 if n == m0.n else convergence._regrid(m0, n)
             path = solve_aggregation_fv(zero_ham, exp_kernel, other, cfg.T, fv_cfg.dt, nodes=range(fv_cfg.n_steps + 1))
             return other, [path.measures[j] for j in nodes]
         for lam, row in zip(rep.lambdas, rep.rows):
-            full = convergence._classic_row(replace(cfg, lam=lam), zero_ham, exp_kernel, m0, window, 1.0, companion)
+            full = convergence._classic_row(replace(cfg, lam=lam), zero_ham, exp_kernel, meshes, 1.0)
             assert (row["w1_sup"], row["residual_lam_du_l1"]) == (full["w1_sup"], full["residual_lam_du_l1"])
 
     def test_grid_matrix_memo_keeps_every_column(self, zero_ham, exp_kernel, monkeypatch):
@@ -545,15 +546,17 @@ class TestAccelerationSweep:
 
     @pytest.mark.parametrize("T", [1.0, 0.7, 2.0])
     def test_window_times_are_nodes(self, T):
-        """K = max(n_intervals, 70 T sqrt(lambda) rounded up to a multiple of 8): every diagnostic
-        window time, a multiple of T/8, and T/2 lie on a node of every row."""
-        for lam, n_intervals in ((10.0, 8), (20.0, 8), (40.0, 128), (80.0, 8), (640.0, 8)):
+        """K = max(n_intervals, 70 T sqrt(lambda)), rounded up to a multiple of 8: every diagnostic
+        window time, a multiple of T/8, and T/2 lie on a node of every row, also where the floor
+        n_intervals is above 70 T sqrt(lambda) and no multiple of 8 (250 at lambda = 10 gives 256)."""
+        for lam, n_intervals in ((10.0, 8), (20.0, 8), (40.0, 128), (80.0, 8), (640.0, 8), (10.0, 250)):
             K = acceleration._row_intervals(lam, T, n_intervals)
             assert K >= max(n_intervals, 70 * T * np.sqrt(lam)) and K % 8 == 0
             nodes = np.linspace(0.0, T, K + 1)
             for t in (*convergence._window_times(T), 0.5 * T):
                 assert np.min(np.abs(nodes - t)) <= 1e-12 * T
         assert [acceleration._row_intervals(lam, 1.0, 128) for lam in (10.0, 20.0, 40.0, 80.0)] == [224, 320, 448, 632]
+        assert acceleration._row_intervals(10.0, 1.0, 250) == 256
 
     def test_one_transport_solve_per_node_pair(self, cs_flat, two_body_phase, monkeypatch):
         """w1_at_half_T reads the W1 the window solved at T/2, matched on node indices (at
