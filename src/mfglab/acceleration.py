@@ -11,9 +11,9 @@ variables.  The discounted energy
 
 is discretized with exact control weights and product-trapezoid
 interaction weights (``measures._exp_trapezoid_weights``), and minimized
-by ``measures._anderson``, the fixed point ``mfg_pde`` shares, in the
-preconditioned controls on the exact discrete gradient (reverse
-accumulation through the kinematic recursion).  A solve has one
+by ``measures._anderson`` at depth ANDERSON_DEPTH (the fixed point that
+``mfg_pde`` runs at depth 1) in the preconditioned controls on the exact
+discrete gradient (reverse accumulation through the kinematic recursion).  A solve has one
 admission check, ``_preconditioner`` (the budget N K, then a scale that
 does not underflow), and one verdict, ``MinimizeResult.certified``: the
 sup-norm residual of the rearranged fourth-order Euler-Lagrange identity.
@@ -247,6 +247,11 @@ def energy_gradient(
 CONTROL_STEP_TOLERANCE = 1e-10
 #: cap on the objective evaluations of one minimization; at the cap the best iterate is returned
 MAX_OBJECTIVE_EVALUATIONS = 40
+#: the Anderson depth of the fixed point.  Over the 36 accel-sweep benchmark rows (24 atoms, lam = 10 to 80,
+#: each row warm-started) depths 1 to 5 took 513, 450, 423, 414 and 405 evaluations; depth 3 left the lam = 80
+#: linear-quadratic flock 6.1e-12 from its exact discrete minimizer (stopped at a 9.0e-11 control step), depth 4
+#: 8.8e-13, as depth 1 left 3.1e-13.  The history holds 2 depth (N, K) arrays, 1 MB at N = 24, K = 632
+ANDERSON_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -274,16 +279,18 @@ def minimize_energy(
     lam: float,
     T: float,
     n_intervals: int,
+    start: np.ndarray | None = None,
 ) -> MinimizeResult:
     """Minimize the discounted energy by a fixed point in the preconditioned controls b = s a.
 
     In b the control Hessian is the identity, so b -> b - grad_b J contracts while the interaction Hessian
     is small: at alpha = 1 the ratio was about 5/lam from lam = 20 on.  The stiffness grows like
     sup 1/g = alpha^-beta; at lam = 10 the map did not contract at alpha = 0.1 or 0.01 with beta = 1, nor
-    at alpha = 0.01, beta = 2.  The fixed point is ``measures._anderson`` on b -> g = b + f, f = -grad_b J,
-    the driver of ``mfg_pde.solve_mfg_fixed_point`` too; its half steps are counted in fixed_point_fallbacks.
-    It starts from free flight, the exact minimizer of the control term and the competitor behind the a priori
-    energy bound 2 C0 M_{2,v}(m0) / lam, and stops once the control step max_{t <= T/2} |f/s| / (1 + max|a|)
+    at alpha = 0.01, beta = 2.  The fixed point is ``measures._anderson`` at depth ANDERSON_DEPTH on
+    b -> g = b + f, f = -grad_b J, the driver of ``mfg_pde.solve_mfg_fixed_point`` too (at depth 1 there); its
+    half steps are counted in fixed_point_fallbacks.  It starts from the controls start, (N, K), if given, and
+    else from free flight, the exact minimizer of the control term and the competitor behind the a priori
+    energy bound 2 C0 M_{2,v}(m0) / lam.  It stops once the control step max_{t <= T/2} |f/s| / (1 + max|a|)
     is at most CONTROL_STEP_TOLERANCE, or after MAX_OBJECTIVE_EVALUATIONS evaluations with the iterate of the
     first smallest step.  The step is a stop rule, not a verdict: ``el_residual`` runs once, on the returned iterate.
     Admission (``_preconditioner``) reads only the weights and the node times, so a refused solve builds no
@@ -291,21 +298,27 @@ def minimize_energy(
     """
     _flock(m0)
     _positive_finite(T=T)
-    times = np.linspace(0.0, T, n_intervals + 1)  # the node times of the start, TrajectoryEnsemble.times
+    times = np.linspace(0.0, T, n_intervals + 1)  # the node times, TrajectoryEnsemble.times
     # admit, and precondition: the raw problem is conditioned like e^{lam T}, hopeless for a fixed point
     s, cw = _preconditioner(m0.weights, lam, times)
-    start = TrajectoryEnsemble.free_flight(m0, T, n_intervals)
-    objective = _Objective(_exp_trapezoid_weights(times, lam), cw, _flock_pairs(start.weights))
+    flight = TrajectoryEnsemble.free_flight(m0, T, n_intervals)
+    if start is None:
+        b = np.zeros(s.shape)
+    elif np.shape(start) != s.shape or not np.all(np.isfinite(start)):
+        raise ValueError(f"start must be finite controls of shape {s.shape}, got shape {np.shape(start)}")
+    else:
+        b = s * start
+    objective = _Objective(_exp_trapezoid_weights(times, lam), cw, _flock_pairs(flight.weights))
     window = 0.5 * (times[:-1] + times[1:]) <= 0.5 * T  # interval midpoints, as el_residual
 
     def evaluate(b):  # f = -grad_b J, the image b + f, and the size of the control step f
         a = b / s
-        f = energy_gradient(start.with_controls(a), kernel, lam, objective)[1]
+        f = energy_gradient(flight.with_controls(a), kernel, lam, objective)[1]
         f /= -s
         return f, b + f, float(np.max(np.abs(f[:, window] / s[:, window])) / (1.0 + np.max(np.abs(a)))), b
 
-    b, steps, half_steps = _anderson(np.zeros(s.shape), evaluate, CONTROL_STEP_TOLERANCE, MAX_OBJECTIVE_EVALUATIONS)
-    ens = start.with_controls(b / s)
+    b, steps, half_steps = _anderson(b, evaluate, CONTROL_STEP_TOLERANCE, MAX_OBJECTIVE_EVALUATIONS, ANDERSON_DEPTH)
+    ens = flight.with_controls(b / s)
     return MinimizeResult(
         ensemble=ens,
         energy=discrete_energy(ens, kernel, lam),

@@ -8,8 +8,9 @@ Two sweep drivers, one per model family:
   clock each row climbs to by step halving: the coarsest rung whose dt
   error estimate is a stated fraction of its dx error estimate;
 * acceleration: for each lambda, minimize the discounted trajectory
-  energy and measure the distance of the induced phase-space flow to the
-  kinetic alignment reference.
+  energy, from the last certified row's controls, and measure the
+  distance of the induced phase-space flow to the kinetic alignment
+  reference.
 
 Both drivers record the reference solution's own cross-validation error
 so convergence claims are never made against an uncontrolled reference,
@@ -494,6 +495,13 @@ def _nearest(times: np.ndarray, t: float) -> int:
     return int(np.argmin(np.abs(times - t)))
 
 
+def _resample(controls: np.ndarray, n_intervals: int) -> np.ndarray:
+    """Piecewise-constant controls (N, K') on [0, T] carried onto n_intervals intervals: linear in time between
+    the K' interval midpoints, constant beyond the first and the last, read at the new interval midpoints."""
+    old, new = ((np.arange(k) + 0.5) / k for k in (controls.shape[1], n_intervals))  # midpoints, as fractions of T
+    return np.array([np.interp(new, old, row) for row in controls])
+
+
 def _acceleration_row(
     lam: float,
     m0: ParticleEnsemble,
@@ -501,10 +509,14 @@ def _acceleration_row(
     T: float,
     n_intervals: int,
     reference: MeasurePath,
-) -> dict:
+    start=None,
+) -> tuple:
+    """One acceleration row at lam, and the row's minimizing controls.  start is (lambda, controls) of an earlier
+    row or None: the minimization starts from those controls, resampled onto this row's K (``_resample``), or
+    from free flight, and the row states that lambda as start_lambda (null for free flight)."""
     k_lam = _row_intervals(lam, T, n_intervals)
     t0 = time.perf_counter()
-    result = minimize_energy(m0, kernel, lam, T, k_lam)
+    result = minimize_energy(m0, kernel, lam, T, k_lam, None if start is None else _resample(start[1], k_lam))
     wall = time.perf_counter() - t0
     ens = result.ensemble
 
@@ -534,10 +546,11 @@ def _acceleration_row(
         "energy_bound": float(bound),
         "energy_bound_ok": bool(result.energy.total <= 1.05 * bound),
         "n_intervals": int(k_lam),
+        "start_lambda": None if start is None else float(start[0]),
         "w1_sup": float(w1_sup),
         "w1_at_half_T": float(w1_half),
         "wall_clock_s": float(wall),
-    }
+    }, ens.controls
 
 
 def _resolve(levels, h, dt_cap):
@@ -589,7 +602,10 @@ def run_lambda_sweep_acceleration(
     march of a step-halving ladder (``_kinetic_reference``) to the window end, with h = T / (8 2^k) refined
     until its error_estimate max |z_h - z_2h| / 15 is at most REFERENCE_TOLERANCE, but not below the cap
     dt_reference; the report states h, the estimate, the ratio max |z_4h - z_2h| / max |z_2h - z_h| (~16 for
-    RK4), the RK4 steps taken and whether the reference is resolved.  Nothing here is random: seed is only
+    RK4), the RK4 steps taken and whether the reference is resolved.  Each row's minimization starts from the
+    controls of the last certified row before it (``_resample``: K grows with lambda), or from free flight where
+    there is none, and states that row's lambda as start_lambda (null for free flight); its energy_bound
+    2 c0 M2v / lam is a priori and does not depend on the start.  Nothing here is random: seed is only
     recorded in the report (the CLI passes the seed it drew m0 with).  Every row's admission check
     (``_preconditioner``) and the exact phase-space W1's (``_check_exact_w1``) run before the reference solve.
     """
@@ -602,7 +618,12 @@ def run_lambda_sweep_acceleration(
     _positive_finite(T=T, dt=dt_reference)
     reference, ladder = _kinetic_reference(m0, kernel, T, dt_reference)
 
-    rows = [_acceleration_row(lam, m0, kernel, T, n_intervals, reference) for lam in lambdas]
+    rows, start = [], None  # start: (lambda, controls) of the last certified row
+    for lam in lambdas:
+        row, controls = _acceleration_row(lam, m0, kernel, T, n_intervals, reference, start)
+        rows.append(row)
+        if row["certified"]:
+            start = (lam, controls)
 
     return ConvergenceReport(
         family="acceleration",

@@ -296,13 +296,14 @@ class CuckerSmaleKernel:
     def g(self, x):
         q = np.square(np.asarray(x, dtype=float))  # one temporary, at any size
         q += self.alpha
-        return self._g_of_q(q)
-
-    def _g_of_q(self, q):
-        """g as a function of q = alpha + x^2, in place on the float array q: the pair pass
-        forms q once for both g and D_x g."""
         q **= self.beta
         return q
+
+    def _inverse_g_of_r(self, r):
+        """1/g as a function of r = 1 / (alpha + x^2), in place on the float array r: the pair pass
+        forms r once for 1/g and for D_x g / g."""
+        r **= self.beta
+        return r
 
     def value(self, x, v):
         return np.asarray(v, dtype=float) ** 2 / self.g(x)
@@ -603,12 +604,12 @@ def _cs_pair_pass(kernel, x, v, w, pairs=None):
     taken once, over the table pairs, ``_flock_pairs(w)``, built here when not given.
 
     k = du^2 A with A = 1 / g(d) is even in the pair, D_x k and D_v k odd.  Per chunk of nodes
-    (``_pair_offsets``), q = alpha + d^2 is formed once, g from it through
-    ``CuckerSmaleKernel._g_of_q``, and the three pair arrays
+    (``_pair_offsets``), r = 1 / (alpha + d^2) is formed once, A = r^beta from it through
+    ``CuckerSmaleKernel._inverse_g_of_r``, and the three pair arrays
 
         du A              (scattered, times 2, into the D_v sums),
         du^2 A            (the energy),
-        du^2 A d / q      (scattered, times -2 beta, into the D_x sums)
+        du^2 A d r        (scattered, times -2 beta, into the D_x sums)
 
     are built in place in the chunk's buffers.  Time nodes are the inner axis, each pair's
     node row contiguous; pair differences need no velocity centring.
@@ -618,16 +619,17 @@ def _cs_pair_pass(kernel, x, v, w, pairs=None):
     x, v = x.reshape(n, -1), v.reshape(n, -1)
     nodes = x.shape[1]
     energy, gx, gv = np.empty(nodes), np.empty((n, nodes)), np.empty((n, nodes))
-    for c, d, du, q in _pair_offsets(pairs, x, v):
-        np.multiply(d, d, out=q)
-        q += kernel.alpha
-        d /= q
-        np.reciprocal(kernel._g_of_q(q), out=q)
-        q *= du  # du A
-        du *= q  # du^2 A
-        d *= du  # du^2 A d / q
+    for c, d, du, r in _pair_offsets(pairs, x, v):
+        np.multiply(d, d, out=r)
+        r += kernel.alpha
+        np.reciprocal(r, out=r)  # r = 1 / (alpha + d^2)
+        d *= r
+        kernel._inverse_g_of_r(r)  # A = r^beta
+        r *= du  # du A
+        du *= r  # du^2 A
+        d *= du  # du^2 A d r
         energy[c] = (pairs.energy @ du)[0]
-        gv[:, c] = pairs.scatter @ q
+        gv[:, c] = pairs.scatter @ r
         gx[:, c] = pairs.scatter @ d
     gv *= 2.0
     gx *= -2.0 * kernel.beta

@@ -288,14 +288,18 @@ def _march(m0, state, step, snapshot, T: float, dt: float, nodes=None) -> Measur
     return MeasurePath(dt * np.array(list(snaps)), list(snaps.values()))
 
 
-def _anderson(x, evaluate, tolerance: float, max_evaluations: int):
-    """The fixed point of both MFG systems: Anderson type II at depth 1 (Walker & Ni, SINUM 2011), no damping.
+def _anderson(x, evaluate, tolerance: float, max_evaluations: int, depth: int = 1):
+    """The fixed point of both MFG systems: Anderson type II (Walker & Ni, SINUM 2011), no damping.
     evaluate(x) returns (f, g, size, kept): the image g of x, f = g - x (it may write f into x's buffer), the size
-    of f and what to keep of x.  The next x is g - gamma (g - g_prev), gamma = argmin |f - gamma (f - f_prev)|, or
-    the half step g - f/2, which drops the history, where the size rose; steps write into f buffers or a copy of
-    g, never into a g.  Stops once size <= tolerance (or is NaN), or after max_evaluations evaluations; returns the kept value
-    of the first smallest size, every size in order and the count of half steps."""
+    of f and what to keep of x.  At depth 1 the next x is g - gamma (g - g_prev), gamma = argmin |f - gamma (f -
+    f_prev)|, formed in f_prev's buffer.  At depth m > 1 it is g - dG gamma over the last m differences dF, dG of
+    the f and the g, gamma = argmin |f - dF gamma| from the Gram system dF^T dF gamma = dF^T f; the differences
+    live in two (m, *shape) ring buffers.  Where the size rose the next x is the half step g - f/2, which drops the
+    whole history, so the step after it is plain (to a copy of g).  Steps write into f buffers, the rings or a copy
+    of g, never into a g.  Stops once size <= tolerance (or is NaN), or after max_evaluations evaluations; returns
+    the kept value of the first smallest size, every size in order and the count of half steps."""
     sizes, best, half_steps, g_prev, spare = [], None, 0, None, None  # spare: the f of g_prev
+    rings, count = None, 0  # depth > 1: the (dF, dG) ring buffers and the differences they hold
     while True:
         f, g, size, kept = evaluate(x)
         sizes.append(size)
@@ -305,16 +309,32 @@ def _anderson(x, evaluate, tolerance: float, max_evaluations: int):
             return best[1], sizes, half_steps
         if len(sizes) >= 2 and size > sizes[-2]:
             half_steps += 1
-            x, g_prev = np.subtract(g, np.multiply(f, 0.5, out=f), out=f), None
+            x, g_prev, count = np.subtract(g, np.multiply(f, 0.5, out=f), out=f), None, 0
             continue
         if g_prev is None:
             spare = g.copy()  # no history: a plain step, to a copy of g, which evaluate may overwrite as x
-        else:
+        elif depth == 1:
             df = np.subtract(f, spare, out=spare)
             gamma = np.vdot(f, df) / (np.vdot(df, df) or 1.0)
             np.subtract(g, g_prev, out=spare)
             spare *= -gamma
             spare += g
+        else:
+            if rings is None:
+                rings = np.empty((2, depth, *f.shape))
+            dfs, dgs = rings
+            np.subtract(f, spare, out=dfs[count % depth])
+            np.subtract(g, g_prev, out=dgs[count % depth])
+            count += 1
+            k = min(count, depth)
+            df = dfs[:k].reshape(k, -1)
+            gram, fit = df @ df.T, df @ f.ravel()
+            try:
+                gamma = np.linalg.solve(gram, fit)
+            except np.linalg.LinAlgError:  # linearly dependent differences: the least-norm gamma
+                gamma = np.linalg.lstsq(gram, fit, rcond=None)[0]
+            np.einsum("i,i...->...", gamma, dgs[:k], out=spare)  # dG gamma, into the f of g_prev
+            np.subtract(g, spare, out=spare)
         x, spare, g_prev = spare, f, g
 
 

@@ -453,6 +453,19 @@ class TestMinimizeEnergy:
         for fit in fits[1:]:
             assert np.max(np.abs(fit.ensemble.controls - fits[0].ensemble.controls)) <= 1e-9
 
+    def test_start_at_the_minimizer_stops_at_once(self, cs_flat, two_body_phase):
+        """Started from a minimizer's controls, the fixed point stops on its first evaluation and
+        returns them; start controls of another shape, or not finite, raise before any evaluation."""
+        res = minimize_energy(two_body_phase, cs_flat, 20.0, 1.0, 320)
+        again = minimize_energy(two_body_phase, cs_flat, 20.0, 1.0, 320, res.ensemble.controls)
+        assert again.function_evaluations == 1 and again.control_step == res.control_step
+        assert np.array_equal(again.ensemble.controls, res.ensemble.controls)
+        bad = np.zeros((2, 320))
+        bad[0, 0] = np.nan
+        for start in (np.zeros((2, 319)), bad):
+            with pytest.raises(ValueError, match=r"start must be finite controls of shape \(2, 320\)"):
+                minimize_energy(two_body_phase, cs_flat, 20.0, 1.0, 320, start)
+
     def test_cap_returns_the_best_iterate(self, two_body_phase, monkeypatch):
         """Where b -> b - grad_b J is no contraction (alpha = 0.01, beta = 2: 1/g reaches 1e4) the
         iteration cycles; at MAX_OBJECTIVE_EVALUATIONS it returns the iterate of the smallest

@@ -636,10 +636,60 @@ class TestAccelerationSweep:
         rep = run_lambda_sweep_acceleration(kernel, m0, [10.0, 40.0], T=T, n_intervals=64)
         bound = np.sqrt(2.0) * rep.reference["error_estimate"]
         dense = solve_cs(m0, kernel, T, 1e-3, range(701))
+        start = None
         for lam, row in zip(rep.lambdas, rep.rows):
-            expected = convergence._acceleration_row(lam, m0, kernel, T, 64, dense)
+            expected, controls = convergence._acceleration_row(lam, m0, kernel, T, 64, dense, start)
             for key in ("w1_sup", "w1_at_half_T"):
                 assert abs(row[key] - expected[key]) <= bound
+            assert row["certified"] and row["start_lambda"] == expected["start_lambda"]
+            start = (lam, controls)
+
+    @staticmethod
+    def bench_flock():
+        """The 24-atom flock of the accel-sweep benchmark (seed 0, centred velocities)."""
+        rng = np.random.default_rng(0)
+        x, v = rng.standard_normal(24), rng.standard_normal(24)
+        return ParticleEnsemble.equal_weights(np.column_stack([x, v - v.mean()]), 1)
+
+    def test_warm_row_matches_a_cold_solve(self):
+        """A row started from the lambda = 10 row's controls, resampled from K = 224 onto K = 320 at
+        lambda = 20, reaches the cold fixed point: the controls on the stop window t <= T/2 within 1e-9
+        of a cold minimize_energy (measured 3.0e-10) and w1_at_half_T within 1e-9 of the cold row's
+        (measured 9.3e-12), at a control step of at most CONTROL_STEP_TOLERANCE.  Beyond T/2 the
+        controls carry the weight e^(-lambda t) and the stop rule does not read them."""
+        kernel, m0, T = CuckerSmaleKernel(1.0, 0.5), self.bench_flock(), 1.0
+        reference, _ = convergence._kinetic_reference(m0, kernel, T, 1e-3)
+        first, controls = convergence._acceleration_row(10.0, m0, kernel, T, 128, reference)
+        warm, warm_controls = convergence._acceleration_row(20.0, m0, kernel, T, 128, reference, (10.0, controls))
+        cold, _ = convergence._acceleration_row(20.0, m0, kernel, T, 128, reference)
+        assert (first["start_lambda"], warm["start_lambda"], cold["start_lambda"]) == (None, 10.0, None)
+        assert warm_controls.shape == (24, warm["n_intervals"]) == (24, 320)
+        fit = acceleration.minimize_energy(m0, kernel, 20.0, T, 320)
+        window = (np.arange(320) + 0.5) / 320 <= 0.5
+        assert np.max(np.abs(warm_controls - fit.ensemble.controls)[:, window]) <= 1e-9
+        assert abs(warm["w1_at_half_T"] - cold["w1_at_half_T"]) <= 1e-9
+        assert warm["certified"] and warm["control_step"] <= acceleration.CONTROL_STEP_TOLERANCE
+
+    def test_sweep_starts_each_row_from_the_last_certified_row(self, monkeypatch):
+        """With the lambda = 10 row made uncertified, the lambda = 20 row starts from free flight
+        (start_lambda null) and the lambda = 40 row from the lambda = 20 row's controls, resampled."""
+        starts, solve = [], convergence.minimize_energy
+
+        def recording(m0, kernel, lam, T, n_intervals, start=None):
+            starts.append(start)
+            return solve(m0, kernel, lam, T, n_intervals, start)
+
+        monkeypatch.setattr(convergence, "minimize_energy", recording)
+        certified = acceleration.MinimizeResult.certified.fget
+        monkeypatch.setattr(
+            acceleration.MinimizeResult, "certified", property(lambda r: r.ensemble.n_intervals != 160 and certified(r))
+        )
+        m0 = ParticleEnsemble.equal_weights(self.THREE_ATOMS, 1)
+        rep = run_lambda_sweep_acceleration(CuckerSmaleKernel(1.0, 0.5), m0, [10.0, 20.0, 40.0], T=0.7)
+        assert column(rep, "n_intervals").tolist() == [160.0, 224.0, 312.0]
+        assert [row["certified"] for row in rep.rows] == [False, True, True]
+        assert [row["start_lambda"] for row in rep.rows] == [None, None, 20.0]
+        assert starts[0] is None and starts[1] is None and starts[2].shape == (3, 312)
 
     def test_error_estimate_bounds_the_actual_error(self):
         """On the 3-atom flock at T = 0.7 the reference's largest state error at the window nodes,

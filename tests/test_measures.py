@@ -22,6 +22,7 @@ from mfglab import (
     wasserstein1_1d,
     wasserstein1_particles,
 )
+from mfglab.acceleration import ANDERSON_DEPTH
 from mfglab.errors import ParameterError
 from mfglab.measures import EXACT_W1_SIZE_CAP, _anderson, _exp_trapezoid_weights
 
@@ -596,6 +597,33 @@ class TestAnderson:
         calls = []
         kept, sizes, _ = _anderson(np.zeros(2), scripted_evaluate([3.0, np.nan, 1.0], calls), 0.5, 5)
         assert len(sizes) == 2 and kept == 0
+
+    @pytest.mark.parametrize("depth", [3, ANDERSON_DEPTH])
+    def test_a_deeper_history_takes_fewer_evaluations(self, rng, depth):
+        """On the map of test_affine_contraction_beats_picard a history of the last 3 or 4 differences
+        reaches the stop rule in fewer evaluations than depth 1 (measured 78 and 72 against 110), and
+        keeps an x as close to the fixed point."""
+        M, c, fixed = affine_map(rng, 12, "symmetric")
+        shallow = _anderson(np.zeros(12), affine_evaluate(M, c), 1e-12, 1000)[1]
+        kept, sizes, _ = _anderson(np.zeros(12), affine_evaluate(M, c), 1e-12, 1000, depth)
+        assert sizes[-1] <= 1e-12 and all(size > 1e-12 for size in sizes[:-1])
+        assert np.abs(kept - fixed).max() <= 20 * 1e-12
+        assert len(sizes) < len(shallow)
+
+    def test_a_rising_size_drops_the_whole_history(self):
+        """Sizes 5, 4, 3, 2, 3, 1, 0.5, 0 at depth 3: the history holds three differences when the 3
+        rises, which takes the half step g - f/2 and drops all of them; the step after it is plain (to
+        g), and the next uses the one difference made since, gamma = <f, df> / <df, df>."""
+        calls = []
+        sizes = [5.0, 4.0, 3.0, 2.0, 3.0, 1.0, 0.5, 0.0]
+        kept, got, half_steps = _anderson(np.zeros(2), scripted_evaluate(sizes, calls), 0.0, 10, depth=3)
+        assert half_steps == 1 and got == sizes and kept == 7
+        g = [np.array([k + 1.0, -1.0]) for k in range(len(calls))]
+        f = [gk - x for gk, x in zip(g, calls)]
+        assert np.array_equal(calls[5], g[4] - f[4] / 2)
+        assert np.array_equal(calls[6], g[5])
+        df = f[6] - f[5]
+        assert np.allclose(calls[7], g[6] - np.vdot(f[6], df) / np.vdot(df, df) * (g[6] - g[5]), rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("contraction", ["symmetric", "nonnormal"])
     def test_evaluate_may_write_f_into_x(self, rng, contraction):

@@ -403,12 +403,14 @@ def test_cs_pair_pass_chunks(beta, monkeypatch):
 
 
 def test_cs_pair_pass_takes_each_pair_once(monkeypatch):
-    """A pass evaluates g on M = N(N-1)/2 pair entries a node, not N^2, from q = alpha + d^2
-    formed once per chunk (CuckerSmaleKernel._g_of_q; CuckerSmaleKernel.g, which squares
+    """A pass evaluates 1/g on M = N(N-1)/2 pair entries a node, not N^2, from r = 1 / (alpha + d^2)
+    formed once per chunk (CuckerSmaleKernel._inverse_g_of_r; CuckerSmaleKernel.g, which squares
     again, is not called); the chunk budget is three (M, nodes) buffers."""
     calls = []
-    g_of_q = CuckerSmaleKernel._g_of_q
-    monkeypatch.setattr(CuckerSmaleKernel, "_g_of_q", lambda self, q: calls.append(q.shape) or g_of_q(self, q))
+    inverse_g_of_r = CuckerSmaleKernel._inverse_g_of_r
+    monkeypatch.setattr(
+        CuckerSmaleKernel, "_inverse_g_of_r", lambda self, r: calls.append(r.shape) or inverse_g_of_r(self, r)
+    )
     monkeypatch.setattr(CuckerSmaleKernel, "g", lambda self, x: pytest.fail("g called"))
     monkeypatch.setattr(kernels, "_CS_PAIR_BYTES", 7 * 3 * 10 * 8)
     x, v, w = node_states(5, 17, 4)
