@@ -62,8 +62,9 @@ BOUNDS_SLACK = 1.25
 REFERENCE_TOLERANCE = 1e-9
 #: a classic row's clock is resolved once its dt_error_estimate is at most this fraction of its dx_error_estimate
 CLOCK_ERROR_FRACTION = 0.25
-#: the coarsest rung of a classic row's clock ladder: T / 128, whose nodes hold every window time (multiples of T/8)
-FIRST_RUNG_STEPS = 128
+#: the coarsest rung of a classic row's clock ladder: T / 64, whose nodes hold every window time (multiples of T/8),
+#: so that T / 128, the first rung with a dt error estimate, may stop it
+FIRST_RUNG_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -268,26 +269,30 @@ def _companion_meshes(n_x: int) -> tuple:
     return (n_x // 2, 2 * n_x) if n_x % 2 == 0 and n_x >= 16 else (2 * n_x,)
 
 
-def _regrid(m: GridDensity, n: int) -> GridDensity:
+def _regrid(m, n: int):
     """m on n = m.n / 2 cells, each the mean of two (the mass kept), or on n = 2 m.n cells, each half of one of m's
-    (the same measure)."""
-    if 2 * n == m.n:
-        return GridDensity(m.origin, 2.0 * m.dx, 0.5 * (m.values[0::2] + m.values[1::2]))
-    return GridDensity(m.origin, 0.5 * m.dx, np.repeat(m.values, 2))
+    (the same measure); m is a GridDensity, or a stack of densities on its last axis, returned as a stack."""
+    if isinstance(m, GridDensity):
+        return GridDensity(m.origin, m.dx * (m.n / n), _regrid(m.values, n))
+    if 2 * n == m.shape[-1]:
+        return 0.5 * (m[..., 0::2] + m[..., 1::2])
+    return np.repeat(m, 2, axis=-1)
 
 
 def _classic_row(cfg: PdeConfig, ham: QuadraticDriftHamiltonian, kernel, meshes, c0: float) -> dict:
-    """One lambda of the classic sweep: solves on the rungs h = T / 128, T / 256, ... until the rung's
+    """One lambda of the classic sweep: solves on the rungs h = T / 64, T / 128, ... until the rung's
     dt_error_estimate |w1_sup(h) - w1_sup(2h)| (first order; none without a solved rung at 2h) is at most
     CLOCK_ERROR_FRACTION of the dx_error_estimate, or until h / 2 would fall below cfg.dt, the cap (the first
     rung always runs).  A rung that raises BoundaryLeakError or a StabilityError (CflError included) is skipped;
     a rung past the first starts its fixed point from the last rung's density stack, prolonged (``_prolong``),
     and after a skipped rung it starts cold.  The row's diagnostics are read on the last rung solved.
 
-    The first rung solved also solves the dx companion, on the first mesh of ``_companion_meshes`` whose solve
-    does not raise (a coarse cell next to a wall can hold past BOUNDARY_MASS_TOL where the row's cell does not);
-    its estimate, first order, is |w1_sup(dx) - w1_sup(dx')| dx / |dx' - dx|.  meshes(n) gives m0 on n cells and
-    the reference at each window time on them.  hjb_sweeps and fp_steps count every solve, raised ones too."""
+    The dx companion runs once, on the clock (companion_dt) of the first rung with a dt_error_estimate, or else
+    of the last rung solved, from that rung's density stack on its mesh (``_regrid``): the first mesh of
+    ``_companion_meshes`` whose solve does not raise (a coarse cell next to a wall can hold past
+    BOUNDARY_MASS_TOL where the row's cell does not).  Its estimate, first order, is |w1_sup(dx) - w1_sup(dx')|
+    dx / |dx' - dx|.  meshes(n) gives m0 on n cells and the reference at each window time on them.  hjb_sweeps
+    and fp_steps count every solve, raised ones too."""
     t0 = time.perf_counter()
     m0, window = meshes(cfg.n_x)
     spent = {"hjb_sweeps": 0, "fp_steps": 0}
@@ -305,7 +310,23 @@ def _classic_row(cfg: PdeConfig, ham: QuadraticDriftHamiltonian, kernel, meshes,
         return sol, sweeps, error
 
     rungs = []
-    companion = {"companion_n_x": None, "companion_hjb_sweeps": 0, "companion_error": None, "dx_error_estimate": None}
+    companion = {"companion_n_x": None, "companion_dt": None, "companion_hjb_sweeps": 0, "companion_error": None,
+                 "dx_error_estimate": None}
+
+    def solve_companion(sol, w1):
+        rung = sol.config
+        companion["companion_dt"] = rung.dt
+        for n_x in _companion_meshes(rung.n_x):
+            other_m0, other_window = meshes(n_x)
+            other, sweeps, error = solve(replace(rung, n_x=n_x), other_m0, _regrid(sol.m_path, n_x))
+            companion["companion_hjb_sweeps"] += sweeps
+            if other is None:
+                companion["companion_error"] = error
+                continue
+            gap = abs(w1 - _window_w1(other, other_window))
+            companion.update(companion_n_x=n_x, dx_error_estimate=gap * rung.dx / abs(other.config.dx - rung.dx))
+            return
+
     h, start, previous, last = cfg.T / FIRST_RUNG_STEPS, None, None, None
     while True:
         rung = replace(cfg, dt=h)
@@ -314,23 +335,17 @@ def _classic_row(cfg: PdeConfig, ham: QuadraticDriftHamiltonian, kernel, meshes,
         rungs.append({"dt": h, "hjb_sweeps": sweeps, "w1_sup": w1, "error": error})
         estimate = None if w1 is None or previous is None else abs(w1 - previous)
         if sol is not None:
-            for n_x in _companion_meshes(rung.n_x) if last is None else ():  # the first rung solved
-                other_m0, other_window = meshes(n_x)
-                other, sweeps, error = solve(replace(rung, n_x=n_x), other_m0)
-                companion["companion_hjb_sweeps"] += sweeps
-                if other is None:
-                    companion["companion_error"] = error
-                    continue
-                gap = abs(w1 - _window_w1(other, other_window))
-                companion.update(companion_n_x=n_x, dx_error_estimate=gap * rung.dx / abs(other.config.dx - rung.dx))
-                break
             last = sol, estimate, w1
+            if estimate is not None and companion["companion_dt"] is None:
+                solve_companion(sol, w1)
         previous, dx_error = w1, companion["dx_error_estimate"]
         resolved = estimate is not None and dx_error is not None and estimate <= CLOCK_ERROR_FRACTION * dx_error
         if resolved or h / 2 < cfg.dt:
             break
         start = None if sol is None else _prolong(sol.m_path)
         h /= 2
+    if last is not None and companion["companion_dt"] is None:  # no rung has an estimate
+        solve_companion(last[0], last[2])
     clock = {"clock_resolved": resolved, "rungs_skipped": sum(r["error"] is not None for r in rungs),
              "clock_ladder": rungs, **companion}
     if last is None:
@@ -404,12 +419,12 @@ def run_lambda_sweep_classic(
     h, its error estimate, its RK4 steps and whether it is resolved.
 
     The FV reference marches on a clock with every window time as a node
-    (fv_dt); each row climbs its own clock (``_classic_row``), h = T / 128,
-    T / 256, ... with base_config.dt the cap on the finest rung, and reads
+    (fv_dt); each row climbs its own clock (``_classic_row``), h = T / 64,
+    T / 128, ... with base_config.dt the cap on the finest rung, and reads
     the reference at the node nearest each window time, a node of every
-    rung.  The dx error estimate of a row comes from a companion solve at
-    n_x / 2, or at 2 n_x where that raises, against the FV reference
-    re-solved on that mesh.  The FV reference is solved once per mesh and
+    rung.  The dx error estimate of a row comes from one warm companion
+    solve on a rung's clock at n_x / 2, or at 2 n_x where that raises,
+    against the FV reference re-solved on that mesh.  The FV reference is solved once per mesh and
     sweep: m0's own first, then each companion mesh in the first row that
     needs it.  Non-converged inner solves are flagged, never
     fatal; a rung that raises BoundaryLeakError or a StabilityError

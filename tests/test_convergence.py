@@ -142,9 +142,9 @@ class TestClassicSweep:
     def test_sweep_counters_match_spies(self, zero_ham, exp_kernel, monkeypatch):
         """A row's hjb_sweeps counts the HJB sweeps of every solve it ran, warm starts included: the sum over
         its clock_ladder entries plus the dx companion's; fp_steps counts its FP transport steps, n_steps of
-        each solve's clock per sweep.  At lambda = 5 the n_x / 2 companion raises BoundaryLeakError after its
-        warm start, which still counts (one HJB sweep and its FP march of 128 steps), and the 2 n_x one gives
-        the dx estimate.  The FV reference is solved once per mesh: m0's own first, then n_x / 2 and 2 n_x."""
+        each solve's clock per sweep.  At lambda = 5 the n_x / 2 companion raises BoundaryLeakError in its first
+        sweep, which still counts (one HJB sweep and its FP march of 128 steps), and the 2 n_x one gives the dx
+        estimate.  The FV reference is solved once per mesh: m0's own first, then n_x / 2 and 2 n_x."""
         cfg = small_config(5.0)
         backward, step, sweeps, steps = mfg_pde.hjb_backward, mfg_pde.transport_step, [], []
         fv, fv_meshes = convergence.solve_aggregation_fv, []
@@ -329,7 +329,7 @@ def _window(ham, kernel, m0, cfg):
 
 
 class TestClockLadder:
-    """Each classic row climbs h = T / 128, T / 256, ... to the first rung whose dt error estimate is at most
+    """Each classic row climbs h = T / 64, T / 128, ... to the first rung whose dt error estimate is at most
     CLOCK_ERROR_FRACTION of its dx error estimate, or to the cap base_config.dt."""
 
     def test_dt_error_estimate_matches_direct_solves(self, zero_ham, exp_kernel):
@@ -339,25 +339,54 @@ class TestClockLadder:
         m0 = small_m0(cfg)
         row = run_lambda_sweep_classic(zero_ham, exp_kernel, m0, [20.0], base_config=cfg, n_cross_particles=20).rows[0]
         assert row["converged"] and row["clock_resolved"] and row["companion_error"] is None
-        assert row["dt"] == cfg.T / 256 and [r["dt"] for r in row["clock_ladder"]] == [cfg.T / 128, cfg.T / 256]
+        assert row["dt"] == cfg.T / 128 and [r["dt"] for r in row["clock_ladder"]] == [cfg.T / 64, cfg.T / 128]
         window = _window(zero_ham, exp_kernel, m0, cfg)
         w1 = [convergence._window_w1(solve_mfg_fixed_point(replace(cfg, dt=h), zero_ham, exp_kernel, m0), window)
-              for h in (cfg.T / 128, cfg.T / 256)]
+              for h in (cfg.T / 64, cfg.T / 128)]
         tol = mfg_pde.FIXED_POINT_TOLERANCE
         assert abs(row["w1_sup"] - w1[1]) <= tol
         assert abs(row["dt_error_estimate"] - abs(w1[1] - w1[0])) <= tol
         assert row["dt_error_estimate"] <= convergence.CLOCK_ERROR_FRACTION * row["dx_error_estimate"]
 
     def test_cap_coarser_than_the_first_rung_gives_one_rung(self, zero_ham, exp_kernel):
-        """A cap dt = 0.01 above T / 128: the first rung always runs and is the only one; it has no estimate, so
+        """A cap dt = 0.01 above T / 64: the first rung always runs and is the only one; it has no estimate, so
         the clock is not resolved, and the row is not flagged for that."""
         cfg = small_config(10.0, n_x=64, dt=1e-2, T=0.5)
         row = run_lambda_sweep_classic(
             zero_ham, exp_kernel, small_m0(cfg), [10.0], base_config=cfg, n_cross_particles=20
         ).rows[0]
-        assert len(row["clock_ladder"]) == 1 and row["dt"] == cfg.T / 128
+        assert len(row["clock_ladder"]) == 1 and row["dt"] == cfg.T / 64
         assert row["dt_error_estimate"] is None and row["clock_resolved"] is False
         assert row["converged"] and not row["flagged"] and row["rungs_skipped"] == 0
+
+    def test_one_rung_states_its_dx_companion(self, zero_ham, exp_kernel):
+        """The one rung under a cap coarser than T / 64 has no dt error estimate, so it solves the dx companion
+        itself, on its own clock: the row states dx_error_estimate, companion_n_x and companion_dt."""
+        cfg = small_config(10.0, n_x=64, dt=1e-2, T=0.5)
+        row = run_lambda_sweep_classic(
+            zero_ham, exp_kernel, small_m0(cfg), [10.0], base_config=cfg, n_cross_particles=20
+        ).rows[0]
+        assert len(row["clock_ladder"]) == 1 and row["dt_error_estimate"] is None
+        assert row["companion_dt"] == row["dt"] == cfg.T / 64 and row["companion_error"] is None
+        assert row["companion_n_x"] == cfg.n_x // 2 and row["dx_error_estimate"] > 0.0
+        assert row["hjb_sweeps"] == row["clock_ladder"][0]["hjb_sweeps"] + row["companion_hjb_sweeps"]
+
+    @pytest.mark.parametrize("lam", [5.0, 20.0])
+    def test_warm_companion_matches_a_cold_solve(self, zero_ham, exp_kernel, monkeypatch, lam):
+        """The dx companion starts from its rung's density stack moved to its mesh (``_regrid``), at n_x / 2
+        (lambda = 20) or, where that raises, at 2 n_x (lambda = 5); its w1_sup lands within 1e-7 of a cold
+        solve's on the same mesh and clock."""
+        cfg = small_config(lam)
+        m0 = small_m0(cfg)
+        solve, solved = convergence.solve_mfg_fixed_point, []
+        monkeypatch.setattr(convergence, "solve_mfg_fixed_point", lambda *a: solved.append(solve(*a)) or solved[-1])
+        row = run_lambda_sweep_classic(zero_ham, exp_kernel, m0, [lam], base_config=cfg, n_cross_particles=20).rows[0]
+        (warm,) = [sol for sol in solved if sol.config.n_x != cfg.n_x]
+        assert warm.started and (warm.config.dt, warm.config.n_x) == (row["companion_dt"], row["companion_n_x"])
+        other = convergence._regrid(m0, warm.config.n_x)
+        cold = solve_mfg_fixed_point(warm.config, zero_ham, exp_kernel, other)
+        window = _window(zero_ham, exp_kernel, other, warm.config)
+        assert abs(convergence._window_w1(warm, window) - convergence._window_w1(cold, window)) <= 1e-7
 
     @pytest.mark.parametrize("cap, finest", [(1.0 / 1024, 1024), (1e-3, 512)])
     def test_cap_sets_the_finest_rung(self, zero_ham, exp_kernel, monkeypatch, cap, finest):
@@ -368,24 +397,26 @@ class TestClockLadder:
         row = run_lambda_sweep_classic(
             zero_ham, exp_kernel, small_m0(cfg), [10.0], base_config=cfg, n_cross_particles=20
         ).rows[0]
-        steps = [128, 256, 512, 1024][: [128, 256, 512, 1024].index(finest) + 1]
+        steps = [64, 128, 256, 512, 1024][: [64, 128, 256, 512, 1024].index(finest) + 1]
         assert [r["dt"] for r in row["clock_ladder"]] == [cfg.T / n for n in steps]
         assert row["dt"] == cfg.T / finest and row["clock_resolved"] is False and not row["flagged"]
         assert row["dt_error_estimate"] == abs(row["clock_ladder"][-1]["w1_sup"] - row["clock_ladder"][-2]["w1_sup"])
 
     def test_inadmissible_coarse_rung_is_skipped(self):
-        """A constant drift of 3 on cells of 1/128: at h = T / 128 the HJB step is not monotone (3 dt / dx = 1.5),
-        so that rung raises and is skipped; T / 256 (0.75) solves, but without a solved rung at 2h it has no
-        estimate, and T / 512, the cap, gives the row.  The row is converged and not flagged."""
+        """A constant drift of 3 on cells of 1/128: at h = T / 64 and T / 128 the HJB step is not monotone
+        (3 dt / dx = 3 and 1.5), so those rungs raise and are skipped; T / 256 (0.75) solves, but without a solved
+        rung at 2h it has no estimate, and T / 512, the cap, gives the row and its dx companion's clock.  The row
+        is converged and not flagged."""
         ham = QuadraticDriftHamiltonian(DriftField("constant", 3.0))
         cfg = PdeConfig(lam=20.0, T=0.5, half_width=4.0, n_x=1024, dt=0.5 / 512)
         m0 = GridDensity.gaussian(-1.5, 0.5, -cfg.half_width, cfg.dx, cfg.n_x)
         row = run_lambda_sweep_classic(ham, ZeroKernel(), m0, [20.0], base_config=cfg, n_cross_particles=20).rows[0]
         ladder = row["clock_ladder"]
-        assert [r["error"] for r in ladder] == ["StabilityError", None, None] and row["rungs_skipped"] == 1
-        assert ladder[0]["w1_sup"] is None and ladder[1]["w1_sup"] is not None
-        assert row["dt"] == cfg.T / 512 and row["converged"] and not row["flagged"] and row["bounds_ok"]
-        assert row["dt_error_estimate"] == abs(ladder[2]["w1_sup"] - ladder[1]["w1_sup"])
+        assert [r["error"] for r in ladder] == ["StabilityError"] * 2 + [None] * 2 and row["rungs_skipped"] == 2
+        assert ladder[1]["w1_sup"] is None and ladder[2]["w1_sup"] is not None
+        assert row["dt"] == row["companion_dt"] == cfg.T / 512
+        assert row["converged"] and not row["flagged"] and row["bounds_ok"]
+        assert row["dt_error_estimate"] == abs(ladder[3]["w1_sup"] - ladder[2]["w1_sup"])
         assert row["hjb_sweeps"] == sum(r["hjb_sweeps"] for r in ladder) + row["companion_hjb_sweeps"]
 
     def test_warm_started_rung_reaches_the_cold_fixed_point(self, zero_ham, exp_kernel):
