@@ -264,19 +264,12 @@ def _prolong(m_path: np.ndarray) -> np.ndarray:
     return fine
 
 
-def _companion_meshes(n_x: int) -> tuple:
-    """The cell counts a row's dx companion tries, in order: n_x / 2 (an even n_x of at least 16), then 2 n_x."""
-    return (n_x // 2, 2 * n_x) if n_x % 2 == 0 and n_x >= 16 else (2 * n_x,)
-
-
 def _regrid(m, n: int):
-    """m on n = m.n / 2 cells, each the mean of two (the mass kept), or on n = 2 m.n cells, each half of one of m's
-    (the same measure); m is a GridDensity, or a stack of densities on its last axis, returned as a stack."""
+    """m on n = m.n / 2 cells, each the mean of two (the mass kept); m is a GridDensity, or a stack of densities
+    on its last axis, returned as a stack."""
     if isinstance(m, GridDensity):
         return GridDensity(m.origin, m.dx * (m.n / n), _regrid(m.values, n))
-    if 2 * n == m.shape[-1]:
-        return 0.5 * (m[..., 0::2] + m[..., 1::2])
-    return np.repeat(m, 2, axis=-1)
+    return 0.5 * (m[..., 0::2] + m[..., 1::2])
 
 
 def _classic_row(cfg: PdeConfig, ham: QuadraticDriftHamiltonian, kernel, meshes, c0: float) -> dict:
@@ -287,12 +280,11 @@ def _classic_row(cfg: PdeConfig, ham: QuadraticDriftHamiltonian, kernel, meshes,
     a rung past the first starts its fixed point from the last rung's density stack, prolonged (``_prolong``),
     and after a skipped rung it starts cold.  The row's diagnostics are read on the last rung solved.
 
-    The dx companion runs once, on the clock (companion_dt) of the first rung with a dt_error_estimate, or else
-    of the last rung solved, from that rung's density stack on its mesh (``_regrid``): the first mesh of
-    ``_companion_meshes`` whose solve does not raise (a coarse cell next to a wall can hold past
-    BOUNDARY_MASS_TOL where the row's cell does not).  Its estimate, first order, is |w1_sup(dx) - w1_sup(dx')|
-    dx / |dx' - dx|.  meshes(n) gives m0 on n cells and the reference at each window time on them.  hjb_sweeps
-    and fp_steps count every solve, raised ones too."""
+    The dx companion runs once, on n_x / 2 cells and the clock (companion_dt) of the first rung with a
+    dt_error_estimate, or else of the last rung solved, from that rung's density stack on its mesh
+    (``_regrid``).  Its estimate, first order, is |w1_sup(dx) - w1_sup(2 dx)|; a companion that raises leaves
+    it None and names its error (companion_error).  meshes(n) gives m0 on n cells and the reference at each
+    window time on them.  hjb_sweeps and fp_steps count every solve, raised ones too."""
     t0 = time.perf_counter()
     m0, window = meshes(cfg.n_x)
     spent = {"hjb_sweeps": 0, "fp_steps": 0}
@@ -314,18 +306,12 @@ def _classic_row(cfg: PdeConfig, ham: QuadraticDriftHamiltonian, kernel, meshes,
                  "dx_error_estimate": None}
 
     def solve_companion(sol, w1):
-        rung = sol.config
-        companion["companion_dt"] = rung.dt
-        for n_x in _companion_meshes(rung.n_x):
-            other_m0, other_window = meshes(n_x)
-            other, sweeps, error = solve(replace(rung, n_x=n_x), other_m0, _regrid(sol.m_path, n_x))
-            companion["companion_hjb_sweeps"] += sweeps
-            if other is None:
-                companion["companion_error"] = error
-                continue
-            gap = abs(w1 - _window_w1(other, other_window))
-            companion.update(companion_n_x=n_x, dx_error_estimate=gap * rung.dx / abs(other.config.dx - rung.dx))
-            return
+        rung, n_x = sol.config, sol.config.n_x // 2
+        other_m0, other_window = meshes(n_x)
+        other, sweeps, error = solve(replace(rung, n_x=n_x), other_m0, _regrid(sol.m_path, n_x))
+        companion.update(companion_dt=rung.dt, companion_hjb_sweeps=sweeps, companion_error=error)
+        if other is not None:
+            companion.update(companion_n_x=n_x, dx_error_estimate=abs(w1 - _window_w1(other, other_window)))
 
     h, start, previous, last = cfg.T / FIRST_RUNG_STEPS, None, None, None
     while True:
@@ -423,17 +409,22 @@ def run_lambda_sweep_classic(
     T / 128, ... with base_config.dt the cap on the finest rung, and reads
     the reference at the node nearest each window time, a node of every
     rung.  The dx error estimate of a row comes from one warm companion
-    solve on a rung's clock at n_x / 2, or at 2 n_x where that raises,
-    against the FV reference re-solved on that mesh.  The FV reference is solved once per mesh and
-    sweep: m0's own first, then each companion mesh in the first row that
-    needs it.  Non-converged inner solves are flagged, never
-    fatal; a rung that raises BoundaryLeakError or a StabilityError
-    (CflError included) is skipped, and a row whose every rung raised is
-    a flagged row that names the error and carries NaN diagnostics.
-    Nothing here is random: the bound's c0 comes from the constants the
-    kernel and the drift state, and seed is only recorded in the report.
+    solve on a rung's clock at n_x / 2, against the FV reference
+    re-solved on that mesh, so base_config.n_x must be even and at least
+    16 (checked with the lambdas, before any validator or solve).  The FV
+    reference is solved once per mesh and sweep: m0's own first, then
+    n_x / 2 in the first row that needs it.  Non-converged inner solves
+    are flagged, never fatal; a rung that raises BoundaryLeakError or a
+    StabilityError (CflError included) is skipped, and a row whose every
+    rung raised is a flagged row that names the error and carries NaN
+    diagnostics.  Nothing here is random: the bound's c0 comes from the
+    constants the kernel and the drift state, and seed is only recorded
+    in the report.
     """
     lambdas = _sweep_lambdas(lambdas)
+    if base_config.n_x % 2 or base_config.n_x < 16:
+        raise ParameterError("n_x", f"n_x must be even and at least 16, got {base_config.n_x}: each row's dx "
+                             "companion solves on n_x / 2 cells")
     _grid_values(base_config, m0, "initial density")
     if not n_cross_particles >= 1:
         raise ValueError(f"n_cross_particles must be at least 1, got {n_cross_particles}")

@@ -22,7 +22,8 @@ class DivergenceError(RuntimeError):
 
 
 class BoundaryLeakError(RuntimeError):
-    """Mass reached the boundary cells of the truncated domain."""
+    """The density reached the walls of the truncated domain: the last node's two wall cells hold more density
+    than mfg_pde.BOUNDARY_DENSITY_TOL (a density, not a mass, so the verdict does not move with the cell width)."""
 
 
 class ConfigError(ValueError):

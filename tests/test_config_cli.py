@@ -466,6 +466,18 @@ class TestCli:
         assert ref["particle_resolved"] is False and ref["particle_error_estimate"] > ref["error_tolerance"]
         assert not any(row["flagged"] for row in report["rows"])
 
+    def test_sweep_classic_refuses_an_odd_mesh(self, tmp_path, capsys):
+        """n_x = 63 has no n_x / 2 mesh for the rows' dx companions: sweep-classic exits 2 and error.json
+        carries the sweep's message."""
+        cfg = self.write(tmp_path, CLASSIC_TINY.replace("n_x = 64", "n_x = 63") + "[sweep]\nlambdas = 5\n")
+        out = tmp_path / "run"
+        assert main(["sweep-classic", "--config", cfg, "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert (err["error"], err["message"]) == (
+            "ParameterError",
+            "n_x must be even and at least 16, got 63: each row's dx companion solves on n_x / 2 cells",
+        )
+
     def test_solve_mfg_states_its_sweeps(self, tmp_path, capsys, monkeypatch):
         """solution.json states the HJB sweeps of the solve, the warm start's included, and the FP
         transport steps, n_steps = 50 per sweep: a spy on hjb_backward counts the same sweeps."""

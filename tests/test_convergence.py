@@ -26,6 +26,7 @@ from mfglab import (
 )
 from mfglab import acceleration, convergence, cucker_smale, kernels, mfg_pde
 from mfglab.convergence import _json_text
+from mfglab.errors import ParameterError
 from mfglab.measures import GridDensity
 
 
@@ -142,9 +143,8 @@ class TestClassicSweep:
     def test_sweep_counters_match_spies(self, zero_ham, exp_kernel, monkeypatch):
         """A row's hjb_sweeps counts the HJB sweeps of every solve it ran, warm starts included: the sum over
         its clock_ladder entries plus the dx companion's; fp_steps counts its FP transport steps, n_steps of
-        each solve's clock per sweep.  At lambda = 5 the n_x / 2 companion raises BoundaryLeakError in its first
-        sweep, which still counts (one HJB sweep and its FP march of 128 steps), and the 2 n_x one gives the dx
-        estimate.  The FV reference is solved once per mesh: m0's own first, then n_x / 2 and 2 n_x."""
+        each solve's clock per sweep.  Both rows' n_x / 2 companions solve and give the dx estimate.  The FV
+        reference is solved once per mesh: m0's own first, then n_x / 2."""
         cfg = small_config(5.0)
         backward, step, sweeps, steps = mfg_pde.hjb_backward, mfg_pde.transport_step, [], []
         fv, fv_meshes = convergence.solve_aggregation_fv, []
@@ -165,11 +165,8 @@ class TestClassicSweep:
             assert row["fp_steps"] == sum(c.n_steps for c in ran)
             assert ladder[-1]["hjb_sweeps"] == row["iterations"]  # a warm-started rung has no warm-start sweep
         assert sum(row["fp_steps"] for row in rep.rows) == len(steps)
-        assert sum(c.n_x == cfg.n_x // 2 for c in sweeps if c.lam == 5.0) == 1
-        assert [(row["companion_error"], row["companion_n_x"]) for row in rep.rows] == [
-            ("BoundaryLeakError", 2 * cfg.n_x), (None, cfg.n_x // 2)
-        ]
-        assert [m.n for m in fv_meshes] == [cfg.n_x, cfg.n_x // 2, 2 * cfg.n_x] and fv_meshes[0] is m0
+        assert [(row["companion_error"], row["companion_n_x"]) for row in rep.rows] == [(None, cfg.n_x // 2)] * 2
+        assert [m.n for m in fv_meshes] == [cfg.n_x, cfg.n_x // 2] and fv_meshes[0] is m0
 
     def test_failing_lambda_is_a_flagged_row(self, zero_ham, exp_kernel):
         # on [-1, 1] the m0 tails reach the boundary cells and every MFG
@@ -273,9 +270,9 @@ class TestClassicSweep:
 
     def test_grid_matrix_memo_keeps_every_column(self, zero_ham, exp_kernel, monkeypatch):
         """The sweep's grid matrices come from the kernels._grid_matrix memo: with it, the kernel builds
-        a value matrix at most once per mesh the sweep solves on (the rows' and their dx companions': n_x / 2,
-        and 2 n_x where the lambda = 5 row's n_x / 2 companion raises); with the memo cleared before every
-        build, far more often, and every column of the report reads the same bits."""
+        a value matrix at most once per mesh the sweep solves on (the rows' and their dx companions', n_x / 2);
+        with the memo cleared before every build, far more often, and every column of the report reads the same
+        bits."""
         cfg = small_config(5.0)
         args = (zero_ham, exp_kernel, small_m0(cfg), [5.0, 20.0])
         value, builds = ExponentialKernel.value, []
@@ -286,7 +283,7 @@ class TestClassicSweep:
         monkeypatch.setattr(kernels, "_grid_memo", {})
         monkeypatch.setattr(kernels, "_GRID_MEMO_SIZE", 0)  # each matrix goes as soon as it is built
         fresh = run_lambda_sweep_classic(*args, base_config=cfg, n_cross_particles=50)
-        assert 1 <= memo_builds <= 3 and len(builds) - memo_builds > 10
+        assert 1 <= memo_builds <= 2 and len(builds) - memo_builds > 10
         assert [r.pop("wall_clock_s") > 0 for r in kept.rows + fresh.rows] == [True] * 4
         assert _json_text(kept.to_doc()) == _json_text(fresh.to_doc())
 
@@ -373,9 +370,8 @@ class TestClockLadder:
 
     @pytest.mark.parametrize("lam", [5.0, 20.0])
     def test_warm_companion_matches_a_cold_solve(self, zero_ham, exp_kernel, monkeypatch, lam):
-        """The dx companion starts from its rung's density stack moved to its mesh (``_regrid``), at n_x / 2
-        (lambda = 20) or, where that raises, at 2 n_x (lambda = 5); its w1_sup lands within 1e-7 of a cold
-        solve's on the same mesh and clock."""
+        """The dx companion starts from its rung's density stack moved to its mesh, n_x / 2 (``_regrid``), at
+        lambda = 5 and 20; its w1_sup lands within 1e-7 of a cold solve's on the same mesh and clock."""
         cfg = small_config(lam)
         m0 = small_m0(cfg)
         solve, solved = convergence.solve_mfg_fixed_point, []
@@ -444,14 +440,11 @@ class TestClockLadder:
         assert np.array_equal(convergence._prolong(m), [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]])
 
     def test_companion_meshes_keep_the_mass(self):
-        """The companion tries n_x / 2, then 2 n_x; an odd n_x, or one below 16, goes to 2 n_x alone."""
+        """The companion's mesh, n_x / 2, keeps m's origin and its mass."""
         m = small_m0(small_config(10.0))
-        coarse, fine = (convergence._regrid(m, n) for n in convergence._companion_meshes(m.n))
-        assert (coarse.n, coarse.dx, fine.n, fine.dx) == (m.n // 2, 2 * m.dx, 2 * m.n, m.dx / 2)
-        assert coarse.origin == fine.origin == m.origin
+        coarse = convergence._regrid(m, m.n // 2)
+        assert (coarse.n, coarse.dx, coarse.origin) == (m.n // 2, 2 * m.dx, m.origin)
         assert coarse.values.sum() * coarse.dx == pytest.approx(1.0, abs=1e-14)
-        np.testing.assert_allclose(fine.cdf()[1::2], m.cdf(), rtol=0.0, atol=1e-14)  # the same measure, finer
-        assert convergence._companion_meshes(15) == (30,) and convergence._companion_meshes(8) == (16,)
 
 
 def _refuse(*args, **kwargs):
@@ -538,6 +531,14 @@ class TestSweepLambdas:
         m0 = ParticleEnsemble.equal_weights(np.array([[0.0, 1.0], [0.0, -1.0]]), 1)
         with pytest.raises(ValueError, match=r"lambda = 800, T = 1: the control preconditioner"):
             run_lambda_sweep_acceleration(CuckerSmaleKernel(1.0, 0.5), m0, [10.0, 800.0])
+
+    @pytest.mark.parametrize("n_x", [255, 14, 8])
+    def test_unsupported_mesh_raises_before_any_solve(self, no_solves, zero_ham, exp_kernel, n_x):
+        """Each classic row's dx companion solves on n_x / 2 cells: an odd n_x, or one below 16, is refused."""
+        cfg = small_config(5.0, n_x=n_x)
+        with pytest.raises(ParameterError, match=f"n_x must be even and at least 16, got {n_x}: ") as raised:
+            run_lambda_sweep_classic(zero_ham, exp_kernel, small_m0(cfg), [5.0], base_config=cfg)
+        assert raised.value.name == "n_x"
 
     def test_off_grid_density_raises_before_any_solve(self, no_solves, zero_ham, exp_kernel):
         cfg = small_config(5.0)

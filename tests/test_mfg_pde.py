@@ -608,6 +608,20 @@ class TestFixedPoint:
             solve_mfg_fixed_point(cfg, zero_ham, exp_kernel, m0, frozen_path(cfg, m0) if start else None)
         assert raised.value.spent == (1, cfg.n_steps)
 
+    def test_leak_verdict_does_not_move_with_the_mesh(self, zero_ham, exp_kernel):
+        """The leak test reads the wall cells' density, not their mass: at lambda = 5 on [-6, 6] the fixed point
+        passes on 128 cells and on 64, whose wall cells, twice as wide, hold 1.7e-7 of mass (above the old
+        mass bound, 1e-7); on [-1, 1], where the density reaches the walls, it raises on 32 cells and on 16."""
+        for half_width, dt, n_xs, leaks in ((6.0, 2e-3, (128, 64), False), (1.0, 1e-2, (32, 16), True)):
+            for n_x in n_xs:
+                cfg = PdeConfig(lam=5.0, half_width=half_width, n_x=n_x, dt=dt)
+                m0 = GridDensity.gaussian(0.0, 0.5, -cfg.half_width, cfg.dx, cfg.n_x)
+                if leaks:
+                    with pytest.raises(BoundaryLeakError):
+                        solve_mfg_fixed_point(cfg, zero_ham, exp_kernel, m0)
+                else:
+                    assert solve_mfg_fixed_point(cfg, zero_ham, exp_kernel, m0).converged
+
     def test_m0_off_the_config_grid_rejected(self, zero_ham, exp_kernel, gauss_m0):
         cfg = PdeConfig(lam=10.0, T=0.1)
         shifted = GridDensity(gauss_m0.origin + 0.5 * gauss_m0.dx, gauss_m0.dx, gauss_m0.values)
