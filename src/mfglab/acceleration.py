@@ -334,23 +334,6 @@ def minimize_energy(
 EL_TOLERANCE = 1e-4
 
 
-#: K of a sweep row is a multiple of this, so that every diagnostic window time (the multiples of T/8 up to
-#: 3T/4, ``convergence._window_times``) and T/2 are nodes
-_NODE_MULTIPLE = 8
-
-
-def _row_intervals(lam: float, T: float, n_intervals: int) -> int:
-    """K of a solve at lam: max(n_intervals, 70 T sqrt(lam)), rounded up to a multiple of _NODE_MULTIPLE.
-
-    The exact control weights and the product-trapezoid interaction weights leave the discrete
-    minimizer off the Euler-Lagrange identity by EL ~ 0.13 lam dt^2 = 0.13 lam T^2 / K^2 (measured
-    0.12-0.14 on the 24-atom flock of the accel-sweep benchmark, lam = 10 to 640).  Asking for EL at
-    most 2.65e-5, below EL_TOLERANCE / 3, gives K >= T sqrt(0.13 lam / 2.65e-5) = 70 T sqrt(lam):
-    224, 320, 448 and 632 intervals at lam = 10, 20, 40 and 80, T = 1.
-    """
-    return _NODE_MULTIPLE * int(np.ceil(max(n_intervals, 70.0 * T * np.sqrt(lam)) / _NODE_MULTIPLE))
-
-
 def el_residual(ens: TrajectoryEnsemble, kernel: CuckerSmaleKernel, lam: float) -> float:
     """Sup-norm residual of the rearranged Euler-Lagrange identity.
 

@@ -19,10 +19,11 @@ import traceback
 from pathlib import Path
 
 from . import __version__
-from .acceleration import _row_intervals, minimize_energy
+from .acceleration import minimize_energy
 from .aggregation import solve_aggregation_fv
 from .config import ExperimentDescription, parse_config, write_config
-from .convergence import REFERENCE_TOLERANCE, _json_text, run_lambda_sweep_acceleration, run_lambda_sweep_classic
+from .convergence import (REFERENCE_TOLERANCE, _json_text, _row_intervals, run_lambda_sweep_acceleration,
+                          run_lambda_sweep_classic)
 from .cucker_smale import richardson_order_ratio, solve_cs
 from .errors import ConfigError
 from .hamiltonians import validate_hamiltonian

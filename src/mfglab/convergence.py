@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .acceleration import EL_TOLERANCE, _preconditioner, _row_intervals, minimize_energy
+from .acceleration import EL_TOLERANCE, _preconditioner, minimize_energy
 from .aggregation import solve_aggregation_fv, solve_aggregation_particles
 from .cucker_smale import _step_halving, richardson_order_ratio
 from .errors import BoundaryLeakError, CflError, ParameterError, StabilityError
@@ -38,7 +38,6 @@ from .measures import (
     ParticleEnsemble,
     _check_exact_w1,
     _csv_table,
-    _n_steps,
     _positive_finite,
     _w1_sorted_1d,
     moment2,
@@ -47,10 +46,13 @@ from .measures import (
 )
 from .mfg_pde import MfgSolution, PdeConfig, _grid_values, coupling_on_grid, solve_mfg_fixed_point
 
-#: fraction of [0, T] used for limit diagnostics (terminal layer excluded)
-DIAGNOSTIC_WINDOW = 0.75
-#: number of sampled diagnostic times inside the window
+#: the diagnostic window times are the multiples of T / WINDOW_DIVISIONS, node j n / WINDOW_DIVISIONS of a clock of
+#: n steps; every clock a sweep reads has a multiple of WINDOW_DIVISIONS steps
+WINDOW_DIVISIONS = 8
+#: number of sampled diagnostic times inside the window, 0 to 3T/4
 N_DIAGNOSTIC_TIMES = 7
+#: fraction of [0, T] used for limit diagnostics (terminal layer excluded): 3/4
+DIAGNOSTIC_WINDOW = (N_DIAGNOSTIC_TIMES - 1) / WINDOW_DIVISIONS
 #: cap of the lambda-scaled linear-growth and semiconcavity diagnostics
 C_TILDE = 10.0
 #: cap of sup_t ||m(t)||_inf
@@ -62,8 +64,8 @@ BOUNDS_SLACK = 1.25
 REFERENCE_TOLERANCE = 1e-9
 #: a classic row's clock is resolved once its dt_error_estimate is at most this fraction of its dx_error_estimate
 CLOCK_ERROR_FRACTION = 0.25
-#: the coarsest rung of a classic row's clock ladder: T / 64, whose nodes hold every window time (multiples of T/8),
-#: so that T / 128, the first rung with a dt error estimate, may stop it
+#: the coarsest rung of a classic row's clock ladder: T / 64, whose steps are a multiple of WINDOW_DIVISIONS, as
+#: every finer rung's are, so that T / 128, the first rung with a dt error estimate, may stop it
 FIRST_RUNG_STEPS = 64
 
 
@@ -219,9 +221,25 @@ def _window_times(T: float) -> np.ndarray:
     return np.linspace(0.0, DIAGNOSTIC_WINDOW * T, N_DIAGNOSTIC_TIMES)
 
 
-def _window_nodes(cfg: PdeConfig) -> np.ndarray:
-    """The node of cfg's clock nearest each window time: the nodes a classic row reads."""
-    return np.abs(cfg.times - _window_times(cfg.T)[:, None]).argmin(axis=1)
+def _window_nodes(n: int) -> np.ndarray:
+    """The window nodes of a clock of n steps, j n / WINDOW_DIVISIONS for j < N_DIAGNOSTIC_TIMES: the nodes both
+    sweeps read; an n that is no multiple of WINDOW_DIVISIONS raises ValueError."""
+    if n % WINDOW_DIVISIONS:
+        raise ValueError(f"a clock of {n} steps misses window times: n must be a multiple of {WINDOW_DIVISIONS}")
+    return n // WINDOW_DIVISIONS * np.arange(N_DIAGNOSTIC_TIMES)
+
+
+def _row_intervals(lam: float, T: float, n_intervals: int) -> int:
+    """K of a solve at lam: max(n_intervals, 70 T sqrt(lam)), rounded up to a multiple of WINDOW_DIVISIONS, so
+    that every window time (T/2 among them) is a node.
+
+    The exact control weights and the product-trapezoid interaction weights leave the discrete
+    minimizer off the Euler-Lagrange identity by EL ~ 0.13 lam dt^2 = 0.13 lam T^2 / K^2 (measured
+    0.12-0.14 on the 24-atom flock of the accel-sweep benchmark, lam = 10 to 640).  Asking for EL at
+    most 2.65e-5, below EL_TOLERANCE / 3, gives K >= T sqrt(0.13 lam / 2.65e-5) = 70 T sqrt(lam):
+    224, 320, 448 and 632 intervals at lam = 10, 20, 40 and 80, T = 1.
+    """
+    return WINDOW_DIVISIONS * int(np.ceil(max(n_intervals, 70.0 * T * np.sqrt(lam)) / WINDOW_DIVISIONS))
 
 
 def _sweep_lambdas(lambdas) -> list:
@@ -246,12 +264,11 @@ _CLASSIC_DIAGNOSTICS = (
 
 
 def _window_w1(sol: MfgSolution, window) -> float:
-    """sup over the window times of W1(m_lam, reference): window holds the reference at each window time,
-    which is a node of the solve's clock."""
+    """sup over the window times of W1(m_lam, reference): window holds the reference at each window node."""
     cfg = sol.config
     return max(
         wasserstein1_1d(GridDensity(-cfg.half_width, cfg.dx, sol.m_path[j]), m_ref)
-        for j, m_ref in zip(_window_nodes(cfg), window)
+        for j, m_ref in zip(_window_nodes(cfg.n_steps), window, strict=True)
     )
 
 
@@ -352,8 +369,8 @@ def _classic_row(cfg: PdeConfig, ham: QuadraticDriftHamiltonian, kernel, meshes,
     cfg = sol.config
 
     x, lam, dx = cfg.cell_centers, cfg.lam, cfg.dx
-    # the node of each window time on the row's clock, as stacks: window holds the reference there
-    nodes = _window_nodes(cfg)
+    # the window nodes of the row's clock, as stacks: window holds the reference there
+    nodes = _window_nodes(cfg.n_steps)
     u = sol.u_path[nodes]
     du = np.gradient(u, dx, axis=-1)  # along x: centred, one-sided at the walls
     res_u = float(np.max(np.abs(lam * u - coupling_on_grid(kernel, sol.m_path[nodes], x))))
@@ -407,8 +424,8 @@ def run_lambda_sweep_classic(
     The FV reference marches on a clock with every window time as a node
     (fv_dt); each row climbs its own clock (``_classic_row``), h = T / 64,
     T / 128, ... with base_config.dt the cap on the finest rung, and reads
-    the reference at the node nearest each window time, a node of every
-    rung.  The dx error estimate of a row comes from one warm companion
+    the reference at each window node, j n / 8 on a rung of n steps.
+    The dx error estimate of a row comes from one warm companion
     solve on a rung's clock at n_x / 2, against the FV reference
     re-solved on that mesh, so base_config.n_x must be even and at least
     16 (checked with the lambdas, before any validator or solve).  The FV
@@ -432,12 +449,13 @@ def run_lambda_sweep_classic(
     ham_report = validate_hamiltonian(ham)
     c0 = max(coupling_report.c0, ham_report.growth_constant)
 
-    # both references march only to the last node a row reads, n_w steps: the window end, not T; the FV clock
-    # has every window time (a multiple of T/8) as a node, as each rung has: the sweep's dt, or, where its n
-    # steps are no multiple of 8, the next finer step T / (8 ceil(n / 8))
+    # both references march only to the last node a row reads: the window end, not T; the FV clock has every
+    # window time as a node, as each rung has: the sweep's dt, or, where its n steps are no multiple of
+    # WINDOW_DIVISIONS, the next finer step T / (WINDOW_DIVISIONS ceil(n / WINDOW_DIVISIONS))
     T, dt, n = base_config.T, base_config.dt, base_config.n_steps
-    fv_dt = dt if n % 8 == 0 else T / (8 * -(-n // 8))
-    nodes = _window_nodes(replace(base_config, dt=fv_dt))
+    fv_n = WINDOW_DIVISIONS * -(-n // WINDOW_DIVISIONS)
+    fv_dt = dt if fv_n == n else T / fv_n
+    nodes = _window_nodes(fv_n)
     T_window = int(nodes[-1]) * fv_dt
     fv_mass, memo = [], {}
 
@@ -497,10 +515,6 @@ def run_lambda_sweep_classic(
     )
 
 
-def _nearest(times: np.ndarray, t: float) -> int:
-    return int(np.argmin(np.abs(times - t)))
-
-
 def _resample(controls: np.ndarray, n_intervals: int) -> np.ndarray:
     """Piecewise-constant controls (N, K') on [0, T] carried onto n_intervals intervals: linear in time between
     the K' interval midpoints, constant beyond the first and the last, read at the new interval midpoints."""
@@ -519,21 +533,20 @@ def _acceleration_row(
 ) -> tuple:
     """One acceleration row at lam, and the row's minimizing controls.  start is (lambda, controls) of an earlier
     row or None: the minimization starts from those controls, resampled onto this row's K (``_resample``), or
-    from free flight, and the row states that lambda as start_lambda (null for free flight)."""
+    from free flight, and the row states that lambda as start_lambda (null for free flight).  reference keeps
+    the window nodes alone, one measure per window time; any other count raises ValueError."""
     k_lam = _row_intervals(lam, T, n_intervals)
     t0 = time.perf_counter()
     result = minimize_energy(m0, kernel, lam, T, k_lam, None if start is None else _resample(start[1], k_lam))
     wall = time.perf_counter() - t0
     ens = result.ensemble
 
-    # (trajectory node, reference snapshot) at each window time, then at T/2, which is one of them;
-    # one transport solve per distinct pair, matched on indices (float window times can miss T/2)
-    pairs = [(_nearest(ens.times, t), _nearest(reference.times, t)) for t in (*_window_times(T), 0.5 * T)]
-    w1 = {
-        (j, r): wasserstein1_particles(ens.phase_ensemble(j), reference.measures[r])
-        for j, r in dict.fromkeys(pairs)
-    }
-    w1_sup, w1_half = max(w1[p] for p in pairs[:-1]), w1[pairs[-1]]
+    # one transport solve per window node, T/2 among them
+    w1 = [
+        wasserstein1_particles(ens.phase_ensemble(j), m_ref)
+        for j, m_ref in zip(_window_nodes(k_lam), reference.measures, strict=True)
+    ]
+    w1_sup, w1_half = max(w1), w1[WINDOW_DIVISIONS // 2]
 
     m2v = moment2(m0, selector="velocity")
     bound = 2.0 * kernel.c0 * m2v / lam
@@ -573,15 +586,15 @@ def _resolve(levels, h, dt_cap):
 
 def _kinetic_reference(m0: ParticleEnsemble, kernel: CuckerSmaleKernel, T: float, dt_cap: float):
     """The acceleration sweep's reference: a step-halving ladder of RK4 marches at 4h, 2h and h = T / (8 2^k) to
-    the window end, each saving the window nodes (multiples of T/8, T/2 among them).  k starts at 2, the coarsest
-    ladder whose 4h clock hits every T/8: richardson_order_ratio's three marches; each further level marches one
-    new clock (``_resolve`` stops the ladder).  Returns the finest march, which is the reference, and the keys the
-    report states of it."""
-    horizon = DIAGNOSTIC_WINDOW * T
+    the window end, each saving the window nodes alone (multiples of T/8, T/2 among them).  k starts at 2, the
+    coarsest ladder whose 4h clock steps T/8, one window time a step: richardson_order_ratio's three marches; each
+    further level marches one new clock (``_resolve`` stops the ladder).  Returns the finest march, which is the
+    reference, and the keys the report states of it."""
+    horizon, step = DIAGNOSTIC_WINDOW * T, T / WINDOW_DIVISIONS
     finest = []
-    richardson_order_ratio(m0, kernel, horizon, T / 8, range(_n_steps(horizon, T / 8) + 1), finest)
+    richardson_order_ratio(m0, kernel, horizon, step, range(N_DIAGNOSTIC_TIMES), finest)
     (_, _, levels), = finest
-    (path, estimate, ratio, rk4_steps), h, resolved = _resolve(levels, T / 32, dt_cap)
+    (path, estimate, ratio, rk4_steps), h, resolved = _resolve(levels, step / 4, dt_cap)
     return path, {
         "horizon": horizon,
         "h": h,

@@ -22,7 +22,7 @@ class DivergenceError(RuntimeError):
 
 
 class BoundaryLeakError(RuntimeError):
-    """The density reached the walls of the truncated domain: the last node's two wall cells hold more density
+    """The density reached the walls of the truncated domain: at some node the two wall cells hold more density
     than mfg_pde.BOUNDARY_DENSITY_TOL (a density, not a mass, so the verdict does not move with the cell width)."""
 
 

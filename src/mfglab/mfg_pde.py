@@ -49,7 +49,7 @@ from .hamiltonians import QuadraticDriftHamiltonian
 from .kernels import CuckerSmaleKernel, _grid_sum
 from .measures import GridDensity, _anderson, _check_densities, _exp_trapezoid_weights, _finite, _n_steps, _on_grid
 
-#: fp_forward raises BoundaryLeakError once the last node's two wall cells hold more density than this: 1e-7 of
+#: fp_forward raises BoundaryLeakError once the two wall cells of any node hold more density than this: 1e-7 of
 #: mass on a cell of the default mesh, 12 / 256 (a density, so the verdict does not move with the cell width)
 BOUNDARY_DENSITY_TOL = 1e-7 * 256 / 12
 #: the fixed point stops once its residual, max W1(m, g) over every node, is at most this
@@ -331,7 +331,7 @@ def fp_forward(
     if mass_log is not None:
         mass_log.append(float(np.abs(mass - 1.0).max()))
     _check_densities(m, dx)
-    wall_density = m[-1, 0] + m[-1, -1]
+    wall_density = np.max(m[:, 0] + m[:, -1])  # every node, m0 too
     if wall_density > BOUNDARY_DENSITY_TOL:
         raise BoundaryLeakError(f"boundary cells carry density {wall_density:.2e}; enlarge half_width")
     return m

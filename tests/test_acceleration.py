@@ -23,8 +23,8 @@ from mfglab.acceleration import (
     MAX_OBJECTIVE_EVALUATIONS,
     _control_weights,
     _preconditioner,
-    _row_intervals,
 )
+from mfglab.convergence import _row_intervals
 from mfglab.measures import _exp_trapezoid_weights, wasserstein1_particles
 from test_pair_sums import dense_cs_pair_energy, dense_cs_pair_pass, dense_cs_pair_sum
 

@@ -248,7 +248,7 @@ class TestClassicSweep:
         rep = run_lambda_sweep_classic(zero_ham, exp_kernel, m0, [10.0, 40.0], base_config=cfg, n_cross_particles=50)
         assert rep.reference["fv_dt"] == fv_cfg.dt
         assert [T for _, T, _ in calls] == [378 * fv_cfg.dt] * len(calls) and len(calls) >= 4
-        nodes = convergence._window_nodes(fv_cfg)
+        nodes = convergence._window_nodes(fv_cfg.n_steps)
         assert list(nodes) == list(range(0, 379, 63)) and np.array_equal(calls[0][2].times, fv_cfg.times[nodes])
         fv = solve_aggregation_fv(zero_ham, exp_kernel, m0, cfg.T, fv_cfg.dt, nodes=range(fv_cfg.n_steps + 1))
         finest = [path for name, _, path in calls if name == "solve_aggregation_particles"][-1]
@@ -320,9 +320,11 @@ class TestClassicSweep:
 
 
 def _window(ham, kernel, m0, cfg):
-    """The FV reference at each window node of cfg's clock, as a classic row reads it."""
-    fv = solve_aggregation_fv(ham, kernel, m0, cfg.T, cfg.dt, nodes=range(cfg.n_steps + 1))
-    return [fv.measures[j] for j in convergence._window_nodes(cfg)]
+    """The FV reference at each window node, marched on the sweep's FV clock for cfg: T / (8 ceil(n / 8)) for
+    cfg's n steps, as a classic row reads it."""
+    n = 8 * -(-cfg.n_steps // 8)
+    fv = solve_aggregation_fv(ham, kernel, m0, cfg.T, cfg.T / n, nodes=range(n + 1))
+    return [fv.measures[j] for j in convergence._window_nodes(n)]
 
 
 class TestClockLadder:
@@ -402,10 +404,11 @@ class TestClockLadder:
         """A constant drift of 3 on cells of 1/128: at h = T / 64 and T / 128 the HJB step is not monotone
         (3 dt / dx = 3 and 1.5), so those rungs raise and are skipped; T / 256 (0.75) solves, but without a solved
         rung at 2h it has no estimate, and T / 512, the cap, gives the row and its dx companion's clock.  The row
-        is converged and not flagged."""
+        is converged and not flagged.  m0 = N(-1.25, 0.5^2) keeps the wall density of every node below the leak
+        bound (N(-1.5, 0.5^2) holds 3.1e-6 at node 0)."""
         ham = QuadraticDriftHamiltonian(DriftField("constant", 3.0))
         cfg = PdeConfig(lam=20.0, T=0.5, half_width=4.0, n_x=1024, dt=0.5 / 512)
-        m0 = GridDensity.gaussian(-1.5, 0.5, -cfg.half_width, cfg.dx, cfg.n_x)
+        m0 = GridDensity.gaussian(-1.25, 0.5, -cfg.half_width, cfg.dx, cfg.n_x)
         row = run_lambda_sweep_classic(ham, ZeroKernel(), m0, [20.0], base_config=cfg, n_cross_particles=20).rows[0]
         ladder = row["clock_ladder"]
         assert [r["error"] for r in ladder] == ["StabilityError"] * 2 + [None] * 2 and row["rungs_skipped"] == 2
@@ -582,17 +585,32 @@ class TestAccelerationSweep:
         window time, a multiple of T/8, and T/2 lie on a node of every row, also where the floor
         n_intervals is above 70 T sqrt(lambda) and no multiple of 8 (250 at lambda = 10 gives 256)."""
         for lam, n_intervals in ((10.0, 8), (20.0, 8), (40.0, 128), (80.0, 8), (640.0, 8), (10.0, 250)):
-            K = acceleration._row_intervals(lam, T, n_intervals)
+            K = convergence._row_intervals(lam, T, n_intervals)
             assert K >= max(n_intervals, 70 * T * np.sqrt(lam)) and K % 8 == 0
             nodes = np.linspace(0.0, T, K + 1)
             for t in (*convergence._window_times(T), 0.5 * T):
                 assert np.min(np.abs(nodes - t)) <= 1e-12 * T
-        assert [acceleration._row_intervals(lam, 1.0, 128) for lam in (10.0, 20.0, 40.0, 80.0)] == [224, 320, 448, 632]
-        assert acceleration._row_intervals(10.0, 1.0, 250) == 256
+        assert [convergence._row_intervals(lam, 1.0, 128) for lam in (10.0, 20.0, 40.0, 80.0)] == [224, 320, 448, 632]
+        assert convergence._row_intervals(10.0, 1.0, 250) == 256
+
+    def test_window_nodes_are_integer(self):
+        """Window node j of a clock of n steps is j n / 8; a clock of 500 steps, no multiple of 8, has no node at
+        T/8 and raises rather than read the nearest one."""
+        assert list(convergence._window_nodes(64)) == list(range(0, 49, 8))
+        with pytest.raises(ValueError, match="multiple of 8"):
+            convergence._window_nodes(500)
+
+    def test_reference_off_the_window_raises(self):
+        """A row reads one reference measure per window node: a reference that keeps every node of T/16 to the
+        window end, 13 measures for 7 window nodes, raises."""
+        kernel, m0, T = CuckerSmaleKernel(1.0, 0.5), ParticleEnsemble.equal_weights(self.THREE_ATOMS, 1), 0.7
+        reference = solve_cs(m0, kernel, 0.75 * T, T / 16, range(13))
+        with pytest.raises(ValueError, match="longer"):
+            convergence._acceleration_row(10.0, m0, kernel, T, 64, reference)
 
     def test_one_transport_solve_per_node_pair(self, cs_flat, two_body_phase, monkeypatch):
-        """w1_at_half_T reads the W1 the window solved at T/2, matched on node indices (at
-        T = 0.7 the 5th window time is 0.3499999999999999): 7 solves a row, not 8."""
+        """w1_at_half_T reads the W1 the window solved at T/2, window node 4 = K/2 of the integer
+        window nodes j K / 8: 7 solves a row, not 8."""
         solved = []
         w1 = convergence.wasserstein1_particles
 
@@ -661,13 +679,13 @@ class TestAccelerationSweep:
         assert all(np.array_equal(a.points, b.points) for a, b in zip(reference.measures, path.measures))
 
     def test_w1_columns_within_the_reference_error(self):
-        """Against the rows read from the dense dt = 1e-3 solve_cs reference (state error near 1e-14),
-        w1_sup and w1_at_half_T move by at most sqrt(2) error_estimate: W1 is 1-Lipschitz in each atom,
-        whose phase-space error is at most sqrt(2) times the largest entry's (measured: 0.47-0.54)."""
+        """Against the rows read from a dense solve_cs reference on T / 704 (state error near 1e-14), which keeps
+        the window nodes 0, 88, ..., 528 alone, w1_sup and w1_at_half_T move by at most sqrt(2) error_estimate:
+        W1 is 1-Lipschitz in each atom, whose phase-space error is at most sqrt(2) times the largest entry's."""
         kernel, m0, T = CuckerSmaleKernel(1.0, 0.5), ParticleEnsemble.equal_weights(self.THREE_ATOMS, 1), 0.7
         rep = run_lambda_sweep_acceleration(kernel, m0, [10.0, 40.0], T=T, n_intervals=64)
         bound = np.sqrt(2.0) * rep.reference["error_estimate"]
-        dense = solve_cs(m0, kernel, T, 1e-3, range(701))
+        dense = solve_cs(m0, kernel, 0.75 * T, T / 704, range(0, 529, 88))
         start = None
         for lam, row in zip(rep.lambdas, rep.rows):
             expected, controls = convergence._acceleration_row(lam, m0, kernel, T, 64, dense, start)

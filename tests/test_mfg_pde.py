@@ -431,6 +431,22 @@ class TestFpForward:
             assert abs(cfg.dx * values.sum() - 1.0) <= 1e-10
             assert np.min(values) >= 0.0
 
+    def test_leak_read_on_every_node(self, zero_ham, gauss_m0, monkeypatch):
+        """A drift of 8 toward the right wall for T/2, then of 8 back, at nu = 0: the density touches the wall
+        mid-march and drifts back, so the last node's wall density is below BOUNDARY_DENSITY_TOL and an earlier
+        node's above it; the march raises BoundaryLeakError."""
+        cfg = PdeConfig(lam=10.0, T=1.0, nu=0.0)
+        half = cfg.n_steps // 2
+        u = np.tile(-8.0 * cfg.cell_centers / cfg.lam, (cfg.n_steps + 1, 1))  # b = -lam Du = 8
+        u[half:] *= -1.0
+        tol = mfg_pde.BOUNDARY_DENSITY_TOL
+        monkeypatch.setattr(mfg_pde, "BOUNDARY_DENSITY_TOL", np.inf)
+        wall = (lambda m: m[:, 0] + m[:, -1])(fp_forward(cfg, zero_ham, u, gauss_m0))
+        assert wall[-1] < tol < wall.max()
+        monkeypatch.setattr(mfg_pde, "BOUNDARY_DENSITY_TOL", tol)
+        with pytest.raises(BoundaryLeakError):
+            fp_forward(cfg, zero_ham, u, gauss_m0)
+
     def test_cfl_violation_raises(self, zero_ham, gauss_m0):
         cfg = PdeConfig(lam=10.0, dt=0.05, nu=0.0)
         u = np.tile(-10.0 * cfg.cell_centers / cfg.lam, (cfg.n_steps + 1, 1))
